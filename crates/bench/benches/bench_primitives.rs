@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 use wcc_core::walks::{direct_walk_targets, layered_walk_bundle};
 use wcc_graph::prelude::*;
 use wcc_mpc::{primitives::distributed_sort, Cluster, MpcConfig, MpcContext};
-use wcc_sketch::ConnectivitySketch;
+use wcc_sketch::{ConnectivitySketch, DynamicConnectivitySketch};
 
 fn bench_walks(c: &mut Criterion) {
     let mut group = c.benchmark_group("random_walks");
@@ -63,6 +63,60 @@ fn bench_sketch(c: &mut Criterion) {
             }
             sk.components()
         })
+    });
+
+    // The turnstile kernel on the benchmark's `stream_churn` shape: two
+    // planted 8-regular expanders of 1 000 vertices, 26 phases, and a window
+    // of 400 fresh intra-community edges inserted and deleted again — so
+    // every iteration does the same 800 updates on the same sketch
+    // (`dynamic_update` ÷ 800 = time per op).
+    let half = 1_000u32;
+    let g = generators::planted_expander_components(&[half as usize; 2], 8, &mut rng);
+    let mut sk = DynamicConnectivitySketch::new(26, 0x5EED);
+    for _ in 0..g.num_vertices() {
+        sk.push_vertex();
+    }
+    for (u, v) in g.edge_iter() {
+        sk.add_edge(u as u32, v as u32);
+    }
+    let window: Vec<(u32, u32)> = {
+        use rand::Rng;
+        let mut seen = std::collections::HashSet::new();
+        std::iter::repeat_with(|| (rng.gen_range(0..half), rng.gen_range(0..half)))
+            .filter(|&(u, v)| u != v && seen.insert((u.min(v), u.max(v))))
+            .take(400)
+            .collect()
+    };
+    let members: Vec<u32> = (0..half).collect();
+    // Differential check once, before any timing: the window cancels exactly
+    // and the subset Borůvka certifies the community's true partition.
+    {
+        let base = sk.clone();
+        for &(u, v) in &window {
+            sk.add_edge(u, v);
+        }
+        assert_ne!(sk, base);
+        for &(u, v) in &window {
+            sk.remove_edge(v, u);
+        }
+        assert_eq!(sk, base, "insert + delete must cancel");
+        // Each planted expander is connected, so the community is one part.
+        assert_eq!(connected_components(&g).num_components(), 2);
+        let parts = sk.subset_components(&members).expect("certifies").parts;
+        assert_eq!(parts, vec![members.clone()]);
+    }
+    group.bench_function("dynamic_update/800_ops", |b| {
+        b.iter(|| {
+            for &(u, v) in &window {
+                sk.add_edge(u, v);
+            }
+            for &(u, v) in &window {
+                sk.remove_edge(u, v);
+            }
+        })
+    });
+    group.bench_function("subset_components/1000_members", |b| {
+        b.iter(|| sk.subset_components(&members))
     });
     group.finish();
 }

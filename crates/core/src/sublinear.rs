@@ -230,18 +230,14 @@ pub fn sublinear_components(
         .sketch_phases
         .max(2 * (usize::BITS - k.max(2).leading_zeros()) as usize + 16);
     // Each super-vertex builds its own message independently (the sketch is
-    // linear), so the construction fans out per vertex on the backend.
-    let sketch_seed = seed ^ 0xABCD;
+    // linear), so the construction fans out per vertex on the backend; the
+    // shared random bits are expanded into keys once and read by every
+    // worker.
+    let keys = wcc_sketch::SketchKeys::new(phases, seed ^ 0xABCD);
     let messages = ctx.executor().map_indexed(k, |v| {
-        wcc_sketch::ConnectivitySketch::vertex_sketch_for(
-            k,
-            phases,
-            sketch_seed,
-            v,
-            contracted.neighbors(v),
-        )
+        wcc_sketch::ConnectivitySketch::vertex_sketch_for(&keys, k, v, contracted.neighbors(v))
     });
-    let sketch = wcc_sketch::ConnectivitySketch::from_vertex_sketches(k, phases, messages);
+    let sketch = wcc_sketch::ConnectivitySketch::from_vertex_sketches(k, keys, messages);
     let max_message_words = (0..k)
         .map(|v| sketch.vertex_sketch(v).size_in_words())
         .max()

@@ -7,71 +7,25 @@
 //! coordinates of `Σ_{v∈S} a_v` are exactly the edges with one endpoint in
 //! `S` — internal edges cancel.
 //!
-//! Each vertex keeps `t = O(log n)` independent [`L0Sampler`]s of `a_v`.
-//! Borůvka then runs entirely in sketch space: in phase `i`, every current
-//! component sums its members' `i`-th samplers, samples one outgoing edge
-//! (if any), and the sampled edges merge components. Using a *fresh* sampler
-//! per phase keeps the samples independent of the merging decisions — the
-//! same "fresh randomness per phase" idea the paper reuses for its
-//! leader-election algorithm in Section 6. After `O(log n)` phases no
-//! component has an outgoing edge and the components are exactly the
-//! connected components of the graph.
+//! Each vertex keeps `t = O(log n)` independent ℓ0-samplers of `a_v` (stored
+//! flat, see [`kernel`](crate::kernel)). Borůvka then runs entirely in sketch
+//! space: in phase `i`, every current component sums its members' `i`-th
+//! samplers, samples one outgoing edge (if any), and the sampled edges merge
+//! components. Using a *fresh* sampler per phase keeps the samples
+//! independent of the merging decisions — the same "fresh randomness per
+//! phase" idea the paper reuses for its leader-election algorithm in
+//! Section 6. After `O(log n)` phases no component has an outgoing edge and
+//! the components are exactly the connected components of the graph.
 
-use crate::l0::L0Sampler;
+use crate::kernel::{ComponentRows, SketchKeys, VertexSketch};
 
-use serde::{Deserialize, Serialize};
 use wcc_graph::{ComponentLabels, UnionFind};
 
-/// The per-vertex message of Proposition 8.1: `num_phases` independent
-/// ℓ0-samplers of the vertex's signed edge-incidence vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VertexSketch {
-    samplers: Vec<L0Sampler>,
-}
-
-impl VertexSketch {
-    pub(crate) fn new(num_phases: usize, base_seed: u64) -> Self {
-        VertexSketch {
-            samplers: (0..num_phases)
-                .map(|p| L0Sampler::new(base_seed.wrapping_add(0x9E37_79B9 * (p as u64 + 1))))
-                .collect(),
-        }
-    }
-
-    pub(crate) fn update(&mut self, index: u64, delta: i64) {
-        for s in &mut self.samplers {
-            s.update(index, delta);
-        }
-    }
-
-    /// The phase-`phase` ℓ0-sampler of this vertex (one independent sampler
-    /// per Borůvka phase).
-    pub(crate) fn phase_sampler(&self, phase: usize) -> &L0Sampler {
-        &self.samplers[phase]
-    }
-
-    /// Adds another vertex's message to this one (sketches are linear, so the
-    /// sum is the sketch of the combined incidence vector). Used when several
-    /// original vertices are contracted into one super-vertex before their
-    /// messages are sent to the coordinator.
-    pub fn merge(&mut self, other: &VertexSketch) {
-        for (a, b) in self.samplers.iter_mut().zip(other.samplers.iter()) {
-            a.merge(b);
-        }
-    }
-
-    /// Size of this message in machine words (the quantity Proposition 8.1
-    /// bounds by `O(log³ n)` bits).
-    pub fn size_in_words(&self) -> usize {
-        self.samplers.iter().map(|s| s.size_in_words()).sum()
-    }
-}
-
 /// The full AGM connectivity sketch of a graph on `n` vertices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectivitySketch {
     n: usize,
-    num_phases: usize,
+    keys: SketchKeys,
     vertices: Vec<VertexSketch>,
 }
 
@@ -91,49 +45,46 @@ impl ConnectivitySketch {
     /// of Proposition 8.1, and it is what makes sketches of different
     /// vertices addable.
     pub fn with_phases(n: usize, num_phases: usize, seed: u64) -> Self {
-        ConnectivitySketch {
-            n,
-            num_phases,
-            vertices: (0..n)
-                .map(|_| VertexSketch::new(num_phases, seed))
-                .collect(),
-        }
+        let keys = SketchKeys::new(num_phases, seed);
+        let vertices = vec![keys.empty_vertex(); n];
+        ConnectivitySketch { n, keys, vertices }
     }
 
     /// Reassembles a sketch from per-vertex messages built independently
-    /// with [`ConnectivitySketch::vertex_sketch_for`] — the fan-in half of a
-    /// per-vertex parallel construction. Equivalent to feeding every edge
-    /// through [`ConnectivitySketch::add_edge`] (sketch updates are linear,
-    /// so per-vertex construction order cannot matter).
+    /// with [`ConnectivitySketch::vertex_sketch_for`] under the same `keys`
+    /// — the fan-in half of a per-vertex parallel construction. Equivalent
+    /// to feeding every edge through [`ConnectivitySketch::add_edge`]
+    /// (sketch updates are linear, so per-vertex construction order cannot
+    /// matter).
     ///
     /// # Panics
     ///
-    /// Panics if `vertices.len() != n`.
-    pub fn from_vertex_sketches(n: usize, num_phases: usize, vertices: Vec<VertexSketch>) -> Self {
+    /// Panics if `vertices.len() != n` or a message has a different phase
+    /// count than `keys`.
+    pub fn from_vertex_sketches(n: usize, keys: SketchKeys, vertices: Vec<VertexSketch>) -> Self {
         assert_eq!(vertices.len(), n, "one message per vertex required");
-        ConnectivitySketch {
-            n,
-            num_phases,
-            vertices,
-        }
+        assert!(
+            vertices.iter().all(|v| v.num_phases() == keys.num_phases()),
+            "messages must be built under `keys`"
+        );
+        ConnectivitySketch { n, keys, vertices }
     }
 
     /// Builds the message of a single vertex of an `n`-vertex graph from its
     /// neighbour list (as stored by
     /// [`Graph::neighbors`](wcc_graph::Graph::neighbors); self-loops are
     /// ignored, parallel edges counted with multiplicity). A pure function
-    /// of `(v, neighbors)`, so callers can fan the per-vertex work out on
-    /// any execution backend and reassemble with
-    /// [`ConnectivitySketch::from_vertex_sketches`].
+    /// of `(keys, v, neighbors)`, so callers build the keys once, share them
+    /// by reference across any execution backend's fan-out, and reassemble
+    /// with [`ConnectivitySketch::from_vertex_sketches`].
     pub fn vertex_sketch_for(
+        keys: &SketchKeys,
         n: usize,
-        num_phases: usize,
-        seed: u64,
         v: usize,
         neighbors: &[u32],
     ) -> VertexSketch {
         assert!(v < n, "vertex out of range");
-        let mut sketch = VertexSketch::new(num_phases, seed);
+        let mut sketch = keys.empty_vertex();
         for &w in neighbors {
             let w = w as usize;
             if w == v {
@@ -141,7 +92,7 @@ impl ConnectivitySketch {
             }
             let (a, b) = if v < w { (v, w) } else { (w, v) };
             let idx = a as u64 * n as u64 + b as u64;
-            sketch.update(idx, if v == a { 1 } else { -1 });
+            keys.update(&mut sketch, idx, if v == a { 1 } else { -1 });
         }
         sketch
     }
@@ -151,17 +102,23 @@ impl ConnectivitySketch {
         self.n
     }
 
-    /// Encodes the ordered pair `(u, v)`, `u < v`, as an ℓ0 coordinate.
-    fn edge_index(&self, u: usize, v: usize) -> u64 {
-        debug_assert!(u < v);
-        u as u64 * self.n as u64 + v as u64
-    }
-
     fn decode_edge(&self, index: u64) -> (usize, usize) {
         (
             (index / self.n as u64) as usize,
             (index % self.n as u64) as usize,
         )
+    }
+
+    /// Adds `delta` copies of the undirected edge `{u, v}`: ordered pair
+    /// `(a, b)`, `a < b`, lives at ℓ0 coordinate `a·n + b`.
+    fn apply_edge(&mut self, u: usize, v: usize, delta: i64) {
+        assert!(u < self.n && v < self.n, "edge endpoint out of range");
+        if u == v {
+            return;
+        }
+        let (a, b) = if u < v { (u, v) } else { (v, u) };
+        let idx = a as u64 * self.n as u64 + b as u64;
+        self.keys.update_edge(&mut self.vertices, a, b, idx, delta);
     }
 
     /// Inserts the undirected edge `{u, v}`. Self-loops are ignored (they are
@@ -171,14 +128,7 @@ impl ConnectivitySketch {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn add_edge(&mut self, u: usize, v: usize) {
-        assert!(u < self.n && v < self.n, "edge endpoint out of range");
-        if u == v {
-            return;
-        }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let idx = self.edge_index(a, b);
-        self.vertices[a].update(idx, 1);
-        self.vertices[b].update(idx, -1);
+        self.apply_edge(u, v, 1);
     }
 
     /// Deletes the undirected edge `{u, v}` (the sketch is linear, so
@@ -188,14 +138,7 @@ impl ConnectivitySketch {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn remove_edge(&mut self, u: usize, v: usize) {
-        assert!(u < self.n && v < self.n, "edge endpoint out of range");
-        if u == v {
-            return;
-        }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let idx = self.edge_index(a, b);
-        self.vertices[a].update(idx, -1);
-        self.vertices[b].update(idx, 1);
+        self.apply_edge(u, v, -1);
     }
 
     /// The per-vertex message for vertex `v` (what each "player" sends to the
@@ -206,7 +149,7 @@ impl ConnectivitySketch {
 
     /// Total size of all messages, in words.
     pub fn total_size_in_words(&self) -> usize {
-        self.vertices.iter().map(|v| v.size_in_words()).sum()
+        self.n * self.keys.words_per_vertex()
     }
 
     /// The coordinator's computation: recovers the connected components from
@@ -218,40 +161,25 @@ impl ConnectivitySketch {
     /// always a real edge thanks to the fingerprint test).
     pub fn components(&self) -> ComponentLabels {
         let mut uf = UnionFind::new(self.n);
-        // Scratch map from component representative to its accumulator slot,
-        // reused across phases (roots are vertex ids, so a flat vector
-        // replaces the hash map and keeps the iteration order deterministic:
-        // components are visited in first-seen vertex order).
-        let mut slot_of_root = vec![usize::MAX; self.n];
-        for phase in 0..self.num_phases {
+        // Components are visited in first-seen vertex order, which keeps the
+        // union order deterministic.
+        let mut rows = ComponentRows::new(self.n, self.vertices.iter());
+        for phase in 0..self.keys.num_phases() {
             // Sum the phase-th sampler of each component.
-            let mut acc: Vec<(usize, L0Sampler)> = Vec::new();
-            for v in 0..self.n {
-                let root = uf.find(v);
-                let sampler = &self.vertices[v].samplers[phase];
-                if slot_of_root[root] == usize::MAX {
-                    slot_of_root[root] = acc.len();
-                    acc.push((root, sampler.clone()));
-                } else {
-                    acc[slot_of_root[root]].1.merge(sampler);
-                }
-            }
-            for &(root, _) in &acc {
-                slot_of_root[root] = usize::MAX;
+            rows.clear();
+            for (v, sketch) in self.vertices.iter().enumerate() {
+                rows.add(uf.find(v), sketch, phase);
             }
             // A phase may merge nothing just because every component's sample
             // failed (each fails with constant probability) — that is not
             // convergence, and later phases have fresh randomness. Exit early
-            // only when no component has an outgoing edge: `is_zero` tests
-            // level 0 (which holds every coordinate), so a false "zero"
-            // requires a fingerprint collision, probability O(n²/p) per check.
+            // only when no component has an outgoing edge, i.e. no row is
+            // non-zero (a false "zero" requires a fingerprint collision,
+            // probability O(n²/p) per check).
             let mut all_zero = true;
-            for (_root, sampler) in acc {
-                if sampler.is_zero() {
-                    continue;
-                }
+            for row in rows.nonzero() {
                 all_zero = false;
-                if let Some((idx, _weight)) = sampler.sample() {
+                if let Some((idx, _weight)) = self.keys.sample(phase, row) {
                     let (u, v) = self.decode_edge(idx);
                     if u < self.n && v < self.n {
                         uf.union(u, v);
@@ -291,10 +219,11 @@ mod tests {
         for (u, v) in g.edge_iter() {
             incremental.add_edge(u, v);
         }
+        let keys = SketchKeys::new(phases, seed);
         let messages: Vec<VertexSketch> = (0..n)
-            .map(|v| ConnectivitySketch::vertex_sketch_for(n, phases, seed, v, g.neighbors(v)))
+            .map(|v| ConnectivitySketch::vertex_sketch_for(&keys, n, v, g.neighbors(v)))
             .collect();
-        let assembled = ConnectivitySketch::from_vertex_sketches(n, phases, messages);
+        let assembled = ConnectivitySketch::from_vertex_sketches(n, keys, messages);
         assert_eq!(incremental, assembled);
     }
 

@@ -11,7 +11,8 @@
 //! fresh empty vertex sketch and every existing coordinate stays valid.
 //!
 //! The price is a coordinate universe of size `2^64` instead of `n²`, which
-//! costs nothing in space (the samplers are universe-size oblivious) and only
+//! costs nothing in space (the samplers are universe-size oblivious; the
+//! kernel's power tables skip the coordinate's zero bytes) and only
 //! weakens the one-sparse fingerprint bound from `O(n²/p)` to `O(m·2^64/p·…)`
 //! — still negligible because the fingerprint test is evaluated over
 //! `p = 2^61 − 1` on the *actual support* (at most `m` coordinates), giving a
@@ -27,14 +28,11 @@
 //! the streaming engine runs after a deletion: sketch-space Borůvka restricted
 //! to the members of one (possibly no-longer-connected) component, returning
 //! the exact partition into connected parts when a phase *certifies* it (every
-//! part's summed sampler is zero on level 0 — a randomness-independent test),
+//! part's summed level-0 cell is zero — a randomness-independent test),
 //! or `None` on sampling failure so the caller can escalate to a full
 //! recompute.
 
-use crate::connectivity::VertexSketch;
-use crate::l0::L0Sampler;
-
-use serde::{Deserialize, Serialize};
+use crate::kernel::{ComponentRows, SketchKeys, VertexSketch};
 
 /// Encodes the unordered edge `{u, v}` as an ℓ0 coordinate independent of the
 /// vertex count: the smaller endpoint in the high 32 bits.
@@ -65,11 +63,9 @@ pub struct SubsetPartition {
 /// All vertices share the same per-phase hash seeds (the shared-randomness
 /// requirement of Proposition 8.1), so per-vertex sketches remain addable and
 /// a component's sketch is the sum of its members' sketches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicConnectivitySketch {
-    num_phases: usize,
-    seed: u64,
-    words_per_vertex: usize,
+    keys: SketchKeys,
     vertices: Vec<VertexSketch>,
 }
 
@@ -77,13 +73,13 @@ impl DynamicConnectivitySketch {
     /// Creates an empty sketch (zero vertices) with `num_phases` independent
     /// Borůvka phases. More phases raise the certification probability of
     /// [`subset_components`](Self::subset_components) and the message size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_phases` is zero.
     pub fn new(num_phases: usize, seed: u64) -> Self {
-        assert!(num_phases > 0, "at least one Borůvka phase required");
-        let words_per_vertex = VertexSketch::new(num_phases, seed).size_in_words();
         DynamicConnectivitySketch {
-            num_phases,
-            seed,
-            words_per_vertex,
+            keys: SketchKeys::new(num_phases, seed),
             vertices: Vec::new(),
         }
     }
@@ -95,20 +91,20 @@ impl DynamicConnectivitySketch {
 
     /// Number of Borůvka phases per vertex.
     pub fn num_phases(&self) -> usize {
-        self.num_phases
+        self.keys.num_phases()
     }
 
-    /// Size of one vertex's message in machine words (constant: samplers are
-    /// fixed-size regardless of content).
+    /// Size of one vertex's message in machine words (constant: the message
+    /// is the fixed-size linear sketch regardless of content or of how many
+    /// of its levels are physically stored).
     pub fn words_per_vertex(&self) -> usize {
-        self.words_per_vertex
+        self.keys.words_per_vertex()
     }
 
     /// Appends one fresh (edge-less) vertex; its dense id is the previous
     /// vertex count. Existing coordinates are unaffected.
     pub fn push_vertex(&mut self) {
-        self.vertices
-            .push(VertexSketch::new(self.num_phases, self.seed));
+        self.vertices.push(self.keys.empty_vertex());
     }
 
     /// Inserts the undirected edge `{u, v}`. Self-loops are ignored (no slot
@@ -132,6 +128,18 @@ impl DynamicConnectivitySketch {
         self.apply_edge(u, v, -1);
     }
 
+    /// The shared keys and one vertex's cells, for the kernel's differential
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> &SketchKeys {
+        &self.keys
+    }
+
+    #[cfg(test)]
+    pub(crate) fn vertex_sketch(&self, v: usize) -> &VertexSketch {
+        &self.vertices[v]
+    }
+
     fn apply_edge(&mut self, u: u32, v: u32, delta: i64) {
         let n = self.vertices.len();
         assert!(
@@ -143,8 +151,8 @@ impl DynamicConnectivitySketch {
         }
         let idx = edge_coordinate(u, v);
         let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.vertices[a as usize].update(idx, delta);
-        self.vertices[b as usize].update(idx, -delta);
+        self.keys
+            .update_edge(&mut self.vertices, a as usize, b as usize, idx, delta);
     }
 
     /// Sketch-space Borůvka restricted to `members` (sorted ascending, no
@@ -195,29 +203,20 @@ impl DynamicConnectivitySketch {
             x
         }
 
-        let mut slot_of_root = vec![usize::MAX; k];
+        let sketch_of = |m: u32| &self.vertices[m as usize];
+        let mut rows = ComponentRows::new(k, members.iter().map(|&m| sketch_of(m)));
+        let num_phases = self.keys.num_phases();
         // One extra iteration past the last phase: the final phase's unions
         // may complete the partition, and the zero test is valid on any
         // phase's samplers (level 0 holds every coordinate regardless of the
         // phase's sub-sampling randomness).
-        for round in 0..=self.num_phases {
-            let phase = round.min(self.num_phases - 1);
-            let mut acc: Vec<(u32, L0Sampler)> = Vec::new();
+        for round in 0..=num_phases {
+            let phase = round.min(num_phases - 1);
+            rows.clear();
             for (pos, &m) in members.iter().enumerate() {
-                let root = find(&mut parent, pos as u32);
-                let sampler = self.vertices[m as usize].phase_sampler(phase);
-                if slot_of_root[root as usize] == usize::MAX {
-                    slot_of_root[root as usize] = acc.len();
-                    acc.push((root, sampler.clone()));
-                } else {
-                    acc[slot_of_root[root as usize]].1.merge(sampler);
-                }
+                rows.add(find(&mut parent, pos as u32) as usize, sketch_of(m), phase);
             }
-            for &(root, _) in &acc {
-                slot_of_root[root as usize] = usize::MAX;
-            }
-            let all_zero = acc.iter().all(|(_, s)| s.is_zero());
-            if all_zero {
+            if rows.nonzero().next().is_none() {
                 // Certified: every current part has no edge leaving it within
                 // the member set, so the parts are exact connected components.
                 let mut parts: Vec<Vec<u32>> = Vec::new();
@@ -237,14 +236,11 @@ impl DynamicConnectivitySketch {
                     phases_used: round,
                 });
             }
-            if round == self.num_phases {
+            if round == num_phases {
                 return None;
             }
-            for (_, sampler) in acc {
-                if sampler.is_zero() {
-                    continue;
-                }
-                if let Some((idx, _weight)) = sampler.sample() {
+            for row in rows.nonzero() {
+                if let Some((idx, _weight)) = self.keys.sample(phase, row) {
                     let (u, v) = decode_edge_coordinate(idx);
                     // A fingerprint collision can surface a garbage
                     // coordinate; only union endpoints that are both members.
@@ -268,6 +264,7 @@ impl DynamicConnectivitySketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::l0::next_u64;
 
     fn sketch_with(n: usize, edges: &[(u32, u32)]) -> DynamicConnectivitySketch {
         let mut sk = DynamicConnectivitySketch::new(24, 42);
@@ -341,6 +338,141 @@ mod tests {
         churned.remove_edge(3, 4);
         churned.remove_edge(1, 2);
         assert_eq!(base, churned);
+
+        // Equality is logical: insert and delete a coordinate that reaches a
+        // level (in some phase) above everything its endpoint ever stored.
+        // The vertex keeps the extra physical levels, all zero again.
+        const N: u32 = 5000;
+        let mut grown = base.clone();
+        (5..N).for_each(|_| grown.push_vertex());
+        let stored = |sk: &DynamicConnectivitySketch| sk.vertex_sketch(0).stored_levels();
+        let mut churned = (5..N)
+            .map(|v| {
+                let mut probe = grown.clone();
+                probe.add_edge(0, v);
+                probe.remove_edge(v, 0);
+                probe
+            })
+            .find(|probe| stored(probe) > stored(&grown) + 2)
+            .expect("some coordinate reaches a high level");
+        assert_eq!(grown, churned);
+        assert_eq!(churned, grown);
+        assert_eq!(
+            grown.subset_components(&[0, 1, 2, 3, 4]),
+            churned.subset_components(&[0, 1, 2, 3, 4])
+        );
+        // Still a function of the vector: one live coordinate tells them apart.
+        churned.add_edge(0, 4);
+        assert_ne!(grown, churned);
+    }
+
+    /// FNV-1a over a word stream.
+    fn fnv(h: &mut u64, x: u64) {
+        for b in x.to_le_bytes() {
+            *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The nested sampler implementation this layout replaced is gone, so
+    /// its observable behaviour is pinned by digests recorded from it (at
+    /// commit 9f6d208, the parent of the flat kernel): every `(parts,
+    /// phases_used)` of a fixed churn-and-teardown schedule, and every label
+    /// of the static sketch over the `u·n + v` space on a deletion schedule.
+    #[test]
+    fn churn_schedule_partitions_match_the_recorded_digest() {
+        const COMMUNITY: u32 = 120;
+        const N: u32 = 3 * COMMUNITY;
+        const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut rng = 0xC0FFEE_u64;
+        let intra_edge = |rng: &mut u64| loop {
+            let c = (next_u64(rng) % 3) as u32 * COMMUNITY;
+            let u = c + (next_u64(rng) % COMMUNITY as u64) as u32;
+            let v = c + (next_u64(rng) % COMMUNITY as u64) as u32;
+            if u != v {
+                return (u, v);
+            }
+        };
+        let take_live = |live: &mut Vec<(u32, u32)>, rng: &mut u64| {
+            live.swap_remove((next_u64(rng) % live.len() as u64) as usize)
+        };
+        let record = |sk: &DynamicConnectivitySketch, members: &[u32], digest: &mut u64| match sk
+            .subset_components(members)
+        {
+            None => fnv(digest, u64::MAX),
+            Some(p) => {
+                fnv(digest, p.phases_used as u64);
+                fnv(digest, p.parts.len() as u64);
+                for part in &p.parts {
+                    fnv(digest, part.len() as u64);
+                    for &m in part {
+                        fnv(digest, m as u64);
+                    }
+                }
+            }
+        };
+        let all: Vec<u32> = (0..N).collect();
+        let communities: Vec<Vec<u32>> = (0..3)
+            .map(|c| (c * COMMUNITY..(c + 1) * COMMUNITY).collect())
+            .collect();
+
+        let mut sk = DynamicConnectivitySketch::new(26, 0x5EED);
+        for _ in 0..N {
+            sk.push_vertex();
+        }
+        // Sparse backbone (some vertices stay isolated, parallel edges occur).
+        let mut live: Vec<(u32, u32)> = (0..400).map(|_| intra_edge(&mut rng)).collect();
+        for &(u, v) in &live {
+            sk.add_edge(u, v);
+        }
+        let mut digest = FNV_BASIS;
+        record(&sk, &all, &mut digest);
+        // Churn: every step inserts 30 fresh edges and deletes 30 live ones.
+        for step in 0..20 {
+            for _ in 0..30 {
+                let e = intra_edge(&mut rng);
+                sk.add_edge(e.0, e.1);
+                live.push(e);
+            }
+            for _ in 0..30 {
+                let (u, v) = take_live(&mut live, &mut rng);
+                sk.remove_edge(v, u);
+            }
+            record(&sk, &communities[step % 3], &mut digest);
+        }
+        // A bridge joins two communities, then goes away again.
+        sk.add_edge(5, COMMUNITY + 5);
+        let joined: Vec<u32> = (0..2 * COMMUNITY).collect();
+        record(&sk, &joined, &mut digest);
+        sk.remove_edge(5, COMMUNITY + 5);
+        record(&sk, &joined, &mut digest);
+        // Teardown, a hundred edges at a time, down to the empty graph.
+        while !live.is_empty() {
+            for _ in 0..live.len().min(100) {
+                let (u, v) = take_live(&mut live, &mut rng);
+                sk.remove_edge(u, v);
+            }
+            record(&sk, &all, &mut digest);
+        }
+        assert_eq!(digest, 0x0d97_2047_55a4_ec20, "dynamic sketch digest");
+
+        let mut st = crate::ConnectivitySketch::with_phases(N as usize, 26, 0x5EED);
+        let mut live: Vec<(u32, u32)> = (0..500).map(|_| intra_edge(&mut rng)).collect();
+        for &(u, v) in &live {
+            st.add_edge(u as usize, v as usize);
+        }
+        let mut digest = FNV_BASIS;
+        for _ in 0..4 {
+            for _ in 0..100 {
+                let (u, v) = take_live(&mut live, &mut rng);
+                st.remove_edge(u as usize, v as usize);
+            }
+            let labels = st.components();
+            fnv(&mut digest, labels.num_components() as u64);
+            for v in 0..N as usize {
+                fnv(&mut digest, labels.label(v) as u64);
+            }
+        }
+        assert_eq!(digest, 0xa5ae_614a_c925_f319, "static sketch digest");
     }
 
     #[test]

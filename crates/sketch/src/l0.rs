@@ -16,13 +16,11 @@
 
 use crate::one_sparse::{OneSparseRecovery, RecoveryOutcome, FINGERPRINT_PRIME};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of geometric sub-sampling levels (supports universes up to `2^60`).
-const NUM_LEVELS: usize = 61;
+pub(crate) const NUM_LEVELS: usize = 61;
 
 /// An ℓ0-sampler over a vector indexed by `u64` coordinates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L0Sampler {
     levels: Vec<OneSparseRecovery>,
     /// Seed of the level-assignment hash; two samplers can only be merged if
@@ -37,29 +35,42 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A SplitMix64 stream for this crate's seeded test schedules.
+#[cfg(test)]
+pub(crate) fn next_u64(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    out
+}
+
+/// The fingerprint evaluation point a sampler seeded with `seed` uses on all
+/// of its levels, uniform in `[1, p − 1)`.
+pub(crate) fn fingerprint_point(seed: u64) -> u64 {
+    splitmix64(seed ^ 0xA5A5_A5A5_A5A5_A5A5) % (FINGERPRINT_PRIME - 2) + 1
+}
+
+/// The level of coordinate `index` under `seed`: geometric with ratio 1/2.
+/// The coordinate participates in levels `0..=level`.
+pub(crate) fn level_of(seed: u64, index: u64) -> usize {
+    let h = splitmix64(index ^ seed);
+    (h.trailing_ones() as usize).min(NUM_LEVELS - 1)
+}
+
 impl L0Sampler {
     /// Creates an empty sampler whose level hash and fingerprints are derived
     /// deterministically from `seed`.
     pub fn new(seed: u64) -> Self {
-        let z = splitmix64(seed ^ 0xA5A5_A5A5_A5A5_A5A5) % (FINGERPRINT_PRIME - 2) + 1;
+        let z = fingerprint_point(seed);
         L0Sampler {
             levels: (0..NUM_LEVELS).map(|_| OneSparseRecovery::new(z)).collect(),
             seed,
         }
     }
 
-    /// The level of coordinate `i`: geometric with ratio 1/2.
-    fn level_of(&self, index: u64) -> usize {
-        let h = splitmix64(index ^ self.seed);
-        (h.trailing_ones() as usize).min(NUM_LEVELS - 1)
-    }
-
     /// Applies the update `vector[index] += delta`.
     pub fn update(&mut self, index: u64, delta: i64) {
-        let level = self.level_of(index);
-        // Coordinate i participates in levels 0..=level.
-        for l in 0..=level {
-            self.levels[l].update(index, delta);
+        for level in &mut self.levels[..=level_of(self.seed, index)] {
+            level.update(index, delta);
         }
     }
 
@@ -84,7 +95,12 @@ impl L0Sampler {
     /// vector, `None` if the vector appears to be zero or sampling failed at
     /// every level.
     pub fn sample(&self) -> Option<(u64, i64)> {
-        // Prefer deeper levels (sparser sub-samples) but accept any success.
+        // Levels are scanned from 0 (every coordinate) towards the sparser
+        // sub-samples and the first success wins: a support of size one is
+        // recovered at level 0, larger supports at the first level that
+        // happens to isolate a coordinate. Any success is a true non-zero, so
+        // the order affects only which one is returned — and every consumer
+        // (sketch-space Borůvka, the flat kernel) is pinned to this order.
         for level in self.levels.iter() {
             if let RecoveryOutcome::OneSparse { index, weight } = level.recover() {
                 return Some((index, weight));
@@ -93,11 +109,22 @@ impl L0Sampler {
         None
     }
 
-    /// Returns `true` if every level is verifiably zero, i.e. the sketched
-    /// vector is (with certainty, since level 0 contains all coordinates)
-    /// the zero vector.
+    /// Returns `true` if the sketched vector is verifiably the zero vector.
+    ///
+    /// Only level 0 is tested, and that suffices: level 0 receives every
+    /// update (each coordinate participates in levels `0..=ℓ(i)`), so it
+    /// sketches the whole vector, and the higher levels sketch restrictions
+    /// of it — if the vector is zero, all of them are. A false "zero" needs
+    /// a non-zero vector whose `w`, `iw` and fingerprint all vanish.
     pub fn is_zero(&self) -> bool {
         matches!(self.levels[0].recover(), RecoveryOutcome::Zero)
+    }
+
+    /// The raw measurements of one level, for the flat kernel's differential
+    /// test.
+    #[cfg(test)]
+    pub(crate) fn cell(&self, level: usize) -> crate::one_sparse::Cell {
+        self.levels[level].cell()
     }
 
     /// Seed used for level assignment.

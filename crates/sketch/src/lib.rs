@@ -15,7 +15,15 @@
 //! * [`ConnectivitySketch`] — the AGM sketch: each vertex sketches its signed
 //!   edge-incidence vector with `O(log n)` independent L0 samplers; sketches
 //!   are *linear*, so the sketch of a component is the sum of its vertices'
-//!   sketches, and Borůvka can be run entirely in sketch space.
+//!   sketches, and Borůvka can be run entirely in sketch space;
+//! * [`DynamicConnectivitySketch`] — the same sketch over a growing vertex
+//!   set with turnstile (insert and delete) updates.
+//!
+//! Both sketches store their per-vertex samplers through one flat kernel
+//! ([`kernel`]: shared [`SketchKeys`], contiguous lazily-levelled cells);
+//! [`L0Sampler`] and [`OneSparseRecovery`] are the standalone textbook
+//! structures over the same field arithmetic, and the reference the kernel
+//! is tested against cell for cell.
 //!
 //! ```
 //! use wcc_sketch::ConnectivitySketch;
@@ -35,10 +43,12 @@
 
 pub mod connectivity;
 pub mod dynamic;
+pub mod kernel;
 pub mod l0;
 pub mod one_sparse;
 
 pub use crate::connectivity::ConnectivitySketch;
 pub use crate::dynamic::{DynamicConnectivitySketch, SubsetPartition};
+pub use crate::kernel::{SketchKeys, VertexSketch};
 pub use crate::l0::L0Sampler;
 pub use crate::one_sparse::{OneSparseRecovery, RecoveryOutcome};
