@@ -1,13 +1,16 @@
 //! Criterion benchmarks of the end-to-end algorithms: the paper's pipeline
 //! (Theorem 4), the adaptive variant (Corollary 7.1), the sublinear-space
 //! algorithm (Theorem 2) and the classical baselines, all on the same
-//! planted-expander workload — plus the three groups recorded in
+//! planted-expander workload — plus the groups recorded in
 //! `BENCH_pipeline.json` at the workspace root:
 //!
 //! * **pipeline_adaptive_e2e** — the adaptive pipeline on a ~10⁵-edge
 //!   planted-expander graph at 1 and 4 worker threads (the whole
 //!   zero-materialisation walk engine end to end; one sample per config,
 //!   each run takes tens of seconds);
+//! * **contraction** — the contraction graph's identity, pair-bitmap and
+//!   bucketed data planes on the shapes the one-shot benchmark workload
+//!   feeds them, each checked against a sort-and-dedup spec before timing;
 //! * **walk_kernel** — the isolated Step-2 fan-out under the retained spec
 //!   kernel vs the v3 stay-run-compression kernel at two walk lengths, with
 //!   an endpoint-distribution sanity assert before any timing;
@@ -106,6 +109,66 @@ fn bench_growth_stage(c: &mut Criterion) {
                 })
             },
         );
+    }
+    group.finish();
+}
+
+/// The contraction's three data planes on the shapes `oneshot_expander`
+/// (BENCHMARK.json) feeds them: 10⁵ regularized vertices, batches of 36
+/// out-edges per vertex. Phase 1 contracts one batch by the identity
+/// partition (read off the CSR), phase 2 by ≈25 000 parts (past the dense
+/// switch: bucketed build), phase 3 by ≈1 500 parts and the BFS endgame all
+/// three batches by 27 parts (pair bitmap). Every row's graph is checked
+/// field for field against a relabel + global sort + dedup spec first.
+fn bench_contraction(c: &mut Criterion) {
+    use wcc_core::leader::contraction_graph_of_refs;
+
+    let mut group = c.benchmark_group("contraction");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(200));
+    group.measurement_time(std::time::Duration::from_secs(3));
+    let n = 100_000usize;
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    let batches: Vec<Graph> = (0..3)
+        .map(|_| generators::random_out_degree_graph(n, 72, &mut rng))
+        .collect();
+    let one = [&batches[0]];
+    let all: Vec<&Graph> = batches.iter().collect();
+    let random_parts = |parts: usize, rng: &mut ChaCha8Rng| {
+        use rand::Rng;
+        let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..parts)).collect();
+        Partition::from_raw_labels(&labels)
+    };
+    let rows: [(&str, &[&Graph], Partition); 4] = [
+        ("identity/phase1", &one, Partition::singletons(n)),
+        ("bucketed/phase2", &one, random_parts(25_000, &mut rng)),
+        ("dense_pairs/phase3", &one, random_parts(1_500, &mut rng)),
+        ("dense_pairs/bfs", &all, random_parts(27, &mut rng)),
+    ];
+    let ctx = || MpcContext::new(MpcConfig::for_input_size(1 << 24, 0.5).permissive());
+    for (name, graphs, partition) in &rows {
+        let mut spec: Vec<(usize, usize)> = graphs
+            .iter()
+            .flat_map(|g| g.edge_iter())
+            .map(|(u, v)| (partition.part_of(u), partition.part_of(v)))
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        spec.sort_unstable();
+        spec.dedup();
+        let spec = Graph::from_edges_unchecked(partition.num_parts(), spec);
+        let got = contraction_graph_of_refs(graphs, partition, &mut ctx());
+        assert_eq!(got.edges(), spec.edges(), "{name}: edge list");
+        assert_eq!(got.csr_offsets(), spec.csr_offsets(), "{name}: offsets");
+        assert_eq!(
+            got.csr_adjacency(),
+            spec.csr_adjacency(),
+            "{name}: adjacency"
+        );
+        let edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
+        group.bench_function(BenchmarkId::new(*name, edges), |b| {
+            b.iter(|| contraction_graph_of_refs(graphs, partition, &mut ctx()))
+        });
     }
     group.finish();
 }
@@ -621,6 +684,7 @@ criterion_group!(
     benches,
     bench_pipeline_vs_baselines,
     bench_growth_stage,
+    bench_contraction,
     bench_adaptive_pipeline_large,
     bench_walk_kernel,
     bench_reduce_radix_vs_hashmap,

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::{keystream_tier, ChaCha8Batch, ChaCha8Rng};
 
 use wcc_core::walks::{direct_walk_targets, layered_walk_bundle};
 use wcc_graph::prelude::*;
@@ -146,8 +146,66 @@ fn bench_mpc_sort(c: &mut Criterion) {
     group.finish();
 }
 
+/// One iteration of a `chacha8_batch/refill` row generates this many
+/// keystream words, so a row's time in µs ÷ 1048.576 is its ns/word.
+const KEYSTREAM_WORDS_PER_ITER: usize = 1 << 20;
+
+fn bench_chacha_batch_lanes<const L: usize>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    dispatched_tier: &str,
+) {
+    let seeds: [u64; L] = core::array::from_fn(|l| 0xC0FFEE + l as u64);
+    let refills = KEYSTREAM_WORDS_PER_ITER / (16 * L);
+    // Same words from both paths before either is timed.
+    {
+        let mut dispatched = ChaCha8Batch::<L>::seed_from_u64s(&seeds);
+        let mut portable = dispatched.clone();
+        let (mut a, mut b) = ([[0u32; L]; 16], [[0u32; L]; 16]);
+        for _ in 0..4 {
+            dispatched.refill(&mut a);
+            portable.refill_portable(&mut b);
+            assert_eq!(a, b, "dispatched tier diverged from the portable loop");
+        }
+    }
+    let mut block = [[0u32; L]; 16];
+    let mut batch = ChaCha8Batch::<L>::seed_from_u64s(&seeds);
+    group.bench_function(format!("refill/L{L}/{dispatched_tier}"), |b| {
+        b.iter(|| {
+            for _ in 0..refills {
+                batch.refill(std::hint::black_box(&mut block));
+            }
+            block[15][L - 1]
+        })
+    });
+    let mut batch = ChaCha8Batch::<L>::seed_from_u64s(&seeds);
+    group.bench_function(format!("refill/L{L}/portable"), |b| {
+        b.iter(|| {
+            for _ in 0..refills {
+                batch.refill_portable(std::hint::black_box(&mut block));
+            }
+            block[15][L - 1]
+        })
+    });
+}
+
+/// The walk kernels' keystream source at their two lane counts (16: spec
+/// kernel, 32: v3), on the tier this host dispatches to and on the portable
+/// loop every tier must reproduce.
+fn bench_chacha_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("chacha8_batch");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(200));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let tier = keystream_tier();
+    println!("  keystream tier dispatched on this host: {tier}");
+    bench_chacha_batch_lanes::<16>(&mut group, tier);
+    bench_chacha_batch_lanes::<32>(&mut group, tier);
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_chacha_batch,
     bench_walks,
     bench_spectral,
     bench_sketch,

@@ -120,46 +120,147 @@ pub fn contraction_graph(g: &Graph, partition: &Partition, ctx: &mut MpcContext)
     contraction_graph_of_refs(&[g], partition, ctx)
 }
 
+/// Ceiling on `parts²` for the dense-pair contraction: one bit per ordered
+/// pair of parts, of which every edge sets one at random, must fit 2 MiB —
+/// one core's L2 on the hosts this was tuned on. Past it — 4096 parts — the
+/// bucketed build takes over.
+const DENSE_PAIR_BITS: usize = 1 << 24;
+
 /// [`contraction_graph`] over the disjoint edge-set union of `graphs`
 /// (all on `partition`'s vertex set) **without materialising the union**:
 /// the contraction only needs to see every edge once, so building the
 /// union's CSR (the single largest allocation of the old endgame) is pure
 /// waste.
 ///
-/// The tuple width negotiated via [`TupleWidth::negotiate`] over the part
-/// count decides the path: compact — always, unless the vertex set exceeds
-/// `u32` range, which the `(u32, u32)`-backed [`Graph`] only allows via
-/// isolated vertices — packs each relabelled edge `(a, b)`, `a ≤ b`, into
-/// the key [`pack_edge`]`(a, b)` and hands the unsorted key multiset to
-/// [`Graph::from_packed_edge_multiset`], whose bucket-by-endpoint build
-/// (histogram + scatter + per-row sort/dedup) reproduces the wide path's
-/// global `sort_unstable` + `dedup` bit for bit while replacing the full
-/// multi-pass sort with one scatter and cache-resident row sorts. The wide
-/// `(usize, usize)` path ([`contract_edges_wide`]) is the executable spec
-/// and the fallback for part counts beyond the compact identifier space —
-/// negotiation, never truncation.
+/// All paths build the same graph — the one [`contract_edges_wide`], the
+/// executable spec, defines: sorted distinct rows, row-major edge list.
+/// Which one runs depends only on the shape of the request, and the cheap
+/// ones **deduplicate before materialising** anything per edge:
+///
+/// * the partition is the identity and there is one graph (phase 1 of
+///   [`grow_components`]): nothing is relabelled, so the contraction is
+///   [`Graph::simple`], read off the graph's own CSR rows;
+/// * `parts² ≤` [`DENSE_PAIR_BITS`]: [`contract_edges_dense`] streams the
+///   edges once into a pair bitmap and reads the sorted distinct edge list
+///   off the set bits — millions of edges collapsing onto a few hundred
+///   pairs never exist as tuples;
+/// * otherwise the tuple width negotiated via [`TupleWidth::negotiate`] over
+///   the part count decides: compact — always, unless the vertex set exceeds
+///   `u32` range, which the `(u32, u32)`-backed [`Graph`] only allows via
+///   isolated vertices — packs each relabelled edge `(a, b)`, `a ≤ b`, into
+///   the key [`pack_edge`]`(a, b)` and hands the unsorted key multiset to
+///   [`Graph::from_packed_edge_multiset`], whose bucket-by-endpoint build
+///   (histogram + scatter + per-row sort/dedup) replaces the full
+///   multi-pass sort with one scatter and cache-resident row sorts. The wide
+///   `(usize, usize)` path is the fallback for part counts beyond the
+///   compact identifier space — negotiation, never truncation.
 ///
 /// Charges one sort over the *total* edge count, exactly what one call on
 /// the materialised union charged, with the byte column at the negotiated
-/// width (the bucket build performs the same grouping work the charged
-/// sort models). The per-edge relabelling fans out over contiguous edge
-/// chunks on the context's backend; the grouping that follows erases the
-/// (already deterministic) chunk order.
+/// width — whichever path then does the grouping work the charged sort
+/// models (the same convention as the identity-shuffle short circuit). The
+/// per-edge passes fan out over contiguous edge chunks on the context's
+/// backend; the grouping that follows erases the (already deterministic)
+/// chunk order.
+///
+/// # Panics
+///
+/// Panics if a graph's vertex count differs from the partition's.
 pub fn contraction_graph_of_refs(
     graphs: &[&Graph],
     partition: &Partition,
     ctx: &mut MpcContext,
 ) -> Graph {
+    for g in graphs {
+        assert_eq!(
+            g.num_vertices(),
+            partition.len(),
+            "contraction_graph_of_refs: a graph on {} vertices cannot be contracted by a \
+             partition of {} vertices",
+            g.num_vertices(),
+            partition.len(),
+        );
+    }
     let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
-    let width = TupleWidth::negotiate(partition.num_parts());
+    let parts = partition.num_parts();
+    let width = TupleWidth::negotiate(parts);
     ctx.charge_sort_with_bytes(total_edges.max(1), width.edge_bytes());
-    if width.is_compact() {
+    if graphs.len() == 1 && partition.is_identity() {
+        graphs[0].simple()
+    } else if parts * parts <= DENSE_PAIR_BITS {
+        let edges = contract_edges_dense(graphs, partition, &ctx.executor());
+        Graph::from_edges_unchecked(parts, edges)
+    } else if width.is_compact() {
         let packed = contract_edges_compact(graphs, partition, &ctx.executor());
-        Graph::from_packed_edge_multiset(partition.num_parts(), &packed)
+        Graph::from_packed_edge_multiset(parts, &packed)
     } else {
         let edges = contract_edges_wide(graphs, partition, &ctx.executor());
-        Graph::from_edges_unchecked(partition.num_parts(), edges)
+        Graph::from_edges_unchecked(parts, edges)
     }
+}
+
+/// The partition's labels in a flat compact-width table. The relabel passes
+/// make two random lookups per edge, and halving the table's bytes (vs the
+/// usize-backed `part_of`) keeps it cache-resident at the vertex counts
+/// where they are hot. Caller must have negotiated [`TupleWidth::Compact`]
+/// for `partition.num_parts()`, which makes the cast lossless.
+fn compact_labels(partition: &Partition) -> Vec<u32> {
+    partition
+        .part_of_slice()
+        .iter()
+        .map(|&p| p as u32)
+        .collect()
+}
+
+/// The dense-pair contraction: the sorted list of distinct contracted edges
+/// `(a, b)`, `a < b`, read off a `parts × parts` bitmap in which every
+/// relabelled non-loop edge set bit `a·parts + b` — ascending bit order *is*
+/// the wide spec's lexicographic order. Each executor range fills a bitmap
+/// of its own and the bitmaps are OR-ed together, so the split cannot show
+/// in the result. Caller must keep `parts²` within [`DENSE_PAIR_BITS`].
+fn contract_edges_dense(
+    graphs: &[&Graph],
+    partition: &Partition,
+    executor: &Executor,
+) -> Vec<(usize, usize)> {
+    let parts = partition.num_parts();
+    debug_assert!(parts * parts <= DENSE_PAIR_BITS);
+    let words = (parts * parts).div_ceil(64);
+    if words == 0 {
+        return Vec::new();
+    }
+    let mut pairs = vec![0u64; words];
+    let labels = compact_labels(partition);
+    for g in graphs {
+        let raw = g.edges();
+        // One `words`-long bitmap per range, concatenated in range order.
+        let per_range: Vec<u64> = executor.flat_map_ranges(raw.len(), |range| {
+            let mut local = vec![0u64; words];
+            for &(u, v) in &raw[range] {
+                let (a, b) = (labels[u as usize] as usize, labels[v as usize] as usize);
+                if a != b {
+                    let bit = a.min(b) * parts + a.max(b);
+                    local[bit / 64] |= 1 << (bit % 64);
+                }
+            }
+            local
+        });
+        for local in per_range.chunks_exact(words) {
+            for (acc, &w) in pairs.iter_mut().zip(local) {
+                *acc |= w;
+            }
+        }
+    }
+    let mut edges = Vec::with_capacity(pairs.iter().map(|w| w.count_ones() as usize).sum());
+    for (i, &word) in pairs.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let bit = i * 64 + rest.trailing_zeros() as usize;
+            edges.push((bit / parts, bit % parts));
+            rest &= rest - 1;
+        }
+    }
+    edges
 }
 
 /// The compact contraction data plane's relabel pass: each surviving edge
@@ -175,16 +276,7 @@ fn contract_edges_compact(
     executor: &Executor,
 ) -> Vec<u64> {
     let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
-    // Compact-width labels in a flat u32 table: the relabel pass makes two
-    // random lookups per edge, and halving the table's bytes (vs the
-    // usize-backed `part_of`) keeps it cache-resident at the vertex counts
-    // where this path is hot. Negotiated width guarantees the cast is
-    // lossless.
-    let labels: Vec<u32> = partition
-        .part_of_slice()
-        .iter()
-        .map(|&p| p as u32)
-        .collect();
+    let labels = compact_labels(partition);
     let mut packed: Vec<u64> = Vec::new();
     for (gi, g) in graphs.iter().enumerate() {
         let raw = g.edges();
@@ -471,6 +563,8 @@ pub fn respects_components(g: &Graph, partition: &Partition) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use wcc_graph::prelude::*;
@@ -478,6 +572,154 @@ mod tests {
 
     fn ctx() -> MpcContext {
         MpcContext::new(MpcConfig::for_input_size(1 << 16, 0.5).permissive())
+    }
+
+    /// Every field of the two graphs equal: vertex count, edge list, CSR
+    /// offsets and CSR adjacency.
+    fn assert_same_graph(got: &Graph, want: &Graph, what: &str) {
+        assert_eq!(got.num_vertices(), want.num_vertices(), "{what}: vertices");
+        assert_eq!(got.edges(), want.edges(), "{what}: edge list");
+        assert_eq!(got.csr_offsets(), want.csr_offsets(), "{what}: offsets");
+        assert_eq!(
+            got.csr_adjacency(),
+            want.csr_adjacency(),
+            "{what}: adjacency"
+        );
+    }
+
+    /// One contraction request through every data plane that admits it —
+    /// each called directly, whatever the switch would pick — and through
+    /// the public entry point, all against the wide spec, on 1, 2 and 8
+    /// threads.
+    fn check_contraction_paths(refs: &[&Graph], part: &Partition) {
+        let parts = part.num_parts();
+        for threads in [1usize, 2, 8] {
+            let what = format!("parts={parts}, threads={threads}");
+            let executor = Executor::threaded(threads);
+            let spec =
+                Graph::from_edges_unchecked(parts, contract_edges_wide(refs, part, &executor));
+            let bucketed = Graph::from_packed_edge_multiset(
+                parts,
+                &contract_edges_compact(refs, part, &executor),
+            );
+            assert_same_graph(&bucketed, &spec, &format!("bucketed, {what}"));
+            if parts * parts <= DENSE_PAIR_BITS {
+                let dense =
+                    Graph::from_edges_unchecked(parts, contract_edges_dense(refs, part, &executor));
+                assert_same_graph(&dense, &spec, &format!("dense, {what}"));
+            }
+            if refs.len() == 1 && part.is_identity() {
+                assert_same_graph(&refs[0].simple(), &spec, &format!("identity, {what}"));
+            }
+            let mut c = MpcContext::new(
+                MpcConfig::for_input_size(1 << 16, 0.5)
+                    .permissive()
+                    .with_threads(threads),
+            );
+            let dispatched = contraction_graph_of_refs(refs, part, &mut c);
+            assert_same_graph(&dispatched, &spec, &format!("dispatched, {what}"));
+        }
+    }
+
+    /// Strategy: up to three multigraphs on one vertex set (self-loops and
+    /// parallel edges included; enough edges that 8 threads split them into
+    /// several ranges) and a random labelling of the vertices.
+    fn arb_contraction() -> impl Strategy<Value = (Vec<Graph>, Partition)> {
+        (1usize..70, 1usize..4).prop_flat_map(|(n, refs)| {
+            let graphs = proptest::collection::vec(
+                proptest::collection::vec((0..n, 0..n), 0..700)
+                    .prop_map(move |edges| Graph::from_edges_unchecked(n, edges)),
+                refs..refs + 1,
+            );
+            let labels = (1..n + 1)
+                .prop_flat_map(move |max_label| proptest::collection::vec(0..max_label, n..n + 1));
+            (graphs, labels)
+                .prop_map(|(graphs, labels)| (graphs, Partition::from_raw_labels(&labels)))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dense_bucketed_identity_and_wide_contractions_agree(request in arb_contraction()) {
+            let (graphs, part) = request;
+            let refs: Vec<&Graph> = graphs.iter().collect();
+            check_contraction_paths(&refs, &part);
+            // The same graphs under the identity and under one all-covering
+            // part (every edge a loop of the contraction).
+            let n = part.len();
+            check_contraction_paths(&refs, &Partition::singletons(n));
+            check_contraction_paths(&refs[..1], &Partition::singletons(n));
+            check_contraction_paths(&refs, &Partition::from_raw_labels(&vec![0; n]));
+        }
+    }
+
+    #[test]
+    fn contraction_paths_agree_on_both_sides_of_the_dense_switch() {
+        // 4096² = DENSE_PAIR_BITS exactly: 4095 and 4096 parts take the
+        // bitmap, 4097 the bucketed build.
+        assert_eq!(4096 * 4096, DENSE_PAIR_BITS);
+        let n = 5000;
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let g1 = generators::random_out_degree_graph(n, 3, &mut rng);
+        let g2 = Graph::from_edges_unchecked(n, (0..n).map(|v| (v, (7 * v + 1) % n)));
+        for parts in [4095usize, 4096, 4097] {
+            let mut labels: Vec<usize> = (0..n).map(|v| v % parts).collect();
+            labels.shuffle(&mut rng);
+            let part = Partition::from_raw_labels(&labels);
+            assert_eq!(part.num_parts(), parts);
+            check_contraction_paths(&[&g1, &g2], &part);
+        }
+    }
+
+    #[test]
+    fn contraction_of_loop_only_and_empty_graphs_is_edgeless() {
+        let loops = Graph::from_edges_unchecked(5, (0..5).map(|v| (v, v)));
+        let empty = Graph::empty(5);
+        for part in [
+            Partition::singletons(5),
+            Partition::from_raw_labels(&[0, 1, 0, 1, 2]),
+            Partition::from_raw_labels(&[0; 5]),
+        ] {
+            check_contraction_paths(&[&loops], &part);
+            check_contraction_paths(&[&empty], &part);
+            check_contraction_paths(&[&loops, &empty], &part);
+            let h = contraction_graph(&loops, &part, &mut ctx());
+            assert_eq!((h.num_vertices(), h.num_edges()), (part.num_parts(), 0));
+        }
+        // No vertices at all: zero parts, zero bitmap words.
+        check_contraction_paths(&[&Graph::empty(0)], &Partition::singletons(0));
+    }
+
+    #[test]
+    fn identity_shortcut_is_for_the_identity_labelling_only() {
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        let g = generators::random_out_degree_graph(300, 4, &mut rng).with_self_loops(1);
+        assert!(Partition::singletons(300).is_identity());
+        check_contraction_paths(&[&g], &Partition::singletons(300));
+        // Singleton parts under a permuted labelling: same part count, but
+        // the contraction relabels every edge, so `simple()` is the wrong
+        // graph and must not be what comes back.
+        let mut labels: Vec<usize> = (0..300).collect();
+        labels.shuffle(&mut rng);
+        let permuted = Partition::from_part_of(labels, 300);
+        assert!(!permuted.is_identity());
+        check_contraction_paths(&[&g], &permuted);
+        let h = contraction_graph(&g, &permuted, &mut ctx());
+        assert_ne!(h.edges(), g.simple().edges());
+        // Coarser partitions are never the identity either.
+        assert!(!Partition::from_raw_labels(&[0, 0, 1]).is_identity());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a graph on 12 vertices cannot be contracted by a partition of 10 vertices"
+    )]
+    fn contraction_rejects_a_graph_on_another_vertex_set() {
+        let part = Partition::singletons(10);
+        let (fits, too_big) = (generators::cycle(10), generators::cycle(12));
+        let _ = contraction_graph_of_refs(&[&fits, &too_big], &part, &mut ctx());
     }
 
     fn batches_for(n: usize, degree: usize, count: usize, rng: &mut ChaCha8Rng) -> Vec<Graph> {

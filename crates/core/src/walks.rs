@@ -39,9 +39,12 @@
 //!   (DESIGN.md §5, "The walk engine").
 //! * [`WalkKernel::V3`] (default) — stay-run compression + 32-bit draws: the
 //!   lazy stay/move choice is an exact fair coin (span `2Δ`, `Δ` of which are
-//!   self entries), so one pattern word yields 32 stay/move coins and runs of
-//!   stays collapse to a `trailing_zeros`; only real moves pay a one-word
-//!   32-bit Lemire neighbour draw and a random CSR load (DESIGN.md §10).
+//!   self entries), so one pattern word yields 32 stay/move coins. A stay
+//!   leaves the current vertex alone, so only the **number** of move bits
+//!   matters, never their positions: the batched kernel reads each lane's
+//!   move count off the pattern word's popcount, and only those real moves
+//!   pay a one-word 32-bit Lemire neighbour draw and a random CSR load
+//!   (DESIGN.md §10).
 //!
 //! The two kernels consume per-vertex keystreams differently, so fixed-seed
 //! outputs differ *between kernels* while each kernel stays bit-identical

@@ -192,6 +192,44 @@ impl Graph {
         }
     }
 
+    /// The simple graph underneath this multigraph: same vertices, one edge
+    /// per pair of distinct vertices joined by at least one edge, no
+    /// self-loops.
+    ///
+    /// Read straight off the CSR — each row is copied, sorted and
+    /// deduplicated with its own vertex dropped — so no edge is relabelled,
+    /// packed or scattered. The result is the graph
+    /// [`from_packed_edge_multiset`](Self::from_packed_edge_multiset) builds
+    /// from this graph's non-loop edges, field for field: a row of that
+    /// build holds exactly the other endpoints of the vertex's non-loop
+    /// edges, which is this CSR row minus the loops.
+    pub fn simple(&self) -> Graph {
+        let mut adjacency = Vec::with_capacity(self.adjacency.len());
+        let mut edges = Vec::with_capacity(self.edges.len());
+        let mut offsets = Vec::with_capacity(self.num_vertices + 1);
+        offsets.push(0);
+        let mut row: Vec<u32> = Vec::new();
+        for v in 0..self.num_vertices {
+            row.clear();
+            row.extend_from_slice(self.neighbors(v));
+            row.sort_unstable();
+            row.dedup();
+            for &w in row.iter().filter(|&&w| w as usize != v) {
+                adjacency.push(w);
+                if w as usize > v {
+                    edges.push((v as u32, w));
+                }
+            }
+            offsets.push(adjacency.len());
+        }
+        Graph {
+            num_vertices: self.num_vertices,
+            edges,
+            offsets,
+            adjacency,
+        }
+    }
+
     fn rebuild_csr(num_vertices: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
         let mut degree = vec![0usize; num_vertices];
         for &(u, v) in edges {
@@ -575,6 +613,23 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.degree(1), 3);
+    }
+
+    #[test]
+    fn simple_drops_loops_and_parallels_and_sorts_rows() {
+        let g = Graph::from_edges_unchecked(
+            4,
+            vec![(2, 0), (0, 2), (1, 1), (3, 0), (0, 1), (1, 0), (3, 3)],
+        );
+        let s = g.simple();
+        assert_eq!(s.num_vertices(), 4);
+        assert_eq!(s.edges(), &[(0, 1), (0, 2), (0, 3)]);
+        assert_eq!(s.neighbors(0), &[1, 2, 3]);
+        assert_eq!(s.neighbors(1), &[0]);
+        assert_eq!(s.csr_offsets(), &[0, 3, 4, 5, 6]);
+        // Already simple: unchanged up to row order.
+        assert_eq!(s.simple().edges(), s.edges());
+        assert_eq!(Graph::empty(3).simple().csr_offsets(), &[0, 0, 0, 0]);
     }
 
     #[test]

@@ -75,6 +75,15 @@ impl Partition {
         self.num_parts
     }
 
+    /// `true` iff vertex `v` is alone in part `v`, for every `v` — the
+    /// labelling [`singletons`](Self::singletons) produces, under which
+    /// contracting a graph relabels nothing. A permuted singleton labelling
+    /// is not the identity.
+    pub fn is_identity(&self) -> bool {
+        self.num_parts == self.part_of.len()
+            && self.part_of.iter().enumerate().all(|(v, &p)| p == v)
+    }
+
     /// The part containing vertex `v`.
     pub fn part_of(&self, v: usize) -> usize {
         self.part_of[v]

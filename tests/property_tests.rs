@@ -34,6 +34,25 @@ proptest! {
     }
 
     #[test]
+    fn simple_graph_equals_bucket_build_of_the_non_loop_edges(g in arb_graph(90, 400)) {
+        // `Graph::simple()` reads the contraction-by-identity off the CSR;
+        // the bucketed multiset build of the same non-loop edges is the
+        // graph it must reproduce, field for field.
+        let packed: Vec<u64> = g
+            .edge_iter()
+            .filter(|&(u, v)| u != v)
+            .map(|(u, v)| wcc_mpc::pack_edge(u, v))
+            .collect();
+        let want = Graph::from_packed_edge_multiset(g.num_vertices(), &packed);
+        let got = g.simple();
+        prop_assert_eq!(got.num_vertices(), want.num_vertices());
+        prop_assert_eq!(got.edges(), want.edges());
+        prop_assert_eq!(got.csr_offsets(), want.csr_offsets());
+        prop_assert_eq!(got.csr_adjacency(), want.csr_adjacency());
+        prop_assert!(!got.has_self_loops());
+    }
+
+    #[test]
     fn spanning_forest_is_always_valid(g in arb_graph(100, 250)) {
         let f = components::spanning_forest(&g);
         prop_assert!(components::verify_spanning_forest(&g, &f.edges));
