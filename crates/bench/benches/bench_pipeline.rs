@@ -14,6 +14,9 @@
 //! * **walk_kernel** — the isolated Step-2 fan-out under the retained spec
 //!   kernel vs the v3 stay-run-compression kernel at two walk lengths, with
 //!   an endpoint-distribution sanity assert before any timing;
+//! * **walks** — one `randomize` batch's walk fan-out on the one-shot
+//!   benchmark's expander shape, on the dispatched move tier vs the portable
+//!   tier, endpoints asserted equal before timing;
 //! * **reduce_by_key_radix_vs_hashmap** — the sort-based aggregation
 //!   (`reduce_by_key`) against the retained hash-based reference
 //!   (`reduce_by_key_hashmap`) at 10⁵–10⁶ tuples. Outputs are asserted
@@ -358,6 +361,83 @@ fn bench_walk_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `randomize` batch's walk fan-out on the shape BENCHMARK.json's
+/// `oneshot_expander` gives it (the `walks` group recorded in
+/// `BENCH_pipeline.json`): the regularized planted expander (n_reg = 10⁵,
+/// Δ = 9), `t = 139`, `k = 36` walks per vertex — 5.0·10⁸ lazy steps — on
+/// the move tier the CPU dispatches to against the portable tier
+/// (counting-sorted scalar rounds). Both rows are
+/// `independent_lazy_walks`; the batch's `Graph` build (≈ 0.09 s, the same
+/// on both) is not in them. The endpoints are asserted equal before timing,
+/// so any difference is pure move-loop machinery.
+fn bench_randomize_batch(c: &mut Criterion) {
+    use wcc_core::regularize::regularize;
+    use wcc_core::walks::{
+        independent_lazy_walks, independent_lazy_walks_portable, walk_move_tier, WalkKernel,
+        WalkMode,
+    };
+
+    let mut group = c.benchmark_group("walks");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(5));
+
+    let params = Params::laptop_scale().with_threads(1);
+    let g = planted(12_500, 7);
+    let config = || MpcConfig::for_input_size(4 * g.num_edges(), 0.5).permissive();
+    let reg = {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        regularize(&g, &params, &mut MpcContext::new(config()), &mut rng).unwrap()
+    };
+    let (t, k) = (139usize, 36usize);
+    assert_eq!(
+        (reg.graph.num_vertices(), reg.graph.max_degree()),
+        (100_000, 9)
+    );
+
+    type Fanout = fn(
+        &Graph,
+        usize,
+        usize,
+        WalkMode,
+        WalkKernel,
+        usize,
+        &mut MpcContext,
+        &mut ChaCha8Rng,
+    ) -> Result<Vec<usize>, wcc_core::CoreError>;
+    let batch = |fanout: Fanout| {
+        let mut ctx = MpcContext::new(config().with_threads(1));
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        fanout(
+            &reg.graph,
+            t,
+            k,
+            WalkMode::Direct,
+            WalkKernel::V3,
+            2,
+            &mut ctx,
+            &mut rng,
+        )
+        .unwrap()
+    };
+    let rows: [(&str, Fanout); 2] = [
+        (walk_move_tier(), independent_lazy_walks),
+        ("portable", independent_lazy_walks_portable),
+    ];
+    // `assert!`, not `assert_eq!`: a failure must not print 3.6M endpoints.
+    assert!(
+        batch(rows[0].1) == batch(rows[1].1),
+        "{} and portable move tiers disagree on the endpoints",
+        rows[0].0
+    );
+    for (name, fanout) in rows {
+        group.bench_function(BenchmarkId::new("randomize_batch", name), |b| {
+            b.iter(|| batch(fanout))
+        });
+    }
+    group.finish();
+}
+
 /// Streaming ingestion: the union-find fast path against per-batch full
 /// recompute on a merge-free batch schedule (the `stream_ingest` group
 /// recorded in `BENCH_pipeline.json`).
@@ -687,6 +767,7 @@ criterion_group!(
     bench_contraction,
     bench_adaptive_pipeline_large,
     bench_walk_kernel,
+    bench_randomize_batch,
     bench_reduce_radix_vs_hashmap,
     bench_stream_ingest,
     bench_dynamic_ingest,

@@ -45,7 +45,16 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+//!
+//! ## Unsafe code
+//!
+//! The crate denies `unsafe` everywhere except one private module,
+//! `walk_simd`: the AVX-512 / AVX2 gather step of the v3 walk kernel
+//! (DESIGN.md §10). It holds every intrinsic, the CPUID tier check and the
+//! validated table and lane types its bounds argument rests on; everything
+//! it exposes to the rest of the crate is safe to call.
+
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod concentration;
@@ -58,6 +67,8 @@ pub mod regularize;
 pub mod serve;
 pub mod stream;
 pub mod sublinear;
+#[allow(unsafe_code)]
+mod walk_simd;
 pub mod walks;
 
 pub use crate::params::Params;

@@ -381,11 +381,32 @@ impl OpsView<'_> {
         }
     }
 
+    fn inserts(&self) -> usize {
+        match self {
+            OpsView::Edges(e) => e.len(),
+            OpsView::Ops(o) => o.iter().filter(|op| op.kind == OpKind::Insert).count(),
+        }
+    }
+
     fn get(&self, i: usize) -> EdgeOp {
         match self {
             OpsView::Edges(e) => EdgeOp::insert(e[i].0, e[i].1),
             OpsView::Ops(o) => o[i],
         }
+    }
+}
+
+/// Every logged insert gets a `u32` slot in the edge log, and the log never
+/// compacts, so a batch that would push it past `u32::MAX` entries must be
+/// refused whole: a wrapped slot would point a later deletion at the wrong
+/// log entry.
+fn check_edge_log_room(logged: usize, inserts: usize) -> Result<(), CoreError> {
+    match logged.checked_add(inserts) {
+        Some(total) if total <= u32::MAX as usize => Ok(()),
+        _ => Err(CoreError::BadParams(format!(
+            "stream: edge log full ({logged} logged inserts + {inserts} in this batch \
+             exceed the u32 slot space)"
+        ))),
     }
 }
 
@@ -448,7 +469,9 @@ impl IncrementalComponents {
     /// Returns [`CoreError`] if a slow-path recompute fails (bad parameters,
     /// infeasible cluster) or the dense vertex space overflows `u32`. The
     /// labelling itself remains correct after an error — only the
-    /// certificate refresh is missed, and the next escalation retries it.
+    /// certificate refresh is missed, and the next escalation retries it. A
+    /// batch that would grow the edge log past `u32::MAX` logged inserts
+    /// returns [`CoreError::BadParams`] before any state changes.
     pub fn apply_batch(&mut self, batch: &[(u64, u64)]) -> Result<BatchReport, CoreError> {
         self.apply_ops_impl(OpsView::Edges(batch))
     }
@@ -513,6 +536,8 @@ impl IncrementalComponents {
     }
 
     fn apply_ops_impl(&mut self, view: OpsView<'_>) -> Result<BatchReport, CoreError> {
+        // Part of the whole-batch pre-validation: nothing is touched yet.
+        check_edge_log_room(self.edges.len(), view.inserts())?;
         let started = Instant::now();
         let rounds_before = self.total_rounds();
         let words_before = self.total_communication_words();
@@ -1166,6 +1191,23 @@ impl IncrementalComponents {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn edge_log_room_is_checked_at_the_u32_boundary() {
+        let max = u32::MAX as usize;
+        assert!(check_edge_log_room(0, 0).is_ok());
+        assert!(check_edge_log_room(max - 5, 5).is_ok());
+        assert!(check_edge_log_room(max, 0).is_ok());
+        for (logged, inserts) in [(max - 5, 6), (max, 1), (0, max + 1), (usize::MAX, 1)] {
+            assert!(
+                matches!(
+                    check_edge_log_room(logged, inserts),
+                    Err(CoreError::BadParams(_))
+                ),
+                "{logged} + {inserts} must be refused"
+            );
+        }
+    }
     use rand::seq::SliceRandom;
     use wcc_graph::prelude::*;
 

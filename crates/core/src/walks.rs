@@ -44,7 +44,13 @@
 //!   matters, never their positions: the batched kernel reads each lane's
 //!   move count off the pattern word's popcount, and only those real moves
 //!   pay a one-word 32-bit Lemire neighbour draw and a random CSR load
-//!   (DESIGN.md §10).
+//!   (DESIGN.md §10). 64 lanes advance in lockstep; how a window's moves
+//!   are carried out is the *move tier* ([`walk_move_tier`]): masked
+//!   AVX-512 / AVX2 gathers with the lanes' positions in registers where
+//!   the CPU has them (the private `walk_simd` module — the crate's only
+//!   `unsafe`), counting-sorted scalar rounds otherwise. The tier comes
+//!   from CPUID and a validation pass over the adjacency, never from a
+//!   setting, and every tier produces the same endpoints.
 //!
 //! The two kernels consume per-vertex keystreams differently, so fixed-seed
 //! outputs differ *between kernels* while each kernel stays bit-identical
@@ -52,6 +58,7 @@
 //! pins the distributions against each other.
 
 use crate::regularize::CoreError;
+use crate::walk_simd::{self, GatherLanes, GatherTable, MoveTier};
 
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::{ChaCha8Batch, ChaCha8Rng};
@@ -618,21 +625,208 @@ pub fn v3_walk_endpoint<R: RngCore + ?Sized>(
 /// the generate-ahead from ever overwriting a block the window still reads.
 const RING_BLOCKS: usize = 4;
 
-/// The ring as a row-major array of `u32 × V3_LANES` rows: word `q` of
-/// lane `l`'s stream lives at `ring[q % RING_ROWS][l]`, one masked index
-/// instead of a (block, word) pair per draw.
-const RING_ROWS: usize = 16 * RING_BLOCKS;
+/// Rows of the keystream ring, one row per stream position.
+pub(crate) const RING_ROWS: usize = 16 * RING_BLOCKS;
 
-/// Lane count of the batched **v3** kernel. Wider than [`WALK_LANES`]: the
-/// v3 group keeps its per-lane state in L1 arrays rather than registers, so
-/// no spill pressure caps it, and 32 independent walk chains hide the
-/// random CSR load latency that the move loop is otherwise bound by.
-const V3_LANES: usize = 32;
+/// The ring as a row-major array of `u32 × L` rows: word `q` of lane `l`'s
+/// stream lives at `ring[q % RING_ROWS][l]`, one masked index instead of a
+/// (block, word) pair per draw — and a row is what a vector load wants.
+pub(crate) type Ring<const L: usize> = [[u32; L]; RING_ROWS];
 
-/// Simulates the `k` v3 walks of [`V3_LANES`] vertices on a Δ-regular
-/// graph given its flat CSR, writing endpoints vertex-major into `out`
-/// (`out[l·k + i]`, the spec kernel's layout), drawing every lane's words
-/// from the per-vertex stream seeded by `seeds[l]`.
+/// Lane count of a full batched **v3** group: four 512-bit registers of
+/// positions, i.e. four independent gather chains in flight per draw row
+/// (128 lanes measured no better; the 16 KiB ring plus the lanes' clouds
+/// still sit in L1). A worker's span steps its tail down through 32- and
+/// 16-lane groups before the scalar path; grouping is invisible in the
+/// endpoints because every vertex owns its stream.
+const V3_LANES: usize = 64;
+
+/// What one window did to a lane group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WindowOutcome {
+    /// Real moves of the window, all lanes together.
+    pub(crate) moves: u32,
+    /// Some scanned draw word rejects under Lemire: the lanes are
+    /// unspecified and the group must rerun on the scalar path. Always set
+    /// when a lane *consumed* a rejecting word; how many merely skipped
+    /// words are scanned as well differs between tiers.
+    pub(crate) rejected: bool,
+}
+
+/// The per-lane move counts of a window — the popcounts of the pattern
+/// words under the window's `usable` step mask — with their maximum and sum.
+/// One plain lane-wise loop (no closure for library code to call): inlined
+/// into a `#[target_feature]` step it compiles to that tier's vector code.
+#[inline(always)]
+pub(crate) fn window_move_counts<const L: usize>(
+    pattern: &[u32; L],
+    usable: u32,
+) -> ([u32; L], u32, u32) {
+    let mut counts = [0u32; L];
+    let (mut most, mut total) = (0u32, 0u32);
+    for (count, &word) in counts.iter_mut().zip(pattern) {
+        *count = (word & usable).count_ones();
+        most = most.max(*count);
+        total += *count;
+    }
+    (counts, most, total)
+}
+
+/// `L` lockstep lanes moved by the portable window step: the tier off
+/// x86-64, for adjacencies the gather gate refuses, and the reference the
+/// gather tiers are tested against.
+struct PortableLanes<'a, const L: usize> {
+    adjacency: &'a [u32],
+    delta: usize,
+    /// Lemire acceptance is `lo >= (2^32 - Δ) mod Δ` (see [`lemire_u32`]):
+    /// hoisted, and identically zero for power-of-two Δ, where no draw can
+    /// reject.
+    reject_below: u32,
+    cur: [u32; L],
+    /// The window's neighbour-index table, kept across windows so it is
+    /// zeroed once per group; rows past a window's largest move count hold
+    /// stale values no lane can reach.
+    idx: [[u32; L]; 32],
+}
+
+impl<const L: usize> PortableLanes<'_, L> {
+    /// A window as a SIMD-friendly precompute and a tiny move loop: map the
+    /// draw rows through the Lemire multiply row-by-row into `idx`, then
+    /// run the chained CSR loads `cur ← adjacency[cur·Δ + idx[d][l]]` in
+    /// rounds over the lanes counting-sorted by descending move count.
+    fn window_step(&mut self, ring: &Ring<L>, q0: u64, usable: u32) -> WindowOutcome {
+        let (mc, most, moves) = window_move_counts(&ring[(q0 % RING_ROWS as u64) as usize], usable);
+        // Only the first `most` draw rows can be consumed by any lane (the
+        // rest of the allotment is skipped padding), so only those are
+        // mapped and rejection-scanned.
+        let mut reject_any = 0u32;
+        for (d, row) in self.idx.iter_mut().enumerate().take(most as usize) {
+            let words = &ring[((q0 + 1 + d as u64) % RING_ROWS as u64) as usize];
+            for (slot, &word) in row.iter_mut().zip(words) {
+                let m = word as u64 * self.delta as u64;
+                *slot = (m >> 32) as u32;
+                reject_any |= u32::from((m as u32) < self.reject_below);
+            }
+        }
+        if reject_any != 0 {
+            return WindowOutcome {
+                moves,
+                rejected: true,
+            };
+        }
+        // A lane with `mc[l]` moves is live in rounds `0..mc[l]` and
+        // performs its `d`-th move in round `d`, so counting-sorting the
+        // lanes by descending move count makes round `d`'s live set exactly
+        // the prefix of size `starts[d] = #{l : mc[l] > d}` — no per-move
+        // list maintenance, no per-lane cursor, every branch a loop bound,
+        // and up to `L` independent loads in flight.
+        let mut cnt = [0usize; 33];
+        for &c in &mc {
+            cnt[c as usize] += 1;
+        }
+        let mut starts = [0usize; 33];
+        let mut acc = 0usize;
+        for c in (0..=32usize).rev() {
+            starts[c] = acc;
+            acc += cnt[c];
+        }
+        let mut order = [0u8; L];
+        let mut fill = starts;
+        for (l, &c) in mc.iter().enumerate() {
+            order[fill[c as usize]] = l as u8;
+            fill[c as usize] += 1;
+        }
+        for (d, row) in self.idx.iter().enumerate() {
+            let n_live = starts[d];
+            if n_live == 0 {
+                break;
+            }
+            for &l8 in &order[..n_live] {
+                let l = l8 as usize;
+                self.cur[l] = self.adjacency[self.cur[l] as usize * self.delta + row[l] as usize];
+            }
+        }
+        WindowOutcome {
+            moves,
+            rejected: false,
+        }
+    }
+}
+
+/// What a v3 fan-out walks: the Δ-regular graph's flat CSR (row `v` at
+/// offset `v·Δ`) and, when a gather tier can walk it, that tier's validated
+/// table. Which of the two moves the lane groups is thereby decided once per
+/// [`independent_lazy_walks`] call, from CPUID and the validation pass alone.
+struct WalkTable<'a> {
+    adjacency: &'a [u32],
+    delta: usize,
+    gather: Option<GatherTable>,
+}
+
+impl<'a> WalkTable<'a> {
+    /// The table for moving lanes on `tier` — on the portable tier when
+    /// `tier` cannot walk this adjacency. The gather tiers read their table
+    /// unchecked, so they get a copy validated here (one `O(n·Δ)` pass)
+    /// rather than trusting `Graph`'s invariants.
+    fn on(tier: MoveTier, adjacency: &'a [u32], n: usize, delta: usize) -> Self {
+        WalkTable {
+            adjacency,
+            delta,
+            gather: GatherTable::build_on(tier, adjacency, n, delta),
+        }
+    }
+
+    fn lanes<const L: usize>(&self) -> Lanes<'_, L> {
+        match &self.gather {
+            Some(table) => Lanes::Gather(table.lanes()),
+            None => Lanes::Portable(PortableLanes {
+                adjacency: self.adjacency,
+                delta: self.delta,
+                reject_below: (self.delta as u32).wrapping_neg() % self.delta as u32,
+                cur: [0; L],
+                idx: [[0; L]; 32],
+            }),
+        }
+    }
+}
+
+/// The positions of one lane group, under whichever tier moves it.
+enum Lanes<'a, const L: usize> {
+    Portable(PortableLanes<'a, L>),
+    Gather(GatherLanes<'a, L>),
+}
+
+impl<const L: usize> Lanes<'_, L> {
+    /// Puts lane `l` on `vertices[l]` (the start of the next walk).
+    fn restart(&mut self, vertices: &[u32; L]) {
+        match self {
+            Lanes::Portable(lanes) => lanes.cur = *vertices,
+            Lanes::Gather(lanes) => lanes.restart(vertices),
+        }
+    }
+
+    /// Advances every lane through the window whose pattern word sits at
+    /// stream position `q0` of `ring` and whose steps are the set bits of
+    /// `usable`.
+    fn window_step(&mut self, ring: &Ring<L>, q0: u64, usable: u32) -> WindowOutcome {
+        match self {
+            Lanes::Portable(lanes) => lanes.window_step(ring, q0, usable),
+            Lanes::Gather(lanes) => lanes.window_step(ring, q0, usable),
+        }
+    }
+
+    fn vertices(&self) -> [u32; L] {
+        match self {
+            Lanes::Portable(lanes) => lanes.cur,
+            Lanes::Gather(lanes) => lanes.vertices(),
+        }
+    }
+}
+
+/// Simulates the `k` v3 walks of `L` vertices on a Δ-regular graph, writing
+/// endpoints vertex-major into `out` (`out[l·k + i]`, the spec kernel's
+/// layout), drawing every lane's words from the per-vertex stream seeded by
+/// `seeds[l]`.
 ///
 /// The fixed window allotment of [`v3_walk_run`] is what this kernel
 /// exploits: every lane's stream position is the same closed form of
@@ -640,64 +834,52 @@ const V3_LANES: usize = 32;
 /// one [`ChaCha8Batch`] refill per 16 words, generated straight into a ring
 /// of transposed rows, *zero* per-lane buffering or copying.
 ///
-/// A window then splits into a SIMD-friendly precompute and a tiny move
-/// loop, resting on two facts about the discipline. First, a stay does not
-/// change the current vertex, so the endpoint only depends on the
+/// A window then rests on two facts about the discipline. First, a stay
+/// does not change the current vertex, so the endpoint only depends on the
 /// *sequence of accepted draws* — the positions of the move bits inside
 /// the pattern word matter to no walk quantity; only their **count**
 /// does. Second, a lane's draw words are the consecutive stream words
-/// `q₀+1, q₀+2, …` regardless of which steps move. So the kernel maps the
-/// window's `runnable` draw rows through the [Lemire](lemire_u32)
-/// multiply row-by-row (a vectorisable pure-arithmetic pass, writing the
-/// neighbour index table `idx`), reads each lane's move count from its
-/// pattern popcount, and the move loop per lane is just `count` chained
-/// CSR loads: `cur ← adjacency[cur·Δ + idx[d][l]]`. The loop runs in
-/// rounds — round `d` performs every live lane's `d`-th move — over the
-/// lanes counting-sorted by descending move count, so each round's live
-/// set is a prefix and every branch is a loop bound. That keeps up to
-/// [`V3_LANES`] independent loads in flight to hide the CSR access
-/// latency.
+/// `q₀+1, q₀+2, …` regardless of which steps move. So a window is: read
+/// each lane's move count off its pattern popcount, then for each draw row
+/// `d` take every lane's [Lemire](lemire_u32) neighbour index from the
+/// row's word and advance the lanes whose move count exceeds `d` by one CSR
+/// load, `cur ← adjacency[cur·Δ + idx]`. The gather tiers
+/// ([`walk_move_tier`]) do a row as masked vector gathers with the lanes'
+/// positions in registers; the portable tier precomputes the index table
+/// and runs the loads in counting-sorted scalar rounds
+/// ([`PortableLanes::window_step`]). Either way up to `L` independent load
+/// chains hide the CSR access latency, and the lanes end the window on the
+/// same vertices.
 ///
-/// Returns `false` (with `out` unspecified) iff any scanned draw word
-/// rejects under Lemire — probability `(Δ mod 2³² mod Δ)/2³² < Δ/2³²` per
-/// word, a handful of groups per billion steps — in which case the caller
-/// reruns the whole group on the scalar path, which replays redraws (and
-/// the even rarer allotment overflow) exactly. The check is conservative:
-/// it scans the window's first `max(move count)` draw rows, including
-/// words past an individual lane's move count that the stream discipline
-/// merely skips.
+/// Returns `false` (with `out` unspecified) iff a scanned draw word rejects
+/// under Lemire — probability `(2³² mod Δ)/2³² < Δ/2³²` per word, a handful
+/// of groups per billion steps — in which case the caller reruns the whole
+/// group on the scalar path, which replays redraws (and the even rarer
+/// allotment overflow) exactly. The scan is conservative: it covers every
+/// word a lane consumes plus, depending on the tier, words past an
+/// individual lane's move count that the stream discipline merely skips —
+/// so *which* groups rerun may differ between tiers, the endpoints cannot.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
-fn v3_walk_lane_group(
-    adjacency: &[u32],
-    delta: usize,
+fn v3_walk_lane_group<const L: usize>(
+    table: &WalkTable<'_>,
     t: usize,
     k: usize,
-    vertices: [u32; V3_LANES],
-    seeds: &[u64; V3_LANES],
+    vertices: &[u32; L],
+    seeds: &[u64; L],
     out: &mut [usize],
     tally: &mut WalkTelemetry,
 ) -> bool {
-    debug_assert!(delta > 0);
-    debug_assert_eq!(out.len(), V3_LANES * k);
-    let span = delta as u32;
-    // Lemire acceptance is `lo >= (2^32 - span) mod span` (see
-    // [`lemire_u32`]): hoisted out of the loop, and identically zero for
-    // power-of-two Δ, where no draw can reject.
-    let reject_below = span.wrapping_neg() % span;
-    let mut batch = ChaCha8Batch::<V3_LANES>::seed_from_u64s(seeds);
-    let mut ring = [[0u32; V3_LANES]; RING_ROWS];
+    debug_assert_eq!(out.len(), L * k);
+    let mut batch = ChaCha8Batch::<L>::seed_from_u64s(seeds);
+    let mut ring: Ring<L> = [[0u32; L]; RING_ROWS];
     let mut generated = 0u64;
     // Stream position of the current window's pattern word — identical for
     // every lane, by the fixed allotment.
     let mut q0 = 0u64;
     let (mut local_moves, mut local_words, mut refills) = (0u64, 0u64, 0u64);
-    // The window's neighbour-index table, hoisted so its 4 KiB are zeroed
-    // once per group, not once per window; rows past a window's `runnable`
-    // hold stale values no lane's move count can reach.
-    let mut idx = [[0u32; V3_LANES]; 32];
+    let mut lanes = table.lanes::<L>();
     for walk in 0..k {
-        let mut cur = vertices;
+        lanes.restart(vertices);
         let mut remaining = t as u32;
         while remaining > 0 {
             let runnable = remaining.min(32);
@@ -709,80 +891,22 @@ fn v3_walk_lane_group(
             let last_q = q0 + runnable as u64;
             while generated * 16 <= last_q {
                 let row = ((generated % RING_BLOCKS as u64) * 16) as usize;
-                let block: &mut [[u32; V3_LANES]; 16] =
+                let block: &mut [[u32; L]; 16] =
                     (&mut ring[row..row + 16]).try_into().expect("16-row block");
                 batch.refill(block);
                 generated += 1;
                 refills += 1;
             }
-            // Per-lane move counts from the pattern row's popcounts.
-            let pat_row = &ring[(q0 % RING_ROWS as u64) as usize];
-            let mut mc = [0u8; V3_LANES];
-            let mut window_moves = 0u64;
-            let mut max_mc = 0u8;
-            for (l, c) in mc.iter_mut().enumerate() {
-                *c = (pat_row[l] & usable).count_ones() as u8;
-                window_moves += *c as u64;
-                max_mc = max_mc.max(*c);
-            }
-            local_moves += window_moves;
-            local_words += (V3_LANES as u64) * (1 + runnable as u64);
-            // Map the draw rows through the Lemire multiply in one
-            // arithmetic pass: `idx[d][l]` is lane `l`'s `d`-th neighbour
-            // index of this window. Only the first `max_mc` rows can be
-            // consumed by any lane (the rest of the allotment is skipped
-            // padding), so only those are mapped and rejection-scanned —
-            // any rejecting word delegates the whole group to the scalar
-            // path, which replays redraws exactly.
-            let mut reject_any = 0u32;
-            for (d, row) in idx.iter_mut().enumerate().take(max_mc as usize) {
-                let words = &ring[((q0 + 1 + d as u64) % RING_ROWS as u64) as usize];
-                for (l, slot) in row.iter_mut().enumerate() {
-                    let m = words[l] as u64 * span as u64;
-                    *slot = (m >> 32) as u32;
-                    reject_any |= u32::from((m as u32) < reject_below);
-                }
-            }
-            if reject_any != 0 {
+            let outcome = lanes.window_step(&ring, q0, usable);
+            if outcome.rejected {
                 return false;
             }
-            // Apply the moves in rounds: a lane with `mc[l]` moves is live
-            // in rounds `0..mc[l]` and performs its `d`-th move in round
-            // `d`, so counting-sorting the lanes by descending move count
-            // makes round `d`'s live set exactly the prefix of size
-            // `starts[d] = #{l : mc[l] > d}` — no per-move list
-            // maintenance, no per-lane cursor, every branch a loop bound.
-            let mut cnt = [0usize; 33];
-            for &c in &mc {
-                cnt[c as usize] += 1;
-            }
-            let mut starts = [0usize; 33];
-            let mut acc = 0usize;
-            for c in (0..=32usize).rev() {
-                starts[c] = acc;
-                acc += cnt[c];
-            }
-            let mut order = [0u8; V3_LANES];
-            let mut fill = starts;
-            for (l, &c) in mc.iter().enumerate() {
-                order[fill[c as usize]] = l as u8;
-                fill[c as usize] += 1;
-            }
-            for (d, row) in idx.iter().enumerate() {
-                let n_live = starts[d];
-                if n_live == 0 {
-                    break;
-                }
-                for &l8 in &order[..n_live] {
-                    let l = l8 as usize;
-                    let next = adjacency[cur[l] as usize * delta + row[l] as usize];
-                    cur[l] = next;
-                }
-            }
+            local_moves += outcome.moves as u64;
+            local_words += (L as u64) * (1 + runnable as u64);
             q0 += 1 + runnable as u64;
             remaining -= runnable;
         }
-        for (l, &c) in cur.iter().enumerate() {
+        for (l, &c) in lanes.vertices().iter().enumerate() {
             out[l * k + walk] = c as usize;
         }
     }
@@ -790,6 +914,62 @@ fn v3_walk_lane_group(
     tally.keystream_words += local_words;
     tally.refills += refills;
     true
+}
+
+/// One v3 fan-out's constants, shared by its workers.
+struct V3Fanout<'a> {
+    table: WalkTable<'a>,
+    t: usize,
+    k: usize,
+    /// The master generator's one draw; vertex `v` walks on the stream
+    /// `derive_stream_seed(base, v)`.
+    base: u64,
+}
+
+impl V3Fanout<'_> {
+    /// The walks of the `L` vertices from index `*j` of a worker's span
+    /// (vertex `span_start + *j`, endpoint slots from `chunk[*j·k]`) as one
+    /// lane group, rerun vertex by vertex on the scalar path if the group
+    /// reports a rejection; advances `*j` past them.
+    fn group<const L: usize>(
+        &self,
+        span_start: usize,
+        j: &mut usize,
+        chunk: &mut [usize],
+        tally: &mut WalkTelemetry,
+    ) {
+        let first = span_start + *j;
+        let slots = &mut chunk[*j * self.k..(*j + L) * self.k];
+        *j += L;
+        let vertices: [u32; L] = core::array::from_fn(|l| (first + l) as u32);
+        let seeds: [u64; L] =
+            core::array::from_fn(|l| derive_stream_seed(self.base, (first + l) as u64));
+        if !v3_walk_lane_group(&self.table, self.t, self.k, &vertices, &seeds, slots, tally) {
+            tally.spec_fallbacks += 1;
+            for (v, slots) in (first..).zip(slots.chunks_exact_mut(self.k)) {
+                self.scalar(v, slots, tally);
+            }
+        }
+    }
+
+    /// The walks of vertex `v` on the scalar path.
+    fn scalar(&self, v: usize, slots: &mut [usize], tally: &mut WalkTelemetry) {
+        let mut vrng = ChaCha8Rng::seed_from_u64(derive_stream_seed(self.base, v as u64));
+        let mut src = RngWords {
+            rng: &mut vrng,
+            words: &mut tally.keystream_words,
+        };
+        for slot in slots {
+            *slot = v3_walk_run(
+                self.table.adjacency,
+                self.table.delta,
+                v as u32,
+                self.t,
+                &mut src,
+                &mut tally.moves,
+            ) as usize;
+        }
+    }
 }
 
 /// Theorem 3 + the lazification of Section 5.2, packaged for the pipeline:
@@ -810,6 +990,74 @@ fn v3_walk_lane_group(
 /// what Step 1 is for).
 #[allow(clippy::too_many_arguments)]
 pub fn independent_lazy_walks<R: Rng + ?Sized>(
+    g: &Graph,
+    t: usize,
+    walks_per_vertex: usize,
+    mode: WalkMode,
+    kernel: WalkKernel,
+    copies_multiplier: usize,
+    ctx: &mut MpcContext,
+    rng: &mut R,
+) -> Result<Vec<usize>, CoreError> {
+    lazy_walks_on(
+        walk_simd::detected(),
+        g,
+        t,
+        walks_per_vertex,
+        mode,
+        kernel,
+        copies_multiplier,
+        ctx,
+        rng,
+    )
+}
+
+/// [`independent_lazy_walks`] with the v3 move loop pinned to the portable
+/// tier, whatever the CPU offers: the differential reference and the
+/// baseline the dispatched tier is benchmarked against. Same endpoints,
+/// same charges, same generator consumption.
+///
+/// # Errors
+///
+/// As [`independent_lazy_walks`].
+#[allow(clippy::too_many_arguments)]
+pub fn independent_lazy_walks_portable<R: Rng + ?Sized>(
+    g: &Graph,
+    t: usize,
+    walks_per_vertex: usize,
+    mode: WalkMode,
+    kernel: WalkKernel,
+    copies_multiplier: usize,
+    ctx: &mut MpcContext,
+    rng: &mut R,
+) -> Result<Vec<usize>, CoreError> {
+    lazy_walks_on(
+        MoveTier::Portable,
+        g,
+        t,
+        walks_per_vertex,
+        mode,
+        kernel,
+        copies_multiplier,
+        ctx,
+        rng,
+    )
+}
+
+/// Which implementation moves the lanes of the v3 kernel on this machine:
+/// `"avx512f"`, `"avx2"` or `"portable"` — the widest the CPU reports, read
+/// from CPUID once per process. Reporting only; there is no switch. (A
+/// fan-out whose adjacency fails the gather gate — an entry that is not a
+/// vertex, or `n·Δ > i32::MAX` — runs the portable tier regardless.)
+pub fn walk_move_tier() -> &'static str {
+    walk_simd::detected().name()
+}
+
+/// [`independent_lazy_walks`] with the v3 move loop on `tier` (on the
+/// portable tier when `tier` cannot walk `g`).
+#[allow(clippy::too_many_arguments)]
+fn lazy_walks_on<R: Rng + ?Sized>(
+    tier: MoveTier,
     g: &Graph,
     t: usize,
     walks_per_vertex: usize,
@@ -865,73 +1113,40 @@ pub fn independent_lazy_walks<R: Rng + ?Sized>(
                     // closed-form offset `v·Δ` — the walk working set halves
                     // to exactly the graph. Full lane groups read lockstep
                     // keystream blocks generated in place; the tail of a
-                    // worker's span (and the near-impossible
-                    // allotment-overflow groups) runs the scalar form of the
-                    // same discipline on the same per-vertex streams, so the
+                    // worker's span steps down through 32- and 16-lane
+                    // groups, and its last few vertices (and the rare
+                    // rejecting groups) run the scalar form of the same
+                    // discipline on the same per-vertex streams, so the
                     // split is invisible in the endpoints.
-                    let adjacency = g.csr_adjacency();
+                    let fanout = V3Fanout {
+                        table: WalkTable::on(tier, g.csr_adjacency(), n, delta),
+                        t,
+                        k,
+                        base,
+                    };
                     executor.map_slices_mut(&mut flat, &ranges, |w, chunk| {
                         let first_vertex = vertex_spans[w].start;
                         let span_len = vertex_spans[w].len();
                         let mut tally = WalkTelemetry::default();
                         let mut j = 0;
                         while j + V3_LANES <= span_len {
-                            let vertices: [u32; V3_LANES] =
-                                core::array::from_fn(|l| (first_vertex + j + l) as u32);
-                            let seeds: [u64; V3_LANES] = core::array::from_fn(|l| {
-                                derive_stream_seed(base, (first_vertex + j + l) as u64)
-                            });
-                            let group = &mut chunk[j * k..(j + V3_LANES) * k];
-                            if !v3_walk_lane_group(
-                                adjacency, delta, t, k, vertices, &seeds, group, &mut tally,
-                            ) {
-                                tally.spec_fallbacks += 1;
-                                for (l, slots) in group.chunks_exact_mut(k).enumerate() {
-                                    let v = first_vertex + j + l;
-                                    let mut vrng = ChaCha8Rng::seed_from_u64(derive_stream_seed(
-                                        base, v as u64,
-                                    ));
-                                    let mut src = RngWords {
-                                        rng: &mut vrng,
-                                        words: &mut tally.keystream_words,
-                                    };
-                                    for slot in slots {
-                                        *slot = v3_walk_run(
-                                            adjacency,
-                                            delta,
-                                            v as u32,
-                                            t,
-                                            &mut src,
-                                            &mut tally.moves,
-                                        ) as usize;
-                                    }
-                                }
-                            }
-                            j += V3_LANES;
+                            fanout.group::<V3_LANES>(first_vertex, &mut j, chunk, &mut tally);
                         }
-                        for jj in j..span_len {
-                            let v = first_vertex + jj;
-                            let mut vrng =
-                                ChaCha8Rng::seed_from_u64(derive_stream_seed(base, v as u64));
-                            let mut src = RngWords {
-                                rng: &mut vrng,
-                                words: &mut tally.keystream_words,
-                            };
-                            for slot in &mut chunk[jj * k..(jj + 1) * k] {
-                                *slot = v3_walk_run(
-                                    adjacency,
-                                    delta,
-                                    v as u32,
-                                    t,
-                                    &mut src,
-                                    &mut tally.moves,
-                                ) as usize;
-                            }
+                        if j + 32 <= span_len {
+                            fanout.group::<32>(first_vertex, &mut j, chunk, &mut tally);
+                        }
+                        if j + 16 <= span_len {
+                            fanout.group::<16>(first_vertex, &mut j, chunk, &mut tally);
+                        }
+                        for (v, slots) in
+                            (first_vertex + j..).zip(chunk[j * k..].chunks_exact_mut(k))
+                        {
+                            fanout.scalar(v, slots, &mut tally);
                         }
                         tally.steps = (span_len * k * t) as u64;
-                        // Saturating: an allotment-overflow fallback counts
-                        // both the aborted group's moves and the rerun's.
-                        tally.stays_compressed = tally.steps.saturating_sub(tally.moves);
+                        // An aborted group flushes nothing into `tally`, so
+                        // every move is counted once.
+                        tally.stays_compressed = tally.steps - tally.moves;
                         record_walk_telemetry(&tally);
                     });
                 }
@@ -1471,59 +1686,312 @@ mod tests {
         }
     }
 
-    /// The batched v3 kernel must equal the scalar v3 path lane for lane —
-    /// this (plus the vendored lane≡single-stream test) is what makes the
-    /// group/tail split and chunk boundaries invisible in the endpoints.
-    #[test]
-    fn v3_lane_group_matches_scalar_walks_per_lane() {
-        let mut rng = ChaCha8Rng::seed_from_u64(88);
-        let g = generators::random_regular_permutation_graph(64, 6, &mut rng);
-        let delta = g.max_degree();
-        let (t, k) = (37, 3);
-        let vertices: [u32; V3_LANES] = core::array::from_fn(|l| (2 * l) as u32);
-        let seeds: [u64; V3_LANES] = core::array::from_fn(|l| 0xC0FFEE ^ (l as u64 * 7919));
-        let mut out = vec![0usize; V3_LANES * k];
-        let mut tally = WalkTelemetry::default();
-        assert!(
-            v3_walk_lane_group(
-                g.csr_adjacency(),
-                delta,
-                t,
-                k,
-                vertices,
-                &seeds,
-                &mut out,
-                &mut tally,
-            ),
-            "allotment overflow on a fixed-seed group"
-        );
-        let mut scalar_moves = 0u64;
-        let mut scalar_words = 0u64;
-        for l in 0..V3_LANES {
-            let mut vrng = ChaCha8Rng::seed_from_u64(seeds[l]);
-            let mut src = RngWords {
-                rng: &mut vrng,
-                words: &mut scalar_words,
-            };
-            for walk in 0..k {
-                let end = v3_walk_run(
-                    g.csr_adjacency(),
-                    delta,
-                    vertices[l],
-                    t,
-                    &mut src,
-                    &mut scalar_moves,
+    /// The move tiers this host can run, portable first, each announced on
+    /// stdout so a runner without AVX-512 shows up as a visible skip, not a
+    /// silent pass.
+    fn tiers_on_host() -> Vec<MoveTier> {
+        MoveTier::ALL
+            .into_iter()
+            .filter(|&tier| {
+                let runs = tier <= walk_simd::detected();
+                println!(
+                    "walk move tier {}: {}",
+                    tier.name(),
+                    if runs { "ran" } else { "SKIPPED" }
                 );
-                assert_eq!(
-                    out[l * k + walk],
-                    end as usize,
-                    "lane {l} walk {walk} diverged from scalar"
-                );
+                runs
+            })
+            .collect()
+    }
+
+    /// A Δ-regular flat table over `n` vertices that is no graph's CSR —
+    /// the window step only needs entries `< n`.
+    fn crafted_adjacency(n: usize, delta: usize) -> Vec<u32> {
+        (0..n * delta)
+            .map(|i| ((i * 2_654_435_761 + 12_345) % n) as u32)
+            .collect()
+    }
+
+    /// One crafted window on every tier the host has, against the portable
+    /// step and a per-lane replay of the definition. `dirty` is `clean` with
+    /// one word replaced by a rejecting one; `must` says what every tier has
+    /// to report for it (`None`: the word sits in a scanned row of a lane
+    /// that no longer consumes it, so a tier may or may not see it).
+    #[allow(clippy::too_many_arguments)]
+    fn check_window<const L: usize>(
+        adjacency: &[u32],
+        n: usize,
+        delta: usize,
+        starts: &[u32; L],
+        clean: &Ring<L>,
+        dirty: &Ring<L>,
+        q0: u64,
+        usable: u32,
+        must: Option<bool>,
+        tiers: &[MoveTier],
+    ) {
+        let (mc, _, total) = window_move_counts(&clean[(q0 % RING_ROWS as u64) as usize], usable);
+        // Where the definition puts the lanes when no word rejects.
+        let replay = |ring: &Ring<L>| -> [u32; L] {
+            core::array::from_fn(|l| {
+                (0..mc[l] as u64).fold(starts[l], |cur, d| {
+                    let word = ring[((q0 + 1 + d) % RING_ROWS as u64) as usize][l];
+                    let idx = (word as u64 * delta as u64) >> 32;
+                    adjacency[cur as usize * delta + idx as usize]
+                })
+            })
+        };
+        for &tier in tiers {
+            let table = WalkTable::on(tier, adjacency, n, delta);
+            assert_eq!(table.gather.is_some(), tier != MoveTier::Portable);
+            let name = tier.name();
+            let what = format!("tier {name}, L={L}, Δ={delta}, q0={q0}, usable={usable:#x}");
+            let mut lanes = table.lanes::<L>();
+            lanes.restart(starts);
+            let outcome = lanes.window_step(clean, q0, usable);
+            assert_eq!(
+                outcome,
+                WindowOutcome {
+                    moves: total,
+                    rejected: false
+                },
+                "{what}: clean window"
+            );
+            assert_eq!(lanes.vertices(), replay(clean), "{what}: clean window");
+
+            lanes.restart(starts);
+            let outcome = lanes.window_step(dirty, q0, usable);
+            assert_eq!(outcome.moves, total, "{what}");
+            if let Some(must) = must {
+                assert_eq!(outcome.rejected, must, "{what}: rejection report");
+            }
+            if !outcome.rejected {
+                // Not reported means not rejecting or not consumed: the
+                // lanes must stand where the definition puts them.
+                assert_eq!(lanes.vertices(), replay(dirty), "{what}: unreported word");
             }
         }
-        assert_eq!(tally.moves, scalar_moves);
-        assert_eq!(tally.keystream_words, scalar_words);
-        assert!(tally.refills > 0, "batched path never refilled");
+    }
+
+    fn window_step_cases<const L: usize>(tiers: &[MoveTier]) {
+        let n = 257;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED + L as u64);
+        // (Δ, whether the word 0 rejects): `reject_below` is 1 / 0 / 4.
+        for (delta, zero_rejects) in [(3usize, true), (8, false), (9, true)] {
+            let reject_below = (delta as u32).wrapping_neg() % delta as u32;
+            assert_eq!(reject_below > 0, zero_rejects);
+            let adjacency = crafted_adjacency(n, delta);
+            let starts: [u32; L] = core::array::from_fn(|l| ((l * 37 + 5) % n) as u32);
+            let lone: [u32; L] = core::array::from_fn(|l| if l == L / 3 { !0 } else { 0 });
+            let mixed: [u32; L] = core::array::from_fn(|_| rng.next_u32());
+            // Lane 0 idle, lane L-1 busiest: a word can sit in a scanned
+            // row its own lane has finished with.
+            let ramp: [u32; L] =
+                core::array::from_fn(|l| (1u32 << (1 + l * 20 / L)).wrapping_sub(1));
+            for (pattern, usable) in [
+                ([0u32; L], !0u32),
+                ([!0u32; L], !0),
+                (lone, !0),
+                (mixed, !0),
+                (mixed, (1 << 7) - 1),
+                (ramp, !0),
+            ] {
+                // A wrapping window, and one that starts on a block edge.
+                for q0 in [RING_ROWS as u64 - 5, 3 * 33, 16] {
+                    let mut clean: Ring<L> = [[0; L]; RING_ROWS];
+                    for row in clean.iter_mut() {
+                        // Keep crafted words clear of the rejection band.
+                        row.fill_with(|| rng.next_u32() | 0x100);
+                    }
+                    clean[(q0 % RING_ROWS as u64) as usize] = pattern;
+                    let (mc, most, _) = window_move_counts(&pattern, usable);
+                    let place = |d: u32, l: usize| {
+                        let mut dirty = clean;
+                        dirty[((q0 + 1 + d as u64) % RING_ROWS as u64) as usize][l] = 0;
+                        dirty
+                    };
+                    let check = |dirty: &Ring<L>, must: Option<bool>| {
+                        check_window(
+                            &adjacency, n, delta, &starts, &clean, dirty, q0, usable, must, tiers,
+                        );
+                    };
+                    // In a row `>= most`: never scanned, never reported.
+                    if most < 32 {
+                        check(&place(most, L - 1), Some(false));
+                    }
+                    // In a row its lane consumes: must be reported.
+                    if let Some(l) = (0..L).rev().find(|&l| mc[l] > 0) {
+                        check(&place(mc[l] - 1, l), Some(zero_rejects));
+                    }
+                    // In a scanned row of a finished lane: either way.
+                    if let Some(l) = (0..L).find(|&l| mc[l] < most) {
+                        let must = if zero_rejects { None } else { Some(false) };
+                        check(&place(most - 1, l), must);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every tier's window step equals the portable one on crafted rings —
+    /// and reports a rejecting word whenever a lane consumes it, which is
+    /// the one condition the endpoints rest on.
+    #[test]
+    fn window_step_matches_portable_on_every_tier() {
+        let tiers = tiers_on_host();
+        window_step_cases::<64>(&tiers);
+        window_step_cases::<32>(&tiers);
+        window_step_cases::<16>(&tiers);
+    }
+
+    /// The fan-out on every tier equals the per-vertex scalar reference,
+    /// across walk lengths straddling the window size, tails of every
+    /// step-down size and worker spans cut by 1, 2 and 8 threads.
+    #[test]
+    fn v3_fanout_matches_scalar_reference_on_every_tier_and_tail() {
+        use wcc_mpc::MpcConfig;
+        let tiers = tiers_on_host();
+        // Tails of 0, 1, 33, 49, 63 and 8 vertices after the 64-lane groups.
+        for n in [64usize, 65, 97, 113, 127, 200] {
+            let mut rng = ChaCha8Rng::seed_from_u64(300 + n as u64);
+            let g = generators::random_regular_permutation_graph(n, 6, &mut rng);
+            for t in [1usize, 31, 32, 33, 139] {
+                for k in [1usize, 3] {
+                    let master = ChaCha8Rng::seed_from_u64((n * 1000 + t * 10 + k) as u64);
+                    let base = master.clone().gen::<u64>();
+                    let expected: Vec<usize> = (0..n)
+                        .flat_map(|v| {
+                            let mut vrng =
+                                ChaCha8Rng::seed_from_u64(derive_stream_seed(base, v as u64));
+                            let g = &g;
+                            (0..k).map(move |_| v3_walk_endpoint(g, v, t, &mut vrng))
+                        })
+                        .collect();
+                    for threads in [1usize, 2, 8] {
+                        let config = MpcConfig::for_input_size(4 * g.num_edges(), 0.5)
+                            .permissive()
+                            .with_threads(threads);
+                        let what = format!("n={n} t={t} k={k} threads={threads}");
+                        let got = independent_lazy_walks(
+                            &g,
+                            t,
+                            k,
+                            WalkMode::Direct,
+                            WalkKernel::V3,
+                            2,
+                            &mut MpcContext::new(config),
+                            &mut master.clone(),
+                        )
+                        .unwrap();
+                        assert_eq!(got, expected, "dispatched tier, {what}");
+                        for &tier in &tiers {
+                            let got = lazy_walks_on(
+                                tier,
+                                &g,
+                                t,
+                                k,
+                                WalkMode::Direct,
+                                WalkKernel::V3,
+                                2,
+                                &mut MpcContext::new(config),
+                                &mut master.clone(),
+                            )
+                            .unwrap();
+                            assert_eq!(got, expected, "tier {}, {what}", tier.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gate in front of the unchecked gather: a table with an entry that
+    /// is not a vertex, or too large for 32-bit signed offsets, gets no
+    /// gather table on any tier — the fan-out then runs the portable step.
+    #[test]
+    fn gather_gate_refuses_bad_tables() {
+        use crate::walk_simd::gather_shape_ok;
+        let (n, delta) = (40usize, 3usize);
+        let good = crafted_adjacency(n, delta);
+        let mut bad = good.clone();
+        bad[77] = n as u32;
+        for tier in MoveTier::ALL {
+            let built = GatherTable::build_on(tier, &good, n, delta).is_some();
+            assert_eq!(
+                built,
+                tier != MoveTier::Portable && tier <= walk_simd::detected(),
+                "tier {}",
+                tier.name()
+            );
+            assert!(GatherTable::build_on(tier, &bad, n, delta).is_none());
+            assert!(GatherTable::build_on(tier, &good, n + 1, delta).is_none());
+            assert!(GatherTable::build_on(tier, &good[1..], n, delta).is_none());
+        }
+        // Sizes only — no allocation.
+        assert!(gather_shape_ok(i32::MAX as usize, i32::MAX as usize, 1));
+        assert!(!gather_shape_ok(1 << 31, 1 << 31, 1));
+        assert!(!gather_shape_ok(9 << 28, 1 << 28, 9));
+        assert!(!gather_shape_ok(usize::MAX, usize::MAX / 2 + 1, 2));
+        assert!(!gather_shape_ok(0, 0, 0));
+        assert!(!gather_shape_ok(0, 0, 3));
+        assert_eq!(walk_move_tier(), walk_simd::detected().name());
+    }
+
+    /// The batched v3 kernel must equal the scalar v3 path lane for lane, on
+    /// every tier and group width — this (plus the vendored
+    /// lane≡single-stream test) is what makes the group/tail split and chunk
+    /// boundaries invisible in the endpoints.
+    #[test]
+    fn v3_lane_group_matches_scalar_walks_per_lane() {
+        fn check<const L: usize>(g: &Graph, tier: MoveTier) {
+            let delta = g.max_degree();
+            let table = WalkTable::on(tier, g.csr_adjacency(), g.num_vertices(), delta);
+            let name = tier.name();
+            let (t, k) = (37, 3);
+            let vertices: [u32; L] = core::array::from_fn(|l| (2 * l) as u32);
+            let seeds: [u64; L] = core::array::from_fn(|l| 0xC0FFEE ^ (l as u64 * 7919));
+            let mut out = vec![0usize; L * k];
+            let mut tally = WalkTelemetry::default();
+            assert!(
+                v3_walk_lane_group(&table, t, k, &vertices, &seeds, &mut out, &mut tally),
+                "rejection on a fixed-seed group ({name}, L={L})"
+            );
+            let mut scalar_moves = 0u64;
+            let mut scalar_words = 0u64;
+            for l in 0..L {
+                let mut vrng = ChaCha8Rng::seed_from_u64(seeds[l]);
+                let mut src = RngWords {
+                    rng: &mut vrng,
+                    words: &mut scalar_words,
+                };
+                for walk in 0..k {
+                    let end = v3_walk_run(
+                        g.csr_adjacency(),
+                        delta,
+                        vertices[l],
+                        t,
+                        &mut src,
+                        &mut scalar_moves,
+                    );
+                    assert_eq!(
+                        out[l * k + walk],
+                        end as usize,
+                        "{name}, L={L}: lane {l} walk {walk} diverged from scalar"
+                    );
+                }
+            }
+            assert_eq!(tally.moves, scalar_moves);
+            assert_eq!(tally.keystream_words, scalar_words);
+            assert!(tally.refills > 0, "batched path never refilled");
+        }
+
+        let mut rng = ChaCha8Rng::seed_from_u64(88);
+        let g = generators::random_regular_permutation_graph(128, 6, &mut rng);
+        for tier in tiers_on_host() {
+            check::<64>(&g, tier);
+            check::<32>(&g, tier);
+            check::<16>(&g, tier);
+        }
     }
 
     #[test]

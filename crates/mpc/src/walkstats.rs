@@ -41,12 +41,20 @@ pub struct WalkTelemetry {
     /// index words and rejection redraws for v3; two words per step for the
     /// spec kernel.
     pub keystream_words: u64,
-    /// Batched keystream block refills (each produces 16 words per lane).
+    /// Batched keystream block refills (each produces 16 words per lane of
+    /// the refilling group). The v3 kernel's full groups are 64 lanes wide —
+    /// half as many refills for the same `keystream_words` as the 32-lane
+    /// groups it used to run; the 32- and 16-lane step-down groups at the
+    /// tail of a worker's span count their own, narrower refills.
     pub refills: u64,
-    /// Lane groups the batched **spec** kernel re-ran on the step-by-step
-    /// path because a lane neared the Lemire rejection loop. Structurally
-    /// zero for the v3 kernel, which resolves rejection exactly in-line
-    /// from its per-lane buffers (DESIGN.md §10).
+    /// Lane groups a batched kernel handed back to its scalar path. The
+    /// **spec** kernel does so when a lane neared the Lemire rejection
+    /// loop; the **v3** kernel never resolves a rejection itself either —
+    /// a group in which any *scanned* draw word rejects (a few per billion
+    /// steps for non-power-of-two Δ) reruns whole on the scalar walk, which
+    /// replays the redraws exactly (DESIGN.md §10). The v3 scan is
+    /// conservative and its extent depends on the move tier, so this count
+    /// may differ by a few groups between tiers; endpoints never do.
     pub spec_fallbacks: u64,
 }
 
