@@ -120,7 +120,7 @@ fn bench_growth_stage(c: &mut Criterion) {
 /// (BENCHMARK.json) feeds them: 10⁵ regularized vertices, batches of 36
 /// out-edges per vertex. Phase 1 contracts one batch by the identity
 /// partition (read off the CSR), phase 2 by ≈25 000 parts (past the dense
-/// switch: bucketed build), phase 3 by ≈1 500 parts and the BFS endgame all
+/// switch: bucketed build), phase 3 by ≈1 500 parts and the exact endgame all
 /// three batches by 27 parts (pair bitmap). Every row's graph is checked
 /// field for field against a relabel + global sort + dedup spec first.
 fn bench_contraction(c: &mut Criterion) {

@@ -4,7 +4,11 @@
 //! FNV-1a hash of the raw label vector plus the RoundStats model
 //! quantities. Capture the output before a data-plane change and diff it
 //! after: labels must be bit-identical, model quantities may move only
-//! where DESIGN.md documents why.
+//! where DESIGN.md documents why. The label half of that rule is checked in:
+//! `tests/golden/labels.txt` holds the first six columns (`tag` … `comps`)
+//! of `golden_dump --big`, and CI fails when
+//! `golden_dump --big | cut -d' ' -f1-6 | diff tests/golden/labels.txt -`
+//! prints anything.
 //!
 //! Usage: `golden_dump [--big] [--threads <n>]`. `--big` adds the
 //! 10^5-edge adaptive benchmark workload (which takes minutes on the

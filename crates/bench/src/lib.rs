@@ -167,7 +167,7 @@ pub fn exp_rounds_vs_gap(n: usize) -> ExperimentTable {
             "promised λ",
             "walk length T",
             "wcc rounds",
-            "bfs endgame levels",
+            "endgame iterations",
         ],
     );
     let params = Params::laptop_scale();

@@ -15,9 +15,16 @@
 //!    phase keeps the contracted graph distributed like a random graph.
 //!
 //! After `F = O(log log n)` phases the parts have size `n^{Ω(1)}`, the
-//! contraction of the full graph has `O(1)` diameter (Claim 6.13), and a
-//! level-by-level BFS finishes the job (Claim 6.14). Every phase costs `O(1)`
-//! MPC rounds (a constant number of shuffles / sort batches).
+//! contraction of the full graph has `O(1)` diameter (Claim 6.13), and an
+//! exact component search on it finishes the job (Claim 6.14). Every phase
+//! costs `O(1)` MPC rounds (a constant number of shuffles / sort batches).
+//!
+//! The paper finishes with a BFS, which is `O(1)` rounds under its promise
+//! and `Θ(D)` on a contraction of diameter `D` when the promise fails. The
+//! endgame here ([`finish_with_bfs_over_refs`]) iterates Liu–Tarjan's
+//! parent-connect and shortcut steps instead: three exchanges on a
+//! constant-diameter contraction, about `2·log₂ D` otherwise, exact either
+//! way (DESIGN.md §13).
 
 use crate::params::Params;
 use crate::regularize::CoreError;
@@ -423,8 +430,8 @@ pub fn grow_components<R: Rng + ?Sized>(
             h.degree_sum() as f64 / h.num_vertices() as f64
         };
         // Leader probability 1/Δ_i, but never so small that the expected
-        // number of leaders drops below a handful (the endgame BFS picks up
-        // any slack, exactly as the paper stops growing at Δ_F ≈ n^{1/100}).
+        // number of leaders drops below a handful (the endgame picks up any
+        // slack, exactly as the paper stops growing at Δ_F ≈ n^{1/100}).
         let leader_prob = (1.0 / target_degree as f64)
             .max(s / h.num_vertices().max(1) as f64)
             .min(1.0);
@@ -450,14 +457,19 @@ pub fn grow_components<R: Rng + ?Sized>(
 }
 
 /// The endgame (Claims 6.13 / 6.14): contract the *whole* graph `g` with
-/// respect to `partition`, compute the connected components of the contracted
-/// graph by level-by-level BFS — charging one MPC round per BFS level, i.e.
-/// `O(diameter)` rounds, which is `O(1)` when the growth stage did its job —
-/// and coarsen the partition accordingly.
+/// respect to `partition`, find the connected components of the contraction
+/// with Liu–Tarjan's parent-connect + shortcut iteration (see
+/// `parent_connect_components` in this module) and coarsen the partition
+/// accordingly.
 ///
-/// The result is exactly the component-partition of `g` (BFS finishes any
-/// merges the randomized phases left undone, so correctness never depends on
-/// the probabilistic analysis).
+/// The result is exactly the component-partition of `g` (the endgame
+/// finishes any merges the randomized phases left undone, so correctness
+/// never depends on the probabilistic analysis). The second value is the
+/// number of iterations the contraction needed, the one that found nothing
+/// left to change included: `0` when every part was already a whole
+/// component, two or three when the growth stage left an `O(1)`-diameter
+/// contraction (Claim 6.13), about `log₂` of the contraction's diameter in
+/// general.
 pub fn finish_with_bfs(
     g: &Graph,
     partition: &Partition,
@@ -468,9 +480,14 @@ pub fn finish_with_bfs(
 
 /// [`finish_with_bfs`] on the disjoint union of `graphs` without ever
 /// materialising the union: the endgame only reads the union through its
-/// contraction, so [`contraction_graph_of_refs`] feeds the BFS directly.
-/// Rounds and words charged are identical to building the union first
-/// (one sort over the total edge count, then one round per BFS level).
+/// contraction, so [`contraction_graph_of_refs`] feeds the component search
+/// directly. Rounds and words charged are identical to building the union
+/// first: one sort over the total edge count, then what the iterations
+/// exchange on the contraction.
+///
+/// (The name and the `"low-diameter-bfs"` phase date from the level-by-level
+/// BFS this function used to run; callers and recorded statistics key on
+/// both, so they stay.)
 pub fn finish_with_bfs_over_refs(
     graphs: &[&Graph],
     partition: &Partition,
@@ -478,41 +495,87 @@ pub fn finish_with_bfs_over_refs(
 ) -> (Partition, usize) {
     ctx.begin_phase("low-diameter-bfs");
     let h = contraction_graph_of_refs(graphs, partition, ctx);
+    let (parents, iterations) = parent_connect_components(&h, ctx);
+    ctx.end_phase();
+    (partition.coarsen(&parents), iterations)
+}
+
+/// Exact connected components of `h` by Liu–Tarjan's algorithm A
+/// (arXiv:1812.06177): `O(log² k)` MPC rounds on `k` vertices in the worst
+/// case, about `2·log₂ D` on the diameter-`D` graphs measured in DESIGN.md
+/// §13. Every vertex starts as its own parent; one iteration is
+///
+/// 1. *parent-connect* over the live edges: for an edge `{v, w}` whose
+///    endpoints' parents differ, the larger parent takes the smaller one as
+///    its own parent if that is below the parent it has
+///    (`v.p.p ← min(v.p.p, w.p)`), every read seeing the parents as they
+///    stood before the step;
+/// 2. *shortcut*: `v.p ← v.p.p` for every vertex;
+/// 3. *alter*: every live edge is lifted to its endpoints' parents, loops are
+///    dropped and parallel edges deduplicated.
+///
+/// The loop ends with the first iteration that changes no parent; the forest
+/// is then flat and `parents[v]` is the smallest vertex of `v`'s component.
+/// Returns the parents and the number of iterations run.
+///
+/// Parents only ever decrease, which rules out cycles. Linking the *parents*
+/// is what keeps the iteration count logarithmic under every vertex
+/// numbering: minimum-label propagation with pointer jumping needs `Θ(k)`
+/// iterations on a path whose ids are shuffled (table in DESIGN.md §13).
+///
+/// Charging follows `wcc_baselines::shiloach_vishkin`: one shuffle of
+/// `2·live_edges` words per parent-connect and one shuffle of `k` words per
+/// shortcut — the last one, which moves no pointer, included, since that
+/// exchange is how the machines learn nothing moved. Alter has no exchange
+/// of its own: the parent lookup of the next connect delivers the lifted
+/// endpoints. An exchange is skipped only when it provably moves nothing — no
+/// live edge, no connect; an edgeless `h`, nothing at all.
+pub(crate) fn parent_connect_components(h: &Graph, ctx: &mut MpcContext) -> (Vec<usize>, usize) {
     let k = h.num_vertices();
-    let mut label = vec![usize::MAX; k];
-    let mut num_components = 0usize;
-    let mut max_levels = 0usize;
-    for start in 0..k {
-        if label[start] != usize::MAX {
-            continue;
-        }
-        label[start] = num_components;
-        let mut frontier = vec![start];
-        let mut levels = 0usize;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &w in h.neighbors(v) {
-                    let w = w as usize;
-                    if label[w] == usize::MAX {
-                        label[w] = num_components;
-                        next.push(w);
-                    }
+    let mut parent: Vec<usize> = (0..k).collect();
+    let mut live: Vec<(usize, usize)> = h.edge_iter().collect();
+    // `h` may be any multigraph: under identity parents the first alter only
+    // normalises its edge list.
+    alter(&mut live, &parent);
+    let mut iterations = 0;
+    let mut settled = live.is_empty();
+    let (mut before, mut linked) = (Vec::new(), Vec::new());
+    while !settled {
+        iterations += 1;
+        before.clone_from(&parent);
+        if !live.is_empty() {
+            ctx.charge_shuffle(2 * live.len());
+            for &(v, w) in &live {
+                let (lo, hi) = (before[v].min(before[w]), before[v].max(before[w]));
+                if lo < parent[hi] {
+                    parent[hi] = lo;
                 }
             }
-            if !next.is_empty() {
-                levels += 1;
-            }
-            frontier = next;
         }
-        max_levels = max_levels.max(levels);
-        num_components += 1;
+        ctx.charge_shuffle(k);
+        // One exchange moves every pointer exactly one hop, so jump through
+        // the parents as they stand after the connect, not through entries
+        // this pass has already rewritten.
+        linked.clone_from(&parent);
+        for p in &mut parent {
+            *p = linked[*p];
+        }
+        settled = parent == before;
+        alter(&mut live, &parent);
     }
-    // One MPC round per BFS level (all components proceed in parallel, so the
-    // cost is the maximum level count, not the sum).
-    ctx.charge(max_levels.max(1) as u64, 2 * h.num_edges() as u64);
-    ctx.end_phase();
-    (partition.coarsen(&label), max_levels)
+    (parent, iterations)
+}
+
+/// The alter step of [`parent_connect_components`]: lifts every edge to its
+/// endpoints' parents (smaller first), drops loops and deduplicates.
+fn alter(live: &mut Vec<(usize, usize)>, parent: &[usize]) {
+    for e in live.iter_mut() {
+        let (a, b) = (parent[e.0], parent[e.1]);
+        *e = (a.min(b), a.max(b));
+    }
+    live.retain(|&(a, b)| a != b);
+    live.sort_unstable();
+    live.dedup();
 }
 
 /// Convenience: the exact connected components of a union of random batches,
@@ -571,7 +634,15 @@ mod tests {
     use wcc_mpc::{unpack_edge, MpcConfig};
 
     fn ctx() -> MpcContext {
-        MpcContext::new(MpcConfig::for_input_size(1 << 16, 0.5).permissive())
+        ctx_on(1)
+    }
+
+    fn ctx_on(threads: usize) -> MpcContext {
+        MpcContext::new(
+            MpcConfig::for_input_size(1 << 16, 0.5)
+                .permissive()
+                .with_threads(threads),
+        )
     }
 
     /// Every field of the two graphs equal: vertex count, edge list, CSR
@@ -611,11 +682,7 @@ mod tests {
             if refs.len() == 1 && part.is_identity() {
                 assert_same_graph(&refs[0].simple(), &spec, &format!("identity, {what}"));
             }
-            let mut c = MpcContext::new(
-                MpcConfig::for_input_size(1 << 16, 0.5)
-                    .permissive()
-                    .with_threads(threads),
-            );
+            let mut c = ctx_on(threads);
             let dispatched = contraction_graph_of_refs(refs, part, &mut c);
             assert_same_graph(&dispatched, &spec, &format!("dispatched, {what}"));
         }
@@ -652,6 +719,14 @@ mod tests {
             check_contraction_paths(&refs, &Partition::singletons(n));
             check_contraction_paths(&refs[..1], &Partition::singletons(n));
             check_contraction_paths(&refs, &Partition::from_raw_labels(&vec![0; n]));
+        }
+
+        #[test]
+        fn endgame_matches_both_oracles_on_arbitrary_requests(request in arb_contraction()) {
+            let (graphs, part) = request;
+            let refs: Vec<&Graph> = graphs.iter().collect();
+            check_endgame(&refs, &part);
+            check_endgame(&refs, &Partition::singletons(part.len()));
         }
     }
 
@@ -922,11 +997,242 @@ mod tests {
         let g = generators::planted_expander_components(&[80, 60, 40], 8, &mut rng);
         let truth = connected_components(&g);
         let mut c = ctx();
-        // Start from singletons: BFS alone must still find the exact answer
-        // (just in diameter many rounds).
-        let (part, levels) = finish_with_bfs(&g, &Partition::singletons(g.num_vertices()), &mut c);
+        // Start from singletons: the endgame alone must still find the exact
+        // answer (just in log-diameter many iterations).
+        let (part, iterations) =
+            finish_with_bfs(&g, &Partition::singletons(g.num_vertices()), &mut c);
         assert!(part.equals_components(&truth));
-        assert!(levels >= 1);
+        assert!(iterations >= 1);
+    }
+
+    /// Algorithm A as Liu–Tarjan state it, one edge and one vertex at a
+    /// time, counting what it exchanges: the reference for both the result
+    /// and the charging convention of [`parent_connect_components`].
+    /// Returns `(parents, iterations, exchanges, words)`.
+    fn algorithm_a_spec(h: &Graph) -> (Vec<usize>, usize, u64, u64) {
+        use std::collections::BTreeSet;
+        let k = h.num_vertices();
+        let mut p: Vec<usize> = (0..k).collect();
+        let mut edges: BTreeSet<(usize, usize)> = h
+            .edge_iter()
+            .filter(|&(v, w)| v != w)
+            .map(|(v, w)| (v.min(w), v.max(w)))
+            .collect();
+        let (mut iterations, mut exchanges, mut words) = (0usize, 0u64, 0u64);
+        if edges.is_empty() {
+            return (p, iterations, exchanges, words);
+        }
+        loop {
+            iterations += 1;
+            let at_start = p.clone();
+            if !edges.is_empty() {
+                exchanges += 1;
+                words += 2 * edges.len() as u64;
+                let o = p.clone();
+                for &(v, w) in &edges {
+                    if o[v] > o[w] {
+                        p[o[v]] = p[o[v]].min(o[w]);
+                    } else {
+                        p[o[w]] = p[o[w]].min(o[v]);
+                    }
+                }
+            }
+            exchanges += 1;
+            words += k as u64;
+            let o = p.clone();
+            for v in 0..k {
+                p[v] = o[o[v]];
+            }
+            edges = edges
+                .iter()
+                .filter(|&&(v, w)| p[v] != p[w])
+                .map(|&(v, w)| (p[v].min(p[w]), p[v].max(p[w])))
+                .collect();
+            if p == at_start {
+                return (p, iterations, exchanges, words);
+            }
+        }
+    }
+
+    /// Runs the endgame on `graphs` under `part` at 1, 2 and 8 threads and
+    /// checks the result against `connected_components` and
+    /// `shiloach_vishkin` — both on the union with every part's members
+    /// chained together, which is the union itself whenever `part` respects
+    /// its components — and the iterations, rounds and words against
+    /// [`algorithm_a_spec`] on the contraction. Returns the iteration count
+    /// and the exchanges charged past the contraction's sort.
+    fn check_endgame(graphs: &[&Graph], part: &Partition) -> (usize, u64) {
+        let mut glued: Vec<(usize, usize)> = graphs.iter().flat_map(|g| g.edge_iter()).collect();
+        for members in part.members() {
+            glued.extend(members.windows(2).map(|w| (w[0], w[1])));
+        }
+        let glued = Graph::from_edges_unchecked(part.len(), glued);
+        let truth = connected_components(&glued);
+        let sv = wcc_baselines::shiloach_vishkin(&glued, &mut ctx());
+
+        let mut sort_only = ctx();
+        let h = contraction_graph_of_refs(graphs, part, &mut sort_only);
+        let (spec_parents, spec_iterations, spec_exchanges, spec_words) = algorithm_a_spec(&h);
+        let sort_only = sort_only.into_stats();
+
+        for threads in [1usize, 2, 8] {
+            let mut c = ctx_on(threads);
+            let (finished, iterations) = finish_with_bfs_over_refs(graphs, part, &mut c);
+            assert!(
+                finished.equals_components(&truth),
+                "vs connected_components"
+            );
+            assert!(finished.equals_components(&sv), "vs shiloach_vishkin");
+            assert_eq!(finished, part.coarsen(&spec_parents), "vs algorithm A");
+            assert_eq!(iterations, spec_iterations, "iterations, threads={threads}");
+            let stats = c.into_stats();
+            assert_eq!(
+                stats.rounds_in_phase("low-diameter-bfs"),
+                stats.total_rounds(),
+                "every charge lands in the endgame's phase"
+            );
+            assert_eq!(
+                stats.total_rounds() - sort_only.total_rounds(),
+                spec_exchanges,
+                "rounds charged == exchanges executed, threads={threads}"
+            );
+            assert_eq!(
+                stats.total_communication_words() - sort_only.total_communication_words(),
+                spec_words,
+                "words charged == words exchanged, threads={threads}"
+            );
+        }
+        (spec_iterations, spec_exchanges)
+    }
+
+    /// The four vertex numberings the endgame is pinned under, as maps from
+    /// the generator's id to the new one.
+    fn id_orders(n: usize, rng: &mut ChaCha8Rng) -> [(&'static str, Vec<usize>); 4] {
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        shuffled.shuffle(rng);
+        [
+            ("monotone", (0..n).collect()),
+            ("reversed", (0..n).rev().collect()),
+            (
+                "zig-zag",
+                (0..n)
+                    .map(|v| if v % 2 == 0 { v / 2 } else { n - 1 - v / 2 })
+                    .collect(),
+            ),
+            ("shuffled", shuffled),
+        ]
+    }
+
+    fn renumbered(g: &Graph, order: &[usize]) -> Graph {
+        Graph::from_edges_unchecked(
+            g.num_vertices(),
+            g.edge_iter().map(|(u, v)| (order[u], order[v])),
+        )
+    }
+
+    #[test]
+    fn endgame_matches_both_oracles_across_families_partitions_and_id_orders() {
+        let mut rng = ChaCha8Rng::seed_from_u64(61);
+        let zoo = [
+            ("path", generators::path(97)),
+            ("cycle", generators::cycle(64)),
+            ("binary_tree", generators::binary_tree(127)),
+            ("star", generators::star(50)),
+            ("ring_of_cliques", generators::ring_of_cliques(12, 5)),
+            ("grid", generators::grid(7, 9)),
+            // ln(200)/200 ≈ 0.026 is the connectivity threshold.
+            ("er_below", generators::erdos_renyi(200, 0.004, &mut rng)),
+            ("er_above", generators::erdos_renyi(200, 0.05, &mut rng)),
+            (
+                "multigraph",
+                Graph::from_edges_unchecked(
+                    10,
+                    vec![
+                        (0, 0),
+                        (0, 1),
+                        (1, 0),
+                        (0, 1),
+                        (2, 3),
+                        (3, 3),
+                        (3, 2),
+                        (4, 5),
+                        (5, 6),
+                        (6, 4),
+                        (6, 4),
+                        (8, 8),
+                    ],
+                ),
+            ),
+        ];
+        for (family, g) in &zoo {
+            let n = g.num_vertices();
+            for (order_name, order) in id_orders(n, &mut rng) {
+                let g = renumbered(g, &order);
+                let truth = connected_components(&g);
+                let refinement: Vec<usize> = (0..n)
+                    .map(|v| 4 * truth.label(v) + rng.gen_range(0..4))
+                    .collect();
+                let what = format!("{family}, {order_name} ids");
+
+                let (iterations, exchanges) = check_endgame(&[&g], &Partition::singletons(n));
+                assert_eq!(iterations == 0, g.simple().num_edges() == 0, "{what}");
+                assert!(exchanges <= 2 * iterations as u64, "{what}");
+                check_endgame(&[&g], &Partition::from_raw_labels(&refinement));
+                // Every part already a whole component: nothing is exchanged.
+                let done = check_endgame(&[&g], &Partition::from_raw_labels(truth.labels()));
+                assert_eq!(done, (0, 0), "{what}, final partition");
+            }
+        }
+    }
+
+    #[test]
+    fn endgame_iterations_are_logarithmic_for_every_id_order() {
+        // Minimum-label propagation with pointer jumping passes this on
+        // monotone ids and needs thousands of iterations on shuffled ones;
+        // parent-connect stays within log₂ k + 3 under all four.
+        let mut rng = ChaCha8Rng::seed_from_u64(67);
+        for log_k in [8u32, 12, 16] {
+            let k = 1usize << log_k;
+            for (family, g) in [
+                ("path", generators::path(k)),
+                ("cycle", generators::cycle(k)),
+            ] {
+                for (order_name, order) in id_orders(k, &mut rng) {
+                    let g = renumbered(&g, &order);
+                    let (part, iterations) =
+                        finish_with_bfs(&g, &Partition::singletons(k), &mut ctx());
+                    assert_eq!(part.num_parts(), 1);
+                    assert!(
+                        iterations <= (crate::walks::ceil_log2(k) + 3) as usize,
+                        "{family} on {k} vertices, {order_name} ids: {iterations} iterations"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn endgame_on_a_star_is_connect_shortcut_and_one_quiet_shortcut() {
+        // Claim 6.13's O(1)-diameter case.
+        let g = generators::star(100);
+        let (iterations, exchanges) = check_endgame(&[&g], &Partition::singletons(100));
+        assert_eq!((iterations, exchanges), (2, 3));
+    }
+
+    #[test]
+    fn endgame_exchanges_nothing_on_an_edgeless_contraction() {
+        let mut rng = ChaCha8Rng::seed_from_u64(71);
+        let g = generators::planted_expander_components(&[40, 30, 20], 6, &mut rng);
+        let truth = connected_components(&g);
+        let done = Partition::from_raw_labels(truth.labels());
+        for (graph, part) in [
+            (&g, &done),
+            (&Graph::empty(5), &Partition::singletons(5)),
+            (&Graph::empty(0), &Partition::singletons(0)),
+        ] {
+            // Zero exchanges past the contraction's sort.
+            assert_eq!(check_endgame(&[graph], part), (0, 0));
+        }
     }
 
     #[test]
@@ -943,7 +1249,7 @@ mod tests {
         let truth = connected_components(&union_of(&batches));
         assert!(labels.same_partition(&truth));
         // The endgame on a dense random union must be very shallow.
-        assert!(bfs_levels <= 4, "endgame BFS took {bfs_levels} levels");
+        assert!(bfs_levels <= 4, "endgame took {bfs_levels} iterations");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | §4, Lemma 4.1 | [`regularize`] | replacement-product regularization |
 //! | App. C | [`products`] | replacement & zig-zag products on non-regular graphs |
 //! | §5, Thm 3, Lemma 5.1 | [`walks`] | layered-graph independent random walks, randomization |
-//! | §6 | [`leader`] | quadratic-growth leader election, contraction, BFS endgame |
+//! | §6 | [`leader`] | quadratic-growth leader election, contraction, exact endgame |
 //! | §7, Thm 4, Cor 7.1 | [`pipeline`] | the full algorithm and the unknown-gap adaptive loop |
 //! | §8, Thm 2 | [`sublinear`] | mildly-sublinear-space connectivity via AGM sketches |
 //! | §9, Thm 5 | [`lower_bound`] | the expander-connectivity query-game adversary |

@@ -54,8 +54,8 @@ pub struct Params {
     /// Base degree `Δ` of the leader-election schedule: phase `i` works at
     /// degree `Δ_i = Δ^{2^{i-1}}` (paper: `Δ = 100·s`).
     pub base_degree: usize,
-    /// Stop growing once `Δ_F ≥ n^{stop_exponent}` and switch to the O(1)-
-    /// diameter BFS endgame (paper: 1/100).
+    /// Stop growing once `Δ_F ≥ n^{stop_exponent}` and switch to the exact
+    /// endgame on the O(1)-diameter contraction (paper: 1/100).
     pub stop_exponent: f64,
     /// Hard cap on the number of leader-election phases.
     pub max_phases: usize,

@@ -9,7 +9,7 @@
 //!    leader-election phase to obtain `F` *fresh* batches (the preprocessing
 //!    step of Lemma 6.1),
 //! 3. [`grow_components`](crate::leader::grow_components) followed by the
-//!    `O(1)`-diameter BFS endgame (Lemma 6.2).
+//!    exact endgame on the `O(1)`-diameter contraction (Lemma 6.2).
 //!
 //! Step 2's walks run on the zero-materialisation walk engine: the
 //! lazification self-loops are simulated arithmetically by a
@@ -24,8 +24,9 @@
 //! returned labels *exactly* the connected components of the input for every
 //! input and every seed — when the input satisfies the spectral-gap promise
 //! this costs nothing (the contraction already has `O(1)` diameter), and when
-//! it does not, the extra BFS levels are precisely the graceful degradation
-//! the paper describes. [`pipeline_attempt`] exposes the bare, opportunistic
+//! it does not, the endgame's extra iterations — about `log₂` of the
+//! contraction's diameter — are precisely the graceful degradation the
+//! paper describes. [`pipeline_attempt`] exposes the bare, opportunistic
 //! algorithm whose output may still be a refinement; Corollary 7.1's adaptive
 //! loop ([`adaptive_components`]) is built from it.
 
@@ -54,8 +55,11 @@ pub struct PipelineReport {
     pub batch_degree: usize,
     /// Per-phase growth statistics.
     pub grow_phases: Vec<GrowPhaseStats>,
-    /// Levels of the final BFS endgame (the paper's Claim 6.13 predicts
-    /// `O(1)` under the spectral-gap promise).
+    /// Parent-connect/shortcut iterations of the exact endgame, counting the
+    /// one that found nothing left to change (the field keeps the name it
+    /// had when the endgame was a level-by-level BFS). Claim 6.13's
+    /// `O(1)`-diameter contraction costs a connect, a shortcut and one
+    /// shortcut that moves nothing; `0` means there was nothing to merge.
     pub bfs_levels: usize,
     /// The spectral-gap promise the run was given.
     pub lambda: f64,
@@ -228,13 +232,13 @@ fn run_pipeline(
     // Step 3: leader election with quadratic growth (Lemma 6.2) ...
     let grow = grow_components(&batches, params, ctx, rng)?;
 
-    // ... and the O(1)-diameter BFS endgame (Claims 6.13/6.14). The exact
-    // variant also contracts the regularized graph's own edges so the output
-    // is the true component partition regardless of how well the randomized
-    // batches mixed.
-    // The BFS only reads the union through its contraction, so hand the
-    // batches (and, in the exact variant, the regularized graph) to the
-    // endgame as borrowed refs — no union graph is ever materialised.
+    // ... and the endgame on the O(1)-diameter contraction (Claims
+    // 6.13/6.14). The exact variant also contracts the regularized graph's
+    // own edges so the output is the true component partition regardless of
+    // how well the randomized batches mixed.
+    // The endgame only reads the union through its contraction, so hand the
+    // batches (and, in the exact variant, the regularized graph) to it as
+    // borrowed refs — no union graph is ever materialised.
     let mut refs: Vec<&Graph> = batches.iter().collect();
     if exact_endgame {
         refs.push(&reg.graph);
@@ -350,8 +354,10 @@ pub fn adaptive_components(
         lambda_prime = lambda_prime.powf(1.1);
     }
 
-    // Anything still active gets an exact finish (one BFS over its induced
-    // subgraph contraction — the same endgame primitive as Theorem 4).
+    // Anything still active gets an exact finish, charged as one flat
+    // shuffle whatever the diameter: an undercharge next to the endgame's
+    // per-exchange accounting, kept because the benchmark's staged replica
+    // copies this block line for line (DESIGN.md §13).
     if !active.is_empty() {
         ctx.begin_phase("adaptive-final-exact");
         let (sub, mapping) = g.induced_subgraph(&active);
@@ -485,7 +491,7 @@ mod tests {
         assert_eq!(result.components.num_components(), 1);
         assert!(
             result.report.bfs_levels <= 4,
-            "endgame took {} levels",
+            "endgame took {} iterations",
             result.report.bfs_levels
         );
         let phases = &result.report.grow_phases;

@@ -17,9 +17,11 @@
 //!    message ([`wcc_sketch::ConnectivitySketch`]) and a single coordinator
 //!    machine finishes the job (Proposition 8.1).
 
-use crate::leader::{contraction_graph, leader_election};
+use crate::leader::{contraction_graph, leader_election, parent_connect_components};
 use crate::regularize::CoreError;
-use crate::walks::{direct_walk_visits_into, v3_walk_visits_into, WalkKernel, WalkVisitScratch};
+use crate::walks::{
+    direct_walk_visits_into, v3_walk_visits_into, walk_rounds, WalkKernel, WalkVisitScratch,
+};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -167,8 +169,7 @@ pub fn sublinear_components(
     // SimpleRandomWalk costs O(log t) rounds (Theorem 3 machinery without the
     // independence requirement — Section 8 explicitly notes independence is
     // not needed here).
-    let log_t = (usize::BITS - t.next_power_of_two().leading_zeros()) as u64;
-    ctx.charge(1 + 2 * log_t, (n as u64) * (t.min(1 << 20) as u64));
+    ctx.charge(walk_rounds(t), (n as u64) * (t.min(1 << 20) as u64));
     // Per-vertex fan-out on the execution backend: every vertex walks on its
     // own ChaCha8 stream derived from one master draw, so the densified
     // graph is identical for every backend and thread count. Each worker
@@ -247,16 +248,16 @@ pub fn sublinear_components(
     ctx.charge_shuffle(sketch.total_size_in_words());
     let _ = ctx.record_machine_load(0, sketch.total_size_in_words());
     let mut contracted_labels = sketch.components();
-    // Verification pass (one extra round): the sketch output is always a
-    // refinement of the truth; if a contracted edge still crosses two labels
-    // (probability o(1), but we want a deterministic library), merge the
-    // leftovers directly.
+    // Verification pass: the sketch output is always a refinement of the
+    // truth; if a contracted edge still crosses two labels (probability
+    // o(1), but we want a deterministic library), finish exactly the way the
+    // pipeline's endgame does, charged exchange by exchange.
     let patched = contracted
         .edge_iter()
         .any(|(a, b)| contracted_labels.label(a) != contracted_labels.label(b));
     if patched {
-        ctx.charge_shuffle(2 * contracted.num_edges());
-        contracted_labels = wcc_graph::components::connected_components_union_find(&contracted);
+        let (parents, _) = parent_connect_components(&contracted, &mut ctx);
+        contracted_labels = ComponentLabels::from_raw_labels(&parents);
     }
     ctx.end_phase();
 

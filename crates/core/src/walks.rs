@@ -133,13 +133,17 @@ pub struct WalkBundle {
     pub independent: Vec<bool>,
 }
 
+/// `⌈log₂ x⌉`, with `⌈log₂ 0⌉` taken as `0`.
+pub(crate) fn ceil_log2(x: usize) -> u32 {
+    usize::BITS - (x.max(1) - 1).leading_zeros()
+}
+
 /// Rounds charged for one execution of the Theorem-3 data structure on walks
-/// of length `t`: sampling `G_S` (1), pointer doubling (`⌈log₂ t⌉`), and the
-/// Mark/DetectIndependence pass (`⌈log₂ t⌉` more), each a constant number of
-/// sort/search batches.
-fn walk_rounds(t: usize) -> u64 {
-    let log_t = (usize::BITS - t.max(2).next_power_of_two().leading_zeros()) as u64;
-    1 + 2 * log_t
+/// of length `t`, `1 + 2·⌈log₂ t⌉`: sampling `G_S` (1), pointer doubling
+/// (`⌈log₂ t⌉`), and the Mark/DetectIndependence pass (`⌈log₂ t⌉` more), each
+/// a constant number of sort/search batches.
+pub(crate) fn walk_rounds(t: usize) -> u64 {
+    1 + 2 * u64::from(ceil_log2(t))
 }
 
 /// Runs the faithful layered-graph construction (Theorem 3) once.
@@ -1600,9 +1604,32 @@ mod tests {
             ctx_short.stats().total_rounds(),
             ctx_long.stats().total_rounds(),
         );
-        // 64x longer walks cost only ~log-many extra rounds.
-        assert!(b > a);
-        assert!(b <= a + 14, "rounds went from {a} to {b}");
+        // 1 + 2·⌈log₂ t⌉: 64x longer walks cost 2·log₂ 64 extra rounds.
+        assert_eq!((a, b), (5, 17));
+    }
+
+    #[test]
+    fn walk_rounds_follow_theorem_3_not_the_bit_length() {
+        // 137 and 139 are the one-shot benchmark workloads' walk lengths; the
+        // bit length of `next_power_of_two(t)` is one more than ⌈log₂ t⌉ for
+        // every t ≥ 2 (9 for them) and is not what Theorem 3 charges.
+        for (t, log_t) in [
+            (1usize, 0u32),
+            (2, 1),
+            (3, 2),
+            (4, 2),
+            (5, 3),
+            (137, 8),
+            (139, 8),
+            (256, 8),
+            (257, 9),
+        ] {
+            assert_eq!(ceil_log2(t), log_t, "⌈log₂ {t}⌉");
+            assert_eq!(walk_rounds(t), 1 + 2 * u64::from(log_t), "t = {t}");
+        }
+        assert_eq!(ceil_log2(0), 0);
+        assert_eq!(ceil_log2(usize::MAX / 2 + 1), usize::BITS - 1);
+        assert_eq!(ceil_log2(usize::MAX), usize::BITS);
     }
 
     #[test]

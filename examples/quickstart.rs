@@ -50,7 +50,7 @@ fn main() -> Result<(), CoreError> {
         result.stats.total_rounds()
     );
     println!(
-        "  walk length T = {}, {} fresh random batches, BFS endgame depth = {}",
+        "  walk length T = {}, {} fresh random batches, endgame iterations = {}",
         result.report.walk_length, result.report.num_batches, result.report.bfs_levels
     );
     for phase in &result.report.grow_phases {

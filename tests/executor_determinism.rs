@@ -69,7 +69,7 @@ fn well_connected_components_is_bit_identical_across_thread_counts() {
                 );
                 assert_eq!(
                     baseline.report.bfs_levels, run.report.bfs_levels,
-                    "endgame depth diverged: family {fi}, seed {seed}, threads {threads}"
+                    "endgame iterations diverged: family {fi}, seed {seed}, threads {threads}"
                 );
             }
         }
@@ -418,9 +418,10 @@ fn fused_supersteps_are_bit_identical_across_thread_counts() {
 /// dispatch (chunk claiming, dynamic stealing) must reproduce the old
 /// one-thread-per-range backend bit for bit on the same split. The scoped
 /// path survives as `*_scoped_reference` methods precisely so this
-/// differential can keep running; the end-to-end cross-check against the
-/// pre-pool build is `golden_dump` (label hashes pinned in golden_labels.txt
-/// predate the pool and must not move).
+/// differential can keep running; the end-to-end cross-check is
+/// `golden_dump`, whose label columns are pinned in `tests/golden/labels.txt`
+/// (hashes that predate the pool and must not move; CI regenerates and
+/// diffs them).
 #[test]
 fn pooled_dispatch_matches_scoped_reference_backend() {
     use rand::Rng;

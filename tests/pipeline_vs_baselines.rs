@@ -6,12 +6,20 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use wcc_baselines::run_baseline;
+use wcc_baselines::{run_baseline, shiloach_vishkin};
+use wcc_core::leader::{finish_with_bfs, finish_with_bfs_over_refs};
 use wcc_core::prelude::*;
 use wcc_core::sublinear::{sublinear_components, SublinearParams};
 use wcc_graph::generators::GraphFamily;
 use wcc_graph::prelude::*;
+use wcc_graph::Partition;
 use wcc_mpc::{MpcConfig, MpcContext};
+
+fn ctx_for(g: &Graph) -> MpcContext {
+    MpcContext::new(
+        MpcConfig::for_input_size(2 * g.num_edges() + g.num_vertices(), 0.5).permissive(),
+    )
+}
 
 fn zoo(seed: u64) -> Vec<(String, Graph)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -88,9 +96,7 @@ fn all_baselines_match_ground_truth_on_the_whole_zoo() {
             "random-mate",
             "shiloach-vishkin",
         ] {
-            let mut ctx = MpcContext::new(
-                MpcConfig::for_input_size(2 * g.num_edges() + g.num_vertices(), 0.5).permissive(),
-            );
+            let mut ctx = ctx_for(&g);
             let res = run_baseline(baseline, &g, &mut ctx, 23);
             assert!(
                 res.labels.same_partition(&truth),
@@ -113,9 +119,7 @@ fn round_separation_on_well_connected_instances() {
         let g = generators::planted_expander_components(&[n / 2, n / 2], 8, &mut rng);
         let result = well_connected_components(&g, 0.3, &params, 31).unwrap();
         ours.push(result.stats.total_rounds());
-        let mut ctx = MpcContext::new(
-            MpcConfig::for_input_size(2 * g.num_edges() + g.num_vertices(), 0.5).permissive(),
-        );
+        let mut ctx = ctx_for(&g);
         theirs.push(run_baseline("random-mate", &g, &mut ctx, 5).rounds);
     }
     // Our round count barely moves (log log n + constant endgame)...
@@ -142,4 +146,89 @@ fn pipeline_report_is_consistent_with_stats() {
     assert!(result.stats.rounds_in_phase("regularize") >= 1);
     assert!(result.stats.rounds_in_phase("grow-components") >= 1);
     assert!(result.stats.rounds_in_phase("low-diameter-bfs") >= 1);
+}
+
+#[test]
+fn exact_endgame_matches_ground_truth_and_shiloach_vishkin_on_the_whole_zoo() {
+    // The endgame alone, from singletons, from a refinement of the truth and
+    // from the truth itself, against both oracles; relabelled copies take away whatever the
+    // generators' vertex numbering gives for free.
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut graphs = zoo(5);
+    graphs.push(("grid".to_string(), generators::grid(11, 20)));
+    graphs.push(("path".to_string(), generators::path(220)));
+    for (name, g) in graphs {
+        for g in [generators::relabel_random(&g, &mut rng), g] {
+            let n = g.num_vertices();
+            let truth = connected_components(&g);
+            let sv = shiloach_vishkin(&g, &mut ctx_for(&g));
+            let refinement: Vec<usize> = (0..n).map(|v| 3 * truth.label(v) + v % 3).collect();
+            for start in [
+                Partition::singletons(n),
+                Partition::from_raw_labels(&refinement),
+                Partition::from_raw_labels(truth.labels()),
+            ] {
+                let mut ctx = ctx_for(&g);
+                let (finished, iterations) = finish_with_bfs(&g, &start, &mut ctx);
+                assert!(
+                    finished.equals_components(&truth),
+                    "endgame wrong on {name}"
+                );
+                assert!(finished.equals_components(&sv), "endgame != SV on {name}");
+                assert!(
+                    iterations <= 12,
+                    "{iterations} iterations on {name} ({n} vertices)"
+                );
+            }
+            // Split over two edge-disjoint graphs, the union is never built.
+            let (even, odd): (Vec<_>, Vec<_>) = g.edge_iter().partition(|&(u, v)| (u + v) % 2 == 0);
+            let halves = [
+                Graph::from_edges_unchecked(n, even),
+                Graph::from_edges_unchecked(n, odd),
+            ];
+            let (finished, _) = finish_with_bfs_over_refs(
+                &[&halves[0], &halves[1]],
+                &Partition::singletons(n),
+                &mut ctx_for(&g),
+            );
+            assert!(
+                finished.equals_components(&truth),
+                "split endgame on {name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn adaptive_on_a_long_ring_pays_log_diameter_in_the_endgame() {
+    // 300 cliques in a ring: the walks of the first gap guess do not mix
+    // it, so the endgame is handed a contraction 26 BFS levels deep. One
+    // round per level made that 26 rounds on top of the contraction's
+    // 3-round sort; parent-connect + shortcut makes it 12.
+    let g = generators::ring_of_cliques(300, 8);
+    let truth = connected_components(&g);
+    let mut model = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let params = Params::laptop_scale().with_threads(threads);
+        let result = adaptive_components(&g, &params, 7).unwrap();
+        assert!(
+            result.components.same_partition(&truth),
+            "threads={threads}"
+        );
+        let endgame = result.stats.rounds_in_phase("low-diameter-bfs");
+        assert!(endgame <= 20, "{endgame} endgame rounds, threads={threads}");
+        model.push((
+            result.stats.total_rounds(),
+            result.stats.total_communication_words(),
+            result.components.labels().to_vec(),
+        ));
+    }
+    assert_eq!(
+        model[0], model[1],
+        "2 threads moved rounds, words or labels"
+    );
+    assert_eq!(
+        model[0], model[2],
+        "8 threads moved rounds, words or labels"
+    );
 }
