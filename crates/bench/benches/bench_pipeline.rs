@@ -5,9 +5,10 @@
 //! `BENCH_pipeline.json` at the workspace root:
 //!
 //! * **pipeline_adaptive_e2e** — the adaptive pipeline on a ~10⁵-edge
-//!   planted-expander graph at 1 and 4 worker threads (the whole
-//!   zero-materialisation walk engine end to end; one sample per config,
-//!   each run takes tens of seconds);
+//!   12-regular planted-expander graph (every vertex over regularization's
+//!   degree budget, so the walks run on 2·10⁵ cloud vertices) at 1 and 4
+//!   worker threads (the whole zero-materialisation walk engine end to end;
+//!   one sample per config, each run takes seconds);
 //! * **contraction** — the contraction graph's identity, pair-bitmap and
 //!   bucketed data planes on the shapes the one-shot benchmark workload
 //!   feeds them, each checked against a sort-and-dedup spec before timing;
@@ -116,13 +117,15 @@ fn bench_growth_stage(c: &mut Criterion) {
     group.finish();
 }
 
-/// The contraction's three data planes on the shapes `oneshot_expander`
-/// (BENCHMARK.json) feeds them: 10⁵ regularized vertices, batches of 36
-/// out-edges per vertex. Phase 1 contracts one batch by the identity
-/// partition (read off the CSR), phase 2 by ≈25 000 parts (past the dense
-/// switch: bucketed build), phase 3 by ≈1 500 parts and the exact endgame all
-/// three batches by 27 parts (pair bitmap). Every row's graph is checked
-/// field for field against a relabel + global sort + dedup spec first.
+/// The contraction's three data planes. `oneshot_expander` (BENCHMARK.json)
+/// regularizes to 12 500 whole vertices and walks batches of 30 out-edges per
+/// vertex: phase 1 contracts one batch by the identity partition (read off
+/// the CSR), phase 2 by ≈3 150 parts and the endgame both batches by ≈177
+/// parts (pair bitmap). The bucketed build sits past the dense switch
+/// (parts² > 2²⁴), which neither one-shot workload reaches any more; its row
+/// keeps it timed on the same batch at 6 250 parts. Every row's graph is
+/// checked field for field against a relabel + global sort + dedup spec
+/// first.
 fn bench_contraction(c: &mut Criterion) {
     use wcc_core::leader::contraction_graph_of_refs;
 
@@ -130,10 +133,10 @@ fn bench_contraction(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(200));
     group.measurement_time(std::time::Duration::from_secs(3));
-    let n = 100_000usize;
+    let n = 12_500usize;
     let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let batches: Vec<Graph> = (0..3)
-        .map(|_| generators::random_out_degree_graph(n, 72, &mut rng))
+    let batches: Vec<Graph> = (0..2)
+        .map(|_| generators::random_out_degree_graph(n, 60, &mut rng))
         .collect();
     let one = [&batches[0]];
     let all: Vec<&Graph> = batches.iter().collect();
@@ -144,9 +147,9 @@ fn bench_contraction(c: &mut Criterion) {
     };
     let rows: [(&str, &[&Graph], Partition); 4] = [
         ("identity/phase1", &one, Partition::singletons(n)),
-        ("bucketed/phase2", &one, random_parts(25_000, &mut rng)),
-        ("dense_pairs/phase3", &one, random_parts(1_500, &mut rng)),
-        ("dense_pairs/bfs", &all, random_parts(27, &mut rng)),
+        ("dense_pairs/phase2", &one, random_parts(3_150, &mut rng)),
+        ("dense_pairs/bfs", &all, random_parts(177, &mut rng)),
+        ("bucketed/6250_parts", &one, random_parts(6_250, &mut rng)),
     ];
     let ctx = || MpcContext::new(MpcConfig::for_input_size(1 << 24, 0.5).permissive());
     for (name, graphs, partition) in &rows {
@@ -177,17 +180,24 @@ fn bench_contraction(c: &mut Criterion) {
 }
 
 /// The adaptive pipeline (Corollary 7.1) on a ~10⁵-edge generator graph —
-/// the workload the zero-materialisation walk engine was built for. One run
-/// takes tens of seconds, so the sampling budget effectively collects a
-/// single timed sample per configuration after the warm-up.
+/// the workload the zero-materialisation walk engine was built for. The
+/// expanders are 12-regular: every vertex is over regularization's degree
+/// budget `d+1 = 9` and gets a cloud, so the walks run on `2m` = 2·10⁵
+/// product vertices and the executor has work to spread (on the 8-regular
+/// input the vertices stay whole, the run is ≈ 0.3 s and four threads buy
+/// 1.17×). One run takes seconds, so the sampling budget effectively
+/// collects a single timed sample per configuration after the warm-up.
 fn bench_adaptive_pipeline_large(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_adaptive_e2e");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(100));
     group.measurement_time(std::time::Duration::from_secs(3));
-    // 2 × 12 500 vertices at degree 8 ≈ 100 000 edges.
-    let g = planted(25_000, 5);
-    assert!(g.num_edges() >= 90_000, "workload should be ~10^5 edges");
+    // 2 × 8 334 vertices at degree 12 = 100 008 edges.
+    let g = {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        generators::planted_expander_components(&[8_334, 8_334], 12, &mut rng)
+    };
+    assert_eq!(g.num_edges(), 100_008);
     let params = Params::laptop_scale();
     for &threads in &[1usize, 4] {
         let p = params.with_threads(threads);
@@ -363,12 +373,12 @@ fn bench_walk_kernel(c: &mut Criterion) {
 
 /// One `randomize` batch's walk fan-out on the shape BENCHMARK.json's
 /// `oneshot_expander` gives it (the `walks` group recorded in
-/// `BENCH_pipeline.json`): the regularized planted expander (n_reg = 10⁵,
-/// Δ = 9), `t = 139`, `k = 36` walks per vertex — 5.0·10⁸ lazy steps — on
-/// the move tier the CPU dispatches to against the portable tier
-/// (counting-sorted scalar rounds). Both rows are
-/// `independent_lazy_walks`; the batch's `Graph` build (≈ 0.09 s, the same
-/// on both) is not in them. The endpoints are asserted equal before timing,
+/// `BENCH_pipeline.json`): the regularized planted expander (its 8-regular
+/// vertices kept whole: n_reg = 12 500, Δ = 9), `t = 114`, `k = 30` walks per
+/// vertex — 4.3·10⁷ lazy steps — on the move tier the CPU dispatches to
+/// against the portable tier (counting-sorted scalar rounds). Both rows are
+/// `independent_lazy_walks`; the batch's `Graph` build (the same on both) is
+/// not in them. The endpoints are asserted equal before timing,
 /// so any difference is pure move-loop machinery.
 fn bench_randomize_batch(c: &mut Criterion) {
     use wcc_core::regularize::regularize;
@@ -389,10 +399,10 @@ fn bench_randomize_batch(c: &mut Criterion) {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         regularize(&g, &params, &mut MpcContext::new(config()), &mut rng).unwrap()
     };
-    let (t, k) = (139usize, 36usize);
+    let (t, k) = (114usize, 30usize);
     assert_eq!(
         (reg.graph.num_vertices(), reg.graph.max_degree()),
-        (100_000, 9)
+        (12_500, 9)
     );
 
     type Fanout = fn(
@@ -424,7 +434,7 @@ fn bench_randomize_batch(c: &mut Criterion) {
         (walk_move_tier(), independent_lazy_walks),
         ("portable", independent_lazy_walks_portable),
     ];
-    // `assert!`, not `assert_eq!`: a failure must not print 3.6M endpoints.
+    // `assert!`, not `assert_eq!`: a failure must not print 375k endpoints.
     assert!(
         batch(rows[0].1) == batch(rows[1].1),
         "{} and portable move tiers disagree on the endpoints",

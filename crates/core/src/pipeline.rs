@@ -32,6 +32,7 @@
 
 use crate::leader::{finish_with_bfs_over_refs, grow_components, GrowPhaseStats};
 use crate::params::Params;
+use crate::products::cloud_sizes;
 use crate::regularize::{regularize, CoreError};
 use crate::walks::{randomize, WalkMode};
 
@@ -45,7 +46,8 @@ use wcc_mpc::{MpcConfig, MpcContext, RoundStats};
 /// Detailed per-stage measurements of one pipeline run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineReport {
-    /// Number of vertices of the regularized graph (`≈ 2m`).
+    /// Number of vertices of the regularized graph: `Σ_v c(v) ≤ 2m`, the sum
+    /// of [`cloud_sizes`](crate::products::cloud_sizes).
     pub regularized_vertices: usize,
     /// Walk length `T` used by the randomization step.
     pub walk_length: usize,
@@ -145,12 +147,13 @@ pub fn well_connected_components_with_ctx(
 /// Sizes a simulated cluster for running the pipeline on `g` with gap
 /// promise `lambda`, following Theorem 4's resource statement: memory per
 /// machine `≈ (2m)^δ`, and enough machines that the working set of the
-/// randomization step (which scales with the walk length, i.e. with `1/λ`)
-/// and the `F` random batches fit — `O(1/λ² · m^{1-δ} · polylog)` machines in
+/// randomization step on the regularized graph's `Σ_v c(v) ≤ 2m` vertices
+/// (which scales with the walk length, i.e. with `1/λ`) and the `F` random
+/// batches fit — `O(1/λ² · m^{1-δ} · polylog)` machines in
 /// the paper's phrasing.
 pub fn recommended_config(g: &Graph, lambda: f64, params: &Params) -> MpcConfig {
     let input_words = (2 * g.num_edges() + g.num_vertices()).max(64);
-    let n_reg = (2 * g.num_edges()).max(4);
+    let n_reg = cloud_sizes(g, params.expander_degree).sum::<usize>().max(4);
     let gamma = params.gamma(n_reg);
     let lambda = lambda.clamp(1e-9, 1.0);
     let walk = mixing_time_bound(lambda, n_reg, gamma, params.mixing_time_constant)

@@ -361,6 +361,88 @@ fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// Inputs whose vertices fall on both sides of regularization's degree budget
+/// (`d+1 = 9`): light vertices stay whole, heavy ones get a cloud, isolated
+/// ones vanish from the product. Every entry point must return the true
+/// components on them, with labels, rounds and words independent of the
+/// thread count.
+#[test]
+fn mixed_light_and_heavy_inputs_are_exact_at_every_thread_count() {
+    use wcc_core::stream::{IncrementalComponents, StreamParams};
+    use wcc_graph::{connected_components, generators};
+
+    let mut rng = ChaCha8Rng::seed_from_u64(9400);
+    let (expander_star_isolated, _) = generators::disjoint_union_of(&[
+        generators::random_regular_permutation_graph(80, 12, &mut rng),
+        generators::star(40),
+        Graph::empty(5),
+    ]);
+    let inputs = [
+        (
+            "preferential attachment",
+            generators::preferential_attachment(200, 4, &mut rng),
+        ),
+        (
+            "G(n, 8/n)",
+            generators::erdos_renyi(200, 8.0 / 200.0, &mut rng),
+        ),
+        ("expander + star + isolated", expander_star_isolated),
+    ];
+    for (name, g) in inputs {
+        let d = Params::test_scale().expander_degree;
+        let light = g.vertices().filter(|&v| g.degree(v) <= d + 1).count();
+        assert!(
+            0 < light && light < g.num_vertices(),
+            "{name} must mix light and heavy vertices"
+        );
+        let truth = connected_components(&g);
+        let schedule: Vec<Vec<(u64, u64)>> = g
+            .edge_iter()
+            .map(|(u, v)| (u as u64, v as u64))
+            .collect::<Vec<_>>()
+            .chunks(101)
+            .map(<[(u64, u64)]>::to_vec)
+            .collect();
+
+        let run = |threads: usize| {
+            let params = Params::test_scale().with_threads(threads);
+            let wcc = well_connected_components(&g, 0.2, &params, 17).expect("wcc runs");
+            let adaptive = adaptive_components(&g, &params, 17).expect("adaptive runs");
+            let mut engine = IncrementalComponents::new(
+                StreamParams::test_scale()
+                    .with_lambda(0.2)
+                    .with_threads(threads),
+                17,
+            );
+            engine.apply_schedule(&schedule).expect("replay succeeds");
+            let replayed = engine.labels_for_universe(g.num_vertices());
+            for (entry, labels) in [
+                ("wcc", &wcc.components),
+                ("adaptive", &adaptive.components),
+                ("stream replay", &replayed),
+            ] {
+                assert!(
+                    labels.same_partition(&truth),
+                    "{entry} is not exact on {name}, threads {threads}"
+                );
+            }
+            (
+                (wcc.components, wcc.stats),
+                (adaptive.components, adaptive.stats),
+                (replayed, engine.stats()),
+            )
+        };
+        let baseline = run(1);
+        for threads in THREADED {
+            assert_eq!(
+                baseline,
+                run(threads),
+                "labels, rounds or words moved on {name}, threads {threads}"
+            );
+        }
+    }
+}
+
 /// The fused supersteps (`shuffle_map_owned` / `map_shuffle_owned`) and the
 /// identity-shuffle short circuit must be bit-identical across thread
 /// counts: the fused scatter writes mapped tuples from concurrent workers

@@ -9,6 +9,7 @@ use rand_chacha::ChaCha8Rng;
 use wcc_baselines::{run_baseline, shiloach_vishkin};
 use wcc_core::leader::{finish_with_bfs, finish_with_bfs_over_refs};
 use wcc_core::prelude::*;
+use wcc_core::products::cloud_sizes;
 use wcc_core::sublinear::{sublinear_components, SublinearParams};
 use wcc_graph::generators::GraphFamily;
 use wcc_graph::prelude::*;
@@ -110,19 +111,26 @@ fn all_baselines_match_ground_truth_on_the_whole_zoo() {
 fn round_separation_on_well_connected_instances() {
     // The paper's headline: on expander components the pipeline's rounds stay
     // essentially flat in n while label propagation grows with the diameter /
-    // log n. Compare two sizes a factor 16 apart.
+    // log n. The 8-regular inputs stay whole under regularization
+    // (n_reg = n), so the phase count F steps from 1 to 2 between 256 and
+    // 512 vertices (256^¼ = 4 = Δ₁) and stays 2 up to 65 536.
     let params = Params::laptop_scale();
-    let mut ours = Vec::new();
-    let mut theirs = Vec::new();
-    for &n in &[256usize, 4096] {
+    let run = |n: usize| {
         let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
         let g = generators::planted_expander_components(&[n / 2, n / 2], 8, &mut rng);
         let result = well_connected_components(&g, 0.3, &params, 31).unwrap();
-        ours.push(result.stats.total_rounds());
+        assert_eq!(result.report.regularized_vertices, n);
         let mut ctx = ctx_for(&g);
-        theirs.push(run_baseline("random-mate", &g, &mut ctx, 5).rounds);
-    }
-    // Our round count barely moves (log log n + constant endgame)...
+        let theirs = run_baseline("random-mate", &g, &mut ctx, 5).rounds;
+        (result, theirs)
+    };
+
+    // Inside one F, two sizes a factor 16 apart: our round count barely
+    // moves (log log n + constant endgame)...
+    let (small, theirs_small) = run(1024);
+    let (large, theirs_large) = run(16_384);
+    assert_eq!((small.report.num_batches, large.report.num_batches), (2, 2));
+    let ours = [small.stats.total_rounds(), large.stats.total_rounds()];
     assert!(
         ours[1] <= ours[0] + 8,
         "pipeline rounds grew too fast: {ours:?}"
@@ -130,18 +138,80 @@ fn round_separation_on_well_connected_instances() {
     // ...while the constant-growth baseline needs noticeably more rounds on
     // the larger instance.
     assert!(
-        theirs[1] > theirs[0],
-        "random-mate rounds should grow with n: {theirs:?}"
+        theirs_large > theirs_small,
+        "random-mate rounds should grow with n: {theirs_small} -> {theirs_large}"
     );
+
+    // Across the F step the jump is one more batch — its walks
+    // (1 + 2⌈log₂ t⌉ rounds + the assembling shuffle; ⌈log₂ t⌉ = 7 on both
+    // sides) and its grow phase — and nothing else.
+    let (one_phase, _) = run(256);
+    let (two_phases, _) = run(512);
+    assert_eq!(
+        (one_phase.report.num_batches, two_phases.report.num_batches),
+        (1, 2)
+    );
+    let stats = &two_phases.stats;
+    let one_batch = (stats.rounds_in_phase("randomize") + stats.rounds_in_phase("grow-components"))
+        / two_phases.report.num_batches as u64;
+    assert_eq!(
+        two_phases.stats.total_rounds() - one_phase.stats.total_rounds(),
+        one_batch,
+        "the F step must cost exactly one batch"
+    );
+}
+
+#[test]
+fn inputs_without_light_vertices_run_exactly_as_the_all_cloud_pipeline_did() {
+    // Every vertex of a 12-regular input is over the degree budget d+1 = 9,
+    // so regularization is the classic all-cloud product and nothing
+    // downstream may move: the rounds and words below were read at the last
+    // commit that gave every vertex a cloud (f60b909), same graph and seeds.
+    let mut rng = ChaCha8Rng::seed_from_u64(77);
+    let g = generators::planted_expander_components(&[150, 150], 12, &mut rng);
+    let truth = connected_components(&g);
+    for threads in [1usize, 2] {
+        let params = Params::laptop_scale().with_threads(threads);
+        let wcc = well_connected_components(&g, 0.3, &params, 31).unwrap();
+        assert_eq!(wcc.report.regularized_vertices, 2 * g.num_edges());
+        assert_eq!(wcc.components, truth);
+        assert_eq!(
+            (
+                wcc.stats.total_rounds(),
+                wcc.stats.total_communication_words()
+            ),
+            (54, 3_382_792),
+            "wcc, threads={threads}"
+        );
+        let adaptive = adaptive_components(&g, &params, 31).unwrap();
+        assert_eq!(adaptive.components, truth);
+        assert_eq!(
+            (
+                adaptive.stats.total_rounds(),
+                adaptive.stats.total_communication_words()
+            ),
+            (51, 2_869_894),
+            "adaptive, threads={threads}"
+        );
+    }
 }
 
 #[test]
 fn pipeline_report_is_consistent_with_stats() {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let g = generators::planted_expander_components(&[150, 150], 8, &mut rng);
-    let result = well_connected_components(&g, 0.3, &Params::test_scale(), 3).unwrap();
+    // Two isolated vertices: they have no product vertex at all.
+    let (g, _) = generators::disjoint_union_of(&[
+        generators::planted_expander_components(&[150, 150], 8, &mut rng),
+        Graph::empty(2),
+    ]);
+    let params = Params::test_scale();
+    let result = well_connected_components(&g, 0.3, &params, 3).unwrap();
     assert_eq!(result.report.grow_phases.len(), result.report.num_batches);
-    assert!(result.report.regularized_vertices >= g.num_vertices());
+    assert_eq!(
+        result.report.regularized_vertices,
+        cloud_sizes(&g, params.expander_degree).sum::<usize>()
+    );
+    assert_eq!(result.report.regularized_vertices, 300);
     assert!(result.stats.total_communication_words() > 0);
     assert!(result.stats.rounds_in_phase("regularize") >= 1);
     assert!(result.stats.rounds_in_phase("grow-components") >= 1);

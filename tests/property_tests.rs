@@ -9,6 +9,7 @@ use rand_chacha::ChaCha8Rng;
 
 use wcc_core::leader::{contraction_graph, finish_with_bfs};
 use wcc_core::prelude::*;
+use wcc_core::products::cloud_sizes;
 use wcc_core::regularize::regularize;
 use wcc_core::sublinear::{sublinear_components, SublinearParams};
 use wcc_graph::prelude::*;
@@ -20,6 +21,21 @@ fn arb_graph(max_n: usize, max_extra_edges: usize) -> impl Strategy<Value = Grap
     (2..max_n).prop_flat_map(move |n| {
         let edges = proptest::collection::vec((0..n, 0..n), 0..max_extra_edges);
         edges.prop_map(move |e| Graph::from_edges_unchecked(n, e))
+    })
+}
+
+/// Strategy: a dense-ish multigraph — few vertices, every drawn pair repeated
+/// one to three times — so self-loops, parallel edges and degrees on both
+/// sides of any small degree budget are the rule rather than the exception.
+fn arb_multigraph(max_n: usize, max_pairs: usize) -> impl Strategy<Value = Graph> {
+    (2..max_n).prop_flat_map(move |n| {
+        let pairs = proptest::collection::vec((0..n, 0..n, 1..4usize), 0..max_pairs);
+        pairs.prop_map(move |pairs| {
+            let edges = pairs
+                .into_iter()
+                .flat_map(|(u, v, copies)| std::iter::repeat_n((u, v), copies));
+            Graph::from_edges_unchecked(n, edges)
+        })
     })
 }
 
@@ -77,17 +93,28 @@ proptest! {
     }
 
     #[test]
-    fn regularization_preserves_components_exactly(g in arb_graph(60, 150), seed in 0u64..20) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut ctx = MpcContext::new(
-            MpcConfig::for_input_size(4 * g.num_edges() + 16, 0.5).permissive(),
-        );
-        let reg = regularize(&g, &Params::test_scale(), &mut ctx, &mut rng).unwrap();
-        // Regular output.
-        prop_assert!(reg.graph.is_regular(reg.degree));
-        // Pull-back of the product components equals the input components.
-        let pulled = reg.pull_back_labels(&connected_components(&reg.graph));
-        prop_assert!(pulled.same_partition(&connected_components(&g)));
+    fn regularization_preserves_components_exactly(
+        sparse in arb_graph(60, 150),
+        multi in arb_multigraph(24, 60),
+        seed in 0u64..20,
+    ) {
+        let params = Params::test_scale();
+        for g in [sparse, multi] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut ctx = MpcContext::new(
+                MpcConfig::for_input_size(4 * g.num_edges() + 16, 0.5).permissive(),
+            );
+            let reg = regularize(&g, &params, &mut ctx, &mut rng).unwrap();
+            // Regular output on exactly the vertices the cloud-size rule names.
+            prop_assert!(reg.graph.is_regular(reg.degree));
+            prop_assert_eq!(
+                reg.graph.num_vertices(),
+                cloud_sizes(&g, params.expander_degree).sum::<usize>()
+            );
+            // Pull-back of the product components equals the input components.
+            let pulled = reg.pull_back_labels(&connected_components(&reg.graph));
+            prop_assert!(pulled.same_partition(&connected_components(&g)));
+        }
     }
 
     #[test]
