@@ -4,16 +4,17 @@
 //! in `BENCH_cluster.json` at the workspace root:
 //!
 //! * **shuffle throughput** — the two-pass counting shuffle
-//!   (`shuffle_by_key`, plus its consuming `shuffle_by_key_owned` variant)
-//!   against a faithful reimplementation of the historical
-//!   clone-into-buckets shuffle (per-worker `Vec<Vec<T>>` bucket sets merged
-//!   by append), at 10⁵–10⁶ tuples;
-//! * **map/filter chains** — the borrowing chain vs the consuming/in-place
-//!   chain that the arena layout enables;
+//!   (`shuffle_by_key`) against a faithful reimplementation of the
+//!   historical clone-into-buckets shuffle (per-worker `Vec<Vec<T>>` bucket
+//!   sets merged by append), at 10⁵–10⁶ tuples;
+//! * **map/filter chains** — a `map_local` → `filter_local` chain over the
+//!   arena;
 //! * **reduce_by_key** — combiner-based aggregation at the same scales.
 //!
-//! All variants produce bit-identical outputs (asserted once per size before
-//! timing), so any difference is pure data-plane cost.
+//! Both shuffles produce bit-identical outputs (asserted once per size before
+//! timing), so any difference is pure data-plane cost. `BENCH_cluster.json`
+//! also carries `counting_owned_incl_clone_*` and `owned_in_place_*` rows:
+//! history from the consuming `Cluster` generation, which no longer exists.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -98,21 +99,6 @@ fn bench_shuffle(c: &mut Criterion) {
                     })
                 },
             );
-            // NOTE: the consuming variant needs a fresh cluster per
-            // iteration, so this timing *includes* one full cluster clone —
-            // in a real pipeline the clone does not exist (that is the
-            // point of the owned variant); compare `counting` numbers for
-            // pure shuffle cost.
-            group.bench_with_input(
-                BenchmarkId::new(format!("counting_owned_incl_clone_t{threads}"), n),
-                &cluster,
-                |b, cl| {
-                    b.iter(|| {
-                        let mut ctx = MpcContext::new(cfg);
-                        cl.clone().shuffle_by_key_owned(&mut ctx, |t| t.0).unwrap()
-                    })
-                },
-            );
             group.bench_with_input(
                 BenchmarkId::new(format!("clone_into_buckets_t{threads}"), n),
                 &cluster,
@@ -140,17 +126,6 @@ fn bench_map_filter_chain(c: &mut Criterion) {
                         cl.map_local(|t| (t.0, t.1 + 1))
                             .filter_local(|t| t.1 % 3 != 0)
                             .len()
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("owned_in_place_t{threads}"), n),
-                &cluster,
-                |b, cl| {
-                    b.iter(|| {
-                        let mut derived = cl.clone().map_local_owned(|t| (t.0, t.1 + 1));
-                        derived.filter_local_in_place(|t| t.1 % 3 != 0);
-                        derived.len()
                     })
                 },
             );

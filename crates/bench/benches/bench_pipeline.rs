@@ -469,17 +469,20 @@ fn bench_stream_ingest(c: &mut Criterion) {
 
     // ~4000-edge base graph: two planted expander components.
     let g = planted(1_000, 11);
-    let bootstrap: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
+    let bootstrap: Vec<EdgeOp> = g
+        .edge_iter()
+        .map(|(u, v)| EdgeOp::insert(u as u64, v as u64))
+        .collect();
     let n = g.num_vertices() as u64;
     // Eight merge-free traffic batches: random intra-component edges within
     // the first component (vertices 0..n/2).
     let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let batches: Vec<Vec<(u64, u64)>> = (0..8)
+    let batches: Vec<Vec<EdgeOp>> = (0..8)
         .map(|_| {
             (0..400)
                 .map(|_| {
                     use rand::Rng;
-                    (rng.gen_range(0..n / 2), rng.gen_range(0..n / 2))
+                    EdgeOp::insert(rng.gen_range(0..n / 2), rng.gen_range(0..n / 2))
                 })
                 .collect()
         })
@@ -487,9 +490,9 @@ fn bench_stream_ingest(c: &mut Criterion) {
 
     let params = StreamParams::laptop_scale().with_lambda(0.3);
     let mut fast_base = IncrementalComponents::new(params, 7);
-    fast_base.apply_batch(&bootstrap).unwrap();
+    fast_base.apply_ops_batch(&bootstrap).unwrap();
     let mut slow_base = IncrementalComponents::new(params.with_fast_path(false), 7);
-    slow_base.apply_batch(&bootstrap).unwrap();
+    slow_base.apply_ops_batch(&bootstrap).unwrap();
 
     // Differential check once, before any timing: identical partitions and
     // a genuinely merge-free schedule (the fast arm must never recompute).
@@ -497,9 +500,9 @@ fn bench_stream_ingest(c: &mut Criterion) {
         let mut fast = fast_base.clone();
         let mut slow = slow_base.clone();
         for batch in &batches {
-            let r = fast.apply_batch(batch).unwrap();
+            let r = fast.apply_ops_batch(batch).unwrap();
             assert!(r.path.is_fast(), "schedule is not merge-free: {:?}", r.path);
-            slow.apply_batch(batch).unwrap();
+            slow.apply_ops_batch(batch).unwrap();
         }
         assert!(
             fast.labels().same_partition(&slow.labels()),
@@ -515,7 +518,7 @@ fn bench_stream_ingest(c: &mut Criterion) {
             b.iter(|| {
                 let mut engine = fast_base.clone();
                 for batch in batches {
-                    engine.apply_batch(batch).unwrap();
+                    engine.apply_ops_batch(batch).unwrap();
                 }
                 engine.num_components()
             })
@@ -528,7 +531,7 @@ fn bench_stream_ingest(c: &mut Criterion) {
             b.iter(|| {
                 let mut engine = slow_base.clone();
                 for batch in batches {
-                    engine.apply_batch(batch).unwrap();
+                    engine.apply_ops_batch(batch).unwrap();
                 }
                 engine.num_components()
             })
@@ -553,8 +556,6 @@ fn bench_stream_ingest(c: &mut Criterion) {
 /// actually exercise the sketch path.
 fn bench_dynamic_ingest(c: &mut Criterion) {
     use wcc_core::stream::{IncrementalComponents, StreamParams};
-    use wcc_graph::io::EdgeOp;
-
     let mut group = c.benchmark_group("dynamic_ingest");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(100));
@@ -563,7 +564,10 @@ fn bench_dynamic_ingest(c: &mut Criterion) {
     // Same base workload as `stream_ingest`: two planted expander
     // components, ~4000 edges.
     let g = planted(1_000, 11);
-    let bootstrap: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
+    let bootstrap: Vec<EdgeOp> = g
+        .edge_iter()
+        .map(|(u, v)| EdgeOp::insert(u as u64, v as u64))
+        .collect();
     let n = g.num_vertices() as u64;
     let mut rng = ChaCha8Rng::seed_from_u64(13);
     let mut fresh_batch = |count: usize| -> Vec<(u64, u64)> {
@@ -581,23 +585,14 @@ fn bench_dynamic_ingest(c: &mut Criterion) {
     };
 
     // Merge-free insert-only schedule: 8 batches of 400 traffic edges.
-    let insert_only: Vec<Vec<EdgeOp>> = (0..8)
-        .map(|_| {
-            fresh_batch(400)
-                .into_iter()
-                .map(|(u, v)| EdgeOp::insert(u, v))
-                .collect()
-        })
-        .collect();
+    let insert_only: Vec<Vec<EdgeOp>> =
+        (0..8).map(|_| EdgeOp::inserts(&fresh_batch(400))).collect();
     // Deletion-heavy rolling window over the same batch size: insert 400,
     // delete the previous batch's 400.
     let windows: Vec<Vec<(u64, u64)>> = (0..8).map(|_| fresh_batch(400)).collect();
     let deletion_heavy: Vec<Vec<EdgeOp>> = (0..8)
         .map(|i| {
-            let mut ops: Vec<EdgeOp> = windows[i]
-                .iter()
-                .map(|&(u, v)| EdgeOp::insert(u, v))
-                .collect();
+            let mut ops = EdgeOp::inserts(&windows[i]);
             if i > 0 {
                 ops.extend(windows[i - 1].iter().map(|&(u, v)| EdgeOp::delete(u, v)));
             }
@@ -607,7 +602,7 @@ fn bench_dynamic_ingest(c: &mut Criterion) {
 
     let params = StreamParams::laptop_scale().with_lambda(0.3);
     let mut base = IncrementalComponents::new(params, 7);
-    base.apply_batch(&bootstrap).unwrap();
+    base.apply_ops_batch(&bootstrap).unwrap();
 
     // Differential check once, before any timing: the sketch-repair engine
     // and the per-batch-recompute reference land on the same partition, the
@@ -630,7 +625,7 @@ fn bench_dynamic_ingest(c: &mut Criterion) {
             "deletion-heavy schedule never exercised the sketch path"
         );
         let mut reference = IncrementalComponents::new(params.with_fast_path(false), 7);
-        reference.apply_batch(&bootstrap).unwrap();
+        reference.apply_ops_batch(&bootstrap).unwrap();
         for batch in &deletion_heavy {
             reference.apply_ops_batch(batch).unwrap();
         }
@@ -686,18 +681,21 @@ fn bench_serve_snapshot(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
 
     let g = planted(1_000, 11);
-    let bootstrap: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
+    let bootstrap: Vec<EdgeOp> = g
+        .edge_iter()
+        .map(|(u, v)| EdgeOp::insert(u as u64, v as u64))
+        .collect();
     let n = g.num_vertices() as u64;
     let params = StreamParams::laptop_scale().with_lambda(0.3);
     let mut engine = IncrementalComponents::new(params, 7);
-    engine.apply_batch(&bootstrap).unwrap();
+    engine.apply_ops_batch(&bootstrap).unwrap();
 
     // Quiet publish: a duplicate batch changes nothing, so `snapshot()` must
     // reuse every Arc from the cache (asserted before timing).
     {
         let mut probe = engine.clone();
         let before = probe.snapshot(1);
-        probe.apply_batch(&bootstrap[..64]).unwrap();
+        probe.apply_ops_batch(&bootstrap[..64]).unwrap();
         let after = probe.snapshot(2);
         assert!(
             after.shares_structure(&before) && after.shares_index(&before),
@@ -706,7 +704,7 @@ fn bench_serve_snapshot(c: &mut Criterion) {
     }
     group.bench_function("publish_quiet", |b| {
         let mut probe = engine.clone();
-        probe.apply_batch(&bootstrap[..64]).unwrap();
+        probe.apply_ops_batch(&bootstrap[..64]).unwrap();
         let mut epoch = 1u64;
         b.iter(|| {
             epoch += 1;
@@ -719,7 +717,9 @@ fn bench_serve_snapshot(c: &mut Criterion) {
         b.iter(|| {
             // Touching a fresh vertex dirties the index, forcing the O(n)
             // label rebuild the quiet arm avoids.
-            probe.apply_batch(&[(0, n + epoch)]).unwrap();
+            probe
+                .apply_ops_batch(&[EdgeOp::insert(0, n + epoch)])
+                .unwrap();
             epoch += 1;
             probe.snapshot(epoch)
         })

@@ -7,7 +7,7 @@
 //!                        [--threads <n>] [--sizes] [--json]
 //!   wcc stream <chunk-file> [--lambda <gap>] [--seed <u64>] [--threads <n>]
 //!                           [--no-fast-path] [--sizes] [--json]
-//!   wcc pack <edge-list-file> <chunk-file> [--batch-size <edges>] [--ops]
+//!   wcc pack <edge-or-op-list-file> <chunk-file> [--batch-size <ops>]
 //!   wcc serve <chunk-file> [--addr <host:port>] [--repeat <n>]
 //!                          [--ingest-delay-ms <ms>] [--exit-after <secs>]
 //!                          [--lambda <gap>] [--seed <u64>] [--threads <n>]
@@ -32,13 +32,14 @@
 //! the per-batch path (union-find fast path, sketch repair, or full
 //! pipeline recompute), rounds, words and wall time are reported — in a
 //! `batches` array inside the same `--json` record the one-shot modes
-//! emit. Both format versions replay through the same reader: version-1
-//! streams decode to all-insert schedules, version-2 streams (per-record
-//! op tag) may mix insertions and turnstile deletions, with per-batch
+//! emit. Every record carries an op tag, so a schedule may mix insertions
+//! and turnstile deletions, with per-batch
 //! `insertions`/`deletions`/`splits`/`sketch_recertifies` counts in the
-//! record. `wcc pack` converts a text edge list into that format —
-//! version 1 by default, version 2 with `--ops` (lines may then carry a
-//! `+`/`-` op prefix; bare `u v` lines are insertions).
+//! record (archived version-1 streams, which have no tag byte, replay
+//! through the same reader as all-insert schedules). `wcc pack` converts a
+//! text edge or op list into that format: lines may carry a `+`/`-` op
+//! prefix, bare `u v` lines are insertions, and the output file appears
+//! only if the whole input packed.
 //!
 //! `wcc serve` runs the same replay as a *live* service: it binds a TCP
 //! listener (DESIGN.md §11 documents the wire protocol; `wcc_loadgen` is
@@ -78,7 +79,7 @@ enum Mode {
     Run,
     /// Replay a binary batch schedule through the incremental engine.
     Stream,
-    /// Convert a text edge list into the binary chunk format.
+    /// Convert a text edge or op list into the binary chunk format.
     Pack,
     /// Replay a batch schedule while serving component queries over TCP.
     Serve,
@@ -89,11 +90,8 @@ struct Options {
     path: String,
     /// `pack` only: the output chunk file.
     out_path: String,
-    /// `pack` only: edges per chunk.
+    /// `pack` only: ops per chunk.
     batch_size: usize,
-    /// `pack` only: write the op-tagged version-2 format (accepts `+`/`-`
-    /// prefixed lines) instead of the insert-only version-1 format.
-    pack_ops: bool,
     algorithm: String,
     lambda: f64,
     memory: usize,
@@ -196,10 +194,11 @@ fn walk_report() -> Option<WalkTelemetry> {
 #[derive(Serialize)]
 struct JsonBatch {
     index: usize,
+    /// Ops in the batch (`insertions + deletions`).
     edges: usize,
-    /// Insert ops in the batch (== `edges` for version-1 streams).
+    /// Insert ops in the batch.
     insertions: usize,
-    /// Turnstile delete ops in the batch (0 for version-1 streams).
+    /// Turnstile delete ops in the batch.
     deletions: usize,
     new_vertices: usize,
     standing_merges: usize,
@@ -277,7 +276,6 @@ fn parse_args() -> Result<Options, String> {
         path: String::new(),
         out_path: String::new(),
         batch_size: 4096,
-        pack_ops: false,
         algorithm: "wcc".to_string(),
         lambda: 0.25,
         memory: 0,
@@ -297,7 +295,6 @@ fn parse_args() -> Result<Options, String> {
         if let Some(flag) = [
             "--algorithm",
             "--batch-size",
-            "--ops",
             "--no-fast-path",
             "--lambda",
             "--memory",
@@ -371,7 +368,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--batch-size must be at least 1".to_string());
                 }
             }
-            "--ops" => opts.pack_ops = true,
             "--no-fast-path" => opts.fast_path = false,
             "--lambda" => {
                 opts.lambda = args
@@ -460,7 +456,7 @@ fn parse_args() -> Result<Options, String> {
                 "--json",
             ],
         ),
-        Mode::Pack => ("wcc pack", &["--batch-size", "--ops"]),
+        Mode::Pack => ("wcc pack", &["--batch-size"]),
         Mode::Serve => (
             "wcc serve",
             &[
@@ -489,7 +485,7 @@ fn usage() {
          \x20          [--threads <n>] [--sizes] [--json]\n\
          \x20      wcc stream <chunk-file> [--lambda <gap>] [--seed <u64>] [--threads <n>]\n\
          \x20          [--no-fast-path] [--sizes] [--json]\n\
-         \x20      wcc pack <edge-list-file> <chunk-file> [--batch-size <edges>] [--ops]\n\
+         \x20      wcc pack <edge-or-op-list-file> <chunk-file> [--batch-size <ops>]\n\
          \x20      wcc serve <chunk-file> [--addr <host:port>] [--repeat <n>]\n\
          \x20          [--ingest-delay-ms <ms>] [--exit-after <secs>] [--lambda <gap>]\n\
          \x20          [--seed <u64>] [--threads <n>] [--no-fast-path] [--json]\n\
@@ -533,12 +529,14 @@ fn print_largest_sizes(sizes: &[usize]) {
     );
 }
 
-/// `wcc pack`: text edge list → binary chunk stream (original ids are
-/// preserved verbatim, one chunk per `--batch-size` edges). Fully streaming:
-/// lines are parsed through one reusable buffer and at most one batch of
-/// edges is resident at a time, so packing a 10⁸-edge input has flat RSS
-/// (the old path materialised the whole edge list *and* an interned graph
-/// before writing a single chunk).
+/// `wcc pack`: text edge or op list → binary chunk stream (original ids are
+/// preserved verbatim, one chunk per `--batch-size` ops). Fully streaming:
+/// lines are parsed through one reusable buffer and at most one batch of ops
+/// is resident at a time, so packing a 10⁸-edge input has flat RSS.
+///
+/// The chunks go to `<chunk-file>.tmp`, renamed over `<chunk-file>` only once
+/// the whole input has packed: a parse error halfway through must not leave
+/// a shorter — but perfectly replayable — stream behind under the real name.
 fn run_pack(opts: &Options) -> ExitCode {
     let input = match std::fs::File::open(&opts.path) {
         Ok(f) => f,
@@ -547,34 +545,33 @@ fn run_pack(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let output = match std::fs::File::create(&opts.out_path) {
+    let tmp_path = format!("{}.tmp", opts.out_path);
+    let output = match std::fs::File::create(&tmp_path) {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("error: cannot write {}: {e}", opts.out_path);
+            eprintln!("error: cannot write {tmp_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let reader = std::io::BufReader::new(input);
-    let summary = match if opts.pack_ops {
-        pack_op_list(reader, output, opts.batch_size)
-    } else {
-        pack_edge_list(reader, output, opts.batch_size)
-    } {
-        Ok(s) => s,
+    let packed =
+        pack_op_list(std::io::BufReader::new(input), output, opts.batch_size).and_then(|summary| {
+            std::fs::rename(&tmp_path, &opts.out_path)?;
+            Ok(summary)
+        });
+    match packed {
+        Ok(summary) => {
+            println!(
+                "packed {} ops into {} chunks of <= {} per chunk: {}",
+                summary.edges, summary.chunks, opts.batch_size, opts.out_path
+            );
+            ExitCode::SUCCESS
+        }
         Err(e) => {
+            let _ = std::fs::remove_file(&tmp_path);
             eprintln!("error: cannot pack {}: {e}", opts.path);
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    println!(
-        "packed {} {} into {} chunks of <= {} per chunk: {}",
-        summary.edges,
-        if opts.pack_ops { "ops" } else { "edges" },
-        summary.chunks,
-        opts.batch_size,
-        opts.out_path
-    );
-    ExitCode::SUCCESS
+    }
 }
 
 /// `wcc stream`: replay a binary batch schedule through the incremental

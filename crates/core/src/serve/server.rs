@@ -334,6 +334,7 @@ fn not_found(epoch: u64, shared: &Shared) -> Response {
 mod tests {
     use super::*;
     use crate::stream::{IncrementalComponents, StreamParams};
+    use wcc_graph::io::EdgeOp;
 
     /// A minimal blocking client: writes one request, reads one response.
     struct Client {
@@ -389,7 +390,7 @@ mod tests {
         // Ingest a triangle plus an isolated-ish pair, publish epoch 1.
         let mut engine = IncrementalComponents::new(StreamParams::test_scale(), 7);
         engine
-            .apply_batch(&[(0, 1), (1, 2), (2, 0), (10, 11)])
+            .apply_ops_batch(&EdgeOp::inserts(&[(0, 1), (1, 2), (2, 0), (10, 11)]))
             .unwrap();
         server.publish(engine.snapshot(1));
 

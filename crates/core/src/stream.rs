@@ -49,7 +49,7 @@
 //! ## Deletions: the turnstile sketch path
 //!
 //! The stream is *fully dynamic*: batches may carry edge deletions
-//! ([`IncrementalComponents::apply_ops_batch`], fed from version-2 `WCCS`
+//! ([`IncrementalComponents::apply_ops_batch`], fed from `WCCS` op
 //! streams). Deleting an edge can only *split* the component it lived in, so
 //! between the fast path and the full recompute sits a third, component-local
 //! path built on the paper's own AGM linear sketches (Proposition 8.1, which
@@ -88,7 +88,7 @@
 //! from-scratch pipeline runs for every tested family, seed and thread
 //! count.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -357,45 +357,6 @@ pub struct IncrementalComponents {
     snap_structure_dirty: bool,
 }
 
-/// A uniform, allocation-free view over the two batch encodings: legacy
-/// insert-only edge slices and signed op slices. Keeps the hot insert-only
-/// path free of per-batch op materialisation.
-#[derive(Clone, Copy)]
-enum OpsView<'a> {
-    Edges(&'a [(u64, u64)]),
-    Ops(&'a [EdgeOp]),
-}
-
-impl OpsView<'_> {
-    fn len(&self) -> usize {
-        match self {
-            OpsView::Edges(e) => e.len(),
-            OpsView::Ops(o) => o.len(),
-        }
-    }
-
-    fn has_delete(&self) -> bool {
-        match self {
-            OpsView::Edges(_) => false,
-            OpsView::Ops(o) => o.iter().any(|op| op.kind == OpKind::Delete),
-        }
-    }
-
-    fn inserts(&self) -> usize {
-        match self {
-            OpsView::Edges(e) => e.len(),
-            OpsView::Ops(o) => o.iter().filter(|op| op.kind == OpKind::Insert).count(),
-        }
-    }
-
-    fn get(&self, i: usize) -> EdgeOp {
-        match self {
-            OpsView::Edges(e) => EdgeOp::insert(e[i].0, e[i].1),
-            OpsView::Ops(o) => o[i],
-        }
-    }
-}
-
 /// Every logged insert gets a `u32` slot in the edge log, and the log never
 /// compacts, so a batch that would push it past `u32::MAX` entries must be
 /// refused whole: a wrapped slot would point a later deletion at the wrong
@@ -406,6 +367,21 @@ fn check_edge_log_room(logged: usize, inserts: usize) -> Result<(), CoreError> {
         _ => Err(CoreError::BadParams(format!(
             "stream: edge log full ({logged} logged inserts + {inserts} in this batch \
              exceed the u32 slot space)"
+        ))),
+    }
+}
+
+/// Dense vertex ids are `u32`s (the interner, the `edge_slots` pair keys and
+/// the sketch all index by them), so a batch whose arrivals would push the
+/// distinct-id count past `u32::MAX` must be refused whole, like a full edge
+/// log. `arrivals` may be an upper bound on the ids the batch introduces.
+fn check_vertex_room(vertices: usize, arrivals: usize) -> Result<(), CoreError> {
+    match vertices.checked_add(arrivals) {
+        Some(total) if total <= u32::MAX as usize => Ok(()),
+        _ => Err(CoreError::BadParams(format!(
+            "stream: more than {} distinct vertex ids ({vertices} seen + up to {arrivals} \
+             arriving in this batch)",
+            u32::MAX
         ))),
     }
 }
@@ -460,45 +436,10 @@ impl IncrementalComponents {
         }
     }
 
-    /// Applies one insert-only edge batch (raw `u64` vertex ids, as decoded
-    /// from the version-1 binary chunk format) and reports which path it
-    /// took and what it cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] if a slow-path recompute fails (bad parameters,
-    /// infeasible cluster) or the dense vertex space overflows `u32`. The
-    /// labelling itself remains correct after an error — only the
-    /// certificate refresh is missed, and the next escalation retries it. A
-    /// batch that would grow the edge log past `u32::MAX` logged inserts
-    /// returns [`CoreError::BadParams`] before any state changes.
-    pub fn apply_batch(&mut self, batch: &[(u64, u64)]) -> Result<BatchReport, CoreError> {
-        self.apply_ops_impl(OpsView::Edges(batch))
-    }
-
-    /// Applies one turnstile op batch (insertions and deletions on raw
-    /// vertex ids, as decoded from the version-2 binary chunk format).
-    ///
-    /// # Errors
-    ///
-    /// In addition to the [`apply_batch`](Self::apply_batch) errors, a
-    /// deletion with no live copy to remove — an edge never inserted, or
-    /// already deleted, accounting for earlier ops *in the same batch* —
-    /// returns [`CoreError::BadParams`] **before any state changes**: the
-    /// whole batch is validated against the live multiset first, so a
-    /// rejected batch leaves the engine exactly as it was.
-    pub fn apply_ops_batch(&mut self, batch: &[EdgeOp]) -> Result<BatchReport, CoreError> {
-        self.validate_deletions(batch)?;
-        self.apply_ops_impl(OpsView::Ops(batch))
-    }
-
     /// Rejects any delete op that would over-delete: at its position in the
     /// batch there must be a live copy of the edge, counting the batch's own
     /// earlier inserts/deletes (prefix semantics).
     fn validate_deletions(&self, batch: &[EdgeOp]) -> Result<(), CoreError> {
-        if !batch.iter().any(|op| op.kind == OpKind::Delete) {
-            return Ok(());
-        }
         // Running per-pair delta over the batch prefix, on raw-id pairs.
         let mut delta: HashMap<(u64, u64), i64> = HashMap::new();
         for op in batch {
@@ -535,18 +476,56 @@ impl IncrementalComponents {
         self.edge_slots.get(&key).map_or(0, Vec::len)
     }
 
-    fn apply_ops_impl(&mut self, view: OpsView<'_>) -> Result<BatchReport, CoreError> {
-        // Part of the whole-batch pre-validation: nothing is touched yet.
-        check_edge_log_room(self.edges.len(), view.inserts())?;
+    /// Applies one op batch (insertions and deletions on raw `u64` vertex
+    /// ids, as decoded from a `WCCS` chunk) and reports which path it took and
+    /// what it cost. An insert-only batch is [`EdgeOp::inserts`] of its edges.
+    ///
+    /// # Errors
+    ///
+    /// The whole batch is validated **before any state changes**, so a batch
+    /// rejected for one of these three reasons leaves the engine exactly as
+    /// it was (each is a [`CoreError::BadParams`]):
+    ///
+    /// * a deletion with no live copy to remove — an edge never inserted, or
+    ///   already deleted, accounting for earlier ops *in the same batch*;
+    /// * inserts that would grow the edge log past `u32::MAX` logged entries;
+    /// * arrivals that would push the distinct vertex ids past `u32::MAX`.
+    ///
+    /// After validation the only failure left is a slow-path recompute
+    /// (bad parameters, infeasible cluster). The batch is applied and the
+    /// labelling remains correct after such an error — only the certificate
+    /// refresh is missed, and the next escalation retries it.
+    pub fn apply_ops_batch(&mut self, batch: &[EdgeOp]) -> Result<BatchReport, CoreError> {
+        // Whole-batch pre-validation: nothing is touched until all three
+        // checks pass.
+        let len = batch.len();
+        let inserts = batch.iter().filter(|op| op.kind == OpKind::Insert).count();
+        let has_delete = inserts < len;
+        if has_delete {
+            self.validate_deletions(batch)?;
+        }
+        check_edge_log_room(self.edges.len(), inserts)?;
+        // Every insert brings at most two new ids; only a batch that fails
+        // this cheap bound pays for the exact count of unseen ones.
+        let n = self.original_ids.len();
+        if check_vertex_room(n, inserts.saturating_mul(2)).is_err() {
+            let unseen: HashSet<u64> = batch
+                .iter()
+                .filter(|op| op.kind == OpKind::Insert)
+                .flat_map(|op| [op.u, op.v])
+                .filter(|raw| !self.interner.contains_key(raw))
+                .collect();
+            check_vertex_room(n, unseen.len())?;
+        }
+
         let started = Instant::now();
         let rounds_before = self.total_rounds();
         let words_before = self.total_communication_words();
         let batch_index = self.batches_applied;
         self.batches_applied += 1;
 
-        let len = view.len();
         let bootstrap = !self.bootstrapped && len > 0;
-        let n0 = self.original_ids.len() as u32;
+        let n0 = n as u32;
         let min_component = self.params.certificate_min_component;
 
         self.ctx.begin_phase("stream-ingest");
@@ -561,7 +540,7 @@ impl IncrementalComponents {
         // First deletion ever: build the turnstile sketch from the live
         // multiset (insert-only workloads never get here). One simulated
         // round routing every live edge to its two endpoint sketches.
-        if view.has_delete() && self.sketch.is_none() {
+        if has_delete && self.sketch.is_none() {
             self.ctx.charge_shuffle(2 * self.live_edges);
             let mut sk =
                 DynamicConnectivitySketch::new(self.params.sketch_phases, self.sketch_seed);
@@ -585,13 +564,12 @@ impl IncrementalComponents {
         // batch — candidates for a sketch-Borůvka re-certify-or-split.
         let mut dirty: Vec<u32> = Vec::new();
 
-        for i in 0..len {
-            let op = view.get(i);
+        for op in batch {
             match op.kind {
                 OpKind::Insert => {
                     insertions += 1;
-                    let u = self.intern(op.u, &mut new_vertices)? as usize;
-                    let v = self.intern(op.v, &mut new_vertices)? as usize;
+                    let u = self.intern(op.u, &mut new_vertices) as usize;
+                    let v = self.intern(op.v, &mut new_vertices) as usize;
                     let slot = self.edges.len() as u32;
                     self.edges.push((u as u32, v as u32));
                     self.edge_alive.push(true);
@@ -866,23 +844,6 @@ impl IncrementalComponents {
         Some((splits, recertifies))
     }
 
-    /// Applies a whole insert-only batch schedule in order, returning one
-    /// report per batch.
-    ///
-    /// # Errors
-    ///
-    /// See [`IncrementalComponents::apply_batch`]; the first failing batch
-    /// aborts the replay.
-    pub fn apply_schedule<C: AsRef<[(u64, u64)]>>(
-        &mut self,
-        batches: &[C],
-    ) -> Result<Vec<BatchReport>, CoreError> {
-        batches
-            .iter()
-            .map(|batch| self.apply_batch(batch.as_ref()))
-            .collect()
-    }
-
     /// Applies a whole op schedule in order, returning one report per batch.
     ///
     /// # Errors
@@ -899,17 +860,15 @@ impl IncrementalComponents {
             .collect()
     }
 
-    fn intern(&mut self, raw: u64, new_vertices: &mut usize) -> Result<u32, CoreError> {
+    /// Dense id of `raw`, minting the next one for an id never seen. Cannot
+    /// run out of `u32`s: `apply_ops_batch` refused the batch up front
+    /// ([`check_vertex_room`]) if its arrivals would not fit.
+    fn intern(&mut self, raw: u64, new_vertices: &mut usize) -> u32 {
         if let Some(&id) = self.interner.get(&raw) {
-            return Ok(id);
+            return id;
         }
         let id = self.original_ids.len();
-        if id >= u32::MAX as usize {
-            return Err(CoreError::BadParams(format!(
-                "stream: more than {} distinct vertex ids",
-                u32::MAX
-            )));
-        }
+        debug_assert!(id < u32::MAX as usize, "vertex room is pre-validated");
         self.interner.insert(raw, id as u32);
         self.original_ids.push(raw);
         self.degrees.push(0);
@@ -926,7 +885,7 @@ impl IncrementalComponents {
         // index and the decomposition arrays of the next snapshot change.
         self.snap_vertices_dirty = true;
         self.snap_structure_dirty = true;
-        Ok(id as u32)
+        id as u32
     }
 
     /// Slow path: run the full pipeline on the accumulated graph, adopt its
@@ -1208,6 +1167,27 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn vertex_room_is_checked_at_the_u32_boundary() {
+        let max = u32::MAX as usize;
+        // Totals of u32::MAX − 1 and u32::MAX distinct ids fit; one more does
+        // not, and neither does an overflowing sum.
+        assert!(check_vertex_room(0, 0).is_ok());
+        assert!(check_vertex_room(max - 3, 2).is_ok());
+        assert!(check_vertex_room(max - 3, 3).is_ok());
+        assert!(check_vertex_room(max, 0).is_ok());
+        for (vertices, arrivals) in [(max - 3, 4), (max, 1), (0, max + 1), (1, usize::MAX)] {
+            assert!(
+                matches!(
+                    check_vertex_room(vertices, arrivals),
+                    Err(CoreError::BadParams(_))
+                ),
+                "{vertices} + {arrivals} must be refused"
+            );
+        }
+    }
+
     use rand::seq::SliceRandom;
     use wcc_graph::prelude::*;
 
@@ -1217,7 +1197,7 @@ mod tests {
 
     /// One batch per `sizes` entry, raw ids shifted so batches are disjoint
     /// expander components.
-    fn expander_batches(sizes: &[usize], degree: usize, seed: u64) -> Vec<Vec<(u64, u64)>> {
+    fn expander_batches(sizes: &[usize], degree: usize, seed: u64) -> Vec<Vec<EdgeOp>> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut batches = Vec::new();
         let mut shift = 0u64;
@@ -1225,7 +1205,7 @@ mod tests {
             let g = generators::random_regular_permutation_graph(s, degree, &mut rng);
             batches.push(
                 g.edge_iter()
-                    .map(|(u, v)| (u as u64 + shift, v as u64 + shift))
+                    .map(|(u, v)| EdgeOp::insert(u as u64 + shift, v as u64 + shift))
                     .collect(),
             );
             shift += s as u64;
@@ -1237,14 +1217,13 @@ mod tests {
     fn bootstrap_recomputes_then_intra_edges_ride_the_fast_path() {
         let mut engine = IncrementalComponents::new(params(), 11);
         let batches = expander_batches(&[60], 8, 5);
-        let r0 = engine.apply_batch(&batches[0]).unwrap();
+        let r0 = engine.apply_ops_batch(&batches[0]).unwrap();
         assert_eq!(r0.path, BatchPath::Recompute(RecomputeReason::Bootstrap));
         assert_eq!(engine.recomputes(), 1);
         assert_eq!(engine.num_components(), 1);
 
         // Duplicates of existing intra-component edges: pure fast path.
-        let intra: Vec<(u64, u64)> = batches[0][..20].to_vec();
-        let r1 = engine.apply_batch(&intra).unwrap();
+        let r1 = engine.apply_ops_batch(&batches[0][..20]).unwrap();
         assert_eq!(r1.path, BatchPath::FastPath);
         assert_eq!(r1.standing_merges, 0);
         assert_eq!(r1.new_vertices, 0);
@@ -1258,8 +1237,8 @@ mod tests {
     fn merging_standing_components_escalates() {
         let mut engine = IncrementalComponents::new(params(), 3);
         let batches = expander_batches(&[50, 40], 8, 9);
-        engine.apply_batch(&batches[0]).unwrap();
-        let r1 = engine.apply_batch(&batches[1]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
+        let r1 = engine.apply_ops_batch(&batches[1]).unwrap();
         // The second expander is brand new in its batch: no standing merge.
         assert_eq!(r1.standing_merges, 0);
         assert_eq!(r1.path, BatchPath::FastPath);
@@ -1267,7 +1246,7 @@ mod tests {
 
         // A bridge between the two standing components escalates.
         let bridge = vec![(0u64, 50u64)];
-        let r2 = engine.apply_batch(&bridge).unwrap();
+        let r2 = engine.apply_ops_batch(&EdgeOp::inserts(&bridge)).unwrap();
         assert_eq!(
             r2.path,
             BatchPath::Recompute(RecomputeReason::StandingMerge)
@@ -1283,19 +1262,19 @@ mod tests {
     fn pendant_tendril_violates_the_degree_floor() {
         let mut engine = IncrementalComponents::new(params(), 7);
         let batches = expander_batches(&[60], 8, 13);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
 
         // A well-attached newcomer (enough edges to clear the floor of
         // avg/skew = 8/4 = 2) rides the fast path...
         let attach = vec![(1000u64, 0u64), (1000, 1), (1000, 2)];
-        let r1 = engine.apply_batch(&attach).unwrap();
+        let r1 = engine.apply_ops_batch(&EdgeOp::inserts(&attach)).unwrap();
         assert_eq!(r1.path, BatchPath::FastPath);
         assert_eq!(r1.new_vertices, 1);
 
         // ...but a degree-1 pendant vertex degrades almost-regularity and
         // escalates.
         let pendant = vec![(2000u64, 0u64)];
-        let r2 = engine.apply_batch(&pendant).unwrap();
+        let r2 = engine.apply_ops_batch(&EdgeOp::inserts(&pendant)).unwrap();
         assert_eq!(
             r2.path,
             BatchPath::Recompute(RecomputeReason::CertificateViolation)
@@ -1307,12 +1286,12 @@ mod tests {
     fn hub_pileup_violates_the_degree_cap() {
         let mut engine = IncrementalComponents::new(params(), 19);
         let batches = expander_batches(&[60], 8, 17);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
 
         // Pile parallel intra-component edges onto vertex 0 until its degree
         // blows past cap = skew·avg + slack = 4·8 + 8 = 40.
         let pile: Vec<(u64, u64)> = (0..40).map(|i| (0u64, 1 + (i % 3) as u64)).collect();
-        let r = engine.apply_batch(&pile).unwrap();
+        let r = engine.apply_ops_batch(&EdgeOp::inserts(&pile)).unwrap();
         assert_eq!(
             r.path,
             BatchPath::Recompute(RecomputeReason::CertificateViolation)
@@ -1322,7 +1301,7 @@ mod tests {
         // recompute storm). The hub itself sits exactly at the refreshed cap,
         // so the follow-up avoids it.
         let small: Vec<(u64, u64)> = vec![(5, 6)];
-        let r2 = engine.apply_batch(&small).unwrap();
+        let r2 = engine.apply_ops_batch(&EdgeOp::inserts(&small)).unwrap();
         assert_eq!(r2.path, BatchPath::FastPath);
     }
 
@@ -1330,9 +1309,8 @@ mod tests {
     fn disabled_fast_path_recomputes_every_batch() {
         let mut engine = IncrementalComponents::new(params().with_fast_path(false), 23);
         let batches = expander_batches(&[40], 8, 21);
-        engine.apply_batch(&batches[0]).unwrap();
-        let intra: Vec<(u64, u64)> = batches[0][..10].to_vec();
-        let r = engine.apply_batch(&intra).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
+        let r = engine.apply_ops_batch(&batches[0][..10]).unwrap();
         assert_eq!(
             r.path,
             BatchPath::Recompute(RecomputeReason::FastPathDisabled)
@@ -1343,7 +1321,7 @@ mod tests {
     #[test]
     fn empty_batches_are_free_no_ops() {
         let mut engine = IncrementalComponents::new(params(), 29);
-        let r = engine.apply_batch(&[]).unwrap();
+        let r = engine.apply_ops_batch(&[]).unwrap();
         assert_eq!(r.path, BatchPath::FastPath);
         assert_eq!(r.rounds, 2); // the constant fast-path charge
         assert_eq!(r.communication_words, 0);
@@ -1362,7 +1340,7 @@ mod tests {
 
         let mut engine = IncrementalComponents::new(params(), 37);
         for chunk in edges.chunks(37) {
-            engine.apply_batch(chunk).unwrap();
+            engine.apply_ops_batch(&EdgeOp::inserts(chunk)).unwrap();
         }
         assert_eq!(engine.num_edges(), g.num_edges());
 
@@ -1375,7 +1353,7 @@ mod tests {
     fn snapshots_answer_queries_and_reuse_arcs_for_quiet_batches() {
         let mut engine = IncrementalComponents::new(params(), 43);
         let batches = expander_batches(&[50], 8, 23);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
         let s1 = engine.snapshot(1);
         assert_eq!(s1.epoch(), 1);
         assert_eq!(s1.num_vertices(), 50);
@@ -1388,8 +1366,7 @@ mod tests {
 
         // Duplicate edges leave the decomposition untouched: the snapshot is
         // republished in O(1), sharing every array with its predecessor.
-        let dup: Vec<(u64, u64)> = batches[0][..10].to_vec();
-        engine.apply_batch(&dup).unwrap();
+        engine.apply_ops_batch(&batches[0][..10]).unwrap();
         let s2 = engine.snapshot(2);
         assert!(s2.shares_structure(&s1) && s2.shares_index(&s1));
         assert_eq!(s2.epoch(), 2);
@@ -1398,7 +1375,7 @@ mod tests {
         // A well-attached newcomer dirties both the index and the labels,
         // but the component keeps its id (the oldest member's raw id).
         let attach = vec![(1000u64, 0u64), (1000, 1), (1000, 2)];
-        engine.apply_batch(&attach).unwrap();
+        engine.apply_ops_batch(&EdgeOp::inserts(&attach)).unwrap();
         let s3 = engine.snapshot(3);
         assert!(!s3.shares_structure(&s2) && !s3.shares_index(&s2));
         assert_eq!(s3.component_of(1000), s2.component_of(0));
@@ -1409,8 +1386,8 @@ mod tests {
     fn merge_only_batches_rebuild_labels_but_share_the_index() {
         let mut engine = IncrementalComponents::new(params(), 47);
         let batches = expander_batches(&[40, 30], 8, 29);
-        engine.apply_batch(&batches[0]).unwrap();
-        engine.apply_batch(&batches[1]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[1]).unwrap();
         let before = engine.snapshot(2);
         assert_eq!(before.num_components(), 2);
         assert_eq!(before.same_component(0, 40), Some(false));
@@ -1418,7 +1395,7 @@ mod tests {
         // A bridge between standing components: no new vertices, so the
         // rebuilt snapshot shares the index maps but not the label arrays,
         // and the merged component takes the older side's id.
-        engine.apply_batch(&[(0u64, 40u64)]).unwrap();
+        engine.apply_ops_batch(&[EdgeOp::insert(0, 40)]).unwrap();
         let after = engine.snapshot(3);
         assert!(after.shares_index(&before));
         assert!(!after.shares_structure(&before));
@@ -1443,7 +1420,7 @@ mod tests {
     fn sketch_is_lazy_and_insert_only_streams_never_build_it() {
         let mut engine = IncrementalComponents::new(params(), 51);
         let batches = expander_batches(&[40], 8, 33);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
         engine
             .apply_ops_batch(&[EdgeOp::insert(0, 1), EdgeOp::insert(2, 3)])
             .unwrap();
@@ -1456,7 +1433,7 @@ mod tests {
     fn non_structural_deletions_ride_the_fast_path() {
         let mut engine = IncrementalComponents::new(params(), 53);
         let batches = expander_batches(&[40], 8, 35);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
         // A parallel copy and a self-loop...
         engine
             .apply_ops_batch(&[
@@ -1482,16 +1459,17 @@ mod tests {
     fn structural_deletion_in_an_expander_recertifies_without_recompute() {
         let mut engine = IncrementalComponents::new(params(), 57);
         let batches = expander_batches(&[60], 8, 37);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
         let recomputes_before = engine.recomputes();
         // Delete one expander edge with no parallel copy (so the deletion is
         // structural): the component stays connected, the sketch certifies
         // it, and no pipeline recompute runs.
         let mut copies = std::collections::HashMap::new();
-        for &(a, b) in &batches[0] {
+        let pairs: Vec<(u64, u64)> = batches[0].iter().map(|op| (op.u, op.v)).collect();
+        for &(a, b) in &pairs {
             *copies.entry((a.min(b), a.max(b))).or_insert(0u32) += 1;
         }
-        let (a, b) = batches[0]
+        let (a, b) = pairs
             .iter()
             .copied()
             .find(|&(a, b)| a != b && copies[&(a.min(b), a.max(b))] == 1)
@@ -1570,7 +1548,7 @@ mod tests {
     fn over_deletion_is_a_hard_error_that_leaves_the_engine_untouched() {
         let mut engine = IncrementalComponents::new(params(), 63);
         let batches = expander_batches(&[40], 8, 41);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
         let snapshot_before = engine.snapshot(1);
         let batches_before = engine.batches_applied();
         let edges_before = engine.num_edges();
@@ -1583,7 +1561,7 @@ mod tests {
             .apply_ops_batch(&[EdgeOp::delete(99_999, 0)])
             .is_err());
         // Double delete within one batch: the second has no live copy left.
-        let (a, b) = batches[0][0];
+        let (a, b) = (batches[0][0].u, batches[0][0].v);
         assert!(engine
             .apply_ops_batch(&[
                 EdgeOp::delete(a, b),
@@ -1611,8 +1589,8 @@ mod tests {
     fn delete_reinsert_cycles_keep_the_labelling_exact() {
         let mut engine = IncrementalComponents::new(params(), 67);
         let batches = expander_batches(&[50], 8, 43);
-        engine.apply_batch(&batches[0]).unwrap();
-        let (a, b) = batches[0][3];
+        engine.apply_ops_batch(&batches[0]).unwrap();
+        let (a, b) = (batches[0][3].u, batches[0][3].v);
         // Delete then reinsert the same edge across batches, twice.
         for _ in 0..2 {
             engine.apply_ops_batch(&[EdgeOp::delete(a, b)]).unwrap();
@@ -1635,7 +1613,7 @@ mod tests {
         let g = generators::planted_expander_components(&[30, 25], 8, &mut rng);
         let edges: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
         let mut engine = IncrementalComponents::new(params(), 73);
-        engine.apply_batch(&edges).unwrap();
+        engine.apply_ops_batch(&EdgeOp::inserts(&edges)).unwrap();
         // Delete a third of the edges (every third one), batched.
         let doomed: Vec<EdgeOp> = edges
             .iter()
@@ -1655,13 +1633,13 @@ mod tests {
     fn stats_accumulate_across_batches_and_context_upgrades() {
         let mut engine = IncrementalComponents::new(params(), 41);
         let batches = expander_batches(&[30, 40], 8, 19);
-        engine.apply_batch(&batches[0]).unwrap();
+        engine.apply_ops_batch(&batches[0]).unwrap();
         let after_first = engine.stats();
         assert!(after_first.total_rounds() > 2, "bootstrap ran the pipeline");
 
-        engine.apply_batch(&batches[1]).unwrap();
+        engine.apply_ops_batch(&batches[1]).unwrap();
         let bridge = vec![(0u64, 30u64)];
-        engine.apply_batch(&bridge).unwrap();
+        engine.apply_ops_batch(&EdgeOp::inserts(&bridge)).unwrap();
         let after_all = engine.stats();
         assert!(after_all.total_rounds() > after_first.total_rounds());
         assert!(

@@ -12,19 +12,11 @@
 //!   (the mapping is returned).
 //!
 //! **Binary chunks** — the streaming ingestion format: a batch schedule is a
-//! sequence of edge chunks, each decodable independently (so a simulated
+//! sequence of op chunks, each decodable independently (so a simulated
 //! cluster can fan the decode out chunk-by-chunk — see
-//! `wcc_mpc::stream::decode_edge_chunks`). Everything is little-endian:
-//!
-//! ```text
-//! file   := magic "WCCS" | version u32 | chunk*
-//! chunk  := payload_len u64 | payload          (payload_len in bytes)
-//! payload:= (src u64 | dst u64)*               (payload_len / 16 edges)
-//! ```
-//!
-//! **Version 2** makes the stream *turnstile*: every record carries a 1-byte
-//! op tag ahead of the endpoints, so a chunk can mix edge insertions and
-//! deletions:
+//! `wcc_mpc::stream::decode_op_chunks`). The stream is *turnstile*: every
+//! record carries a 1-byte op tag ahead of the endpoints, so a chunk can mix
+//! edge insertions and deletions. Everything is little-endian:
 //!
 //! ```text
 //! file   := magic "WCCS" | version=2 u32 | chunk*
@@ -33,12 +25,12 @@
 //! op     := 0 (insert) | 1 (delete)            (anything else is Corrupt)
 //! ```
 //!
-//! The op-aware readers ([`read_op_chunk_frames`], [`decode_op_chunk`],
-//! [`read_op_chunks`]) accept *both* versions — a version-1 stream decodes as
-//! all-insert ops, bit for bit the same edges the version-1 reader returns —
-//! while the version-1 readers ([`read_chunk_frames`] and friends) keep
-//! rejecting version 2, so existing consumers cannot silently misread signed
-//! streams as insert-only.
+//! **Version 1** is the same framing without the tag byte (16-byte
+//! `src u64 | dst u64` records, every one an insertion); nothing writes it,
+//! the readers accept it, so archived insert-only schedules keep replaying.
+//! There is one reader family ([`read_op_chunk_frames`], [`decode_op_chunk`],
+//! [`read_op_chunks`]) and one writer family ([`write_op_chunks`],
+//! [`OpChunkWriter`], [`pack_op_list`]).
 //!
 //! Vertex ids are raw `u64`s (not remapped); a clean EOF is only legal at a
 //! chunk boundary. Malformed input — wrong magic, a payload length that is
@@ -55,15 +47,15 @@ use crate::graph::{Graph, GraphBuilder};
 /// Magic bytes opening a binary chunk stream.
 pub const CHUNK_MAGIC: [u8; 4] = *b"WCCS";
 
-/// Version written by (and the only one accepted by) the insert-only
-/// reader/writer pair.
+/// The legacy insert-only format version (no op tag). Decode-only: the
+/// readers accept it, no writer emits it.
 pub const CHUNK_FORMAT_VERSION: u32 = 1;
 
-/// The turnstile format version: every record carries a 1-byte op tag.
-/// Written by the op writers; the op readers accept versions 1 and 2.
+/// The format version the writers emit: every record carries a 1-byte op
+/// tag. The readers accept versions 1 and 2.
 pub const CHUNK_FORMAT_VERSION_V2: u32 = 2;
 
-/// Bytes of one encoded edge: two little-endian `u64` endpoints.
+/// Bytes of one version-1 record: two little-endian `u64` endpoints.
 pub const CHUNK_BYTES_PER_EDGE: usize = 16;
 
 /// Bytes of one version-2 record: op tag + two little-endian `u64` endpoints.
@@ -121,6 +113,11 @@ impl EdgeOp {
             OpKind::Insert => OP_TAG_INSERT,
             OpKind::Delete => OP_TAG_DELETE,
         }
+    }
+
+    /// An insert-only batch: one insertion per edge, in order.
+    pub fn inserts(edges: &[(u64, u64)]) -> Vec<EdgeOp> {
+        edges.iter().map(|&(u, v)| EdgeOp::insert(u, v)).collect()
     }
 }
 
@@ -317,214 +314,22 @@ fn read_up_to<R: Read>(reader: &mut R, buf: &mut [u8]) -> std::io::Result<usize>
     Ok(filled)
 }
 
-/// Writes a sequence of edge batches as a binary chunk stream (see the
-/// module docs for the exact layout). One chunk per batch; vertex ids are
-/// written raw, without remapping.
-///
-/// # Errors
-///
-/// Returns any I/O error from the writer.
-pub fn write_edge_chunks<W: Write, C: AsRef<[(u64, u64)]>>(
-    chunks: &[C],
-    writer: W,
-) -> std::io::Result<()> {
-    let mut out = BufWriter::new(writer);
-    out.write_all(&CHUNK_MAGIC)?;
-    out.write_all(&CHUNK_FORMAT_VERSION.to_le_bytes())?;
-    for chunk in chunks {
-        let edges = chunk.as_ref();
-        let payload_len = (edges.len() as u64) * CHUNK_BYTES_PER_EDGE as u64;
-        out.write_all(&payload_len.to_le_bytes())?;
-        for &(u, v) in edges {
-            out.write_all(&u.to_le_bytes())?;
-            out.write_all(&v.to_le_bytes())?;
-        }
-    }
-    out.flush()
-}
-
-/// Writes a binary chunk stream to a file path.
-///
-/// # Errors
-///
-/// See [`write_edge_chunks`].
-pub fn write_edge_chunks_file<C: AsRef<[(u64, u64)]>>(
-    chunks: &[C],
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    write_edge_chunks(chunks, std::fs::File::create(path)?)
-}
-
-/// Incremental writer for the binary chunk stream: the file header goes out
-/// at construction and each [`ChunkWriter::write_chunk`] call appends one
-/// chunk, so a producer can emit an arbitrarily long schedule without ever
-/// materialising it — the streaming `wcc pack` holds one batch of edges at a
-/// time regardless of input size. Byte-for-byte identical output to
-/// [`write_edge_chunks`] fed the same batches.
-#[derive(Debug)]
-pub struct ChunkWriter<W: Write> {
-    out: BufWriter<W>,
-    chunks_written: usize,
-    edges_written: u64,
-}
-
-impl<W: Write> ChunkWriter<W> {
-    /// Starts a chunk stream: writes the magic + version header.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn new(writer: W) -> std::io::Result<Self> {
-        let mut out = BufWriter::new(writer);
-        out.write_all(&CHUNK_MAGIC)?;
-        out.write_all(&CHUNK_FORMAT_VERSION.to_le_bytes())?;
-        Ok(ChunkWriter {
-            out,
-            chunks_written: 0,
-            edges_written: 0,
-        })
-    }
-
-    /// Appends one chunk (one batch of raw-id edges, written verbatim).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn write_chunk(&mut self, edges: &[(u64, u64)]) -> std::io::Result<()> {
-        let payload_len = (edges.len() as u64) * CHUNK_BYTES_PER_EDGE as u64;
-        self.out.write_all(&payload_len.to_le_bytes())?;
-        for &(u, v) in edges {
-            self.out.write_all(&u.to_le_bytes())?;
-            self.out.write_all(&v.to_le_bytes())?;
-        }
-        self.chunks_written += 1;
-        self.edges_written += edges.len() as u64;
-        Ok(())
-    }
-
-    /// Chunks appended so far.
-    pub fn chunks_written(&self) -> usize {
-        self.chunks_written
-    }
-
-    /// Edges appended so far.
-    pub fn edges_written(&self) -> u64 {
-        self.edges_written
-    }
-
-    /// Flushes and returns `(chunks, edges)` written.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the final flush.
-    pub fn finish(mut self) -> std::io::Result<(usize, u64)> {
-        self.out.flush()?;
-        Ok((self.chunks_written, self.edges_written))
-    }
-}
-
-/// What a streaming [`pack_edge_list`] run produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackSummary {
-    /// Chunks written (one per `batch_size` edges, last one possibly short).
-    pub chunks: usize,
-    /// Edges written across all chunks.
-    pub edges: u64,
-}
-
-/// Streams a text edge list into the binary chunk format with bounded
-/// memory: lines are parsed through one reusable buffer, raw ids pass
-/// through verbatim (no interning, no graph build), and at most one
-/// `batch_size` batch of edges is resident at a time — packing a 10⁸-edge
-/// input holds a few megabytes, not the edge list. The output is
-/// byte-identical to materialising the whole edge list and calling
-/// [`write_edge_chunks`] on its `batch_size`-sized chunks.
-///
-/// # Errors
-///
-/// [`IoError::Parse`] (with the 1-based line number) on a malformed line,
-/// [`IoError::Io`] on read/write failures.
-///
-/// # Panics
-///
-/// Panics if `batch_size` is zero.
-pub fn pack_edge_list<R: BufRead, W: Write>(
-    mut reader: R,
-    writer: W,
-    batch_size: usize,
-) -> Result<PackSummary, IoError> {
-    assert!(batch_size > 0, "batch_size must be at least 1");
-    let mut out = ChunkWriter::new(writer)?;
-    let mut batch: Vec<(u64, u64)> = Vec::with_capacity(batch_size.min(1 << 20));
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let parse = |s: Option<&str>| -> Option<u64> { s.and_then(|x| x.parse().ok()) };
-        match (parse(parts.next()), parse(parts.next())) {
-            (Some(a), Some(b)) => {
-                batch.push((a, b));
-                if batch.len() == batch_size {
-                    out.write_chunk(&batch)?;
-                    batch.clear();
-                }
-            }
-            _ => {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    content: trimmed.to_string(),
-                })
-            }
-        }
-    }
-    if !batch.is_empty() {
-        out.write_chunk(&batch)?;
-    }
-    let (chunks, edges) = out.finish()?;
-    Ok(PackSummary { chunks, edges })
-}
-
-/// Reads the *framing* of a binary chunk stream: validates the file header
-/// and splits the stream into per-chunk payload byte buffers without decoding
-/// any edges. This is the sequential part of ingestion; the payloads are
-/// independently decodable with [`decode_edge_chunk`], which is what the
-/// executor-driven fan-out in `wcc_mpc::stream` parallelises over.
+/// Reads the *framing* of a chunk stream: validates the file header and
+/// splits the stream into per-chunk payload byte buffers without decoding any
+/// record. Accepts format versions 1 and 2 and returns the version alongside
+/// the payloads, so callers can hand each `(version, payload)` pair to
+/// [`decode_op_chunk`] — in parallel if they like (this scan is the only
+/// sequential part of ingestion; `wcc_mpc::stream` fans the decode out).
 ///
 /// # Errors
 ///
 /// [`IoError::BadMagic`] / [`IoError::UnsupportedVersion`] for a bad file
 /// header, [`IoError::Truncated`] when the stream ends mid-header or
 /// mid-payload, [`IoError::Corrupt`] for a payload length that is not a whole
-/// number of edges, and [`IoError::Io`] for underlying read failures.
-pub fn read_chunk_frames<R: Read>(reader: R) -> Result<Vec<Vec<u8>>, IoError> {
-    read_frames_impl(reader, &[CHUNK_FORMAT_VERSION]).map(|(_, frames)| frames)
-}
-
-/// Record size (in bytes) of each accepted format version.
-fn record_bytes_for(version: u32) -> usize {
-    match version {
-        CHUNK_FORMAT_VERSION => CHUNK_BYTES_PER_EDGE,
-        CHUNK_FORMAT_VERSION_V2 => CHUNK_BYTES_PER_OP,
-        other => unreachable!("version {other} filtered by the accept list"),
-    }
-}
-
-/// The shared framing reader: validates the header against `accepted`
-/// versions and splits the stream into payload buffers, checking each
-/// advertised length against the version's record size.
-fn read_frames_impl<R: Read>(
-    mut reader: R,
-    accepted: &[u32],
-) -> Result<(u32, Vec<Vec<u8>>), IoError> {
+/// number of the version's records ([`CHUNK_BYTES_PER_EDGE`] for version 1,
+/// [`CHUNK_BYTES_PER_OP`] for version 2), and [`IoError::Io`] for underlying
+/// read failures.
+pub fn read_op_chunk_frames<R: Read>(mut reader: R) -> Result<(u32, Vec<Vec<u8>>), IoError> {
     let mut header = [0u8; 8];
     let got = read_up_to(&mut reader, &mut header)?;
     if got < header.len() {
@@ -538,10 +343,11 @@ fn read_frames_impl<R: Read>(
         return Err(IoError::BadMagic);
     }
     let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if !accepted.contains(&version) {
-        return Err(IoError::UnsupportedVersion { version });
-    }
-    let record_bytes = record_bytes_for(version);
+    let record_bytes = match version {
+        CHUNK_FORMAT_VERSION => CHUNK_BYTES_PER_EDGE,
+        CHUNK_FORMAT_VERSION_V2 => CHUNK_BYTES_PER_OP,
+        _ => return Err(IoError::UnsupportedVersion { version }),
+    };
 
     let mut frames: Vec<Vec<u8>> = Vec::new();
     loop {
@@ -581,79 +387,12 @@ fn read_frames_impl<R: Read>(
     Ok((version, frames))
 }
 
-/// Reads the framing of a turnstile (or legacy insert-only) chunk stream:
-/// accepts format versions 1 and 2, returning the version alongside the
-/// per-chunk payload buffers so callers can hand each `(version, payload)`
-/// pair to [`decode_op_chunk`] — in parallel if they like.
-///
-/// # Errors
-///
-/// Same classes as [`read_chunk_frames`]; the multiple-of check uses the
-/// version's record size ([`CHUNK_BYTES_PER_EDGE`] for version 1,
-/// [`CHUNK_BYTES_PER_OP`] for version 2).
-pub fn read_op_chunk_frames<R: Read>(reader: R) -> Result<(u32, Vec<Vec<u8>>), IoError> {
-    read_frames_impl(reader, &[CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2])
-}
-
-/// Decodes one chunk payload (as framed by [`read_chunk_frames`]) into its
-/// edge list. Pure function of the bytes — safe to fan out over chunks in
-/// parallel. `chunk` is the chunk's index, used only for error reporting.
-///
-/// # Errors
-///
-/// Returns [`IoError::Corrupt`] if the payload is not a whole number of
-/// 16-byte edges.
-pub fn decode_edge_chunk(chunk: usize, payload: &[u8]) -> Result<Vec<(u64, u64)>, IoError> {
-    if !payload.len().is_multiple_of(CHUNK_BYTES_PER_EDGE) {
-        return Err(IoError::Corrupt {
-            chunk,
-            reason: format!(
-                "payload of {} bytes is not a multiple of {CHUNK_BYTES_PER_EDGE}",
-                payload.len()
-            ),
-        });
-    }
-    let mut edges = Vec::with_capacity(payload.len() / CHUNK_BYTES_PER_EDGE);
-    for pair in payload.chunks_exact(CHUNK_BYTES_PER_EDGE) {
-        let u = u64::from_le_bytes(pair[0..8].try_into().expect("8 bytes"));
-        let v = u64::from_le_bytes(pair[8..16].try_into().expect("8 bytes"));
-        edges.push((u, v));
-    }
-    Ok(edges)
-}
-
-/// Reads a whole binary chunk stream sequentially: [`read_chunk_frames`]
-/// followed by [`decode_edge_chunk`] on every frame, in order. (The parallel
-/// variant lives in `wcc_mpc::stream`, which fans the decode out through an
-/// `Executor`.)
-///
-/// # Errors
-///
-/// See [`read_chunk_frames`] and [`decode_edge_chunk`].
-pub fn read_edge_chunks<R: Read>(reader: R) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    read_chunk_frames(reader)?
-        .iter()
-        .enumerate()
-        .map(|(i, frame)| decode_edge_chunk(i, frame))
-        .collect()
-}
-
-/// Reads a binary chunk stream from a file path.
-///
-/// # Errors
-///
-/// See [`read_edge_chunks`].
-pub fn read_edge_chunks_file(path: &std::path::Path) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    read_edge_chunks(std::io::BufReader::new(std::fs::File::open(path)?))
-}
-
 /// Decodes one chunk payload (as framed by [`read_op_chunk_frames`]) into its
 /// op list. Pure function of `(version, bytes)` — safe to fan out over chunks
-/// in parallel. A version-1 payload decodes to all-insert ops carrying
-/// exactly the edges [`decode_edge_chunk`] would return; a version-2 payload
-/// is 17-byte records whose op tag must be [`OP_TAG_INSERT`] or
-/// [`OP_TAG_DELETE`]. `chunk` is the chunk's index, used only for error
-/// reporting.
+/// in parallel. A version-2 payload is 17-byte records whose op tag must be
+/// [`OP_TAG_INSERT`] or [`OP_TAG_DELETE`]; a version-1 payload is 16-byte
+/// untagged records, each decoded as an insertion. `chunk` is the chunk's
+/// index, used only for error reporting.
 ///
 /// # Errors
 ///
@@ -661,10 +400,22 @@ pub fn read_edge_chunks_file(path: &std::path::Path) -> Result<Vec<Vec<(u64, u64
 /// version is not 1 or 2, or a record carries an unknown op tag.
 pub fn decode_op_chunk(version: u32, chunk: usize, payload: &[u8]) -> Result<Vec<EdgeOp>, IoError> {
     match version {
-        CHUNK_FORMAT_VERSION => Ok(decode_edge_chunk(chunk, payload)?
-            .into_iter()
-            .map(|(u, v)| EdgeOp::insert(u, v))
-            .collect()),
+        CHUNK_FORMAT_VERSION => {
+            if !payload.len().is_multiple_of(CHUNK_BYTES_PER_EDGE) {
+                return Err(IoError::Corrupt {
+                    chunk,
+                    reason: format!(
+                        "payload of {} bytes is not a multiple of {CHUNK_BYTES_PER_EDGE}",
+                        payload.len()
+                    ),
+                });
+            }
+            let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+            Ok(payload
+                .chunks_exact(CHUNK_BYTES_PER_EDGE)
+                .map(|bytes| EdgeOp::insert(word(&bytes[..8]), word(&bytes[8..])))
+                .collect())
+        }
         CHUNK_FORMAT_VERSION_V2 => {
             if !payload.len().is_multiple_of(CHUNK_BYTES_PER_OP) {
                 return Err(IoError::Corrupt {
@@ -700,8 +451,9 @@ pub fn decode_op_chunk(version: u32, chunk: usize, payload: &[u8]) -> Result<Vec
     }
 }
 
-/// Writes a sequence of op batches as a version-2 binary chunk stream. One
-/// chunk per batch; vertex ids are written raw.
+/// Writes a sequence of op batches as a binary chunk stream (see the module
+/// docs for the exact layout). One chunk per batch; vertex ids are written
+/// raw, without remapping.
 ///
 /// # Errors
 ///
@@ -717,7 +469,7 @@ pub fn write_op_chunks<W: Write, C: AsRef<[EdgeOp]>>(
     out.finish().map(|_| ())
 }
 
-/// Writes a version-2 binary chunk stream to a file path.
+/// Writes a binary chunk stream to a file path.
 ///
 /// # Errors
 ///
@@ -729,10 +481,12 @@ pub fn write_op_chunks_file<C: AsRef<[EdgeOp]>>(
     write_op_chunks(chunks, std::fs::File::create(path)?)
 }
 
-/// Incremental writer for the version-2 (turnstile) chunk stream — the op
-/// counterpart of [`ChunkWriter`], with the same bounded-memory contract:
-/// byte-for-byte identical output to [`write_op_chunks`] fed the same
-/// batches.
+/// Incremental writer for the binary chunk stream: the file header goes out
+/// at construction and each [`OpChunkWriter::write_chunk`] call appends one
+/// chunk, so a producer can emit an arbitrarily long schedule without ever
+/// materialising it — the streaming `wcc pack` holds one batch of ops at a
+/// time regardless of input size. Byte-for-byte identical output to
+/// [`write_op_chunks`] fed the same batches.
 #[derive(Debug)]
 pub struct OpChunkWriter<W: Write> {
     out: BufWriter<W>,
@@ -741,7 +495,7 @@ pub struct OpChunkWriter<W: Write> {
 }
 
 impl<W: Write> OpChunkWriter<W> {
-    /// Starts a version-2 chunk stream: writes the magic + version header.
+    /// Starts a chunk stream: writes the magic + version header.
     ///
     /// # Errors
     ///
@@ -796,8 +550,23 @@ impl<W: Write> OpChunkWriter<W> {
     }
 }
 
-/// Streams a text op list into the version-2 chunk format with bounded
-/// memory — the turnstile counterpart of [`pack_edge_list`]. Line grammar:
+/// What a streaming [`pack_op_list`] run produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackSummary {
+    /// Chunks written (one per `batch_size` ops, last one possibly short).
+    pub chunks: usize,
+    /// Ops written across all chunks.
+    pub edges: u64,
+}
+
+/// Streams a text edge or op list into the binary chunk format with bounded
+/// memory: lines are parsed through one reusable buffer, raw ids pass
+/// through verbatim (no interning, no graph build), and at most one
+/// `batch_size` batch of ops is resident at a time — packing a 10⁸-edge
+/// input holds a few megabytes, not the edge list. The output is
+/// byte-identical to materialising the whole op list and calling
+/// [`write_op_chunks`] on its `batch_size`-sized chunks. Line grammar (a
+/// plain edge list is an all-insert op list):
 ///
 /// * `u v` or `+ u v` — insert edge `{u, v}`;
 /// * `- u v` — delete edge `{u, v}`;
@@ -867,10 +636,10 @@ pub fn pack_op_list<R: BufRead, W: Write>(
     Ok(PackSummary { chunks, edges: ops })
 }
 
-/// Reads a whole turnstile chunk stream sequentially: [`read_op_chunk_frames`]
-/// followed by [`decode_op_chunk`] on every frame, in order. Accepts format
-/// versions 1 (decoded as all-insert ops) and 2. (The parallel variant lives
-/// in `wcc_mpc::stream`.)
+/// Reads a whole chunk stream sequentially: [`read_op_chunk_frames`] followed
+/// by [`decode_op_chunk`] on every frame, in order. Accepts format versions 1
+/// (decoded as all-insert ops) and 2. (The parallel variant lives in
+/// `wcc_mpc::stream`, which fans the decode out through an `Executor`.)
 ///
 /// # Errors
 ///
@@ -884,7 +653,7 @@ pub fn read_op_chunks<R: Read>(reader: R) -> Result<Vec<Vec<EdgeOp>>, IoError> {
         .collect()
 }
 
-/// Reads a turnstile chunk stream from a file path.
+/// Reads a chunk stream from a file path.
 ///
 /// # Errors
 ///
@@ -1037,209 +806,32 @@ mod tests {
 
     // --- binary chunk format --------------------------------------------
 
-    #[test]
-    fn chunk_round_trip_preserves_batches_exactly() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 1), (1, 2), (2, 0)],
-            vec![],
-            vec![(u64::MAX, 0), (7, 7)],
-        ];
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8 + 3 * 8 + 5 * CHUNK_BYTES_PER_EDGE);
-        let back = read_edge_chunks(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(back, chunks);
-    }
-
-    #[test]
-    fn empty_chunk_stream_round_trips() {
-        let chunks: Vec<Vec<(u64, u64)>> = Vec::new();
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8); // header only
-        assert!(read_edge_chunks(std::io::Cursor::new(buf))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn bad_magic_and_version_are_rejected() {
-        let err =
-            read_edge_chunks(std::io::Cursor::new(b"NOPE\x01\x00\x00\x00".to_vec())).unwrap_err();
-        assert!(matches!(err, IoError::BadMagic), "got {err}");
-
-        let mut versioned = CHUNK_MAGIC.to_vec();
-        versioned.extend_from_slice(&99u32.to_le_bytes());
-        let err = read_edge_chunks(std::io::Cursor::new(versioned)).unwrap_err();
-        assert!(
-            matches!(err, IoError::UnsupportedVersion { version: 99 }),
-            "got {err}"
-        );
-    }
-
-    #[test]
-    fn truncation_anywhere_is_an_error_not_a_panic() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![vec![(1, 2), (3, 4)], vec![(5, 6)]];
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        // Every proper prefix that is not a chunk boundary must error; the
-        // boundaries themselves (header end, after chunk 0, after chunk 1)
-        // are clean EOFs.
-        let boundaries = [8, 8 + 8 + 32, buf.len()];
-        for cut in 0..buf.len() {
-            let result = read_edge_chunks(std::io::Cursor::new(buf[..cut].to_vec()));
-            if boundaries.contains(&cut) {
-                assert!(result.is_ok(), "cut at {cut} should be a clean boundary");
-            } else {
-                assert!(
-                    matches!(result, Err(IoError::Truncated { .. })),
-                    "cut at {cut} should be Truncated"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn non_edge_aligned_payload_length_is_corrupt() {
+    /// Version-1 bytes for an insert-only schedule. No writer emits version 1
+    /// any more (the readers still accept it), so the tests assemble it here.
+    fn encode_v1(chunks: &[Vec<(u64, u64)>]) -> Vec<u8> {
         let mut buf = CHUNK_MAGIC.to_vec();
         buf.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&15u64.to_le_bytes()); // not a multiple of 16
-        buf.extend_from_slice(&[0u8; 15]);
-        let err = read_edge_chunks(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(err, IoError::Corrupt { chunk: 0, .. }),
-            "got {err}"
-        );
-    }
-
-    #[test]
-    fn absurd_advertised_length_fails_without_allocating_it() {
-        let mut buf = CHUNK_MAGIC.to_vec();
-        buf.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
-        // Advertise ~2^60 bytes (a multiple of 16), supply none.
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        let err = read_edge_chunks(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                IoError::Truncated {
-                    chunk: 0,
-                    got_bytes: 0,
-                    ..
-                }
-            ),
-            "got {err}"
-        );
-    }
-
-    #[test]
-    fn decode_edge_chunk_matches_the_framed_reader() {
-        let chunks = vec![vec![(10u64, 20u64), (30, 40)]];
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        let frames = read_chunk_frames(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(decode_edge_chunk(0, &frames[0]).unwrap(), chunks[0]);
-        // A mis-sized payload handed straight to the decoder also errors.
-        assert!(matches!(
-            decode_edge_chunk(3, &frames[0][..15]),
-            Err(IoError::Corrupt { chunk: 3, .. })
-        ));
-    }
-
-    #[test]
-    fn chunk_writer_matches_the_batch_writer_byte_for_byte() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 1), (1, 2), (2, 0)],
-            vec![],
-            vec![(u64::MAX, 0), (7, 7)],
-        ];
-        let mut batched = Vec::new();
-        write_edge_chunks(&chunks, &mut batched).unwrap();
-        let mut streamed = Vec::new();
-        let mut writer = ChunkWriter::new(&mut streamed).unwrap();
-        for chunk in &chunks {
-            writer.write_chunk(chunk).unwrap();
+        for chunk in chunks {
+            buf.extend_from_slice(&((chunk.len() * CHUNK_BYTES_PER_EDGE) as u64).to_le_bytes());
+            for &(u, v) in chunk {
+                buf.extend_from_slice(&u.to_le_bytes());
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
-        assert_eq!(writer.finish().unwrap(), (3, 5));
-        assert_eq!(streamed, batched);
+        buf
     }
 
-    #[test]
-    fn streaming_pack_matches_materialise_then_chunk() {
-        // A text edge list with comments, sparse raw ids and a ragged tail.
-        let text = "# header\n5 6\n6 7\n% mid comment\n7 5\n100 5\n\n5 100\n42 42\n9 100\n";
-        let batch_size = 3;
-
-        // Reference: materialise every edge (raw ids, file order), chunk.
-        let mut raw = Vec::new();
-        for line in text.lines() {
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-                continue;
-            }
-            let mut it = t.split_whitespace();
-            let u: u64 = it.next().unwrap().parse().unwrap();
-            let v: u64 = it.next().unwrap().parse().unwrap();
-            raw.push((u, v));
-        }
-        let reference_chunks: Vec<&[(u64, u64)]> = raw.chunks(batch_size).collect();
-        let mut reference = Vec::new();
-        write_edge_chunks(&reference_chunks, &mut reference).unwrap();
-
-        let mut streamed = Vec::new();
-        let summary =
-            pack_edge_list(std::io::Cursor::new(text), &mut streamed, batch_size).unwrap();
-        assert_eq!(streamed, reference);
-        assert_eq!(
-            summary,
-            PackSummary {
-                chunks: 3,
-                edges: 7
-            }
-        );
-
-        // The packed stream decodes back to the same edge multiset, order
-        // preserved.
-        let decoded: Vec<(u64, u64)> = read_edge_chunks(std::io::Cursor::new(streamed))
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(decoded, raw);
+    /// One insert-only schedule in both formats, as `(record bytes, stream)`:
+    /// the framing checks below must hold for either.
+    fn both_versions(chunks: &[Vec<(u64, u64)>]) -> [(usize, Vec<u8>); 2] {
+        let ops: Vec<Vec<EdgeOp>> = chunks.iter().map(|c| EdgeOp::inserts(c)).collect();
+        let mut v2 = Vec::new();
+        write_op_chunks(&ops, &mut v2).unwrap();
+        [
+            (CHUNK_BYTES_PER_EDGE, encode_v1(chunks)),
+            (CHUNK_BYTES_PER_OP, v2),
+        ]
     }
-
-    #[test]
-    fn streaming_pack_reports_parse_errors_with_line_numbers() {
-        let mut out = Vec::new();
-        let err = pack_edge_list(std::io::Cursor::new("1 2\nbroken\n"), &mut out, 4).unwrap_err();
-        match err {
-            IoError::Parse { line, content } => {
-                assert_eq!(line, 2);
-                assert_eq!(content, "broken");
-            }
-            other => panic!("expected a parse error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn streaming_pack_of_empty_input_writes_a_header_only_stream() {
-        let mut out = Vec::new();
-        let summary =
-            pack_edge_list(std::io::Cursor::new("# only comments\n"), &mut out, 4).unwrap();
-        assert_eq!(
-            summary,
-            PackSummary {
-                chunks: 0,
-                edges: 0
-            }
-        );
-        assert!(read_edge_chunks(std::io::Cursor::new(out))
-            .unwrap()
-            .is_empty());
-    }
-
-    // --- version-2 (turnstile) chunk format ------------------------------
 
     #[test]
     fn op_chunk_round_trip_preserves_batches_exactly() {
@@ -1260,36 +852,128 @@ mod tests {
     }
 
     #[test]
-    fn v1_streams_decode_through_the_op_reader_as_inserts() {
-        let chunks: Vec<Vec<(u64, u64)>> = vec![vec![(1, 2), (3, 4)], vec![], vec![(5, 6)]];
+    fn empty_chunk_stream_round_trips() {
+        let chunks: Vec<Vec<EdgeOp>> = Vec::new();
         let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        let (version, frames) = read_op_chunk_frames(std::io::Cursor::new(buf.clone())).unwrap();
+        write_op_chunks(&chunks, &mut buf).unwrap();
+        assert_eq!(buf.len(), 8); // header only
+        assert_eq!(buf[4..8], CHUNK_FORMAT_VERSION_V2.to_le_bytes());
+        assert!(read_op_chunks(std::io::Cursor::new(buf))
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn v1_streams_decode_through_the_op_reader_as_inserts() {
+        let chunks: Vec<Vec<(u64, u64)>> =
+            vec![vec![(1, 2), (3, 4)], vec![], vec![(u64::MAX, 0), (7, 7)]];
+        let buf = encode_v1(&chunks);
+        assert_eq!(buf.len(), 8 + 3 * 8 + 4 * CHUNK_BYTES_PER_EDGE);
+        let (version, frames) = read_op_chunk_frames(std::io::Cursor::new(&buf)).unwrap();
         assert_eq!(version, CHUNK_FORMAT_VERSION);
-        let legacy_frames = read_chunk_frames(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(frames, legacy_frames, "framing must be byte-identical");
+        assert_eq!(frames.len(), chunks.len());
         for (i, frame) in frames.iter().enumerate() {
-            let ops = decode_op_chunk(version, i, frame).unwrap();
-            let edges: Vec<(u64, u64)> = ops
-                .iter()
-                .map(|op| {
-                    assert_eq!(op.kind, OpKind::Insert);
-                    (op.u, op.v)
-                })
-                .collect();
-            assert_eq!(edges, chunks[i]);
+            assert_eq!(
+                decode_op_chunk(version, i, frame).unwrap(),
+                EdgeOp::inserts(&chunks[i])
+            );
+        }
+        let expect: Vec<Vec<EdgeOp>> = chunks.iter().map(|c| EdgeOp::inserts(c)).collect();
+        assert_eq!(read_op_chunks(std::io::Cursor::new(buf)).unwrap(), expect);
+    }
+
+    #[test]
+    fn bad_magic_and_version_are_rejected() {
+        let err =
+            read_op_chunks(std::io::Cursor::new(b"NOPE\x01\x00\x00\x00".to_vec())).unwrap_err();
+        assert!(matches!(err, IoError::BadMagic), "got {err}");
+
+        for bad in [0u32, 3, 99] {
+            let mut versioned = CHUNK_MAGIC.to_vec();
+            versioned.extend_from_slice(&bad.to_le_bytes());
+            let err = read_op_chunks(std::io::Cursor::new(versioned)).unwrap_err();
+            assert!(
+                matches!(err, IoError::UnsupportedVersion { version } if version == bad),
+                "got {err}"
+            );
         }
     }
 
     #[test]
-    fn v1_readers_keep_rejecting_v2_streams() {
-        let mut buf = Vec::new();
-        write_op_chunks(&[vec![EdgeOp::insert(1, 2)]], &mut buf).unwrap();
-        let err = read_edge_chunks(std::io::Cursor::new(buf)).unwrap_err();
+    fn truncation_anywhere_is_an_error_not_a_panic() {
+        let chunks: Vec<Vec<(u64, u64)>> = vec![vec![(1, 2), (3, 4)], vec![(5, 6)]];
+        for (record, buf) in both_versions(&chunks) {
+            // Every proper prefix that is not a chunk boundary must error; the
+            // boundaries themselves (header end, after chunk 0, after chunk 1)
+            // are clean EOFs.
+            let boundaries = [8, 8 + 8 + 2 * record, buf.len()];
+            for cut in 0..buf.len() {
+                let result = read_op_chunks(std::io::Cursor::new(buf[..cut].to_vec()));
+                if boundaries.contains(&cut) {
+                    assert!(
+                        result.is_ok(),
+                        "record={record}: cut at {cut} should be a clean boundary"
+                    );
+                } else {
+                    assert!(
+                        matches!(result, Err(IoError::Truncated { .. })),
+                        "record={record}: cut at {cut} should be Truncated"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_edge_aligned_payload_length_is_corrupt() {
+        let mut buf = CHUNK_MAGIC.to_vec();
+        buf.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&15u64.to_le_bytes()); // not a multiple of 16
+        buf.extend_from_slice(&[0u8; 15]);
+        let err = read_op_chunks(std::io::Cursor::new(buf)).unwrap_err();
         assert!(
-            matches!(err, IoError::UnsupportedVersion { version: 2 }),
+            matches!(err, IoError::Corrupt { chunk: 0, .. }),
             "got {err}"
         );
+        // A mis-sized payload handed straight to the decoder also errors.
+        assert!(matches!(
+            decode_op_chunk(CHUNK_FORMAT_VERSION, 3, &[0u8; 15]),
+            Err(IoError::Corrupt { chunk: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn v2_payload_lengths_are_checked_against_the_op_record_size() {
+        let mut buf = CHUNK_MAGIC.to_vec();
+        buf.extend_from_slice(&CHUNK_FORMAT_VERSION_V2.to_le_bytes());
+        buf.extend_from_slice(&16u64.to_le_bytes()); // multiple of 16, not 17
+        buf.extend_from_slice(&[0u8; 16]);
+        let err = read_op_chunks(std::io::Cursor::new(buf)).unwrap_err();
+        assert!(
+            matches!(err, IoError::Corrupt { chunk: 0, .. }),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn absurd_advertised_length_fails_without_allocating_it() {
+        for (record, stream) in both_versions(&[]) {
+            // Advertise ~2^60 bytes (a whole number of records), supply none.
+            let mut buf = stream;
+            buf.extend_from_slice(&((record as u64) << 56).to_le_bytes());
+            let err = read_op_chunks(std::io::Cursor::new(buf)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    IoError::Truncated {
+                        chunk: 0,
+                        got_bytes: 0,
+                        ..
+                    }
+                ),
+                "record={record}: got {err}"
+            );
+        }
     }
 
     #[test]
@@ -1312,19 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_payload_lengths_are_checked_against_the_op_record_size() {
-        let mut buf = CHUNK_MAGIC.to_vec();
-        buf.extend_from_slice(&CHUNK_FORMAT_VERSION_V2.to_le_bytes());
-        buf.extend_from_slice(&16u64.to_le_bytes()); // multiple of 16, not 17
-        buf.extend_from_slice(&[0u8; 16]);
-        let err = read_op_chunks(std::io::Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(err, IoError::Corrupt { chunk: 0, .. }),
-            "got {err}"
-        );
-    }
-
-    #[test]
     fn op_chunk_writer_matches_the_batch_writer_byte_for_byte() {
         let chunks: Vec<Vec<EdgeOp>> = vec![
             vec![EdgeOp::insert(0, 1)],
@@ -1340,6 +1011,62 @@ mod tests {
         }
         assert_eq!(writer.finish().unwrap(), (3, 3));
         assert_eq!(streamed, batched);
+    }
+
+    #[test]
+    fn streaming_pack_matches_materialise_then_chunk() {
+        // A text edge list with comments, sparse raw ids and a ragged tail.
+        let text = "# header\n5 6\n6 7\n% mid comment\n7 5\n100 5\n\n5 100\n42 42\n9 100\n";
+        let batch_size = 3;
+
+        // Reference: materialise every edge (raw ids, file order), chunk.
+        let raw = EdgeOp::inserts(&[
+            (5, 6),
+            (6, 7),
+            (7, 5),
+            (100, 5),
+            (5, 100),
+            (42, 42),
+            (9, 100),
+        ]);
+        let reference_chunks: Vec<&[EdgeOp]> = raw.chunks(batch_size).collect();
+        let mut reference = Vec::new();
+        write_op_chunks(&reference_chunks, &mut reference).unwrap();
+
+        let mut streamed = Vec::new();
+        let summary = pack_op_list(std::io::Cursor::new(text), &mut streamed, batch_size).unwrap();
+        assert_eq!(streamed, reference);
+        assert_eq!(
+            summary,
+            PackSummary {
+                chunks: 3,
+                edges: 7
+            }
+        );
+
+        // The packed stream decodes back to the same op sequence.
+        let decoded: Vec<EdgeOp> = read_op_chunks(std::io::Cursor::new(streamed))
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(decoded, raw);
+    }
+
+    #[test]
+    fn streaming_pack_of_empty_input_writes_a_header_only_stream() {
+        let mut out = Vec::new();
+        let summary = pack_op_list(std::io::Cursor::new("# only comments\n"), &mut out, 4).unwrap();
+        assert_eq!(
+            summary,
+            PackSummary {
+                chunks: 0,
+                edges: 0
+            }
+        );
+        assert!(read_op_chunks(std::io::Cursor::new(out))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1367,17 +1094,20 @@ mod tests {
 
     #[test]
     fn pack_op_list_rejects_malformed_lines() {
-        for bad in ["- 1\n", "+ a b\n", "-1 2 extra-is-ok\n"] {
+        // (input, 1-based line of the error, offending content). "-1" is not
+        // the `-` token, and not a u64 either.
+        for (bad, want_line, want_content) in [
+            ("1 2\nbroken\n", 2, "broken"),
+            ("- 1\n", 1, "- 1"),
+            ("+ a b\n", 1, "+ a b"),
+            ("# ok\n\n  -1 2 \n", 3, "-1 2"),
+        ] {
             let mut out = Vec::new();
-            let res = pack_op_list(std::io::Cursor::new(bad), &mut out, 4);
-            if bad.starts_with("-1") {
-                // "-1" is not the `-` token, and not a u64: parse error too.
-                assert!(matches!(res, Err(IoError::Parse { line: 1, .. })));
-            } else {
-                assert!(
-                    matches!(res, Err(IoError::Parse { line: 1, .. })),
-                    "input {bad:?} gave {res:?}"
-                );
+            match pack_op_list(std::io::Cursor::new(bad), &mut out, 4) {
+                Err(IoError::Parse { line, content }) => {
+                    assert_eq!((line, content.as_str()), (want_line, want_content));
+                }
+                other => panic!("input {bad:?} gave {other:?}"),
             }
         }
     }
@@ -1390,18 +1120,6 @@ mod tests {
         let chunks: Vec<Vec<EdgeOp>> = vec![vec![EdgeOp::insert(1, 2)], vec![EdgeOp::delete(1, 2)]];
         write_op_chunks_file(&chunks, &path).unwrap();
         assert_eq!(read_op_chunks_file(&path).unwrap(), chunks);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_round_trip_for_chunks() {
-        let dir = std::env::temp_dir().join(format!("wcc_io_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("batches.wccs");
-        let chunks: Vec<Vec<(u64, u64)>> = vec![vec![(1, 2)], vec![(3, 4), (5, 6)]];
-        write_edge_chunks_file(&chunks, &path).unwrap();
-        let back = read_edge_chunks_file(&path).unwrap();
-        assert_eq!(back, chunks);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

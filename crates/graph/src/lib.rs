@@ -37,12 +37,9 @@ pub mod view;
 pub use crate::components::{connected_components, ComponentLabels, UnionFind};
 pub use crate::graph::{Graph, GraphBuilder, GraphError};
 pub use crate::io::{
-    decode_edge_chunk, decode_op_chunk, pack_edge_list, pack_op_list, read_chunk_frames,
-    read_edge_chunks, read_edge_chunks_file, read_edge_list, read_edge_list_file,
-    read_edge_list_sized, read_op_chunk_frames, read_op_chunks, read_op_chunks_file,
-    write_edge_chunks, write_edge_chunks_file, write_edge_list, write_op_chunks,
-    write_op_chunks_file, ChunkWriter, EdgeOp, IoError, LoadedGraph, OpChunkWriter, OpKind,
-    PackSummary,
+    decode_op_chunk, pack_op_list, read_edge_list, read_edge_list_file, read_edge_list_sized,
+    read_op_chunk_frames, read_op_chunks, read_op_chunks_file, write_edge_list, write_op_chunks,
+    write_op_chunks_file, EdgeOp, IoError, LoadedGraph, OpChunkWriter, OpKind, PackSummary,
 };
 pub use crate::partition::Partition;
 pub use crate::view::{AdjacencyView, LazyView};
@@ -53,11 +50,9 @@ pub mod prelude {
     pub use crate::generators;
     pub use crate::graph::{Graph, GraphBuilder, GraphError};
     pub use crate::io::{
-        decode_edge_chunk, decode_op_chunk, pack_edge_list, pack_op_list, read_chunk_frames,
-        read_edge_chunks, read_edge_chunks_file, read_edge_list, read_edge_list_file,
-        read_edge_list_sized, read_op_chunk_frames, read_op_chunks, read_op_chunks_file,
-        write_edge_chunks, write_edge_chunks_file, write_edge_list, write_op_chunks,
-        write_op_chunks_file, ChunkWriter, EdgeOp, IoError, LoadedGraph, OpChunkWriter, OpKind,
+        decode_op_chunk, pack_op_list, read_edge_list, read_edge_list_file, read_edge_list_sized,
+        read_op_chunk_frames, read_op_chunks, read_op_chunks_file, write_edge_list,
+        write_op_chunks, write_op_chunks_file, EdgeOp, IoError, LoadedGraph, OpChunkWriter, OpKind,
         PackSummary,
     };
     pub use crate::partition::Partition;

@@ -1,21 +1,21 @@
-//! Move and scatter primitives for the flat tuple arena.
+//! Placement primitives for the flat tuple arena.
 //!
-//! This module holds the **only** unsafe code in the crate (the crate root is
-//! `#![deny(unsafe_code)]` with a targeted allow here). Everything in it
-//! implements one pattern: a set of workers, each owning a *disjoint* slice
-//! of the index space, moves (or clones) elements from a source buffer into
-//! predetermined disjoint positions of a preallocated destination buffer.
-//! Safe Rust cannot express "many threads write disjoint computed positions
-//! of one vector" without either per-worker staging vectors (the
-//! clone-into-buckets layout this refactor removes) or interior-mutability
-//! wrappers that cost a word per element, so the three entry points below
-//! are built on raw pointers with the disjointness argument spelled out at
-//! every unsafe block.
+//! This module holds the crate's unsafe code outside the worker pool (the
+//! crate root is `#![deny(unsafe_code)]` with a targeted allow here). Its two
+//! entry points implement one pattern: a set of workers, each owning a
+//! *disjoint* slice of the index space, moves ([`permute_owned`]) or clones
+//! ([`scatter_cloned`]) elements from a source buffer into predetermined
+//! disjoint positions of a preallocated destination buffer. Safe Rust cannot
+//! express "many threads write disjoint computed positions of one vector"
+//! without either per-worker staging vectors (the clone-into-buckets layout
+//! the arena replaced) or interior-mutability wrappers that cost a word per
+//! element, so both are built on raw pointers with the disjointness argument
+//! spelled out at every unsafe block.
 //!
-//! Invariants shared by all entry points:
+//! Invariants shared by both entry points:
 //!
-//! * source buffers are consumed by `ptr::read` exactly once per element —
-//!   the source `Vec`'s length is set to zero *before* any worker runs, so a
+//! * a consumed source buffer is read by `ptr::read` exactly once per element
+//!   — the source `Vec`'s length is set to zero *before* any worker runs, so a
 //!   panic can only leak elements (safe), never double-drop them;
 //! * destination buffers are `Vec<MaybeUninit<T>>`, fully initialised by the
 //!   workers (each position written exactly once) and only then converted to
@@ -127,35 +127,9 @@ pub(crate) fn permute_owned<T: Send>(
     assume_init_vec(out)
 }
 
-/// Consumes `src` element-wise through `f`, in parallel, preserving order:
-/// `out[i] = f(src[i])` with every `T` moved (not cloned) into `f`.
-#[allow(unsafe_code)]
-pub(crate) fn map_owned<T: Send, U: Send, F>(executor: &Executor, mut src: Vec<T>, f: F) -> Vec<U>
-where
-    F: Fn(T) -> U + Sync,
-{
-    let n = src.len();
-    let mut out = uninit_vec::<U>(n);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let src_ptr = SendPtr(src.as_mut_ptr());
-    // SAFETY: as in `permute_owned` — length zeroed before any read.
-    unsafe { src.set_len(0) };
-    executor.run_spans(&executor.element_spans(n), |_w, range| {
-        for i in range {
-            // SAFETY: disjoint ranges — index `i` is read and written exactly
-            // once, and both buffers outlive the joined scope.
-            unsafe {
-                let t = src_ptr.get().add(i).read();
-                out_ptr.get().add(i).cast::<U>().write(f(t));
-            }
-        }
-    });
-    assume_init_vec(out)
-}
-
 /// Debug-only validation that `cursors` (a flat worker-major table of
 /// stride `num_dests`) are the exclusive prefix sums of the per-range
-/// destination histograms of `dests` — the invariant that makes the scatters
+/// destination histograms of `dests` — the invariant that makes the scatter
 /// below write every output slot exactly once.
 #[cfg(debug_assertions)]
 fn debug_check_scatter_plan(
@@ -206,116 +180,15 @@ fn debug_check_scatter_plan(
 ) {
 }
 
-/// The scatter half of the counting shuffle, moving elements: worker `w`
-/// walks `ranges[w]` in order and writes element `i` to the next free slot
-/// of its destination's cursor window. `cursors` is a flat worker-major
-/// table of stride `num_dests` (`cursors[w * num_dests + d]` = worker `w`'s
-/// exclusive-prefix-sum write cursor for destination `d`); each worker
-/// advances **its own row in place**, so the table — typically scratch
+/// The scatter half of the counting shuffle, cloning out of a borrowed
+/// source: worker `w` walks `ranges[w]` in order and writes element `i` to the
+/// next free slot of its destination's cursor window. `cursors` is a flat
+/// worker-major table of stride `num_dests` (`cursors[w * num_dests + d]` =
+/// worker `w`'s exclusive-prefix-sum write cursor for destination `d`); each
+/// worker advances **its own row in place**, so the table — typically scratch
 /// reused across shuffles — is never cloned. The cursor windows partition
 /// `0..src.len()` (checked in debug builds), so every output slot is
 /// written exactly once.
-#[allow(unsafe_code)]
-pub(crate) fn scatter_owned<T: Send>(
-    executor: &Executor,
-    mut src: Vec<T>,
-    dests: &[usize],
-    ranges: &[Range<usize>],
-    cursors: &mut [usize],
-    num_dests: usize,
-) -> Vec<T> {
-    let n = src.len();
-    assert_eq!(dests.len(), n, "one destination per element required");
-    assert_eq!(
-        ranges.len() * num_dests,
-        cursors.len(),
-        "one cursor row per range"
-    );
-    debug_check_scatter_plan(dests, ranges, cursors, num_dests);
-    let mut out = uninit_vec::<T>(n);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let src_ptr = SendPtr(src.as_mut_ptr());
-    let cursor_ptr = SendPtr(cursors.as_mut_ptr());
-    // SAFETY: as in `permute_owned` — length zeroed before any read.
-    unsafe { src.set_len(0) };
-    executor.run_spans(ranges, |w, range| {
-        // SAFETY: worker `w` touches only its own stride-`num_dests` cursor
-        // row (rows are disjoint across workers), and the table outlives the
-        // joined scope.
-        let cursor = unsafe {
-            std::slice::from_raw_parts_mut(cursor_ptr.get().add(w * num_dests), num_dests)
-        };
-        for i in range {
-            let slot = cursor[dests[i]];
-            cursor[dests[i]] += 1;
-            // SAFETY: ranges are disjoint (each `src[i]` read once) and the
-            // cursor windows partition the output (each slot written once);
-            // both buffers outlive the joined scope.
-            unsafe {
-                let t = src_ptr.get().add(i).read();
-                out_ptr.get().add(slot).cast::<T>().write(t);
-            }
-        }
-    });
-    assume_init_vec(out)
-}
-
-/// Like [`scatter_owned`] but applying `f` to each element as it moves:
-/// `out[slot(i)] = f(src[i])`. This is the fused map+shuffle superstep — the
-/// element is transformed in the single pass that relocates it, so no
-/// intermediate arena of mapped-but-unshuffled tuples is ever materialised.
-#[allow(unsafe_code)]
-pub(crate) fn scatter_map_owned<T: Send, U: Send, F>(
-    executor: &Executor,
-    mut src: Vec<T>,
-    dests: &[usize],
-    ranges: &[Range<usize>],
-    cursors: &mut [usize],
-    num_dests: usize,
-    f: F,
-) -> Vec<U>
-where
-    F: Fn(T) -> U + Sync,
-{
-    let n = src.len();
-    assert_eq!(dests.len(), n, "one destination per element required");
-    assert_eq!(
-        ranges.len() * num_dests,
-        cursors.len(),
-        "one cursor row per range"
-    );
-    debug_check_scatter_plan(dests, ranges, cursors, num_dests);
-    let mut out = uninit_vec::<U>(n);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let src_ptr = SendPtr(src.as_mut_ptr());
-    let cursor_ptr = SendPtr(cursors.as_mut_ptr());
-    // SAFETY: as in `permute_owned` — length zeroed before any read.
-    unsafe { src.set_len(0) };
-    executor.run_spans(ranges, |w, range| {
-        // SAFETY: worker `w` touches only its own stride-`num_dests` cursor
-        // row (rows are disjoint across workers), and the table outlives the
-        // joined scope.
-        let cursor = unsafe {
-            std::slice::from_raw_parts_mut(cursor_ptr.get().add(w * num_dests), num_dests)
-        };
-        for i in range {
-            let slot = cursor[dests[i]];
-            cursor[dests[i]] += 1;
-            // SAFETY: ranges are disjoint (each `src[i]` read once) and the
-            // cursor windows partition the output (each slot written once);
-            // both buffers outlive the joined scope. If `f` panics, the
-            // element it consumed is gone but everything else merely leaks
-            // (source length is already zero) — no double drop.
-            unsafe {
-                let t = src_ptr.get().add(i).read();
-                out_ptr.get().add(slot).cast::<U>().write(f(t));
-            }
-        }
-    });
-    assume_init_vec(out)
-}
-
-/// Like [`scatter_owned`] but cloning out of a borrowed source.
 #[allow(unsafe_code)]
 pub(crate) fn scatter_cloned<T: Clone + Send + Sync>(
     executor: &Executor,
@@ -354,99 +227,6 @@ pub(crate) fn scatter_cloned<T: Clone + Send + Sync>(
         }
     });
     assume_init_vec(out)
-}
-
-/// An owning iterator over one contiguous span of a consumed arena: yields
-/// the span's elements *by value* (via `ptr::read`), dropping any elements
-/// not consumed when the iterator itself drops — so each element is used
-/// exactly once no matter how much of the span the caller takes.
-pub(crate) struct SpanDrain<'a, T> {
-    base: SendPtr<T>,
-    cur: usize,
-    end: usize,
-    /// Ties the drain to the source buffer's borrow: `consume_spans` is
-    /// higher-ranked over this lifetime, so a closure cannot smuggle the
-    /// drain out past the buffer's lifetime (that would be a compile
-    /// error), keeping the use-after-free impossible by construction.
-    _buffer: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<T> Iterator for SpanDrain<'_, T> {
-    type Item = T;
-
-    #[allow(unsafe_code)]
-    fn next(&mut self) -> Option<T> {
-        if self.cur == self.end {
-            return None;
-        }
-        // SAFETY: `cur < end` stays inside the span, and advancing the
-        // cursor guarantees each element is read exactly once.
-        unsafe {
-            let t = self.base.get().add(self.cur).read();
-            self.cur += 1;
-            Some(t)
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.end - self.cur;
-        (left, Some(left))
-    }
-}
-
-impl<T> ExactSizeIterator for SpanDrain<'_, T> {}
-
-impl<T> Drop for SpanDrain<'_, T> {
-    #[allow(unsafe_code)]
-    fn drop(&mut self) {
-        while self.cur != self.end {
-            // SAFETY: these elements were never yielded, so this is their
-            // only drop.
-            unsafe {
-                self.base.get().add(self.cur).drop_in_place();
-                self.cur += 1;
-            }
-        }
-    }
-}
-
-/// Consumes `src` span by span: worker `w` receives `spans[w]`'s elements as
-/// an owning [`SpanDrain`] iterator plus the span itself, and the per-span
-/// results come back in span order. The spans must tile `0..src.len()`
-/// ascending (a [`Executor::worker_spans`]-style split, possibly scaled).
-#[allow(unsafe_code)]
-pub(crate) fn consume_spans<T, U, F>(
-    executor: &Executor,
-    mut src: Vec<T>,
-    spans: &[Range<usize>],
-    f: F,
-) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: for<'a> Fn(usize, Range<usize>, SpanDrain<'a, T>) -> U + Sync,
-{
-    let mut expected = 0usize;
-    for s in spans {
-        assert_eq!(s.start, expected, "spans must tile the source in order");
-        expected = s.end;
-    }
-    assert_eq!(expected, src.len(), "spans must cover the source exactly");
-    let base = SendPtr(src.as_mut_ptr());
-    // SAFETY: as in `permute_owned` — length zeroed before any read; the
-    // drains below read (or drop) each element exactly once.
-    unsafe { src.set_len(0) };
-    executor.run_spans(spans, |w, range| {
-        // Spans are disjoint, so each drain exclusively owns its elements
-        // (`SendPtr` is `Send`/`Sync`; dereferences happen inside the drain).
-        let drain = SpanDrain {
-            base,
-            cur: range.start,
-            end: range.end,
-            _buffer: std::marker::PhantomData,
-        };
-        f(w, range, drain)
-    })
 }
 
 #[cfg(test)]
@@ -490,115 +270,39 @@ mod tests {
             .iter()
             .flat_map(|s| (0..5).map(|d| base[d] + s[d]))
             .collect();
-        // The scatter advances cursor rows in place, so each run gets its
-        // own copy of the table.
-        let mut cursors_owned = cursors.clone();
+        let cursors_before = cursors.clone();
         let cloned = scatter_cloned(&exec, &src, &dests, &ranges, &mut cursors, 5);
-        let owned = scatter_owned(&exec, src, &dests, &ranges, &mut cursors_owned, 5);
-        assert_eq!(cloned, owned);
         // After the scatter each cursor row has advanced by its histogram.
-        assert_eq!(cursors, cursors_owned);
         assert!(cursors
-            .chunks_exact(5)
-            .zip(&starts)
-            .all(|(row, s)| (0..5).all(|d| row[d] >= base[d] + s[d])));
-        // The scatter is a stable counting sort by destination.
+            .iter()
+            .zip(&cursors_before)
+            .all(|(after, before)| after >= before));
+        assert_eq!(
+            cursors.iter().sum::<usize>() - cursors_before.iter().sum::<usize>(),
+            300
+        );
+        // The scatter is a stable counting sort by destination — the same
+        // placement the owned primitive produces from explicit positions.
+        let mut next = base;
+        let pos: Vec<usize> = dests
+            .iter()
+            .map(|&d| {
+                next[d] += 1;
+                next[d] - 1
+            })
+            .collect();
+        assert_eq!(cloned, permute_owned(&exec, src, &pos));
         let mut expected_groups: Vec<u64> = Vec::new();
         for d in 0..5u64 {
             expected_groups.extend((0..300u64).map(|i| i % 7).filter(|&k| k % 5 == d));
         }
-        assert_eq!(owned, expected_groups);
-    }
-
-    #[test]
-    fn scatter_map_owned_matches_scatter_then_map() {
-        let exec = Executor::threaded(3);
-        let src: Vec<u64> = (0..300).map(|i| i * 3 % 101).collect();
-        let dests: Vec<usize> = src.iter().map(|&k| (k % 5) as usize).collect();
-        let ranges = exec.worker_spans(300);
-        let mut totals = vec![0usize; 5];
-        let mut starts: Vec<Vec<usize>> = Vec::new();
-        for r in &ranges {
-            starts.push(totals.clone());
-            for &d in &dests[r.clone()] {
-                totals[d] += 1;
-            }
-        }
-        let mut base = [0usize; 5];
-        for d in 1..5 {
-            base[d] = base[d - 1] + totals[d - 1];
-        }
-        let mut cursors: Vec<usize> = starts
-            .iter()
-            .flat_map(|s| (0..5).map(|d| base[d] + s[d]))
-            .collect();
-        let mut cursors_fused = cursors.clone();
-        let unfused: Vec<String> =
-            scatter_owned(&exec, src.clone(), &dests, &ranges, &mut cursors, 5)
-                .into_iter()
-                .map(|k: u64| format!("<{k}>"))
-                .collect();
-        let fused = scatter_map_owned(&exec, src, &dests, &ranges, &mut cursors_fused, 5, |k| {
-            format!("<{k}>")
-        });
-        assert_eq!(fused, unfused);
-        assert_eq!(cursors, cursors_fused);
-    }
-
-    #[test]
-    fn map_owned_moves_without_cloning() {
-        let exec = Executor::threaded(4);
-        let src: Vec<Box<u64>> = (0..1000u64).map(Box::new).collect();
-        let out = map_owned(&exec, src, |b| *b * 2);
-        assert_eq!(out[499], 998);
-        assert_eq!(out.len(), 1000);
-    }
-
-    #[test]
-    fn consume_spans_hands_out_disjoint_drains() {
-        let exec = Executor::threaded(4);
-        let src: Vec<u64> = (0..1000).collect();
-        let spans = exec.element_spans(1000);
-        let sums = consume_spans(&exec, src, &spans, |_w, _range, drain| drain.sum::<u64>());
-        assert_eq!(sums.iter().sum::<u64>(), 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn unconsumed_drain_elements_are_dropped_not_leaked() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Counted;
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let exec = Executor::sequential();
-        let src: Vec<Counted> = (0..100).map(|_| Counted).collect();
-        let spans = vec![0..50, 50..100];
-        // Take only 10 elements from each span; the rest must still drop.
-        let taken = consume_spans(&exec, src, &spans, |_w, _range, mut drain| {
-            let mut count = 0;
-            for _ in 0..10 {
-                if drain.next().is_some() {
-                    count += 1;
-                }
-            }
-            count
-        });
-        assert_eq!(taken, vec![10, 10]);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 100);
+        assert_eq!(cloned, expected_groups);
     }
 
     #[test]
     fn empty_inputs_are_fine() {
         let exec = Executor::threaded(8);
         assert!(permute_owned(&exec, Vec::<u64>::new(), &[]).is_empty());
-        assert!(map_owned(&exec, Vec::<u64>::new(), |x| x).is_empty());
-        let none: Vec<u64> =
-            consume_spans(&exec, Vec::new(), &[], |_, _, d: SpanDrain<'_, u64>| {
-                d.sum()
-            });
-        assert!(none.is_empty());
+        assert!(scatter_cloned(&exec, &[] as &[u64], &[], &[], &mut [], 4).is_empty());
     }
 }

@@ -1,27 +1,27 @@
-//! The execution layer: simulated machines holding tuples, with
+//! The model-fidelity layer: simulated machines holding tuples, with
 //! map / shuffle / broadcast supersteps that enforce the memory budget.
+//!
+//! No algorithm in the workspace runs on a [`Cluster`] — the pipeline and the
+//! baselines compute on `Graph` + [`Executor`] and charge [`MpcContext`]
+//! directly. What does run here are the Goodrich sort / search / dedup
+//! [`primitives`](crate::primitives), so that the costs the context charges
+//! for them can be checked against a real execution
+//! (`tests/mpc_model_invariants.rs`), and the benchmark's `mpc.cluster.*`
+//! probes. The job of the layer is *fidelity*: a shuffle really re-partitions
+//! tuples by key, really costs one round, and really fails (or records a
+//! violation) when some machine would exceed its memory budget.
 //!
 //! The [`Cluster`] stores its tuples in a **flat arena**: one contiguous
 //! `Vec<T>` plus a CSR-style machine-offset table, so machine `i`'s tuples
-//! are the slice `arena[offsets[i]..offsets[i + 1]]`. The job of the layer
-//! is still *fidelity* — a shuffle really re-partitions tuples by key,
-//! really costs one round, and really fails (or records a violation) when
-//! some machine would exceed its memory budget — but the layout makes the
-//! simulator cheap enough to push real workloads through: local ops touch
-//! one allocation instead of one per machine, consuming variants
-//! (`map_local_owned`, `shuffle_by_key_owned`, …) move tuples instead of
-//! cloning them, and [`Cluster::shuffle_by_key`] is a two-pass *counting
-//! shuffle* (parallel per-worker destination histograms, an exclusive
-//! prefix-sum offset table, then a parallel scatter straight into the
-//! preallocated output arena) rather than a clone-into-buckets pass.
-//! Two further reductions in bytes moved: a `map_local_owned` immediately
-//! followed (or preceded) by a shuffle can run as one *fused* superstep
-//! ([`Cluster::shuffle_map_owned`] / [`Cluster::map_shuffle_owned`]) whose
-//! scatter applies the transform while relocating, skipping the
-//! intermediate arena entirely; and a shuffle whose counting pass proves
-//! the routing is the identity permutation (every tuple already sits on its
-//! destination machine) skips the scatter and reuses the arena — with the
-//! model cost (rounds, words) charged unchanged in both cases.
+//! are the slice `arena[offsets[i]..offsets[i + 1]]`. Local ops touch one
+//! allocation instead of one per machine, and [`Cluster::shuffle_by_key`] is
+//! a two-pass *counting shuffle* (parallel per-worker destination histograms,
+//! an exclusive prefix-sum offset table, then a parallel scatter straight
+//! into the preallocated output arena) rather than a clone-into-buckets pass.
+//! A shuffle whose counting pass proves the routing is the identity
+//! permutation (every tuple already sits on its destination machine) skips
+//! the scatter and copies the arena as it stands — with the model cost
+//! (rounds, words) charged unchanged.
 //!
 //! Aggregation is sort-based: [`Cluster::reduce_by_key`]'s combiner passes
 //! cache each machine's tuple keys once, stably argsort them with an 8-bit
@@ -253,40 +253,6 @@ impl<T> Cluster<T> {
         }
     }
 
-    /// Consuming variant of [`Cluster::map_local`]: moves every tuple into
-    /// `f` instead of borrowing it, so `T → U` chains (the common
-    /// `shuffle → map → shuffle` pattern) reuse the arena's elements without
-    /// cloning. The machine partition is unchanged.
-    pub fn map_local_owned<U, F>(self, f: F) -> Cluster<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        Cluster {
-            arena: arena::map_owned(&self.executor, self.arena, &f),
-            offsets: self.offsets,
-            words_per_tuple: self.words_per_tuple,
-            executor: self.executor.clone(),
-        }
-    }
-
-    /// In-place variant of [`Cluster::map_local`] for `T → T` updates:
-    /// mutates every tuple where it sits, allocating nothing.
-    pub fn map_local_in_place<F>(&mut self, f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let spans = self.executor.element_spans(self.arena.len());
-        self.executor
-            .map_slices_mut(&mut self.arena, &spans, |_w, chunk| {
-                for t in chunk {
-                    f(t);
-                }
-            });
-    }
-
     /// Applies `f` to every tuple locally, producing zero or more outputs per
     /// input. Free, like [`Cluster::map_local`].
     pub fn flat_map_local<U, I, F>(&self, f: F) -> Cluster<U>
@@ -302,42 +268,6 @@ impl<T> Cluster<T> {
                 self.machine(m).iter().flat_map(&f).collect()
             });
         self.rebuild_from_machine_parts(parts)
-    }
-
-    /// Consuming variant of [`Cluster::flat_map_local`]: moves every tuple
-    /// into `f`.
-    pub fn flat_map_local_owned<U, I, F>(self, f: F) -> Cluster<U>
-    where
-        T: Send,
-        U: Send,
-        I: IntoIterator<Item = U>,
-        F: Fn(T) -> I + Sync,
-    {
-        let executor = self.executor.clone();
-        let words_per_tuple = self.words_per_tuple;
-        let machine_sizes: Vec<usize> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let worker_machines = executor.worker_spans(self.num_machines());
-        let spans: Vec<Range<usize>> = worker_machines
-            .iter()
-            .map(|r| self.offsets[r.start]..self.offsets[r.end])
-            .collect();
-        // Each worker drains its machines in order, emitting one output
-        // vector per machine so the offset table can be rebuilt.
-        let nested: Vec<Vec<Vec<U>>> =
-            arena::consume_spans(&executor, self.arena, &spans, |w, _range, mut drain| {
-                worker_machines[w]
-                    .clone()
-                    .map(|mi| {
-                        drain
-                            .by_ref()
-                            .take(machine_sizes[mi])
-                            .flat_map(&f)
-                            .collect::<Vec<U>>()
-                    })
-                    .collect()
-            });
-        let parts: Vec<Vec<U>> = nested.into_iter().flatten().collect();
-        from_machine_parts(parts, words_per_tuple, executor)
     }
 
     /// Drops tuples not satisfying `keep`. Free (local).
@@ -394,7 +324,9 @@ impl<T> Cluster<T> {
     /// Stitches per-machine output vectors (one per machine, in machine
     /// order) into a fresh cluster sharing this one's accounting and backend.
     fn rebuild_from_machine_parts<U>(&self, parts: Vec<Vec<U>>) -> Cluster<U> {
-        from_machine_parts(parts, self.words_per_tuple, self.executor.clone())
+        Cluster::from_partitions(parts)
+            .with_words_per_tuple(self.words_per_tuple)
+            .with_executor(self.executor.clone())
     }
 
     /// The counting pass of the two-pass counting shuffle: computes each
@@ -485,27 +417,6 @@ impl<T> Cluster<T> {
         }
     }
 
-    /// Shared accounting tail of every shuffle variant: charges the round
-    /// (model words at `words_per_tuple`, host bytes at
-    /// `wire_bytes_per_tuple` — the size of the representation that actually
-    /// crosses the simulated wire) and checks every destination machine's
-    /// load, in machine order.
-    fn charge_and_check_shuffle(
-        &self,
-        ctx: &mut MpcContext,
-        dest_offsets: &[usize],
-        wire_bytes_per_tuple: usize,
-    ) -> Result<(), MpcError> {
-        ctx.charge_shuffle_with_bytes(
-            self.arena.len() * self.words_per_tuple,
-            self.arena.len() * wire_bytes_per_tuple,
-        );
-        let budget = ctx.config().memory_per_machine;
-        let mut loads = WorkerStats::new();
-        loads.record_span_loads(dest_offsets, self.words_per_tuple, budget);
-        ctx.absorb_workers([loads])
-    }
-
     /// Returns `true` iff every tuple's planned destination is the machine
     /// it already occupies. In that case the stable counting scatter is the
     /// identity permutation — destination-major grouping equals the current
@@ -533,8 +444,7 @@ impl<T> Cluster<T> {
     /// intermediate per-worker bucket vectors. Destination loads are checked
     /// through [`WorkerStats`] in machine order, so the result — including
     /// which machine a strict-mode overflow reports — is identical on every
-    /// backend. Use [`Cluster::shuffle_by_key_owned`] to move instead of
-    /// clone.
+    /// backend.
     ///
     /// # Errors
     ///
@@ -562,167 +472,18 @@ impl<T> Cluster<T> {
             )
         };
         ctx.restore_scratch(scratch);
-        let check =
-            self.charge_and_check_shuffle(ctx, &plan.dest_offsets, std::mem::size_of::<T>());
-        let result = Cluster {
-            arena,
-            offsets: plan.dest_offsets,
-            words_per_tuple: self.words_per_tuple,
-            executor: self.executor.clone(),
-        };
-        check.map(|()| result)
-    }
-
-    /// Consuming variant of [`Cluster::shuffle_by_key`]: the scatter *moves*
-    /// every tuple into its destination slot, so no `Clone` bound and no
-    /// per-tuple copy. Same cost accounting, same deterministic output
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::MemoryExceeded`] in strict mode if any destination
-    /// machine would exceed its budget.
-    pub fn shuffle_by_key_owned<F>(
-        self,
-        ctx: &mut MpcContext,
-        key: F,
-    ) -> Result<Cluster<T>, MpcError>
-    where
-        T: Send + Sync,
-        F: Fn(&T) -> u64 + Sync,
-    {
-        let mut scratch = ctx.take_scratch();
-        let plan = self.counting_shuffle_plan(&key, &mut scratch);
-        let check =
-            self.charge_and_check_shuffle(ctx, &plan.dest_offsets, std::mem::size_of::<T>());
-        let m = self.num_machines().max(1);
-        let arena = if self.plan_is_identity(&scratch.dests) {
-            debug_assert_eq!(plan.dest_offsets, self.offsets);
-            self.arena
-        } else {
-            arena::scatter_owned(
-                &self.executor,
-                self.arena,
-                &scratch.dests,
-                &plan.ranges,
-                &mut scratch.cursors,
-                m,
-            )
-        };
-        ctx.restore_scratch(scratch);
-        let result = Cluster {
-            arena,
-            offsets: plan.dest_offsets,
-            words_per_tuple: self.words_per_tuple,
-            executor: self.executor.clone(),
-        };
-        check.map(|()| result)
-    }
-
-    /// Fused *shuffle-then-map* superstep: equivalent to
-    /// `self.shuffle_by_key_owned(ctx, key)?.map_local_owned(f)` — identical
-    /// output, statistics and errors — but the transform is applied in the
-    /// single scatter pass that relocates each tuple, so the intermediate
-    /// arena of shuffled-but-unmapped tuples is never materialised. The
-    /// unfused sequence is the executable specification this op is
-    /// differentially tested against (`tests/cluster_properties.rs`).
-    ///
-    /// The wire cost is that of the shuffle: `len()` tuples of `T` (the map
-    /// happens after the communication round, on the destination machines).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::MemoryExceeded`] in strict mode if any destination
-    /// machine would exceed its budget.
-    pub fn shuffle_map_owned<U, K, F>(
-        self,
-        ctx: &mut MpcContext,
-        key: K,
-        f: F,
-    ) -> Result<Cluster<U>, MpcError>
-    where
-        T: Send + Sync,
-        U: Send,
-        K: Fn(&T) -> u64 + Sync,
-        F: Fn(T) -> U + Sync,
-    {
-        self.fused_shuffle_owned(ctx, key, f, std::mem::size_of::<T>())
-    }
-
-    /// Fused *map-then-shuffle* superstep: equivalent to
-    /// `self.map_local_owned(f).shuffle_by_key_owned(ctx, key)` for any
-    /// `key` satisfying the **legality rule** below — identical output,
-    /// statistics and errors — again skipping the intermediate arena.
-    ///
-    /// **Legality rule**: `route_key(&t) == key(&f(t))` for every tuple,
-    /// i.e. the routing key of a tuple must be computable *before* the map.
-    /// This is what lets the counting pass run on the unmapped arena while
-    /// the scatter emits mapped tuples; it is the caller's contract (the
-    /// differential tests pin it for the workspace's uses) and cannot be
-    /// checked here because `key` is never materialised — see DESIGN.md §8.
-    ///
-    /// The wire cost is that of the *mapped* representation: the map happens
-    /// before the communication round, so `len()` tuples of `U` cross the
-    /// wire. Routing a wide tuple by a pre-computable key while shipping
-    /// only its compact image is exactly the narrowing superstep of the
-    /// compact data plane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::MemoryExceeded`] in strict mode if any destination
-    /// machine would exceed its budget.
-    pub fn map_shuffle_owned<U, F, R>(
-        self,
-        ctx: &mut MpcContext,
-        f: F,
-        route_key: R,
-    ) -> Result<Cluster<U>, MpcError>
-    where
-        T: Send + Sync,
-        U: Send,
-        R: Fn(&T) -> u64 + Sync,
-        F: Fn(T) -> U + Sync,
-    {
-        self.fused_shuffle_owned(ctx, route_key, f, std::mem::size_of::<U>())
-    }
-
-    /// Shared body of the fused supersteps: one counting pass keyed on the
-    /// *source* tuples, one scatter that applies `f` while moving. The two
-    /// public wrappers differ only in which representation they charge for
-    /// (`T` when the map runs after the wire, `U` when it runs before).
-    fn fused_shuffle_owned<U, K, F>(
-        self,
-        ctx: &mut MpcContext,
-        key: K,
-        f: F,
-        wire_bytes_per_tuple: usize,
-    ) -> Result<Cluster<U>, MpcError>
-    where
-        T: Send + Sync,
-        U: Send,
-        K: Fn(&T) -> u64 + Sync,
-        F: Fn(T) -> U + Sync,
-    {
-        let mut scratch = ctx.take_scratch();
-        let plan = self.counting_shuffle_plan(&key, &mut scratch);
-        let check = self.charge_and_check_shuffle(ctx, &plan.dest_offsets, wire_bytes_per_tuple);
-        let m = self.num_machines().max(1);
-        let arena = if self.plan_is_identity(&scratch.dests) {
-            debug_assert_eq!(plan.dest_offsets, self.offsets);
-            // The relocation is the identity, but the map still runs.
-            arena::map_owned(&self.executor, self.arena, &f)
-        } else {
-            arena::scatter_map_owned(
-                &self.executor,
-                self.arena,
-                &scratch.dests,
-                &plan.ranges,
-                &mut scratch.cursors,
-                m,
-                f,
-            )
-        };
-        ctx.restore_scratch(scratch);
+        // Charge the round — model words at `words_per_tuple`, host bytes at
+        // the size of the representation that actually crosses the simulated
+        // wire — and check every destination machine's load, in machine
+        // order.
+        ctx.charge_shuffle_with_bytes(
+            self.arena.len() * self.words_per_tuple,
+            self.arena.len() * std::mem::size_of::<T>(),
+        );
+        let budget = ctx.config().memory_per_machine;
+        let mut loads = WorkerStats::new();
+        loads.record_span_loads(&plan.dest_offsets, self.words_per_tuple, budget);
+        let check = ctx.absorb_workers([loads]);
         let result = Cluster {
             arena,
             offsets: plan.dest_offsets,
@@ -794,71 +555,6 @@ impl<T> Cluster<T> {
             ctx,
             self.num_machines(),
             self.words_per_tuple,
-            combined,
-            combine,
-            &mut scratch,
-        );
-        ctx.restore_scratch(scratch);
-        result
-    }
-
-    /// Consuming variant of [`Cluster::reduce_by_key`]: `fold` receives each
-    /// tuple *by value*, so accumulators can absorb owned data (strings,
-    /// vectors) without cloning. Uses the same sort-based combiner; tuples
-    /// are buffered per machine (one worker-local buffer reused across the
-    /// worker's machines), permuted into key order in place, and folded run
-    /// by run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::MemoryExceeded`] in strict mode if a destination
-    /// machine would exceed its budget.
-    pub fn reduce_by_key_owned<A, K, I, FO>(
-        self,
-        ctx: &mut MpcContext,
-        key: K,
-        init: I,
-        fold: FO,
-        combine: impl FnMut(&mut A, A),
-    ) -> Result<Vec<(u64, A)>, MpcError>
-    where
-        T: Send,
-        A: Clone + Send,
-        K: Fn(&T) -> u64 + Sync,
-        I: Fn(u64) -> A + Sync,
-        FO: Fn(&mut A, T) + Sync,
-    {
-        let executor = self.executor.clone();
-        let machine_sizes: Vec<usize> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let worker_machines = executor.worker_spans(self.num_machines());
-        let spans: Vec<Range<usize>> = worker_machines
-            .iter()
-            .map(|r| self.offsets[r.start]..self.offsets[r.end])
-            .collect();
-        let num_machines = self.num_machines();
-        let words_per_tuple = self.words_per_tuple;
-        let mut scratch = ctx.take_scratch();
-        let combined: Vec<Vec<(u64, A)>> = {
-            let pool = scratch.radix_pool(spans.len());
-            let nested: Vec<Vec<Vec<(u64, A)>>> =
-                arena::consume_spans(&executor, self.arena, &spans, |w, _range, mut drain| {
-                    let mut radix = pool[w].lock().expect("radix scratch lock");
-                    let mut buf: Vec<T> = Vec::new();
-                    worker_machines[w]
-                        .clone()
-                        .map(|mi| {
-                            buf.clear();
-                            buf.extend(drain.by_ref().take(machine_sizes[mi]));
-                            combine_machine_radix_owned(&mut buf, &key, &init, &fold, &mut radix)
-                        })
-                        .collect()
-                });
-            nested.into_iter().flatten().collect()
-        };
-        let result = route_and_merge_partials(
-            ctx,
-            num_machines,
-            words_per_tuple,
             combined,
             combine,
             &mut scratch,
@@ -1104,47 +800,6 @@ where
     out
 }
 
-/// Consuming counterpart of [`combine_machine_radix`]: the machine's tuples
-/// arrive in `buf` (drained from the arena, reused across the worker's
-/// machines), are permuted into key order in place, and handed to `fold` by
-/// value run by run.
-fn combine_machine_radix_owned<T, A, K, I, FO>(
-    buf: &mut Vec<T>,
-    key: &K,
-    init: &I,
-    fold: &FO,
-    radix: &mut RadixScratch,
-) -> Vec<(u64, A)>
-where
-    K: Fn(&T) -> u64,
-    I: Fn(u64) -> A,
-    FO: Fn(&mut A, T),
-{
-    let n = buf.len();
-    radix.argsort_by(n, |i| key(&buf[i]));
-    radix.apply_order_to(buf);
-    let mut out: Vec<(u64, A)> = Vec::new();
-    let mut current: Option<(u64, A)> = None;
-    for (j, t) in buf.drain(..).enumerate() {
-        let k = radix.sorted_key(j);
-        match current.as_mut() {
-            Some((ck, acc)) if *ck == k => fold(acc, t),
-            _ => {
-                if let Some(done) = current.take() {
-                    out.push(done);
-                }
-                let mut acc = init(k);
-                fold(&mut acc, t);
-                current = Some((k, acc));
-            }
-        }
-    }
-    if let Some(done) = current.take() {
-        out.push(done);
-    }
-    out
-}
-
 /// One machine's hash-based combiner pass (the retained reference): folds
 /// its tuples into per-key accumulators and returns them key-sorted (sorting
 /// removes the HashMap's iteration-order nondeterminism from the output).
@@ -1195,29 +850,6 @@ struct ShufflePlan {
     /// Output machine-offset table (owned: it becomes the result cluster's
     /// offset table).
     dest_offsets: Vec<usize>,
-}
-
-/// Stitches per-machine output vectors into one arena + offset table.
-fn from_machine_parts<U>(
-    parts: Vec<Vec<U>>,
-    words_per_tuple: usize,
-    executor: Executor,
-) -> Cluster<U> {
-    let mut offsets = Vec::with_capacity(parts.len() + 1);
-    offsets.push(0usize);
-    for p in &parts {
-        offsets.push(offsets.last().unwrap() + p.len());
-    }
-    let mut arena = Vec::with_capacity(*offsets.last().unwrap());
-    for p in parts {
-        arena.extend(p);
-    }
-    Cluster {
-        arena,
-        offsets,
-        words_per_tuple,
-        executor,
-    }
 }
 
 /// A cheap 64-bit mixer (SplitMix64 finaliser) used to map keys to machines.
@@ -1315,43 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_shuffle_matches_borrowing_shuffle_exactly() {
-        let tuples: Vec<(u64, u64)> = (0..700).map(|i| (i % 41, i)).collect();
-        for threads in [1usize, 4] {
-            let cfg = MpcConfig::with_memory(4096, 512).with_threads(threads);
-            let mut ctx_a = MpcContext::new(cfg);
-            let mut ctx_b = MpcContext::new(cfg);
-            let a = Cluster::from_tuples(&cfg, tuples.clone())
-                .shuffle_by_key(&mut ctx_a, |t| t.0)
-                .unwrap();
-            let b = Cluster::from_tuples(&cfg, tuples.clone())
-                .shuffle_by_key_owned(&mut ctx_b, |t| t.0)
-                .unwrap();
-            assert_eq!(a.offsets(), b.offsets());
-            assert_eq!(a.gather(), b.gather());
-            assert_eq!(ctx_a.into_stats(), ctx_b.into_stats());
-        }
-    }
-
-    #[test]
-    fn owned_shuffle_works_without_clone() {
-        // String is Clone, but this exercises the move path with owned heap
-        // data; a type without Clone would compile just the same.
-        let cfg = small_config();
-        let mut ctx = MpcContext::new(cfg.permissive());
-        let tuples: Vec<(u64, String)> = (0..40).map(|i| (i % 5, format!("p{i}"))).collect();
-        let cluster = Cluster::from_tuples(&cfg.permissive(), tuples);
-        let shuffled = cluster.shuffle_by_key_owned(&mut ctx, |t| t.0).unwrap();
-        assert_eq!(shuffled.len(), 40);
-        for key in 0..5u64 {
-            let machines_with_key: usize = (0..shuffled.num_machines())
-                .filter(|&m| shuffled.machine(m).iter().any(|t| t.0 == key))
-                .count();
-            assert_eq!(machines_with_key, 1);
-        }
-    }
-
-    #[test]
     fn shuffle_detects_memory_overflow_on_skewed_keys() {
         // All tuples share one key, so one machine must hold everything.
         let cfg = MpcConfig {
@@ -1372,13 +967,6 @@ mod tests {
         let cluster4 = Cluster::from_tuples(&cfg4, (0..100u64).map(|i| (7u64, i)).collect());
         let err4 = cluster4.shuffle_by_key(&mut ctx4, |t| t.0).unwrap_err();
         assert_eq!(err, err4);
-        // The owned variant errors identically.
-        let mut ctx5 = MpcContext::new(cfg);
-        let cluster5 = Cluster::from_tuples(&cfg, (0..100u64).map(|i| (7u64, i)).collect());
-        let err5 = cluster5
-            .shuffle_by_key_owned(&mut ctx5, |t| t.0)
-            .unwrap_err();
-        assert_eq!(err, err5);
         // Permissive mode records the violation instead.
         let loose = cfg.permissive();
         let mut ctx2 = MpcContext::new(loose);
@@ -1416,39 +1004,6 @@ mod tests {
             .filter_local(|t| t.1 % 3 != 0)
             .gather();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn owned_and_in_place_locals_match_borrowing_locals() {
-        let tuples: Vec<(u64, u64)> = (0..300).map(|i| (i % 17, i)).collect();
-        for threads in [1usize, 4] {
-            let cfg = small_config().with_threads(threads);
-            let reference = Cluster::from_tuples(&cfg, tuples.clone())
-                .map_local(|t| (t.0, t.1 + 7))
-                .flat_map_local(|t| vec![*t, (t.0, t.1 * 3)])
-                .filter_local(|t| t.1 % 2 == 0);
-            // Same chain through the consuming / in-place variants.
-            let mut owned = Cluster::from_tuples(&cfg, tuples.clone())
-                .map_local_owned(|t| (t.0, t.1 + 7))
-                .flat_map_local_owned(|t| vec![t, (t.0, t.1 * 3)]);
-            owned.filter_local_in_place(|t| t.1 % 2 == 0);
-            assert_eq!(reference.offsets(), owned.offsets(), "threads={threads}");
-            assert_eq!(reference.gather(), owned.gather(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_local_in_place_updates_every_tuple() {
-        let cfg = small_config().with_threads(4);
-        let mut cluster = Cluster::from_tuples(&cfg, (0u64..500).map(|i| (i, i)).collect());
-        let offsets_before = cluster.offsets().to_vec();
-        cluster.map_local_in_place(|t| t.1 *= 2);
-        assert_eq!(cluster.offsets(), &offsets_before[..]);
-        for m in 0..cluster.num_machines() {
-            for t in cluster.machine(m) {
-                assert_eq!(t.1, t.0 * 2);
-            }
-        }
     }
 
     #[test]
@@ -1510,36 +1065,6 @@ mod tests {
         }
         // Not merely the same multiset: the *order* must match too.
         assert_eq!(results[0], results[1]);
-    }
-
-    #[test]
-    fn owned_reduce_matches_borrowing_reduce_exactly() {
-        let tuples: Vec<(u64, u64)> = (0..400).map(|i| (i % 19, i)).collect();
-        for threads in [1usize, 4] {
-            let cfg = MpcConfig::with_memory(4096, 512).with_threads(threads);
-            let mut ctx_a = MpcContext::new(cfg);
-            let mut ctx_b = MpcContext::new(cfg);
-            let a = Cluster::from_tuples(&cfg, tuples.clone())
-                .reduce_by_key(
-                    &mut ctx_a,
-                    |t| t.0,
-                    |_| 0u64,
-                    |acc, t| *acc += t.1,
-                    |acc, b| *acc += b,
-                )
-                .unwrap();
-            let b = Cluster::from_tuples(&cfg, tuples.clone())
-                .reduce_by_key_owned(
-                    &mut ctx_b,
-                    |t| t.0,
-                    |_| 0u64,
-                    |acc, t: (u64, u64)| *acc += t.1,
-                    |acc, b| *acc += b,
-                )
-                .unwrap();
-            assert_eq!(a, b, "threads={threads}");
-            assert_eq!(ctx_a.into_stats(), ctx_b.into_stats());
-        }
     }
 
     #[test]

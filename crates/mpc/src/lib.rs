@@ -21,10 +21,13 @@
 //!   exactly the costs the paper assigns to each primitive (a shuffle is one
 //!   round; a Goodrich sort/search over `N` items is `O(log_s N)` rounds; a
 //!   pointer-doubling step is one sort/search batch, …).
-//! * [`Cluster`] is the execution layer — an actual tuple store partitioned
-//!   across simulated machines with `map`/`shuffle`/`broadcast` supersteps
-//!   that *enforce* the memory budget, used to validate the primitives and to
-//!   run the baselines end-to-end.
+//! * [`Cluster`] is the model-fidelity layer — an actual tuple store
+//!   partitioned across simulated machines with `map`/`shuffle`/`broadcast`
+//!   supersteps that *enforce* the memory budget. The Goodrich sort / search /
+//!   dedup [`primitives`] run on it, so the test-suite can check what
+//!   [`MpcContext`] charges for a primitive against a real execution of it.
+//!   No algorithm in the workspace runs on a `Cluster`: the pipeline and the
+//!   baselines compute on `Graph` + [`Executor`] and charge the context.
 //!
 //! Wall-clock time plays no role: the reproduced quantities are rounds and
 //! memory, which is what the paper's theorems bound.
@@ -42,8 +45,8 @@
 //! ```
 
 // Unsafe is denied crate-wide; the two exceptions are the `arena` module,
-// whose move/scatter primitives (the parallel scatter of the counting
-// shuffle, the consuming local ops) need raw-pointer writes into disjoint
+// whose two primitives (the parallel round-robin placement and the parallel
+// scatter of the counting shuffle) need raw-pointer writes into disjoint
 // positions of a preallocated buffer, and the `pool` module, whose persistent
 // worker pool hands a borrowed job closure to parked threads through a raw
 // pointer whose lifetime is bounded by the dispatch protocol. Every unsafe

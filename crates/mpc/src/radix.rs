@@ -18,15 +18,13 @@ use std::sync::Mutex;
 
 /// Reusable buffers for one worker's radix argsorts: the cached key of every
 /// element (computed once, reused by every byte pass), the index permutation
-/// being built, a pair buffer for the small-input comparison path, and a
-/// visited bitmap for applying the permutation in place.
+/// being built, and a pair buffer for the small-input comparison path.
 #[derive(Default)]
 pub(crate) struct RadixScratch {
     keys: Vec<u64>,
     order: Vec<usize>,
     tmp: Vec<usize>,
     pairs: Vec<(u64, usize)>,
-    visited: Vec<bool>,
 }
 
 /// Below this many elements a comparison sort of `(key, index)` pairs beats
@@ -103,33 +101,6 @@ impl RadixScratch {
     /// The key at sorted position `j` (i.e. `keys[order[j]]`).
     pub fn sorted_key(&self, j: usize) -> u64 {
         self.keys[self.order[j]]
-    }
-
-    /// Permutes `buf` into the last argsort's order in place
-    /// (`buf[j] <- old buf[order[j]]`) by following permutation cycles with
-    /// swaps — no per-element clone, no staging buffer. Used by the consuming
-    /// reduce path, which must hand tuples to the fold *by value* in sorted
-    /// order.
-    pub fn apply_order_to<T>(&mut self, buf: &mut [T]) {
-        let n = buf.len();
-        debug_assert_eq!(n, self.order.len(), "argsort the buffer first");
-        self.visited.clear();
-        self.visited.resize(n, false);
-        for start in 0..n {
-            if self.visited[start] {
-                continue;
-            }
-            let mut j = start;
-            loop {
-                self.visited[j] = true;
-                let src = self.order[j];
-                if src == start {
-                    break;
-                }
-                buf.swap(j, src);
-                j = src;
-            }
-        }
     }
 }
 
@@ -305,19 +276,6 @@ mod tests {
         assert_eq!(scratch.order(), &[0, 1, 2]);
         scratch.argsort_by(0, |_| 0);
         assert!(scratch.order().is_empty());
-    }
-
-    #[test]
-    fn apply_order_permutes_in_place() {
-        let keys = [3u64, 1, 2, 1, 0];
-        let mut buf: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
-        let mut scratch = RadixScratch::default();
-        scratch.argsort_by(keys.len(), |i| keys[i]);
-        scratch.apply_order_to(&mut buf);
-        assert_eq!(buf, vec!["0", "1", "1", "2", "3"]);
-        // Ties kept arrival order: the first "1" is the one from index 1.
-        assert_eq!(scratch.order()[1], 1);
-        assert_eq!(scratch.order()[2], 3);
     }
 
     #[test]

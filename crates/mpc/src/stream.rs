@@ -1,9 +1,9 @@
-//! Executor-driven ingestion of binary edge-chunk streams.
+//! Executor-driven ingestion of binary chunk streams.
 //!
 //! The binary chunk format (`wcc_graph::io`, magic `WCCS`) frames a batch
 //! schedule as independently decodable payloads precisely so that a cluster
 //! can decode them in parallel: the sequential part of ingestion is only the
-//! framing scan ([`wcc_graph::io::read_chunk_frames`]), after which each
+//! framing scan ([`wcc_graph::io::read_op_chunk_frames`]), after which each
 //! payload is a pure function of its bytes. This module fans that decode out
 //! through an [`Executor`] — one work unit per chunk, results reassembled in
 //! chunk order, the first malformed chunk (in *chunk index* order, never in
@@ -14,62 +14,12 @@
 
 use crate::executor::Executor;
 
-use wcc_graph::io::{
-    decode_edge_chunk, decode_op_chunk, read_chunk_frames, read_op_chunk_frames, EdgeOp, IoError,
-};
+use wcc_graph::io::{decode_op_chunk, read_op_chunk_frames, EdgeOp, IoError};
 
-/// Decodes framed chunk payloads into edge batches in parallel, one work
-/// unit per chunk, via `exec`. Output order matches frame order; on failure
-/// the error for the lowest-indexed malformed chunk is returned regardless
-/// of the thread count.
-///
-/// # Errors
-///
-/// Returns the first (by chunk index) [`IoError`] produced by
-/// [`decode_edge_chunk`].
-pub fn decode_edge_chunks(
-    frames: &[Vec<u8>],
-    exec: &Executor,
-) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    exec.map_items(frames, |i, frame| decode_edge_chunk(i, frame))
-        .into_iter()
-        .collect()
-}
-
-/// Reads a whole binary chunk stream with parallel per-chunk decode:
-/// sequential framing, then [`decode_edge_chunks`] through `exec`.
-///
-/// # Errors
-///
-/// See [`wcc_graph::io::read_chunk_frames`] and [`decode_edge_chunks`].
-pub fn read_edge_chunks_parallel<R: std::io::Read>(
-    reader: R,
-    exec: &Executor,
-) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    let frames = read_chunk_frames(reader)?;
-    decode_edge_chunks(&frames, exec)
-}
-
-/// File-path convenience wrapper around [`read_edge_chunks_parallel`].
-///
-/// # Errors
-///
-/// See [`read_edge_chunks_parallel`].
-pub fn read_edge_chunks_file_parallel(
-    path: &std::path::Path,
-    exec: &Executor,
-) -> Result<Vec<Vec<(u64, u64)>>, IoError> {
-    read_edge_chunks_parallel(
-        std::io::BufReader::new(std::fs::File::open(path).map_err(IoError::Io)?),
-        exec,
-    )
-}
-
-/// Decodes framed turnstile chunk payloads into op batches in parallel — the
-/// op-aware counterpart of [`decode_edge_chunks`], with the same determinism
-/// contract: output order matches frame order and the lowest-indexed
-/// malformed chunk wins error selection regardless of the thread count.
-/// `version` is the stream's format version as returned by
+/// Decodes framed chunk payloads into op batches in parallel, one work unit
+/// per chunk, via `exec`. Output order matches frame order; on failure the
+/// error for the lowest-indexed malformed chunk is returned regardless of the
+/// thread count. `version` is the stream's format version as returned by
 /// [`wcc_graph::io::read_op_chunk_frames`]; version-1 payloads decode to
 /// all-insert ops.
 ///
@@ -87,7 +37,7 @@ pub fn decode_op_chunks(
         .collect()
 }
 
-/// Reads a whole turnstile chunk stream (format version 1 or 2) with
+/// Reads a whole binary chunk stream (format version 1 or 2) with
 /// parallel per-chunk decode: sequential framing, then [`decode_op_chunks`]
 /// through `exec`.
 ///
@@ -120,7 +70,10 @@ pub fn read_op_chunks_file_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wcc_graph::io::write_edge_chunks;
+    use wcc_graph::io::{
+        write_op_chunks, CHUNK_BYTES_PER_OP, CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2,
+        CHUNK_MAGIC,
+    };
 
     fn sample_chunks() -> Vec<Vec<(u64, u64)>> {
         (0..20u64)
@@ -128,55 +81,23 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn parallel_decode_matches_sequential_for_every_thread_count() {
-        let chunks = sample_chunks();
-        let mut buf = Vec::new();
-        write_edge_chunks(&chunks, &mut buf).unwrap();
-        let sequential = wcc_graph::io::read_edge_chunks(std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(sequential, chunks);
-        for threads in [1usize, 2, 8] {
-            let exec = Executor::threaded(threads);
-            let parallel = read_edge_chunks_parallel(std::io::Cursor::new(&buf), &exec).unwrap();
-            assert_eq!(parallel, sequential, "threads={threads}");
+    /// A version-1 stream (16-byte untagged records) for `chunks`; nothing
+    /// writes version 1 any more, the readers still accept it.
+    fn v1_stream(chunks: &[Vec<(u64, u64)>]) -> Vec<u8> {
+        let mut buf = CHUNK_MAGIC.to_vec();
+        buf.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
+        for chunk in chunks {
+            buf.extend_from_slice(&(16 * chunk.len() as u64).to_le_bytes());
+            for &(u, v) in chunk {
+                buf.extend_from_slice(&u.to_le_bytes());
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
-    }
-
-    #[test]
-    fn decode_error_selection_is_deterministic_across_thread_counts() {
-        // Frames 3 and 7 are malformed; the error must always name chunk 3.
-        let mut frames: Vec<Vec<u8>> = (0..10u64)
-            .map(|c| {
-                (0..4u64)
-                    .flat_map(|i| {
-                        let mut b = c.to_le_bytes().to_vec();
-                        b.extend_from_slice(&i.to_le_bytes());
-                        b
-                    })
-                    .collect()
-            })
-            .collect();
-        frames[3].pop();
-        frames[7].pop();
-        for threads in [1usize, 2, 8] {
-            let exec = Executor::threaded(threads);
-            let err = decode_edge_chunks(&frames, &exec).unwrap_err();
-            assert!(
-                matches!(err, IoError::Corrupt { chunk: 3, .. }),
-                "threads={threads}: got {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_frame_list_decodes_to_nothing() {
-        let exec = Executor::threaded(4);
-        assert!(decode_edge_chunks(&[], &exec).unwrap().is_empty());
+        buf
     }
 
     #[test]
     fn parallel_op_decode_matches_sequential_for_both_versions() {
-        use wcc_graph::io::write_op_chunks;
         // v2 stream with mixed ops.
         let ops: Vec<Vec<EdgeOp>> = (0..12u64)
             .map(|c| {
@@ -193,34 +114,54 @@ mod tests {
             .collect();
         let mut v2 = Vec::new();
         write_op_chunks(&ops, &mut v2).unwrap();
-        // v1 stream decoded through the op reader.
+        // v1 stream: the same reader decodes it to all-insert ops.
         let chunks = sample_chunks();
-        let mut v1 = Vec::new();
-        write_edge_chunks(&chunks, &mut v1).unwrap();
+        let v1 = v1_stream(&chunks);
+        let expect: Vec<Vec<EdgeOp>> = chunks.iter().map(|c| EdgeOp::inserts(c)).collect();
+        assert_eq!(
+            wcc_graph::io::read_op_chunks(std::io::Cursor::new(&v1)).unwrap(),
+            expect
+        );
         for threads in [1usize, 2, 8] {
             let exec = Executor::threaded(threads);
             let got = read_op_chunks_parallel(std::io::Cursor::new(&v2), &exec).unwrap();
             assert_eq!(got, ops, "threads={threads}");
             let got = read_op_chunks_parallel(std::io::Cursor::new(&v1), &exec).unwrap();
-            let expect: Vec<Vec<EdgeOp>> = chunks
-                .iter()
-                .map(|c| c.iter().map(|&(u, v)| EdgeOp::insert(u, v)).collect())
-                .collect();
             assert_eq!(got, expect, "threads={threads} (v1 stream)");
         }
     }
 
     #[test]
+    fn decode_error_selection_is_deterministic_across_thread_counts() {
+        // v1 frames 3 and 7 are a byte short; the error must always name
+        // chunk 3.
+        let chunks: Vec<Vec<(u64, u64)>> = (0..10u64)
+            .map(|c| (0..4).map(|i| (c, i)).collect())
+            .collect();
+        let (version, mut frames) =
+            read_op_chunk_frames(std::io::Cursor::new(v1_stream(&chunks))).unwrap();
+        assert_eq!(version, CHUNK_FORMAT_VERSION);
+        frames[3].pop();
+        frames[7].pop();
+        for threads in [1usize, 2, 8] {
+            let exec = Executor::threaded(threads);
+            let err = decode_op_chunks(version, &frames, &exec).unwrap_err();
+            assert!(
+                matches!(err, IoError::Corrupt { chunk: 3, .. }),
+                "threads={threads}: got {err}"
+            );
+        }
+    }
+
+    #[test]
     fn op_decode_error_selection_is_deterministic_across_thread_counts() {
-        use wcc_graph::io::{write_op_chunks, CHUNK_BYTES_PER_OP, CHUNK_FORMAT_VERSION_V2};
         // Build valid v2 frames, then corrupt the op tags of frames 4 and 9.
         let ops: Vec<Vec<EdgeOp>> = (0..12u64)
             .map(|c| (0..5).map(|i| EdgeOp::insert(c, i)).collect())
             .collect();
         let mut buf = Vec::new();
         write_op_chunks(&ops, &mut buf).unwrap();
-        let (version, mut frames) =
-            wcc_graph::io::read_op_chunk_frames(std::io::Cursor::new(buf)).unwrap();
+        let (version, mut frames) = read_op_chunk_frames(std::io::Cursor::new(buf)).unwrap();
         assert_eq!(version, CHUNK_FORMAT_VERSION_V2);
         frames[4][2 * CHUNK_BYTES_PER_OP] = 0xFF;
         frames[9][0] = 0xFF;
@@ -231,6 +172,14 @@ mod tests {
                 matches!(err, IoError::Corrupt { chunk: 4, .. }),
                 "threads={threads}: got {err}"
             );
+        }
+    }
+
+    #[test]
+    fn empty_frame_list_decodes_to_nothing() {
+        let exec = Executor::threaded(4);
+        for version in [CHUNK_FORMAT_VERSION, CHUNK_FORMAT_VERSION_V2] {
+            assert!(decode_op_chunks(version, &[], &exec).unwrap().is_empty());
         }
     }
 }

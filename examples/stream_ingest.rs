@@ -35,36 +35,36 @@ fn main() -> Result<(), CoreError> {
     // Batch 0 bootstraps two expander components in one shot.
     let a = generators::random_regular_permutation_graph(n1, 8, &mut rng);
     let b = generators::random_regular_permutation_graph(n2, 8, &mut rng);
-    let mut batches: Vec<Vec<(u64, u64)>> = Vec::new();
+    let mut batches: Vec<Vec<EdgeOp>> = Vec::new();
     let mut bootstrap: Vec<(u64, u64)> = a.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
     bootstrap.extend(
         b.edge_iter()
             .map(|(u, v)| ((u + n1) as u64, (v + n1) as u64)),
     );
-    batches.push(bootstrap);
+    batches.push(EdgeOp::inserts(&bootstrap));
 
     // Merge-free traffic: random intra-component edges within component A.
     for _ in 0..6 {
-        let batch: Vec<(u64, u64)> = (0..200 / scale.clamp(1, 8))
-            .map(|_| (rng.gen_range(0..n1 as u64), rng.gen_range(0..n1 as u64)))
+        let batch: Vec<EdgeOp> = (0..200 / scale.clamp(1, 8))
+            .map(|_| EdgeOp::insert(rng.gen_range(0..n1 as u64), rng.gen_range(0..n1 as u64)))
             .collect();
         batches.push(batch);
     }
 
     // A bridge between the two standing components: structural change.
-    batches.push(vec![(0, n1 as u64)]);
+    batches.push(vec![EdgeOp::insert(0, n1 as u64)]);
 
     // Round-trip the schedule through the binary chunk format, decoding in
     // parallel through the executor (this is `wcc stream`'s ingestion path).
     let path = std::env::temp_dir().join(format!("wcc_stream_ingest_{}.wccs", std::process::id()));
-    write_edge_chunks_file(&batches, &path).expect("write chunk file");
+    write_op_chunks_file(&batches, &path).expect("write chunk file");
     let exec = Executor::resolve(0);
-    let decoded = wcc_mpc::stream::read_edge_chunks_file_parallel(&path, &exec)
-        .expect("read chunk file back");
+    let decoded =
+        wcc_mpc::stream::read_op_chunks_file_parallel(&path, &exec).expect("read chunk file back");
     std::fs::remove_file(&path).ok();
     assert_eq!(decoded, batches, "chunk round-trip must be lossless");
     println!(
-        "schedule: {} batches, {} edges (round-tripped through the WCCS chunk format \
+        "schedule: {} batches, {} ops (round-tripped through the WCCS chunk format \
          with {} decode threads)",
         decoded.len(),
         decoded.iter().map(Vec::len).sum::<usize>(),
@@ -74,9 +74,9 @@ fn main() -> Result<(), CoreError> {
     // Replay the schedule through the incremental engine.
     let mut engine = IncrementalComponents::new(StreamParams::laptop_scale().with_lambda(0.3), 7);
     for batch in &decoded {
-        let report = engine.apply_batch(batch)?;
+        let report = engine.apply_ops_batch(batch)?;
         println!(
-            "batch {}: {:>6} edges -> {:<32} ({} components, {} rounds, {:.1} ms)",
+            "batch {}: {:>6} ops -> {:<32} ({} components, {} rounds, {:.1} ms)",
             report.batch_index,
             report.edges_in_batch,
             report.path.label(),

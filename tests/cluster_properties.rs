@@ -34,7 +34,7 @@ fn assert_props<T>(cluster: &Cluster<T>, op: &str) {
 
 #[test]
 fn words_and_executor_survive_borrowing_local_ops() {
-    let c = base_cluster();
+    let mut c = base_cluster();
     assert_props(&c, "from_tuples + with_words_per_tuple");
     assert_props(&c.map_local(|t| (t.0, t.1 + 1)), "map_local");
     assert_props(
@@ -42,21 +42,6 @@ fn words_and_executor_survive_borrowing_local_ops() {
         "flat_map_local",
     );
     assert_props(&c.filter_local(|t| t.1 % 2 == 0), "filter_local");
-}
-
-#[test]
-fn words_and_executor_survive_consuming_and_in_place_ops() {
-    assert_props(
-        &base_cluster().map_local_owned(|t| (t.0, t.1 + 1)),
-        "map_local_owned",
-    );
-    assert_props(
-        &base_cluster().flat_map_local_owned(|t| vec![t, (t.0, t.1 * 2)]),
-        "flat_map_local_owned",
-    );
-    let mut c = base_cluster();
-    c.map_local_in_place(|t| t.1 += 1);
-    assert_props(&c, "map_local_in_place");
     c.filter_local_in_place(|t| t.1 % 2 == 0);
     assert_props(&c, "filter_local_in_place");
 }
@@ -69,12 +54,6 @@ fn words_and_executor_survive_shuffles() {
             .shuffle_by_key(&mut context, |t| t.0)
             .unwrap(),
         "shuffle_by_key",
-    );
-    assert_props(
-        &base_cluster()
-            .shuffle_by_key_owned(&mut context, |t| t.0)
-            .unwrap(),
-        "shuffle_by_key_owned",
     );
 }
 
@@ -92,76 +71,38 @@ fn shuffle_charges_the_overridden_word_width() {
 
 #[test]
 fn reduce_by_key_charges_the_overridden_word_width() {
-    // Both reduce variants move one partial per (machine, key) pair at
-    // words_per_tuple words each; the charge must scale with the override
-    // and be identical between the borrowing and consuming variants.
-    let mut ctx_borrow = ctx();
-    let mut ctx_owned = ctx();
-    let borrow = base_cluster()
+    // The reduce moves one partial per (machine, key) pair at
+    // words_per_tuple words each; the charge must scale with the override,
+    // exactly as the hash-based reference charges it.
+    let mut ctx_radix = ctx();
+    let mut ctx_hash = ctx();
+    let radix = base_cluster()
         .reduce_by_key(
-            &mut ctx_borrow,
+            &mut ctx_radix,
             |t| t.0,
             |_| 0u64,
             |acc, t| *acc += t.1,
             |acc, b| *acc += b,
         )
         .unwrap();
-    let owned = base_cluster()
-        .reduce_by_key_owned(
-            &mut ctx_owned,
+    let hash = base_cluster()
+        .reduce_by_key_hashmap(
+            &mut ctx_hash,
             |t| t.0,
             |_| 0u64,
-            |acc, t: (u64, u64)| *acc += t.1,
+            |acc, t| *acc += t.1,
             |acc, b| *acc += b,
         )
         .unwrap();
-    assert_eq!(borrow, owned);
-    let stats_borrow = ctx_borrow.into_stats();
-    let stats_owned = ctx_owned.into_stats();
-    assert_eq!(stats_borrow, stats_owned);
+    assert_eq!(radix, hash);
+    let stats_radix = ctx_radix.into_stats();
+    assert_eq!(stats_radix, ctx_hash.into_stats());
     assert_eq!(
-        stats_borrow.total_communication_words() % WORDS as u64,
+        stats_radix.total_communication_words() % WORDS as u64,
         0,
         "reduce charge must be a multiple of words_per_tuple"
     );
-    assert!(stats_borrow.total_communication_words() > 0);
-}
-
-#[test]
-fn fused_supersteps_preserve_properties_and_match_their_unfused_specs() {
-    // shuffle-then-map: the fused superstep must be output- and
-    // stat-identical to the unfused executable spec.
-    let mut ctx_fused = ctx();
-    let mut ctx_spec = ctx();
-    let fused = base_cluster()
-        .shuffle_map_owned(&mut ctx_fused, |t| t.0, |t| (t.0, t.1 * 3 + 1))
-        .unwrap();
-    let spec = base_cluster()
-        .shuffle_by_key_owned(&mut ctx_spec, |t| t.0)
-        .unwrap()
-        .map_local_owned(|t| (t.0, t.1 * 3 + 1));
-    assert_props(&fused, "shuffle_map_owned");
-    assert_eq!(fused.offsets(), spec.offsets());
-    assert_eq!(fused.gather(), spec.gather());
-    assert_eq!(ctx_fused.into_stats(), ctx_spec.into_stats());
-
-    // map-then-shuffle with a legal route key: the map narrows the tuple to
-    // its compact image and the route key pre-computes the mapped key, so
-    // `route_key(&t) == key(&f(t))` holds for every tuple.
-    let narrow = |t: (u64, u64)| (t.0 as u32, t.1 as u32);
-    let mut ctx_fused = ctx();
-    let mut ctx_spec = ctx();
-    let fused = base_cluster()
-        .map_shuffle_owned(&mut ctx_fused, narrow, |t| t.0)
-        .unwrap();
-    let spec = base_cluster()
-        .map_local_owned(narrow)
-        .shuffle_by_key_owned(&mut ctx_spec, |u| u64::from(u.0))
-        .unwrap();
-    assert_props(&fused, "map_shuffle_owned");
-    assert_eq!(fused.offsets(), spec.offsets());
-    assert_eq!(fused.gather(), spec.gather());
-    assert_eq!(ctx_fused.into_stats(), ctx_spec.into_stats());
+    assert!(stats_radix.total_communication_words() > 0);
 }
 
 #[test]
@@ -169,44 +110,24 @@ fn identity_shuffles_short_circuit_without_dropping_the_charge() {
     // One real shuffle groups every key onto its owning machine.
     let mut ctx_first = ctx();
     let grouped = base_cluster()
-        .shuffle_by_key_owned(&mut ctx_first, |t| t.0)
+        .shuffle_by_key(&mut ctx_first, |t| t.0)
         .unwrap();
     let first = ctx_first.into_stats();
-    let expected_offsets = grouped.offsets().to_vec();
-    let expected_tuples = grouped.clone().gather();
 
     // Re-shuffling by the same key routes every tuple to the machine it
-    // already lives on: the plan is the identity permutation, the arena is
-    // reused verbatim — and the model cost must be charged exactly as if
-    // the tuples had crossed the wire (same words, bytes, rounds, loads).
-    let mut ctx_owned = ctx();
-    let again = grouped
-        .clone()
-        .shuffle_by_key_owned(&mut ctx_owned, |t| t.0)
-        .unwrap();
-    assert_eq!(again.offsets(), &expected_offsets[..]);
-    assert_eq!(again.gather(), expected_tuples.clone());
+    // already lives on: the plan is the identity permutation, the scatter is
+    // skipped and the arena copied as it stands — and the model cost must be
+    // charged exactly as if the tuples had crossed the wire (same words,
+    // bytes, rounds, loads).
+    let mut ctx_again = ctx();
+    let again = grouped.shuffle_by_key(&mut ctx_again, |t| t.0).unwrap();
+    assert_eq!(again.offsets(), grouped.offsets());
     assert_eq!(
-        ctx_owned.into_stats(),
+        ctx_again.into_stats(),
         first,
         "the identity short-circuit must be invisible in the stats"
     );
-
-    // The borrowing variant takes the same short circuit (arena cloned).
-    let mut ctx_borrow = ctx();
-    let again = grouped.shuffle_by_key(&mut ctx_borrow, |t| t.0).unwrap();
-    assert_eq!(again.offsets(), &expected_offsets[..]);
-    assert_eq!(again.gather(), expected_tuples.clone());
-    assert_eq!(ctx_borrow.into_stats(), first);
-
-    // Through the fused path the relocation is skipped but the map is not.
-    let mut ctx_fused = ctx();
-    let mapped = grouped
-        .shuffle_map_owned(&mut ctx_fused, |t| t.0, |t| (t.0, t.1 + 7))
-        .unwrap();
-    assert_eq!(mapped.offsets(), &expected_offsets[..]);
-    let want: Vec<(u64, u64)> = expected_tuples.iter().map(|t| (t.0, t.1 + 7)).collect();
-    assert_eq!(mapped.gather(), want);
+    assert_eq!(again.gather(), grouped.gather());
 }
 
 #[test]
@@ -218,11 +139,11 @@ fn natural_width_narrows_the_charge_for_compact_tuples() {
     let mut ctx_wide = ctx();
     let mut ctx_narrow = ctx();
     Cluster::from_tuples(&cfg, packed.clone())
-        .shuffle_by_key_owned(&mut ctx_wide, |t| *t)
+        .shuffle_by_key(&mut ctx_wide, |t| *t)
         .unwrap();
     Cluster::from_tuples(&cfg, packed)
         .with_natural_width()
-        .shuffle_by_key_owned(&mut ctx_narrow, |t| *t)
+        .shuffle_by_key(&mut ctx_narrow, |t| *t)
         .unwrap();
     let wide = ctx_wide.into_stats();
     let narrow = ctx_narrow.into_stats();
@@ -231,75 +152,6 @@ fn natural_width_narrows_the_charge_for_compact_tuples() {
     // Both shuffles move the same host representation: 8 bytes per tuple.
     assert_eq!(wide.total_shuffled_bytes(), narrow.total_shuffled_bytes());
     assert_eq!(narrow.total_shuffled_bytes(), 500 * 8);
-}
-
-mod fused_matches_unfused_spec {
-    //! Differential property test: the fused supersteps must be output- and
-    //! stat-identical to their unfused executable specifications on
-    //! arbitrary keyed workloads — including inputs whose routing
-    //! degenerates to the identity permutation (pre-grouped tuples), which
-    //! exercises the short-circuit against the scatter path.
-
-    use proptest::prelude::*;
-    use wcc_mpc::{Cluster, MpcConfig, MpcContext};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn fused_supersteps_are_identical_to_their_unfused_specs(
-            tuples in proptest::collection::vec((0u64..5_000, 0u64..1_000_000), 0..600),
-            machines in 1usize..48,
-            threads in 1usize..5,
-            already_grouped in proptest::bool::ANY,
-        ) {
-            let cfg = MpcConfig::with_memory(1 << 16, 2048)
-                .permissive()
-                .with_machines(machines)
-                .with_threads(threads);
-            // Optionally pre-group the tuples so the fused paths also run
-            // through the identity-plan short circuit.
-            let source = |ctx: &mut MpcContext| -> Cluster<(u64, u64)> {
-                let c = Cluster::from_tuples(&cfg, tuples.clone());
-                if already_grouped {
-                    c.shuffle_by_key_owned(ctx, |t| t.0).unwrap()
-                } else {
-                    c
-                }
-            };
-
-            // shuffle-then-map.
-            let mut ctx_fused = MpcContext::new(cfg);
-            let mut ctx_spec = MpcContext::new(cfg);
-            let fused = source(&mut ctx_fused)
-                .shuffle_map_owned(&mut ctx_fused, |t| t.0, |t| (t.1, t.0 ^ 1))
-                .unwrap();
-            let spec = source(&mut ctx_spec)
-                .shuffle_by_key_owned(&mut ctx_spec, |t| t.0)
-                .unwrap()
-                .map_local_owned(|t| (t.1, t.0 ^ 1));
-            prop_assert_eq!(fused.offsets(), spec.offsets());
-            prop_assert_eq!(fused.gather(), spec.gather());
-            prop_assert_eq!(ctx_fused.into_stats(), ctx_spec.into_stats());
-
-            // map-then-shuffle: the narrowing map keeps the low 32 bits and
-            // the route key pre-computes the mapped key, so the legality
-            // rule `route_key(&t) == key(&f(t))` holds (keys are < 2^32).
-            let narrow = |t: (u64, u64)| (t.0 as u32, t.1 as u32);
-            let mut ctx_fused = MpcContext::new(cfg);
-            let mut ctx_spec = MpcContext::new(cfg);
-            let fused = source(&mut ctx_fused)
-                .map_shuffle_owned(&mut ctx_fused, narrow, |t| t.0)
-                .unwrap();
-            let spec = source(&mut ctx_spec)
-                .map_local_owned(narrow)
-                .shuffle_by_key_owned(&mut ctx_spec, |u| u64::from(u.0))
-                .unwrap();
-            prop_assert_eq!(fused.offsets(), spec.offsets());
-            prop_assert_eq!(fused.gather(), spec.gather());
-            prop_assert_eq!(ctx_fused.into_stats(), ctx_spec.into_stats());
-        }
-    }
 }
 
 mod reduce_matches_hashmap_spec {
@@ -360,10 +212,11 @@ fn gather_after_chain_preserves_tuples() {
     // keeps the properties throughout.
     let mut context = ctx();
     let mut c = base_cluster()
-        .map_local_owned(|t| (t.0, t.1 * 2))
-        .shuffle_by_key_owned(&mut context, |t| t.0)
-        .unwrap();
-    c.map_local_in_place(|t| t.1 += 1);
+        .map_local(|t| (t.0, t.1 * 2))
+        .shuffle_by_key(&mut context, |t| t.0)
+        .unwrap()
+        .flat_map_local(|t| [(t.0, t.1 + 1), (t.0, u64::MAX)]);
+    c.filter_local_in_place(|t| t.1 != u64::MAX);
     assert_props(&c, "chained ops");
     let mut values: Vec<u64> = c.gather().into_iter().map(|t| t.1).collect();
     values.sort_unstable();

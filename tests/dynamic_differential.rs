@@ -250,42 +250,49 @@ fn full_component_teardown_reaches_singletons_without_recompute() {
     assert_eq!(engine.splits(), 6, "7 singletons minted out of 1 component");
 }
 
-/// Version-1 streams must replay byte-identically through the op-aware
-/// reader: decoding `data/sample_batches.wccs` with the legacy edge reader
-/// and with the op reader must agree record for record, and both replays
-/// must produce the same partition and stats.
+/// Archived version-1 streams keep replaying: the checked-in
+/// `data/sample_batches.wccs` (written by the retired v1 packer from
+/// `data/sample_graph.txt` at 6 edges per chunk) must report version 1,
+/// decode to exactly the batches today's packer produces from the same text —
+/// every op an insertion — and replay to the same per-batch decisions.
 #[test]
 fn v1_chunk_streams_replay_identically_through_the_op_reader() {
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/data/sample_batches.wccs"
-    ));
-    let edge_batches = wcc_graph::io::read_edge_chunks_file(path).unwrap();
-    let (version, _) = wcc_graph::io::read_op_chunk_frames(std::io::BufReader::new(
-        std::fs::File::open(path).unwrap(),
-    ))
-    .unwrap();
-    assert_eq!(version, wcc_graph::io::CHUNK_FORMAT_VERSION);
-    let op_batches = wcc_graph::io::read_op_chunks_file(path).unwrap();
-    let as_ops: Vec<Vec<EdgeOp>> = edge_batches
+    use wcc_graph::io::{pack_op_list, read_op_chunk_frames, read_op_chunks, read_op_chunks_file};
+    use wcc_graph::io::{OpKind, CHUNK_FORMAT_VERSION};
+
+    let data = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/data"));
+    let v1_bytes = std::fs::read(data.join("sample_batches.wccs")).unwrap();
+    let (version, _) = read_op_chunk_frames(v1_bytes.as_slice()).unwrap();
+    assert_eq!(version, CHUNK_FORMAT_VERSION);
+    let v1_batches = read_op_chunks_file(&data.join("sample_batches.wccs")).unwrap();
+    assert!(v1_batches
         .iter()
-        .map(|b| b.iter().map(|&(u, v)| EdgeOp::insert(u, v)).collect())
-        .collect();
-    assert_eq!(op_batches, as_ops, "v1 records must decode identically");
+        .flatten()
+        .all(|op| op.kind == OpKind::Insert));
 
-    let mut legacy = IncrementalComponents::new(StreamParams::test_scale(), 7);
-    let legacy_reports = legacy.apply_schedule(&edge_batches).unwrap();
-    let mut dynamic = IncrementalComponents::new(StreamParams::test_scale(), 7);
-    let dynamic_reports = dynamic.apply_ops_schedule(&op_batches).unwrap();
+    let text = std::fs::read(data.join("sample_graph.txt")).unwrap();
+    let mut repacked = Vec::new();
+    pack_op_list(text.as_slice(), &mut repacked, 6).unwrap();
+    let v2_batches = read_op_chunks(repacked.as_slice()).unwrap();
+    assert_eq!(v1_batches, v2_batches, "v1 records must decode identically");
 
-    assert_eq!(legacy_reports.len(), dynamic_reports.len());
-    for (l, d) in legacy_reports.iter().zip(&dynamic_reports) {
-        assert_eq!(l.path, d.path);
-        assert_eq!(l.rounds, d.rounds);
-        assert_eq!(l.communication_words, d.communication_words);
-        assert_eq!((l.insertions, l.deletions), (d.insertions, d.deletions));
+    let mut archived = IncrementalComponents::new(StreamParams::test_scale(), 7);
+    let archived_reports = archived.apply_ops_schedule(&v1_batches).unwrap();
+    let mut repack = IncrementalComponents::new(StreamParams::test_scale(), 7);
+    let repack_reports = repack.apply_ops_schedule(&v2_batches).unwrap();
+
+    assert_eq!(archived_reports.len(), repack_reports.len());
+    for (a, r) in archived_reports.iter().zip(&repack_reports) {
+        assert_eq!(a.path, r.path);
+        assert_eq!(a.rounds, r.rounds);
+        assert_eq!(a.communication_words, r.communication_words);
+        assert_eq!((a.insertions, a.deletions), (r.insertions, r.deletions));
+        assert_eq!(a.deletions, 0);
     }
-    assert_eq!(legacy.num_edges(), dynamic.num_edges());
-    assert!(legacy.labels().same_partition(&dynamic.labels()));
-    assert!(!dynamic.sketch_active(), "an insert-only replay stays lazy");
+    assert_eq!(archived.num_edges(), repack.num_edges());
+    assert!(archived.labels().same_partition(&repack.labels()));
+    assert!(
+        !archived.sketch_active() && !repack.sketch_active(),
+        "an insert-only replay stays lazy"
+    );
 }

@@ -15,6 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use wcc_core::pipeline::{adaptive_components, well_connected_components};
 use wcc_core::Params;
 use wcc_graph::generators::GraphFamily;
+use wcc_graph::io::EdgeOp;
 use wcc_graph::Graph;
 
 const THREADED: [usize; 2] = [2, 8];
@@ -249,17 +250,18 @@ fn streaming_ingestion_is_bit_identical_across_thread_counts() {
             let mut edges: Vec<(u64, u64)> =
                 g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
             edges.shuffle(&mut ChaCha8Rng::seed_from_u64(seed ^ 0x57AE)); // "STRE"
-            let mut schedule: Vec<Vec<(u64, u64)>> =
-                edges.chunks(101).map(<[(u64, u64)]>::to_vec).collect();
+            let mut schedule: Vec<Vec<EdgeOp>> = edges.chunks(101).map(EdgeOp::inserts).collect();
             let n = g.num_vertices() as u64;
-            schedule.push(vec![(n, 0), (n, 1), (n, 2)]);
+            schedule.push(EdgeOp::inserts(&[(n, 0), (n, 1), (n, 2)]));
 
             let replay = |threads: usize| {
                 let params = StreamParams::test_scale()
                     .with_lambda(lambda)
                     .with_threads(threads);
                 let mut engine = IncrementalComponents::new(params, seed);
-                let reports = engine.apply_schedule(&schedule).expect("replay succeeds");
+                let reports = engine
+                    .apply_ops_schedule(&schedule)
+                    .expect("replay succeeds");
                 // Project the per-batch reports onto their model quantities
                 // (wall time is a timing observable, not part of the
                 // contract).
@@ -300,7 +302,6 @@ fn streaming_ingestion_is_bit_identical_across_thread_counts() {
 fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
     use rand::seq::SliceRandom;
     use wcc_core::stream::{IncrementalComponents, StreamParams};
-    use wcc_graph::io::EdgeOp;
 
     for (fi, (family, lambda)) in families().into_iter().enumerate() {
         let g = instance(&family, 300 + fi as u64);
@@ -396,12 +397,12 @@ fn mixed_light_and_heavy_inputs_are_exact_at_every_thread_count() {
             "{name} must mix light and heavy vertices"
         );
         let truth = connected_components(&g);
-        let schedule: Vec<Vec<(u64, u64)>> = g
+        let schedule: Vec<Vec<EdgeOp>> = g
             .edge_iter()
-            .map(|(u, v)| (u as u64, v as u64))
+            .map(|(u, v)| EdgeOp::insert(u as u64, v as u64))
             .collect::<Vec<_>>()
             .chunks(101)
-            .map(<[(u64, u64)]>::to_vec)
+            .map(<[EdgeOp]>::to_vec)
             .collect();
 
         let run = |threads: usize| {
@@ -414,7 +415,9 @@ fn mixed_light_and_heavy_inputs_are_exact_at_every_thread_count() {
                     .with_threads(threads),
                 17,
             );
-            engine.apply_schedule(&schedule).expect("replay succeeds");
+            engine
+                .apply_ops_schedule(&schedule)
+                .expect("replay succeeds");
             let replayed = engine.labels_for_universe(g.num_vertices());
             for (entry, labels) in [
                 ("wcc", &wcc.components),
@@ -438,59 +441,6 @@ fn mixed_light_and_heavy_inputs_are_exact_at_every_thread_count() {
                 baseline,
                 run(threads),
                 "labels, rounds or words moved on {name}, threads {threads}"
-            );
-        }
-    }
-}
-
-/// The fused supersteps (`shuffle_map_owned` / `map_shuffle_owned`) and the
-/// identity-shuffle short circuit must be bit-identical across thread
-/// counts: the fused scatter writes mapped tuples from concurrent workers
-/// and the short circuit skips the scatter entirely, so both are new ways
-/// for thread count to leak into output order — this pins them to the
-/// 1-thread run, stats included.
-#[test]
-fn fused_supersteps_are_bit_identical_across_thread_counts() {
-    use wcc_mpc::{Cluster, MpcConfig, MpcContext};
-
-    for seed in SEEDS {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let tuples: Vec<(u64, u64)> = (0..3000u64)
-            .map(|i| (rand::Rng::gen_range(&mut rng, 0..97u64), i))
-            .collect();
-
-        let run = |threads: usize| {
-            let cfg = MpcConfig::with_memory(1 << 14, 256).with_threads(threads);
-            let mut ctx = MpcContext::new(cfg);
-            // A real (non-identity) fused shuffle-then-map...
-            let grouped = Cluster::from_tuples(&cfg, tuples.clone())
-                .shuffle_map_owned(&mut ctx, |t| t.0, |t| (t.0, t.1.wrapping_mul(3)))
-                .unwrap();
-            // ...then a fused map-then-shuffle whose routing is the identity
-            // permutation (same key, tuples already grouped), taking the
-            // short circuit while still applying the narrowing map. The
-            // route key pre-computes the mapped key (keys are < 97, so the
-            // u32 narrowing is lossless): `route_key(&t) == key(&f(t))`.
-            let again = grouped
-                .map_shuffle_owned(&mut ctx, |t| (t.0 as u32, t.1 as u32), |t| t.0)
-                .unwrap();
-            (again.offsets().to_vec(), again.gather(), ctx.into_stats())
-        };
-
-        let baseline = run(1);
-        for threads in THREADED {
-            let out = run(threads);
-            assert_eq!(
-                baseline.0, out.0,
-                "offsets diverged (seed {seed}, threads {threads})"
-            );
-            assert_eq!(
-                baseline.1, out.1,
-                "tuples diverged (seed {seed}, threads {threads})"
-            );
-            assert_eq!(
-                baseline.2, out.2,
-                "stats diverged (seed {seed}, threads {threads})"
             );
         }
     }
@@ -583,15 +533,13 @@ fn arena_counting_shuffle_is_bit_identical_across_thread_counts() {
                     "machine {mi} diverged from the reference order (seed {seed}, threads {threads})"
                 );
             }
-            // The consuming variant must agree tuple-for-tuple and
-            // stat-for-stat.
-            let mut ctx_owned = MpcContext::new(cfg);
-            let owned = Cluster::from_tuples(&cfg, tuples.clone())
-                .shuffle_by_key_owned(&mut ctx_owned, |t| t.0)
-                .unwrap();
-            assert_eq!(owned.offsets(), shuffled.offsets());
-            assert_eq!(owned.gather(), shuffled.gather());
-            assert_eq!(ctx_owned.stats(), ctx.stats());
+            // Re-shuffling by the same key routes every tuple to the machine
+            // it already sits on: the identity short circuit skips the
+            // scatter, and must hand back the same arena (and, through
+            // `all_stats`, the same charge) at every thread count.
+            let again = shuffled.shuffle_by_key(&mut ctx, |t| t.0).unwrap();
+            assert_eq!(again.offsets(), shuffled.offsets());
+            assert_eq!(again.gather(), shuffled.gather());
             all_stats.push(ctx.into_stats());
         }
         assert_eq!(all_stats[0], all_stats[1], "stats diverged at 2 threads");

@@ -39,6 +39,32 @@ fn arb_multigraph(max_n: usize, max_pairs: usize) -> impl Strategy<Value = Graph
     })
 }
 
+/// An insert-only schedule as `WCCS` bytes in either format version, plus the
+/// version's record size. Version 2 comes from the writer; version 1 (same
+/// framing, no tag byte) is assembled here because nothing writes it any
+/// more — the readers still must accept it.
+fn encode_insert_chunks(v2: bool, chunks: &[&[(u64, u64)]]) -> (usize, Vec<u8>) {
+    use wcc_graph::io::{
+        CHUNK_BYTES_PER_EDGE, CHUNK_BYTES_PER_OP, CHUNK_FORMAT_VERSION, CHUNK_MAGIC,
+    };
+    let mut binary = Vec::new();
+    if v2 {
+        let ops: Vec<Vec<EdgeOp>> = chunks.iter().map(|c| EdgeOp::inserts(c)).collect();
+        write_op_chunks(&ops, &mut binary).unwrap();
+        return (CHUNK_BYTES_PER_OP, binary);
+    }
+    binary.extend_from_slice(&CHUNK_MAGIC);
+    binary.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
+    for chunk in chunks {
+        binary.extend_from_slice(&((chunk.len() * CHUNK_BYTES_PER_EDGE) as u64).to_le_bytes());
+        for &(u, v) in *chunk {
+            binary.extend_from_slice(&u.to_le_bytes());
+            binary.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    (CHUNK_BYTES_PER_EDGE, binary)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -163,30 +189,21 @@ proptest! {
         g in arb_graph(80, 200),
         batch_edges in 1usize..40,
     ) {
-        use wcc_graph::io::{read_edge_chunks, write_edge_chunks};
-
-        // Text leg: serialize and re-load (this is where ids are remapped).
+        // Text leg, then the binary leg exactly as `wcc pack` runs it: the
+        // streaming packer, raw ids passing through verbatim.
         let mut text1 = Vec::new();
         write_edge_list(&g, &mut text1).unwrap();
-        let loaded = read_edge_list(std::io::Cursor::new(text1)).unwrap();
-
-        // Binary leg: the re-loaded edges in *original* ids, chunked.
-        let raw_edges: Vec<(u64, u64)> = loaded
-            .graph
-            .edge_iter()
-            .map(|(u, v)| (loaded.original_ids[u], loaded.original_ids[v]))
-            .collect();
-        let chunks: Vec<&[(u64, u64)]> = raw_edges.chunks(batch_edges).collect();
         let mut binary = Vec::new();
-        write_edge_chunks(&chunks, &mut binary).unwrap();
-        let decoded = read_edge_chunks(std::io::Cursor::new(binary)).unwrap();
+        let summary = pack_op_list(std::io::Cursor::new(text1), &mut binary, batch_edges).unwrap();
+        prop_assert_eq!(summary.edges as usize, g.num_edges());
+        let decoded = read_op_chunks(std::io::Cursor::new(binary)).unwrap();
+        prop_assert!(decoded.iter().flatten().all(|op| op.kind == OpKind::Insert));
 
         // Back to text: emit the decoded stream as edge-list lines (keeping
         // the raw id space) and re-load it one final time.
-        let flat: Vec<(u64, u64)> = decoded.into_iter().flatten().collect();
         let mut text2 = String::from("# decoded from the binary chunk leg\n");
-        for &(a, b) in &flat {
-            text2.push_str(&format!("{a} {b}\n"));
+        for op in decoded.iter().flatten() {
+            text2.push_str(&format!("{} {}\n", op.u, op.v));
         }
         let final_loaded = read_edge_list(std::io::Cursor::new(text2.into_bytes())).unwrap();
 
@@ -221,25 +238,25 @@ proptest! {
         g in arb_graph(40, 100),
         batch_edges in 1usize..20,
         cut_permille in 0usize..1000,
+        v2 in proptest::bool::ANY,
     ) {
-        use wcc_graph::io::{read_edge_chunks, write_edge_chunks, IoError};
+        use wcc_graph::io::IoError;
 
         let raw: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
         let chunks: Vec<&[(u64, u64)]> = raw.chunks(batch_edges).collect();
-        let mut binary = Vec::new();
-        write_edge_chunks(&chunks, &mut binary).unwrap();
+        let (record, binary) = encode_insert_chunks(v2, &chunks);
 
         // Clean EOF is legal exactly at the header boundary and after each
         // chunk; everywhere else the reader must report truncation (and must
-        // never panic).
+        // never panic) — in either format version.
         let mut boundaries = vec![8usize];
         let mut offset = 8usize;
         for c in &chunks {
-            offset += 8 + 16 * c.len();
+            offset += 8 + record * c.len();
             boundaries.push(offset);
         }
         let cut = binary.len() * cut_permille / 1000;
-        let result = read_edge_chunks(std::io::Cursor::new(binary[..cut].to_vec()));
+        let result = read_op_chunks(std::io::Cursor::new(binary[..cut].to_vec()));
         if boundaries.contains(&cut) {
             prop_assert!(result.is_ok(), "cut {} is a chunk boundary", cut);
         } else {
@@ -256,38 +273,38 @@ proptest! {
         batch_edges in 1usize..20,
         chunk_pick in 0usize..20,
         flip_bit in 0u32..4,
+        v2 in proptest::bool::ANY,
     ) {
-        use wcc_graph::io::{read_edge_chunks, write_edge_chunks, IoError};
+        use wcc_graph::io::IoError;
 
         let raw: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
         if raw.is_empty() {
             return; // a graph with no edges has no chunk header to corrupt
         }
         let chunks: Vec<&[(u64, u64)]> = raw.chunks(batch_edges).collect();
-        let mut binary = Vec::new();
-        write_edge_chunks(&chunks, &mut binary).unwrap();
+        let (record, mut binary) = encode_insert_chunks(v2, &chunks);
+        let mut bad_magic = binary.clone();
 
-        // Corrupt the low nibble of one chunk's length header: the length is
-        // no longer a multiple of 16, which the reader must flag as Corrupt
-        // — never panic, never mis-decode.
+        // Corrupt the low nibble of one chunk's length header: the length
+        // moves by less than a record (16 or 17 bytes), so it is no longer a
+        // whole number of records, which the reader must flag as Corrupt —
+        // never panic, never mis-decode.
         let target = chunk_pick % chunks.len();
         let mut offset = 8usize;
         for c in chunks.iter().take(target) {
-            offset += 8 + 16 * c.len();
+            offset += 8 + record * c.len();
         }
         binary[offset] ^= 1u8 << flip_bit;
-        let result = read_edge_chunks(std::io::Cursor::new(binary));
+        let result = read_op_chunks(std::io::Cursor::new(binary));
         prop_assert!(
             matches!(result, Err(IoError::Corrupt { chunk, .. }) if chunk == target),
             "corrupting chunk {}'s header must surface as Corrupt", target
         );
 
         // Corrupting the magic must surface as BadMagic.
-        let mut bad_magic = Vec::new();
-        write_edge_chunks(&chunks, &mut bad_magic).unwrap();
         bad_magic[0] ^= 0xFF;
         prop_assert!(matches!(
-            read_edge_chunks(std::io::Cursor::new(bad_magic)),
+            read_op_chunks(std::io::Cursor::new(bad_magic)),
             Err(IoError::BadMagic)
         ));
     }
@@ -307,7 +324,7 @@ proptest! {
         let edges: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
         let mut engine = IncrementalComponents::new(StreamParams::test_scale(), seed);
         for chunk in edges.chunks(batch_edges) {
-            engine.apply_batch(chunk).unwrap();
+            engine.apply_ops_batch(&EdgeOp::inserts(chunk)).unwrap();
         }
         prop_assert!(engine.labels_for_universe(g.num_vertices()).same_partition(&truth));
     }

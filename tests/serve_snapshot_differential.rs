@@ -22,6 +22,7 @@ use wcc_core::serve::{ComponentSnapshot, Request, Response, Server, SnapshotCell
 use wcc_core::stream::{IncrementalComponents, StreamParams};
 use wcc_core::{well_connected_components, Params};
 use wcc_graph::generators::GraphFamily;
+use wcc_graph::io::EdgeOp;
 use wcc_graph::{Graph, UnionFind};
 
 const SEEDS: [u64; 2] = [5, 13];
@@ -71,7 +72,7 @@ fn epoch_truths(schedule: &[Vec<(u64, u64)>], params: StreamParams, seed: u64) -
     let mut engine = IncrementalComponents::new(params, seed);
     let mut truths = vec![EpochTruth::default()];
     for batch in schedule {
-        engine.apply_batch(batch).unwrap();
+        engine.apply_ops_batch(&EdgeOp::inserts(batch)).unwrap();
         let labels = engine.labels();
         let mut truth = EpochTruth::default();
         for (dense, &raw) in engine.original_ids().iter().enumerate() {
@@ -157,7 +158,7 @@ fn every_epoch_snapshot_matches_from_scratch_on_its_prefix() {
             let probe_ids: Vec<u64> = (0..g.num_vertices() as u64 + 3).collect();
 
             for (k, batch) in schedule.iter().enumerate() {
-                engine.apply_batch(batch).unwrap();
+                engine.apply_ops_batch(&EdgeOp::inserts(batch)).unwrap();
                 prefix.extend_from_slice(batch);
                 let epoch = k as u64 + 1;
                 let snap = engine.snapshot(epoch);
@@ -272,7 +273,7 @@ fn concurrent_readers_never_observe_torn_labels() {
 
     let mut engine = IncrementalComponents::new(params(lambda), seed);
     for (k, batch) in schedule.iter().enumerate() {
-        engine.apply_batch(batch).unwrap();
+        engine.apply_ops_batch(&EdgeOp::inserts(batch)).unwrap();
         cell.publish(engine.snapshot(k as u64 + 1));
         // Give the readers a slice of the single core between publishes.
         std::thread::sleep(std::time::Duration::from_millis(2));
@@ -392,7 +393,7 @@ fn tcp_clients_get_epoch_consistent_answers_during_ingest() {
 
     let mut engine = IncrementalComponents::new(params(lambda), seed);
     for (k, batch) in schedule.iter().enumerate() {
-        engine.apply_batch(batch).unwrap();
+        engine.apply_ops_batch(&EdgeOp::inserts(batch)).unwrap();
         server.publish(engine.snapshot(k as u64 + 1));
         std::thread::sleep(std::time::Duration::from_millis(2));
     }

@@ -15,6 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use wcc_core::stream::{IncrementalComponents, StreamParams};
 use wcc_core::{well_connected_components, Params};
 use wcc_graph::generators::GraphFamily;
+use wcc_graph::io::EdgeOp;
 use wcc_graph::{connected_components, ComponentLabels, Graph};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -41,12 +42,12 @@ fn instance(family: &GraphFamily, index: u64) -> Graph {
 
 /// A random batch schedule covering exactly the edges of `g`: the edge list
 /// is shuffled with a seeded RNG and split into fixed-size batches.
-fn random_schedule(g: &Graph, seed: u64, batch_edges: usize) -> Vec<Vec<(u64, u64)>> {
+fn random_schedule(g: &Graph, seed: u64, batch_edges: usize) -> Vec<Vec<EdgeOp>> {
     let mut edges: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
     edges.shuffle(&mut ChaCha8Rng::seed_from_u64(seed ^ 0xBA7C4));
     edges
         .chunks(batch_edges.max(1))
-        .map(<[(u64, u64)]>::to_vec)
+        .map(EdgeOp::inserts)
         .collect()
 }
 
@@ -79,7 +80,7 @@ fn incremental_replay_is_component_equivalent_to_from_scratch() {
                     .with_lambda(lambda)
                     .with_threads(threads);
                 let mut engine = IncrementalComponents::new(params, seed);
-                let reports = engine.apply_schedule(&schedule).unwrap();
+                let reports = engine.apply_ops_schedule(&schedule).unwrap();
                 assert_eq!(
                     engine.num_edges(),
                     g.num_edges(),
@@ -119,7 +120,7 @@ fn batch_granularity_does_not_change_the_final_partition() {
         let schedule = random_schedule(&g, 99, batch_edges.min(g.num_edges()));
         let mut engine =
             IncrementalComponents::new(StreamParams::test_scale().with_lambda(lambda), 3);
-        engine.apply_schedule(&schedule).unwrap();
+        engine.apply_ops_schedule(&schedule).unwrap();
         assert!(
             labels_on(&g, &engine).same_partition(&truth),
             "batch size {batch_edges} diverged"
@@ -138,17 +139,17 @@ fn fast_path_matches_per_batch_recompute_reference() {
     // reference recomputes from scratch.
     let mut schedule = random_schedule(&g, 21, 200);
     let n = g.num_vertices() as u64;
-    schedule.push(vec![
+    schedule.push(EdgeOp::inserts(&[
         (n, 0),
         (n, 1),
         (n, 2),
         (n + 1, 3),
         (n + 1, 4),
         (n + 1, 5),
-    ]);
+    ]));
 
     let mut fast = IncrementalComponents::new(StreamParams::test_scale().with_lambda(lambda), 17);
-    fast.apply_schedule(&schedule).unwrap();
+    fast.apply_ops_schedule(&schedule).unwrap();
 
     let mut reference = IncrementalComponents::new(
         StreamParams::test_scale()
@@ -156,7 +157,7 @@ fn fast_path_matches_per_batch_recompute_reference() {
             .with_fast_path(false),
         17,
     );
-    reference.apply_schedule(&schedule).unwrap();
+    reference.apply_ops_schedule(&schedule).unwrap();
 
     assert_eq!(fast.num_vertices(), reference.num_vertices());
     assert_eq!(fast.num_edges(), reference.num_edges());
