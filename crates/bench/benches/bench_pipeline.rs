@@ -27,8 +27,9 @@
 //!   against per-batch full recompute on a merge-free streaming batch
 //!   schedule (end labellings asserted identical before timing);
 //! * **dynamic_ingest** — the turnstile engine on a deletion-heavy op
-//!   schedule (rolling insert/delete window, sketch-Borůvka repairs every
-//!   batch) vs a merge-free insert-only schedule of the same batch size,
+//!   schedule (rolling insert/delete window: turnstile sketch updates every
+//!   batch, every deletion certified by the spanning forest) vs a merge-free
+//!   insert-only schedule of the same batch size,
 //!   differentially checked against per-batch full recompute before timing.
 //!
 //! Wall-clock time is *not* the quantity the paper bounds (rounds are — see
@@ -549,8 +550,9 @@ fn bench_stream_ingest(c: &mut Criterion) {
 /// deletion, so this arm never pays for it). The deletion-heavy arm rolls a
 /// window: each batch inserts 400 fresh intra-component edges and deletes
 /// the 400 inserted by the previous batch, so every batch after the first
-/// is a structural-deletion storm that runs the sketch-Borůvka repair on
-/// the touched component. Before timing, the deletion arm is differentially
+/// is a structural-deletion storm on the `SketchRepair` path — none of it a
+/// forest cut, so what is timed is the lazy build and 6 000 sketch updates.
+/// Before timing, the deletion arm is differentially
 /// checked against a fast-path-disabled reference (per-batch full
 /// recompute) on the identical schedule, and the schedule is asserted to
 /// actually exercise the sketch path.

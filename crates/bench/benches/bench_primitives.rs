@@ -118,6 +118,27 @@ fn bench_sketch(c: &mut Criterion) {
     group.bench_function("subset_components/1000_members", |b| {
         b.iter(|| sk.subset_components(&members))
     });
+    // The same Borůvka warm-started the way the streaming engine does after
+    // one forest cut: a spanning tree of the community minus one edge, that
+    // edge deleted from the sketch, so two parts are left to re-link.
+    let mut uf = UnionFind::new(half as usize);
+    let mut known: Vec<(u32, u32)> = g
+        .edge_iter()
+        .filter(|&(u, v)| u.max(v) < half as usize && uf.union(u, v))
+        .map(|(u, v)| (u as u32, v as u32))
+        .collect();
+    let (cut_u, cut_v) = known.pop().expect("a connected community has tree edges");
+    sk.remove_edge(cut_u, cut_v);
+    {
+        let warm = sk
+            .subset_components_from(&members, &known)
+            .expect("certifies");
+        assert_eq!(warm.parts, vec![members.clone()]);
+        assert_eq!(warm.links.len(), 1, "two parts, one link");
+    }
+    group.bench_function("subset_components_from/1000_members_1_cut", |b| {
+        b.iter(|| sk.subset_components_from(&members, &known))
+    });
     group.finish();
 }
 

@@ -34,8 +34,8 @@
 //! `batches` array inside the same `--json` record the one-shot modes
 //! emit. Every record carries an op tag, so a schedule may mix insertions
 //! and turnstile deletions, with per-batch
-//! `insertions`/`deletions`/`splits`/`sketch_recertifies` counts in the
-//! record (archived version-1 streams, which have no tag byte, replay
+//! `insertions`/`deletions`/`splits`/`sketch_recertifies`/`forest_cuts`
+//! counts in the record (archived version-1 streams, which have no tag byte, replay
 //! through the same reader as all-insert schedules). `wcc pack` converts a
 //! text edge or op list into that format: lines may carry a `+`/`-` op
 //! prefix, bare `u v` lines are insertions, and the output file appears
@@ -204,9 +204,13 @@ struct JsonBatch {
     standing_merges: usize,
     /// Components this batch's deletions split off via the sketch path.
     splits: usize,
-    /// Components the sketch re-certified as still connected after a
-    /// structural deletion.
+    /// Components re-certified as still connected after a structural
+    /// deletion: by the spanning forest for free, or — where `forest_cuts`
+    /// says a forest edge went — by the sketch re-linking the pieces.
     sketch_recertifies: usize,
+    /// Spanning-forest edges this batch's deletions removed; only their
+    /// components are handed to the sketch.
+    forest_cuts: usize,
     /// `"fast-path"`, `"sketch-repair"` or `"recompute:<reason>"`.
     path: String,
     components_after: usize,
@@ -260,6 +264,7 @@ impl From<&BatchReport> for JsonBatch {
             standing_merges: r.standing_merges,
             splits: r.splits,
             sketch_recertifies: r.sketch_recertifies,
+            forest_cuts: r.forest_cuts,
             path: r.path.label().to_string(),
             components_after: r.components_after,
             rounds: r.rounds,
@@ -646,7 +651,7 @@ fn run_stream(opts: &Options) -> ExitCode {
     for r in &reports {
         println!(
             "batch {:>4}: {:>7} ops ({:>7} ins, {:>6} del), {:>6} new vertices, \
-             {:>3} standing merges, {:>3} splits -> {:<32} \
+             {:>3} standing merges, {:>3} forest cuts, {:>3} splits -> {:<32} \
              ({} rounds, {} words, {:.1} ms)",
             r.batch_index,
             r.edges_in_batch,
@@ -654,6 +659,7 @@ fn run_stream(opts: &Options) -> ExitCode {
             r.deletions,
             r.new_vertices,
             r.standing_merges,
+            r.forest_cuts,
             r.splits,
             r.path.label(),
             r.rounds,
@@ -663,10 +669,11 @@ fn run_stream(opts: &Options) -> ExitCode {
     }
     let fast = reports.iter().filter(|r| r.path.is_fast()).count();
     println!(
-        "replayed {} batches ({} fast-path, {} sketch splits, {} sketch recertifies, \
-         {} recomputes): {} vertices, {} edges",
+        "replayed {} batches ({} fast-path, {} forest cuts, {} sketch splits, \
+         {} sketch recertifies, {} recomputes): {} vertices, {} edges",
         reports.len(),
         fast,
+        reports.iter().map(|r| r.forest_cuts).sum::<usize>(),
         engine.splits(),
         engine.sketch_recertifies(),
         engine.recomputes(),

@@ -46,34 +46,59 @@
 //! the next recompute certifies them — the certificate tracks *degradation
 //! of certified structure*, not absolute quality of brand-new structure.
 //!
-//! ## Deletions: the turnstile sketch path
+//! ## Deletions: a spanning forest certifies, the sketch repairs
 //!
 //! The stream is *fully dynamic*: batches may carry edge deletions
 //! ([`IncrementalComponents::apply_ops_batch`], fed from `WCCS` op
 //! streams). Deleting an edge can only *split* the component it lived in, so
 //! between the fast path and the full recompute sits a third, component-local
-//! path built on the paper's own AGM linear sketches (Proposition 8.1, which
-//! are turnstile by construction — a deletion is a `−1` update on the same
-//! ℓ0 samplers):
+//! path. It keeps two things, both built the first time a deletion is ever
+//! seen and updated per-op afterwards, so insert-only workloads pay nothing
+//! for the machinery:
 //!
-//! * The engine lazily maintains one
-//!   [`DynamicConnectivitySketch`](wcc_sketch::DynamicConnectivitySketch)
-//!   over the live edge multiset. It is built the first time a deletion is
-//!   ever seen and updated per-op afterwards, so insert-only workloads pay
-//!   nothing for the machinery.
-//! * A deletion of the **last live copy** of an edge is *structural*: it may
-//!   have disconnected its component. At the end of the batch, each touched
-//!   component runs sketch-space Borůvka over its members only
-//!   ([`wcc_sketch::DynamicConnectivitySketch::subset_components`]). If a
-//!   phase certifies the resulting partition (every part's summed sampler is
-//!   zero — a randomness-independent test), the component is either
-//!   *re-certified* connected (one part) or *split* into its exact new
-//!   components ([`BatchPath::SketchRepair`]); splits rebuild the union–find
-//!   and mint new component ids through the usual oldest-member rule.
-//! * Only when the sketch cannot certify (sampling failure,
-//!   [`RecomputeReason::SketchUncertified`]) — or the batch independently
-//!   escalates (standing merge, certificate violation) — does the engine fall
-//!   back to the full Theorem-4 recompute.
+//! * A **spanning forest of the live edge multiset** — the connectivity
+//!   certificate. It is the link forest of Liu–Tarjan's labeling that the
+//!   fast path's union–find computes anyway: an insert whose union joins two
+//!   sets marks its endpoint pair as a forest edge (the initial forest is
+//!   one union–find pass over the live edge log). Deleting a copy that is
+//!   not the last of its pair, or the last copy of a *non-forest* pair,
+//!   removes nothing the forest stands on: every tree still spans its
+//!   component, which is thereby certified connected at no cost. Only
+//!   deleting the last live copy of a forest pair is a **cut**
+//!   ([`BatchReport::forest_cuts`]).
+//! * One [`DynamicConnectivitySketch`](wcc_sketch::DynamicConnectivitySketch)
+//!   — the paper's AGM linear sketches (Proposition 8.1, turnstile by
+//!   construction: a deletion is a `−1` update on the same ℓ0 samplers) —
+//!   as the **replacement-edge oracle**. At the end of a batch, a component
+//!   with `c` cuts is `c + 1` surviving trees, and sketch-space Borůvka over
+//!   its members, *started from those trees*
+//!   ([`wcc_sketch::DynamicConnectivitySketch::subset_components_from`]),
+//!   samples edges leaving each piece. If a phase certifies the resulting
+//!   partition (every part's summed sampler is zero — a
+//!   randomness-independent test), the component is either *re-certified*
+//!   connected (one part; the sampled links become forest edges) or *split*
+//!   into its exact new components; splits rebuild the union–find and mint
+//!   new component ids through the usual oldest-member rule.
+//!
+//! A batch whose last-copy deletions all resolve this way reports
+//! [`BatchPath::SketchRepair`], whether or not any of them was a cut. Only
+//! when a cut component cannot be certified (sampling failure, or a sampled
+//! link that has no live copy — [`RecomputeReason::SketchUncertified`]) — or
+//! the batch independently escalates (standing merge, certificate violation)
+//! — does the engine fall back to the full Theorem-4 recompute.
+//!
+//! Labels stay exact because nothing about the certification got weaker: the
+//! zero test is the one the sketch always ran, a link is checked against the
+//! live multiset before it may join two parts, and every recompute (failed
+//! ones included) throws the forest away and rebuilds it from the live edge
+//! log, so cuts and merges of an escalated batch never linger in it.
+//!
+//! **Charges.** The two exchanges every batch pays (ops routed to their
+//! endpoints' label holders, merge responses back) are where the machine
+//! holding an edge learns, and answers with, its forest flag — a cut-free
+//! batch is charged nothing more. A cut component ships its members'
+//! sketches to a coordinator (`members · words_per_vertex` words, one round)
+//! and gets labels back (`members` words, one round).
 //!
 //! Deleting an edge that was never inserted (or already deleted) is a hard
 //! error that leaves the engine untouched — over-deletion would silently
@@ -88,6 +113,7 @@
 //! from-scratch pipeline runs for every tested family, seed and thread
 //! count.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -210,8 +236,9 @@ pub enum RecomputeReason {
 pub enum BatchPath {
     /// Union–find label maintenance only; no pipeline work.
     FastPath,
-    /// Component-local sketch-Borůvka re-certify-or-split of the components
-    /// touched by structural deletions; no pipeline work.
+    /// Component-local re-certify-or-split of the components touched by
+    /// structural deletions — by the spanning forest where it lost no edge,
+    /// by sketch-Borůvka where it was cut; no pipeline work.
     SketchRepair,
     /// Full pipeline recompute on the accumulated graph.
     Recompute(RecomputeReason),
@@ -264,9 +291,14 @@ pub struct BatchReport {
     /// Components minted by sketch-repair splits in this batch (a component
     /// splitting into `k` parts counts `k − 1`).
     pub splits: usize,
-    /// Deletion-touched components the sketch re-certified as still
-    /// connected in this batch.
+    /// Deletion-touched components re-certified as still connected in this
+    /// batch. Those that lost no forest edge — all of them when
+    /// `forest_cuts` is zero — are certified by the spanning forest itself,
+    /// for free; the others by the sketch re-linking the cut pieces.
     pub sketch_recertifies: usize,
+    /// Forest edges whose last live copy this batch deleted (cuts). Only a
+    /// component with a cut is handed to the sketch.
+    pub forest_cuts: usize,
     /// The path the batch took.
     pub path: BatchPath,
     /// Components after the batch.
@@ -315,16 +347,18 @@ pub struct IncrementalComponents {
     /// stack: an insertion pushes its slot, a deletion pops one (most
     /// recently inserted copy first). A deletion whose stack is empty has no
     /// live copy to remove and is a hard error.
+    /// A pair whose last copy is deleted leaves the map, so its length is
+    /// the number of live distinct pairs.
     edge_slots: HashMap<(u32, u32), Vec<u32>>,
-    /// The lazily built turnstile sketch over the live edge multiset:
+    /// The lazily built deletion-side state over the live edge multiset:
     /// `None` until the first deletion ever seen, then maintained per-op.
-    sketch: Option<DynamicConnectivitySketch>,
+    turnstile: Option<Turnstile>,
     /// Seed of the sketch's shared hash functions, derived once from the
     /// engine seed so replays are deterministic.
     sketch_seed: u64,
     /// Cumulative components minted by sketch-repair splits.
     splits_total: usize,
-    /// Cumulative sketch re-certifications.
+    /// Cumulative re-certifications (by the forest or the sketch).
     sketch_recertifies_total: usize,
     /// Current degree of every dense vertex (self-loops count once, matching
     /// [`Graph::degree`]).
@@ -355,6 +389,22 @@ pub struct IncrementalComponents {
     /// The decomposition changed since the cache was built — an effective
     /// union, a new vertex (a new singleton component), or a recompute.
     snap_structure_dirty: bool,
+}
+
+/// What the engine keeps for deletions (see the module docs): the forest
+/// answers "did this deletion disconnect anything?", the sketch finds the
+/// replacement edges when it did.
+#[derive(Debug, Clone)]
+struct Turnstile {
+    /// The paper's Proposition 8.1 sketches of the live edge multiset.
+    sketch: DynamicConnectivitySketch,
+    /// Normalized endpoint pairs of a spanning forest of the live multiset
+    /// (exact between batches; inside a batch a cut leaves its tree in two
+    /// pieces until the repair or the recompute that ends the batch). Only
+    /// membership is ever read from the set's layout — whatever is
+    /// enumerated from it is sorted first — so the forest and everything
+    /// derived from it stay a pure function of the op schedule.
+    forest: HashSet<(u32, u32)>,
 }
 
 /// Every logged insert gets a `u32` slot in the edge log, and the log never
@@ -416,7 +466,7 @@ impl IncrementalComponents {
             edge_alive: Vec::new(),
             live_edges: 0,
             edge_slots: HashMap::new(),
-            sketch: None,
+            turnstile: None,
             sketch_seed: seed ^ 0xA6D1_5EED_0F57_u64,
             splits_total: 0,
             sketch_recertifies_total: 0,
@@ -537,22 +587,26 @@ impl IncrementalComponents {
         self.ctx.charge_shuffle(len);
         let _ = self.ctx.record_balanced_load(2 * len);
 
-        // First deletion ever: build the turnstile sketch from the live
-        // multiset (insert-only workloads never get here). One simulated
-        // round routing every live edge to its two endpoint sketches.
-        if has_delete && self.sketch.is_none() {
+        // First deletion ever: build the turnstile sketch and the spanning
+        // forest from the live multiset (insert-only workloads never get
+        // here). One simulated round routing every live edge to its two
+        // endpoint sketches, which is also where the machine holding an edge
+        // learns whether it is a forest edge.
+        if has_delete && self.turnstile.is_none() {
             self.ctx.charge_shuffle(2 * self.live_edges);
-            let mut sk =
+            let mut sketch =
                 DynamicConnectivitySketch::new(self.params.sketch_phases, self.sketch_seed);
             for _ in 0..self.original_ids.len() {
-                sk.push_vertex();
+                sketch.push_vertex();
             }
-            for (i, &(u, v)) in self.edges.iter().enumerate() {
-                if self.edge_alive[i] {
-                    sk.add_edge(u, v);
-                }
+            for (u, v) in self.live_edge_log() {
+                sketch.add_edge(u, v);
             }
-            self.sketch = Some(sk);
+            self.turnstile = Some(Turnstile {
+                sketch,
+                forest: HashSet::new(),
+            });
+            self.rebuild_forest();
         }
 
         let mut new_vertices = 0usize;
@@ -561,8 +615,10 @@ impl IncrementalComponents {
         let mut standing_merges = 0usize;
         let mut cert_violated = false;
         // Vertices whose component lost the last live copy of an edge this
-        // batch — candidates for a sketch-Borůvka re-certify-or-split.
+        // batch (its component is re-certified or split at the end of the
+        // batch), and those of them whose edge was a forest edge: a cut.
         let mut dirty: Vec<u32> = Vec::new();
+        let mut cut: Vec<u32> = Vec::new();
 
         for op in batch {
             match op.kind {
@@ -580,11 +636,15 @@ impl IncrementalComponents {
                     if u != v {
                         self.degrees[v] += 1;
                     }
-                    if let Some(sk) = &mut self.sketch {
-                        sk.add_edge(u as u32, v as u32);
-                    }
-
                     let (ru, rv) = (self.uf.find(u), self.uf.find(v));
+                    if let Some(t) = &mut self.turnstile {
+                        t.sketch.add_edge(u as u32, v as u32);
+                        if ru != rv {
+                            // The union below joins two sets, hence two
+                            // trees: the link forest of Liu–Tarjan.
+                            t.forest.insert(key);
+                        }
+                    }
                     if ru != rv {
                         // Classify the union *before* the roots are
                         // destroyed: a merge of two standing components
@@ -631,28 +691,35 @@ impl IncrementalComponents {
                     let u = self.interner[&op.u] as usize;
                     let v = self.interner[&op.v] as usize;
                     let key = (u.min(v) as u32, u.max(v) as u32);
-                    let stack = self
-                        .edge_slots
-                        .get_mut(&key)
-                        .expect("validated: live copy exists");
-                    let slot = stack.pop().expect("validated: live copy exists") as usize;
-                    let last_copy = stack.is_empty();
+                    let Entry::Occupied(mut stack) = self.edge_slots.entry(key) else {
+                        unreachable!("validated: live copy exists");
+                    };
+                    let slot = stack.get_mut().pop().expect("a kept stack is non-empty") as usize;
+                    let last_copy = stack.get().is_empty();
+                    if last_copy {
+                        stack.remove();
+                    }
                     self.edge_alive[slot] = false;
                     self.live_edges -= 1;
                     self.degrees[u] -= 1;
                     if u != v {
                         self.degrees[v] -= 1;
                     }
-                    if let Some(sk) = &mut self.sketch {
-                        sk.remove_edge(u as u32, v as u32);
-                    }
+                    let t = self
+                        .turnstile
+                        .as_mut()
+                        .expect("built before the first deletion is applied");
+                    t.sketch.remove_edge(u as u32, v as u32);
 
                     if u != v {
                         if last_copy {
                             // Structural: no surviving parallel copy keeps
-                            // the endpoints adjacent, so the component may
-                            // have split.
+                            // the endpoints adjacent. Only if the pair was a
+                            // forest edge can the component have split.
                             dirty.push(u as u32);
+                            if t.forest.remove(&key) {
+                                cut.push(u as u32);
+                            }
                         }
                         // Floor check: a deletion endpoint can erode below
                         // the fixed floor of its certified component.
@@ -694,7 +761,7 @@ impl IncrementalComponents {
             BatchPath::FastPath
         };
         if path == BatchPath::SketchRepair {
-            match self.sketch_repair(&dirty) {
+            match self.sketch_repair(&dirty, &cut) {
                 Some((s, r)) => {
                     splits = s;
                     sketch_recertifies = r;
@@ -705,7 +772,12 @@ impl IncrementalComponents {
             }
         }
         let outcome = if let BatchPath::Recompute(_) = path {
-            self.recompute()
+            let outcome = self.recompute();
+            // Cuts and merges of an escalated batch were never repaired;
+            // whether or not the pipeline ran, the forest starts over from
+            // the live edges.
+            self.rebuild_forest();
+            outcome
         } else {
             Ok(())
         };
@@ -724,6 +796,7 @@ impl IncrementalComponents {
             standing_merges,
             splits,
             sketch_recertifies,
+            forest_cuts: cut.len(),
             path,
             components_after: self.uf.num_sets(),
             vertices_after: self.original_ids.len(),
@@ -734,36 +807,53 @@ impl IncrementalComponents {
         })
     }
 
-    /// Re-certify-or-split every component touched by a structural deletion,
-    /// entirely in sketch space. Returns `(splits, recertifies)` on success;
-    /// `None` when any touched component exhausts the sketch's phase budget
-    /// without certifying, in which case **nothing was mutated** (all
-    /// partitions are certified before any is applied) and the caller
-    /// escalates to a full recompute.
+    /// Re-certify-or-split every component touched by a structural deletion
+    /// (`dirty`: one endpoint per last-copy deletion; `cut`: those whose pair
+    /// was a forest edge). Returns `(splits, recertifies)` on success; `None`
+    /// when a cut component cannot be certified — the sketch exhausts its
+    /// phase budget, or hands back a link with no live copy — in which case
+    /// **the labelling is untouched** (all partitions are certified before
+    /// any is applied) and the caller escalates to a full recompute, which
+    /// also starts the forest over.
+    ///
+    /// A touched component that lost no forest edge is still spanned by its
+    /// tree: certified connected with no member scan, no sketch read and no
+    /// charge. A component with `c` cuts is `c + 1` trees; sketch-space
+    /// Borůvka over its members, started from those trees, either re-links
+    /// them (the links join the forest) or certifies the exact split.
     ///
     /// Soundness of restricting Borůvka to one maintained component: the
     /// maintained partition is always *over-coarse* (never splits a true
     /// component across two maintained ones), so every edge incident to a
     /// member stays inside the member set, which is exactly the premise
-    /// [`DynamicConnectivitySketch::subset_components`] needs.
+    /// [`DynamicConnectivitySketch::subset_components_from`] needs.
     ///
-    /// Cost model: per touched component, one round routing its members'
+    /// Cost model: per cut component, one round routing its members'
     /// sketches to a coordinator (`members · words_per_vertex` words) and
     /// one round broadcasting the new labels (`members` words).
-    fn sketch_repair(&mut self, dirty: &[u32]) -> Option<(usize, usize)> {
-        let n = self.original_ids.len();
+    fn sketch_repair(&mut self, dirty: &[u32], cut: &[u32]) -> Option<(usize, usize)> {
         // Deterministic component order: sorted distinct roots.
-        let mut roots: Vec<usize> = dirty.iter().map(|&v| self.uf.find(v as usize)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        let mut is_dirty_root = vec![false; n];
+        let mut roots_of = |vertices: &[u32]| {
+            let mut roots: Vec<usize> =
+                vertices.iter().map(|&v| self.uf.find(v as usize)).collect();
+            roots.sort_unstable();
+            roots.dedup();
+            roots
+        };
+        let touched = roots_of(dirty).len();
+        let roots = roots_of(cut);
+        let mut recertifies = touched - roots.len();
+        if roots.is_empty() {
+            return Some((0, recertifies));
+        }
+
+        let n = self.original_ids.len();
         let mut slot_of_root = vec![usize::MAX; n];
         for (i, &r) in roots.iter().enumerate() {
-            is_dirty_root[r] = true;
             slot_of_root[r] = i;
         }
-        // One O(n) pass collects every touched component's members in
-        // ascending dense-id order.
+        // One O(n) pass collects every cut component's members in ascending
+        // dense-id order, one over the forest its surviving tree edges.
         let mut members_of: Vec<Vec<u32>> = vec![Vec::new(); roots.len()];
         for v in 0..n {
             let r = self.uf.find(v);
@@ -771,20 +861,40 @@ impl IncrementalComponents {
                 members_of[slot_of_root[r]].push(v as u32);
             }
         }
-
-        let sketch = self.sketch.as_ref().expect("repair requires the sketch");
-        let wpv = sketch.words_per_vertex();
-        // Certify every touched component before mutating anything, so an
-        // uncertified one escalates with the labelling untouched.
-        let mut partitions: Vec<Vec<Vec<u32>>> = Vec::with_capacity(roots.len());
-        for members in &members_of {
-            self.ctx.charge_shuffle(members.len() * wpv);
-            self.ctx.charge_shuffle(members.len());
-            partitions.push(sketch.subset_components(members)?.parts);
+        let turnstile = self.turnstile.as_mut().expect("a cut requires the forest");
+        let mut known_of: Vec<Vec<(u32, u32)>> = vec![Vec::new(); roots.len()];
+        for &(u, v) in &turnstile.forest {
+            let slot = slot_of_root[self.uf.find(u as usize)];
+            if slot != usize::MAX {
+                known_of[slot].push((u, v));
+            }
         }
 
+        let wpv = turnstile.sketch.words_per_vertex();
+        // Certify every cut component before mutating anything, so an
+        // uncertified one escalates with the labelling untouched.
+        let mut partitions: Vec<Vec<Vec<u32>>> = Vec::with_capacity(roots.len());
+        let mut links: Vec<(u32, u32)> = Vec::new();
+        for (members, known) in members_of.iter().zip(&mut known_of) {
+            self.ctx.charge_shuffle(members.len() * wpv);
+            self.ctx.charge_shuffle(members.len());
+            known.sort_unstable();
+            let partition = turnstile.sketch.subset_components_from(members, known)?;
+            // A link is a sample, good up to a fingerprint collision: only
+            // one with a live copy may join parts and enter the forest.
+            if !partition
+                .links
+                .iter()
+                .all(|link| self.edge_slots.contains_key(link))
+            {
+                return None;
+            }
+            links.extend(partition.links);
+            partitions.push(partition.parts);
+        }
+        turnstile.forest.extend(links);
+
         let mut splits = 0usize;
-        let mut recertifies = 0usize;
         for parts in &partitions {
             if parts.len() == 1 {
                 recertifies += 1;
@@ -793,15 +903,15 @@ impl IncrementalComponents {
             }
         }
         if splits > 0 {
-            // A union–find cannot split, so rebuild it: untouched components
-            // are replayed wholesale, touched ones union per certified part.
+            // A union–find cannot split, so rebuild it: components without a
+            // cut are replayed wholesale, cut ones union per certified part.
             let mut old_root_of = vec![0usize; n];
             for (v, slot) in old_root_of.iter_mut().enumerate() {
                 *slot = self.uf.find(v);
             }
             let mut uf = UnionFind::new(n);
             for (v, &r) in old_root_of.iter().enumerate() {
-                if !is_dirty_root[r] {
+                if slot_of_root[r] == usize::MAX {
                     uf.union(r, v);
                 }
             }
@@ -812,14 +922,14 @@ impl IncrementalComponents {
                     }
                 }
             }
-            // Carry certificates across the re-rooting: an untouched
-            // component keeps its thresholds (its membership is unchanged);
-            // a touched component loses them until the next recompute
-            // certifies its parts.
+            // Carry certificates across the re-rooting: a component without
+            // a cut keeps its thresholds (its membership is unchanged); a
+            // cut one loses them until the next recompute certifies its
+            // parts.
             let mut floor = vec![UNCERTIFIED.0; n];
             let mut cap = vec![UNCERTIFIED.1; n];
             for (v, &or) in old_root_of.iter().enumerate() {
-                if !is_dirty_root[or] {
+                if slot_of_root[or] == usize::MAX {
                     let nr = uf.find(v);
                     floor[nr] = self.cert_floor[or];
                     cap[nr] = self.cert_cap[or];
@@ -877,8 +987,8 @@ impl IncrementalComponents {
         self.cert_cap.push(UNCERTIFIED.1);
         let pushed = self.uf.push();
         debug_assert_eq!(pushed, id);
-        if let Some(sk) = &mut self.sketch {
-            sk.push_vertex();
+        if let Some(t) = &mut self.turnstile {
+            t.sketch.push_vertex();
         }
         *new_vertices += 1;
         // A fresh vertex is a fresh singleton component: both the vertex
@@ -1104,16 +1214,16 @@ impl IncrementalComponents {
         self.splits_total
     }
 
-    /// Cumulative deletion-touched components the sketch re-certified as
-    /// still connected.
+    /// Cumulative deletion-touched components re-certified as still
+    /// connected (see [`BatchReport::sketch_recertifies`]).
     pub fn sketch_recertifies(&self) -> usize {
         self.sketch_recertifies_total
     }
 
-    /// Whether the turnstile sketch has been built (it is lazy: `false`
-    /// until the first deletion ever seen).
+    /// Whether the turnstile sketch and the spanning forest have been built
+    /// (they are lazy: `false` until the first deletion ever seen).
     pub fn sketch_active(&self) -> bool {
-        self.sketch.is_some()
+        self.turnstile.is_some()
     }
 
     /// Materialises the surviving (live-edge) graph on the dense vertex set,
@@ -1121,12 +1231,44 @@ impl IncrementalComponents {
     pub fn current_graph(&self) -> Graph {
         Graph::from_edges_unchecked(
             self.original_ids.len(),
-            self.edges
-                .iter()
-                .zip(self.edge_alive.iter())
-                .filter(|&(_, &alive)| alive)
-                .map(|(&(u, v), _)| (u as usize, v as usize)),
+            self.live_edge_log().map(|(u, v)| (u as usize, v as usize)),
         )
+    }
+
+    /// The live slots of the edge log, in insertion order.
+    fn live_edge_log(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.edges
+            .iter()
+            .zip(self.edge_alive.iter())
+            .filter(|&(_, &alive)| alive)
+            .map(|(&edge, _)| edge)
+    }
+
+    /// Starts the spanning forest over: one union–find pass over the live
+    /// edge log, keeping the pair of every edge that joins two sets. A no-op
+    /// before the first deletion.
+    fn rebuild_forest(&mut self) {
+        let Some(mut t) = self.turnstile.take() else {
+            return;
+        };
+        t.forest.clear();
+        let mut uf = UnionFind::new(self.original_ids.len());
+        for (u, v) in self.live_edge_log() {
+            if uf.union(u as usize, v as usize) {
+                t.forest.insert((u.min(v), u.max(v)));
+            }
+        }
+        self.turnstile = Some(t);
+    }
+
+    /// The maintained spanning forest of the live edge multiset as sorted
+    /// dense-id pairs `(u, v)`, `u < v` (the vertex numbering of
+    /// [`current_graph`](Self::current_graph)); `None` until the first
+    /// deletion ever seen builds it.
+    pub fn spanning_forest(&self) -> Option<Vec<(u32, u32)>> {
+        let mut forest: Vec<(u32, u32)> = self.turnstile.as_ref()?.forest.iter().copied().collect();
+        forest.sort_unstable();
+        Some(forest)
     }
 
     /// Cumulative simulated-resource statistics across every batch and
@@ -1583,6 +1725,77 @@ mod tests {
             !engine.sketch_active(),
             "rejected batches must not build the sketch"
         );
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_forest_and_sketch_untouched() {
+        let mut engine = IncrementalComponents::new(params(), 65);
+        // Two 6-cliques and a bridge; one deletion so the deletion-side
+        // state exists.
+        let mut ops = clique_ops(0, 6);
+        ops.extend(clique_ops(6, 12));
+        ops.extend([EdgeOp::insert(0, 6), EdgeOp::insert(0, 1)]);
+        engine.apply_ops_batch(&ops).unwrap();
+        engine.apply_ops_batch(&[EdgeOp::delete(0, 1)]).unwrap();
+        let before = engine.turnstile.clone().expect("built by the deletion");
+        let pairs_before = engine.edge_slots.len();
+        assert!(before.forest.contains(&(0, 6)));
+
+        // A cut, an insert and a last-copy deletion, all valid — and then
+        // one deletion too many.
+        let err = engine.apply_ops_batch(&[
+            EdgeOp::delete(0, 6),
+            EdgeOp::insert(3, 9),
+            EdgeOp::delete(1, 2),
+            EdgeOp::delete(0, 6),
+        ]);
+        assert!(matches!(err, Err(CoreError::BadParams(_))), "got {err:?}");
+        let after = engine.turnstile.as_ref().unwrap();
+        assert!(after.sketch == before.sketch, "sketch moved");
+        assert_eq!(after.forest, before.forest);
+        assert_eq!(engine.edge_slots.len(), pairs_before);
+        assert_eq!(engine.num_components(), 1);
+    }
+
+    #[test]
+    fn edge_slots_holds_exactly_the_live_pairs_under_churn() {
+        let mut engine = IncrementalComponents::new(params(), 69);
+        let batches = expander_batches(&[60], 8, 45);
+        engine.apply_ops_batch(&batches[0]).unwrap();
+        let mut live: HashMap<(u64, u64), usize> = HashMap::new();
+        for op in &batches[0] {
+            *live.entry((op.u.min(op.v), op.u.max(op.v))).or_insert(0) += 1;
+        }
+        // Pairs the expander does not use, five fresh ones per batch (the
+        // first of them twice); each batch deletes every copy the previous
+        // one inserted.
+        let mut fresh = (0..60u64)
+            .flat_map(|u| (u + 1..60).map(move |v| (u, v)))
+            .filter(|pair| !live.contains_key(pair))
+            .collect::<Vec<_>>()
+            .into_iter();
+        let mut previous: Vec<(u64, u64)> = Vec::new();
+        for batch in 0..200 {
+            let mut ops: Vec<EdgeOp> = previous
+                .drain(..)
+                .map(|(u, v)| EdgeOp::delete(v, u))
+                .collect();
+            previous.extend(fresh.by_ref().take(5));
+            previous.push(previous[0]);
+            ops.extend(previous.iter().map(|&(u, v)| EdgeOp::insert(u, v)));
+            for op in &ops {
+                let count = live.entry((op.u.min(op.v), op.u.max(op.v))).or_insert(0);
+                match op.kind {
+                    OpKind::Insert => *count += 1,
+                    OpKind::Delete => *count -= 1,
+                }
+            }
+            live.retain(|_, count| *count > 0);
+            engine.apply_ops_batch(&ops).unwrap();
+            assert_eq!(engine.edge_slots.len(), live.len(), "batch {batch}");
+            assert!(engine.edge_slots.values().all(|stack| !stack.is_empty()));
+        }
+        assert_eq!(engine.num_edges(), live.values().sum::<usize>());
     }
 
     #[test]

@@ -24,13 +24,16 @@
 //! update on the same coordinate, so after any interleaving of inserts and
 //! deletes the sketch equals the sketch of the surviving edge multiset.
 //!
-//! [`DynamicConnectivitySketch::subset_components`] is the repair primitive
-//! the streaming engine runs after a deletion: sketch-space Borůvka restricted
-//! to the members of one (possibly no-longer-connected) component, returning
-//! the exact partition into connected parts when a phase *certifies* it (every
-//! part's summed level-0 cell is zero — a randomness-independent test),
-//! or `None` on sampling failure so the caller can escalate to a full
-//! recompute.
+//! [`DynamicConnectivitySketch::subset_components_from`] is the repair
+//! primitive the streaming engine runs after a deletion cut its spanning
+//! forest: sketch-space Borůvka restricted to the members of one (possibly
+//! no-longer-connected) component, started from the forest edges that
+//! survive. It returns the exact partition into connected parts — and the
+//! sampled links that joined them — when a phase *certifies* it (every part's
+//! summed level-0 cell is zero — a randomness-independent test), or `None`
+//! on sampling failure so the caller can escalate to a full recompute.
+//! [`subset_components`](DynamicConnectivitySketch::subset_components) is the
+//! same call with nothing known.
 
 use crate::kernel::{ComponentRows, SketchKeys, VertexSketch};
 
@@ -55,6 +58,12 @@ pub struct SubsetPartition {
     pub parts: Vec<Vec<u32>>,
     /// Number of Borůvka phases consumed before certification succeeded.
     pub phases_used: usize,
+    /// The sampled edges `(u, v)`, `u < v`, whose union joined two parts, in
+    /// the order Borůvka took them: together with the `known` edges it
+    /// started from they span every part and close no cycle. A sample is
+    /// only as good as its fingerprint — a caller that keeps these must
+    /// check each against the live edge multiset.
+    pub links: Vec<(u32, u32)>,
 }
 
 /// An AGM connectivity sketch whose vertex set can grow and whose edge
@@ -155,11 +164,23 @@ impl DynamicConnectivitySketch {
             .update_edge(&mut self.vertices, a as usize, b as usize, idx, delta);
     }
 
+    /// [`subset_components_from`](Self::subset_components_from) with nothing
+    /// known: Borůvka starts from singletons.
+    pub fn subset_components(&self, members: &[u32]) -> Option<SubsetPartition> {
+        self.subset_components_from(members, &[])
+    }
+
     /// Sketch-space Borůvka restricted to `members` (sorted ascending, no
     /// duplicates), which must be a union of whole connected components of
     /// the current edge multiset — then every edge incident to a member stays
     /// inside the set and the signed coordinates of any sub-part's sum are
     /// exactly its outgoing edges within the set.
+    ///
+    /// `known` are edges the caller vouches are live, both endpoints members
+    /// (a surviving spanning forest, say): Borůvka starts from their
+    /// components instead of from singletons, so a member set that `known`
+    /// already connects certifies on the first zero test and one that it
+    /// leaves in `c` pieces needs only the phases that rejoin those.
     ///
     /// Returns the certified exact partition of `members` into connected
     /// parts, or `None` when the phase budget is exhausted before a phase
@@ -168,14 +189,19 @@ impl DynamicConnectivitySketch {
     /// `None` means "sampling failure, escalate"; it never silently returns
     /// an uncertified partition.
     ///
-    /// Deterministic: parts are discovered in first-seen member order and
-    /// reported ordered by smallest member.
+    /// Deterministic: a part's representative is its smallest member
+    /// whatever the order of `known`, parts are discovered in first-seen
+    /// member order and reported ordered by smallest member.
     ///
     /// # Panics
     ///
     /// Panics if `members` is unsorted, has duplicates, or contains an
-    /// out-of-range vertex.
-    pub fn subset_components(&self, members: &[u32]) -> Option<SubsetPartition> {
+    /// out-of-range vertex, or if a `known` endpoint is not a member.
+    pub fn subset_components_from(
+        &self,
+        members: &[u32],
+        known: &[(u32, u32)],
+    ) -> Option<SubsetPartition> {
         let k = members.len();
         assert!(
             members.windows(2).all(|w| w[0] < w[1]),
@@ -183,12 +209,6 @@ impl DynamicConnectivitySketch {
         );
         if let Some(&last) = members.last() {
             assert!((last as usize) < self.vertices.len(), "member out of range");
-        }
-        if k <= 1 {
-            return Some(SubsetPartition {
-                parts: members.iter().map(|&m| vec![m]).collect(),
-                phases_used: 0,
-            });
         }
 
         // Local union-find over member positions; global ids map back via
@@ -202,9 +222,35 @@ impl DynamicConnectivitySketch {
             }
             x
         }
+        /// Joins the sets of positions `a` and `b` under the smaller root,
+        /// which keeps the structure a pure function of the union sequence
+        /// (and every root the smallest position of its set). `false` if
+        /// they were already one set.
+        fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
+            let (ra, rb) = (find(parent, a), find(parent, b));
+            if ra != rb {
+                parent[ra.max(rb) as usize] = ra.min(rb);
+            }
+            ra != rb
+        }
+        for &(u, v) in known {
+            let position = |x: u32| match members.binary_search(&x) {
+                Ok(pos) => pos as u32,
+                Err(_) => panic!("known edge ({u}, {v}): endpoint {x} is not a member"),
+            };
+            union(&mut parent, position(u), position(v));
+        }
+        if k <= 1 {
+            return Some(SubsetPartition {
+                parts: members.iter().map(|&m| vec![m]).collect(),
+                phases_used: 0,
+                links: Vec::new(),
+            });
+        }
 
         let sketch_of = |m: u32| &self.vertices[m as usize];
         let mut rows = ComponentRows::new(k, members.iter().map(|&m| sketch_of(m)));
+        let mut links: Vec<(u32, u32)> = Vec::new();
         let num_phases = self.keys.num_phases();
         // One extra iteration past the last phase: the final phase's unions
         // may complete the partition, and the zero test is valid on any
@@ -234,6 +280,7 @@ impl DynamicConnectivitySketch {
                 return Some(SubsetPartition {
                     parts,
                     phases_used: round,
+                    links,
                 });
             }
             if round == num_phases {
@@ -246,12 +293,8 @@ impl DynamicConnectivitySketch {
                     // coordinate; only union endpoints that are both members.
                     if let (Ok(pu), Ok(pv)) = (members.binary_search(&u), members.binary_search(&v))
                     {
-                        let (ru, rv) = (find(&mut parent, pu as u32), find(&mut parent, pv as u32));
-                        if ru != rv {
-                            // Union by smaller root id keeps the structure a
-                            // pure function of the union sequence.
-                            let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
-                            parent[hi as usize] = lo;
+                        if union(&mut parent, pu as u32, pv as u32) {
+                            links.push((u, v));
                         }
                     }
                 }
@@ -526,6 +569,144 @@ mod tests {
         sk.push_vertex();
         sk.add_edge(0, 1);
         assert_eq!(sk.words_per_vertex(), w);
+    }
+
+    /// Partition of `members` under `edges`, in the shape `parts` is reported
+    /// (union by smaller root, so first-seen order is smallest-member order).
+    fn oracle_parts(n: usize, members: &[u32], edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
+        let mut root: Vec<u32> = (0..n as u32).collect();
+        fn find(root: &[u32], mut x: u32) -> u32 {
+            while root[x as usize] != x {
+                x = root[x as usize];
+            }
+            x
+        }
+        for &(u, v) in edges {
+            let (ru, rv) = (find(&root, u), find(&root, v));
+            root[ru.max(rv) as usize] = ru.min(rv);
+        }
+        let mut parts: Vec<Vec<u32>> = Vec::new();
+        for &m in members {
+            let r = find(&root, m);
+            match parts.iter_mut().find(|part| part[0] == r) {
+                Some(part) => part.push(m),
+                None => parts.push(vec![m]),
+            }
+        }
+        parts
+    }
+
+    #[test]
+    fn warm_start_matches_cold_start_and_a_union_find_oracle() {
+        const N: u32 = 48;
+        let mut rng = 0x00F0_2E57_u64;
+        let mut cut_starts = 0;
+        for trial in 0..60u64 {
+            // A sparse random turnstile schedule: several components, some
+            // isolated vertices, parallel edges.
+            let mut sk = sketch_with(N as usize, &[]);
+            let mut live: Vec<(u32, u32)> = Vec::new();
+            for _ in 0..40 + trial % 30 {
+                let (u, v) = (
+                    (next_u64(&mut rng) % N as u64) as u32,
+                    (next_u64(&mut rng) % N as u64) as u32,
+                );
+                if u != v {
+                    sk.add_edge(u, v);
+                    live.push((u.min(v), u.max(v)));
+                }
+                if next_u64(&mut rng).is_multiple_of(3) && !live.is_empty() {
+                    let (a, b) =
+                        live.swap_remove((next_u64(&mut rng) % live.len() as u64) as usize);
+                    sk.remove_edge(b, a);
+                }
+            }
+            // Members: a random union of whole components.
+            let components = oracle_parts(N as usize, &all_members(N as usize), &live);
+            let mut members: Vec<u32> = components
+                .iter()
+                .filter(|_| !next_u64(&mut rng).is_multiple_of(4))
+                .flatten()
+                .copied()
+                .collect();
+            members.sort_unstable();
+            let inside: Vec<(u32, u32)> = live
+                .iter()
+                .copied()
+                .filter(|(u, _)| members.binary_search(u).is_ok())
+                .collect();
+            // Known: a random subset of the live edges inside, cycles and
+            // repeats allowed, in no particular order.
+            let known: Vec<(u32, u32)> = inside
+                .iter()
+                .copied()
+                .filter_map(|(u, v)| match next_u64(&mut rng) % 3 {
+                    0 => None,
+                    1 => Some((u, v)),
+                    _ => Some((v, u)),
+                })
+                .collect();
+
+            let truth = oracle_parts(N as usize, &members, &inside);
+            let cold = sk.subset_components(&members).expect("26 phases certify");
+            let warm = sk
+                .subset_components_from(&members, &known)
+                .expect("26 phases certify");
+            assert_eq!(cold.parts, truth, "trial {trial}");
+            assert_eq!(warm.parts, truth, "trial {trial}");
+
+            // From either start, the links are live edges, each joins two
+            // pieces of what came before it, and together with the start they
+            // connect every part.
+            for (start, partition) in [(&[][..], &cold), (&known[..], &warm)] {
+                let mut joined = start.to_vec();
+                for &link in &partition.links {
+                    assert!(
+                        inside.contains(&link),
+                        "trial {trial}: {link:?} is not live"
+                    );
+                    let pieces = oracle_parts(N as usize, &members, &joined).len();
+                    joined.push(link);
+                    assert_eq!(
+                        oracle_parts(N as usize, &members, &joined).len(),
+                        pieces - 1,
+                        "trial {trial}: link {link:?} closes a cycle"
+                    );
+                }
+                assert_eq!(oracle_parts(N as usize, &members, &joined), truth);
+            }
+            let pieces = oracle_parts(N as usize, &members, &known).len();
+            assert_eq!(warm.links.len(), pieces - truth.len(), "trial {trial}");
+            cut_starts += usize::from(pieces > truth.len() && !known.is_empty());
+        }
+        assert!(
+            cut_starts > 20,
+            "the schedules must exercise real warm starts"
+        );
+    }
+
+    #[test]
+    fn a_spanning_known_set_certifies_without_a_phase() {
+        let path: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
+        let sk = sketch_with(10, &path);
+        let warm = sk.subset_components_from(&all_members(10), &path).unwrap();
+        assert_eq!(warm.parts, vec![all_members(10)]);
+        assert_eq!((warm.phases_used, warm.links.len()), (0, 0));
+        // One tree edge short, one replacement edge in the sketch.
+        let mut sk = sk;
+        sk.add_edge(0, 9);
+        sk.remove_edge(4, 5);
+        let known: Vec<(u32, u32)> = path.iter().copied().filter(|&e| e != (4, 5)).collect();
+        let warm = sk.subset_components_from(&all_members(10), &known).unwrap();
+        assert_eq!(warm.parts, vec![all_members(10)]);
+        assert_eq!(warm.links, vec![(0, 9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "known edge (1, 3): endpoint 3 is not a member")]
+    fn a_known_endpoint_outside_the_members_panics() {
+        let sk = sketch_with(4, &[(0, 1), (1, 3)]);
+        let _ = sk.subset_components_from(&[0, 1, 2], &[(0, 1), (1, 3)]);
     }
 
     #[test]

@@ -11,15 +11,24 @@
 //! at once. The sequential BFS ground truth is cross-checked as a third
 //! opinion, and the sketch split path is pinned by the `splits` counter so
 //! the suite cannot silently degrade into recompute-everything.
+//!
+//! Every replay here goes through [`replay_checked`], which also holds the
+//! engine's spanning forest to its contract after *every* batch: each forest
+//! pair has a live copy, the forest has no cycle, and its components are the
+//! connected components of `current_graph()`.
+
+use std::collections::HashSet;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use wcc_core::stream::{BatchPath, IncrementalComponents, StreamParams};
+use wcc_core::stream::{
+    BatchPath, BatchReport, IncrementalComponents, RecomputeReason, StreamParams,
+};
 use wcc_core::{well_connected_components, Params};
 use wcc_graph::generators::GraphFamily;
 use wcc_graph::io::EdgeOp;
-use wcc_graph::{connected_components, Graph};
+use wcc_graph::{connected_components, Graph, UnionFind};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const SEEDS: [u64; 3] = [5, 13, 41];
@@ -85,6 +94,74 @@ fn surviving_graph(g: &Graph, survivors: &[(u64, u64)]) -> Graph {
     .unwrap()
 }
 
+/// The forest contract (a no-op until the first deletion builds the forest),
+/// plus what it is a certificate *of*: the engine's labels are the connected
+/// components of the live graph.
+fn assert_spanning_forest(engine: &IncrementalComponents, context: &str) {
+    let g = engine.current_graph();
+    let truth = connected_components(&g);
+    assert!(
+        engine.labels().same_partition(&truth),
+        "labels are not the live graph's components: {context}"
+    );
+    let Some(forest) = engine.spanning_forest() else {
+        assert!(
+            !engine.sketch_active(),
+            "forest and sketch are built together"
+        );
+        return;
+    };
+    let live: HashSet<(usize, usize)> = g.edge_iter().map(|(u, v)| (u.min(v), u.max(v))).collect();
+    let mut uf = UnionFind::new(g.num_vertices());
+    for &(u, v) in &forest {
+        let (u, v) = (u as usize, v as usize);
+        assert!(u < v, "forest pair ({u}, {v}) is not normalized: {context}");
+        assert!(
+            live.contains(&(u, v)),
+            "forest pair ({u}, {v}) has no live copy: {context}"
+        );
+        assert!(
+            uf.union(u, v),
+            "forest edge ({u}, {v}) closes a cycle: {context}"
+        );
+    }
+    assert!(
+        uf.into_labels().same_partition(&truth),
+        "the forest does not span the live graph's components: {context}"
+    );
+}
+
+/// `apply_ops_schedule` with the forest contract checked after every batch.
+fn replay_checked<C: AsRef<[EdgeOp]>>(
+    engine: &mut IncrementalComponents,
+    schedule: &[C],
+) -> Vec<BatchReport> {
+    schedule
+        .iter()
+        .enumerate()
+        .map(|(i, batch)| {
+            let report = engine.apply_ops_batch(batch.as_ref()).unwrap();
+            assert_spanning_forest(engine, &format!("after batch {i} ({:?})", report.path));
+            report
+        })
+        .collect()
+}
+
+/// Two 6-cliques on raw ids `0..6` and `6..12` (below the certificate's
+/// minimum component size, so no degree check interferes), plus `extra`.
+fn two_cliques(extra: &[EdgeOp]) -> Vec<EdgeOp> {
+    let mut ops = Vec::new();
+    for base in [0u64, 6] {
+        for i in base..base + 6 {
+            for j in (i + 1)..base + 6 {
+                ops.push(EdgeOp::insert(i, j));
+            }
+        }
+    }
+    ops.extend_from_slice(extra);
+    ops
+}
+
 #[test]
 fn dynamic_replay_is_component_equivalent_to_from_scratch_on_survivors() {
     for (fi, (family, lambda)) in families().into_iter().enumerate() {
@@ -108,7 +185,7 @@ fn dynamic_replay_is_component_equivalent_to_from_scratch_on_survivors() {
                     .with_lambda(lambda)
                     .with_threads(threads);
                 let mut engine = IncrementalComponents::new(params, seed);
-                engine.apply_ops_schedule(&schedule).unwrap();
+                replay_checked(&mut engine, &schedule);
                 assert_eq!(
                     engine.num_edges(),
                     survivors.len(),
@@ -146,7 +223,7 @@ fn op_batch_granularity_does_not_change_the_final_partition() {
         assert_eq!(s, survivors, "schedule generation must be deterministic");
         let mut engine =
             IncrementalComponents::new(StreamParams::test_scale().with_lambda(lambda), 3);
-        engine.apply_ops_schedule(&schedule).unwrap();
+        replay_checked(&mut engine, &schedule);
         assert_eq!(engine.num_edges(), survivors.len());
         assert!(
             engine
@@ -172,7 +249,7 @@ fn sketch_split_path_matches_per_batch_recompute_reference() {
 
     let mut sketchy =
         IncrementalComponents::new(StreamParams::test_scale().with_lambda(lambda), 17);
-    sketchy.apply_ops_schedule(&schedule).unwrap();
+    replay_checked(&mut sketchy, &schedule);
 
     let mut reference = IncrementalComponents::new(
         StreamParams::test_scale()
@@ -180,7 +257,7 @@ fn sketch_split_path_matches_per_batch_recompute_reference() {
             .with_fast_path(false),
         17,
     );
-    reference.apply_ops_schedule(&schedule).unwrap();
+    replay_checked(&mut reference, &schedule);
 
     assert_eq!(sketchy.num_vertices(), reference.num_vertices());
     assert_eq!(sketchy.num_edges(), reference.num_edges());
@@ -218,6 +295,8 @@ fn bridge_deletion_splits_via_the_sketch_not_the_pipeline() {
         let r = engine.apply_ops_batch(&[EdgeOp::delete(0, 60)]).unwrap();
         assert_eq!(r.path, BatchPath::SketchRepair, "threads {threads}");
         assert_eq!(r.splits, 1, "threads {threads}");
+        assert_eq!(r.forest_cuts, 1, "a bridge is in every spanning forest");
+        assert_spanning_forest(&engine, "after the bridge deletion");
         assert_eq!(engine.recomputes(), recomputes_before);
         assert_eq!(engine.num_components(), 2);
         let truth = connected_components(&engine.current_graph());
@@ -239,15 +318,117 @@ fn full_component_teardown_reaches_singletons_without_recompute() {
     let mut engine = IncrementalComponents::new(StreamParams::test_scale(), 11);
     engine.apply_ops_batch(&ops).unwrap();
     let recomputes_before = engine.recomputes();
-    for op in &ops {
-        engine
-            .apply_ops_batch(&[EdgeOp::delete(op.u, op.v)])
-            .unwrap();
-    }
+    let deletions: Vec<[EdgeOp; 1]> = ops.iter().map(|op| [EdgeOp::delete(op.u, op.v)]).collect();
+    let reports = replay_checked(&mut engine, &deletions);
     assert_eq!(engine.recomputes(), recomputes_before);
     assert_eq!(engine.num_edges(), 0);
     assert_eq!(engine.num_components(), 7);
     assert_eq!(engine.splits(), 6, "7 singletons minted out of 1 component");
+    // Every deletion removes a last copy: its component splits (which takes
+    // a cut) or is re-certified — by the forest for free, or, after a cut,
+    // by a sketch link that is the next deletion's candidate cut.
+    for r in &reports {
+        assert_eq!(
+            r.splits + r.sketch_recertifies,
+            1,
+            "batch {}",
+            r.batch_index
+        );
+        assert!(r.splits <= r.forest_cuts, "batch {}", r.batch_index);
+    }
+    assert_eq!(engine.spanning_forest(), Some(Vec::new()));
+}
+
+/// A forest edge is deleted and a later insert of the same batch re-joins its
+/// two sides: the union–find never saw them apart, so the insert is not a
+/// union and only the sketch can find the replacement.
+#[test]
+fn a_cut_rejoined_by_a_later_insert_of_the_same_batch_is_relinked_by_the_sketch() {
+    let mut engine = IncrementalComponents::new(StreamParams::test_scale(), 19);
+    let setup = two_cliques(&[EdgeOp::insert(0, 6)]);
+    replay_checked(&mut engine, &[setup]);
+    let recomputes_before = engine.recomputes();
+    let reports = replay_checked(&mut engine, &[[EdgeOp::delete(0, 6), EdgeOp::insert(1, 7)]]);
+    let r = &reports[0];
+    assert_eq!(r.path, BatchPath::SketchRepair);
+    assert_eq!((r.forest_cuts, r.splits, r.sketch_recertifies), (1, 0, 1));
+    assert_eq!(r.standing_merges, 0);
+    assert_eq!(engine.recomputes(), recomputes_before);
+    assert_eq!(engine.num_components(), 1);
+    let forest = engine.spanning_forest().unwrap();
+    assert!(forest.contains(&(1, 7)) && !forest.contains(&(0, 6)));
+}
+
+/// A forest pair with a parallel copy: deleting one copy is not even
+/// structural, deleting the other is a cut.
+#[test]
+fn only_the_last_copy_of_a_forest_pair_is_a_cut() {
+    let mut engine = IncrementalComponents::new(StreamParams::test_scale(), 23);
+    let setup = two_cliques(&[EdgeOp::insert(0, 6), EdgeOp::insert(6, 0)]);
+    let reports = replay_checked(
+        &mut engine,
+        &[
+            setup,
+            vec![EdgeOp::delete(0, 6)],
+            vec![EdgeOp::delete(0, 6)],
+        ],
+    );
+    assert_eq!(reports[1].path, BatchPath::FastPath);
+    assert_eq!((reports[1].forest_cuts, reports[1].splits), (0, 0));
+    assert_eq!(reports[2].path, BatchPath::SketchRepair);
+    assert_eq!((reports[2].forest_cuts, reports[2].splits), (1, 1));
+    assert_eq!(engine.num_components(), 2);
+    assert_eq!(engine.spanning_forest().unwrap().len(), 12 - 2);
+}
+
+/// A cut and a standing merge in one batch: the batch escalates, nobody
+/// repairs the cut, and the recompute starts the forest over.
+#[test]
+fn a_cut_beside_a_standing_merge_escalates_and_rebuilds_the_forest() {
+    let mut engine = IncrementalComponents::new(StreamParams::test_scale(), 29);
+    let mut setup = two_cliques(&[EdgeOp::insert(0, 6)]);
+    // A third component, and one deletion so the forest exists.
+    setup.extend([(20, 21), (21, 22), (20, 22)].map(|(u, v)| EdgeOp::insert(u, v)));
+    replay_checked(&mut engine, &[setup, vec![EdgeOp::delete(20, 22)]]);
+    assert_eq!(engine.num_components(), 2);
+    let reports = replay_checked(
+        &mut engine,
+        &[[EdgeOp::delete(0, 6), EdgeOp::insert(7, 20)]],
+    );
+    let r = &reports[0];
+    assert_eq!(r.path, BatchPath::Recompute(RecomputeReason::StandingMerge));
+    assert_eq!((r.forest_cuts, r.standing_merges, r.splits), (1, 1, 0));
+    assert_eq!(engine.num_components(), 2);
+    let forest = engine.spanning_forest().unwrap();
+    assert!(forest.contains(&(7, 12)), "dense id of raw 20 is 12");
+}
+
+/// One Borůvka phase cannot re-link a long chain of cut pieces: the batch
+/// escalates as `SketchUncertified`, and the recompute leaves exact labels
+/// and a spanning forest behind.
+#[test]
+fn an_exhausted_phase_budget_escalates_with_labels_exact_and_the_forest_rebuilt() {
+    const N: u64 = 64;
+    let mut engine =
+        IncrementalComponents::new(StreamParams::test_scale().with_sketch_phases(1), 31);
+    // The path 0–1–…–63 arrives first, so it *is* the forest; the chords
+    // (i, i+2) keep the graph connected when path edges go.
+    let mut setup: Vec<EdgeOp> = (0..N - 1).map(|i| EdgeOp::insert(i, i + 1)).collect();
+    setup.extend((0..N - 2).map(|i| EdgeOp::insert(i, i + 2)));
+    setup.push(EdgeOp::insert(0, 1));
+    replay_checked(&mut engine, &[setup, vec![EdgeOp::delete(0, 1)]]);
+    let cuts: Vec<EdgeOp> = (1..N - 1)
+        .step_by(2)
+        .map(|i| EdgeOp::delete(i, i + 1))
+        .collect();
+    let reports = replay_checked(&mut engine, std::slice::from_ref(&cuts));
+    let r = &reports[0];
+    assert_eq!(r.forest_cuts, cuts.len());
+    assert_eq!(
+        r.path,
+        BatchPath::Recompute(RecomputeReason::SketchUncertified)
+    );
+    assert_eq!(engine.num_components(), 1);
 }
 
 /// Archived version-1 streams keep replaying: the checked-in

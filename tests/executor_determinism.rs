@@ -296,8 +296,9 @@ fn streaming_ingestion_is_bit_identical_across_thread_counts() {
 /// counts too: the sketch-repair machinery — lazy sketch build, per-component
 /// sketch-Borůvka certification, union-find rebuild after a split — runs on
 /// top of the same executor seam, so the labels, cumulative `RoundStats` and
-/// the per-batch decision tuple (now including op counts, splits and
-/// recertifications) must not depend on the worker count.
+/// the per-batch decision tuple (op counts, splits, recertifications and
+/// forest cuts) and the spanning forest itself must not depend on the worker
+/// count.
 #[test]
 fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
     use rand::seq::SliceRandom;
@@ -336,15 +337,25 @@ fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
                             r.deletions,
                             r.splits,
                             r.sketch_recertifies,
+                            r.forest_cuts,
                         )
                     })
                     .collect();
-                (engine.labels(), engine.stats(), decisions)
+                (
+                    engine.labels(),
+                    engine.stats(),
+                    decisions,
+                    engine.spanning_forest(),
+                )
             };
 
-            let (labels_1, stats_1, decisions_1) = replay(1);
+            let (labels_1, stats_1, decisions_1, forest_1) = replay(1);
+            assert!(
+                decisions_1.iter().any(|d| d.8 > 0),
+                "the deletion wave must cut forest edges: family {fi}, seed {seed}"
+            );
             for threads in THREADED {
-                let (labels_t, stats_t, decisions_t) = replay(threads);
+                let (labels_t, stats_t, decisions_t, forest_t) = replay(threads);
                 assert_eq!(
                     labels_1, labels_t,
                     "labels diverged: family {fi}, seed {seed}, threads {threads}"
@@ -356,6 +367,10 @@ fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
                 assert_eq!(
                     decisions_1, decisions_t,
                     "per-batch decisions diverged: family {fi}, seed {seed}, threads {threads}"
+                );
+                assert_eq!(
+                    forest_1, forest_t,
+                    "spanning forest diverged: family {fi}, seed {seed}, threads {threads}"
                 );
             }
         }
