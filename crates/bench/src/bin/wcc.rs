@@ -16,10 +16,10 @@
 //! The edge-list format is one `u v` pair per line; `#`/`%` lines are comments.
 //! Prints the number of components, the simulated MPC rounds, and (with
 //! --sizes) the component size histogram. With --json, prints a single
-//! machine-readable result record on stdout instead (the `exp_*` binaries
-//! and external scripts consume this rather than scraping the human
-//! output); threaded runs include a `pool` object with the persistent
-//! worker pool's telemetry (dispatches, spawned threads, stolen chunks,
+//! machine-readable result record on stdout instead (scripts consume
+//! this rather than scraping the human output); threaded runs include a
+//! `pool` object with the persistent worker pool's telemetry
+//! (dispatches, spawned threads, stolen chunks,
 //! park/unpark counts), and runs that simulate random walks include a
 //! `walk` object with the walk-kernel telemetry (steps, real moves vs
 //! compressed stays, keystream words, refills, spec lane-group

@@ -4,9 +4,10 @@
 //! "evaluation" reproduced here is the set of measurable claims made by its
 //! theorems and lemmas (round complexity shapes, quadratic growth per phase,
 //! walk independence, query lower bounds, …). Each `exp_*` function returns
-//! an [`ExperimentTable`]; the binaries in `src/bin/` print the table as
-//! markdown and write it as JSON under `results/`, and EXPERIMENTS.md records
-//! the paper-claimed bound next to the measured value.
+//! an [`ExperimentTable`]; [`EXPERIMENTS`] lists them with their default
+//! sizes, the `wcc_exp` binary prints the requested tables as markdown and
+//! writes them as JSON under `results/`, and EXPERIMENTS.md records the
+//! paper-claimed bound next to the measured value.
 //!
 //! All experiments are deterministic given their built-in seeds.
 
@@ -729,23 +730,84 @@ pub fn exp_ablations(n: usize) -> ExperimentTable {
     table
 }
 
-/// Runs every experiment with its default (laptop-scale) parameters.
-/// Used by the `run_all_experiments` binary and by EXPERIMENTS.md generation.
+/// One entry of the experiment registry.
+pub struct Experiment {
+    /// The identifier EXPERIMENTS.md documents the table under (`E1`…`E12`).
+    pub id: &'static str,
+    /// The name `wcc_exp` accepts in place of the id.
+    pub name: &'static str,
+    /// Runs the experiment at its default (laptop-scale) sizes.
+    pub run: fn() -> ExperimentTable,
+}
+
+/// Every experiment in EXPERIMENTS.md, in table order: the one place the
+/// default sizes are written down.
+pub const EXPERIMENTS: [Experiment; 12] = [
+    Experiment {
+        id: "E1",
+        name: "rounds_vs_n",
+        run: || exp_rounds_vs_n(&[1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13]),
+    },
+    Experiment {
+        id: "E2",
+        name: "rounds_vs_gap",
+        run: || exp_rounds_vs_gap(1024),
+    },
+    Experiment {
+        id: "E3",
+        name: "growth_per_phase",
+        run: || exp_growth_per_phase(30_000),
+    },
+    Experiment {
+        id: "E4",
+        name: "random_walk_quality",
+        run: || exp_random_walk_quality(300, 16),
+    },
+    Experiment {
+        id: "E5",
+        name: "regularization",
+        run: || exp_regularization(600),
+    },
+    Experiment {
+        id: "E6",
+        name: "sublinear_space",
+        run: || exp_sublinear_space(1024, &[32, 128, 512, 2048]),
+    },
+    Experiment {
+        id: "E7",
+        name: "adaptive_unknown_gap",
+        run: || exp_adaptive_unknown_gap(2000),
+    },
+    Experiment {
+        id: "E8",
+        name: "lower_bound_game",
+        run: || exp_lower_bound_game(&[512, 1024, 2048, 4096]),
+    },
+    Experiment {
+        id: "E9",
+        name: "memory_accounting",
+        run: || exp_memory_accounting(&[1 << 9, 1 << 11, 1 << 13]),
+    },
+    Experiment {
+        id: "E10",
+        name: "vs_baselines",
+        run: || exp_vs_baselines(1536),
+    },
+    Experiment {
+        id: "E11",
+        name: "random_graph_props",
+        run: || exp_random_graph_props(3000),
+    },
+    Experiment {
+        id: "E12",
+        name: "ablations",
+        run: || exp_ablations(15_000),
+    },
+];
+
+/// Runs every experiment in [`EXPERIMENTS`].
 pub fn run_all() -> Vec<ExperimentTable> {
-    vec![
-        exp_rounds_vs_n(&[1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13]),
-        exp_rounds_vs_gap(1024),
-        exp_growth_per_phase(30_000),
-        exp_random_walk_quality(300, 16),
-        exp_regularization(600),
-        exp_sublinear_space(1024, &[32, 128, 512, 2048]),
-        exp_adaptive_unknown_gap(2000),
-        exp_lower_bound_game(&[512, 1024, 2048, 4096]),
-        exp_memory_accounting(&[1 << 9, 1 << 11, 1 << 13]),
-        exp_vs_baselines(1536),
-        exp_random_graph_props(3000),
-        exp_ablations(15_000),
-    ]
+    EXPERIMENTS.iter().map(|e| (e.run)()).collect()
 }
 
 #[cfg(test)]

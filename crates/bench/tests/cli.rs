@@ -1,6 +1,7 @@
-//! End-to-end checks of the `wcc` binary's packing contract: what `wcc pack`
+//! End-to-end checks of the `wcc` binary's packing contract — what `wcc pack`
 //! leaves on disk when it fails, which flags it accepts, and that what it
-//! writes today replays exactly like the checked-in sample streams.
+//! writes today replays exactly like the checked-in sample streams — and of
+//! the `wcc_exp` experiment runner's command line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -10,6 +11,15 @@ fn wcc(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("failed to spawn wcc")
+}
+
+/// `wcc_exp` run inside `cwd`, where it writes `results/<id>.json`.
+fn wcc_exp(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_wcc_exp"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("failed to spawn wcc_exp")
 }
 
 /// A checked-in sample file under the workspace's `data/` directory.
@@ -151,5 +161,100 @@ fn repacked_edge_list_replays_like_the_archived_v1_stream() {
         replay_record(output.to_str().unwrap()),
         replay_record(&data("sample_batches.wccs"))
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `(id, name)` pairs of the experiment table in EXPERIMENTS.md: its rows
+/// are the ones that read ``| E<n> | `<name>` | ...``.
+fn documented_experiments() -> Vec<(String, String)> {
+    let doc = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(doc).expect("read EXPERIMENTS.md");
+    let rows: Vec<(String, String)> = doc
+        .lines()
+        .filter_map(|line| {
+            let (id, rest) = line.strip_prefix("| ")?.split_once(" | `")?;
+            let (name, _) = rest.split_once("` |")?;
+            id.starts_with('E')
+                .then(|| (id.to_string(), name.to_string()))
+        })
+        .collect();
+    assert_eq!(rows.len(), 12, "EXPERIMENTS.md documents E1..E12: {rows:?}");
+    rows
+}
+
+#[test]
+fn wcc_exp_list_prints_exactly_the_documented_ids() {
+    let dir = scratch("exp_list");
+    let out = wcc_exp(&dir, &["--list"]);
+    assert!(out.status.success());
+    let listed: Vec<String> = String::from_utf8(out.stdout)
+        .expect("utf-8 list")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let documented: Vec<String> = documented_experiments()
+        .into_iter()
+        .map(|(id, _)| id)
+        .collect();
+    assert_eq!(listed, documented);
+    assert!(!dir.join("results").exists(), "--list ran an experiment");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn wcc_exp_rejects_an_unknown_name_before_running_anything() {
+    let dir = scratch("exp_unknown");
+    // The valid table comes first: a typo anywhere must stop the whole run.
+    let out = wcc_exp(&dir, &["E8", "lower_bound_gane"]);
+    assert!(!out.status.success());
+    assert!(
+        out.stdout.is_empty(),
+        "a table ran before the typo was caught"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"lower_bound_gane\""), "stderr: {stderr}");
+    assert!(stderr.contains("usage:"), "stderr: {stderr}");
+    for (id, name) in documented_experiments() {
+        let row = format!("  {id:<4} {name}\n");
+        assert!(stderr.contains(&row), "{row:?} not in: {stderr}");
+    }
+    assert!(
+        !wcc_exp(&dir, &[]).status.success(),
+        "no arguments is a usage error"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn wcc_exp_prints_the_table_and_writes_its_json() {
+    let dir = scratch("exp_run");
+    // By id and by name: the same cheap table twice, in the order given.
+    let out = wcc_exp(&dir, &["E8", "lower_bound_game"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 markdown");
+    assert_eq!(stdout.matches("### E8 — ").count(), 2, "stdout: {stdout}");
+    assert!(stdout.contains("| n | candidates k |"), "stdout: {stdout}");
+    let json = std::fs::read_to_string(dir.join("results/E8.json")).expect("results/E8.json");
+    assert!(json.contains("\"id\": \"E8\""), "json: {json}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn wcc_exp_reports_a_failed_results_write_and_exits_nonzero() {
+    let dir = scratch("exp_write_fails");
+    // `results` is a file, so the directory cannot be created.
+    std::fs::write(dir.join("results"), b"in the way").unwrap();
+    let out = wcc_exp(&dir, &["E8"]);
+    assert!(
+        !out.status.success(),
+        "a dropped results file must fail the run"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("[E8] could not write results"),
+        "stderr: {stderr}"
+    );
+    // The table is still printed: the run itself succeeded.
+    assert!(String::from_utf8_lossy(&out.stdout).contains("### E8 — "));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -118,16 +118,6 @@ impl<T> Cluster<T> {
         self
     }
 
-    /// Charges each tuple its *natural* width,
-    /// `⌈size_of::<T>() / 8⌉` words ([`crate::compact::natural_words_per_tuple`]):
-    /// a `u64`-packed compact edge charges 1 word where the historical
-    /// default charges 2. Opt-in — the default stays 2 words so existing
-    /// callers' recorded model quantities are unchanged.
-    pub fn with_natural_width(self) -> Self {
-        let words = crate::compact::natural_words_per_tuple::<T>();
-        self.with_words_per_tuple(words)
-    }
-
     /// Builds a cluster directly from explicit per-machine partitions.
     /// Used by tests and the primitives in [`crate::primitives`]; not itself
     /// an MPC operation (no rounds are charged). Runs on the sequential
@@ -565,8 +555,7 @@ impl<T> Cluster<T> {
 
     /// The hash-based `reduce_by_key` this crate used before the sort-based
     /// combiner landed, retained verbatim as the **executable specification**:
-    /// differential tests (`tests/cluster_properties.rs`) and the
-    /// `bench_pipeline` radix-vs-hashmap group assert/measure
+    /// differential tests (`tests/cluster_properties.rs`) assert
     /// [`Cluster::reduce_by_key`] against it. Output and statistics are
     /// bit-identical; only the aggregation machinery differs.
     ///
@@ -823,20 +812,6 @@ where
     let mut pairs: Vec<(u64, A)> = local.into_iter().collect();
     pairs.sort_unstable_by_key(|&(k, _)| k);
     pairs
-}
-
-impl<T: Clone> Cluster<T> {
-    /// Broadcasts a small value to every machine. Charges one round and
-    /// `machines × words` traffic; errors if the broadcast value alone
-    /// exceeds the per-machine budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::MemoryExceeded`] if `words` exceeds the budget.
-    pub fn broadcast_check(&self, ctx: &mut MpcContext, words: usize) -> Result<(), MpcError> {
-        ctx.charge_shuffle(words * self.num_machines());
-        ctx.record_machine_load(0, words)
-    }
 }
 
 /// The output of [`Cluster::counting_shuffle_plan`]: everything the scatter
@@ -1184,15 +1159,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(counts, vec![(5, 1000)]);
-    }
-
-    #[test]
-    fn broadcast_too_large_fails() {
-        let cfg = small_config();
-        let mut ctx = MpcContext::new(cfg);
-        let cluster = Cluster::from_tuples(&cfg, vec![(0u64, 0u64)]);
-        assert!(cluster.broadcast_check(&mut ctx, 10).is_ok());
-        assert!(cluster.broadcast_check(&mut ctx, 1000).is_err());
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! The simulator's word accounting is denominated in 8-byte model words, but
 //! the bytes the host actually moves per tuple depend on the representation:
-//! a vertex or component identifier fits a [`CompactVertex`] (`u32`) whenever
-//! the identifier space has at most `2^32` members, and a whole relabeled
-//! edge then packs into one `u64` ([`pack_edge`]) — half the traffic of the
+//! a vertex or component identifier fits a `u32` whenever the identifier
+//! space has at most `2^32` members, and a whole relabeled edge then packs
+//! into one `u64` ([`pack_edge`]) — half the traffic of the
 //! wide `(usize, usize)` layout. This module centralises the negotiation
-//! rule ([`TupleWidth::negotiate`]), the pack/unpack codec, and the
-//! [`natural_words_per_tuple`] helper that derives an honest
-//! `words_per_tuple` charge from a tuple type's size, so every layer
+//! rule ([`TupleWidth::negotiate`]) and the pack/unpack codec, so every layer
 //! (contraction, shuffles, reductions) makes the same wide/narrow decision
 //! and charges it the same way. The wide path is never removed: callers fall
 //! back to it whenever the identifier space exceeds the compact limit, so
@@ -18,14 +16,6 @@
 /// are denominated in.
 pub const WORD_BYTES: usize = 8;
 
-/// A vertex (or contracted-part) identifier in the compact representation.
-///
-/// Valid whenever the identifier space was negotiated
-/// [`TupleWidth::Compact`]; the graph layer already stores adjacency as
-/// `u32`, so the compact data plane extends that narrow width through the
-/// shuffle and sort paths instead of widening to `usize` at the boundary.
-pub type CompactVertex = u32;
-
 /// Number of distinct identifiers the compact width can represent
 /// (`2^32`): ids `0..=u32::MAX`.
 pub const COMPACT_ID_SPACE: u128 = (u32::MAX as u128) + 1;
@@ -33,7 +23,7 @@ pub const COMPACT_ID_SPACE: u128 = (u32::MAX as u128) + 1;
 /// The negotiated per-tuple representation of a data-plane stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TupleWidth {
-    /// Identifiers fit [`CompactVertex`]; an edge packs into one `u64`.
+    /// Identifiers fit a `u32`; an edge packs into one `u64`.
     Compact,
     /// Identifier space exceeds `2^32`; tuples stay `(usize, usize)`.
     Wide,
@@ -73,15 +63,6 @@ impl TupleWidth {
             TupleWidth::Wide => 16,
         }
     }
-}
-
-/// The `words_per_tuple` charge that matches a tuple type's actual size:
-/// `⌈size_of::<T>() / 8⌉`, minimum 1. A `u64`-packed edge charges 1 word
-/// where the wide `(usize, usize)` layout charges 2 — this is how the
-/// compact data plane's halved traffic shows up honestly in the model
-/// quantities instead of being hidden behind the historical default of 2.
-pub fn natural_words_per_tuple<T>() -> usize {
-    std::mem::size_of::<T>().div_ceil(WORD_BYTES).max(1)
 }
 
 /// Packs an edge of compact identifiers into one `u64`: `a` in the high
@@ -155,20 +136,6 @@ mod tests {
         tuples.sort_unstable();
         let unpacked: Vec<(usize, usize)> = packed.into_iter().map(unpack_edge).collect();
         assert_eq!(unpacked, tuples, "u64 order must equal tuple lex order");
-    }
-
-    #[test]
-    fn natural_width_matches_type_sizes() {
-        assert_eq!(natural_words_per_tuple::<u64>(), 1);
-        assert_eq!(natural_words_per_tuple::<(u32, u32)>(), 1);
-        assert_eq!(natural_words_per_tuple::<(u64, u64)>(), 2);
-        assert_eq!(natural_words_per_tuple::<(usize, usize)>(), 2);
-        assert_eq!(natural_words_per_tuple::<(u64, u64, u32)>(), 3);
-        assert_eq!(
-            natural_words_per_tuple::<()>(),
-            1,
-            "zero-sized still charges a word"
-        );
     }
 
     #[test]

@@ -476,13 +476,12 @@ impl Executor {
         self.run_spans(&self.worker_ranges(n, min_per_worker), |_w, range| f(range))
     }
 
-    /// The pre-pool threaded backend, kept verbatim as a **measurement
+    /// The pre-pool threaded backend, kept verbatim as a **test
     /// reference**: one fresh `std::thread::scope` spawn per range, joined
-    /// in range order. The `executor_dispatch_overhead` benchmark times this
-    /// against the pooled [`Executor::map_ranges`] to quantify what the pool
-    /// saves per fan-out, and the differential test in
-    /// `tests/executor_determinism.rs` pins both paths to identical output.
-    /// Not used by any production dispatch.
+    /// in range order. The differential test in
+    /// `tests/executor_determinism.rs` pins the pooled
+    /// [`Executor::map_ranges`] to its output. Not used by any production
+    /// dispatch.
     pub fn map_ranges_scoped_reference<U, F>(&self, n: usize, f: F) -> Vec<U>
     where
         U: Send,

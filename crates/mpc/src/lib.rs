@@ -70,9 +70,7 @@ pub mod stream;
 pub mod walkstats;
 
 pub use crate::cluster::{Cluster, KeyedTuple};
-pub use crate::compact::{
-    natural_words_per_tuple, pack_edge, unpack_edge, CompactVertex, TupleWidth, WORD_BYTES,
-};
+pub use crate::compact::{pack_edge, unpack_edge, TupleWidth, WORD_BYTES};
 pub use crate::config::{MpcConfig, MpcError};
 pub use crate::executor::{derive_stream_seed, Executor, ExecutorBackend, THREADS_ENV_VAR};
 pub use crate::histogram::{HistogramSummary, LogHistogram, HISTOGRAM_BUCKETS};
@@ -84,7 +82,7 @@ pub use crate::walkstats::{record_walk_telemetry, walk_telemetry_snapshot, WalkT
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
     pub use crate::cluster::{Cluster, KeyedTuple};
-    pub use crate::compact::{natural_words_per_tuple, CompactVertex, TupleWidth};
+    pub use crate::compact::TupleWidth;
     pub use crate::config::{MpcConfig, MpcError};
     pub use crate::executor::{derive_stream_seed, Executor, ExecutorBackend};
     pub use crate::stats::{MpcContext, PhaseStats, RoundStats, WorkerStats};

@@ -3,12 +3,11 @@
 //!
 //! The original threaded backend spawned fresh `std::thread::scope` threads
 //! for *every* fan-out, so a pipeline run with thousands of supersteps paid
-//! thread spawn + join latency thousands of times (BENCH_executor.json's
-//! `adaptive_t4` row was ~18% slower than `t1` on one core for exactly that
-//! reason). This module replaces that with workers that are spawned **once**
-//! per pool — lazily, on the first threaded dispatch — and then park on a
-//! condvar between fan-outs. A fan-out becomes: publish one job pointer,
-//! bump an epoch counter, wake the parked workers.
+//! thread spawn + join latency thousands of times. This module replaces
+//! that with workers that are spawned **once** per pool — lazily, on the
+//! first threaded dispatch — and then park on a condvar between fan-outs. A
+//! fan-out becomes: publish one job pointer, bump an epoch counter, wake the
+//! parked workers.
 //!
 //! ## Handoff protocol
 //!

@@ -132,8 +132,8 @@ fn identity_shuffles_short_circuit_without_dropping_the_charge() {
 
 #[test]
 fn natural_width_narrows_the_charge_for_compact_tuples() {
-    // A u64-packed compact edge charges 1 word under the natural width
-    // where the historical default charges 2 — and the byte column follows.
+    // A u64-packed compact edge charged its natural width of 1 word, where
+    // the historical default charges 2 — and the byte column follows.
     let cfg = MpcConfig::with_memory(1 << 14, 256).with_threads(THREADS);
     let packed: Vec<u64> = (0..500u64).collect();
     let mut ctx_wide = ctx();
@@ -142,7 +142,7 @@ fn natural_width_narrows_the_charge_for_compact_tuples() {
         .shuffle_by_key(&mut ctx_wide, |t| *t)
         .unwrap();
     Cluster::from_tuples(&cfg, packed)
-        .with_natural_width()
+        .with_words_per_tuple(1)
         .shuffle_by_key(&mut ctx_narrow, |t| *t)
         .unwrap();
     let wide = ctx_wide.into_stats();
