@@ -14,6 +14,9 @@
 //!                          [--no-fast-path] [--json]
 //!
 //! The edge-list format is one `u v` pair per line; `#`/`%` lines are comments.
+//! A flag the chosen mode or algorithm never reads is an error, not a no-op:
+//! in one-shot mode `--lambda` belongs to `--algorithm wcc` and `--memory` to
+//! `--algorithm sublinear`.
 //! Prints the number of components, the simulated MPC rounds, and (with
 //! --sizes) the component size histogram. With --json, prints a single
 //! machine-readable result record on stdout instead (scripts consume
@@ -479,6 +482,18 @@ fn parse_args() -> Result<Options, String> {
     };
     if let Some(flag) = flags_seen.iter().find(|f| !applicable.contains(f)) {
         return Err(format!("{flag} is not applicable to `{mode_name}`"));
+    }
+    // Within one-shot mode the same holds per algorithm: only `wcc` takes a
+    // gap promise and only `sublinear` a memory budget.
+    if opts.mode == Mode::Run {
+        for (flag, reader) in [("--lambda", "wcc"), ("--memory", "sublinear")] {
+            if flags_seen.contains(&flag) && opts.algorithm != reader {
+                return Err(format!(
+                    "{flag} is not applicable to `--algorithm {}`",
+                    opts.algorithm
+                ));
+            }
+        }
     }
     Ok(opts)
 }

@@ -164,6 +164,52 @@ fn repacked_edge_list_replays_like_the_archived_v1_stream() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn one_shot_flags_the_chosen_algorithm_never_reads_are_rejected() {
+    let dir = scratch("algorithm_flags");
+    let input = dir.join("g.txt");
+    std::fs::write(&input, "0 1\n1 2\n3 4\n").unwrap();
+    let input = input.to_str().unwrap();
+    for (algorithm, flag, value) in [
+        ("adaptive", "--lambda", "0.01"),
+        ("adaptive", "--memory", "64"),
+        ("sublinear", "--lambda", "0.01"),
+        ("wcc", "--memory", "64"),
+        ("hash-to-min", "--lambda", "0.01"),
+        ("union-find", "--memory", "64"),
+    ] {
+        let out = wcc(&[input, "--algorithm", algorithm, flag, value]);
+        assert!(!out.status.success(), "{algorithm} accepted {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "{flag} is not applicable to `--algorithm {algorithm}`"
+            )),
+            "stderr: {stderr}"
+        );
+    }
+    // The one algorithm that reads each flag still takes it.
+    for (algorithm, flag, value) in [("wcc", "--lambda", "0.2"), ("sublinear", "--memory", "64")] {
+        let out = wcc(&[input, "--algorithm", algorithm, flag, value]);
+        assert!(out.status.success(), "{algorithm} rejected {flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("components: 2"), "stdout: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sublinear_on_a_single_self_loop_reports_one_component() {
+    let dir = scratch("one_vertex");
+    let input = dir.join("one.txt");
+    std::fs::write(&input, "0 0\n").unwrap();
+    let out = wcc(&[input.to_str().unwrap(), "--algorithm", "sublinear"]);
+    assert!(out.status.success(), "a one-vertex graph aborted the run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("components: 1"), "stdout: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `(id, name)` pairs of the experiment table in EXPERIMENTS.md: its rows
 /// are the ones that read ``| E<n> | `<name>` | ...``.
 fn documented_experiments() -> Vec<(String, String)> {

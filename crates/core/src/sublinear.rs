@@ -130,10 +130,13 @@ pub struct SublinearResult {
 /// `SublinearConn(G)` — Theorem 2: connectivity of an arbitrary graph on
 /// machines with `s` words of memory in `O(log log n + log(n/s))` rounds.
 ///
+/// A graph on at most one vertex has nothing to connect: it gets the trivial
+/// labelling with no rounds charged, like the empty-graph case of
+/// [`well_connected_components`](crate::pipeline::well_connected_components).
+///
 /// # Errors
 ///
-/// Returns [`CoreError::BadParams`] if `memory_per_machine < 4` or the graph
-/// is empty of vertices.
+/// Returns [`CoreError::BadParams`] if `memory_per_machine < 4`.
 pub fn sublinear_components(
     g: &Graph,
     memory_per_machine: usize,
@@ -141,13 +144,23 @@ pub fn sublinear_components(
     seed: u64,
 ) -> Result<SublinearResult, CoreError> {
     let n = g.num_vertices();
-    if n == 0 {
-        return Err(CoreError::BadParams("graph has no vertices".to_string()));
-    }
     if memory_per_machine < 4 {
         return Err(CoreError::BadParams(format!(
             "memory per machine must be at least 4 words, got {memory_per_machine}"
         )));
+    }
+    if n <= 1 {
+        return Ok(SublinearResult {
+            components: ComponentLabels::from_raw_labels(&vec![0; n]),
+            stats: RoundStats::default(),
+            report: SublinearReport {
+                target_degree: 0,
+                walk_length: 0,
+                contracted_vertices: n,
+                max_message_words: 0,
+                memory_per_machine,
+            },
+        });
     }
     let input_words = (2 * g.num_edges() + n).max(16);
     let config = MpcConfig::with_memory(input_words, memory_per_machine)
@@ -158,9 +171,7 @@ pub fn sublinear_components(
     let ln_n = (n.max(2) as f64).ln();
 
     // Step 1: walk length and target degree.
-    let d = ((params.degree_multiplier * n as f64 * ln_n / memory_per_machine as f64).ceil()
-        as usize)
-        .clamp(2, n);
+    let d = densification_degree(n, memory_per_machine, params);
     let t = ((params.walk_multiplier * (d as f64).powf(params.walk_exponent) * ln_n).ceil()
         as usize)
         .clamp(1, params.max_walk_length);
@@ -305,7 +316,7 @@ pub fn densification_degree(
 ) -> usize {
     let ln_n = (n.max(2) as f64).ln();
     ((params.degree_multiplier * n as f64 * ln_n / memory_per_machine as f64).ceil() as usize)
-        .clamp(2, n)
+        .clamp(2, n.max(2))
 }
 
 #[cfg(test)]
@@ -382,16 +393,27 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_inputs() {
-        let g = Graph::empty(0);
-        assert!(matches!(
-            sublinear_components(&g, 64, &SublinearParams::default(), 0),
-            Err(CoreError::BadParams(_))
-        ));
-        let g2 = generators::cycle(10);
-        assert!(matches!(
-            sublinear_components(&g2, 2, &SublinearParams::default(), 0),
-            Err(CoreError::BadParams(_))
-        ));
+        // Too little memory is rejected whatever the graph — also one the
+        // trivial-labelling shortcut would otherwise answer.
+        for g in [generators::cycle(10), Graph::empty(0)] {
+            assert!(matches!(
+                sublinear_components(&g, 2, &SublinearParams::default(), 0),
+                Err(CoreError::BadParams(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn graphs_on_at_most_one_vertex_get_the_trivial_labelling() {
+        let lone_loop = Graph::from_edges(1, [(0, 0)]).unwrap();
+        for g in [Graph::empty(0), Graph::empty(1), lone_loop] {
+            let n = g.num_vertices();
+            let result = sublinear_components(&g, 64, &SublinearParams::default(), 0).unwrap();
+            assert_eq!(result.components.num_components(), n);
+            assert_eq!(result.components.len(), n);
+            assert_eq!(result.stats.total_rounds(), 0);
+            assert_eq!(densification_degree(n, 64, &SublinearParams::default()), 2);
+        }
     }
 
     #[test]

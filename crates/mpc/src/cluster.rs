@@ -1,5 +1,5 @@
 //! The model-fidelity layer: simulated machines holding tuples, with
-//! map / shuffle / broadcast supersteps that enforce the memory budget.
+//! map / shuffle / reduce supersteps that enforce the memory budget.
 //!
 //! No algorithm in the workspace runs on a [`Cluster`] — the pipeline and the
 //! baselines compute on `Graph` + [`Executor`] and charge [`MpcContext`]
@@ -9,61 +9,31 @@
 //! (`tests/mpc_model_invariants.rs`), and the benchmark's `mpc.cluster.*`
 //! probes. The job of the layer is *fidelity*: a shuffle really re-partitions
 //! tuples by key, really costs one round, and really fails (or records a
-//! violation) when some machine would exceed its memory budget.
+//! violation) when some machine would exceed its memory budget. Its speed
+//! appears in no theorem and in no end-to-end metric, so every superstep is
+//! written as its own specification: one obvious pass, no second
+//! implementation to keep in step.
 //!
 //! The [`Cluster`] stores its tuples in a **flat arena**: one contiguous
 //! `Vec<T>` plus a CSR-style machine-offset table, so machine `i`'s tuples
-//! are the slice `arena[offsets[i]..offsets[i + 1]]`. Local ops touch one
-//! allocation instead of one per machine, and [`Cluster::shuffle_by_key`] is
-//! a two-pass *counting shuffle* (parallel per-worker destination histograms,
-//! an exclusive prefix-sum offset table, then a parallel scatter straight
-//! into the preallocated output arena) rather than a clone-into-buckets pass.
-//! A shuffle whose counting pass proves the routing is the identity
-//! permutation (every tuple already sits on its destination machine) skips
-//! the scatter and copies the arena as it stands — with the model cost
-//! (rounds, words) charged unchanged.
+//! are the slice `arena[offsets[i]..offsets[i + 1]]`.
+//! [`Cluster::shuffle_by_key`] is a sequential stable bucket pass: within
+//! each destination machine, tuples appear in global source order
+//! (machine-major). [`Cluster::reduce_by_key`] pre-aggregates per machine
+//! with a `HashMap` (emitted key-sorted, so the map's iteration order never
+//! reaches the output), routes the partials and merges equal keys in
+//! first-seen order.
 //!
-//! Aggregation is sort-based: [`Cluster::reduce_by_key`]'s combiner passes
-//! cache each machine's tuple keys once, stably argsort them with an 8-bit
-//! radix pass and fold the equal-key runs in one linear scan — no per-machine
-//! `HashMap`s. All shuffle and sort scratch (destination tables, per-worker
-//! histograms, cursor tables, key caches) lives in the [`MpcContext`] and is
-//! reused across successive supersteps, so a steady-state shuffle or
-//! reduction allocates only its output. The hash-based aggregation survives
-//! verbatim as [`Cluster::reduce_by_key_hashmap`], the executable spec the
-//! sort-based path is differentially tested (and benchmarked) against.
-//!
-//! Per-machine work fans out through the cluster's [`Executor`]: with the
-//! threaded backend the simulated machines really do compute concurrently,
-//! while the results — tuple order, statistics, errors — stay bit-identical
-//! to the sequential backend (see the determinism contract in
-//! [`crate::executor`]). The counting shuffle preserves the historical
-//! tuple order exactly: within each destination machine, tuples appear in
-//! global source order (machine-major), which is what the old
-//! bucket-merge-by-worker fan-in produced.
+//! Local per-machine work (`map_local`, `flat_map_local`, `filter_local`, the
+//! reduce's combiner pass) fans out through the cluster's [`Executor`]; the
+//! results — tuple order, statistics, errors — are bit-identical on every
+//! backend (see the determinism contract in [`crate::executor`]).
 
-use std::ops::Range;
+use std::collections::hash_map::{Entry, HashMap};
 
-use crate::arena;
 use crate::config::{MpcConfig, MpcError};
 use crate::executor::Executor;
-use crate::radix::{RadixScratch, ShuffleScratch};
-use crate::stats::{MpcContext, WorkerStats};
-
-/// Tuples that carry an intrinsic shuffle key.
-///
-/// Implemented for `(u64, V)` pairs, the workhorse format of every algorithm
-/// in this workspace (key = the vertex or component the tuple is routed to).
-pub trait KeyedTuple {
-    /// The key the tuple is routed by during a shuffle.
-    fn key(&self) -> u64;
-}
-
-impl<V> KeyedTuple for (u64, V) {
-    fn key(&self) -> u64 {
-        self.0
-    }
-}
+use crate::stats::MpcContext;
 
 /// A set of tuples partitioned across simulated machines, stored as a flat
 /// arena plus a machine-offset table.
@@ -87,29 +57,13 @@ impl<T> Cluster<T> {
     /// (the paper assumes the input is distributed adversarially but evenly;
     /// round-robin is the even distribution with no helpful locality). The
     /// cluster adopts the execution backend selected by `config.threads`.
-    pub fn from_tuples(config: &MpcConfig, tuples: Vec<T>) -> Self
-    where
-        T: Send,
-    {
+    pub fn from_tuples(config: &MpcConfig, tuples: Vec<T>) -> Self {
         let m = config.num_machines.max(1);
-        let n = tuples.len();
-        let executor = config.executor();
-        // Machine j receives indices j, j + m, j + 2m, …: its count and the
-        // arena position of every tuple are closed-form, so the arena is
-        // built by one parallel permutation instead of m growing vectors.
-        let mut offsets = Vec::with_capacity(m + 1);
-        offsets.push(0usize);
-        for j in 0..m {
-            let count = if j < n % m { n / m + 1 } else { n / m };
-            offsets.push(offsets[j] + count);
+        let mut machines: Vec<Vec<T>> = (0..m).map(|_| Vec::new()).collect();
+        for (i, t) in tuples.into_iter().enumerate() {
+            machines[i % m].push(t);
         }
-        let pos: Vec<usize> = (0..n).map(|i| offsets[i % m] + i / m).collect();
-        Cluster {
-            arena: arena::permute_owned(&executor, tuples, &pos),
-            offsets,
-            words_per_tuple: 2,
-            executor,
-        }
+        Cluster::from_partitions(machines).with_executor(config.executor())
     }
 
     /// Overrides the number of words each tuple is charged for.
@@ -208,13 +162,16 @@ impl<T> Cluster<T> {
         &self.offsets
     }
 
-    /// The largest per-machine load, in words.
-    pub fn max_load_words(&self) -> usize {
+    /// Every machine's load in words, in machine order.
+    pub(crate) fn load_words(&self) -> impl Iterator<Item = usize> + '_ {
         self.offsets
             .windows(2)
             .map(|w| (w[1] - w[0]) * self.words_per_tuple)
-            .max()
-            .unwrap_or(0)
+    }
+
+    /// The largest per-machine load, in words.
+    pub fn max_load_words(&self) -> usize {
+        self.load_words().max().unwrap_or(0)
     }
 
     /// Collects all tuples into one vector (an *inspection* helper for tests
@@ -319,168 +276,39 @@ impl<T> Cluster<T> {
             .with_executor(self.executor.clone())
     }
 
-    /// The counting pass of the two-pass counting shuffle: computes each
-    /// tuple's destination machine, the per-worker exclusive-prefix-sum
-    /// write cursors, and the output machine-offset table.
-    ///
-    /// Workers own contiguous runs of whole source machines; each records
-    /// its tuples' destinations plus a destination histogram — both written
-    /// straight into `scratch` buffers reused across shuffles on the same
-    /// context, so a steady-state shuffle allocates only its output arena.
-    /// The histograms fold into the output offset table (destination-major)
-    /// and per-worker cursors (worker-major within a destination), so the
-    /// scatter pass that follows places tuples in exactly the historical
-    /// order: within a destination machine, global source order. The cached
-    /// destinations also mean the scatter never recomputes `key(t)`.
-    fn counting_shuffle_plan<F>(&self, key: &F, scratch: &mut ShuffleScratch) -> ShufflePlan
-    where
-        T: Sync,
-        F: Fn(&T) -> u64 + Sync,
-    {
-        let n = self.arena.len();
-        let m = self.num_machines().max(1);
-        if n == 0 {
-            scratch.dests.clear();
-            scratch.cursors.clear();
-            return ShufflePlan {
-                ranges: Vec::new(),
-                dest_offsets: vec![0; m + 1],
-            };
-        }
-        let worker_machines = self.executor.worker_spans(self.num_machines());
-        let ranges: Vec<Range<usize>> = worker_machines
-            .iter()
-            .map(|r| self.offsets[r.start]..self.offsets[r.end])
-            .collect();
-        let workers = ranges.len();
-        let arena = &self.arena;
-        // Pass 1: destinations + per-worker histograms, one sweep filling
-        // both scratch tables (disjoint chunks / rows per worker).
-        scratch.dests.clear();
-        scratch.dests.resize(n, 0);
-        scratch.histograms.clear();
-        scratch.histograms.resize(workers * m, 0);
-        let hist_ranges: Vec<Range<usize>> = (0..workers).map(|w| w * m..(w + 1) * m).collect();
-        self.executor.map_slices_mut_pair(
-            &mut scratch.dests,
-            &ranges,
-            &mut scratch.histograms,
-            &hist_ranges,
-            |w, chunk, histogram| {
-                let start = ranges[w].start;
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let dest = (splitmix64(key(&arena[start + j])) % m as u64) as usize;
-                    *slot = dest;
-                    histogram[dest] += 1;
-                }
-            },
-        );
-        // Exclusive prefix sums: destination-major, worker-major within a
-        // destination — the write cursor of worker `w` for destination `d`
-        // starts where the previous workers' `d`-tuples end.
-        let mut dest_offsets = vec![0usize; m + 1];
-        for w in 0..workers {
-            for (slot, &h) in dest_offsets[1..]
-                .iter_mut()
-                .zip(&scratch.histograms[w * m..(w + 1) * m])
-            {
-                *slot += h;
-            }
-        }
-        let mut acc = 0usize;
-        for slot in dest_offsets.iter_mut() {
-            acc += *slot;
-            *slot = acc;
-        }
-        scratch.cursors.clear();
-        scratch.cursors.resize(workers * m, 0);
-        for (d, &base) in dest_offsets[..m].iter().enumerate() {
-            let mut acc = base;
-            for w in 0..workers {
-                scratch.cursors[w * m + d] = acc;
-                acc += scratch.histograms[w * m + d];
-            }
-        }
-        ShufflePlan {
-            ranges,
-            dest_offsets,
-        }
-    }
-
-    /// Returns `true` iff every tuple's planned destination is the machine
-    /// it already occupies. In that case the stable counting scatter is the
-    /// identity permutation — destination-major grouping equals the current
-    /// machine-major grouping, and within each machine "global source order"
-    /// is the current order — so the arena can be reused as-is. The *model*
-    /// cost is unchanged (the round and the traffic are still charged: in
-    /// the MPC model every machine still sends its tuples, the simulator
-    /// just skips re-materialising an arena it can prove is bit-identical;
-    /// see DESIGN.md §8).
-    fn plan_is_identity(&self, dests: &[usize]) -> bool {
-        self.offsets
-            .windows(2)
-            .enumerate()
-            .all(|(machine, w)| dests[w[0]..w[1]].iter().all(|&d| d == machine))
-    }
-
     /// One communication superstep: re-partitions every tuple to machine
     /// `hash(key) % num_machines`, so that all tuples sharing a key land on
     /// the same machine. Charges exactly one round and `len()` tuples of
-    /// traffic, and enforces the per-machine memory budget on the result.
+    /// traffic — also when every tuple already sits on its destination, since
+    /// in the model each machine still sends its tuples — and enforces the
+    /// per-machine memory budget on the result.
     ///
-    /// Implemented as a two-pass counting shuffle (see
-    /// [`Cluster::counting_shuffle_plan`]) followed by one parallel scatter
-    /// that clones each tuple straight into its final arena position — no
-    /// intermediate per-worker bucket vectors. Destination loads are checked
-    /// through [`WorkerStats`] in machine order, so the result — including
-    /// which machine a strict-mode overflow reports — is identical on every
-    /// backend.
+    /// A sequential stable bucket pass over the arena: within a destination
+    /// machine, tuples keep global source order (machine-major).
     ///
     /// # Errors
     ///
     /// Returns [`MpcError::MemoryExceeded`] in strict mode if any destination
-    /// machine would exceed its budget.
+    /// machine would exceed its budget, naming the lowest-index one.
     pub fn shuffle_by_key<F>(&self, ctx: &mut MpcContext, key: F) -> Result<Cluster<T>, MpcError>
     where
-        T: Clone + Send + Sync,
-        F: Fn(&T) -> u64 + Sync,
+        T: Clone,
+        F: Fn(&T) -> u64,
     {
-        let mut scratch = ctx.take_scratch();
-        let plan = self.counting_shuffle_plan(&key, &mut scratch);
         let m = self.num_machines().max(1);
-        let arena = if self.plan_is_identity(&scratch.dests) {
-            debug_assert_eq!(plan.dest_offsets, self.offsets);
-            self.arena.clone()
-        } else {
-            arena::scatter_cloned(
-                &self.executor,
-                &self.arena,
-                &scratch.dests,
-                &plan.ranges,
-                &mut scratch.cursors,
-                m,
-            )
-        };
-        ctx.restore_scratch(scratch);
-        // Charge the round — model words at `words_per_tuple`, host bytes at
-        // the size of the representation that actually crosses the simulated
-        // wire — and check every destination machine's load, in machine
-        // order.
+        let mut buckets: Vec<Vec<T>> = (0..m).map(|_| Vec::new()).collect();
+        for t in &self.arena {
+            buckets[destination(key(t), m)].push(t.clone());
+        }
+        // Model words at `words_per_tuple`, host bytes at the size of the
+        // representation that actually crosses the simulated wire.
         ctx.charge_shuffle_with_bytes(
             self.arena.len() * self.words_per_tuple,
             self.arena.len() * std::mem::size_of::<T>(),
         );
-        let budget = ctx.config().memory_per_machine;
-        let mut loads = WorkerStats::new();
-        loads.record_span_loads(&plan.dest_offsets, self.words_per_tuple, budget);
-        let check = ctx.absorb_workers([loads]);
-        let result = Cluster {
-            arena,
-            offsets: plan.dest_offsets,
-            words_per_tuple: self.words_per_tuple,
-            executor: self.executor.clone(),
-        };
-        check.map(|()| result)
+        let result = self.rebuild_from_machine_parts(buckets);
+        ctx.record_machine_loads(result.load_words())?;
+        Ok(result)
     }
 
     /// Shuffle followed by a per-key reduction: tuples with equal keys are
@@ -492,16 +320,10 @@ impl<T> Cluster<T> {
     /// standard MapReduce optimisation); the shuffle therefore moves at most
     /// one partial accumulator per (machine, key) pair. Charges one round.
     ///
-    /// The combiner is **sort-based**: each machine's tuple keys are cached
-    /// once, stably argsorted with an 8-bit radix pass
-    /// ([`RadixScratch`]), and the equal-key runs folded with one linear
-    /// scan — no per-machine `HashMap`, and all sort buffers are reused
-    /// across machines, workers and successive calls on the same context.
-    /// Partials are emitted key-sorted per machine, so the returned pairs
-    /// are in a deterministic order (grouped by destination machine,
-    /// first-seen order within each group) on every backend, run-to-run,
-    /// and bit-identical to the retained hash-based reference
-    /// ([`Cluster::reduce_by_key_hashmap`]).
+    /// The returned pairs are in a deterministic order on every backend,
+    /// run-to-run: grouped by destination machine, first-seen order within
+    /// each group (partials arrive source-machine-major, key-sorted per
+    /// source machine), each key's partials combined in arrival order.
     ///
     /// # Errors
     ///
@@ -513,7 +335,7 @@ impl<T> Cluster<T> {
         key: K,
         init: I,
         fold: FO,
-        combine: impl FnMut(&mut A, A),
+        mut combine: impl FnMut(&mut A, A),
     ) -> Result<Vec<(u64, A)>, MpcError>
     where
         T: Sync,
@@ -522,317 +344,61 @@ impl<T> Cluster<T> {
         I: Fn(u64) -> A + Sync,
         FO: Fn(&mut A, &T) + Sync,
     {
-        let executor = self.executor.clone();
-        let worker_machines = executor.worker_spans(self.num_machines());
-        let mut scratch = ctx.take_scratch();
-        let combined: Vec<Vec<(u64, A)>> = {
-            // Local combiner pass (free: purely local computation). Workers
-            // own contiguous machine runs; worker `w` locks only radix slot
-            // `w`, so the scratch pool is contention-free.
-            let pool = scratch.radix_pool(worker_machines.len());
-            let nested: Vec<Vec<Vec<(u64, A)>>> =
-                executor.run_spans(&worker_machines, |w, machines| {
-                    let mut radix = pool[w].lock().expect("radix scratch lock");
-                    machines
-                        .map(|mi| {
-                            combine_machine_radix(self.machine(mi), &key, &init, &fold, &mut radix)
-                        })
-                        .collect()
-                });
-            nested.into_iter().flatten().collect()
-        };
-        let result = route_and_merge_partials(
-            ctx,
-            self.num_machines(),
-            self.words_per_tuple,
-            combined,
-            combine,
-            &mut scratch,
-        );
-        ctx.restore_scratch(scratch);
-        result
-    }
-
-    /// The hash-based `reduce_by_key` this crate used before the sort-based
-    /// combiner landed, retained verbatim as the **executable specification**:
-    /// differential tests (`tests/cluster_properties.rs`) assert
-    /// [`Cluster::reduce_by_key`] against it. Output and statistics are
-    /// bit-identical; only the aggregation machinery differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::MemoryExceeded`] in strict mode if a destination
-    /// machine would exceed its budget.
-    pub fn reduce_by_key_hashmap<A, K, I, FO>(
-        &self,
-        ctx: &mut MpcContext,
-        key: K,
-        init: I,
-        fold: FO,
-        combine: impl FnMut(&mut A, A),
-    ) -> Result<Vec<(u64, A)>, MpcError>
-    where
-        T: Sync,
-        A: Clone + Send,
-        K: Fn(&T) -> u64 + Sync,
-        I: Fn(u64) -> A + Sync,
-        FO: Fn(&mut A, &T) + Sync,
-    {
-        // Local combiner pass, one machine per work unit.
+        // Local combiner pass (free: purely local), one machine per work
+        // unit. Sorting by key keeps the HashMap's iteration order out of
+        // the output.
         let combined: Vec<Vec<(u64, A)>> = self.executor.map_indexed(self.num_machines(), |mi| {
-            combine_machine_hashmap(
-                self.machine(mi).iter(),
-                &|t: &&T| key(t),
-                &init,
-                |acc: &mut A, t: &T| fold(acc, t),
-            )
+            let mut local: HashMap<u64, A> = HashMap::new();
+            for t in self.machine(mi) {
+                let k = key(t);
+                fold(local.entry(k).or_insert_with(|| init(k)), t);
+            }
+            let mut pairs: Vec<(u64, A)> = local.into_iter().collect();
+            pairs.sort_unstable_by_key(|&(k, _)| k);
+            pairs
         });
-        route_and_merge_partials_hashmap(
-            ctx,
-            self.num_machines(),
-            self.words_per_tuple,
-            combined,
-            combine,
-        )
-    }
-}
 
-/// The communication half shared by both `reduce_by_key` variants: routes
-/// each machine's key-sorted partials to `hash(key) % m`, checks destination
-/// loads, and merges equal keys in first-seen order.
-///
-/// Sort-based: partials are counting-sorted into destination buckets (one
-/// flat allocation, arrival order preserved), then each bucket is radix
-/// argsorted by key and its equal-key runs combined with a linear scan. The
-/// output reproduces the hash-based reference exactly: buckets in machine
-/// order, and within a bucket the merged keys in order of first appearance,
-/// each folded in arrival order.
-fn route_and_merge_partials<A>(
-    ctx: &mut MpcContext,
-    num_machines: usize,
-    words_per_tuple: usize,
-    combined: Vec<Vec<(u64, A)>>,
-    mut combine: impl FnMut(&mut A, A),
-    scratch: &mut ShuffleScratch,
-) -> Result<Vec<(u64, A)>, MpcError> {
-    let total: usize = combined.iter().map(Vec::len).sum();
-    // Bytes reflect the actual partial-accumulator representation; the
-    // hash-based spec below charges identically, keeping the differential
-    // contract (`stats equal`) intact.
-    ctx.charge_shuffle_with_bytes(
-        total * words_per_tuple,
-        total * std::mem::size_of::<(u64, A)>(),
-    );
-    let m = num_machines.max(1);
-
-    // Counting pass: destination of every partial (cached — the scatter
-    // below does not re-hash) and per-destination counts.
-    let counts = &mut scratch.histograms;
-    counts.clear();
-    counts.resize(m, 0);
-    scratch.dests.clear();
-    scratch.dests.reserve(total);
-    for machine in &combined {
-        for (k, _) in machine {
-            let dest = (splitmix64(*k) % m as u64) as usize;
-            scratch.dests.push(dest);
-            counts[dest] += 1;
+        // Communication half: route every partial to `hash(key) % m`.
+        let total: usize = combined.iter().map(Vec::len).sum();
+        ctx.charge_shuffle_with_bytes(
+            total * self.words_per_tuple,
+            total * std::mem::size_of::<(u64, A)>(),
+        );
+        let m = self.num_machines().max(1);
+        let mut partials: Vec<Vec<(u64, A)>> = (0..m).map(|_| Vec::new()).collect();
+        for (k, a) in combined.into_iter().flatten() {
+            partials[destination(k, m)].push((k, a));
         }
-    }
-    let offsets = &mut scratch.cursors;
-    offsets.clear();
-    offsets.push(0);
-    let mut acc = 0usize;
-    for &c in counts.iter() {
-        acc += c;
-        offsets.push(acc);
-    }
+        ctx.record_machine_loads(partials.iter().map(|b| b.len() * self.words_per_tuple))?;
 
-    let budget = ctx.config().memory_per_machine;
-    let mut loads = WorkerStats::new();
-    for (d, &c) in counts.iter().enumerate() {
-        loads.record_machine_load(d, c * words_per_tuple, budget);
-    }
-    ctx.absorb_workers([loads])?;
-
-    // Scatter pass: stable counting sort by destination, reusing `counts`
-    // as the running write cursors. `Option` wrapping lets the merge below
-    // move accumulators out in radix order.
-    counts.copy_from_slice(&offsets[..m]);
-    let mut routed: Vec<Option<(u64, A)>> = Vec::with_capacity(total);
-    routed.resize_with(total, || None);
-    let mut idx = 0usize;
-    for machine in combined {
-        for (k, a) in machine {
-            let dest = scratch.dests[idx];
-            idx += 1;
-            routed[counts[dest]] = Some((k, a));
-            counts[dest] += 1;
-        }
-    }
-
-    // Merge pass, bucket by bucket: argsort the bucket's keys, combine each
-    // equal-key run in arrival order (the stable sort keeps it), then emit
-    // the runs ordered by first appearance — exactly the reference order.
-    if scratch.radix.is_empty() {
-        scratch.radix.push(Default::default());
-    }
-    let mut radix = scratch.radix[0].lock().expect("radix scratch lock");
-    let mut out: Vec<(u64, A)> = Vec::new();
-    let mut merged: Vec<(usize, (u64, A))> = Vec::new();
-    for d in 0..m {
-        let (lo, hi) = (offsets[d], offsets[d + 1]);
-        let len = hi - lo;
-        radix.argsort_by(len, |i| routed[lo + i].as_ref().expect("routed slot").0);
-        merged.clear();
-        let mut pos = 0usize;
-        while pos < len {
-            let k = radix.sorted_key(pos);
-            let first = radix.order()[pos];
-            let (_, seed) = routed[lo + first].take().expect("first of run");
-            let mut acc = seed;
-            pos += 1;
-            while pos < len && radix.sorted_key(pos) == k {
-                let (_, a) = routed[lo + radix.order()[pos]].take().expect("run member");
-                combine(&mut acc, a);
-                pos += 1;
-            }
-            merged.push((first, (k, acc)));
-        }
-        merged.sort_unstable_by_key(|&(first, _)| first);
-        out.extend(merged.drain(..).map(|(_, pair)| pair));
-    }
-    Ok(out)
-}
-
-/// The hash-based communication half retained for
-/// [`Cluster::reduce_by_key_hashmap`].
-fn route_and_merge_partials_hashmap<A>(
-    ctx: &mut MpcContext,
-    num_machines: usize,
-    words_per_tuple: usize,
-    combined: Vec<Vec<(u64, A)>>,
-    mut combine: impl FnMut(&mut A, A),
-) -> Result<Vec<(u64, A)>, MpcError> {
-    use std::collections::HashMap;
-    let total: usize = combined.iter().map(Vec::len).sum();
-    ctx.charge_shuffle_with_bytes(
-        total * words_per_tuple,
-        total * std::mem::size_of::<(u64, A)>(),
-    );
-    let m = num_machines.max(1);
-    let mut partials: Vec<Vec<(u64, A)>> = (0..m).map(|_| Vec::new()).collect();
-    for machine in combined {
-        for (k, a) in machine {
-            let dest = (splitmix64(k) % m as u64) as usize;
-            partials[dest].push((k, a));
-        }
-    }
-    let budget = ctx.config().memory_per_machine;
-    let mut loads = WorkerStats::new();
-    for (i, bucket) in partials.iter().enumerate() {
-        loads.record_machine_load(i, bucket.len() * words_per_tuple, budget);
-    }
-    ctx.absorb_workers([loads])?;
-    let mut out = Vec::new();
-    for bucket in partials {
-        // First-seen order (deterministic) with O(1) expected lookups: the
-        // HashMap only indexes into the order-preserving Vec, so its
-        // iteration order never leaks into the output.
-        let mut index: HashMap<u64, usize> = HashMap::new();
-        let mut merged: Vec<(u64, A)> = Vec::new();
-        for (k, a) in bucket {
-            match index.entry(k) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    combine(&mut merged[*e.get()].1, a)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(merged.len());
-                    merged.push((k, a));
+        let mut out = Vec::new();
+        for bucket in partials {
+            // The HashMap only indexes into the order-preserving Vec, so the
+            // merged keys come out in first-seen order.
+            let mut index: HashMap<u64, usize> = HashMap::new();
+            let mut merged: Vec<(u64, A)> = Vec::new();
+            for (k, a) in bucket {
+                match index.entry(k) {
+                    Entry::Occupied(e) => combine(&mut merged[*e.get()].1, a),
+                    Entry::Vacant(e) => {
+                        e.insert(merged.len());
+                        merged.push((k, a));
+                    }
                 }
             }
+            out.extend(merged);
         }
-        out.extend(merged);
+        Ok(out)
     }
-    Ok(out)
 }
 
-/// One machine's sort-based combiner pass: caches the tuples' keys, stably
-/// radix-argsorts them, and folds each equal-key run (in arrival order) with
-/// one linear scan. Returns the per-key accumulators key-sorted — the same
-/// output, bit for bit, as [`combine_machine_hashmap`].
-fn combine_machine_radix<T, A, K, I, FO>(
-    tuples: &[T],
-    key: &K,
-    init: &I,
-    fold: &FO,
-    radix: &mut RadixScratch,
-) -> Vec<(u64, A)>
-where
-    K: Fn(&T) -> u64,
-    I: Fn(u64) -> A,
-    FO: Fn(&mut A, &T),
-{
-    let n = tuples.len();
-    radix.argsort_by(n, |i| key(&tuples[i]));
-    let mut out: Vec<(u64, A)> = Vec::new();
-    let mut pos = 0usize;
-    while pos < n {
-        let k = radix.sorted_key(pos);
-        let mut acc = init(k);
-        while pos < n && radix.sorted_key(pos) == k {
-            fold(&mut acc, &tuples[radix.order()[pos]]);
-            pos += 1;
-        }
-        out.push((k, acc));
-    }
-    out
-}
-
-/// One machine's hash-based combiner pass (the retained reference): folds
-/// its tuples into per-key accumulators and returns them key-sorted (sorting
-/// removes the HashMap's iteration-order nondeterminism from the output).
-fn combine_machine_hashmap<T, A, K, I>(
-    tuples: impl Iterator<Item = T>,
-    key: &K,
-    init: &I,
-    mut fold: impl FnMut(&mut A, T),
-) -> Vec<(u64, A)>
-where
-    K: Fn(&T) -> u64,
-    I: Fn(u64) -> A,
-{
-    use std::collections::HashMap;
-    let mut local: HashMap<u64, A> = HashMap::new();
-    for t in tuples {
-        let k = key(&t);
-        let acc = local.entry(k).or_insert_with(|| init(k));
-        fold(acc, t);
-    }
-    let mut pairs: Vec<(u64, A)> = local.into_iter().collect();
-    pairs.sort_unstable_by_key(|&(k, _)| k);
-    pairs
-}
-
-/// The output of [`Cluster::counting_shuffle_plan`]: everything the scatter
-/// pass needs that does not already live in the reused
-/// [`ShuffleScratch`] (per-tuple destinations and the worker-major cursor
-/// table stay there).
-struct ShufflePlan {
-    /// Contiguous per-worker arena ranges (machine-aligned), matching the
-    /// scratch cursor rows index-for-index.
-    ranges: Vec<Range<usize>>,
-    /// Output machine-offset table (owned: it becomes the result cluster's
-    /// offset table).
-    dest_offsets: Vec<usize>,
-}
-
-/// A cheap 64-bit mixer (SplitMix64 finaliser) used to map keys to machines.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
+/// The machine a key is routed to: a SplitMix64 finaliser (a cheap 64-bit
+/// mixer) reduced modulo the machine count.
+fn destination(key: u64, machines: usize) -> usize {
+    let mut x = key.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
+    ((x ^ (x >> 31)) % machines as u64) as usize
 }
 
 #[cfg(test)]
@@ -950,6 +516,64 @@ mod tests {
         assert!(ctx2.stats().memory_violations() > 0);
     }
 
+    fn three_machines(memory_per_machine: usize) -> MpcConfig {
+        MpcConfig {
+            memory_per_machine,
+            num_machines: 3,
+            delta: 0.5,
+            strict_memory: true,
+            threads: 1,
+        }
+    }
+
+    #[test]
+    fn shuffle_order_on_a_hand_written_three_machine_fixture() {
+        // Keys 3 and 7 hash to machine 0, key 0 to machine 1, key 1 to
+        // machine 2. Within a destination, tuples keep global source order:
+        // machine 0's tuples first, then machine 1's, then machine 2's.
+        let cluster = Cluster::from_partitions(vec![
+            vec![(1u64, 'a'), (3, 'b'), (0, 'c')],
+            vec![(3, 'd'), (1, 'e')],
+            vec![(0, 'f'), (7, 'g'), (1, 'h')],
+        ]);
+        let mut ctx = MpcContext::new(three_machines(64));
+        let shuffled = cluster.shuffle_by_key(&mut ctx, |t| t.0).unwrap();
+        assert_eq!(shuffled.machine(0), [(3, 'b'), (3, 'd'), (7, 'g')]);
+        assert_eq!(shuffled.machine(1), [(0, 'c'), (0, 'f')]);
+        assert_eq!(shuffled.machine(2), [(1, 'a'), (1, 'e'), (1, 'h')]);
+        assert_eq!(shuffled.offsets(), [0, 3, 5, 8]);
+        let stats = ctx.into_stats();
+        assert_eq!(stats.total_rounds(), 1);
+        assert_eq!(stats.total_communication_words(), 16);
+        assert_eq!(stats.total_shuffled_bytes(), 8 * 16);
+        assert_eq!(stats.max_machine_load_words(), 6);
+    }
+
+    #[test]
+    fn strict_overflow_names_the_lowest_overflowing_machine() {
+        // Budget 4 words = 2 tuples. Machine 0 receives one tuple (fits),
+        // machine 1 three (6 words) and machine 2 four (8 words): the error
+        // names machine 1, and both violations and the largest load are on
+        // record by the time it is raised.
+        let keys = [1u64, 0, 1, 3, 0, 1, 0, 1];
+        for threads in [1usize, 4] {
+            let cfg = three_machines(4).with_threads(threads);
+            let cluster = Cluster::from_tuples(&cfg, keys.iter().map(|&k| (k, ())).collect());
+            let mut ctx = MpcContext::new(cfg);
+            let err = cluster.shuffle_by_key(&mut ctx, |t| t.0).unwrap_err();
+            assert_eq!(
+                err,
+                MpcError::MemoryExceeded {
+                    machine: 1,
+                    required: 6,
+                    budget: 4
+                }
+            );
+            assert_eq!(ctx.stats().memory_violations(), 2);
+            assert_eq!(ctx.stats().max_machine_load_words(), 8);
+        }
+    }
+
     #[test]
     fn map_and_filter_are_free() {
         let cfg = small_config();
@@ -1043,100 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn radix_reduce_matches_hashmap_reference_exactly() {
-        // The sort-based aggregation must reproduce the retained hash-based
-        // reference bit for bit: same pairs, same order, same stats — on
-        // skewed, uniform and single-key workloads, at 1 and 4 threads.
-        let workloads: Vec<Vec<(u64, u64)>> = vec![
-            (0..1000).map(|i| (i % 37, i)).collect(),
-            (0..1000).map(|i| (i * i % 1000, i)).collect(),
-            (0..500).map(|_| (42, 1)).collect(),
-            Vec::new(),
-            // Keys spanning high bytes exercise the later radix passes.
-            (0..800).map(|i| ((i % 13) << 48 | (i % 7), i)).collect(),
-        ];
-        for tuples in workloads {
-            for threads in [1usize, 4] {
-                let cfg = MpcConfig::with_memory(1 << 14, 512).with_threads(threads);
-                let mut ctx_radix = MpcContext::new(cfg);
-                let mut ctx_hash = MpcContext::new(cfg);
-                let radix = Cluster::from_tuples(&cfg, tuples.clone())
-                    .reduce_by_key(
-                        &mut ctx_radix,
-                        |t| t.0,
-                        |k| k,
-                        |acc, t| *acc = acc.wrapping_add(t.1),
-                        |acc, b| *acc = acc.wrapping_mul(31).wrapping_add(b),
-                    )
-                    .unwrap();
-                let hash = Cluster::from_tuples(&cfg, tuples.clone())
-                    .reduce_by_key_hashmap(
-                        &mut ctx_hash,
-                        |t| t.0,
-                        |k| k,
-                        |acc, t| *acc = acc.wrapping_add(t.1),
-                        |acc, b| *acc = acc.wrapping_mul(31).wrapping_add(b),
-                    )
-                    .unwrap();
-                assert_eq!(radix, hash, "threads={threads}");
-                assert_eq!(ctx_radix.into_stats(), ctx_hash.into_stats());
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_across_shuffles_changes_nothing() {
-        // Run several shuffles and reductions back-to-back on ONE context
-        // (scratch reused) and compare each against a fresh-context run
-        // (scratch cold): outputs and per-call stats must be identical.
-        let cfg = MpcConfig::with_memory(1 << 14, 256)
-            .permissive()
-            .with_threads(4);
-        let mut warm = MpcContext::new(cfg);
-        for round in 0..4u64 {
-            let tuples: Vec<(u64, u64)> = (0..1500)
-                .map(|i| ((i * (round + 3)) % (11 + 60 * round), i))
-                .collect();
-            let mut cold = MpcContext::new(cfg);
-            let warm_before = warm.stats().clone();
-            let a = Cluster::from_tuples(&cfg, tuples.clone())
-                .shuffle_by_key(&mut warm, |t| t.0)
-                .unwrap();
-            let b = Cluster::from_tuples(&cfg, tuples.clone())
-                .shuffle_by_key(&mut cold, |t| t.0)
-                .unwrap();
-            assert_eq!(a.offsets(), b.offsets(), "round {round}");
-            assert_eq!(a.gather(), b.gather(), "round {round}");
-            let mut cold2 = MpcContext::new(cfg);
-            let ra = Cluster::from_tuples(&cfg, tuples.clone())
-                .reduce_by_key(
-                    &mut warm,
-                    |t| t.0,
-                    |_| 0u64,
-                    |a, t| *a += t.1,
-                    |a, b| *a += b,
-                )
-                .unwrap();
-            let rb = Cluster::from_tuples(&cfg, tuples)
-                .reduce_by_key(
-                    &mut cold2,
-                    |t| t.0,
-                    |_| 0u64,
-                    |a, t| *a += t.1,
-                    |a, b| *a += b,
-                )
-                .unwrap();
-            assert_eq!(ra, rb, "round {round}");
-            // The warm context charged exactly what the two cold ones did.
-            let warm_after = warm.stats();
-            assert_eq!(
-                warm_after.total_rounds() - warm_before.total_rounds(),
-                cold.stats().total_rounds() + cold2.stats().total_rounds()
-            );
-        }
-    }
-
-    #[test]
     fn reduce_by_key_with_skew_stays_within_budget_via_combiners() {
         // 1000 tuples all with the same key but spread over machines: the
         // combiner collapses them to one partial per machine, so no overflow.
@@ -1159,12 +689,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(counts, vec![(5, 1000)]);
-    }
-
-    #[test]
-    fn keyed_tuple_trait_for_pairs() {
-        let t = (42u64, "payload");
-        assert_eq!(t.key(), 42);
     }
 
     #[test]

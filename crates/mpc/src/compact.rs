@@ -69,8 +69,7 @@ impl TupleWidth {
 /// word, `b` in the low word. Because the pack is order-preserving
 /// (`(a, b) < (c, d)` lexicographically iff `pack_edge(a, b) <
 /// pack_edge(c, d)`), sorting packed edges as plain `u64`s reproduces the
-/// tuple sort order exactly — which is what lets the contraction run on the
-/// byte-skipping LSD radix sort ([`crate::radix_sort_u64`]).
+/// tuple sort order exactly.
 ///
 /// Callers must have negotiated [`TupleWidth::Compact`] for the identifier
 /// space; identifiers that do not fit a `u32` are a contract violation

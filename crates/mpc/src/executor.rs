@@ -4,11 +4,11 @@
 //! vertices, or edge chunks routes it through an [`Executor`] instead of a
 //! bare `for` loop. Two backends exist:
 //!
-//! * [`ExecutorBackend::Sequential`] — runs every unit of work inline on the
-//!   calling thread, in index order (the historical behaviour of the
-//!   simulator).
-//! * [`ExecutorBackend::Threaded`] — runs work on a **persistent worker
-//!   pool** ([`pool`](crate::pool) module; no external dependencies):
+//! * **sequential** ([`Executor::sequential`], one thread) — runs every unit
+//!   of work inline on the calling thread, in index order (the historical
+//!   behaviour of the simulator).
+//! * **threaded** ([`Executor::threaded`]) — runs work on a **persistent
+//!   worker pool** ([`pool`](crate::pool) module; no external dependencies):
 //!   workers are spawned once, lazily, on the first threaded dispatch, park
 //!   on a condvar between fan-outs, and each fan-out costs one epoch bump +
 //!   wakeup instead of N `std::thread::scope` spawns. The index space is
@@ -23,9 +23,9 @@
 //! worker computed them — chunk claiming order is timing-dependent, chunk
 //! *placement* is not. Anything order-sensitive — round charges, memory
 //! accounting, error selection — happens on the calling thread after the
-//! fan-in, via [`WorkerStats`](crate::stats::WorkerStats) merges. The
-//! cross-backend determinism test in `tests/executor_determinism.rs` pins
-//! this contract down for the full pipeline.
+//! fan-in. The cross-backend determinism test in
+//! `tests/executor_determinism.rs` pins this contract down for the full
+//! pipeline.
 //!
 //! The thread count is usually carried by
 //! [`MpcConfig::threads`](crate::MpcConfig::threads); `0` means "resolve from
@@ -38,18 +38,6 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::pool::{self, PoolProbe, PoolTelemetry, WorkerPool, CHUNKS_PER_WORKER};
-
-/// Which execution backend an [`Executor`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorBackend {
-    /// Run all work inline on the calling thread.
-    Sequential,
-    /// Run work on a persistent pool of `threads` parked workers.
-    Threaded {
-        /// Maximum number of worker threads (clamped to at least 1).
-        threads: usize,
-    },
-}
 
 /// Environment variable consulted when a thread count of `0` ("auto") is
 /// resolved: `WCC_THREADS=4` selects the threaded backend with 4 workers,
@@ -120,14 +108,6 @@ impl Executor {
         }
     }
 
-    /// Builds an executor from an explicit backend choice.
-    pub fn new(backend: ExecutorBackend) -> Self {
-        match backend {
-            ExecutorBackend::Sequential => Executor::sequential(),
-            ExecutorBackend::Threaded { threads } => Executor::threaded(threads),
-        }
-    }
-
     /// Resolves a config-level thread count: `0` means "read
     /// [`THREADS_ENV_VAR`]" (see [`Executor::from_env`]); any other value is
     /// used as-is.
@@ -170,21 +150,6 @@ impl Executor {
     /// `true` if work runs inline on the calling thread.
     pub fn is_sequential(&self) -> bool {
         self.threads == 1
-    }
-
-    /// The backend this executor uses, in canonical form: one worker IS the
-    /// sequential backend, so `Threaded { threads: 1 }` deliberately reports
-    /// as `Sequential` (the enum names the two behaviours, not the
-    /// construction history). This is the extension point future backends
-    /// (async, sharded) widen.
-    pub fn backend(&self) -> ExecutorBackend {
-        if self.threads == 1 {
-            ExecutorBackend::Sequential
-        } else {
-            ExecutorBackend::Threaded {
-                threads: self.threads,
-            }
-        }
     }
 
     /// The pool, created (or fetched from the per-count process registry) on
@@ -235,21 +200,13 @@ impl Executor {
         pool::split_ranges(n, chunks)
     }
 
-    /// The deterministic *coarse* work split over `0..n`: the contiguous
-    /// chunk ranges [`Executor::map_ranges`] would hand its workers (units
-    /// are whole simulated machines, so any `n > 1` splits). Exposed so
-    /// callers can precompute per-chunk state — histogram cursors, per-chunk
-    /// accumulators — that must line up range-for-range with a later fan-out
-    /// over the same split.
-    pub fn worker_spans(&self, n: usize) -> Vec<Range<usize>> {
-        self.worker_ranges(n, 1)
-    }
-
-    /// The deterministic *fine* work split over `0..n`: like
-    /// [`Executor::worker_spans`] but treating indices as fine-grained items
-    /// (a tuple, a vertex), so fan-outs smaller than
+    /// The deterministic *fine* work split over `0..n`: the contiguous chunk
+    /// ranges [`Executor::map_indexed`] would hand its workers. Indices are
+    /// fine-grained items (a tuple, a vertex), so fan-outs smaller than
     /// [`Executor::MIN_INDICES_PER_WORKER`] per chunk collapse to fewer
-    /// ranges, exactly as [`Executor::map_indexed`] would.
+    /// ranges. Exposed so callers can precompute per-chunk state that must
+    /// line up range-for-range with a later [`Executor::map_slices_mut`]
+    /// over the same split.
     pub fn element_spans(&self, n: usize) -> Vec<Range<usize>> {
         self.worker_ranges(n, Self::MIN_INDICES_PER_WORKER)
     }
@@ -270,27 +227,13 @@ impl Executor {
         self.pool().run_chunks(n, g)
     }
 
-    /// Runs `f` once per *given* contiguous range, in parallel, returning the
-    /// results in range order. The ranges must be exactly the caller's
-    /// precomputed [`Executor::worker_spans`] / [`Executor::element_spans`]
-    /// split (ascending, disjoint); each chunk also receives its range
-    /// index.
-    pub(crate) fn run_spans<U, F>(&self, spans: &[Range<usize>], f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize, Range<usize>) -> U + Sync,
-    {
-        self.run_chunked(spans.len(), |i| f(i, spans[i].clone()))
-    }
-
     /// Splits `data` into the given contiguous ranges (which must tile
-    /// `0..data.len()` in ascending order — normally a
-    /// [`Executor::worker_spans`] / [`Executor::element_spans`] split scaled
-    /// to the data) and runs `f` on each mutable chunk concurrently,
-    /// returning the per-chunk results in range order. This is the safe
-    /// primitive behind every in-place parallel pass over the flat tuple
-    /// arena: disjoint `&mut` chunks are carved with `split_at_mut`, so no
-    /// two workers can alias.
+    /// `0..data.len()` in ascending order — normally an
+    /// [`Executor::element_spans`] split scaled to the data) and runs `f` on
+    /// each mutable chunk concurrently, returning the per-chunk results in
+    /// range order. This is the safe primitive behind in-place parallel
+    /// passes over a flat buffer: disjoint `&mut` chunks are carved with
+    /// `split_at_mut`, so no two workers can alias.
     ///
     /// # Panics
     ///
@@ -301,88 +244,28 @@ impl Executor {
         U: Send,
         F: Fn(usize, &mut [T]) -> U + Sync,
     {
-        // The single-buffer pass is the pair pass with an empty companion
-        // (zero-length ranges trivially tile an empty slice), so validation
-        // and carving live in exactly one place.
-        let mut empty: [(); 0] = [];
-        let empty_ranges = vec![0..0; ranges.len()];
-        self.map_slices_mut_pair(data, ranges, &mut empty, &empty_ranges, |i, chunk, _| {
-            f(i, chunk)
-        })
-    }
-
-    /// Like [`Executor::map_slices_mut`], but carving **two** buffers at
-    /// once: chunk `i` receives `a[a_ranges[i]]` and `b[b_ranges[i]]` as
-    /// disjoint mutable chunks. Both range lists must tile their buffers
-    /// exactly and have the same length (one pair per chunk). This is the
-    /// primitive behind the counting shuffle's single-sweep pass that fills
-    /// the destination table and the per-chunk histograms together without
-    /// allocating either.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range lists have different lengths or either fails to
-    /// tile its buffer.
-    pub fn map_slices_mut_pair<T1, T2, U, F>(
-        &self,
-        a: &mut [T1],
-        a_ranges: &[Range<usize>],
-        b: &mut [T2],
-        b_ranges: &[Range<usize>],
-        f: F,
-    ) -> Vec<U>
-    where
-        T1: Send,
-        T2: Send,
-        U: Send,
-        F: Fn(usize, &mut [T1], &mut [T2]) -> U + Sync,
-    {
-        assert_eq!(
-            a_ranges.len(),
-            b_ranges.len(),
-            "one range pair per worker required"
-        );
-        for (ranges, len) in [(a_ranges, a.len()), (b_ranges, b.len())] {
-            let mut expected = 0usize;
-            for r in ranges {
-                assert_eq!(r.start, expected, "ranges must tile the data in order");
-                assert!(r.end >= r.start, "ranges must be ascending");
-                expected = r.end;
-            }
-            assert_eq!(expected, len, "ranges must cover the data exactly");
+        // Carve every disjoint chunk up front (cheap: pointer arithmetic),
+        // park each in a take-once slot, and let the dispatch hand chunk `i`
+        // to whichever worker claims index `i`.
+        let mut slots: Vec<Mutex<Option<&mut [T]>>> = Vec::with_capacity(ranges.len());
+        let mut rest = data;
+        let mut expected = 0usize;
+        for r in ranges {
+            assert_eq!(r.start, expected, "ranges must tile the data in order");
+            assert!(r.end >= r.start, "ranges must be ascending");
+            expected = r.end;
+            let (head, tail) = rest.split_at_mut(r.len());
+            rest = tail;
+            slots.push(Mutex::new(Some(head)));
         }
-        if self.threads <= 1 || a_ranges.len() <= 1 || pool::in_pool_context() {
-            let mut out = Vec::with_capacity(a_ranges.len());
-            let (mut rest_a, mut rest_b) = (a, b);
-            for (i, (ra, rb)) in a_ranges.iter().zip(b_ranges).enumerate() {
-                let (head_a, tail_a) = rest_a.split_at_mut(ra.len());
-                let (head_b, tail_b) = rest_b.split_at_mut(rb.len());
-                rest_a = tail_a;
-                rest_b = tail_b;
-                out.push(f(i, head_a, head_b));
-            }
-            return out;
-        }
-        // Carve every disjoint chunk pair up front (cheap: pointer
-        // arithmetic), park each in a take-once slot, and let the pool's
-        // chunk claiming hand pair `i` to whichever worker claims index `i`.
-        type ChunkPair<'s, T1, T2> = Mutex<Option<(&'s mut [T1], &'s mut [T2])>>;
-        let mut slots: Vec<ChunkPair<'_, T1, T2>> = Vec::with_capacity(a_ranges.len());
-        let (mut rest_a, mut rest_b) = (a, b);
-        for (ra, rb) in a_ranges.iter().zip(b_ranges) {
-            let (head_a, tail_a) = rest_a.split_at_mut(ra.len());
-            let (head_b, tail_b) = rest_b.split_at_mut(rb.len());
-            rest_a = tail_a;
-            rest_b = tail_b;
-            slots.push(Mutex::new(Some((head_a, head_b))));
-        }
-        self.pool().run_chunks(a_ranges.len(), |i| {
-            let (chunk_a, chunk_b) = slots[i]
+        assert!(rest.is_empty(), "ranges must cover the data exactly");
+        self.run_chunked(ranges.len(), |i| {
+            let chunk = slots[i]
                 .lock()
                 .expect("slice slot poisoned")
                 .take()
-                .expect("each chunk pair is claimed exactly once");
-            f(i, chunk_a, chunk_b)
+                .expect("each chunk is claimed exactly once");
+            f(i, chunk)
         })
     }
 
@@ -398,8 +281,7 @@ impl Executor {
         U: Send,
         F: Fn(Range<usize>) -> Vec<U> + Sync,
     {
-        let spans = self.element_spans(n);
-        let parts = self.run_spans(&spans, |_w, range| f(range));
+        let parts = self.run_ranges(n, Self::MIN_INDICES_PER_WORKER, f);
         let total: usize = parts.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(total);
         for part in parts {
@@ -446,10 +328,9 @@ impl Executor {
 
     /// Splits `0..n` into contiguous chunk ranges, runs `f` once per range,
     /// and returns the per-range results in range order. This is the
-    /// primitive behind per-worker accumulators
-    /// ([`WorkerStats`](crate::stats::WorkerStats), shuffle buckets): the
-    /// caller merges the returned values in order, which is deterministic as
-    /// long as the merge is associative over adjacent ranges.
+    /// primitive behind per-worker accumulators: the caller merges the
+    /// returned values in order, which is deterministic as long as the merge
+    /// is associative over adjacent ranges.
     ///
     /// Unlike [`Executor::map_indexed`], indices here are treated as
     /// *coarse* units (a whole simulated machine): any `n > 1` fans out.
@@ -473,7 +354,8 @@ impl Executor {
         U: Send,
         F: Fn(Range<usize>) -> U + Sync,
     {
-        self.run_spans(&self.worker_ranges(n, min_per_worker), |_w, range| f(range))
+        let spans = self.worker_ranges(n, min_per_worker);
+        self.run_chunked(spans.len(), |i| f(spans[i].clone()))
     }
 
     /// The pre-pool threaded backend, kept verbatim as a **test
@@ -630,45 +512,41 @@ mod tests {
     fn worker_spans_oversplit_for_chunk_claiming() {
         // threads=1 keeps one span; threads>1 oversplits up to 4x threads so
         // fast workers can steal chunks; the floor caps the split.
-        assert_eq!(Executor::threaded(1).worker_spans(100).len(), 1);
+        assert_eq!(Executor::threaded(1).worker_ranges(100, 1).len(), 1);
         assert_eq!(
-            Executor::threaded(4).worker_spans(160).len(),
+            Executor::threaded(4).worker_ranges(160, 1).len(),
             4 * CHUNKS_PER_WORKER
         );
-        assert_eq!(Executor::threaded(4).worker_spans(3).len(), 3);
+        assert_eq!(Executor::threaded(4).worker_ranges(3, 1).len(), 3);
         assert_eq!(Executor::threaded(4).element_spans(100).len(), 1);
         assert_eq!(Executor::threaded(4).element_spans(64 * 9).len(), 9);
     }
 
     #[test]
-    fn map_slices_mut_pair_carves_both_buffers_disjointly() {
+    fn map_slices_mut_carves_disjoint_chunks() {
         for threads in [1usize, 4] {
             let exec = Executor::threaded(threads);
             let mut data = vec![0u64; 100];
-            let mut acc = vec![0u64; 8];
-            let data_ranges = vec![0..25, 25..60, 60..60, 60..100];
-            let acc_ranges = vec![0..2, 2..4, 4..6, 6..8];
-            let sums = exec.map_slices_mut_pair(
-                &mut data,
-                &data_ranges,
-                &mut acc,
-                &acc_ranges,
-                |w, chunk, slot| {
-                    for (j, x) in chunk.iter_mut().enumerate() {
-                        *x = (w * 1000 + j) as u64;
-                        slot[0] += *x;
-                    }
-                    slot[1] = chunk.len() as u64;
-                    slot[0]
-                },
-            );
-            assert_eq!(sums.len(), 4, "threads={threads}");
-            assert_eq!(acc[1], 25);
-            assert_eq!(acc[5], 0);
-            assert_eq!(acc[7], 40);
+            let ranges = vec![0..25, 25..60, 60..60, 60..100];
+            let lens = exec.map_slices_mut(&mut data, &ranges, |w, chunk| {
+                for (j, x) in chunk.iter_mut().enumerate() {
+                    *x = (w * 1000 + j) as u64;
+                }
+                chunk.len()
+            });
+            assert_eq!(lens, vec![25, 35, 0, 40], "threads={threads}");
+            assert_eq!(data[24], 24);
             assert_eq!(data[25], 1000);
-            assert_eq!(sums[2], 0);
+            assert_eq!(data[60], 3000);
+            assert_eq!(data[99], 3039);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ranges must cover the data exactly")]
+    fn map_slices_mut_rejects_ranges_that_stop_short() {
+        let mut data = vec![0u8; 10];
+        Executor::sequential().map_slices_mut(&mut data, &[0..4, 4..9], |_, _| ());
     }
 
     #[test]
@@ -693,20 +571,6 @@ mod tests {
         assert_eq!(Executor::resolve(6).threads(), 6);
         assert!(Executor::resolve(0).threads() >= 1);
         assert!(Executor::auto_threads() >= 1);
-    }
-
-    #[test]
-    fn backend_round_trips() {
-        assert_eq!(
-            Executor::new(ExecutorBackend::Sequential).backend(),
-            ExecutorBackend::Sequential
-        );
-        assert_eq!(
-            Executor::new(ExecutorBackend::Threaded { threads: 4 }).backend(),
-            ExecutorBackend::Threaded { threads: 4 }
-        );
-        assert!(Executor::threaded(1).is_sequential());
-        assert!(!Executor::threaded(2).is_sequential());
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //!   round; a Goodrich sort/search over `N` items is `O(log_s N)` rounds; a
 //!   pointer-doubling step is one sort/search batch, …).
 //! * [`Cluster`] is the model-fidelity layer — an actual tuple store
-//!   partitioned across simulated machines with `map`/`shuffle`/`broadcast`
-//!   supersteps that *enforce* the memory budget. The Goodrich sort / search /
-//!   dedup [`primitives`] run on it, so the test-suite can check what
-//!   [`MpcContext`] charges for a primitive against a real execution of it.
-//!   No algorithm in the workspace runs on a `Cluster`: the pipeline and the
-//!   baselines compute on `Graph` + [`Executor`] and charge the context.
+//!   partitioned across simulated machines with `map`/`shuffle`/`reduce`
+//!   supersteps that *enforce* the memory budget, each written as its own
+//!   executable specification (one plain pass, no fast path beside it). The
+//!   Goodrich sort / search / dedup [`primitives`] run on it, so the
+//!   test-suite can check what [`MpcContext`] charges for a primitive
+//!   against a real execution of it. No algorithm in the workspace runs on a
+//!   `Cluster`: the pipeline and the baselines compute on `Graph` +
+//!   [`Executor`] and charge the context.
 //!
 //! Wall-clock time plays no role: the reproduced quantities are rounds and
 //! memory, which is what the paper's theorems bound.
@@ -44,18 +46,13 @@
 //! assert!(ctx.stats().total_rounds() >= 1);
 //! ```
 
-// Unsafe is denied crate-wide; the two exceptions are the `arena` module,
-// whose two primitives (the parallel round-robin placement and the parallel
-// scatter of the counting shuffle) need raw-pointer writes into disjoint
-// positions of a preallocated buffer, and the `pool` module, whose persistent
-// worker pool hands a borrowed job closure to parked threads through a raw
-// pointer whose lifetime is bounded by the dispatch protocol. Every unsafe
-// block in both carries its soundness argument.
+// Unsafe is denied crate-wide; the one exception is the `pool` module, whose
+// persistent worker pool hands a borrowed job closure to parked threads
+// through a raw pointer whose lifetime is bounded by the dispatch protocol.
+// Every unsafe block there carries its soundness argument.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-#[allow(unsafe_code)]
-mod arena;
 pub mod cluster;
 pub mod compact;
 pub mod config;
@@ -64,26 +61,24 @@ pub mod histogram;
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod primitives;
-mod radix;
 pub mod stats;
 pub mod stream;
 pub mod walkstats;
 
-pub use crate::cluster::{Cluster, KeyedTuple};
+pub use crate::cluster::Cluster;
 pub use crate::compact::{pack_edge, unpack_edge, TupleWidth, WORD_BYTES};
 pub use crate::config::{MpcConfig, MpcError};
-pub use crate::executor::{derive_stream_seed, Executor, ExecutorBackend, THREADS_ENV_VAR};
+pub use crate::executor::{derive_stream_seed, Executor, THREADS_ENV_VAR};
 pub use crate::histogram::{HistogramSummary, LogHistogram, HISTOGRAM_BUCKETS};
 pub use crate::pool::{PoolProbe, PoolTelemetry, CHUNKS_PER_WORKER};
-pub use crate::radix::radix_sort_u64;
-pub use crate::stats::{MpcContext, PhaseStats, RoundStats, WorkerStats};
+pub use crate::stats::{MpcContext, PhaseStats, RoundStats};
 pub use crate::walkstats::{record_walk_telemetry, walk_telemetry_snapshot, WalkTelemetry};
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    pub use crate::cluster::{Cluster, KeyedTuple};
+    pub use crate::cluster::Cluster;
     pub use crate::compact::TupleWidth;
     pub use crate::config::{MpcConfig, MpcError};
-    pub use crate::executor::{derive_stream_seed, Executor, ExecutorBackend};
-    pub use crate::stats::{MpcContext, PhaseStats, RoundStats, WorkerStats};
+    pub use crate::executor::{derive_stream_seed, Executor};
+    pub use crate::stats::{MpcContext, PhaseStats, RoundStats};
 }

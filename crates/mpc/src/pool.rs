@@ -39,7 +39,7 @@
 //!
 //! Which thread claims which chunk is timing-dependent, but every chunk's
 //! *result* is placed by chunk index and read back in index order, and the
-//! chunk split itself ([`Executor::worker_spans`](crate::Executor::worker_spans))
+//! chunk split itself ([`Executor::element_spans`](crate::Executor::element_spans))
 //! depends only on `n` and the thread count — so outputs are bit-identical
 //! regardless of scheduling, which is the same contract the scoped backend
 //! obeyed. Anything order-sensitive still happens on the dispatching thread
@@ -88,7 +88,7 @@ pub struct PoolTelemetry {
     /// dropped, which joins the workers.
     pub live_workers: u64,
     /// Fan-outs dispatched through the pool (one per threaded
-    /// `map_*`/`run_spans` call that engaged more than one chunk).
+    /// `map_*` call that engaged more than one chunk).
     pub dispatches: u64,
     /// Total chunks across all dispatches.
     pub chunks_dispatched: u64,

@@ -11,7 +11,7 @@
 
 use crate::cluster::Cluster;
 use crate::config::MpcError;
-use crate::stats::{MpcContext, WorkerStats};
+use crate::stats::MpcContext;
 
 /// Sorts all tuples of the cluster globally: after the call, machine `i`
 /// holds a contiguous run of the sorted order and runs are ordered by
@@ -82,16 +82,11 @@ where
     let machines = cluster.num_machines().max(1);
     let chunk = n.div_ceil(machines).max(1);
     let offsets: Vec<usize> = (0..=machines).map(|i| (i * chunk).min(n)).collect();
-    let budget = ctx.config().memory_per_machine;
-    let mut loads = WorkerStats::new();
-    // Charge the cluster's actual per-tuple width (historically hardcoded
-    // to the 2-word default, which undercounted wide and overcounted
-    // compact clusters).
-    loads.record_span_loads(&offsets, cluster.words_per_tuple(), budget);
-    ctx.absorb_workers([loads])?;
-    Ok(Cluster::from_arena(all, offsets)
+    let sorted = Cluster::from_arena(all, offsets)
         .with_words_per_tuple(cluster.words_per_tuple())
-        .with_executor(executor))
+        .with_executor(executor);
+    ctx.record_machine_loads(sorted.load_words())?;
+    Ok(sorted)
 }
 
 /// Stable two-way merge preferring the left run on equal keys.

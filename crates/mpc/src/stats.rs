@@ -1,15 +1,13 @@
 //! Round/memory accounting: the quantities the paper's theorems bound.
 //!
 //! Accounting is strictly single-threaded: parallel workers never touch an
-//! [`MpcContext`]. Instead each worker accumulates into its own
-//! [`WorkerStats`], and the calling thread merges the per-worker accumulators
-//! *in worker order* via [`MpcContext::absorb_workers`] — so the recorded
-//! statistics (and any strict-mode memory error) are bit-identical no matter
-//! which backend ran the work or how many threads it used.
+//! [`MpcContext`]. Every charge and every load check happens on the calling
+//! thread after the fan-in, in machine order — so the recorded statistics
+//! (and any strict-mode memory error) are bit-identical no matter which
+//! backend ran the work or how many threads it used.
 
 use crate::config::{MpcConfig, MpcError};
 use crate::executor::Executor;
-use crate::radix::ShuffleScratch;
 
 use serde::{Deserialize, Serialize};
 
@@ -181,10 +179,6 @@ pub struct MpcContext {
     current_phase: Option<PhaseStats>,
     /// Start instant of the open phase (drives [`PhaseStats::wall_time_ms`]).
     phase_started: Option<std::time::Instant>,
-    /// Reusable shuffle/reduce scratch (histograms, cursor tables, cached
-    /// keys), handed to `Cluster` operations so successive rounds on this
-    /// context reallocate nothing. Cold after `clone()`.
-    scratch: ShuffleScratch,
 }
 
 impl MpcContext {
@@ -203,22 +197,7 @@ impl MpcContext {
             stats: RoundStats::default(),
             current_phase: None,
             phase_started: None,
-            scratch: ShuffleScratch::default(),
         }
-    }
-
-    /// Takes the reusable scratch out of the context for the duration of one
-    /// cluster operation (so the operation can borrow both the scratch and
-    /// the context's accounting API); pair with
-    /// [`MpcContext::restore_scratch`].
-    pub(crate) fn take_scratch(&mut self) -> ShuffleScratch {
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// Returns the scratch taken by [`MpcContext::take_scratch`], preserving
-    /// its grown buffers for the next operation.
-    pub(crate) fn restore_scratch(&mut self, scratch: ShuffleScratch) {
-        self.scratch = scratch;
     }
 
     /// The cluster configuration.
@@ -366,41 +345,24 @@ impl MpcContext {
         Ok(())
     }
 
-    /// Merges per-worker accumulators, **in the order given**, into the
-    /// global statistics. Call this once after a parallel fan-out, passing
-    /// the workers' [`WorkerStats`] in worker (= index-range) order; the
-    /// result is then independent of the backend and thread count.
+    /// Records the load of every machine of a superstep's output, given in
+    /// machine order. All loads and violations are recorded before any error
+    /// is raised.
     ///
     /// # Errors
     ///
     /// In strict mode, returns [`MpcError::MemoryExceeded`] for the
-    /// overflowing machine with the *lowest machine index* across all
-    /// workers (a deterministic choice; the sequential backend reports the
-    /// same machine). All loads and violations are recorded before the error
-    /// is raised.
-    pub fn absorb_workers(
+    /// overflowing machine with the *lowest machine index*.
+    pub(crate) fn record_machine_loads(
         &mut self,
-        workers: impl IntoIterator<Item = WorkerStats>,
+        loads: impl IntoIterator<Item = usize>,
     ) -> Result<(), MpcError> {
-        let mut merged = WorkerStats::default();
-        for w in workers {
-            merged.merge(w);
+        let mut first_overflow = Ok(());
+        for (machine, words) in loads.into_iter().enumerate() {
+            let recorded = self.record_machine_load(machine, words);
+            first_overflow = first_overflow.and(recorded);
         }
-        self.stats.max_machine_load_words = self
-            .stats
-            .max_machine_load_words
-            .max(merged.max_machine_load_words);
-        self.stats.memory_violations += merged.memory_violations;
-        if self.config.strict_memory {
-            if let Some((machine, required)) = merged.first_overflow {
-                return Err(MpcError::MemoryExceeded {
-                    machine,
-                    required,
-                    budget: self.config.memory_per_machine,
-                });
-            }
-        }
-        Ok(())
+        first_overflow
     }
 
     /// Records the load of a *balanced* distribution of `total_words` words
@@ -413,90 +375,6 @@ impl MpcContext {
     pub fn record_balanced_load(&mut self, total_words: usize) -> Result<(), MpcError> {
         let per_machine = total_words.div_ceil(self.config.num_machines.max(1));
         self.record_machine_load(0, per_machine)
-    }
-}
-
-/// A per-worker accumulator for memory accounting inside a parallel
-/// fan-out.
-///
-/// Workers cannot share the `&mut MpcContext`, so each one records the
-/// machine loads it observed into its own `WorkerStats`; the calling thread
-/// merges them in worker order with [`MpcContext::absorb_workers`]. Merging
-/// is associative (max of maxima, sum of violation counts, min-machine-index
-/// overflow), so any contiguous partition of the work produces identical
-/// merged statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    max_machine_load_words: usize,
-    memory_violations: u64,
-    /// The overflow with the lowest machine index seen so far, as
-    /// `(machine, required_words)`.
-    first_overflow: Option<(usize, usize)>,
-}
-
-impl WorkerStats {
-    /// A fresh, empty accumulator.
-    pub fn new() -> Self {
-        WorkerStats::default()
-    }
-
-    /// Records that `machine` holds `words` words against `budget`. Unlike
-    /// [`MpcContext::record_machine_load`] this never errors — violations
-    /// are deferred to the deterministic merge in
-    /// [`MpcContext::absorb_workers`].
-    pub fn record_machine_load(&mut self, machine: usize, words: usize, budget: usize) {
-        self.max_machine_load_words = self.max_machine_load_words.max(words);
-        if words > budget {
-            self.memory_violations += 1;
-            let better = match self.first_overflow {
-                None => true,
-                Some((m, _)) => machine < m,
-            };
-            if better {
-                self.first_overflow = Some((machine, words));
-            }
-        }
-    }
-
-    /// Records the load of every machine described by a CSR-style offset
-    /// table (`offsets.len() == machines + 1`, span `i` holding
-    /// `offsets[i + 1] - offsets[i]` tuples of `words_per_tuple` words
-    /// each), in machine order — the accounting pass of the flat-arena
-    /// [`Cluster`](crate::Cluster) layout, equivalent to calling
-    /// [`WorkerStats::record_machine_load`] once per machine.
-    pub fn record_span_loads(&mut self, offsets: &[usize], words_per_tuple: usize, budget: usize) {
-        for (i, w) in offsets.windows(2).enumerate() {
-            self.record_machine_load(i, (w[1] - w[0]) * words_per_tuple, budget);
-        }
-    }
-
-    /// Largest load recorded so far, in words.
-    pub fn max_machine_load_words(&self) -> usize {
-        self.max_machine_load_words
-    }
-
-    /// Number of budget violations recorded so far.
-    pub fn memory_violations(&self) -> u64 {
-        self.memory_violations
-    }
-
-    /// Folds another accumulator into this one.
-    pub fn merge(&mut self, other: WorkerStats) {
-        self.max_machine_load_words = self
-            .max_machine_load_words
-            .max(other.max_machine_load_words);
-        self.memory_violations += other.memory_violations;
-        self.first_overflow = match (self.first_overflow, other.first_overflow) {
-            (None, b) => b,
-            (a, None) => a,
-            (Some((ma, ra)), Some((mb, rb))) => {
-                if mb < ma {
-                    Some((mb, rb))
-                } else {
-                    Some((ma, ra))
-                }
-            }
-        };
     }
 }
 
@@ -672,39 +550,17 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_merge_is_order_insensitive_for_aggregates() {
-        let budget = 100;
-        let mut a = WorkerStats::new();
-        a.record_machine_load(0, 50, budget);
-        a.record_machine_load(3, 120, budget);
-        let mut b = WorkerStats::new();
-        b.record_machine_load(1, 130, budget);
-        b.record_machine_load(2, 80, budget);
-
-        let mut ab = a.clone();
-        ab.merge(b.clone());
-        let mut ba = b;
-        ba.merge(a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.max_machine_load_words(), 130);
-        assert_eq!(ab.memory_violations(), 2);
-    }
-
-    #[test]
-    fn absorb_workers_reports_lowest_overflowing_machine() {
+    fn machine_loads_report_lowest_overflowing_machine() {
+        let loads = [50, 80, 140, 0, 0, 0, 0, 150];
         let mut strict = ctx(100);
-        let mut w0 = WorkerStats::new();
-        w0.record_machine_load(7, 150, 100);
-        let mut w1 = WorkerStats::new();
-        w1.record_machine_load(2, 140, 100);
-        let err = strict.absorb_workers([w0.clone(), w1.clone()]).unwrap_err();
+        let err = strict.record_machine_loads(loads).unwrap_err();
         assert!(matches!(err, MpcError::MemoryExceeded { machine: 2, .. }));
         // Loads and violations were still recorded before erroring.
         assert_eq!(strict.stats().max_machine_load_words(), 150);
         assert_eq!(strict.stats().memory_violations(), 2);
 
         let mut loose = MpcContext::new(MpcConfig::with_memory(1 << 16, 100).permissive());
-        assert!(loose.absorb_workers([w0, w1]).is_ok());
+        assert!(loose.record_machine_loads(loads).is_ok());
         assert_eq!(loose.stats().memory_violations(), 2);
     }
 

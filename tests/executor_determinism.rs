@@ -4,7 +4,7 @@
 //! This is the contract that makes the backend pluggable at all (DESIGN.md,
 //! "The executor seam"): every source of randomness is a per-vertex/chunk
 //! ChaCha8 stream derived from the master seed, results are reassembled in
-//! index order, and statistics merge through ordered `WorkerStats` — so the
+//! index order, and statistics are charged on the calling thread — so the
 //! output labels, round counts, communication words and per-phase breakdowns
 //! may not depend on the thread count in any way. Here we pin that down for
 //! the two end-to-end entry points across 1/2/8 threads, three seeds and
@@ -501,11 +501,11 @@ fn pooled_dispatch_matches_scoped_reference_backend() {
     }
 }
 
-/// The flat-arena counting shuffle must be bit-identical across thread
-/// counts *and* must reproduce the reference semantics exactly: within each
-/// destination machine, tuples appear in global source order (machine-major
-/// over the input). A naive single-threaded stable bucket pass is the
-/// executable specification.
+/// The shuffle must be bit-identical across thread counts *and* must
+/// reproduce the reference semantics exactly: within each destination
+/// machine, tuples appear in global source order (machine-major over the
+/// input). A naive single-threaded stable bucket pass is the executable
+/// specification.
 #[test]
 fn arena_counting_shuffle_is_bit_identical_across_thread_counts() {
     use wcc_mpc::{Cluster, MpcConfig, MpcContext};
@@ -549,9 +549,8 @@ fn arena_counting_shuffle_is_bit_identical_across_thread_counts() {
                 );
             }
             // Re-shuffling by the same key routes every tuple to the machine
-            // it already sits on: the identity short circuit skips the
-            // scatter, and must hand back the same arena (and, through
-            // `all_stats`, the same charge) at every thread count.
+            // it already sits on: it must hand back the same arena (and,
+            // through `all_stats`, the same charge) at every thread count.
             let again = shuffled.shuffle_by_key(&mut ctx, |t| t.0).unwrap();
             assert_eq!(again.offsets(), shuffled.offsets());
             assert_eq!(again.gather(), shuffled.gather());
