@@ -52,15 +52,15 @@
 //! ([`IncrementalComponents::apply_ops_batch`], fed from `WCCS` op
 //! streams). Deleting an edge can only *split* the component it lived in, so
 //! between the fast path and the full recompute sits a third, component-local
-//! path. It keeps two things, both built the first time a deletion is ever
-//! seen and updated per-op afterwards, so insert-only workloads pay nothing
-//! for the machinery:
+//! path. It keeps two things, both created the first time a deletion is
+//! ever seen, so insert-only workloads pay nothing for the machinery:
 //!
 //! * A **spanning forest of the live edge multiset** — the connectivity
 //!   certificate. It is the link forest of Liu–Tarjan's labeling that the
 //!   fast path's union–find computes anyway: an insert whose union joins two
 //!   sets marks its endpoint pair as a forest edge (the initial forest is
-//!   one union–find pass over the live edge log). Deleting a copy that is
+//!   one union–find pass over the live edge log, and it is kept per op
+//!   from then on). Deleting a copy that is
 //!   not the last of its pair, or the last copy of a *non-forest* pair,
 //!   removes nothing the forest stands on: every tree still spans its
 //!   component, which is thereby certified connected at no cost. Only
@@ -80,6 +80,16 @@
 //!   into its exact new components; splits rebuild the union–find and mint
 //!   new component ids through the usual oldest-member rule.
 //!
+//!   Only a cut reads the sketch, so only a cut pays for it. The sketch is a
+//!   lazily synced view of the edge log: it starts empty at a watermark of
+//!   0, an op only appends to the log (a deletion of a slot already below
+//!   the watermark is noted as *stale*), and the first cut of a batch
+//!   *folds* the log in — new vertices, `−1` per stale slot, `+1` per live
+//!   slot past the watermark — before any Borůvka phase runs. Linearity
+//!   makes the folded sketch equal, cell for cell, to one updated per op,
+//!   so every sample and zero test reads what it always read; an edge
+//!   inserted and deleted between two cuts never touches the sketch.
+//!
 //! A batch whose last-copy deletions all resolve this way reports
 //! [`BatchPath::SketchRepair`], whether or not any of them was a cut. Only
 //! when a cut component cannot be certified (sampling failure, or a sampled
@@ -96,9 +106,14 @@
 //! **Charges.** The two exchanges every batch pays (ops routed to their
 //! endpoints' label holders, merge responses back) are where the machine
 //! holding an edge learns, and answers with, its forest flag — a cut-free
-//! batch is charged nothing more. A cut component ships its members'
-//! sketches to a coordinator (`members · words_per_vertex` words, one round)
-//! and gets labels back (`members` words, one round).
+//! batch is charged nothing more. The first deletion ever is charged one
+//! round routing every live edge to its two endpoint sketches
+//! (`2 · live edges` words) — the model's build of the sketch and forest,
+//! charged in that batch whenever the host's fold actually runs, since in
+//! the simulated cluster each machine updates its sketches as edges arrive.
+//! A cut component ships its members' sketches to a coordinator
+//! (`members · words_per_vertex` words, one round) and gets labels back
+//! (`members` words, one round).
 //!
 //! Deleting an edge that was never inserted (or already deleted) is a hard
 //! error that leaves the engine untouched — over-deletion would silently
@@ -155,7 +170,9 @@ pub struct StreamParams {
     /// Independent Borůvka phases of the lazily built turnstile sketch (see
     /// the module docs). More phases raise the probability that a deletion
     /// is absorbed by the sketch-repair path instead of escalating to a
-    /// full recompute, at `O(phases · log n)` words per vertex.
+    /// full recompute, at `O(phases · log n)` words per vertex. Zero (only
+    /// reachable by setting the field directly) refuses every batch that
+    /// carries a deletion.
     pub sketch_phases: usize,
 }
 
@@ -351,8 +368,9 @@ pub struct IncrementalComponents {
     /// the number of live distinct pairs.
     edge_slots: HashMap<(u32, u32), Vec<u32>>,
     /// The lazily built deletion-side state over the live edge multiset:
-    /// `None` until the first deletion ever seen, then maintained per-op.
-    turnstile: Option<Turnstile>,
+    /// `None` until the first deletion ever seen (boxed, so insert-only
+    /// engines carry one pointer for it and never allocate it).
+    turnstile: Option<Box<Turnstile>>,
     /// Seed of the sketch's shared hash functions, derived once from the
     /// engine seed so replays are deterministic.
     sketch_seed: u64,
@@ -396,8 +414,15 @@ pub struct IncrementalComponents {
 /// replacement edges when it did.
 #[derive(Debug, Clone)]
 struct Turnstile {
-    /// The paper's Proposition 8.1 sketches of the live edge multiset.
+    /// The paper's Proposition 8.1 sketches of the live edge multiset, as of
+    /// the last [`fold`](Turnstile::fold): only a cut reads it, so only a cut
+    /// brings it up to date.
     sketch: DynamicConnectivitySketch,
+    /// Watermark: edge-log slots `..synced` are folded into `sketch`.
+    synced: usize,
+    /// Slots below `synced` whose copy was deleted since the last fold (a
+    /// slot at or above the watermark is simply never added).
+    stale: Vec<u32>,
     /// Normalized endpoint pairs of a spanning forest of the live multiset
     /// (exact between batches; inside a batch a cut leaves its tree in two
     /// pieces until the repair or the recompute that ends the batch). Only
@@ -405,6 +430,30 @@ struct Turnstile {
     /// enumerated from it is sorted first — so the forest and everything
     /// derived from it stay a pure function of the op schedule.
     forest: HashSet<(u32, u32)>,
+}
+
+impl Turnstile {
+    /// Brings the sketch up to the live edge log (`edges` / `edge_alive`
+    /// over `n` vertices): pushes the vertices it lacks, removes every stale
+    /// slot, adds every live slot past the watermark, then advances it. By
+    /// linearity the result equals the sketch of the live multiset built
+    /// from scratch; each slot is added at most once and removed at most
+    /// once over the engine's life.
+    fn fold(&mut self, n: usize, edges: &[(u32, u32)], edge_alive: &[bool]) {
+        for _ in self.sketch.num_vertices()..n {
+            self.sketch.push_vertex();
+        }
+        for slot in self.stale.drain(..) {
+            let (u, v) = edges[slot as usize];
+            self.sketch.remove_edge(u, v);
+        }
+        for (&(u, v), &alive) in edges[self.synced..].iter().zip(&edge_alive[self.synced..]) {
+            if alive {
+                self.sketch.add_edge(u, v);
+            }
+        }
+        self.synced = edges.len();
+    }
 }
 
 /// Every logged insert gets a `u32` slot in the edge log, and the log never
@@ -533,9 +582,11 @@ impl IncrementalComponents {
     /// # Errors
     ///
     /// The whole batch is validated **before any state changes**, so a batch
-    /// rejected for one of these three reasons leaves the engine exactly as
+    /// rejected for one of these four reasons leaves the engine exactly as
     /// it was (each is a [`CoreError::BadParams`]):
     ///
+    /// * a deletion while [`StreamParams::sketch_phases`] is zero (the
+    ///   sketch a cut would need cannot exist);
     /// * a deletion with no live copy to remove — an edge never inserted, or
     ///   already deleted, accounting for earlier ops *in the same batch*;
     /// * inserts that would grow the edge log past `u32::MAX` logged entries;
@@ -546,12 +597,17 @@ impl IncrementalComponents {
     /// labelling remains correct after such an error — only the certificate
     /// refresh is missed, and the next escalation retries it.
     pub fn apply_ops_batch(&mut self, batch: &[EdgeOp]) -> Result<BatchReport, CoreError> {
-        // Whole-batch pre-validation: nothing is touched until all three
-        // checks pass.
+        // Whole-batch pre-validation: nothing is touched until every check
+        // passes.
         let len = batch.len();
         let inserts = batch.iter().filter(|op| op.kind == OpKind::Insert).count();
         let has_delete = inserts < len;
         if has_delete {
+            if self.params.sketch_phases == 0 {
+                return Err(CoreError::BadParams(
+                    "stream: a deletion needs sketch_phases > 0".into(),
+                ));
+            }
             self.validate_deletions(batch)?;
         }
         check_edge_log_room(self.edges.len(), inserts)?;
@@ -587,25 +643,21 @@ impl IncrementalComponents {
         self.ctx.charge_shuffle(len);
         let _ = self.ctx.record_balanced_load(2 * len);
 
-        // First deletion ever: build the turnstile sketch and the spanning
-        // forest from the live multiset (insert-only workloads never get
-        // here). One simulated round routing every live edge to its two
-        // endpoint sketches, which is also where the machine holding an edge
-        // learns whether it is a forest edge.
+        // First deletion ever: build the spanning forest from the live
+        // multiset, next to an empty sketch at watermark 0 that the first
+        // cut folds the log into (insert-only workloads never get here). One
+        // simulated round routing every live edge to its two endpoint
+        // sketches, which is also where the machine holding an edge learns
+        // whether it is a forest edge — charged here whenever the fold runs,
+        // so the model's cost does not depend on the host's laziness.
         if has_delete && self.turnstile.is_none() {
             self.ctx.charge_shuffle(2 * self.live_edges);
-            let mut sketch =
-                DynamicConnectivitySketch::new(self.params.sketch_phases, self.sketch_seed);
-            for _ in 0..self.original_ids.len() {
-                sketch.push_vertex();
-            }
-            for (u, v) in self.live_edge_log() {
-                sketch.add_edge(u, v);
-            }
-            self.turnstile = Some(Turnstile {
-                sketch,
+            self.turnstile = Some(Box::new(Turnstile {
+                sketch: DynamicConnectivitySketch::new(self.params.sketch_phases, self.sketch_seed),
+                synced: 0,
+                stale: Vec::new(),
                 forest: HashSet::new(),
-            });
+            }));
             self.rebuild_forest();
         }
 
@@ -637,15 +689,12 @@ impl IncrementalComponents {
                         self.degrees[v] += 1;
                     }
                     let (ru, rv) = (self.uf.find(u), self.uf.find(v));
-                    if let Some(t) = &mut self.turnstile {
-                        t.sketch.add_edge(u as u32, v as u32);
-                        if ru != rv {
+                    if ru != rv {
+                        if let Some(t) = &mut self.turnstile {
                             // The union below joins two sets, hence two
                             // trees: the link forest of Liu–Tarjan.
                             t.forest.insert(key);
                         }
-                    }
-                    if ru != rv {
                         // Classify the union *before* the roots are
                         // destroyed: a merge of two standing components
                         // escalates; otherwise the merged set inherits the
@@ -709,7 +758,10 @@ impl IncrementalComponents {
                         .turnstile
                         .as_mut()
                         .expect("built before the first deletion is applied");
-                    t.sketch.remove_edge(u as u32, v as u32);
+                    if slot < t.synced {
+                        // Folded already: the next fold takes it back out.
+                        t.stale.push(slot as u32);
+                    }
 
                     if u != v {
                         if last_copy {
@@ -862,6 +914,8 @@ impl IncrementalComponents {
             }
         }
         let turnstile = self.turnstile.as_mut().expect("a cut requires the forest");
+        // The one place the sketch is read, so the one place it is synced.
+        turnstile.fold(n, &self.edges, &self.edge_alive);
         let mut known_of: Vec<Vec<(u32, u32)>> = vec![Vec::new(); roots.len()];
         for &(u, v) in &turnstile.forest {
             let slot = slot_of_root[self.uf.find(u as usize)];
@@ -987,9 +1041,6 @@ impl IncrementalComponents {
         self.cert_cap.push(UNCERTIFIED.1);
         let pushed = self.uf.push();
         debug_assert_eq!(pushed, id);
-        if let Some(t) = &mut self.turnstile {
-            t.sketch.push_vertex();
-        }
         *new_vertices += 1;
         // A fresh vertex is a fresh singleton component: both the vertex
         // index and the decomposition arrays of the next snapshot change.
@@ -1220,8 +1271,9 @@ impl IncrementalComponents {
         self.sketch_recertifies_total
     }
 
-    /// Whether the turnstile sketch and the spanning forest have been built
-    /// (they are lazy: `false` until the first deletion ever seen).
+    /// Whether the deletion-side state — the spanning forest and the
+    /// turnstile sketch it is folded into at cuts — exists (it is lazy:
+    /// `false` until the first deletion ever seen).
     pub fn sketch_active(&self) -> bool {
         self.turnstile.is_some()
     }
@@ -1730,19 +1782,30 @@ mod tests {
     #[test]
     fn a_rejected_batch_leaves_forest_and_sketch_untouched() {
         let mut engine = IncrementalComponents::new(params(), 65);
-        // Two 6-cliques and a bridge; one deletion so the deletion-side
-        // state exists.
+        // Two 6-cliques and a bridge, plus a two-vertex tail hanging off
+        // vertex 11.
         let mut ops = clique_ops(0, 6);
         ops.extend(clique_ops(6, 12));
-        ops.extend([EdgeOp::insert(0, 6), EdgeOp::insert(0, 1)]);
+        ops.extend([
+            EdgeOp::insert(0, 6),
+            EdgeOp::insert(0, 1),
+            EdgeOp::insert(11, 12),
+            EdgeOp::insert(12, 13),
+        ]);
         engine.apply_ops_batch(&ops).unwrap();
-        engine.apply_ops_batch(&[EdgeOp::delete(0, 1)]).unwrap();
+        // A parallel copy goes and a cut splits the tail off, which folds
+        // the log into the sketch: the watermark sits at its end.
+        engine
+            .apply_ops_batch(&[EdgeOp::delete(0, 1), EdgeOp::delete(11, 12)])
+            .unwrap();
         let before = engine.turnstile.clone().expect("built by the deletion");
         let pairs_before = engine.edge_slots.len();
         assert!(before.forest.contains(&(0, 6)));
+        assert_eq!(before.synced, engine.edges.len());
+        assert!(before.stale.is_empty());
 
-        // A cut, an insert and a last-copy deletion, all valid — and then
-        // one deletion too many.
+        // A cut of a folded slot, an insert and a last-copy deletion, all
+        // valid — and then one deletion too many.
         let err = engine.apply_ops_batch(&[
             EdgeOp::delete(0, 6),
             EdgeOp::insert(3, 9),
@@ -1753,8 +1816,197 @@ mod tests {
         let after = engine.turnstile.as_ref().unwrap();
         assert!(after.sketch == before.sketch, "sketch moved");
         assert_eq!(after.forest, before.forest);
+        assert_eq!(after.synced, before.synced);
+        assert_eq!(
+            after.stale, before.stale,
+            "a refused batch left a stale slot"
+        );
         assert_eq!(engine.edge_slots.len(), pairs_before);
-        assert_eq!(engine.num_components(), 1);
+        assert_eq!(engine.num_components(), 2);
+    }
+
+    #[test]
+    fn a_deletion_without_sketch_phases_is_refused_before_anything_changes() {
+        let params = StreamParams {
+            sketch_phases: 0,
+            ..params()
+        };
+        let mut engine = IncrementalComponents::new(params, 75);
+        let batches = expander_batches(&[40], 8, 47);
+        engine.apply_ops_batch(&batches[0]).unwrap();
+        let snapshot_before = engine.snapshot(1);
+        let batches_before = engine.batches_applied();
+        let stats_before = engine.stats();
+
+        let (a, b) = (batches[0][0].u, batches[0][0].v);
+        let err = engine
+            .apply_ops_batch(&[EdgeOp::insert(a, 1000), EdgeOp::delete(a, b)])
+            .unwrap_err();
+        assert!(matches!(err, CoreError::BadParams(_)), "got {err:?}");
+        assert_eq!(engine.batches_applied(), batches_before);
+        assert_eq!(engine.stats(), stats_before);
+        let after = engine.snapshot(2);
+        assert!(after.shares_structure(&snapshot_before) && after.shares_index(&snapshot_before));
+        assert!(!engine.sketch_active());
+        // Insert-only traffic never needs the sketch.
+        let r = engine.apply_ops_batch(&batches[0][..5]).unwrap();
+        assert_eq!(r.path, BatchPath::FastPath);
+    }
+
+    #[test]
+    fn only_a_cut_folds_the_log_into_the_sketch() {
+        let mut engine = IncrementalComponents::new(params(), 77);
+        // Two 6-cliques and a bridge. The forest built at the first
+        // deletion is each clique's star around its first vertex plus the
+        // bridge, so `(1, 2)`, `(2, 3)` and `(7, 8)` are structural but no
+        // cut.
+        let mut ops = clique_ops(0, 6);
+        ops.extend(clique_ops(6, 12));
+        ops.push(EdgeOp::insert(0, 6));
+        engine.apply_ops_batch(&ops).unwrap();
+        let unfolded = |engine: &IncrementalComponents| {
+            let t = engine.turnstile.as_ref().expect("built by a deletion");
+            t.synced == 0 && t.sketch.num_vertices() == 0 && t.stale.is_empty()
+        };
+
+        let r = engine.apply_ops_batch(&[EdgeOp::delete(1, 2)]).unwrap();
+        assert_eq!((r.path, r.forest_cuts), (BatchPath::SketchRepair, 0));
+        assert!(unfolded(&engine), "a cut-free repair read the sketch");
+        // Arrivals and more cut-free deletions: still nothing to fold.
+        let r = engine
+            .apply_ops_batch(&[
+                EdgeOp::insert(20, 3),
+                EdgeOp::insert(20, 4),
+                EdgeOp::delete(2, 3),
+            ])
+            .unwrap();
+        assert_eq!(r.forest_cuts, 0);
+        assert!(unfolded(&engine));
+
+        // The bridge is a cut: the first read folds every live slot and
+        // every vertex in, and the split is exact.
+        let r = engine.apply_ops_batch(&[EdgeOp::delete(6, 0)]).unwrap();
+        assert_eq!(
+            (r.path, r.forest_cuts, r.splits),
+            (BatchPath::SketchRepair, 1, 1)
+        );
+        let t = engine.turnstile.as_ref().unwrap();
+        assert_eq!(t.synced, engine.edges.len());
+        assert_eq!(t.sketch.num_vertices(), engine.num_vertices());
+        assert!(t.stale.is_empty());
+
+        // A later cut-free deletion of a folded slot is only noted.
+        let synced = t.synced;
+        engine.apply_ops_batch(&[EdgeOp::delete(7, 8)]).unwrap();
+        let t = engine.turnstile.as_ref().unwrap();
+        assert_eq!((t.synced, t.stale.len()), (synced, 1));
+        let truth = connected_components(&engine.current_graph());
+        assert!(engine.labels().same_partition(&truth));
+    }
+
+    #[test]
+    fn the_deletion_side_state_is_one_pointer_until_a_deletion() {
+        // PR 12's layout finding: the engine's hot fields are
+        // layout-sensitive, so the turnstile lives behind a box.
+        assert_eq!(
+            std::mem::size_of::<Option<Box<Turnstile>>>(),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn the_lazily_folded_sketch_equals_one_built_from_the_live_log() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(79);
+        let g = generators::planted_expander_components(&[30, 30], 8, &mut rng);
+        let mut live: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
+        // Parallel copies and self-loops from the start.
+        live.extend([(0, 1), (0, 1), (2, 2), (31, 32), (33, 33)]);
+        let mut engine = IncrementalComponents::new(params().with_threads(1), 79);
+        engine.apply_ops_batch(&EdgeOp::inserts(&live)).unwrap();
+
+        let (mut below, mut above, mut late_arrivals, mut cut_batches, mut merges) =
+            (false, false, 0, 0, 0);
+        let mut next_arrival = 1000u64;
+        for b in 0..40 {
+            let mut ops: Vec<EdgeOp> = Vec::new();
+            // Deletes of random live copies, in either orientation.
+            for _ in 0..rng.gen_range(0..5) {
+                let (u, v) = live.swap_remove(rng.gen_range(0..live.len()));
+                ops.push(if rng.gen_bool(0.5) {
+                    EdgeOp::delete(u, v)
+                } else {
+                    EdgeOp::delete(v, u)
+                });
+            }
+            // Fresh intra-community edges, parallel copies and self-loops.
+            for _ in 0..rng.gen_range(0..5) {
+                let c = rng.gen_range(0..2u64) * 30;
+                let edge = match rng.gen_range(0..6) {
+                    0 => live[rng.gen_range(0..live.len())],
+                    1 => (c + 3, c + 3),
+                    _ => (c + rng.gen_range(0..30), c + rng.gen_range(0..30)),
+                };
+                ops.push(EdgeOp::insert(edge.0, edge.1));
+                live.push(edge);
+            }
+            if b % 6 == 5 {
+                // A well-attached arrival.
+                for v in [4, 5, 6] {
+                    ops.push(EdgeOp::insert(next_arrival, v));
+                    live.push((next_arrival, v));
+                }
+                next_arrival += 1;
+            }
+            // A bridge in (a standing merge), then out again (a cut).
+            if b == 12 || b == 26 {
+                ops.push(EdgeOp::insert(0, 30));
+            }
+            if b == 13 || b == 27 {
+                ops.push(EdgeOp::delete(30, 0));
+            }
+            let active = engine.sketch_active();
+            let r = engine.apply_ops_batch(&ops).unwrap();
+            late_arrivals += usize::from(active && r.new_vertices > 0);
+            cut_batches += usize::from(r.path == BatchPath::SketchRepair && r.forest_cuts > 0);
+            merges += usize::from(r.path == BatchPath::Recompute(RecomputeReason::StandingMerge));
+
+            let Some(t) = engine.turnstile.as_ref() else {
+                continue;
+            };
+            below |= !t.stale.is_empty();
+            above |= engine.edge_alive[t.synced..].contains(&false);
+            let n = engine.num_vertices();
+            let mut folded = t.clone();
+            folded.fold(n, &engine.edges, &engine.edge_alive);
+            let mut fresh =
+                DynamicConnectivitySketch::new(engine.params.sketch_phases, engine.sketch_seed);
+            for _ in 0..n {
+                fresh.push_vertex();
+            }
+            for (u, v) in engine.live_edge_log() {
+                fresh.add_edge(u, v);
+            }
+            assert!(folded.sketch == fresh, "batch {b}: folded sketch differs");
+            let all: Vec<u32> = (0..n as u32).collect();
+            assert_eq!(
+                folded.sketch.subset_components(&all),
+                fresh.subset_components(&all),
+                "batch {b}"
+            );
+            let truth = connected_components(&engine.current_graph());
+            assert!(engine.labels().same_partition(&truth), "batch {b}");
+        }
+        assert!(
+            below && above,
+            "deletes below ({below}) and above ({above}) the watermark"
+        );
+        assert!(
+            late_arrivals >= 2,
+            "{late_arrivals} arrivals after the sketch existed"
+        );
+        assert!(cut_batches >= 3, "{cut_batches} repairs with a cut");
+        assert!(merges >= 1, "{merges} standing merges");
     }
 
     #[test]
@@ -1840,6 +2092,98 @@ mod tests {
         assert_eq!(engine.num_edges(), edges.len() - doomed.len());
         let truth = connected_components(&engine.current_graph());
         assert!(engine.labels().same_partition(&truth));
+    }
+
+    /// FNV-1a over a word stream.
+    fn fnv(h: &mut u64, x: u64) {
+        for b in x.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// A `stream_churn`-shaped schedule: a bootstrap batch of two planted
+    /// 8-regular expanders of `half` vertices, then 48 batches that each
+    /// delete the previous batch's `per_batch` fresh intra-community edges
+    /// (every deletion structural) and insert as many new ones, plus three
+    /// bridge pairs — a standing merge, then a cut that splits.
+    fn churn_schedule(half: u64, per_batch: usize, seed: u64) -> Vec<Vec<EdgeOp>> {
+        use rand::Rng;
+        const BRIDGES: [usize; 3] = [10, 26, 42];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g =
+            generators::planted_expander_components(&[half as usize, half as usize], 8, &mut rng);
+        let boot: Vec<EdgeOp> = g
+            .edge_iter()
+            .map(|(u, v)| EdgeOp::insert(u as u64, v as u64))
+            .collect();
+        let mut seen: HashSet<(u64, u64)> = boot
+            .iter()
+            .map(|op| (op.u.min(op.v), op.u.max(op.v)))
+            .collect();
+        let mut schedule = vec![boot];
+        let mut previous: Vec<(u64, u64)> = Vec::new();
+        for b in 0..48 {
+            let mut ops: Vec<EdgeOp> = previous
+                .drain(..)
+                .map(|(u, v)| EdgeOp::delete(u, v))
+                .collect();
+            if b > 0 && BRIDGES.contains(&(b - 1)) {
+                ops.push(EdgeOp::delete(0, half));
+            }
+            while previous.len() < per_batch {
+                let c = rng.gen_range(0..2u64) * half;
+                let (u, v) = (c + rng.gen_range(0..half), c + rng.gen_range(0..half));
+                if u != v && seen.insert((u.min(v), u.max(v))) {
+                    ops.push(EdgeOp::insert(u, v));
+                    previous.push((u, v));
+                }
+            }
+            if BRIDGES.contains(&b) {
+                ops.push(EdgeOp::insert(0, half));
+            }
+            schedule.push(ops);
+        }
+        schedule
+    }
+
+    /// Recorded at the commit before the sketch became a lazily folded view
+    /// of the edge log (e862687): every batch's path, repair counts,
+    /// components and charges on a 1/10-scale `stream_churn`, and the final
+    /// labels. Moving it means the engine's observable behaviour moved.
+    #[test]
+    fn churn_reports_and_labels_match_the_recorded_digest() {
+        let mut engine = IncrementalComponents::new(params().with_threads(1), 7);
+        let reports = engine
+            .apply_ops_schedule(&churn_schedule(100, 40, 7))
+            .unwrap();
+        let count = |path: BatchPath| reports.iter().filter(|r| r.path == path).count();
+        assert!(count(BatchPath::SketchRepair) >= 40);
+        assert_eq!(
+            count(BatchPath::Recompute(RecomputeReason::StandingMerge)),
+            3
+        );
+        assert_eq!(engine.splits(), 3);
+
+        let mut digest = 0xCBF2_9CE4_8422_2325_u64;
+        for r in &reports {
+            for b in r.path.label().bytes() {
+                fnv(&mut digest, u64::from(b));
+            }
+            for x in [
+                r.splits,
+                r.sketch_recertifies,
+                r.forest_cuts,
+                r.components_after,
+            ] {
+                fnv(&mut digest, x as u64);
+            }
+            fnv(&mut digest, r.rounds);
+            fnv(&mut digest, r.communication_words);
+        }
+        for &l in engine.labels().labels() {
+            fnv(&mut digest, l as u64);
+        }
+        assert_eq!(digest, 0x04c0_dd80_38b4_eb16, "churn digest {digest:#018x}");
     }
 
     #[test]
