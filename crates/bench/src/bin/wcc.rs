@@ -5,13 +5,11 @@
 //!   wcc <edge-list-file> [--algorithm wcc|adaptive|sublinear|hash-to-min|union-find]
 //!                        [--lambda <gap>] [--memory <words>] [--seed <u64>]
 //!                        [--threads <n>] [--sizes] [--json]
-//!   wcc stream <chunk-file> [--lambda <gap>] [--seed <u64>] [--threads <n>]
-//!                           [--no-fast-path] [--sizes] [--json]
+//!   wcc stream <chunk-file> [--seed <u64>] [--threads <n>] [--sizes] [--json]
 //!   wcc pack <edge-or-op-list-file> <chunk-file> [--batch-size <ops>]
 //!   wcc serve <chunk-file> [--addr <host:port>] [--repeat <n>]
 //!                          [--ingest-delay-ms <ms>] [--exit-after <secs>]
-//!                          [--lambda <gap>] [--seed <u64>] [--threads <n>]
-//!                          [--no-fast-path] [--json]
+//!                          [--seed <u64>] [--threads <n>] [--json]
 //!
 //! The edge-list format is one `u v` pair per line; `#`/`%` lines are comments.
 //! A flag the chosen mode or algorithm never reads is an error, not a no-op:
@@ -32,8 +30,8 @@
 //! `wcc stream` replays a batch schedule in the binary chunk format (magic
 //! `WCCS`, see `wcc_graph::io`) through the incremental engine: chunks are
 //! decoded in parallel through the executor, each chunk is one batch, and
-//! the per-batch path (union-find fast path, sketch repair, or full
-//! pipeline recompute), rounds, words and wall time are reported — in a
+//! the per-batch path (union-find fast path, sketch repair, or escalation),
+//! rounds, words and wall time are reported — in a
 //! `batches` array inside the same `--json` record the one-shot modes
 //! emit. Every record carries an op tag, so a schedule may mix insertions
 //! and turnstile deletions, with per-batch
@@ -103,10 +101,6 @@ struct Options {
     /// this 0 = resolve from WCC_THREADS; an explicit `--threads 0` is
     /// rewritten to one worker per available CPU at parse time.
     threads: usize,
-    /// `stream` only: disable the union-find fast path (every batch then
-    /// recomputes, which is the slow baseline the fast path is benched
-    /// against).
-    fast_path: bool,
     show_sizes: bool,
     json: bool,
     /// `serve` only: listen address (`host:port`, port 0 = ephemeral).
@@ -289,7 +283,6 @@ fn parse_args() -> Result<Options, String> {
         memory: 0,
         seed: 7,
         threads: 0,
-        fast_path: true,
         show_sizes: false,
         json: false,
         addr: "127.0.0.1:0".to_string(),
@@ -376,7 +369,9 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--batch-size must be at least 1".to_string());
                 }
             }
-            "--no-fast-path" => opts.fast_path = false,
+            // Read by no mode: known only so that it is refused as
+            // inapplicable below.
+            "--no-fast-path" => {}
             "--lambda" => {
                 opts.lambda = args
                     .next()
@@ -453,17 +448,7 @@ fn parse_args() -> Result<Options, String> {
                 "--json",
             ],
         ),
-        Mode::Stream => (
-            "wcc stream",
-            &[
-                "--lambda",
-                "--seed",
-                "--threads",
-                "--no-fast-path",
-                "--sizes",
-                "--json",
-            ],
-        ),
+        Mode::Stream => ("wcc stream", &["--seed", "--threads", "--sizes", "--json"]),
         Mode::Pack => ("wcc pack", &["--batch-size"]),
         Mode::Serve => (
             "wcc serve",
@@ -472,10 +457,8 @@ fn parse_args() -> Result<Options, String> {
                 "--repeat",
                 "--ingest-delay-ms",
                 "--exit-after",
-                "--lambda",
                 "--seed",
                 "--threads",
-                "--no-fast-path",
                 "--json",
             ],
         ),
@@ -503,12 +486,11 @@ fn usage() {
         "usage: wcc <edge-list-file> [--algorithm wcc|adaptive|sublinear|hash-to-min|union-find]\n\
          \x20          [--lambda <gap>] [--memory <words>] [--seed <u64>]\n\
          \x20          [--threads <n>] [--sizes] [--json]\n\
-         \x20      wcc stream <chunk-file> [--lambda <gap>] [--seed <u64>] [--threads <n>]\n\
-         \x20          [--no-fast-path] [--sizes] [--json]\n\
+         \x20      wcc stream <chunk-file> [--seed <u64>] [--threads <n>] [--sizes] [--json]\n\
          \x20      wcc pack <edge-or-op-list-file> <chunk-file> [--batch-size <ops>]\n\
          \x20      wcc serve <chunk-file> [--addr <host:port>] [--repeat <n>]\n\
-         \x20          [--ingest-delay-ms <ms>] [--exit-after <secs>] [--lambda <gap>]\n\
-         \x20          [--seed <u64>] [--threads <n>] [--no-fast-path] [--json]\n\
+         \x20          [--ingest-delay-ms <ms>] [--exit-after <secs>]\n\
+         \x20          [--seed <u64>] [--threads <n>] [--json]\n\
          \x20\n\
          \x20      --threads <n>: worker threads for the persistent-pool backend\n\
          \x20          (1 = sequential, 0 = one worker per available CPU; without\n\
@@ -617,10 +599,7 @@ fn run_stream(opts: &Options) -> ExitCode {
         );
     }
 
-    let params = StreamParams::laptop_scale()
-        .with_lambda(opts.lambda)
-        .with_fast_path(opts.fast_path)
-        .with_threads(opts.threads);
+    let params = StreamParams::laptop_scale().with_threads(opts.threads);
     let mut engine = IncrementalComponents::new(params, opts.seed);
     let started = Instant::now();
     let reports = match engine.apply_ops_schedule(&batches) {
@@ -732,10 +711,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    let params = StreamParams::laptop_scale()
-        .with_lambda(opts.lambda)
-        .with_fast_path(opts.fast_path)
-        .with_threads(opts.threads);
+    let params = StreamParams::laptop_scale().with_threads(opts.threads);
     let mut engine = IncrementalComponents::new(params, opts.seed);
     let started = Instant::now();
     let mut reports: Vec<BatchReport> = Vec::new();

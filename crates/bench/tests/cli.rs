@@ -195,6 +195,19 @@ fn one_shot_flags_the_chosen_algorithm_never_reads_are_rejected() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("components: 2"), "stdout: {stdout}");
     }
+    // The streaming modes run no pipeline: no gap promise, no path to force.
+    let chunks = data("sample_batches_v2.wccs");
+    for mode in ["stream", "serve"] {
+        for flag in [&["--lambda", "0.2"][..], &["--no-fast-path"]] {
+            let out = wcc(&[&[mode, chunks.as_str()][..], flag].concat());
+            assert!(!out.status.success(), "wcc {mode} accepted {}", flag[0]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("{} is not applicable to `wcc {mode}`", flag[0])),
+                "stderr: {stderr}"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -102,8 +102,8 @@ pub fn pipeline_attempt(
 /// gap of each component.
 ///
 /// This is the main entry point of the crate. A fresh simulated cluster is
-/// sized from the input (`memory per machine ≈ (2m)^δ`); use
-/// [`well_connected_components_with_ctx`] to supply your own.
+/// sized from the input ([`recommended_config`]: memory per machine
+/// `≈ (2m)^δ`).
 ///
 /// # Errors
 ///
@@ -118,30 +118,12 @@ pub fn well_connected_components(
     let config = recommended_config(g, lambda, params);
     let mut ctx = MpcContext::new(config);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let (components, report) =
-        well_connected_components_with_ctx(g, lambda, params, &mut ctx, &mut rng)?;
+    let (components, report) = run_pipeline(g, lambda, params, &mut ctx, &mut rng, true)?;
     Ok(WccResult {
         components,
         report,
         stats: ctx.into_stats(),
     })
-}
-
-/// Same as [`well_connected_components`] but charging an existing
-/// [`MpcContext`] (so callers can control the cluster configuration and
-/// aggregate statistics across runs).
-///
-/// # Errors
-///
-/// See [`well_connected_components`].
-pub fn well_connected_components_with_ctx(
-    g: &Graph,
-    lambda: f64,
-    params: &Params,
-    ctx: &mut MpcContext,
-    rng: &mut ChaCha8Rng,
-) -> Result<(ComponentLabels, PipelineReport), CoreError> {
-    run_pipeline(g, lambda, params, ctx, rng, true)
 }
 
 /// Sizes a simulated cluster for running the pipeline on `g` with gap

@@ -388,7 +388,7 @@ mod tests {
         );
 
         // Ingest a triangle plus an isolated-ish pair, publish epoch 1.
-        let mut engine = IncrementalComponents::new(StreamParams::test_scale(), 7);
+        let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 7);
         engine
             .apply_ops_batch(&EdgeOp::inserts(&[(0, 1), (1, 2), (2, 0), (10, 11)]))
             .unwrap();

@@ -15,23 +15,28 @@
 //!   provably cannot have changed the maintained structure: no union joins
 //!   two *standing* components (components that both existed before the batch
 //!   began) and the well-connectedness certificate still holds.
-//! * **Slow path** — a full pipeline recompute
-//!   ([`well_connected_components_with_ctx`]) on the accumulated graph, i.e.
-//!   the paper's Theorem 4 run end to end, in the spirit of Behnezhad et
-//!   al.'s near-optimal recompute bound. The recompute's labels are adopted
-//!   as the authoritative decomposition, and the certificate thresholds are
-//!   refreshed from the new graph.
+//! * **Slow path** — an *escalation* ([`BatchPath::Recompute`]): one
+//!   union–find pass over the live edge log rebuilds the partition and the
+//!   spanning forest together, and every component's certificate is
+//!   refreshed. Where the batch's deletions were all certified, the pass
+//!   returns the partition the union–find already held; it is what makes
+//!   the labelling exact again after a cut the sketch could not certify,
+//!   and what starts the forest over after cuts and merges nobody repaired.
+//!   This is Behnezhad et al.'s "work only when structure changes"
+//!   (arXiv:1910.05385): no stream path runs the paper's Theorem 4, which
+//!   stays the one-shot entry points' job and the differential suites'
+//!   oracle.
 //!
 //! ## The well-connectedness certificate
 //!
 //! The pipeline's guarantees rest on the components being well connected,
 //! and its Step-1 regularization rests on them being *almost regular*
 //! (Section 2 of the paper: degrees within `(1 ± ε)·d`). The certificate is
-//! the cheap incremental proxy for that premise: at every recompute, each
+//! the cheap incremental proxy for that premise: at every escalation, each
 //! component of at least [`StreamParams::certificate_min_component`] vertices
 //! is assigned a degree **cap** (`max(skew · avg + slack, current max)`)
 //! and a degree **floor** (`min(avg / skew, current min)`). Between
-//! recomputes three kinds of vertices can cross a fixed threshold:
+//! escalations three kinds of vertices can cross a fixed threshold:
 //!
 //! * an *existing* vertex can violate the **cap** on an insertion (a forming
 //!   hub: parallel-edge pile-ups that skew the degree distribution),
@@ -41,9 +46,9 @@
 //!   certified component's regularity).
 //!
 //! Either violation escalates the batch to the slow path. Components built
-//! purely on the fast path since the last recompute (fresh arrivals that
+//! purely on the fast path since the last escalation (fresh arrivals that
 //! never merged into a standing component) carry trivial thresholds until
-//! the next recompute certifies them — the certificate tracks *degradation
+//! the next escalation certifies them — the certificate tracks *degradation
 //! of certified structure*, not absolute quality of brand-new structure.
 //!
 //! ## Deletions: a spanning forest certifies, the sketch repairs
@@ -51,7 +56,7 @@
 //! The stream is *fully dynamic*: batches may carry edge deletions
 //! ([`IncrementalComponents::apply_ops_batch`], fed from `WCCS` op
 //! streams). Deleting an edge can only *split* the component it lived in, so
-//! between the fast path and the full recompute sits a third, component-local
+//! between the fast path and an escalation sits a third, component-local
 //! path. It keeps two things, both created the first time a deletion is
 //! ever seen, so insert-only workloads pay nothing for the machinery:
 //!
@@ -95,13 +100,13 @@
 //! when a cut component cannot be certified (sampling failure, or a sampled
 //! link that has no live copy — [`RecomputeReason::SketchUncertified`]) — or
 //! the batch independently escalates (standing merge, certificate violation)
-//! — does the engine fall back to the full Theorem-4 recompute.
+//! — does the batch escalate to the union–find pass over the live edges.
 //!
 //! Labels stay exact because nothing about the certification got weaker: the
 //! zero test is the one the sketch always ran, a link is checked against the
-//! live multiset before it may join two parts, and every recompute (failed
-//! ones included) throws the forest away and rebuilds it from the live edge
-//! log, so cuts and merges of an escalated batch never linger in it.
+//! live multiset before it may join two parts, and every escalation rebuilds
+//! the partition and the forest from the live edge log, so cuts and merges
+//! of an escalated batch never linger in either.
 //!
 //! **Charges.** The two exchanges every batch pays (ops routed to their
 //! endpoints' label holders, merge responses back) are where the machine
@@ -113,7 +118,11 @@
 //! the simulated cluster each machine updates its sketches as edges arrive.
 //! A cut component ships its members' sketches to a coordinator
 //! (`members · words_per_vertex` words, one round) and gets labels back
-//! (`members` words, one round).
+//! (`members` words, one round). An escalation pays one aggregation round of
+//! `n` words (every vertex's degree to its label holder, which sets its
+//! component's cap and floor); one with a cut in the batch also pays the
+//! coordinator exchange over the cut components, their live edges in place
+//! of sketches (`2 · edges` words in, `members` words out, one round each).
 //!
 //! Deleting an edge that was never inserted (or already deleted) is a hard
 //! error that leaves the engine untouched — over-deletion would silently
@@ -133,13 +142,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::params::Params;
-use crate::pipeline::{recommended_config, well_connected_components_with_ctx};
 use crate::regularize::CoreError;
 use crate::serve::snapshot::ComponentSnapshot;
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use wcc_graph::io::{EdgeOp, OpKind};
 use wcc_graph::{ComponentLabels, Graph, UnionFind};
 use wcc_mpc::{MpcConfig, MpcContext, RoundStats};
@@ -148,11 +153,10 @@ use wcc_sketch::DynamicConnectivitySketch;
 /// Tunables of the streaming engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamParams {
-    /// Parameters of the slow-path pipeline recompute (also carries the
-    /// worker-thread count used by both paths).
-    pub pipeline: Params,
-    /// Spectral-gap promise handed to every recompute.
-    pub lambda: f64,
+    /// Worker threads of the engine's simulated cluster (`1` = sequential
+    /// backend, `0` = resolve from `WCC_THREADS`, whose own `0` means one
+    /// worker per available CPU).
+    pub threads: usize,
     /// Certificate skew `σ`: a certified component's degree cap is
     /// `σ · avg + slack` and its floor is `avg / σ` (clamped so the state at
     /// certification time is never already in violation).
@@ -160,61 +164,34 @@ pub struct StreamParams {
     /// Additive slack on the degree cap, in edges.
     pub certificate_degree_slack: u32,
     /// Components smaller than this are never certificate-checked (tiny
-    /// components are trivially irregular and trivially cheap to recompute).
+    /// components are trivially irregular and trivially cheap to escalate).
     pub certificate_min_component: usize,
-    /// When `false`, every non-empty batch escalates to a full recompute.
-    /// This exists for differential testing and benchmarking — it is the
-    /// "no incremental maintenance" strawman the fast path is measured
-    /// against.
-    pub fast_path: bool,
     /// Independent Borůvka phases of the lazily built turnstile sketch (see
     /// the module docs). More phases raise the probability that a deletion
-    /// is absorbed by the sketch-repair path instead of escalating to a
-    /// full recompute, at `O(phases · log n)` words per vertex. Zero (only
-    /// reachable by setting the field directly) refuses every batch that
-    /// carries a deletion.
+    /// is absorbed by the sketch-repair path instead of escalating, at
+    /// `O(phases · log n)` words per vertex. Zero (only reachable by setting
+    /// the field directly) refuses every batch that carries a deletion.
     pub sketch_phases: usize,
 }
 
 impl StreamParams {
-    /// Laptop-scale preset mirroring [`Params::laptop_scale`].
+    /// The defaults every caller uses: a degree cap of `4 · avg + 8` and a
+    /// floor of `avg / 4` on components of 8 or more vertices, 26 sketch
+    /// phases, threads from `WCC_THREADS`.
     pub fn laptop_scale() -> Self {
         StreamParams {
-            pipeline: Params::laptop_scale(),
-            lambda: 0.25,
+            threads: 0,
             certificate_degree_skew: 4.0,
             certificate_degree_slack: 8,
             certificate_min_component: 8,
-            fast_path: true,
             sketch_phases: 26,
         }
     }
 
-    /// Test-scale preset mirroring [`Params::test_scale`].
-    pub fn test_scale() -> Self {
-        StreamParams {
-            pipeline: Params::test_scale(),
-            ..StreamParams::laptop_scale()
-        }
-    }
-
-    /// Returns a copy using the given number of worker threads (`1` =
-    /// sequential backend, `0` = resolve from `WCC_THREADS`, whose own `0`
-    /// means one worker per available CPU).
+    /// Returns a copy using the given number of worker threads (see
+    /// [`StreamParams::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pipeline.threads = threads;
-        self
-    }
-
-    /// Returns a copy with the given spectral-gap promise.
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
-    /// Returns a copy with the fast path enabled or disabled.
-    pub fn with_fast_path(mut self, enabled: bool) -> Self {
-        self.fast_path = enabled;
+        self.threads = threads;
         self
     }
 
@@ -233,31 +210,33 @@ impl StreamParams {
 /// Why a batch escalated to the slow path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomputeReason {
-    /// The first non-empty batch: establishes the initial decomposition and
-    /// certificate.
+    /// The first non-empty batch: establishes the initial certificate.
     Bootstrap,
     /// The batch merged two standing components (components that both
-    /// existed before the batch began).
+    /// existed before the batch began), whose certificates no longer
+    /// describe the merged one.
     StandingMerge,
     /// The batch pushed a certified component outside its degree cap/floor.
     CertificateViolation,
-    /// The fast path is disabled ([`StreamParams::fast_path`] is `false`).
-    FastPathDisabled,
-    /// A deletion-touched component could not be re-certified by the sketch
-    /// within its phase budget (sampling failure).
+    /// A cut component could not be re-certified by the sketch within its
+    /// phase budget (sampling failure, or a sampled link with no live copy),
+    /// so the labelling is over-coarse until the union–find pass rebuilds
+    /// it from the live edges.
     SketchUncertified,
 }
 
 /// Which path a batch took through the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPath {
-    /// Union–find label maintenance only; no pipeline work.
+    /// Union–find label maintenance only.
     FastPath,
     /// Component-local re-certify-or-split of the components touched by
     /// structural deletions — by the spanning forest where it lost no edge,
-    /// by sketch-Borůvka where it was cut; no pipeline work.
+    /// by sketch-Borůvka where it was cut.
     SketchRepair,
-    /// Full pipeline recompute on the accumulated graph.
+    /// Escalation: one union–find pass over the live edge log rebuilds the
+    /// partition and the spanning forest, and every component's
+    /// certificate is refreshed.
     Recompute(RecomputeReason),
 }
 
@@ -276,9 +255,6 @@ impl BatchPath {
             BatchPath::Recompute(RecomputeReason::StandingMerge) => "recompute:standing-merge",
             BatchPath::Recompute(RecomputeReason::CertificateViolation) => {
                 "recompute:certificate-violation"
-            }
-            BatchPath::Recompute(RecomputeReason::FastPathDisabled) => {
-                "recompute:fast-path-disabled"
             }
             BatchPath::Recompute(RecomputeReason::SketchUncertified) => {
                 "recompute:sketch-uncertified"
@@ -324,8 +300,9 @@ pub struct BatchReport {
     pub vertices_after: usize,
     /// Live (surviving) edges after the batch.
     pub edges_after: usize,
-    /// Simulated MPC rounds charged by this batch (fast-path charge or the
-    /// full recompute).
+    /// Simulated MPC rounds charged by this batch: the two exchanges every
+    /// batch pays, plus the sketch build, repair or escalation it ran (see
+    /// the module docs' charges).
     pub rounds: u64,
     /// Words of simulated communication charged by this batch.
     pub communication_words: u64,
@@ -342,9 +319,6 @@ const UNCERTIFIED: (u32, u32) = (0, u32::MAX);
 #[derive(Debug, Clone)]
 pub struct IncrementalComponents {
     params: StreamParams,
-    /// Master RNG; each slow-path recompute draws from it in sequence, so a
-    /// replay is deterministic for a fixed seed and batch schedule.
-    rng: ChaCha8Rng,
     /// Raw (external) vertex id → dense id.
     interner: HashMap<u64, u32>,
     /// `original_ids[dense] = raw`, in order of first appearance.
@@ -390,8 +364,9 @@ pub struct IncrementalComponents {
     cert_floor: Vec<u32>,
     /// Certificate degree cap per set (valid at roots).
     cert_cap: Vec<u32>,
-    /// The accounting context charged by both paths. Replaced (and absorbed
-    /// into `prior_stats`) when the grown input outsizes its cluster.
+    /// The accounting context charged by every path. Replaced at an
+    /// escalation (and absorbed into `prior_stats`) when the grown input
+    /// outsizes its cluster.
     ctx: MpcContext,
     /// Statistics of retired contexts.
     prior_stats: RoundStats,
@@ -401,11 +376,15 @@ pub struct IncrementalComponents {
     /// Cached `Arc`-shared parts of the last built snapshot, so quiet
     /// batches republish in O(1) (see [`IncrementalComponents::snapshot`]).
     snap_cache: Option<SnapCache>,
+    /// The parts the cache held before the last rebuild: the next rebuild
+    /// refills whichever of them no reader holds any more instead of
+    /// allocating (see [`IncrementalComponents::snapshot`]).
+    snap_retired: Option<SnapCache>,
     /// New vertices arrived since the cache was built (forces an index
     /// rebuild).
     snap_vertices_dirty: bool,
     /// The decomposition changed since the cache was built — an effective
-    /// union, a new vertex (a new singleton component), or a recompute.
+    /// union, a new vertex (a new singleton component), or an escalation.
     snap_structure_dirty: bool,
 }
 
@@ -496,19 +475,29 @@ struct SnapCache {
     num_components: usize,
 }
 
+/// `fill` applied in place to `retired`'s value when nothing else shares it,
+/// so its allocation is reused; to a fresh default value otherwise.
+fn refill<T: Default>(retired: Option<Arc<T>>, fill: impl FnOnce(&mut T)) -> Arc<T> {
+    let mut arc = retired.unwrap_or_default();
+    if Arc::get_mut(&mut arc).is_none() {
+        arc = Arc::default();
+    }
+    fill(Arc::get_mut(&mut arc).expect("unshared: checked or just made"));
+    arc
+}
+
 impl IncrementalComponents {
-    /// Creates an empty engine. The first non-empty batch bootstraps the
-    /// decomposition with a full pipeline run.
+    /// Creates an empty engine. The first non-empty batch escalates as the
+    /// bootstrap, which certifies its components; `seed` fixes the sketch's
+    /// hash functions.
     pub fn new(params: StreamParams, seed: u64) -> Self {
-        // A placeholder cluster for the pre-bootstrap fast-path charges; the
-        // first recompute resizes it to `recommended_config` for the real
-        // input.
+        // A placeholder cluster for the bootstrap batch's charges; the
+        // bootstrap's escalation resizes it for the real input.
         let config = MpcConfig::with_memory(1024, 64)
             .permissive()
-            .with_threads(params.pipeline.threads);
+            .with_threads(params.threads);
         IncrementalComponents {
             params,
-            rng: ChaCha8Rng::seed_from_u64(seed),
             interner: HashMap::new(),
             original_ids: Vec::new(),
             edges: Vec::new(),
@@ -530,6 +519,7 @@ impl IncrementalComponents {
             recomputes: 0,
             bootstrapped: false,
             snap_cache: None,
+            snap_retired: None,
             snap_vertices_dirty: true,
             snap_structure_dirty: true,
         }
@@ -592,10 +582,7 @@ impl IncrementalComponents {
     /// * inserts that would grow the edge log past `u32::MAX` logged entries;
     /// * arrivals that would push the distinct vertex ids past `u32::MAX`.
     ///
-    /// After validation the only failure left is a slow-path recompute
-    /// (bad parameters, infeasible cluster). The batch is applied and the
-    /// labelling remains correct after such an error — only the certificate
-    /// refresh is missed, and the next escalation retries it.
+    /// A batch that passes validation is applied in full.
     pub fn apply_ops_batch(&mut self, batch: &[EdgeOp]) -> Result<BatchReport, CoreError> {
         // Whole-batch pre-validation: nothing is touched until every check
         // passes.
@@ -638,7 +625,7 @@ impl IncrementalComponents {
         // Fast-path cost model (Liu–Tarjan concurrent labeling): one round
         // routing every op to its endpoints' label holders (two words per
         // op), one round of merge responses (one word per op). The sketch
-        // build/repair and the slow path charge their own work on top.
+        // build/repair and an escalation charge their own work on top.
         self.ctx.charge_shuffle(2 * len);
         self.ctx.charge_shuffle(len);
         let _ = self.ctx.record_balanced_load(2 * len);
@@ -658,7 +645,9 @@ impl IncrementalComponents {
                 stale: Vec::new(),
                 forest: HashSet::new(),
             }));
-            self.rebuild_forest();
+            // Before the first deletion the union–find is exact: keep only
+            // the forest the pass builds.
+            self.union_pass();
         }
 
         let mut new_vertices = 0usize;
@@ -711,8 +700,7 @@ impl IncrementalComponents {
                             (self.cert_floor[rv], self.cert_cap[rv])
                         } else {
                             // Both new (uncertified) or both standing (the
-                            // batch escalates and the recompute refreshes
-                            // everything).
+                            // batch escalates, which refreshes everything).
                             UNCERTIFIED
                         };
                         let merged_oldest = self.oldest[ru].min(self.oldest[rv]);
@@ -801,8 +789,6 @@ impl IncrementalComponents {
         let mut sketch_recertifies = 0usize;
         let mut path = if bootstrap {
             BatchPath::Recompute(RecomputeReason::Bootstrap)
-        } else if !self.params.fast_path && len > 0 {
-            BatchPath::Recompute(RecomputeReason::FastPathDisabled)
         } else if standing_merges > 0 {
             BatchPath::Recompute(RecomputeReason::StandingMerge)
         } else if cert_violated {
@@ -823,21 +809,10 @@ impl IncrementalComponents {
                 None => path = BatchPath::Recompute(RecomputeReason::SketchUncertified),
             }
         }
-        let outcome = if let BatchPath::Recompute(_) = path {
-            let outcome = self.recompute();
-            // Cuts and merges of an escalated batch were never repaired;
-            // whether or not the pipeline ran, the forest starts over from
-            // the live edges.
-            self.rebuild_forest();
-            outcome
-        } else {
-            Ok(())
-        };
-        // Close the batch's phase before propagating any recompute failure:
-        // a stale open phase would swallow caller time into its wall-time
-        // share the next time `begin_phase` closed it.
+        if let BatchPath::Recompute(_) = path {
+            self.recompute(&cut);
+        }
         self.ctx.end_phase();
-        outcome?;
 
         Ok(BatchReport {
             batch_index,
@@ -865,8 +840,8 @@ impl IncrementalComponents {
     /// when a cut component cannot be certified — the sketch exhausts its
     /// phase budget, or hands back a link with no live copy — in which case
     /// **the labelling is untouched** (all partitions are certified before
-    /// any is applied) and the caller escalates to a full recompute, which
-    /// also starts the forest over.
+    /// any is applied) and the caller escalates, which rebuilds the
+    /// labelling and the forest from the live edges.
     ///
     /// A touched component that lost no forest edge is still spanned by its
     /// tree: certified connected with no member scan, no sketch read and no
@@ -978,7 +953,7 @@ impl IncrementalComponents {
             }
             // Carry certificates across the re-rooting: a component without
             // a cut keeps its thresholds (its membership is unchanged); a
-            // cut one loses them until the next recompute certifies its
+            // cut one loses them until the next escalation certifies its
             // parts.
             let mut floor = vec![UNCERTIFIED.0; n];
             let mut cap = vec![UNCERTIFIED.1; n];
@@ -1049,46 +1024,51 @@ impl IncrementalComponents {
         id as u32
     }
 
-    /// Slow path: run the full pipeline on the accumulated graph, adopt its
-    /// labels, refresh the certificate.
-    fn recompute(&mut self) -> Result<(), CoreError> {
+    /// Slow path: rebuild the partition and the spanning forest with one
+    /// union–find pass over the live edge log (`cut`: one endpoint per cut
+    /// of the batch), then refresh the oldest-member tags and every
+    /// component's certificate.
+    fn recompute(&mut self, cut: &[u32]) {
         let n = self.original_ids.len();
-        let g = self.current_graph();
-
-        // Resize the simulated cluster when the grown input outsizes it;
-        // the retired context's statistics stay in the cumulative record.
-        let want = recommended_config(&g, self.params.lambda, &self.params.pipeline);
+        // Resize the simulated cluster when the live input outsizes it; the
+        // retired context's statistics stay in the cumulative record, and
+        // the batch's phase goes on in the new context.
+        let want = MpcConfig::for_input_size(2 * self.live_edges + n, 0.5)
+            .permissive()
+            .with_threads(self.params.threads);
         let have = self.ctx.config();
         if want.memory_per_machine > have.memory_per_machine
             || want.num_machines > have.num_machines
         {
             let retired = std::mem::replace(&mut self.ctx, MpcContext::new(want));
             self.prior_stats.absorb(retired.into_stats());
+            self.ctx.begin_phase("stream-ingest");
         }
-
-        let (labels, _report) = well_connected_components_with_ctx(
-            &g,
-            self.params.lambda,
-            &self.params.pipeline,
-            &mut self.ctx,
-            &mut self.rng,
-        )?;
-        // Only a recompute that actually ran counts ("performed so far" —
-        // a failed escalation must not inflate the counter).
-        self.recomputes += 1;
-
-        // Adopt the pipeline's labelling as the authoritative decomposition.
-        let mut uf = UnionFind::new(n);
-        let mut representative = vec![usize::MAX; labels.num_components()];
-        for v in 0..n {
-            let l = labels.label(v);
-            if representative[l] == usize::MAX {
-                representative[l] = v;
-            } else {
-                uf.union(representative[l], v);
+        // Every vertex sends its degree to its label holder.
+        self.ctx.charge_shuffle(n);
+        if !cut.is_empty() {
+            // Cut components are rebuilt from their live edges: the sketch
+            // repair's coordinator exchange, edges in place of sketches.
+            let mut in_cut = vec![false; n];
+            let mut members = 0;
+            for &v in cut {
+                let r = self.uf.find(v as usize);
+                if !in_cut[r] {
+                    in_cut[r] = true;
+                    members += self.uf.set_size(r);
+                }
             }
+            let edges = self
+                .edges
+                .iter()
+                .zip(&self.edge_alive)
+                .filter(|&(&(u, _), &alive)| alive && in_cut[self.uf.find(u as usize)])
+                .count();
+            self.ctx.charge_shuffle(2 * edges);
+            self.ctx.charge_shuffle(members);
         }
-        self.uf = uf;
+        self.uf = self.union_pass();
+        self.recomputes += 1;
 
         // Refresh component tags and certificate thresholds.
         let skew = self.params.certificate_degree_skew.max(1.0);
@@ -1096,7 +1076,7 @@ impl IncrementalComponents {
         let mut min_deg = vec![u32::MAX; n];
         let mut max_deg = vec![0u32; n];
         let mut deg_sum = vec![0u64; n];
-        // Stale root tags from before the recompute must not survive: reset
+        // Stale root tags from before the rebuild must not survive: reset
         // every slot to its own id, then take minima over the new sets.
         for (v, slot) in self.oldest.iter_mut().enumerate() {
             *slot = v as u32;
@@ -1127,7 +1107,6 @@ impl IncrementalComponents {
         }
         self.bootstrapped = true;
         self.snap_structure_dirty = true;
-        Ok(())
     }
 
     /// Builds a publishable [`ComponentSnapshot`] of the current
@@ -1142,34 +1121,49 @@ impl IncrementalComponents {
     /// when new vertices actually arrived, so a label-only change (a merge of
     /// existing components) still shares the index maps with the previous
     /// snapshot.
+    ///
+    /// A rebuilt array goes into the allocation the same array had two
+    /// builds ago when no reader holds that one any more, so steady
+    /// publishing neither allocates nor leaves readers to free what the
+    /// writer allocated: the cost of a rebuild is its O(n) pass, whatever
+    /// state the allocator is in.
     pub fn snapshot(&mut self, epoch: u64) -> ComponentSnapshot {
         let rebuild_vertices = self.snap_vertices_dirty || self.snap_cache.is_none();
         if rebuild_vertices || self.snap_structure_dirty {
             let n = self.original_ids.len();
+            let (index, raw_of, rep, size) = self
+                .snap_retired
+                .take()
+                .map_or((None, None, None, None), |c| {
+                    (Some(c.index), Some(c.raw_of), Some(c.rep), Some(c.size))
+                });
             let (index, raw_of) = if rebuild_vertices {
                 (
-                    Arc::new(self.interner.clone()),
-                    Arc::new(self.original_ids.clone()),
+                    refill(index, |m| m.clone_from(&self.interner)),
+                    refill(raw_of, |v| v.clone_from(&self.original_ids)),
                 )
             } else {
                 let cache = self.snap_cache.as_ref().expect("cache exists when clean");
                 (Arc::clone(&cache.index), Arc::clone(&cache.raw_of))
             };
-            let mut rep = vec![0u32; n];
-            let mut size = vec![0u32; n];
-            for (v, slot) in rep.iter_mut().enumerate() {
+            let rep = refill(rep, |rep| {
+                rep.clear();
                 // `oldest` is valid at roots; the oldest member's dense id
                 // doubles as the component's stable name.
-                *slot = self.oldest[self.uf.find(v)];
-            }
-            for &r in rep.iter() {
-                size[r as usize] += 1;
-            }
-            self.snap_cache = Some(SnapCache {
+                rep.extend((0..n).map(|v| self.oldest[self.uf.find(v)]));
+            });
+            let size = refill(size, |size| {
+                size.clear();
+                size.resize(n, 0);
+                for &r in rep.iter() {
+                    size[r as usize] += 1;
+                }
+            });
+            self.snap_retired = self.snap_cache.replace(SnapCache {
                 index,
                 raw_of,
-                rep: Arc::new(rep),
-                size: Arc::new(size),
+                rep,
+                size,
                 num_components: self.uf.num_sets(),
             });
             self.snap_vertices_dirty = false;
@@ -1296,21 +1290,24 @@ impl IncrementalComponents {
             .map(|(&edge, _)| edge)
     }
 
-    /// Starts the spanning forest over: one union–find pass over the live
-    /// edge log, keeping the pair of every edge that joins two sets. A no-op
-    /// before the first deletion.
-    fn rebuild_forest(&mut self) {
-        let Some(mut t) = self.turnstile.take() else {
-            return;
-        };
-        t.forest.clear();
+    /// One union–find pass over the live edge log, returning the partition
+    /// it builds: the exact components of the live multiset. Once a deletion
+    /// has built the turnstile, the spanning forest starts over as the pair
+    /// of every edge that joins two sets.
+    fn union_pass(&mut self) -> UnionFind {
         let mut uf = UnionFind::new(self.original_ids.len());
-        for (u, v) in self.live_edge_log() {
-            if uf.union(u as usize, v as usize) {
-                t.forest.insert((u.min(v), u.max(v)));
+        let mut forest = self.turnstile.as_deref_mut().map(|t| {
+            t.forest.clear();
+            &mut t.forest
+        });
+        for (&(u, v), &alive) in self.edges.iter().zip(&self.edge_alive) {
+            if alive && uf.union(u as usize, v as usize) {
+                if let Some(forest) = forest.as_mut() {
+                    forest.insert((u.min(v), u.max(v)));
+                }
             }
         }
-        self.turnstile = Some(t);
+        uf
     }
 
     /// The maintained spanning forest of the live edge multiset as sorted
@@ -1383,10 +1380,12 @@ mod tests {
     }
 
     use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use wcc_graph::prelude::*;
 
     fn params() -> StreamParams {
-        StreamParams::test_scale()
+        StreamParams::laptop_scale()
     }
 
     /// One batch per `sizes` entry, raw ids shifted so batches are disjoint
@@ -1500,19 +1499,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_fast_path_recomputes_every_batch() {
-        let mut engine = IncrementalComponents::new(params().with_fast_path(false), 23);
-        let batches = expander_batches(&[40], 8, 21);
-        engine.apply_ops_batch(&batches[0]).unwrap();
-        let r = engine.apply_ops_batch(&batches[0][..10]).unwrap();
-        assert_eq!(
-            r.path,
-            BatchPath::Recompute(RecomputeReason::FastPathDisabled)
-        );
-        assert_eq!(engine.recomputes(), 2);
-    }
-
-    #[test]
     fn empty_batches_are_free_no_ops() {
         let mut engine = IncrementalComponents::new(params(), 29);
         let r = engine.apply_ops_batch(&[]).unwrap();
@@ -1599,6 +1585,39 @@ mod tests {
         assert_eq!(after.num_components(), 1);
     }
 
+    #[test]
+    fn rebuilds_refill_only_arrays_no_reader_holds() {
+        let mut engine = IncrementalComponents::new(params(), 53);
+        let rep_at = |engine: &IncrementalComponents| {
+            Arc::as_ptr(&engine.snap_cache.as_ref().expect("built").rep)
+        };
+        // A batch of three fresh vertices in a path, then a snapshot.
+        let arrive = |engine: &mut IncrementalComponents, lo: u64, epoch: u64| {
+            let path = [(lo, lo + 1), (lo + 1, lo + 2)];
+            engine.apply_ops_batch(&EdgeOp::inserts(&path)).unwrap();
+            engine.snapshot(epoch)
+        };
+        let first = arrive(&mut engine, 0, 1);
+        let first_rep = rep_at(&engine);
+        drop(arrive(&mut engine, 10, 2));
+        let second_rep = rep_at(&engine);
+        // `first` is still held, so the third build allocates afresh.
+        let third = arrive(&mut engine, 20, 3);
+        assert!(rep_at(&engine) != first_rep && rep_at(&engine) != second_rep);
+        // Nothing holds the second build's arrays any more: the fourth
+        // refills them and leaves every held snapshot as it was.
+        let fourth = arrive(&mut engine, 30, 4);
+        assert_eq!(rep_at(&engine), second_rep);
+        assert_eq!(first.num_vertices(), 3);
+        assert_eq!(first.component_of(20), None);
+        assert_eq!(third.num_vertices(), 9);
+        assert_eq!(third.component_of(30), None);
+        assert_eq!(fourth.num_vertices(), 12);
+        assert_eq!(fourth.component_size(31), Some(3));
+        assert_eq!(fourth.same_component(0, 30), Some(false));
+        assert_eq!(fourth.component_of(22), third.component_of(20));
+    }
+
     /// All `(i, j)` pairs of a clique on raw ids `lo..hi` as insert ops.
     fn clique_ops(lo: u64, hi: u64) -> Vec<EdgeOp> {
         let mut ops = Vec::new();
@@ -1657,7 +1676,7 @@ mod tests {
         let recomputes_before = engine.recomputes();
         // Delete one expander edge with no parallel copy (so the deletion is
         // structural): the component stays connected, the sketch certifies
-        // it, and no pipeline recompute runs.
+        // it, and the batch does not escalate.
         let mut copies = std::collections::HashMap::new();
         let pairs: Vec<(u64, u64)> = batches[0].iter().map(|op| (op.u, op.v)).collect();
         for &(a, b) in &pairs {
@@ -1696,7 +1715,7 @@ mod tests {
         assert_eq!(r.path, BatchPath::SketchRepair);
         assert_eq!(r.splits, 1);
         assert_eq!(r.components_after, 2);
-        assert_eq!(engine.recomputes(), recomputes_before, "no pipeline run");
+        assert_eq!(engine.recomputes(), recomputes_before, "no escalation");
         assert_eq!(engine.splits(), 1);
 
         // The part keeping the oldest member keeps the component id; the
@@ -2146,10 +2165,50 @@ mod tests {
         schedule
     }
 
-    /// Recorded at the commit before the sketch became a lazily folded view
-    /// of the edge log (e862687): every batch's path, repair counts,
-    /// components and charges on a 1/10-scale `stream_churn`, and the final
-    /// labels. Moving it means the engine's observable behaviour moved.
+    /// Folds what a batch decided — its path, splits, re-certifications,
+    /// cuts and the component count after it — into `digest`.
+    fn fnv_decisions(digest: &mut u64, r: &BatchReport) {
+        for b in r.path.label().bytes() {
+            fnv(digest, u64::from(b));
+        }
+        for x in [
+            r.splits,
+            r.sketch_recertifies,
+            r.forest_cuts,
+            r.components_after,
+        ] {
+            fnv(digest, x as u64);
+        }
+    }
+
+    /// Every batch's decisions and the final labels on two `stream_churn`
+    /// schedules, with no charge in the hash: recorded while escalations
+    /// still ran Theorem 4, so it pins that adopting the union–find's
+    /// partition instead moved what a batch costs and nothing it decides.
+    #[test]
+    fn churn_decisions_and_labels_match_the_parent_digest() {
+        let mut digest = 0xCBF2_9CE4_8422_2325_u64;
+        for (half, per_batch, seed) in [(100, 40, 7), (300, 120, 11)] {
+            let mut engine = IncrementalComponents::new(params().with_threads(1), seed);
+            let reports = engine
+                .apply_ops_schedule(&churn_schedule(half, per_batch, seed))
+                .unwrap();
+            for r in &reports {
+                fnv_decisions(&mut digest, r);
+            }
+            for &l in engine.labels().labels() {
+                fnv(&mut digest, l as u64);
+            }
+        }
+        assert_eq!(
+            digest, 0xb4f5_c571_36f4_9225,
+            "decision digest {digest:#018x}"
+        );
+    }
+
+    /// Every batch's decisions and charges on a 1/10-scale `stream_churn`,
+    /// and the final labels. Moving it means the engine's observable
+    /// behaviour moved.
     #[test]
     fn churn_reports_and_labels_match_the_recorded_digest() {
         let mut engine = IncrementalComponents::new(params().with_threads(1), 7);
@@ -2166,48 +2225,45 @@ mod tests {
 
         let mut digest = 0xCBF2_9CE4_8422_2325_u64;
         for r in &reports {
-            for b in r.path.label().bytes() {
-                fnv(&mut digest, u64::from(b));
-            }
-            for x in [
-                r.splits,
-                r.sketch_recertifies,
-                r.forest_cuts,
-                r.components_after,
-            ] {
-                fnv(&mut digest, x as u64);
-            }
+            fnv_decisions(&mut digest, r);
             fnv(&mut digest, r.rounds);
             fnv(&mut digest, r.communication_words);
         }
         for &l in engine.labels().labels() {
             fnv(&mut digest, l as u64);
         }
-        assert_eq!(digest, 0x04c0_dd80_38b4_eb16, "churn digest {digest:#018x}");
+        assert_eq!(digest, 0x3812_d560_3de3_ba55, "churn digest {digest:#018x}");
     }
 
     #[test]
     fn stats_accumulate_across_batches_and_context_upgrades() {
         let mut engine = IncrementalComponents::new(params(), 41);
         let batches = expander_batches(&[30, 40], 8, 19);
-        engine.apply_ops_batch(&batches[0]).unwrap();
-        let after_first = engine.stats();
-        assert!(after_first.total_rounds() > 2, "bootstrap ran the pipeline");
-
+        // An escalation pays the two per-batch exchanges (3 words per op)
+        // and one aggregation round of a word per vertex.
+        let boot = engine.apply_ops_batch(&batches[0]).unwrap();
+        assert_eq!(boot.path, BatchPath::Recompute(RecomputeReason::Bootstrap));
+        let ops = batches[0].len() as u64;
+        assert_eq!((boot.rounds, boot.communication_words), (3, 3 * ops + 30));
         engine.apply_ops_batch(&batches[1]).unwrap();
-        let bridge = vec![(0u64, 30u64)];
-        engine.apply_ops_batch(&EdgeOp::inserts(&bridge)).unwrap();
-        let after_all = engine.stats();
-        assert!(after_all.total_rounds() > after_first.total_rounds());
-        assert!(
-            after_all
-                .phases()
-                .iter()
-                .filter(|p| p.name == "stream-ingest")
-                .count()
-                >= 3
+        let merge = engine
+            .apply_ops_batch(&EdgeOp::inserts(&[(0, 30)]))
+            .unwrap();
+        assert_eq!(
+            merge.path,
+            BatchPath::Recompute(RecomputeReason::StandingMerge)
         );
-        // Both recomputes left pipeline phases in the record.
-        assert!(after_all.rounds_in_phase("regularize") > 0);
+        assert_eq!((merge.rounds, merge.communication_words), (3, 3 + 70));
+
+        let stats = engine.stats();
+        assert_eq!(stats.total_rounds(), 3 + 2 + 3);
+        // No pipeline phase (`regularize`, `randomize`, `grow-components`,
+        // `low-diameter-bfs`) ever appears. The merge outgrew the
+        // bootstrap's cluster, so its batch is one `stream-ingest` phase per
+        // context, and every charge — those after the upgrade included —
+        // lands in one.
+        let names: Vec<&str> = stats.phases().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["stream-ingest"; 4]);
+        assert_eq!(stats.rounds_in_phase("stream-ingest"), stats.total_rounds());
     }
 }

@@ -1,11 +1,12 @@
 //! Streaming ingestion: maintain the component decomposition under batched
 //! edge arrivals instead of recomputing from scratch per batch.
 //!
-//! The workload: an initial pair of expander components is bootstrapped with
-//! one full pipeline run, then a stream of merge-free "traffic" batches
+//! The workload: an initial pair of expander components is bootstrapped in
+//! one batch, then a stream of merge-free "traffic" batches
 //! (intra-component densification plus well-attached newcomers) rides the
 //! union-find fast path, and finally a bridge batch merges two standing
-//! components — which escalates to a full pipeline recompute. The batch
+//! components — which escalates: one union–find pass over the live edges
+//! and a certificate refresh. The batch
 //! schedule round-trips through the binary chunk format (`WCCS`) and the
 //! executor-driven parallel decode, exactly like `wcc stream` does.
 //!
@@ -72,7 +73,7 @@ fn main() -> Result<(), CoreError> {
     );
 
     // Replay the schedule through the incremental engine.
-    let mut engine = IncrementalComponents::new(StreamParams::laptop_scale().with_lambda(0.3), 7);
+    let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 7);
     for batch in &decoded {
         let report = engine.apply_ops_batch(batch)?;
         println!(
@@ -86,7 +87,7 @@ fn main() -> Result<(), CoreError> {
         );
     }
     println!(
-        "replayed {} batches with {} slow-path recomputes; {}",
+        "replayed {} batches with {} escalations; {}",
         engine.batches_applied(),
         engine.recomputes(),
         engine.stats().summary()

@@ -93,7 +93,7 @@ const CASES: &[Case] = &[
 ];
 
 fn replay(case: &Case) -> ComponentLabels {
-    let mut engine = IncrementalComponents::new(StreamParams::test_scale(), SEED);
+    let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), SEED);
     for batch in case.schedule {
         let ops: Vec<EdgeOp> = batch
             .iter()

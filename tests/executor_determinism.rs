@@ -234,15 +234,15 @@ fn v3_walk_engine_is_bit_identical_across_thread_counts() {
 /// threads yields the same labels, the same cumulative `RoundStats` (model
 /// quantities — wall times are excluded from equality by design), and the
 /// same per-batch path/round/word decisions. The engine interleaves
-/// union-find fast paths with full pipeline recomputes, so this transitively
-/// pins the whole fast/slow escalation machinery onto the executor
-/// determinism contract.
+/// union-find fast paths with escalations, so this transitively pins the
+/// whole fast/slow escalation machinery onto the executor determinism
+/// contract.
 #[test]
 fn streaming_ingestion_is_bit_identical_across_thread_counts() {
     use rand::seq::SliceRandom;
     use wcc_core::stream::{IncrementalComponents, StreamParams};
 
-    for (fi, (family, lambda)) in families().into_iter().enumerate() {
+    for (fi, (family, _)) in families().into_iter().enumerate() {
         let g = instance(&family, 200 + fi as u64);
         for seed in SEEDS {
             // A shuffled batch schedule over the family instance, plus a
@@ -255,9 +255,7 @@ fn streaming_ingestion_is_bit_identical_across_thread_counts() {
             schedule.push(EdgeOp::inserts(&[(n, 0), (n, 1), (n, 2)]));
 
             let replay = |threads: usize| {
-                let params = StreamParams::test_scale()
-                    .with_lambda(lambda)
-                    .with_threads(threads);
+                let params = StreamParams::laptop_scale().with_threads(threads);
                 let mut engine = IncrementalComponents::new(params, seed);
                 let reports = engine
                     .apply_ops_schedule(&schedule)
@@ -304,7 +302,7 @@ fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
     use rand::seq::SliceRandom;
     use wcc_core::stream::{IncrementalComponents, StreamParams};
 
-    for (fi, (family, lambda)) in families().into_iter().enumerate() {
+    for (fi, (family, _)) in families().into_iter().enumerate() {
         let g = instance(&family, 300 + fi as u64);
         for seed in SEEDS {
             // Shuffled insert schedule, then a deletion wave over every
@@ -318,9 +316,7 @@ fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
             let schedule: Vec<Vec<EdgeOp>> = ops.chunks(101).map(<[EdgeOp]>::to_vec).collect();
 
             let replay = |threads: usize| {
-                let params = StreamParams::test_scale()
-                    .with_lambda(lambda)
-                    .with_threads(threads);
+                let params = StreamParams::laptop_scale().with_threads(threads);
                 let mut engine = IncrementalComponents::new(params, seed);
                 let reports = engine
                     .apply_ops_schedule(&schedule)
@@ -424,12 +420,8 @@ fn mixed_light_and_heavy_inputs_are_exact_at_every_thread_count() {
             let params = Params::test_scale().with_threads(threads);
             let wcc = well_connected_components(&g, 0.2, &params, 17).expect("wcc runs");
             let adaptive = adaptive_components(&g, &params, 17).expect("adaptive runs");
-            let mut engine = IncrementalComponents::new(
-                StreamParams::test_scale()
-                    .with_lambda(0.2)
-                    .with_threads(threads),
-                17,
-            );
+            let mut engine =
+                IncrementalComponents::new(StreamParams::laptop_scale().with_threads(threads), 17);
             engine
                 .apply_ops_schedule(&schedule)
                 .expect("replay succeeds");

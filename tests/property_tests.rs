@@ -322,7 +322,7 @@ proptest! {
         // like the one-shot pipeline does.
         let truth = connected_components(&g);
         let edges: Vec<(u64, u64)> = g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
-        let mut engine = IncrementalComponents::new(StreamParams::test_scale(), seed);
+        let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), seed);
         for chunk in edges.chunks(batch_edges) {
             engine.apply_ops_batch(&EdgeOp::inserts(chunk)).unwrap();
         }
@@ -462,7 +462,7 @@ proptest! {
             return;
         }
         let ops: Vec<EdgeOp> = edges.iter().map(|&(u, v)| EdgeOp::insert(u, v)).collect();
-        let mut engine = IncrementalComponents::new(StreamParams::test_scale(), seed);
+        let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), seed);
         engine.apply_ops_batch(&ops).unwrap();
         let batches_before = engine.batches_applied();
         let edges_before = engine.num_edges();

@@ -54,10 +54,6 @@ fn random_schedule(g: &Graph, seed: u64, batch_edges: usize) -> Vec<Vec<(u64, u6
         .collect()
 }
 
-fn params(lambda: f64) -> StreamParams {
-    StreamParams::test_scale().with_lambda(lambda)
-}
-
 /// Ground truth for one epoch: the component label of every vertex seen so
 /// far, and each label's component size.
 #[derive(Clone, Default)]
@@ -151,8 +147,8 @@ fn every_epoch_snapshot_matches_from_scratch_on_its_prefix() {
         let g = instance(&family, fi as u64);
         for seed in SEEDS {
             let schedule = random_schedule(&g, seed, 60);
-            let truths = epoch_truths(&schedule, params(lambda), seed);
-            let mut engine = IncrementalComponents::new(params(lambda), seed);
+            let truths = epoch_truths(&schedule, StreamParams::laptop_scale(), seed);
+            let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), seed);
             let mut prefix: Vec<(u64, u64)> = Vec::new();
             // Unseen probes beyond the universe must miss at every epoch.
             let probe_ids: Vec<u64> = (0..g.num_vertices() as u64 + 3).collect();
@@ -215,18 +211,15 @@ fn every_epoch_snapshot_matches_from_scratch_on_its_prefix() {
 /// every answer must match the truth table of the epoch it was served at.
 #[test]
 fn concurrent_readers_never_observe_torn_labels() {
-    let (family, lambda) = (
-        GraphFamily::PlantedExpanders {
-            num_components: 3,
-            degree: 8,
-        },
-        0.3,
-    );
+    let family = GraphFamily::PlantedExpanders {
+        num_components: 3,
+        degree: 8,
+    };
     let g = instance(&family, 42);
     let seed = 11;
     let schedule = random_schedule(&g, seed, 45);
     let final_epoch = schedule.len() as u64;
-    let truths = Arc::new(epoch_truths(&schedule, params(lambda), seed));
+    let truths = Arc::new(epoch_truths(&schedule, StreamParams::laptop_scale(), seed));
     let universe = g.num_vertices() as u64 + 4;
 
     let cell = Arc::new(SnapshotCell::new());
@@ -271,7 +264,7 @@ fn concurrent_readers_never_observe_torn_labels() {
         })
         .collect();
 
-    let mut engine = IncrementalComponents::new(params(lambda), seed);
+    let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), seed);
     for (k, batch) in schedule.iter().enumerate() {
         engine.apply_ops_batch(&EdgeOp::inserts(batch)).unwrap();
         cell.publish(engine.snapshot(k as u64 + 1));
@@ -295,12 +288,12 @@ fn tcp_clients_get_epoch_consistent_answers_during_ingest() {
     use std::net::TcpStream;
     use wcc_core::serve::read_frame;
 
-    let (family, lambda) = (GraphFamily::RingOfCliques { clique_size: 10 }, 0.15);
+    let family = GraphFamily::RingOfCliques { clique_size: 10 };
     let g = instance(&family, 7);
     let seed = 29;
     let schedule = random_schedule(&g, seed, 45);
     let final_epoch = schedule.len() as u64;
-    let truths = Arc::new(epoch_truths(&schedule, params(lambda), seed));
+    let truths = Arc::new(epoch_truths(&schedule, StreamParams::laptop_scale(), seed));
     let universe = g.num_vertices() as u64 + 4;
 
     let server = Server::bind("127.0.0.1:0").unwrap();
@@ -391,7 +384,7 @@ fn tcp_clients_get_epoch_consistent_answers_during_ingest() {
         })
         .collect();
 
-    let mut engine = IncrementalComponents::new(params(lambda), seed);
+    let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), seed);
     for (k, batch) in schedule.iter().enumerate() {
         engine.apply_ops_batch(&EdgeOp::inserts(batch)).unwrap();
         server.publish(engine.snapshot(k as u64 + 1));

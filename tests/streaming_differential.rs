@@ -4,8 +4,8 @@
 //! — for every tested graph family, seed and thread count.
 //!
 //! This is the contract that makes the fast/slow path split trustworthy: no
-//! matter how the engine interleaves union-find fast paths with pipeline
-//! recomputes (and no matter where the certificate chose to escalate), the
+//! matter how the engine interleaves union-find fast paths with escalations
+//! (and no matter where the certificate chose to escalate), the
 //! end state is indistinguishable from having ingested everything at once.
 //! The sequential BFS ground truth is cross-checked as a third opinion.
 
@@ -76,9 +76,7 @@ fn incremental_replay_is_component_equivalent_to_from_scratch() {
             );
 
             for threads in THREAD_COUNTS {
-                let params = StreamParams::test_scale()
-                    .with_lambda(lambda)
-                    .with_threads(threads);
+                let params = StreamParams::laptop_scale().with_threads(threads);
                 let mut engine = IncrementalComponents::new(params, seed);
                 let reports = engine.apply_ops_schedule(&schedule).unwrap();
                 assert_eq!(
@@ -107,19 +105,15 @@ fn incremental_replay_is_component_equivalent_to_from_scratch() {
 /// partition.
 #[test]
 fn batch_granularity_does_not_change_the_final_partition() {
-    let (family, lambda) = (
-        GraphFamily::PlantedExpanders {
-            num_components: 2,
-            degree: 8,
-        },
-        0.3,
-    );
+    let family = GraphFamily::PlantedExpanders {
+        num_components: 2,
+        degree: 8,
+    };
     let g = instance(&family, 77);
     let truth = connected_components(&g);
     for batch_edges in [usize::MAX, 97, 11] {
         let schedule = random_schedule(&g, 99, batch_edges.min(g.num_edges()));
-        let mut engine =
-            IncrementalComponents::new(StreamParams::test_scale().with_lambda(lambda), 3);
+        let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 3);
         engine.apply_ops_schedule(&schedule).unwrap();
         assert!(
             labels_on(&g, &engine).same_partition(&truth),
@@ -128,15 +122,15 @@ fn batch_granularity_does_not_change_the_final_partition() {
     }
 }
 
-/// Fast-path-disabled replay (per-batch full recompute) is the executable
-/// specification of the engine's end state: the fast path must land on the
-/// identical partition.
+/// Per-batch oracle: after every batch — fast path or escalation — the
+/// labels are exactly the connected components of the live graph, and the
+/// fast path carries the batches that merge nothing standing.
 #[test]
 fn fast_path_matches_per_batch_recompute_reference() {
-    let (family, lambda) = (GraphFamily::Expander { degree: 8 }, 0.3);
+    let family = GraphFamily::Expander { degree: 8 };
     let g = instance(&family, 55);
     // Append well-attached newcomers so the fast path has real work that the
-    // reference recomputes from scratch.
+    // oracle recomputes from scratch.
     let mut schedule = random_schedule(&g, 21, 200);
     let n = g.num_vertices() as u64;
     schedule.push(EdgeOp::inserts(&[
@@ -148,20 +142,20 @@ fn fast_path_matches_per_batch_recompute_reference() {
         (n + 1, 5),
     ]));
 
-    let mut fast = IncrementalComponents::new(StreamParams::test_scale().with_lambda(lambda), 17);
-    fast.apply_ops_schedule(&schedule).unwrap();
-
-    let mut reference = IncrementalComponents::new(
-        StreamParams::test_scale()
-            .with_lambda(lambda)
-            .with_fast_path(false),
-        17,
+    let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 17);
+    for (i, batch) in schedule.iter().enumerate() {
+        let report = engine.apply_ops_batch(batch).unwrap();
+        assert!(
+            engine
+                .labels()
+                .same_partition(&connected_components(&engine.current_graph())),
+            "batch {i} ({:?}) left labels that are not the live graph's components",
+            report.path
+        );
+    }
+    assert_eq!(engine.num_edges(), g.num_edges() + 6);
+    assert!(
+        engine.recomputes() < schedule.len(),
+        "every batch escalated"
     );
-    reference.apply_ops_schedule(&schedule).unwrap();
-
-    assert_eq!(fast.num_vertices(), reference.num_vertices());
-    assert_eq!(fast.num_edges(), reference.num_edges());
-    assert!(fast.labels().same_partition(&reference.labels()));
-    // The reference recomputed every batch; the fast engine must not have.
-    assert!(fast.recomputes() < reference.recomputes());
 }
