@@ -43,8 +43,9 @@
 //! only if the whole input packed.
 //!
 //! `wcc serve` runs the same replay as a *live* service: it binds a TCP
-//! listener (DESIGN.md §11 documents the wire protocol; `wcc_loadgen` is
-//! the reference client), prints `LISTENING <addr>` as its first stdout
+//! listener (DESIGN.md §11 documents the wire protocol;
+//! `crates/bench/tests/cli.rs` drives it as a client), prints
+//! `LISTENING <addr>` as its first stdout
 //! line (even under `--json` — harnesses read the address there, and the
 //! JSON record is the *last* line), then ingests the schedule `--repeat`
 //! times (0 = loop until a client sends SHUTDOWN) while concurrent

@@ -1,10 +1,16 @@
 //! End-to-end checks of the `wcc` binary's packing contract — what `wcc pack`
 //! leaves on disk when it fails, which flags it accepts, and that what it
-//! writes today replays exactly like the checked-in sample streams — and of
+//! writes today replays exactly like the checked-in sample streams — of
+//! `wcc serve` answering the checked-in query file over the wire, and of
 //! the `wcc_exp` experiment runner's command line.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+use wcc_core::serve::{read_frame, Request, Response};
 
 fn wcc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wcc"))
@@ -209,6 +215,96 @@ fn one_shot_flags_the_chosen_algorithm_never_reads_are_rejected() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A child process that a failing test does not leave running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_answers_the_sample_queries_and_shuts_down_on_request() {
+    let mut server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_wcc"))
+            .args(["serve", &data("sample_batches.wccs")])
+            .args(["--exit-after", "60", "--json"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn wcc serve"),
+    );
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    let addr = first
+        .trim()
+        .strip_prefix("LISTENING ")
+        .unwrap_or_else(|| panic!("first line: {first:?}"));
+
+    let mut writer = TcpStream::connect(addr).expect("connect to wcc serve");
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let (mut out, mut frame) = (Vec::new(), Vec::new());
+    let mut call = |request: Request| {
+        out.clear();
+        request.encode(&mut out);
+        writer.write_all(&out).unwrap();
+        read_frame(&mut reader, &mut frame)
+            .unwrap()
+            .expect("server closed the connection");
+        Response::decode(&frame).unwrap()
+    };
+    // The expected answers are those of the final epoch: all three batches.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !matches!(call(Request::Ping), Response::Pong { epoch } if epoch >= 3) {
+        assert!(Instant::now() < deadline, "epoch 3 not reached in 60 s");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // Lines are `same u v [expect]`, `of v [expect]` or `size c [expect]`;
+    // `expect` is 1/0 for `same`, a number for `of`/`size`, `nf` for
+    // not-found, and `?` (or nothing) for any answer but BAD_REQUEST.
+    let queries = std::fs::read_to_string(data("sample_queries.txt")).unwrap();
+    let mut checked = 0;
+    for line in queries.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let toks: Vec<&str> = line.split_whitespace().collect();
+        let id = |i: usize| toks[i].parse::<u64>().expect("a vertex id");
+        let (request, expect) = match toks[0] {
+            "same" => (Request::SameComponent { u: id(1), v: id(2) }, toks.get(3)),
+            "of" => (Request::ComponentOf { v: id(1) }, toks.get(2)),
+            "size" => (Request::ComponentSize { c: id(1) }, toks.get(2)),
+            other => panic!("unknown query {other:?}"),
+        };
+        let response = call(request);
+        let answered = match (expect.copied(), &response) {
+            (None | Some("?"), response) => *response != Response::BadRequest,
+            (Some("nf"), Response::NotFound { .. }) => true,
+            (Some(want), Response::Same { same, .. }) => want == if *same { "1" } else { "0" },
+            (Some(want), Response::Component { component, .. }) => want == component.to_string(),
+            (Some(want), Response::Size { size, .. }) => want == size.to_string(),
+            _ => false,
+        };
+        assert!(answered, "{line:?} answered {response:?}");
+        checked += 1;
+    }
+    assert_eq!(checked, 17, "queries in the sample file");
+
+    assert_eq!(call(Request::Shutdown), Response::ShuttingDown);
+    assert!(
+        server.0.wait().unwrap().success(),
+        "wcc serve exited non-zero"
+    );
+    let record = stdout.lines().last().expect("a JSON record").unwrap();
+    assert!(
+        record.starts_with('{') && record.contains("\"algorithm\":\"serve\""),
+        "last line: {record}"
+    );
 }
 
 #[test]

@@ -30,9 +30,10 @@
 //! Every data-carrying response is stamped with the **epoch** of the
 //! snapshot that answered it — the number of ingested batches at publish
 //! time. That single field is what makes the service *testable*: a client
-//! (the differential suite, `wcc_loadgen --check`) can compare each answer
-//! against ground truth computed for exactly that prefix of the stream,
-//! so a torn read — an answer matching no epoch — cannot hide.
+//! (the differential suite, the `wcc serve` test in `crates/bench/tests/cli.rs`)
+//! can compare each answer against ground truth computed for exactly that
+//! prefix of the stream, so a torn read — an answer matching no epoch —
+//! cannot hide.
 //!
 //! `NOT_FOUND` is an answer, not an error: the queried vertex has not
 //! appeared in the stream as of the stamped epoch. `BAD_REQUEST` covers

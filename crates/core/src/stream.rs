@@ -1,141 +1,91 @@
 //! Streaming ingestion: incremental maintenance of the component labelling
-//! (and its well-connectedness certificate) under batched edge arrivals.
+//! (and its well-connectedness certificate) under batches of edge insertions
+//! and deletions.
 //!
-//! Every other entry point in this workspace is one-shot — load a graph, run
-//! the pipeline once, print. [`IncrementalComponents`] instead *keeps* the
-//! decomposition alive between edge batches, following the classic
-//! fast-path/slow-path split for dynamic connectivity:
+//! [`IncrementalComponents`] keeps the decomposition alive between batches,
+//! with the classic fast-path/slow-path split of dynamic connectivity
+//! (DESIGN.md §7 and §12 have the full account):
 //!
 //! * **Fast path** — a deterministic union–find pass over the current labels,
-//!   modelling the cheap concurrent label-merging of Liu–Tarjan (*Simple
-//!   Concurrent Labeling Algorithms for Connected Components*): each batch is
-//!   charged `O(1)` simulated rounds (route every edge to its endpoints'
-//!   label holders, broadcast the merge responses) and touches no walk or
-//!   leader-election machinery. The fast path is taken exactly when the batch
-//!   provably cannot have changed the maintained structure: no union joins
-//!   two *standing* components (components that both existed before the batch
-//!   began) and the well-connectedness certificate still holds.
+//!   modelling Liu–Tarjan's concurrent label-merging (*Simple Concurrent
+//!   Labeling Algorithms for Connected Components*), charged `O(1)`
+//!   simulated rounds. It is taken when the batch provably cannot have
+//!   changed the maintained structure: no union joins two *standing*
+//!   components (both existed before the batch began) and the certificate
+//!   still holds.
 //! * **Slow path** — an *escalation* ([`BatchPath::Recompute`]): one
-//!   union–find pass over the live edge log rebuilds the partition and the
-//!   spanning forest together, and every component's certificate is
-//!   refreshed. Where the batch's deletions were all certified, the pass
-//!   returns the partition the union–find already held; it is what makes
-//!   the labelling exact again after a cut the sketch could not certify,
-//!   and what starts the forest over after cuts and merges nobody repaired.
-//!   This is Behnezhad et al.'s "work only when structure changes"
-//!   (arXiv:1910.05385): no stream path runs the paper's Theorem 4, which
-//!   stays the one-shot entry points' job and the differential suites'
-//!   oracle.
+//!   union–find pass over the live pairs rebuilds the partition and the
+//!   spanning forest, and every component's certificate is refreshed. Where
+//!   the batch's deletions were all certified, the pass returns the
+//!   partition the union–find already held; it makes the labelling exact
+//!   again after a cut the sketch could not certify. This is Behnezhad et
+//!   al.'s "work only when structure changes" (arXiv:1910.05385); the
+//!   paper's Theorem 4 stays the one-shot entry points' job and the
+//!   differential suites' oracle.
 //!
 //! ## The well-connectedness certificate
 //!
-//! The pipeline's guarantees rest on the components being well connected,
-//! and its Step-1 regularization rests on them being *almost regular*
-//! (Section 2 of the paper: degrees within `(1 ± ε)·d`). The certificate is
-//! the cheap incremental proxy for that premise: at every escalation, each
-//! component of at least [`StreamParams::certificate_min_component`] vertices
-//! is assigned a degree **cap** (`max(skew · avg + slack, current max)`)
-//! and a degree **floor** (`min(avg / skew, current min)`). Between
-//! escalations three kinds of vertices can cross a fixed threshold:
-//!
-//! * an *existing* vertex can violate the **cap** on an insertion (a forming
-//!   hub: parallel-edge pile-ups that skew the degree distribution),
-//! * a *newly arrived* vertex can violate the **floor** (a pendant
-//!   tendril: attachments too sparse to preserve almost-regularity), and
-//! * a *deletion endpoint* can drop below the **floor** (erosion of a
-//!   certified component's regularity).
-//!
-//! Either violation escalates the batch to the slow path. Components built
-//! purely on the fast path since the last escalation (fresh arrivals that
-//! never merged into a standing component) carry trivial thresholds until
-//! the next escalation certifies them — the certificate tracks *degradation
-//! of certified structure*, not absolute quality of brand-new structure.
+//! The cheap incremental proxy for the pipeline's premise that components
+//! are well connected and *almost regular* (Section 2 of the paper: degrees
+//! within `(1 ± ε)·d`). At every escalation each component of at least
+//! [`StreamParams::certificate_min_component`] vertices gets a degree
+//! **cap** (`max(skew · avg + slack, current max)`) and **floor**
+//! (`min(avg / skew, current min)`). An existing vertex crossing the cap on
+//! an insert (a forming hub), a newly arrived vertex under the floor (a
+//! pendant tendril) or a deletion endpoint eroding below it escalates the
+//! batch. Components built purely on the fast path since the last
+//! escalation carry trivial thresholds until the next one certifies them:
+//! the certificate tracks *degradation of certified structure*.
 //!
 //! ## Deletions: a spanning forest certifies, the sketch repairs
 //!
-//! The stream is *fully dynamic*: batches may carry edge deletions
-//! ([`IncrementalComponents::apply_ops_batch`], fed from `WCCS` op
-//! streams). Deleting an edge can only *split* the component it lived in, so
-//! between the fast path and an escalation sits a third, component-local
-//! path. It keeps two things, both created the first time a deletion is
-//! ever seen, so insert-only workloads pay nothing for the machinery:
+//! Batches may carry deletions ([`IncrementalComponents::apply_ops_batch`]
+//! on `WCCS` op streams). The engine keeps the live edge multiset, not its
+//! history: one map from each live normalized pair to its copies, the insert
+//! that made it live and a forest flag. A deletion can only *split* its
+//! component, and two things decide whether it did:
 //!
-//! * A **spanning forest of the live edge multiset** — the connectivity
-//!   certificate. It is the link forest of Liu–Tarjan's labeling that the
-//!   fast path's union–find computes anyway: an insert whose union joins two
-//!   sets marks its endpoint pair as a forest edge (the initial forest is
-//!   one union–find pass over the live edge log, and it is kept per op
-//!   from then on). Deleting a copy that is
-//!   not the last of its pair, or the last copy of a *non-forest* pair,
-//!   removes nothing the forest stands on: every tree still spans its
-//!   component, which is thereby certified connected at no cost. Only
-//!   deleting the last live copy of a forest pair is a **cut**
-//!   ([`BatchReport::forest_cuts`]).
-//! * One [`DynamicConnectivitySketch`](wcc_sketch::DynamicConnectivitySketch)
-//!   — the paper's AGM linear sketches (Proposition 8.1, turnstile by
-//!   construction: a deletion is a `−1` update on the same ℓ0 samplers) —
-//!   as the **replacement-edge oracle**. At the end of a batch, a component
-//!   with `c` cuts is `c + 1` surviving trees, and sketch-space Borůvka over
-//!   its members, *started from those trees*
-//!   ([`wcc_sketch::DynamicConnectivitySketch::subset_components_from`]),
-//!   samples edges leaving each piece. If a phase certifies the resulting
-//!   partition (every part's summed sampler is zero — a
-//!   randomness-independent test), the component is either *re-certified*
-//!   connected (one part; the sampled links become forest edges) or *split*
-//!   into its exact new components; splits rebuild the union–find and mint
-//!   new component ids through the usual oldest-member rule.
+//! * A **spanning forest of the live multiset**, the connectivity
+//!   certificate: the link forest of Liu–Tarjan's labeling, which the fast
+//!   path's union–find computes anyway (an insert whose union joins two sets
+//!   flags its pair). Only deleting the last copy of a forest pair — a
+//!   **cut** ([`BatchReport::forest_cuts`]) — can disconnect anything; a
+//!   component that lost no forest edge is re-certified at no cost.
+//! * One [`DynamicConnectivitySketch`] — the paper's AGM linear sketches
+//!   (Proposition 8.1, turnstile by construction) — as the
+//!   **replacement-edge oracle**, created at the first deletion ever. A
+//!   component with `c` cuts is `c + 1` surviving trees; sketch-space
+//!   Borůvka over its members started from those trees
+//!   ([`DynamicConnectivitySketch::subset_components_from`]) re-certifies it
+//!   (the sampled links join the forest) or splits it exactly (every part's
+//!   summed sampler is zero, a randomness-independent test). Only a cut
+//!   reads the sketch, so only a cut brings it up to date: the first cut
+//!   ever folds every live copy in, later ops only move their pair's net
+//!   delta in a pending map (a delta back at zero leaves it), and each later
+//!   cut folds those deltas. By linearity the folded sketch equals one
+//!   updated per op, cell for cell.
 //!
-//!   Only a cut reads the sketch, so only a cut pays for it. The sketch is a
-//!   lazily synced view of the edge log: it starts empty at a watermark of
-//!   0, an op only appends to the log (a deletion of a slot already below
-//!   the watermark is noted as *stale*), and the first cut of a batch
-//!   *folds* the log in — new vertices, `−1` per stale slot, `+1` per live
-//!   slot past the watermark — before any Borůvka phase runs. Linearity
-//!   makes the folded sketch equal, cell for cell, to one updated per op,
-//!   so every sample and zero test reads what it always read; an edge
-//!   inserted and deleted between two cuts never touches the sketch.
+//! Such a batch reports [`BatchPath::SketchRepair`]. A cut component the
+//! sketch cannot certify ([`RecomputeReason::SketchUncertified`]) or an
+//! independent escalation sends the batch to the union–find pass, which
+//! rebuilds partition and forest alike.
 //!
-//! A batch whose last-copy deletions all resolve this way reports
-//! [`BatchPath::SketchRepair`], whether or not any of them was a cut. Only
-//! when a cut component cannot be certified (sampling failure, or a sampled
-//! link that has no live copy — [`RecomputeReason::SketchUncertified`]) — or
-//! the batch independently escalates (standing merge, certificate violation)
-//! — does the batch escalate to the union–find pass over the live edges.
+//! **Charges.** The two exchanges every batch pays carry each edge's forest
+//! flag, so a cut-free batch pays nothing more. The first deletion ever pays
+//! one round of `2 · live edges` words routing every live edge to its
+//! endpoint sketches (then, not at the host's fold: simulated machines
+//! update sketches as edges arrive). A cut component ships its members'
+//! sketches to a coordinator (`members · words_per_vertex` words) and gets
+//! labels back (`members` words), one round each. An escalation pays one
+//! round of `n` words (every degree to its label holder) plus, when the
+//! batch cut, that coordinator exchange with live edges in place of
+//! sketches (`2 · edges` words in, `members` out).
 //!
-//! Labels stay exact because nothing about the certification got weaker: the
-//! zero test is the one the sketch always ran, a link is checked against the
-//! live multiset before it may join two parts, and every escalation rebuilds
-//! the partition and the forest from the live edge log, so cuts and merges
-//! of an escalated batch never linger in either.
-//!
-//! **Charges.** The two exchanges every batch pays (ops routed to their
-//! endpoints' label holders, merge responses back) are where the machine
-//! holding an edge learns, and answers with, its forest flag — a cut-free
-//! batch is charged nothing more. The first deletion ever is charged one
-//! round routing every live edge to its two endpoint sketches
-//! (`2 · live edges` words) — the model's build of the sketch and forest,
-//! charged in that batch whenever the host's fold actually runs, since in
-//! the simulated cluster each machine updates its sketches as edges arrive.
-//! A cut component ships its members' sketches to a coordinator
-//! (`members · words_per_vertex` words, one round) and gets labels back
-//! (`members` words, one round). An escalation pays one aggregation round of
-//! `n` words (every vertex's degree to its label holder, which sets its
-//! component's cap and floor); one with a cut in the batch also pays the
-//! coordinator exchange over the cut components, their live edges in place
-//! of sketches (`2 · edges` words in, `members` words out, one round each).
-//!
-//! Deleting an edge that was never inserted (or already deleted) is a hard
-//! error that leaves the engine untouched — over-deletion would silently
-//! corrupt the sketch's linearity, so the batch is validated against the
-//! live multiset before any state changes.
-//!
-//! Replaying a batch schedule and then asking for
-//! [`IncrementalComponents::labels`] is guaranteed to produce the exact
-//! connected components of the surviving edge multiset — the differential
-//! suites in `tests/streaming_differential.rs` (insert-only) and
-//! `tests/dynamic_differential.rs` (insert+delete) pin this against
-//! from-scratch pipeline runs for every tested family, seed and thread
-//! count.
+//! Over-deletion would corrupt the sketch's linearity, so a batch deleting
+//! an edge with no live copy is refused whole before any state changes.
+//! Replayed labels equal the exact components of the surviving multiset,
+//! pinned against from-scratch pipeline runs by
+//! `tests/streaming_differential.rs` and `tests/dynamic_differential.rs`.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -234,7 +184,7 @@ pub enum BatchPath {
     /// structural deletions — by the spanning forest where it lost no edge,
     /// by sketch-Borůvka where it was cut.
     SketchRepair,
-    /// Escalation: one union–find pass over the live edge log rebuilds the
+    /// Escalation: one union–find pass over the live pairs rebuilds the
     /// partition and the spanning forest, and every component's
     /// certificate is refreshed.
     Recompute(RecomputeReason),
@@ -323,27 +273,17 @@ pub struct IncrementalComponents {
     interner: HashMap<u64, u32>,
     /// `original_ids[dense] = raw`, in order of first appearance.
     original_ids: Vec<u64>,
-    /// Accumulated dense edge list in arrival order. Slots are never
-    /// removed — a deletion clears the slot's `edge_alive` bit instead, so
-    /// the live edge *order* (what [`current_graph`] iterates) stays a pure
-    /// function of the op schedule.
-    ///
-    /// [`current_graph`]: IncrementalComponents::current_graph
-    edges: Vec<(u32, u32)>,
-    /// `edge_alive[i]` — slot `i` of `edges` has not been deleted.
-    edge_alive: Vec<bool>,
-    /// Number of live slots.
+    /// The live edge multiset: every normalized dense endpoint pair with a
+    /// live copy. A pair whose last copy is deleted leaves the map, so its
+    /// length is the number of live distinct pairs.
+    live: HashMap<(u32, u32), LivePair>,
+    /// Live copies summed over `live`.
     live_edges: usize,
-    /// Live slot indices per normalized dense endpoint pair, used as a
-    /// stack: an insertion pushes its slot, a deletion pops one (most
-    /// recently inserted copy first). A deletion whose stack is empty has no
-    /// live copy to remove and is a hard error.
-    /// A pair whose last copy is deleted leaves the map, so its length is
-    /// the number of live distinct pairs.
-    edge_slots: HashMap<(u32, u32), Vec<u32>>,
-    /// The lazily built deletion-side state over the live edge multiset:
-    /// `None` until the first deletion ever seen (boxed, so insert-only
-    /// engines carry one pointer for it and never allocate it).
+    /// Inserts applied so far: the sequence number the next insert gets.
+    inserts: u64,
+    /// The lazily built turnstile sketch: `None` until the first deletion
+    /// ever seen (boxed, so insert-only engines carry one pointer for it
+    /// and never allocate it).
     turnstile: Option<Box<Turnstile>>,
     /// Seed of the sketch's shared hash functions, derived once from the
     /// engine seed so replays are deterministic.
@@ -388,77 +328,81 @@ pub struct IncrementalComponents {
     snap_structure_dirty: bool,
 }
 
-/// What the engine keeps for deletions (see the module docs): the forest
-/// answers "did this deletion disconnect anything?", the sketch finds the
-/// replacement edges when it did.
+/// One live pair of the multiset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LivePair {
+    /// Live copies, at least one.
+    copies: u32,
+    /// Sequence number of the insert that took `copies` from 0 to 1: the
+    /// order [`union_pass`](IncrementalComponents::union_pass) replays pairs
+    /// in.
+    since: u64,
+    /// That insert named the pair `(max, min)`. Its union is replayed in
+    /// the same orientation, which picks the root on a size tie.
+    reversed: bool,
+    /// The pair is an edge of the maintained spanning forest (exact between
+    /// batches; inside one a cut leaves its tree in two pieces).
+    forest: bool,
+}
+
+/// The replacement-edge oracle of deletions (see the module docs).
 #[derive(Debug, Clone)]
 struct Turnstile {
     /// The paper's Proposition 8.1 sketches of the live edge multiset, as of
     /// the last [`fold`](Turnstile::fold): only a cut reads it, so only a cut
-    /// brings it up to date.
+    /// brings it up to date. It holds no vertex until the first fold.
     sketch: DynamicConnectivitySketch,
-    /// Watermark: edge-log slots `..synced` are folded into `sketch`.
-    synced: usize,
-    /// Slots below `synced` whose copy was deleted since the last fold (a
-    /// slot at or above the watermark is simply never added).
-    stale: Vec<u32>,
-    /// Normalized endpoint pairs of a spanning forest of the live multiset
-    /// (exact between batches; inside a batch a cut leaves its tree in two
-    /// pieces until the repair or the recompute that ends the batch). Only
-    /// membership is ever read from the set's layout — whatever is
-    /// enumerated from it is sorted first — so the forest and everything
-    /// derived from it stay a pure function of the op schedule.
-    forest: HashSet<(u32, u32)>,
+    /// Net copies added per pair since the last fold, never zero (`i64`: a
+    /// net delta spans `±u32::MAX`). Empty until the first fold, which
+    /// reads the live pairs instead.
+    pending: HashMap<(u32, u32), i64>,
 }
 
 impl Turnstile {
-    /// Brings the sketch up to the live edge log (`edges` / `edge_alive`
-    /// over `n` vertices): pushes the vertices it lacks, removes every stale
-    /// slot, adds every live slot past the watermark, then advances it. By
-    /// linearity the result equals the sketch of the live multiset built
-    /// from scratch; each slot is added at most once and removed at most
-    /// once over the engine's life.
-    fn fold(&mut self, n: usize, edges: &[(u32, u32)], edge_alive: &[bool]) {
+    /// Notes one op's `delta` on `key` for the next fold.
+    fn note(&mut self, key: (u32, u32), delta: i64) {
+        if self.sketch.num_vertices() == 0 {
+            return;
+        }
+        match self.pending.entry(key) {
+            Entry::Occupied(net) if *net.get() == -delta => _ = net.remove(),
+            Entry::Occupied(mut net) => *net.get_mut() += delta,
+            Entry::Vacant(net) => _ = net.insert(delta),
+        }
+    }
+
+    /// Brings the sketch up to the live multiset over `n` vertices: pushes
+    /// the vertices it lacks, then applies the pending deltas — on the first
+    /// fold, every live copy. By linearity the result equals the sketch of
+    /// the live multiset built from scratch.
+    fn fold(&mut self, n: usize, live: &HashMap<(u32, u32), LivePair>) {
+        let first = self.sketch.num_vertices() == 0;
         for _ in self.sketch.num_vertices()..n {
             self.sketch.push_vertex();
         }
-        for slot in self.stale.drain(..) {
-            let (u, v) = edges[slot as usize];
-            self.sketch.remove_edge(u, v);
-        }
-        for (&(u, v), &alive) in edges[self.synced..].iter().zip(&edge_alive[self.synced..]) {
-            if alive {
-                self.sketch.add_edge(u, v);
+        let copies = first.then_some(live).into_iter().flatten();
+        let copies = copies.map(|(&key, pair)| (key, i64::from(pair.copies)));
+        for ((u, v), delta) in copies.chain(self.pending.drain()) {
+            let update = if delta > 0 {
+                DynamicConnectivitySketch::add_edge
+            } else {
+                DynamicConnectivitySketch::remove_edge
+            };
+            for _ in 0..delta.unsigned_abs() {
+                update(&mut self.sketch, u, v);
             }
         }
-        self.synced = edges.len();
     }
 }
 
-/// Every logged insert gets a `u32` slot in the edge log, and the log never
-/// compacts, so a batch that would push it past `u32::MAX` entries must be
-/// refused whole: a wrapped slot would point a later deletion at the wrong
-/// log entry.
-fn check_edge_log_room(logged: usize, inserts: usize) -> Result<(), CoreError> {
-    match logged.checked_add(inserts) {
+/// Refuses a batch that would push a `u32`-bounded count past `u32::MAX`:
+/// the live edges (which bound every pair's `copies`) or the vertex ids (the
+/// interner, `live` and the sketch index by them). `adding` may be an upper bound.
+fn check_u32_room(what: &str, count: usize, adding: usize) -> Result<(), CoreError> {
+    match count.checked_add(adding) {
         Some(total) if total <= u32::MAX as usize => Ok(()),
         _ => Err(CoreError::BadParams(format!(
-            "stream: edge log full ({logged} logged inserts + {inserts} in this batch \
-             exceed the u32 slot space)"
-        ))),
-    }
-}
-
-/// Dense vertex ids are `u32`s (the interner, the `edge_slots` pair keys and
-/// the sketch all index by them), so a batch whose arrivals would push the
-/// distinct-id count past `u32::MAX` must be refused whole, like a full edge
-/// log. `arrivals` may be an upper bound on the ids the batch introduces.
-fn check_vertex_room(vertices: usize, arrivals: usize) -> Result<(), CoreError> {
-    match vertices.checked_add(arrivals) {
-        Some(total) if total <= u32::MAX as usize => Ok(()),
-        _ => Err(CoreError::BadParams(format!(
-            "stream: more than {} distinct vertex ids ({vertices} seen + up to {arrivals} \
-             arriving in this batch)",
+            "stream: more than {} {what} ({count} + up to {adding} in this batch)",
             u32::MAX
         ))),
     }
@@ -500,10 +444,9 @@ impl IncrementalComponents {
             params,
             interner: HashMap::new(),
             original_ids: Vec::new(),
-            edges: Vec::new(),
-            edge_alive: Vec::new(),
+            live: HashMap::new(),
             live_edges: 0,
-            edge_slots: HashMap::new(),
+            inserts: 0,
             turnstile: None,
             sketch_seed: seed ^ 0xA6D1_5EED_0F57_u64,
             splits_total: 0,
@@ -533,22 +476,17 @@ impl IncrementalComponents {
         let mut delta: HashMap<(u64, u64), i64> = HashMap::new();
         for op in batch {
             let key = (op.u.min(op.v), op.u.max(op.v));
+            let d = delta.entry(key).or_insert(0);
             match op.kind {
-                OpKind::Insert => {
-                    *delta.entry(key).or_insert(0) += 1;
-                }
+                OpKind::Insert => *d += 1,
                 OpKind::Delete => {
-                    let d = delta.entry(key).or_insert(0);
                     *d -= 1;
-                    if *d < 0 {
-                        let live = self.live_copies(op.u, op.v) as i64;
-                        if live + *d < 0 {
-                            return Err(CoreError::BadParams(format!(
-                                "stream: deletion of edge ({}, {}) with no live copy \
-                                 (never inserted, or already deleted)",
-                                op.u, op.v
-                            )));
-                        }
+                    if *d < 0 && self.live_copies(op.u, op.v) as i64 + *d < 0 {
+                        return Err(CoreError::BadParams(format!(
+                            "stream: deletion of edge ({}, {}) with no live copy \
+                             (never inserted, or already deleted)",
+                            op.u, op.v
+                        )));
                     }
                 }
             }
@@ -562,7 +500,7 @@ impl IncrementalComponents {
             return 0;
         };
         let key = (u.min(v), u.max(v));
-        self.edge_slots.get(&key).map_or(0, Vec::len)
+        self.live.get(&key).map_or(0, |pair| pair.copies as usize)
     }
 
     /// Applies one op batch (insertions and deletions on raw `u64` vertex
@@ -579,7 +517,7 @@ impl IncrementalComponents {
     ///   sketch a cut would need cannot exist);
     /// * a deletion with no live copy to remove — an edge never inserted, or
     ///   already deleted, accounting for earlier ops *in the same batch*;
-    /// * inserts that would grow the edge log past `u32::MAX` logged entries;
+    /// * inserts that would push the live edges past `u32::MAX`;
     /// * arrivals that would push the distinct vertex ids past `u32::MAX`.
     ///
     /// A batch that passes validation is applied in full.
@@ -597,18 +535,18 @@ impl IncrementalComponents {
             }
             self.validate_deletions(batch)?;
         }
-        check_edge_log_room(self.edges.len(), inserts)?;
+        check_u32_room("live edges", self.live_edges, inserts)?;
         // Every insert brings at most two new ids; only a batch that fails
         // this cheap bound pays for the exact count of unseen ones.
         let n = self.original_ids.len();
-        if check_vertex_room(n, inserts.saturating_mul(2)).is_err() {
+        if check_u32_room("vertex ids", n, inserts.saturating_mul(2)).is_err() {
             let unseen: HashSet<u64> = batch
                 .iter()
                 .filter(|op| op.kind == OpKind::Insert)
                 .flat_map(|op| [op.u, op.v])
                 .filter(|raw| !self.interner.contains_key(raw))
                 .collect();
-            check_vertex_room(n, unseen.len())?;
+            check_u32_room("vertex ids", n, unseen.len())?;
         }
 
         let started = Instant::now();
@@ -630,24 +568,17 @@ impl IncrementalComponents {
         self.ctx.charge_shuffle(len);
         let _ = self.ctx.record_balanced_load(2 * len);
 
-        // First deletion ever: build the spanning forest from the live
-        // multiset, next to an empty sketch at watermark 0 that the first
-        // cut folds the log into (insert-only workloads never get here). One
+        // First deletion ever: an empty sketch that the first cut folds the
+        // live multiset into (insert-only workloads never get here). One
         // simulated round routing every live edge to its two endpoint
-        // sketches, which is also where the machine holding an edge learns
-        // whether it is a forest edge — charged here whenever the fold runs,
-        // so the model's cost does not depend on the host's laziness.
+        // sketches — charged here whenever the fold runs, so the model's
+        // cost does not depend on the host's laziness.
         if has_delete && self.turnstile.is_none() {
             self.ctx.charge_shuffle(2 * self.live_edges);
             self.turnstile = Some(Box::new(Turnstile {
                 sketch: DynamicConnectivitySketch::new(self.params.sketch_phases, self.sketch_seed),
-                synced: 0,
-                stale: Vec::new(),
-                forest: HashSet::new(),
+                pending: HashMap::new(),
             }));
-            // Before the first deletion the union–find is exact: keep only
-            // the forest the pass builds.
-            self.union_pass();
         }
 
         let mut new_vertices = 0usize;
@@ -667,23 +598,29 @@ impl IncrementalComponents {
                     insertions += 1;
                     let u = self.intern(op.u, &mut new_vertices) as usize;
                     let v = self.intern(op.v, &mut new_vertices) as usize;
-                    let slot = self.edges.len() as u32;
-                    self.edges.push((u as u32, v as u32));
-                    self.edge_alive.push(true);
                     self.live_edges += 1;
-                    let key = (u.min(v) as u32, u.max(v) as u32);
-                    self.edge_slots.entry(key).or_default().push(slot);
                     self.degrees[u] += 1;
                     if u != v {
                         self.degrees[v] += 1;
                     }
+                    let key = (u.min(v) as u32, u.max(v) as u32);
                     let (ru, rv) = (self.uf.find(u), self.uf.find(v));
+                    let pair = self.live.entry(key).or_insert(LivePair {
+                        copies: 0,
+                        since: self.inserts,
+                        reversed: u > v,
+                        forest: false,
+                    });
+                    pair.copies += 1;
+                    // A union that joins two sets joins two trees: the link
+                    // forest of Liu–Tarjan. (A pair with a live copy already
+                    // lies inside one set, so only a new pair can join.)
+                    pair.forest |= ru != rv;
+                    self.inserts += 1;
+                    if let Some(t) = &mut self.turnstile {
+                        t.note(key, 1);
+                    }
                     if ru != rv {
-                        if let Some(t) = &mut self.turnstile {
-                            // The union below joins two sets, hence two
-                            // trees: the link forest of Liu–Tarjan.
-                            t.forest.insert(key);
-                        }
                         // Classify the union *before* the roots are
                         // destroyed: a merge of two standing components
                         // escalates; otherwise the merged set inherits the
@@ -728,28 +665,21 @@ impl IncrementalComponents {
                     let u = self.interner[&op.u] as usize;
                     let v = self.interner[&op.v] as usize;
                     let key = (u.min(v) as u32, u.max(v) as u32);
-                    let Entry::Occupied(mut stack) = self.edge_slots.entry(key) else {
+                    let Entry::Occupied(mut pair) = self.live.entry(key) else {
                         unreachable!("validated: live copy exists");
                     };
-                    let slot = stack.get_mut().pop().expect("a kept stack is non-empty") as usize;
-                    let last_copy = stack.get().is_empty();
-                    if last_copy {
-                        stack.remove();
-                    }
-                    self.edge_alive[slot] = false;
+                    pair.get_mut().copies -= 1;
+                    let last_copy = pair.get().copies == 0;
+                    let forest = last_copy && pair.remove().forest;
                     self.live_edges -= 1;
                     self.degrees[u] -= 1;
                     if u != v {
                         self.degrees[v] -= 1;
                     }
-                    let t = self
-                        .turnstile
+                    self.turnstile
                         .as_mut()
-                        .expect("built before the first deletion is applied");
-                    if slot < t.synced {
-                        // Folded already: the next fold takes it back out.
-                        t.stale.push(slot as u32);
-                    }
+                        .expect("built before the first deletion is applied")
+                        .note(key, -1);
 
                     if u != v {
                         if last_copy {
@@ -757,7 +687,7 @@ impl IncrementalComponents {
                             // the endpoints adjacent. Only if the pair was a
                             // forest edge can the component have split.
                             dirty.push(u as u32);
-                            if t.forest.remove(&key) {
+                            if forest {
                                 cut.push(u as u32);
                             }
                         }
@@ -888,11 +818,11 @@ impl IncrementalComponents {
                 members_of[slot_of_root[r]].push(v as u32);
             }
         }
-        let turnstile = self.turnstile.as_mut().expect("a cut requires the forest");
+        let turnstile = self.turnstile.as_mut().expect("a cut is a deletion");
         // The one place the sketch is read, so the one place it is synced.
-        turnstile.fold(n, &self.edges, &self.edge_alive);
+        turnstile.fold(n, &self.live);
         let mut known_of: Vec<Vec<(u32, u32)>> = vec![Vec::new(); roots.len()];
-        for &(u, v) in &turnstile.forest {
+        for (&(u, v), _) in self.live.iter().filter(|(_, pair)| pair.forest) {
             let slot = slot_of_root[self.uf.find(u as usize)];
             if slot != usize::MAX {
                 known_of[slot].push((u, v));
@@ -914,14 +844,16 @@ impl IncrementalComponents {
             if !partition
                 .links
                 .iter()
-                .all(|link| self.edge_slots.contains_key(link))
+                .all(|link| self.live.contains_key(link))
             {
                 return None;
             }
             links.extend(partition.links);
             partitions.push(partition.parts);
         }
-        turnstile.forest.extend(links);
+        for link in &links {
+            self.live.get_mut(link).expect("checked live").forest = true;
+        }
 
         let mut splits = 0usize;
         for parts in &partitions {
@@ -967,17 +899,10 @@ impl IncrementalComponents {
             self.uf = uf;
             self.cert_floor = floor;
             self.cert_cap = cap;
-            // Refresh the oldest-member tags: reset every slot, take minima
-            // over the new sets. Split-off parts mint fresh component ids
-            // through the snapshot's oldest-member rule; the part keeping
-            // the old oldest member keeps the old id.
-            for (v, slot) in self.oldest.iter_mut().enumerate() {
-                *slot = v as u32;
-            }
-            for v in 0..n {
-                let r = self.uf.find(v);
-                self.oldest[r] = self.oldest[r].min(v as u32);
-            }
+            // Split-off parts mint fresh component ids through the
+            // snapshot's oldest-member rule; the part keeping the old oldest
+            // member keeps the old id.
+            self.refresh_oldest();
             self.snap_structure_dirty = true;
         }
         Some((splits, recertifies))
@@ -1001,7 +926,7 @@ impl IncrementalComponents {
 
     /// Dense id of `raw`, minting the next one for an id never seen. Cannot
     /// run out of `u32`s: `apply_ops_batch` refused the batch up front
-    /// ([`check_vertex_room`]) if its arrivals would not fit.
+    /// ([`check_u32_room`]) if its arrivals would not fit.
     fn intern(&mut self, raw: u64, new_vertices: &mut usize) -> u32 {
         if let Some(&id) = self.interner.get(&raw) {
             return id;
@@ -1025,7 +950,7 @@ impl IncrementalComponents {
     }
 
     /// Slow path: rebuild the partition and the spanning forest with one
-    /// union–find pass over the live edge log (`cut`: one endpoint per cut
+    /// union–find pass over the live pairs (`cut`: one endpoint per cut
     /// of the batch), then refresh the oldest-member tags and every
     /// component's certificate.
     fn recompute(&mut self, cut: &[u32]) {
@@ -1058,12 +983,12 @@ impl IncrementalComponents {
                     members += self.uf.set_size(r);
                 }
             }
-            let edges = self
-                .edges
+            let edges: usize = self
+                .live
                 .iter()
-                .zip(&self.edge_alive)
-                .filter(|&(&(u, _), &alive)| alive && in_cut[self.uf.find(u as usize)])
-                .count();
+                .filter(|&(&(u, _), _)| in_cut[self.uf.find(u as usize)])
+                .map(|(_, pair)| pair.copies as usize)
+                .sum();
             self.ctx.charge_shuffle(2 * edges);
             self.ctx.charge_shuffle(members);
         }
@@ -1076,14 +1001,9 @@ impl IncrementalComponents {
         let mut min_deg = vec![u32::MAX; n];
         let mut max_deg = vec![0u32; n];
         let mut deg_sum = vec![0u64; n];
-        // Stale root tags from before the rebuild must not survive: reset
-        // every slot to its own id, then take minima over the new sets.
-        for (v, slot) in self.oldest.iter_mut().enumerate() {
-            *slot = v as u32;
-        }
+        self.refresh_oldest();
         for v in 0..n {
             let r = self.uf.find(v);
-            self.oldest[r] = self.oldest[r].min(v as u32);
             min_deg[r] = min_deg[r].min(self.degrees[v]);
             max_deg[r] = max_deg[r].max(self.degrees[v]);
             deg_sum[r] += u64::from(self.degrees[v]);
@@ -1107,6 +1027,16 @@ impl IncrementalComponents {
         }
         self.bootstrapped = true;
         self.snap_structure_dirty = true;
+    }
+
+    /// Re-derives the oldest-member tags over a rebuilt union–find: each
+    /// root gets its set's smallest dense id (the last one written, going
+    /// down).
+    fn refresh_oldest(&mut self) {
+        for v in (0..self.oldest.len()).rev() {
+            let r = self.uf.find(v);
+            self.oldest[r] = v as u32;
+        }
     }
 
     /// Builds a publishable [`ComponentSnapshot`] of the current
@@ -1265,47 +1195,42 @@ impl IncrementalComponents {
         self.sketch_recertifies_total
     }
 
-    /// Whether the deletion-side state — the spanning forest and the
-    /// turnstile sketch it is folded into at cuts — exists (it is lazy:
-    /// `false` until the first deletion ever seen).
+    /// Whether the turnstile sketch — folded in at cuts — exists (it is
+    /// lazy: `false` until the first deletion ever seen).
     pub fn sketch_active(&self) -> bool {
         self.turnstile.is_some()
     }
 
-    /// Materialises the surviving (live-edge) graph on the dense vertex set,
-    /// edges in insertion order.
+    /// Materialises the surviving (live-edge) graph on the dense vertex set:
+    /// the live pairs `(u, v)`, `u <= v`, in sorted order, each repeated once
+    /// per copy — a function of the live multiset alone.
     pub fn current_graph(&self) -> Graph {
+        let mut pairs: Vec<_> = self.live.iter().collect();
+        pairs.sort_unstable_by_key(|&(&key, _)| key);
         Graph::from_edges_unchecked(
             self.original_ids.len(),
-            self.live_edge_log().map(|(u, v)| (u as usize, v as usize)),
+            pairs.into_iter().flat_map(|(&(u, v), pair)| {
+                std::iter::repeat_n((u as usize, v as usize), pair.copies as usize)
+            }),
         )
     }
 
-    /// The live slots of the edge log, in insertion order.
-    fn live_edge_log(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.edges
-            .iter()
-            .zip(self.edge_alive.iter())
-            .filter(|&(_, &alive)| alive)
-            .map(|(&edge, _)| edge)
-    }
-
-    /// One union–find pass over the live edge log, returning the partition
-    /// it builds: the exact components of the live multiset. Once a deletion
-    /// has built the turnstile, the spanning forest starts over as the pair
-    /// of every edge that joins two sets.
+    /// One union–find pass over the live pairs, returning the partition it
+    /// builds: the exact components of the live multiset. Pairs are
+    /// unioned in `since` order — Kruskal in the order their surviving
+    /// copies arrived — and the spanning forest starts over as the pairs
+    /// that join two sets.
     fn union_pass(&mut self) -> UnionFind {
         let mut uf = UnionFind::new(self.original_ids.len());
-        let mut forest = self.turnstile.as_deref_mut().map(|t| {
-            t.forest.clear();
-            &mut t.forest
-        });
-        for (&(u, v), &alive) in self.edges.iter().zip(&self.edge_alive) {
-            if alive && uf.union(u as usize, v as usize) {
-                if let Some(forest) = forest.as_mut() {
-                    forest.insert((u.min(v), u.max(v)));
-                }
-            }
+        let mut pairs: Vec<(u64, &(u32, u32), &mut LivePair)> = self
+            .live
+            .iter_mut()
+            .map(|(key, pair)| (pair.since, key, pair))
+            .collect();
+        pairs.sort_unstable_by_key(|&(since, ..)| since);
+        for (_, &(u, v), pair) in pairs {
+            let (x, y) = if pair.reversed { (v, u) } else { (u, v) };
+            pair.forest = uf.union(x as usize, y as usize);
         }
         uf
     }
@@ -1313,9 +1238,14 @@ impl IncrementalComponents {
     /// The maintained spanning forest of the live edge multiset as sorted
     /// dense-id pairs `(u, v)`, `u < v` (the vertex numbering of
     /// [`current_graph`](Self::current_graph)); `None` until the first
-    /// deletion ever seen builds it.
+    /// deletion ever seen.
     pub fn spanning_forest(&self) -> Option<Vec<(u32, u32)>> {
-        let mut forest: Vec<(u32, u32)> = self.turnstile.as_ref()?.forest.iter().copied().collect();
+        self.turnstile.as_ref()?;
+        let mut forest: Vec<(u32, u32)> = self
+            .live
+            .iter()
+            .filter_map(|(&key, pair)| pair.forest.then_some(key))
+            .collect();
         forest.sort_unstable();
         Some(forest)
     }
@@ -1342,19 +1272,22 @@ impl IncrementalComponents {
 mod tests {
     use super::*;
 
+    /// Whether [`check_u32_room`] lets `count + adding` through; it refuses
+    /// with `BadParams`.
+    fn u32_room(count: usize, adding: usize) -> bool {
+        let checked = check_u32_room("things", count, adding);
+        assert!(matches!(checked, Ok(()) | Err(CoreError::BadParams(_))));
+        checked.is_ok()
+    }
+
     #[test]
-    fn edge_log_room_is_checked_at_the_u32_boundary() {
+    fn live_edge_room_is_checked_at_the_u32_boundary() {
         let max = u32::MAX as usize;
-        assert!(check_edge_log_room(0, 0).is_ok());
-        assert!(check_edge_log_room(max - 5, 5).is_ok());
-        assert!(check_edge_log_room(max, 0).is_ok());
-        for (logged, inserts) in [(max - 5, 6), (max, 1), (0, max + 1), (usize::MAX, 1)] {
+        assert!(u32_room(0, 0) && u32_room(max - 5, 5) && u32_room(max, 0));
+        for (live, inserts) in [(max - 5, 6), (max, 1), (0, max + 1), (usize::MAX, 1)] {
             assert!(
-                matches!(
-                    check_edge_log_room(logged, inserts),
-                    Err(CoreError::BadParams(_))
-                ),
-                "{logged} + {inserts} must be refused"
+                !u32_room(live, inserts),
+                "{live} + {inserts} must be refused"
             );
         }
     }
@@ -1364,16 +1297,11 @@ mod tests {
         let max = u32::MAX as usize;
         // Totals of u32::MAX − 1 and u32::MAX distinct ids fit; one more does
         // not, and neither does an overflowing sum.
-        assert!(check_vertex_room(0, 0).is_ok());
-        assert!(check_vertex_room(max - 3, 2).is_ok());
-        assert!(check_vertex_room(max - 3, 3).is_ok());
-        assert!(check_vertex_room(max, 0).is_ok());
+        assert!(u32_room(0, 0) && u32_room(max - 3, 2) && u32_room(max - 3, 3));
+        assert!(u32_room(max, 0));
         for (vertices, arrivals) in [(max - 3, 4), (max, 1), (0, max + 1), (1, usize::MAX)] {
             assert!(
-                matches!(
-                    check_vertex_room(vertices, arrivals),
-                    Err(CoreError::BadParams(_))
-                ),
+                !u32_room(vertices, arrivals),
                 "{vertices} + {arrivals} must be refused"
             );
         }
@@ -1813,17 +1741,17 @@ mod tests {
         ]);
         engine.apply_ops_batch(&ops).unwrap();
         // A parallel copy goes and a cut splits the tail off, which folds
-        // the log into the sketch: the watermark sits at its end.
+        // the live multiset into the sketch and leaves nothing pending.
         engine
             .apply_ops_batch(&[EdgeOp::delete(0, 1), EdgeOp::delete(11, 12)])
             .unwrap();
         let before = engine.turnstile.clone().expect("built by the deletion");
-        let pairs_before = engine.edge_slots.len();
-        assert!(before.forest.contains(&(0, 6)));
-        assert_eq!(before.synced, engine.edges.len());
-        assert!(before.stale.is_empty());
+        let live_before = engine.live.clone();
+        assert!(live_before[&(0, 6)].forest);
+        assert_eq!(before.sketch.num_vertices(), engine.num_vertices());
+        assert!(before.pending.is_empty());
 
-        // A cut of a folded slot, an insert and a last-copy deletion, all
+        // A cut of a folded pair, an insert and a last-copy deletion, all
         // valid — and then one deletion too many.
         let err = engine.apply_ops_batch(&[
             EdgeOp::delete(0, 6),
@@ -1834,13 +1762,11 @@ mod tests {
         assert!(matches!(err, Err(CoreError::BadParams(_))), "got {err:?}");
         let after = engine.turnstile.as_ref().unwrap();
         assert!(after.sketch == before.sketch, "sketch moved");
-        assert_eq!(after.forest, before.forest);
-        assert_eq!(after.synced, before.synced);
-        assert_eq!(
-            after.stale, before.stale,
-            "a refused batch left a stale slot"
+        assert!(
+            after.pending.is_empty(),
+            "a refused batch left a pending delta"
         );
-        assert_eq!(engine.edge_slots.len(), pairs_before);
+        assert_eq!(engine.live, live_before);
         assert_eq!(engine.num_components(), 2);
     }
 
@@ -1875,17 +1801,16 @@ mod tests {
     #[test]
     fn only_a_cut_folds_the_log_into_the_sketch() {
         let mut engine = IncrementalComponents::new(params(), 77);
-        // Two 6-cliques and a bridge. The forest built at the first
-        // deletion is each clique's star around its first vertex plus the
-        // bridge, so `(1, 2)`, `(2, 3)` and `(7, 8)` are structural but no
-        // cut.
+        // Two 6-cliques and a bridge. The forest is each clique's star
+        // around its first vertex plus the bridge, so `(1, 2)`, `(2, 3)` and
+        // `(7, 8)` are structural but no cut.
         let mut ops = clique_ops(0, 6);
         ops.extend(clique_ops(6, 12));
         ops.push(EdgeOp::insert(0, 6));
         engine.apply_ops_batch(&ops).unwrap();
         let unfolded = |engine: &IncrementalComponents| {
             let t = engine.turnstile.as_ref().expect("built by a deletion");
-            t.synced == 0 && t.sketch.num_vertices() == 0 && t.stale.is_empty()
+            t.sketch.num_vertices() == 0 && t.pending.is_empty()
         };
 
         let r = engine.apply_ops_batch(&[EdgeOp::delete(1, 2)]).unwrap();
@@ -1902,23 +1827,25 @@ mod tests {
         assert_eq!(r.forest_cuts, 0);
         assert!(unfolded(&engine));
 
-        // The bridge is a cut: the first read folds every live slot and
+        // The bridge is a cut: the first read folds every live pair and
         // every vertex in, and the split is exact.
         let r = engine.apply_ops_batch(&[EdgeOp::delete(6, 0)]).unwrap();
         assert_eq!(
             (r.path, r.forest_cuts, r.splits),
             (BatchPath::SketchRepair, 1, 1)
         );
-        let t = engine.turnstile.as_ref().unwrap();
-        assert_eq!(t.synced, engine.edges.len());
+        let t = engine.turnstile.clone().unwrap();
         assert_eq!(t.sketch.num_vertices(), engine.num_vertices());
-        assert!(t.stale.is_empty());
+        assert!(t.pending.is_empty());
 
-        // A later cut-free deletion of a folded slot is only noted.
-        let synced = t.synced;
-        engine.apply_ops_batch(&[EdgeOp::delete(7, 8)]).unwrap();
-        let t = engine.turnstile.as_ref().unwrap();
-        assert_eq!((t.synced, t.stale.len()), (synced, 1));
+        // A later cut-free deletion of a folded pair is only noted; an
+        // insert and a deletion of one pair between cuts cancel out.
+        let (ins, del) = (EdgeOp::insert, EdgeOp::delete);
+        let r = engine.apply_ops_batch(&[del(7, 8), ins(1, 3), del(3, 1)]);
+        assert_eq!(r.unwrap().forest_cuts, 0);
+        let after = engine.turnstile.as_ref().unwrap();
+        assert!(after.sketch == t.sketch, "a cut-free batch read the sketch");
+        assert_eq!(after.pending, HashMap::from([((7, 8), -1)]));
         let truth = connected_components(&engine.current_graph());
         assert!(engine.labels().same_partition(&truth));
     }
@@ -1944,7 +1871,7 @@ mod tests {
         let mut engine = IncrementalComponents::new(params().with_threads(1), 79);
         engine.apply_ops_batch(&EdgeOp::inserts(&live)).unwrap();
 
-        let (mut below, mut above, mut late_arrivals, mut cut_batches, mut merges) =
+        let (mut removals, mut additions, mut late_arrivals, mut cut_batches, mut merges) =
             (false, false, 0, 0, 0);
         let mut next_arrival = 1000u64;
         for b in 0..40 {
@@ -1993,18 +1920,18 @@ mod tests {
             let Some(t) = engine.turnstile.as_ref() else {
                 continue;
             };
-            below |= !t.stale.is_empty();
-            above |= engine.edge_alive[t.synced..].contains(&false);
+            removals |= t.pending.values().any(|&delta| delta < 0);
+            additions |= t.pending.values().any(|&delta| delta > 0);
             let n = engine.num_vertices();
             let mut folded = t.clone();
-            folded.fold(n, &engine.edges, &engine.edge_alive);
+            folded.fold(n, &engine.live);
             let mut fresh =
                 DynamicConnectivitySketch::new(engine.params.sketch_phases, engine.sketch_seed);
             for _ in 0..n {
                 fresh.push_vertex();
             }
-            for (u, v) in engine.live_edge_log() {
-                fresh.add_edge(u, v);
+            for (u, v) in engine.current_graph().edge_iter() {
+                fresh.add_edge(u as u32, v as u32);
             }
             assert!(folded.sketch == fresh, "batch {b}: folded sketch differs");
             let all: Vec<u32> = (0..n as u32).collect();
@@ -2017,8 +1944,8 @@ mod tests {
             assert!(engine.labels().same_partition(&truth), "batch {b}");
         }
         assert!(
-            below && above,
-            "deletes below ({below}) and above ({above}) the watermark"
+            removals && additions,
+            "pending removals ({removals}) and additions ({additions})"
         );
         assert!(
             late_arrivals >= 2,
@@ -2029,31 +1956,26 @@ mod tests {
     }
 
     #[test]
-    fn edge_slots_holds_exactly_the_live_pairs_under_churn() {
+    fn live_state_holds_exactly_the_live_multiset_under_churn() {
         let mut engine = IncrementalComponents::new(params(), 69);
-        let batches = expander_batches(&[60], 8, 45);
-        engine.apply_ops_batch(&batches[0]).unwrap();
-        let mut live: HashMap<(u64, u64), usize> = HashMap::new();
-        for op in &batches[0] {
-            *live.entry((op.u.min(op.v), op.u.max(op.v))).or_insert(0) += 1;
-        }
-        // Pairs the expander does not use, five fresh ones per batch (the
-        // first of them twice); each batch deletes every copy the previous
-        // one inserted.
+        // An expander, and a two-vertex component below the certificate's
+        // minimum size.
+        let mut ops = expander_batches(&[60], 8, 45).remove(0);
+        ops.push(EdgeOp::insert(500, 501));
+        let used: HashSet<(u64, u64)> = ops.iter().map(|op| (op.u, op.v)).collect();
+        // Then pairs the expander does not use, five per batch (the first of
+        // them twice, plus a self-loop), recycled once dead; each batch
+        // deletes every copy the previous one inserted. Every 25th batch
+        // also hangs a fresh vertex off 501 and the next one cuts it off, so
+        // the sketch is folded and pending deltas build up between cuts.
         let mut fresh = (0..60u64)
             .flat_map(|u| (u + 1..60).map(move |v| (u, v)))
-            .filter(|pair| !live.contains_key(pair))
+            .filter(|&(u, v)| !used.contains(&(u, v)) && !used.contains(&(v, u)))
             .collect::<Vec<_>>()
-            .into_iter();
-        let mut previous: Vec<(u64, u64)> = Vec::new();
-        for batch in 0..200 {
-            let mut ops: Vec<EdgeOp> = previous
-                .drain(..)
-                .map(|(u, v)| EdgeOp::delete(v, u))
-                .collect();
-            previous.extend(fresh.by_ref().take(5));
-            previous.push(previous[0]);
-            ops.extend(previous.iter().map(|&(u, v)| EdgeOp::insert(u, v)));
+            .into_iter()
+            .cycle();
+        let (mut live, mut previous, mut pending_seen) = (HashMap::new(), Vec::new(), false);
+        for batch in 0..=2000u64 {
             for op in &ops {
                 let count = live.entry((op.u.min(op.v), op.u.max(op.v))).or_insert(0);
                 match op.kind {
@@ -2063,10 +1985,39 @@ mod tests {
             }
             live.retain(|_, count| *count > 0);
             engine.apply_ops_batch(&ops).unwrap();
-            assert_eq!(engine.edge_slots.len(), live.len(), "batch {batch}");
-            assert!(engine.edge_slots.values().all(|stack| !stack.is_empty()));
+            let raw = |dense: u32| engine.original_ids()[dense as usize];
+            let held: HashMap<(u64, u64), u32> = engine
+                .live
+                .iter()
+                .map(|(&(u, v), pair)| ((raw(u).min(raw(v)), raw(u).max(raw(v))), pair.copies))
+                .collect();
+            assert_eq!(held, live, "batch {batch}");
+            if let Some(t) = &engine.turnstile {
+                assert!(!t.pending.values().any(|&d| d == 0), "batch {batch}");
+                pending_seen |= !t.pending.is_empty();
+                // The forest flags span the live multiset without a cycle.
+                let mut uf = UnionFind::new(engine.num_vertices());
+                let forest = engine.spanning_forest().expect("built with the turnstile");
+                let acyclic = forest
+                    .iter()
+                    .all(|&(u, v)| uf.union(u as usize, v as usize));
+                assert!(acyclic && uf.into_labels().same_partition(&engine.labels()));
+            }
+
+            ops = previous
+                .drain(..)
+                .map(|(u, v)| EdgeOp::delete(v, u))
+                .collect();
+            previous.extend(fresh.by_ref().take(5));
+            previous.extend([previous[0], (batch % 60, batch % 60)]);
+            if batch % 25 == 0 {
+                previous.push((501, 1000 + batch));
+            }
+            ops.extend(previous.iter().map(|&(u, v)| EdgeOp::insert(u, v)));
         }
-        assert_eq!(engine.num_edges(), live.values().sum::<usize>());
+        assert!(pending_seen, "no pending delta between cuts");
+        assert_eq!(engine.splits(), 80);
+        assert_eq!(engine.num_edges(), live.values().sum::<u32>() as usize);
     }
 
     #[test]
@@ -2089,6 +2040,54 @@ mod tests {
         assert_eq!(engine.num_edges(), batches[0].len());
         let truth = connected_components(&engine.current_graph());
         assert!(engine.labels().same_partition(&truth));
+    }
+
+    /// An escalation's union–find is, root for root, a pass over the
+    /// surviving copies in arrival order and orientation (a deletion takes
+    /// its pair's newest copy): the roots order a batch's cut components.
+    #[test]
+    fn an_escalation_unions_surviving_copies_in_arrival_order() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(83);
+        let mut engine = IncrementalComponents::new(params(), 83);
+        // Live copies per raw pair as (arrival, u, v), newest last.
+        let mut copies: HashMap<(u64, u64), Vec<[u64; 3]>> = HashMap::new();
+        let (mut arrivals, mut checked) = (0, 0);
+        for b in 0..80 {
+            // Six ops inside two groups of six ids; every fifth batch a
+            // bridge between the groups goes in or out.
+            let mut ops = Vec::new();
+            for i in 0..7 {
+                let base = rng.gen_range(0..2u64) * 6;
+                let (u, v) = match i {
+                    6 if b % 5 == 4 => (6, 0),
+                    6 => break,
+                    _ => (base + rng.gen_range(0..6), base + rng.gen_range(0..6)),
+                };
+                let stack = copies.entry((u.min(v), u.max(v))).or_default();
+                if (i == 6 || b > 0 && rng.gen_bool(0.4)) && stack.pop().is_some() {
+                    ops.push(EdgeOp::delete(v, u));
+                } else {
+                    stack.push([arrivals, u, v]);
+                    arrivals += 1;
+                    ops.push(EdgeOp::insert(u, v));
+                }
+            }
+            let r = engine.apply_ops_batch(&ops).unwrap();
+            if !matches!(r.path, BatchPath::Recompute(_)) {
+                continue;
+            }
+            let mut survivors: Vec<[u64; 3]> = copies.values().flatten().copied().collect();
+            survivors.sort_unstable();
+            let mut reference = UnionFind::new(engine.num_vertices());
+            for [_, u, v] in survivors {
+                reference.union(engine.interner[&u] as usize, engine.interner[&v] as usize);
+            }
+            let roots = |uf: &mut UnionFind| (0..uf.len()).map(|x| uf.find(x)).collect::<Vec<_>>();
+            assert_eq!(roots(&mut engine.uf), roots(&mut reference), "batch {b}");
+            checked += 1;
+        }
+        assert!(checked >= 10, "{checked} escalations");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! two above the true sample. That resolution (±2×) is exactly what a
 //! latency SLO needs — the interesting question is "µs or ms", not the
 //! third significant digit — and it is what lets the histogram be shared
-//! verbatim between the server's stats reply, `wcc serve --json` and
-//! `wcc_loadgen`'s client-side report: 48 counters travel as 48 words on
-//! the wire, and merging two histograms is element-wise addition.
+//! verbatim between the server's stats reply and `wcc serve --json`: 48
+//! counters travel as 48 words on the wire, and merging two histograms is
+//! element-wise addition.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,7 +93,7 @@ impl LogHistogram {
 }
 
 /// An immutable snapshot of a [`LogHistogram`] with derived percentiles.
-/// Serializes into the `--json` records of `wcc serve` and `wcc_loadgen`.
+/// Serializes into the `--json` record of `wcc serve`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramSummary {
     /// Total samples recorded.

@@ -228,6 +228,42 @@ fn op_batch_granularity_does_not_change_the_final_partition() {
     }
 }
 
+/// `current_graph()` is a function of the live multiset alone: two schedules
+/// that reach it by different insert, delete and re-insert orders — parallel
+/// copies and self-loops included — list the same edges in the same order.
+#[test]
+fn current_graph_depends_only_on_the_live_multiset() {
+    let (ins, del) = (EdgeOp::insert, EdgeOp::delete);
+    // Both meet raw ids 1, 2, 3, 4 in that order, so dense ids agree, and
+    // end on {1,2}×3, {2,3}, {3,3}, {1,4}, {4,4}.
+    let a = [
+        vec![ins(1, 2), ins(2, 3), ins(3, 3), ins(4, 1)],
+        vec![ins(2, 1), del(2, 3), ins(3, 2), ins(4, 4)],
+        vec![del(4, 4), ins(4, 4), ins(1, 2)],
+    ];
+    let b = [
+        vec![ins(1, 2), ins(3, 3), ins(1, 4), ins(4, 4), ins(2, 3)],
+        vec![
+            ins(2, 3),
+            del(3, 2),
+            ins(2, 1),
+            ins(1, 2),
+            del(1, 4),
+            ins(4, 1),
+        ],
+    ];
+    let graph_after = |schedule: &[Vec<EdgeOp>]| {
+        let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 81);
+        replay_checked(&mut engine, schedule);
+        assert_eq!(engine.original_ids(), [1, 2, 3, 4]);
+        engine.current_graph().edge_iter().collect::<Vec<_>>()
+    };
+    let edges = graph_after(&a);
+    let sorted = [(0, 1), (0, 1), (0, 1), (0, 3), (1, 2), (2, 2), (3, 3)];
+    assert_eq!(edges, sorted);
+    assert_eq!(graph_after(&b), edges);
+}
+
 /// Per-batch oracle on a deletion-heavy schedule: [`replay_checked`] holds
 /// the labels to the live graph's connected components after every batch,
 /// while the sketch-repair path actually splits components instead of
