@@ -254,6 +254,48 @@ fn bench_sketch(c: &mut Criterion) {
     group.bench_function("subset_components_from/1000_members_1_cut", |b| {
         b.iter(|| sk.subset_components_from(&members, &known))
     });
+
+    // The streaming engine's first cut on the same shape: the ≈ 8 400 live
+    // pairs (both expanders and the window) go into an empty sketch, and
+    // Borůvka warm-starts over all 2 000 vertices from the two trees a
+    // bridge deletion leaves. `lazy` builds only the phase Borůvka reads,
+    // `eager` folds every pair into all 26 phases first.
+    let mut copies = std::collections::BTreeMap::new();
+    let edges = g.edge_iter().map(|(u, v)| (u as u32, v as u32));
+    for (u, v) in edges.chain(window.iter().copied()) {
+        *copies.entry((u.min(v), u.max(v))).or_insert(0i64) += 1;
+    }
+    let pairs: Vec<((u32, u32), i64)> = copies.into_iter().collect();
+    let everyone: Vec<u32> = (0..2 * half).collect();
+    let mut uf = UnionFind::new(everyone.len());
+    let forest: Vec<(u32, u32)> = pairs
+        .iter()
+        .map(|&(pair, _)| pair)
+        .filter(|&(u, v)| uf.union(u as usize, v as usize))
+        .collect();
+    let empty = |sketch: fn(usize, u64) -> DynamicConnectivitySketch| {
+        let mut sk = sketch(26, 0x5EED);
+        everyone.iter().for_each(|_| sk.push_vertex());
+        sk
+    };
+    let lazy = || {
+        empty(DynamicConnectivitySketch::lazy)
+            .subset_components_lazily(&everyone, &forest, || pairs.iter().copied())
+    };
+    let eager = || {
+        let mut sk = empty(DynamicConnectivitySketch::new);
+        for &((u, v), c) in &pairs {
+            sk.update_edge(u, v, c);
+        }
+        sk.subset_components_from(&everyone, &forest)
+    };
+    {
+        let first = lazy().expect("certifies");
+        assert_eq!(Some(&first), eager().as_ref(), "lazy and eager disagree");
+        assert_eq!((first.parts.len(), first.phases_used), (2, 0));
+    }
+    group.bench_function("first_cut/lazy", |b| b.iter(lazy));
+    group.bench_function("first_cut/eager", |b| b.iter(eager));
     group.finish();
 }
 

@@ -59,11 +59,14 @@
 //!   ([`DynamicConnectivitySketch::subset_components_from`]) re-certifies it
 //!   (the sampled links join the forest) or splits it exactly (every part's
 //!   summed sampler is zero, a randomness-independent test). Only a cut
-//!   reads the sketch, so only a cut brings it up to date: the first cut
-//!   ever folds every live copy in, later ops only move their pair's net
-//!   delta in a pending map (a delta back at zero leaves it), and each later
-//!   cut folds those deltas. By linearity the folded sketch equals one
-//!   updated per op, cell for cell.
+//!   reads the sketch, so only a cut brings it up to date, and only in the
+//!   phases it reads: Borůvka reads them in order and stops at the first
+//!   zero test that certifies, so each phase is built from the live pairs
+//!   (one weighted update per pair) the first time a cut reads it. Once
+//!   phase 0 exists, ops only move their pair's net delta in a pending map
+//!   (a delta back at zero leaves it), and each cut folds those deltas into
+//!   the built phases. By linearity every built phase equals one updated
+//!   per op, cell for cell.
 //!
 //! Such a batch reports [`BatchPath::SketchRepair`]. A cut component the
 //! sketch cannot certify ([`RecomputeReason::SketchUncertified`]) or an
@@ -73,9 +76,10 @@
 //! **Charges.** The two exchanges every batch pays carry each edge's forest
 //! flag, so a cut-free batch pays nothing more. The first deletion ever pays
 //! one round of `2 · live edges` words routing every live edge to its
-//! endpoint sketches (then, not at the host's fold: simulated machines
-//! update sketches as edges arrive). A cut component ships its members'
-//! sketches to a coordinator (`members · words_per_vertex` words) and gets
+//! endpoint sketches (then, not at the host's fold or phase build:
+//! simulated machines update every phase as edges arrive). A cut component
+//! ships its members' whole fixed-size sketches to a coordinator
+//! (`members · words_per_vertex` words, all phases) and gets
 //! labels back (`members` words), one round each. An escalation pays one
 //! round of `n` words (every degree to its label holder) plus, when the
 //! batch cut, that coordinator exchange with live edges in place of
@@ -349,19 +353,20 @@ struct LivePair {
 #[derive(Debug, Clone)]
 struct Turnstile {
     /// The paper's Proposition 8.1 sketches of the live edge multiset, as of
-    /// the last [`fold`](Turnstile::fold): only a cut reads it, so only a cut
-    /// brings it up to date. It holds no vertex until the first fold.
+    /// the last [`fold`](Turnstile::fold), in the phases built so far: only
+    /// a cut reads it, so only a cut brings it up to date, and a phase is
+    /// built from the live pairs the first time a cut's Borůvka reads it.
     sketch: DynamicConnectivitySketch,
     /// Net copies added per pair since the last fold, never zero (`i64`: a
-    /// net delta spans `±u32::MAX`). Empty until the first fold, which
-    /// reads the live pairs instead.
+    /// net delta spans `±u32::MAX`). Empty while no phase is built: a
+    /// phase is built from the live pairs, which hold every op.
     pending: HashMap<(u32, u32), i64>,
 }
 
 impl Turnstile {
     /// Notes one op's `delta` on `key` for the next fold.
     fn note(&mut self, key: (u32, u32), delta: i64) {
-        if self.sketch.num_vertices() == 0 {
+        if self.sketch.built_phases() == 0 {
             return;
         }
         match self.pending.entry(key) {
@@ -371,26 +376,16 @@ impl Turnstile {
         }
     }
 
-    /// Brings the sketch up to the live multiset over `n` vertices: pushes
-    /// the vertices it lacks, then applies the pending deltas — on the first
-    /// fold, every live copy. By linearity the result equals the sketch of
-    /// the live multiset built from scratch.
-    fn fold(&mut self, n: usize, live: &HashMap<(u32, u32), LivePair>) {
-        let first = self.sketch.num_vertices() == 0;
+    /// Brings the built phases up to the live multiset over `n` vertices:
+    /// pushes the vertices the sketch lacks, then applies each pending
+    /// delta as one weighted update. By linearity the result equals the
+    /// sketch of the live multiset built from scratch, phase for phase.
+    fn fold(&mut self, n: usize) {
         for _ in self.sketch.num_vertices()..n {
             self.sketch.push_vertex();
         }
-        let copies = first.then_some(live).into_iter().flatten();
-        let copies = copies.map(|(&key, pair)| (key, i64::from(pair.copies)));
-        for ((u, v), delta) in copies.chain(self.pending.drain()) {
-            let update = if delta > 0 {
-                DynamicConnectivitySketch::add_edge
-            } else {
-                DynamicConnectivitySketch::remove_edge
-            };
-            for _ in 0..delta.unsigned_abs() {
-                update(&mut self.sketch, u, v);
-            }
+        for ((u, v), delta) in self.pending.drain() {
+            self.sketch.update_edge(u, v, delta);
         }
     }
 }
@@ -568,15 +563,18 @@ impl IncrementalComponents {
         self.ctx.charge_shuffle(len);
         let _ = self.ctx.record_balanced_load(2 * len);
 
-        // First deletion ever: an empty sketch that the first cut folds the
-        // live multiset into (insert-only workloads never get here). One
-        // simulated round routing every live edge to its two endpoint
-        // sketches — charged here whenever the fold runs, so the model's
-        // cost does not depend on the host's laziness.
+        // First deletion ever: a sketch with no phase built, each built from
+        // the live multiset when a cut first reads it (insert-only workloads
+        // never get here). One simulated round routing every live edge to
+        // its two endpoint sketches — charged here whatever the host builds
+        // later, so the model's cost does not depend on its laziness.
         if has_delete && self.turnstile.is_none() {
             self.ctx.charge_shuffle(2 * self.live_edges);
             self.turnstile = Some(Box::new(Turnstile {
-                sketch: DynamicConnectivitySketch::new(self.params.sketch_phases, self.sketch_seed),
+                sketch: DynamicConnectivitySketch::lazy(
+                    self.params.sketch_phases,
+                    self.sketch_seed,
+                ),
                 pending: HashMap::new(),
             }));
         }
@@ -820,7 +818,7 @@ impl IncrementalComponents {
         }
         let turnstile = self.turnstile.as_mut().expect("a cut is a deletion");
         // The one place the sketch is read, so the one place it is synced.
-        turnstile.fold(n, &self.live);
+        turnstile.fold(n);
         let mut known_of: Vec<Vec<(u32, u32)>> = vec![Vec::new(); roots.len()];
         for (&(u, v), _) in self.live.iter().filter(|(_, pair)| pair.forest) {
             let slot = slot_of_root[self.uf.find(u as usize)];
@@ -838,7 +836,14 @@ impl IncrementalComponents {
             self.ctx.charge_shuffle(members.len() * wpv);
             self.ctx.charge_shuffle(members.len());
             known.sort_unstable();
-            let partition = turnstile.sketch.subset_components_from(members, known)?;
+            let live = || {
+                self.live
+                    .iter()
+                    .map(|(&key, pair)| (key, i64::from(pair.copies)))
+            };
+            let partition = turnstile
+                .sketch
+                .subset_components_lazily(members, known, live)?;
             // A link is a sample, good up to a fingerprint collision: only
             // one with a live copy may join parts and enter the forest.
             if !partition
@@ -1199,6 +1204,15 @@ impl IncrementalComponents {
     /// lazy: `false` until the first deletion ever seen).
     pub fn sketch_active(&self) -> bool {
         self.turnstile.is_some()
+    }
+
+    /// Phases of the turnstile sketch built so far: none before a cut reads
+    /// one.
+    #[cfg(test)]
+    fn phases_built(&self) -> usize {
+        self.turnstile
+            .as_ref()
+            .map_or(0, |t| t.sketch.built_phases())
     }
 
     /// Materialises the surviving (live-edge) graph on the dense vertex set:
@@ -1740,8 +1754,8 @@ mod tests {
             EdgeOp::insert(12, 13),
         ]);
         engine.apply_ops_batch(&ops).unwrap();
-        // A parallel copy goes and a cut splits the tail off, which folds
-        // the live multiset into the sketch and leaves nothing pending.
+        // A parallel copy goes and a cut splits the tail off, which builds
+        // phase 0 from the live multiset and leaves nothing pending.
         engine
             .apply_ops_batch(&[EdgeOp::delete(0, 1), EdgeOp::delete(11, 12)])
             .unwrap();
@@ -1810,7 +1824,7 @@ mod tests {
         engine.apply_ops_batch(&ops).unwrap();
         let unfolded = |engine: &IncrementalComponents| {
             let t = engine.turnstile.as_ref().expect("built by a deletion");
-            t.sketch.num_vertices() == 0 && t.pending.is_empty()
+            t.sketch.num_vertices() == 0 && t.pending.is_empty() && engine.phases_built() == 0
         };
 
         let r = engine.apply_ops_batch(&[EdgeOp::delete(1, 2)]).unwrap();
@@ -1827,8 +1841,8 @@ mod tests {
         assert_eq!(r.forest_cuts, 0);
         assert!(unfolded(&engine));
 
-        // The bridge is a cut: the first read folds every live pair and
-        // every vertex in, and the split is exact.
+        // The bridge is a cut: the first read pushes every vertex and builds
+        // the one phase it reads from the live pairs, and the split is exact.
         let r = engine.apply_ops_batch(&[EdgeOp::delete(6, 0)]).unwrap();
         assert_eq!(
             (r.path, r.forest_cuts, r.splits),
@@ -1836,6 +1850,7 @@ mod tests {
         );
         let t = engine.turnstile.clone().unwrap();
         assert_eq!(t.sketch.num_vertices(), engine.num_vertices());
+        assert_eq!(engine.phases_built(), 1);
         assert!(t.pending.is_empty());
 
         // A later cut-free deletion of a folded pair is only noted; an
@@ -1924,20 +1939,34 @@ mod tests {
             additions |= t.pending.values().any(|&delta| delta > 0);
             let n = engine.num_vertices();
             let mut folded = t.clone();
-            folded.fold(n, &engine.live);
-            let mut fresh =
-                DynamicConnectivitySketch::new(engine.params.sketch_phases, engine.sketch_seed);
-            for _ in 0..n {
-                fresh.push_vertex();
+            folded.fold(n);
+            // From scratch: `built` empty phases, then one update per live
+            // copy — equal to the folded sketch in every built phase.
+            let built = folded.sketch.built_phases();
+            let phases = engine.params.sketch_phases;
+            let per_copy = |sketch: &mut DynamicConnectivitySketch| {
+                (0..n).for_each(|_| sketch.push_vertex());
+                for (u, v) in engine.current_graph().edge_iter() {
+                    sketch.add_edge(u as u32, v as u32);
+                }
+            };
+            let mut fresh = DynamicConnectivitySketch::lazy(phases, engine.sketch_seed);
+            (0..built).for_each(|_| fresh.build_phase([]));
+            per_copy(&mut fresh);
+            assert!(folded.sketch == fresh, "batch {b}: a built phase differs");
+            // The phases still unbuilt, built from the live pairs, complete
+            // the sketch built eagerly.
+            let live = engine.live.iter().map(|(&k, p)| (k, i64::from(p.copies)));
+            while folded.sketch.built_phases() < phases {
+                folded.sketch.build_phase(live.clone());
             }
-            for (u, v) in engine.current_graph().edge_iter() {
-                fresh.add_edge(u as u32, v as u32);
-            }
-            assert!(folded.sketch == fresh, "batch {b}: folded sketch differs");
+            let mut eager = DynamicConnectivitySketch::new(phases, engine.sketch_seed);
+            per_copy(&mut eager);
+            assert!(folded.sketch == eager, "batch {b}: folded sketch differs");
             let all: Vec<u32> = (0..n as u32).collect();
             assert_eq!(
                 folded.sketch.subset_components(&all),
-                fresh.subset_components(&all),
+                eager.subset_components(&all),
                 "batch {b}"
             );
             let truth = connected_components(&engine.current_graph());
@@ -1953,6 +1982,62 @@ mod tests {
         );
         assert!(cut_batches >= 3, "{cut_batches} repairs with a cut");
         assert!(merges >= 1, "{merges} standing merges");
+    }
+
+    /// A cut whose two trees a non-forest edge still joins: Borůvka samples
+    /// that edge on phase 0 and certifies on phase 1, so phase 1 must be
+    /// built then — its unbuilt cells would read zero and certify a split.
+    #[test]
+    fn a_cut_that_reads_a_second_phase_builds_it_and_recertifies() {
+        const K: u32 = 12;
+        let mut engine = IncrementalComponents::new(params(), 85);
+        let cycle: Vec<(u64, u64)> = (0..K as u64).map(|i| (i, (i + 1) % K as u64)).collect();
+        engine.apply_ops_batch(&EdgeOp::inserts(&cycle)).unwrap();
+        // Dense ids are raw ids; the pair closing the cycle is no forest edge.
+        assert!(!engine.live[&(0, K - 1)].forest);
+        let mut known: Vec<(u32, u32)> = engine
+            .live
+            .iter()
+            .filter(|&(&key, pair)| pair.forest && key != (5, 6))
+            .map(|(&key, _)| key)
+            .collect();
+        known.sort_unstable();
+
+        let r = engine.apply_ops_batch(&[EdgeOp::delete(6, 5)]).unwrap();
+        assert_eq!(r.path, BatchPath::SketchRepair);
+        assert_eq!((r.forest_cuts, r.sketch_recertifies, r.splits), (1, 1, 0));
+        assert_eq!(engine.num_components(), 1);
+
+        let members: Vec<u32> = (0..K).collect();
+        let mut eager = DynamicConnectivitySketch::new(params().sketch_phases, engine.sketch_seed);
+        (0..K).for_each(|_| eager.push_vertex());
+        for (u, v) in engine.current_graph().edge_iter() {
+            eager.add_edge(u as u32, v as u32);
+        }
+        let want = eager.subset_components_from(&members, &known).unwrap();
+        assert_eq!((want.parts.len(), &want.links[..]), (1, &[(0, K - 1)][..]));
+        assert!(want.phases_used >= 1);
+        assert_eq!(engine.phases_built(), want.phases_used + 1);
+        let lazy = &engine.turnstile.as_ref().unwrap().sketch;
+        assert_eq!(lazy.subset_components_from(&members, &known), Some(want));
+        assert!(engine.live[&(0, K - 1)].forest, "the link joins the forest");
+    }
+
+    /// `stream_churn`'s cuts are its bridge deletions, each leaving two
+    /// trees no edge joins: every one certifies on the first zero test, so
+    /// exactly one phase is ever built.
+    #[test]
+    fn churn_cuts_build_only_the_phase_they_read() {
+        for (half, per_batch, seed) in [(100, 40, 7), (300, 120, 11)] {
+            let mut engine = IncrementalComponents::new(params().with_threads(1), seed);
+            let mut cuts = 0;
+            for (b, batch) in churn_schedule(half, per_batch, seed).iter().enumerate() {
+                let r = engine.apply_ops_batch(batch).unwrap();
+                cuts += usize::from(r.path == BatchPath::SketchRepair && r.forest_cuts > 0);
+                assert_eq!(engine.phases_built(), cuts.min(1), "seed {seed}, batch {b}");
+            }
+            assert_eq!(cuts, 3, "seed {seed}");
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl ConnectivitySketch {
     /// vertices addable.
     pub fn with_phases(n: usize, num_phases: usize, seed: u64) -> Self {
         let keys = SketchKeys::new(num_phases, seed);
-        let vertices = vec![keys.empty_vertex(); n];
+        let vertices = vec![keys.empty_vertex(num_phases); n];
         ConnectivitySketch { n, keys, vertices }
     }
 
@@ -84,7 +84,7 @@ impl ConnectivitySketch {
         neighbors: &[u32],
     ) -> VertexSketch {
         assert!(v < n, "vertex out of range");
-        let mut sketch = keys.empty_vertex();
+        let mut sketch = keys.empty_vertex(keys.num_phases());
         for &w in neighbors {
             let w = w as usize;
             if w == v {
@@ -118,7 +118,9 @@ impl ConnectivitySketch {
         }
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         let idx = a as u64 * self.n as u64 + b as u64;
-        self.keys.update_edge(&mut self.vertices, a, b, idx, delta);
+        let phases = 0..self.keys.num_phases();
+        self.keys
+            .update_edge(&mut self.vertices, a, b, idx, delta, phases);
     }
 
     /// Inserts the undirected edge `{u, v}`. Self-loops are ignored (they are

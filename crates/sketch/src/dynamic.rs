@@ -34,6 +34,17 @@
 //! on sampling failure so the caller can escalate to a full recompute.
 //! [`subset_components`](DynamicConnectivitySketch::subset_components) is the
 //! same call with nothing known.
+//!
+//! Borůvka reads its phases in order and stops at the first certifying
+//! zero test, so a caller that keeps the multiset itself need not build
+//! the phases it never reads: [`DynamicConnectivitySketch::lazy`] starts
+//! with none built, updates reach the built ones only, and
+//! [`subset_components_lazily`](DynamicConnectivitySketch::subset_components_lazily)
+//! builds each phase from the caller's multiset the first time a round
+//! reads it. [`DynamicConnectivitySketch::new`] is the same sketch with
+//! every phase built at construction.
+
+use std::ops::Range;
 
 use crate::kernel::{ComponentRows, SketchKeys, VertexSketch};
 
@@ -72,23 +83,88 @@ pub struct SubsetPartition {
 /// All vertices share the same per-phase hash seeds (the shared-randomness
 /// requirement of Proposition 8.1), so per-vertex sketches remain addable and
 /// a component's sketch is the sum of its members' sketches.
+///
+/// Equality compares the built phases cell for cell (logically, see
+/// [`VertexSketch`]); sketches with different built phases are never equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicConnectivitySketch {
     keys: SketchKeys,
+    /// Phases materialised so far: `0..built` sketch every update applied
+    /// since they were built, and every vertex stores exactly those.
+    built: usize,
     vertices: Vec<VertexSketch>,
+}
+
+/// Joins the sets of positions `a` and `b` of a local union–find under the
+/// smaller root, which keeps the structure a pure function of the union
+/// sequence (and every root the smallest position of its set). `false` if
+/// they were already one set.
+fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    if ra != rb {
+        parent[ra.max(rb) as usize] = ra.min(rb);
+    }
+    ra != rb
+}
+
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let g = parent[parent[x as usize] as usize];
+        parent[x as usize] = g;
+        x = g;
+    }
+    x
+}
+
+/// Subset Borůvka between two rounds: what a run carries across the build
+/// of the phase its next round reads.
+struct Boruvka<'a> {
+    /// Sorted ascending; global ids map to positions by binary search.
+    members: &'a [u32],
+    /// Local union–find over member positions.
+    parent: Vec<u32>,
+    links: Vec<(u32, u32)>,
+    /// The next round, which reads phase `min(round, num_phases − 1)`.
+    round: usize,
+}
+
+/// Where [`DynamicConnectivitySketch::advance`] stopped.
+enum Stop {
+    /// Certified (`Some`), or the phase budget ran out (`None`).
+    Done(Option<SubsetPartition>),
+    /// The next round reads a phase that is not built.
+    Unbuilt,
 }
 
 impl DynamicConnectivitySketch {
     /// Creates an empty sketch (zero vertices) with `num_phases` independent
-    /// Borůvka phases. More phases raise the certification probability of
-    /// [`subset_components`](Self::subset_components) and the message size.
+    /// Borůvka phases, all built. More phases raise the certification
+    /// probability of [`subset_components`](Self::subset_components) and the
+    /// message size.
     ///
     /// # Panics
     ///
     /// Panics if `num_phases` is zero.
     pub fn new(num_phases: usize, seed: u64) -> Self {
+        let mut sketch = Self::lazy(num_phases, seed);
+        while sketch.built < num_phases {
+            sketch.build_phase([]);
+        }
+        sketch
+    }
+
+    /// [`new`](Self::new) with no phase built. Updates reach the built
+    /// phases only, so the caller must keep the edge multiset itself and
+    /// hand it to [`build_phase`](Self::build_phase) or
+    /// [`subset_components_lazily`](Self::subset_components_lazily).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_phases` is zero.
+    pub fn lazy(num_phases: usize, seed: u64) -> Self {
         DynamicConnectivitySketch {
             keys: SketchKeys::new(num_phases, seed),
+            built: 0,
             vertices: Vec::new(),
         }
     }
@@ -103,6 +179,31 @@ impl DynamicConnectivitySketch {
         self.keys.num_phases()
     }
 
+    /// Number of phases built so far: `0..built_phases()` are materialised.
+    pub fn built_phases(&self) -> usize {
+        self.built
+    }
+
+    /// Builds phase [`built_phases`](Self::built_phases) as the sketch of the
+    /// edge multiset `pairs` lists, each pair `(u, v)` with its copies (one
+    /// weighted update per pair, self-loops ignored). That multiset must be
+    /// the one the built phases sketch, or the phases disagree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every phase is built or an endpoint is out of range.
+    pub fn build_phase(&mut self, pairs: impl IntoIterator<Item = ((u32, u32), i64)>) {
+        let phase = self.built;
+        assert!(phase < self.num_phases(), "every phase is built");
+        for vertex in &mut self.vertices {
+            vertex.push_phase();
+        }
+        self.built += 1;
+        for ((u, v), copies) in pairs {
+            self.apply_edge(u, v, copies, phase..phase + 1);
+        }
+    }
+
     /// Size of one vertex's message in machine words (constant: the message
     /// is the fixed-size linear sketch regardless of content or of how many
     /// of its levels are physically stored).
@@ -113,7 +214,7 @@ impl DynamicConnectivitySketch {
     /// Appends one fresh (edge-less) vertex; its dense id is the previous
     /// vertex count. Existing coordinates are unaffected.
     pub fn push_vertex(&mut self) {
-        self.vertices.push(self.keys.empty_vertex());
+        self.vertices.push(self.keys.empty_vertex(self.built));
     }
 
     /// Inserts the undirected edge `{u, v}`. Self-loops are ignored (no slot
@@ -123,7 +224,7 @@ impl DynamicConnectivitySketch {
     ///
     /// Panics if an endpoint is out of range.
     pub fn add_edge(&mut self, u: u32, v: u32) {
-        self.apply_edge(u, v, 1);
+        self.update_edge(u, v, 1);
     }
 
     /// Deletes one copy of the undirected edge `{u, v}` — a `−1` turnstile
@@ -134,7 +235,19 @@ impl DynamicConnectivitySketch {
     ///
     /// Panics if an endpoint is out of range.
     pub fn remove_edge(&mut self, u: u32, v: u32) {
-        self.apply_edge(u, v, -1);
+        self.update_edge(u, v, -1);
+    }
+
+    /// Adds `delta` copies of the undirected edge `{u, v}` (removes them
+    /// when negative) to the built phases in one weighted update. By
+    /// linearity the cells equal those of `|delta|` unit updates exactly.
+    /// Self-loops are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range.
+    pub fn update_edge(&mut self, u: u32, v: u32, delta: i64) {
+        self.apply_edge(u, v, delta, 0..self.built);
     }
 
     /// The shared keys and one vertex's cells, for the kernel's differential
@@ -149,7 +262,7 @@ impl DynamicConnectivitySketch {
         &self.vertices[v]
     }
 
-    fn apply_edge(&mut self, u: u32, v: u32, delta: i64) {
+    fn apply_edge(&mut self, u: u32, v: u32, delta: i64, phases: Range<usize>) {
         let n = self.vertices.len();
         assert!(
             (u as usize) < n && (v as usize) < n,
@@ -160,8 +273,14 @@ impl DynamicConnectivitySketch {
         }
         let idx = edge_coordinate(u, v);
         let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.keys
-            .update_edge(&mut self.vertices, a as usize, b as usize, idx, delta);
+        self.keys.update_edge(
+            &mut self.vertices,
+            a as usize,
+            b as usize,
+            idx,
+            delta,
+            phases,
+        );
     }
 
     /// [`subset_components_from`](Self::subset_components_from) with nothing
@@ -187,7 +306,10 @@ impl DynamicConnectivitySketch {
     /// certifies (every part's summed sampler reads zero on level 0, which
     /// holds all coordinates — a false zero needs a fingerprint collision).
     /// `None` means "sampling failure, escalate"; it never silently returns
-    /// an uncertified partition.
+    /// an uncertified partition. Only built phases are read: a round that
+    /// would read an unbuilt one ends the run with `None` as well
+    /// ([`subset_components_lazily`](Self::subset_components_lazily) builds
+    /// it instead).
     ///
     /// Deterministic: a part's representative is its smallest member
     /// whatever the order of `known`, parts are discovered in first-seen
@@ -202,7 +324,44 @@ impl DynamicConnectivitySketch {
         members: &[u32],
         known: &[(u32, u32)],
     ) -> Option<SubsetPartition> {
-        let k = members.len();
+        match self.advance(&mut self.start(members, known)) {
+            Stop::Done(partition) => partition,
+            Stop::Unbuilt => None,
+        }
+    }
+
+    /// [`subset_components_from`](Self::subset_components_from) that builds
+    /// each phase the first time a round reads it, from the multiset
+    /// `pairs()` lists (see [`build_phase`](Self::build_phase)). A run that
+    /// certifies after `phases_used` rounds leaves phases
+    /// `0..=phases_used` built, and returns what the eagerly built sketch
+    /// returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`subset_components_from`](Self::subset_components_from), and if
+    /// a listed endpoint is out of range.
+    pub fn subset_components_lazily<I>(
+        &mut self,
+        members: &[u32],
+        known: &[(u32, u32)],
+        mut pairs: impl FnMut() -> I,
+    ) -> Option<SubsetPartition>
+    where
+        I: IntoIterator<Item = ((u32, u32), i64)>,
+    {
+        let mut run = self.start(members, known);
+        loop {
+            match self.advance(&mut run) {
+                Stop::Done(partition) => return partition,
+                Stop::Unbuilt => self.build_phase(pairs()),
+            }
+        }
+    }
+
+    /// A run over `members` before its first round: the local union–find
+    /// holds the components of `known`.
+    fn start<'a>(&self, members: &'a [u32], known: &[(u32, u32)]) -> Boruvka<'a> {
         assert!(
             members.windows(2).all(|w| w[0] < w[1]),
             "members must be sorted ascending without duplicates"
@@ -210,29 +369,7 @@ impl DynamicConnectivitySketch {
         if let Some(&last) = members.last() {
             assert!((last as usize) < self.vertices.len(), "member out of range");
         }
-
-        // Local union-find over member positions; global ids map back via
-        // binary search in the sorted member slice.
-        let mut parent: Vec<u32> = (0..k as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let g = parent[parent[x as usize] as usize];
-                parent[x as usize] = g;
-                x = g;
-            }
-            x
-        }
-        /// Joins the sets of positions `a` and `b` under the smaller root,
-        /// which keeps the structure a pure function of the union sequence
-        /// (and every root the smallest position of its set). `false` if
-        /// they were already one set.
-        fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
-            let (ra, rb) = (find(parent, a), find(parent, b));
-            if ra != rb {
-                parent[ra.max(rb) as usize] = ra.min(rb);
-            }
-            ra != rb
-        }
+        let mut parent: Vec<u32> = (0..members.len() as u32).collect();
         for &(u, v) in known {
             let position = |x: u32| match members.binary_search(&x) {
                 Ok(pos) => pos as u32,
@@ -240,27 +377,46 @@ impl DynamicConnectivitySketch {
             };
             union(&mut parent, position(u), position(v));
         }
+        Boruvka {
+            members,
+            parent,
+            links: Vec::new(),
+            round: 0,
+        }
+    }
+
+    /// Runs rounds of `run` until one certifies, the phase budget runs out,
+    /// or the next round would read a phase that is not built — whose
+    /// level-0 cells read zero and would falsely certify.
+    fn advance(&self, run: &mut Boruvka<'_>) -> Stop {
+        let (members, k) = (run.members, run.members.len());
         if k <= 1 {
-            return Some(SubsetPartition {
+            return Stop::Done(Some(SubsetPartition {
                 parts: members.iter().map(|&m| vec![m]).collect(),
                 phases_used: 0,
                 links: Vec::new(),
-            });
+            }));
         }
-
         let sketch_of = |m: u32| &self.vertices[m as usize];
         let mut rows = ComponentRows::new(k, members.iter().map(|&m| sketch_of(m)));
-        let mut links: Vec<(u32, u32)> = Vec::new();
         let num_phases = self.keys.num_phases();
-        // One extra iteration past the last phase: the final phase's unions
-        // may complete the partition, and the zero test is valid on any
-        // phase's samplers (level 0 holds every coordinate regardless of the
-        // phase's sub-sampling randomness).
-        for round in 0..=num_phases {
+        // One extra round past the last phase: the final phase's unions may
+        // complete the partition, and the zero test is valid on any phase's
+        // samplers (level 0 holds every coordinate regardless of the phase's
+        // sub-sampling randomness).
+        loop {
+            let round = run.round;
             let phase = round.min(num_phases - 1);
+            if phase >= self.built {
+                return Stop::Unbuilt;
+            }
             rows.clear();
             for (pos, &m) in members.iter().enumerate() {
-                rows.add(find(&mut parent, pos as u32) as usize, sketch_of(m), phase);
+                rows.add(
+                    find(&mut run.parent, pos as u32) as usize,
+                    sketch_of(m),
+                    phase,
+                );
             }
             if rows.nonzero().next().is_none() {
                 // Certified: every current part has no edge leaving it within
@@ -268,7 +424,7 @@ impl DynamicConnectivitySketch {
                 let mut parts: Vec<Vec<u32>> = Vec::new();
                 let mut part_of_root = vec![usize::MAX; k];
                 for (pos, &m) in members.iter().enumerate() {
-                    let root = find(&mut parent, pos as u32) as usize;
+                    let root = find(&mut run.parent, pos as u32) as usize;
                     if part_of_root[root] == usize::MAX {
                         part_of_root[root] = parts.len();
                         parts.push(Vec::new());
@@ -277,14 +433,14 @@ impl DynamicConnectivitySketch {
                 }
                 // First-seen order over ascending members already orders parts
                 // by smallest member and each part ascending.
-                return Some(SubsetPartition {
+                return Stop::Done(Some(SubsetPartition {
                     parts,
                     phases_used: round,
-                    links,
-                });
+                    links: std::mem::take(&mut run.links),
+                }));
             }
             if round == num_phases {
-                return None;
+                return Stop::Done(None);
             }
             for row in rows.nonzero() {
                 if let Some((idx, _weight)) = self.keys.sample(phase, row) {
@@ -293,14 +449,14 @@ impl DynamicConnectivitySketch {
                     // coordinate; only union endpoints that are both members.
                     if let (Ok(pu), Ok(pv)) = (members.binary_search(&u), members.binary_search(&v))
                     {
-                        if union(&mut parent, pu as u32, pv as u32) {
-                            links.push((u, v));
+                        if union(&mut run.parent, pu as u32, pv as u32) {
+                            run.links.push((u, v));
                         }
                     }
                 }
             }
+            run.round += 1;
         }
-        unreachable!("loop returns on certification or exhaustion");
     }
 }
 
@@ -603,22 +759,38 @@ mod tests {
         let mut cut_starts = 0;
         for trial in 0..60u64 {
             // A sparse random turnstile schedule: several components, some
-            // isolated vertices, parallel edges.
+            // isolated vertices, parallel edges. A lazy twin gets the same
+            // ops, with its phase 0 built from the live multiset halfway.
             let mut sk = sketch_with(N as usize, &[]);
+            let mut lazy = DynamicConnectivitySketch::lazy(sk.num_phases(), 42);
+            (0..N).for_each(|_| lazy.push_vertex());
             let mut live: Vec<(u32, u32)> = Vec::new();
-            for _ in 0..40 + trial % 30 {
+            let copies = |live: &[(u32, u32)]| {
+                let mut copies = std::collections::BTreeMap::new();
+                for &pair in live {
+                    *copies.entry(pair).or_insert(0i64) += 1;
+                }
+                copies
+            };
+            let ops = 40 + trial % 30;
+            for op in 0..ops {
+                if op == ops / 2 {
+                    lazy.build_phase(copies(&live));
+                }
                 let (u, v) = (
                     (next_u64(&mut rng) % N as u64) as u32,
                     (next_u64(&mut rng) % N as u64) as u32,
                 );
                 if u != v {
                     sk.add_edge(u, v);
+                    lazy.add_edge(u, v);
                     live.push((u.min(v), u.max(v)));
                 }
                 if next_u64(&mut rng).is_multiple_of(3) && !live.is_empty() {
                     let (a, b) =
                         live.swap_remove((next_u64(&mut rng) % live.len() as u64) as usize);
                     sk.remove_edge(b, a);
+                    lazy.update_edge(a, b, -1);
                 }
             }
             // Members: a random union of whole components.
@@ -654,6 +826,16 @@ mod tests {
                 .expect("26 phases certify");
             assert_eq!(cold.parts, truth, "trial {trial}");
             assert_eq!(warm.parts, truth, "trial {trial}");
+            // The lazy twin builds exactly the phases the run reads and
+            // returns what the eager sketch returns.
+            let lazily = lazy.subset_components_lazily(&members, &known, || copies(&live));
+            assert_eq!(lazily.as_ref(), Some(&warm), "trial {trial}");
+            let read = if members.len() > 1 {
+                warm.phases_used + 1
+            } else {
+                0
+            };
+            assert_eq!(lazy.built_phases(), read.max(1), "trial {trial}");
 
             // From either start, the links are live edges, each joins two
             // pieces of what came before it, and together with the start they
@@ -700,6 +882,34 @@ mod tests {
         let warm = sk.subset_components_from(&all_members(10), &known).unwrap();
         assert_eq!(warm.parts, vec![all_members(10)]);
         assert_eq!(warm.links, vec![(0, 9)]);
+    }
+
+    #[test]
+    fn an_unbuilt_phase_is_never_read_nor_equal_to_a_built_one() {
+        // Two components; `known` spans only one, so a zero test on an
+        // unbuilt phase (cells all zero) would falsely certify two parts
+        // where the eager sketch must link three.
+        let edges = [(0, 1), (1, 2), (3, 4)];
+        let eager = sketch_with(5, &edges);
+        let mut lazy = DynamicConnectivitySketch::lazy(24, 42);
+        (0..5).for_each(|_| lazy.push_vertex());
+        let members = all_members(5);
+        let known = [(0, 1)];
+        assert_eq!(lazy.subset_components_from(&members, &known), None);
+        assert_ne!(lazy, eager);
+        assert_ne!(lazy, sketch_with(5, &[]), "unbuilt is not empty");
+
+        let pairs = || edges.map(|pair| (pair, 1));
+        lazy.build_phase(pairs());
+        assert_ne!(lazy, eager, "one built phase is not all of them");
+        let want = eager.subset_components_from(&members, &known);
+        assert!(want.as_ref().is_some_and(|p| p.phases_used >= 1));
+        assert_eq!(lazy.subset_components_from(&members, &known), None);
+        assert_eq!(lazy.subset_components_lazily(&members, &known, pairs), want);
+        while lazy.built_phases() < lazy.num_phases() {
+            lazy.build_phase(pairs());
+        }
+        assert_eq!(lazy, eager);
     }
 
     #[test]

@@ -17,12 +17,17 @@
 //!   its level and `δ·z^index` once per phase and adds `(±δ, ±index·δ,
 //!   ±term)` to levels `0..=level` of both endpoints; the nested structure
 //!   recomputed the power at every level of every sampler of both endpoints.
-//! * **Contiguous, lazily levelled cells.** A vertex stores 32-byte cells
-//!   phase-major in one `Vec`, and only levels `0..=ℓ` where `ℓ` is the
-//!   highest level any of its updates reached; levels above are logically
-//!   zero. A coordinate reaches level `j` with probability `2^-j`, so a
-//!   vertex touched by `d` updates stores about `log₂(phases · d)` of the 61
-//!   levels.
+//! * **Contiguous, lazily levelled and lazily phased cells.** A vertex
+//!   stores 32-byte cells phase-major in one `Vec`, and only levels `0..=ℓ`
+//!   where `ℓ` is the highest level any of its updates reached; levels
+//!   above are logically zero. A coordinate reaches level `j` with
+//!   probability `2^-j`, so a vertex touched by `d` updates stores about
+//!   `log₂(phases · d)` of the 61 levels. It also stores only the phases
+//!   built so far: a phase is appended whole when its sketch is built
+//!   (from the multiset, by the caller), updates reach the built phases
+//!   only, and growth re-strides those. An unbuilt phase is *unknown*, not
+//!   zero — its level-0 cell would read zero and falsely certify — so
+//!   nothing reads one and equality never matches it with a built phase.
 //! * **Row accumulators.** Sketch-space Borůvka sums each component's cells
 //!   for the current phase straight from those slices into one row per
 //!   component (`ComponentRows`) and recovers samples through the window
@@ -36,6 +41,8 @@
 //! [`ConnectivitySketch`]: crate::ConnectivitySketch
 //! [`DynamicConnectivitySketch`]: crate::DynamicConnectivitySketch
 //! [`L0Sampler`]: crate::L0Sampler
+
+use std::ops::Range;
 
 use crate::l0::{fingerprint_point, level_of, NUM_LEVELS};
 use crate::one_sparse::{delta_mod, mul_mod, neg_mod, Cell, RecoveryOutcome, WORDS_PER_CELL};
@@ -125,37 +132,49 @@ impl SketchKeys {
         message_words(self.phases.len())
     }
 
-    /// An empty per-vertex message under these keys.
-    pub(crate) fn empty_vertex(&self) -> VertexSketch {
+    /// An empty per-vertex message under these keys that stores phases
+    /// `0..built`.
+    pub(crate) fn empty_vertex(&self, built: usize) -> VertexSketch {
+        debug_assert!(built <= self.phases.len());
         VertexSketch {
             num_phases: self.phases.len(),
+            built,
             levels: 0,
             cells: Vec::new(),
         }
     }
 
-    /// Per phase, the level of coordinate `index` and the fingerprint term
-    /// `delta · z^index mod p` of the update `vector[index] += delta`.
-    fn terms(&self, index: u64, delta: i64) -> impl Iterator<Item = (usize, u64)> + '_ {
+    /// Per phase in `phases`, the phase, the level of coordinate `index` and
+    /// the fingerprint term `delta · z^index mod p` of the update
+    /// `vector[index] += delta`.
+    fn terms(
+        &self,
+        index: u64,
+        delta: i64,
+        phases: Range<usize>,
+    ) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         let delta_mod = delta_mod(delta);
-        self.phases.iter().map(move |key| {
+        let keys = &self.phases[phases.clone()];
+        phases.zip(keys).map(move |(phase, key)| {
             (
+                phase,
                 level_of(key.seed, index),
                 mul_mod(delta_mod, key.pow(index)),
             )
         })
     }
 
-    /// Applies `vector[index] += delta` to one vertex.
+    /// Applies `vector[index] += delta` to every phase one vertex stores.
     pub(crate) fn update(&self, vertex: &mut VertexSketch, index: u64, delta: i64) {
         let iw = index as i128 * delta as i128;
-        for (phase, (level, term)) in self.terms(index, delta).enumerate() {
+        for (phase, level, term) in self.terms(index, delta, 0..vertex.built) {
             vertex.add(phase, level, delta, iw, term);
         }
     }
 
     /// Applies the signed incidence update of edge coordinate `index`
-    /// between vertices `a < b`: `+delta` on `a`, `−delta` on `b`.
+    /// between vertices `a < b` — `+delta` on `a`, `−delta` on `b` — to the
+    /// given phases, which both must store.
     pub(crate) fn update_edge(
         &self,
         vertices: &mut [VertexSketch],
@@ -163,12 +182,13 @@ impl SketchKeys {
         b: usize,
         index: u64,
         delta: i64,
+        phases: Range<usize>,
     ) {
         debug_assert!(a < b);
         let (low, high) = vertices.split_at_mut(b);
         let (plus, minus) = (&mut low[a], &mut high[0]);
         let iw = index as i128 * delta as i128;
-        for (phase, (level, term)) in self.terms(index, delta).enumerate() {
+        for (phase, level, term) in self.terms(index, delta, phases) {
             plus.add(phase, level, delta, iw, term);
             minus.add(phase, level, -delta, -iw, neg_mod(term));
         }
@@ -215,9 +235,13 @@ impl std::fmt::Debug for SketchKeys {
 /// Equality is *logical* — a function of the sketched vector only: levels a
 /// vertex never stored compare equal to stored levels that are all zero, so
 /// a sketch that grew for a coordinate later deleted equals a fresh one.
+/// Phases are not: two messages are equal only if they store the same
+/// phases, since an unbuilt phase says nothing about the vector.
 #[derive(Debug, Clone)]
 pub struct VertexSketch {
     num_phases: usize,
+    /// Phases physically stored: `0..built`, the rest not built yet.
+    built: usize,
     /// Levels physically stored per phase; levels at or above are zero.
     levels: usize,
     /// Phase-major: cell `(phase, level)` sits at `phase · levels + level`.
@@ -230,8 +254,9 @@ impl VertexSketch {
         self.num_phases
     }
 
-    /// The stored cells of one phase (levels `0..levels`).
+    /// The stored cells of one built phase (levels `0..levels`).
     fn phase_cells(&self, phase: usize) -> &[Cell] {
+        debug_assert!(phase < self.built, "phase {phase} is not built");
         &self.cells[phase * self.levels..(phase + 1) * self.levels]
     }
 
@@ -241,10 +266,18 @@ impl VertexSketch {
         self.levels
     }
 
-    /// Re-strides the cells so every phase stores `levels` levels.
+    /// Appends phase `built` with every cell zero, ready for its updates.
+    pub(crate) fn push_phase(&mut self) {
+        assert!(self.built < self.num_phases, "every phase is built");
+        self.cells
+            .resize(self.cells.len() + self.levels, Cell::ZERO);
+        self.built += 1;
+    }
+
+    /// Re-strides the built phases' cells so each stores `levels` levels.
     fn grow(&mut self, levels: usize) {
         debug_assert!(levels > self.levels && levels <= NUM_LEVELS);
-        let mut cells = vec![Cell::ZERO; self.num_phases * levels];
+        let mut cells = vec![Cell::ZERO; self.built * levels];
         if self.levels > 0 {
             let old_rows = self.cells.chunks_exact(self.levels);
             for (new, old) in cells.chunks_exact_mut(levels).zip(old_rows) {
@@ -257,6 +290,7 @@ impl VertexSketch {
 
     /// Adds one update's measurements to levels `0..=level` of `phase`.
     fn add(&mut self, phase: usize, level: usize, delta: i64, iw: i128, term: u64) {
+        debug_assert!(phase < self.built, "phase {phase} is not built");
         if level >= self.levels {
             self.grow(level + 1);
         }
@@ -273,16 +307,18 @@ impl VertexSketch {
     ///
     /// # Panics
     ///
-    /// Panics if the two messages have different phase counts.
+    /// Panics if the two messages have different phase counts or store
+    /// different phases.
     pub fn merge(&mut self, other: &VertexSketch) {
         assert_eq!(
-            self.num_phases, other.num_phases,
+            (self.num_phases, self.built),
+            (other.num_phases, other.built),
             "cannot merge messages with different phase counts"
         );
         if other.levels > self.levels {
             self.grow(other.levels);
         }
-        for phase in 0..self.num_phases {
+        for phase in 0..self.built {
             let row = &mut self.cells[phase * self.levels..];
             for (acc, cell) in row.iter_mut().zip(other.phase_cells(phase)) {
                 acc.add(cell);
@@ -301,7 +337,8 @@ impl VertexSketch {
 impl PartialEq for VertexSketch {
     fn eq(&self, other: &Self) -> bool {
         self.num_phases == other.num_phases
-            && (0..self.num_phases).all(|phase| {
+            && self.built == other.built
+            && (0..self.built).all(|phase| {
                 let (a, b) = (self.phase_cells(phase), other.phase_cells(phase));
                 let common = a.len().min(b.len());
                 a[..common] == b[..common]
@@ -328,7 +365,8 @@ pub(crate) struct ComponentRows {
 
 impl ComponentRows {
     /// Accumulators for components with representatives in `0..universe`,
-    /// wide enough for every sketch in `vertices`.
+    /// wide enough for every sketch in `vertices` as it is now (building a
+    /// phase can raise a vertex's levels, so it needs new rows).
     pub(crate) fn new<'a>(
         universe: usize,
         vertices: impl Iterator<Item = &'a VertexSketch>,
@@ -549,6 +587,34 @@ mod tests {
             a.merge(b);
         }
         oracle.assert_matches(0, &merged);
+    }
+
+    #[test]
+    fn a_weighted_update_equals_its_unit_updates_cell_for_cell() {
+        let (phases, seed) = (6, 17);
+        let mut base = DynamicConnectivitySketch::new(phases, seed);
+        (0..4).for_each(|_| base.push_vertex());
+        base.add_edge(0, 1);
+        base.add_edge(1, 2);
+        for k in [-3i64, 2, 100_000] {
+            let (mut weighted, mut units) = (base.clone(), base.clone());
+            weighted.update_edge(3, 1, k);
+            for _ in 0..k.unsigned_abs() {
+                if k > 0 {
+                    units.add_edge(1, 3);
+                } else {
+                    units.remove_edge(3, 1);
+                }
+            }
+            for v in 0..4 {
+                let (a, b) = (weighted.vertex_sketch(v), units.vertex_sketch(v));
+                assert_eq!(
+                    (a.levels, &a.cells),
+                    (b.levels, &b.cells),
+                    "k {k}, vertex {v}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   set with turnstile (insert and delete) updates.
 //!
 //! Both sketches store their per-vertex samplers through one flat kernel
-//! ([`kernel`]: shared [`SketchKeys`], contiguous lazily-levelled cells);
+//! ([`kernel`]: shared [`SketchKeys`], contiguous cells stored for the
+//! levels reached and the phases built);
 //! [`L0Sampler`] and [`OneSparseRecovery`] are the standalone textbook
 //! structures over the same field arithmetic, and the reference the kernel
 //! is tested against cell for cell.
