@@ -42,7 +42,7 @@ pub fn min_label_propagation(g: &Graph, ctx: &mut MpcContext) -> ComponentLabels
 }
 
 /// Hash-to-Min (Rastogi, Machanavajjhala, Chitnis, Das Sarma — ICDE 2013,
-/// reference [48] of the paper).
+/// reference \[48\] of the paper).
 ///
 /// Every vertex `v` maintains a cluster `C_v`, initially `{v} ∪ N(v)`. In
 /// each round `v` sends `C_v` to the minimum member of `C_v` and sends that

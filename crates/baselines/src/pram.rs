@@ -1,6 +1,6 @@
 //! A Shiloach–Vishkin-style PRAM connectivity algorithm.
 //!
-//! The classic CRCW PRAM algorithm (Shiloach & Vishkin 1982, reference [57]
+//! The classic CRCW PRAM algorithm (Shiloach & Vishkin 1982, reference \[57\]
 //! of the paper) maintains a forest of rooted stars via two operations per
 //! round: *hooking* (the root of one tree attaches to a neighbouring tree)
 //! and *pointer jumping* (`parent[v] ← parent[parent[v]]`). It terminates in

@@ -23,7 +23,7 @@ use rand_chacha::{keystream_tier, ChaCha8Batch, ChaCha8Rng};
 use wcc_core::prelude::*;
 use wcc_graph::prelude::*;
 use wcc_mpc::{MpcConfig, MpcContext};
-use wcc_sketch::{ConnectivitySketch, DynamicConnectivitySketch};
+use wcc_sketch::DynamicConnectivitySketch;
 
 fn planted(n: usize, seed: u64) -> Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -169,16 +169,23 @@ fn bench_sketch(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
     let mut rng = ChaCha8Rng::seed_from_u64(5);
+    // Theorem 2's coordinator step: one message per vertex, then Borůvka over
+    // every vertex.
     let g = generators::erdos_renyi(400, 0.02, &mut rng);
-    group.bench_function("build_and_decode_n400", |b| {
-        b.iter(|| {
-            let mut sk = ConnectivitySketch::new(g.num_vertices(), 9);
-            for (u, v) in g.edge_iter() {
-                sk.add_edge(u, v);
-            }
-            sk.components()
-        })
-    });
+    let everyone: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    let build_and_decode = || {
+        let mut sk = DynamicConnectivitySketch::new(20, 9);
+        let messages: Vec<_> = (0..g.num_vertices())
+            .map(|v| sk.message_for(v as u32, g.neighbors(v)))
+            .collect();
+        sk.push_messages(messages);
+        sk.subset_components(&everyone)
+    };
+    assert_eq!(
+        build_and_decode().expect("certifies").parts.len(),
+        connected_components(&g).num_components()
+    );
+    group.bench_function("build_and_decode_n400", |b| b.iter(build_and_decode));
 
     // The turnstile kernel on the benchmark's `stream_churn` shape: two
     // planted 8-regular expanders of 1 000 vertices, 26 phases, and a window

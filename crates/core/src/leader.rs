@@ -139,7 +139,7 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 /// union's CSR (the single largest allocation of the old endgame) is pure
 /// waste.
 ///
-/// All paths build the same graph — the one [`contract_edges_wide`], the
+/// All paths build the same graph — the one `contract_edges_wide`, the
 /// executable spec, defines: sorted distinct rows, row-major edge list.
 /// Which one runs depends only on the shape of the request, and the cheap
 /// ones **deduplicate before materialising** anything per edge:
@@ -147,7 +147,7 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 /// * the partition is the identity and there is one graph (phase 1 of
 ///   [`grow_components`]): nothing is relabelled, so the contraction is
 ///   [`Graph::simple`], read off the graph's own CSR rows;
-/// * `parts² ≤` [`DENSE_PAIR_BITS`]: [`contract_edges_dense`] streams the
+/// * `parts² ≤` `DENSE_PAIR_BITS`: `contract_edges_dense` streams the
 ///   edges once into a pair bitmap and reads the sorted distinct edge list
 ///   off the set bits — millions of edges collapsing onto a few hundred
 ///   pairs never exist as tuples;

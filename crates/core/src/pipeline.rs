@@ -3,12 +3,12 @@
 //!
 //! Theorem 4 composes the three steps:
 //!
-//! 1. [`regularize`](crate::regularize::regularize) (Lemma 4.1),
-//! 2. [`randomize`](crate::walks::randomize) with walk length
+//! 1. [`regularize`] (Lemma 4.1),
+//! 2. [`randomize`] with walk length
 //!    `T = O(log(n/γ)/λ)` (Lemma 5.1 + Proposition 2.2), repeated once per
 //!    leader-election phase to obtain `F` *fresh* batches (the preprocessing
 //!    step of Lemma 6.1),
-//! 3. [`grow_components`](crate::leader::grow_components) followed by the
+//! 3. [`grow_components`] followed by the
 //!    exact endgame on the `O(1)`-diameter contraction (Lemma 6.2).
 //!
 //! Step 2's walks run on the zero-materialisation walk engine: the
@@ -47,7 +47,7 @@ use wcc_mpc::{MpcConfig, MpcContext, RoundStats};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineReport {
     /// Number of vertices of the regularized graph: `Σ_v c(v) ≤ 2m`, the sum
-    /// of [`cloud_sizes`](crate::products::cloud_sizes).
+    /// of [`cloud_sizes`].
     pub regularized_vertices: usize,
     /// Walk length `T` used by the randomization step.
     pub walk_length: usize,

@@ -14,20 +14,21 @@
 //!    polylog n)` super-vertices;
 //! 4. the contracted graph now fits the Ahn–Guha–McGregor sketching bound:
 //!    every super-vertex compresses its incident edges into a `polylog`-bit
-//!    message ([`wcc_sketch::ConnectivitySketch`]) and a single coordinator
-//!    machine finishes the job (Proposition 8.1).
+//!    message ([`DynamicConnectivitySketch::message_for`]) and a single
+//!    coordinator machine finishes the job by sketch-space Borůvka over all
+//!    super-vertices ([`DynamicConnectivitySketch::subset_components`],
+//!    Proposition 8.1).
 
 use crate::leader::{contraction_graph, leader_election, parent_connect_components};
 use crate::regularize::CoreError;
-use crate::walks::{
-    direct_walk_visits_into, v3_walk_visits_into, walk_rounds, WalkKernel, WalkVisitScratch,
-};
+use crate::walks::{v3_walk_visits_into, walk_rounds, WalkVisitScratch};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use wcc_graph::{ComponentLabels, Graph, GraphBuilder, Partition};
 use wcc_mpc::{record_walk_telemetry, MpcConfig, MpcContext, RoundStats, WalkTelemetry};
+use wcc_sketch::DynamicConnectivitySketch;
 
 /// Tunable constants of [`sublinear_components`]. The paper's choices are
 /// `d = n log⁴ n / s` and `t = 100 d³ log n`; the laptop preset keeps the
@@ -50,11 +51,6 @@ pub struct SublinearParams {
     /// Worker threads of the execution backend (`1` = sequential, `0` =
     /// resolve from `WCC_THREADS`); results are identical for every value.
     pub threads: usize,
-    /// Which walk kernel draws the densification walks (the Section-8 path
-    /// shares the pipeline's kernel, per DESIGN.md §10): v3 uses one 32-bit
-    /// keystream word per step, spec the two-word 64-bit draw. Overridable
-    /// at run time via `WCC_WALK_KERNEL`.
-    pub walk_kernel: WalkKernel,
 }
 
 impl SublinearParams {
@@ -68,7 +64,6 @@ impl SublinearParams {
             leader_multiplier: 1.0,
             sketch_phases: 40,
             threads: 0,
-            walk_kernel: WalkKernel::V3,
         }
     }
 
@@ -84,7 +79,6 @@ impl SublinearParams {
             leader_multiplier: 1.0,
             sketch_phases: 24,
             threads: 0,
-            walk_kernel: WalkKernel::V3,
         }
     }
 
@@ -110,7 +104,8 @@ pub struct SublinearReport {
     pub walk_length: usize,
     /// Number of super-vertices after the leader-election contraction.
     pub contracted_vertices: usize,
-    /// Size (in words) of the largest per-super-vertex sketch message.
+    /// Size (in words) of a super-vertex's sketch message; every message has
+    /// the same fixed size.
     pub max_message_words: usize,
     /// Memory budget `s` of the simulated machines.
     pub memory_per_machine: usize,
@@ -187,9 +182,8 @@ pub fn sublinear_components(
     // emits its range's densification edges straight into one flat pair
     // list, reusing one epoch-stamped visit scratch and one visit buffer
     // across all of its walks (no per-vertex hash set or visit vector
-    // survives the fan-out).
+    // survives the fan-out). The walks run the v3 kernel (DESIGN.md §10).
     let walk_base = rng.gen::<u64>();
-    let kernel = params.walk_kernel.resolve();
     let pairs: Vec<(usize, usize)> = ctx.executor().flat_map_ranges(n, |range| {
         let mut out = Vec::new();
         let mut scratch = WalkVisitScratch::new();
@@ -198,19 +192,7 @@ pub fn sublinear_components(
         for v in range {
             let mut vrng =
                 ChaCha8Rng::seed_from_u64(wcc_mpc::derive_stream_seed(walk_base, v as u64));
-            match kernel {
-                WalkKernel::V3 => {
-                    v3_walk_visits_into(g, v, t, &mut vrng, &mut scratch, &mut visits, &mut tally);
-                }
-                WalkKernel::Spec => {
-                    direct_walk_visits_into(g, v, t, &mut vrng, &mut scratch, &mut visits);
-                    // Nominal accounting: the 64-bit draw is two keystream
-                    // words per step, every step a real move.
-                    tally.steps += t as u64;
-                    tally.moves += t as u64;
-                    tally.keystream_words += 2 * t as u64;
-                }
-            }
+            v3_walk_visits_into(g, v, t, &mut vrng, &mut scratch, &mut visits, &mut tally);
             out.extend(visits.iter().copied().filter(|&u| u != v).map(|u| (v, u)));
         }
         record_walk_telemetry(&tally);
@@ -243,46 +225,50 @@ pub fn sublinear_components(
         .max(2 * (usize::BITS - k.max(2).leading_zeros()) as usize + 16);
     // Each super-vertex builds its own message independently (the sketch is
     // linear), so the construction fans out per vertex on the backend; the
-    // shared random bits are expanded into keys once and read by every
-    // worker.
-    let keys = wcc_sketch::SketchKeys::new(phases, seed ^ 0xABCD);
-    let messages = ctx.executor().map_indexed(k, |v| {
-        wcc_sketch::ConnectivitySketch::vertex_sketch_for(&keys, k, v, contracted.neighbors(v))
-    });
-    let sketch = wcc_sketch::ConnectivitySketch::from_vertex_sketches(k, keys, messages);
-    let max_message_words = (0..k)
-        .map(|v| sketch.vertex_sketch(v).size_in_words())
-        .max()
-        .unwrap_or(0);
+    // shared random bits are expanded into the sketch's keys once and read
+    // by every worker.
+    let mut sketch = DynamicConnectivitySketch::new(phases, seed ^ 0xABCD);
+    let messages = ctx
+        .executor()
+        .map_indexed(k, |v| sketch.message_for(v as u32, contracted.neighbors(v)));
+    sketch.push_messages(messages);
     // One round: every super-vertex ships its polylog-size message to the
     // coordinator machine.
-    ctx.charge_shuffle(sketch.total_size_in_words());
-    let _ = ctx.record_machine_load(0, sketch.total_size_in_words());
-    let mut contracted_labels = sketch.components();
-    // Verification pass: the sketch output is always a refinement of the
-    // truth; if a contracted edge still crosses two labels (probability
-    // o(1), but we want a deterministic library), finish exactly the way the
-    // pipeline's endgame does, charged exchange by exchange.
-    let patched = contracted
-        .edge_iter()
-        .any(|(a, b)| contracted_labels.label(a) != contracted_labels.label(b));
-    if patched {
-        let (parents, _) = parent_connect_components(&contracted, &mut ctx);
-        contracted_labels = ComponentLabels::from_raw_labels(&parents);
-    }
+    let message_words = sketch.words_per_vertex();
+    ctx.charge_shuffle(k * message_words);
+    let _ = ctx.record_machine_load(0, k * message_words);
+    // Sketch-space Borůvka over every super-vertex. `None` is a sampling
+    // failure; a certified partition is exact unless a fingerprint collided,
+    // which the verification scan catches (a contracted edge crossing two
+    // parts). Both have probability o(1), but we want a deterministic
+    // library: they finish exactly the way the pipeline's endgame does,
+    // charged exchange by exchange.
+    let super_vertices: Vec<u32> = (0..k as u32).collect();
+    let sketched = sketch.subset_components(&super_vertices).map(|p| {
+        let mut part_of = vec![0; k];
+        for (part, members) in p.parts.iter().enumerate() {
+            members.iter().for_each(|&m| part_of[m as usize] = part);
+        }
+        part_of
+    });
+    let part_of = sketched
+        .filter(|part_of| {
+            contracted
+                .edge_iter()
+                .all(|(a, b)| part_of[a] == part_of[b])
+        })
+        .unwrap_or_else(|| parent_connect_components(&contracted, &mut ctx).0);
     ctx.end_phase();
 
     // Pull the contracted labels back through the partition.
-    let raw: Vec<usize> = (0..n)
-        .map(|v| contracted_labels.label(partition.part_of(v)))
-        .collect();
+    let raw: Vec<usize> = (0..n).map(|v| part_of[partition.part_of(v)]).collect();
     let components = ComponentLabels::from_raw_labels(&raw);
 
     let report = SublinearReport {
         target_degree: d,
         walk_length: t,
         contracted_vertices: k,
-        max_message_words,
+        max_message_words: message_words,
         memory_per_machine,
     };
     Ok(SublinearResult {

@@ -248,7 +248,7 @@ pub fn ring_of_cliques(num_cliques: usize, clique_size: usize) -> Graph {
 }
 
 /// Two `d`-regular expanders on `n_each` vertices joined by a single bridge
-/// edge. This is the instance the paper contrasts with Andoni et al. [6]
+/// edge. This is the instance the paper contrasts with Andoni et al. \[6\]
 /// (Section 1.3): the diameter is small but the spectral gap is `O(1/n)`.
 pub fn two_expanders_bridge<R: Rng + ?Sized>(n_each: usize, d: usize, rng: &mut R) -> Graph {
     let a = random_regular_permutation_graph(n_each, d, rng);

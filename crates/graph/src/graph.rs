@@ -131,7 +131,7 @@ impl Graph {
     /// from the globally sorted, deduplicated edge list: within a row
     /// every neighbour `< v` comes from an earlier edge-list row, so the
     /// sorted row reproduces the append order of
-    /// [`from_edges_unchecked`], and the emitted edge list (row-major,
+    /// [`from_edges_unchecked`](Self::from_edges_unchecked), and the emitted edge list (row-major,
     /// `w >= v` entries) is exactly the sorted distinct list.
     ///
     /// # Panics

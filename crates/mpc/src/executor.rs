@@ -8,7 +8,7 @@
 //!   of work inline on the calling thread, in index order (the historical
 //!   behaviour of the simulator).
 //! * **threaded** ([`Executor::threaded`]) — runs work on a **persistent
-//!   worker pool** ([`pool`](crate::pool) module; no external dependencies):
+//!   worker pool** ([`pool`] module; no external dependencies):
 //!   workers are spawned once, lazily, on the first threaded dispatch, park
 //!   on a condvar between fan-outs, and each fan-out costs one epoch bump +
 //!   wakeup instead of N `std::thread::scope` spawns. The index space is

@@ -11,7 +11,7 @@
 //!
 //! ## Handoff protocol
 //!
-//! Shared state is one mutex-guarded [`EpochState`] (`epoch`, `job`,
+//! Shared state is one mutex-guarded `EpochState` (`epoch`, `job`,
 //! `active`, `shutdown`) plus two condvars: `work` (workers park here) and
 //! `done` (the dispatcher waits here). A dispatch runs under a per-pool
 //! dispatch lock (one epoch in flight at a time) and proceeds:
@@ -29,7 +29,7 @@
 //!    late-waking worker can grab the dead pointer) and waits on `done`
 //!    until `active == 0`. Only then does the dispatch return and the
 //!    closure's stack frame die — that wait is what makes the borrowed job
-//!    pointer sound (see the safety comment on [`JobPtr`]).
+//!    pointer sound (see the safety comment on `JobPtr`).
 //!
 //! Each worker runs a given epoch at most once (it remembers the last epoch
 //! it joined), and a worker that wakes after the job was cleared simply

@@ -3,8 +3,8 @@
 //! and parallel search in `O(log_s N)` rounds, plus the small helpers built
 //! on them (deduplication, counting by key).
 //!
-//! These run on the [`Cluster`](crate::Cluster) execution layer and charge
-//! their documented round cost against an [`MpcContext`](crate::MpcContext);
+//! These run on the [`Cluster`] execution layer and charge
+//! their documented round cost against an [`MpcContext`];
 //! higher-level algorithms that do not need a faithful execution can charge
 //! the same costs directly via [`MpcContext::charge_sort`] and
 //! [`MpcContext::charge_search`].

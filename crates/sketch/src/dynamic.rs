@@ -1,28 +1,37 @@
-//! Turnstile AGM sketches over a growing vertex universe.
+//! The Ahn–Guha–McGregor connectivity sketch (Proposition 8.1) over a
+//! growing vertex universe, with turnstile updates.
 //!
-//! [`ConnectivitySketch`](crate::ConnectivitySketch) is built for a fixed
-//! vertex count `n`: its edge coordinates are `u·n + v`, so the sketch cannot
-//! absorb vertices that arrive after construction without re-indexing every
-//! coordinate. A streaming engine discovers vertices as edges arrive, so this
-//! module keeps the same per-vertex signed edge-incidence sketches but indexes
-//! the coordinate space by the *pair itself*: edge `{u, v}` with `u < v` lives
-//! at coordinate `(u << 32) | v`. That makes the coordinate independent of the
-//! current vertex count — [`DynamicConnectivitySketch::push_vertex`] appends a
-//! fresh empty vertex sketch and every existing coordinate stays valid.
+//! Every vertex `v` owns the *signed edge-incidence vector* `a_v`: for an
+//! edge `{u, v}` with `u < v`, its coordinate in `a_u` is `+1` and in `a_v`
+//! `−1`. For any vertex set `S` the non-zero coordinates of `Σ_{v∈S} a_v` are
+//! exactly the edges with one endpoint in `S` — internal edges cancel. Each
+//! vertex keeps one ℓ0-sampler of `a_v` per Borůvka phase (stored flat, see
+//! [`kernel`](crate::kernel)), and Borůvka runs in sketch space: in round `i`
+//! every current part sums its members' phase-`i` samplers and samples one
+//! outgoing edge. A *fresh* sampler per phase keeps the samples independent
+//! of earlier merges — the same "fresh randomness per phase" idea the paper
+//! reuses for leader election in Section 6.
 //!
-//! The price is a coordinate universe of size `2^64` instead of `n²`, which
-//! costs nothing in space (the samplers are universe-size oblivious; the
-//! kernel's power tables skip the coordinate's zero bytes) and only
-//! weakens the one-sparse fingerprint bound from `O(n²/p)` to `O(m·2^64/p·…)`
-//! — still negligible because the fingerprint test is evaluated over
-//! `p = 2^61 − 1` on the *actual support* (at most `m` coordinates), giving a
-//! collision probability of `O(m/p)` per recovery. The construction is valid
-//! for dense vertex ids below `2^32`; the streaming engine interns raw ids to
-//! dense `u32`s, so this always holds.
+//! Edge `{u, v}` with `u < v` lives at coordinate `(u << 32) | v`, which
+//! does not depend on the vertex count:
+//! [`DynamicConnectivitySketch::push_vertex`] appends a fresh empty vertex
+//! sketch and every existing coordinate stays valid. The coordinate universe
+//! is `2^64`, which costs nothing in space (the samplers are universe-size
+//! oblivious; the kernel's power tables skip the coordinate's zero bytes);
+//! the fingerprint test is evaluated over `p = 2^61 − 1` on the *actual
+//! support* (at most `m` coordinates), giving a collision probability of
+//! `O(m/p)` per recovery. Vertex ids must be dense and below `2^32`.
 //!
 //! The turnstile property is inherited from linearity: a deletion is a `−1`
 //! update on the same coordinate, so after any interleaving of inserts and
 //! deletes the sketch equals the sketch of the surviving edge multiset.
+//!
+//! Theorem 2's coordinator step builds the sketch one vertex at a time
+//! instead: [`message_for`](DynamicConnectivitySketch::message_for) is the
+//! message one player sends — a pure function of the shared keys and its
+//! neighbour list, so the messages fan out over any executor — and
+//! [`push_messages`](DynamicConnectivitySketch::push_messages) appends them
+//! as vertices, equal to the sketch built edge by edge.
 //!
 //! [`DynamicConnectivitySketch::subset_components_from`] is the repair
 //! primitive the streaming engine runs after a deletion cut its spanning
@@ -215,6 +224,42 @@ impl DynamicConnectivitySketch {
     /// vertex count. Existing coordinates are unaffected.
     pub fn push_vertex(&mut self) {
         self.vertices.push(self.keys.empty_vertex(self.built));
+    }
+
+    /// The message vertex `v` sends to the coordinator under Proposition
+    /// 8.1: the sketch of its incidence vector in the built phases, from its
+    /// neighbour list (self-loops ignored, parallel edges counted with
+    /// multiplicity). A pure function of the keys, `v` and `neighbors`, so
+    /// callers may build the messages of vertices not pushed yet on any
+    /// fan-out and append them with [`push_messages`](Self::push_messages).
+    pub fn message_for(&self, v: u32, neighbors: &[u32]) -> VertexSketch {
+        let mut message = self.keys.empty_vertex(self.built);
+        for &w in neighbors.iter().filter(|&&w| w != v) {
+            let sign = if v < w { 1 } else { -1 };
+            self.keys.update(&mut message, edge_coordinate(v, w), sign);
+        }
+        message
+    }
+
+    /// Appends `messages` as vertices: the `i`-th becomes vertex
+    /// `num_vertices() + i`, the `v` it must have been built for with
+    /// [`message_for`](Self::message_for). Once every endpoint's message is
+    /// in, the sketch equals the one built by
+    /// [`push_vertex`](Self::push_vertex) and [`add_edge`](Self::add_edge)
+    /// over the same edges (sketches are linear).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a message stores different phases than this sketch.
+    pub fn push_messages(&mut self, messages: impl IntoIterator<Item = VertexSketch>) {
+        for message in messages {
+            assert_eq!(
+                (message.num_phases(), message.built_phases()),
+                (self.num_phases(), self.built),
+                "a message must be built by this sketch's `message_for`"
+            );
+            self.vertices.push(message);
+        }
     }
 
     /// Inserts the undirected edge `{u, v}`. Self-loops are ignored (no slot
@@ -464,6 +509,9 @@ impl DynamicConnectivitySketch {
 mod tests {
     use super::*;
     use crate::l0::next_u64;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use wcc_graph::prelude::*;
 
     fn sketch_with(n: usize, edges: &[(u32, u32)]) -> DynamicConnectivitySketch {
         let mut sk = DynamicConnectivitySketch::new(24, 42);
@@ -573,10 +621,9 @@ mod tests {
     }
 
     /// The nested sampler implementation this layout replaced is gone, so
-    /// its observable behaviour is pinned by digests recorded from it (at
+    /// its observable behaviour is pinned by a digest recorded from it (at
     /// commit 9f6d208, the parent of the flat kernel): every `(parts,
-    /// phases_used)` of a fixed churn-and-teardown schedule, and every label
-    /// of the static sketch over the `u·n + v` space on a deletion schedule.
+    /// phases_used)` of a fixed churn-and-teardown schedule.
     #[test]
     fn churn_schedule_partitions_match_the_recorded_digest() {
         const COMMUNITY: u32 = 120;
@@ -653,25 +700,70 @@ mod tests {
             record(&sk, &all, &mut digest);
         }
         assert_eq!(digest, 0x0d97_2047_55a4_ec20, "dynamic sketch digest");
+    }
 
-        let mut st = crate::ConnectivitySketch::with_phases(N as usize, 26, 0x5EED);
-        let mut live: Vec<(u32, u32)> = (0..500).map(|_| intra_edge(&mut rng)).collect();
-        for &(u, v) in &live {
-            st.add_edge(u as usize, v as usize);
+    #[test]
+    fn per_vertex_construction_matches_add_edge() {
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let g = generators::random_out_degree_graph(80, 6, &mut rng);
+        let n = g.num_vertices();
+        // A self-loop and a parallel copy on top.
+        let g = Graph::from_edges_unchecked(n, g.edge_iter().chain([(3, 3), (0, 1), (0, 1)]));
+        let mut incremental = DynamicConnectivitySketch::new(20, 99);
+        (0..n).for_each(|_| incremental.push_vertex());
+        for (u, v) in g.edge_iter() {
+            incremental.add_edge(u as u32, v as u32);
         }
-        let mut digest = FNV_BASIS;
-        for _ in 0..4 {
-            for _ in 0..100 {
-                let (u, v) = take_live(&mut live, &mut rng);
-                st.remove_edge(u as usize, v as usize);
-            }
-            let labels = st.components();
-            fnv(&mut digest, labels.num_components() as u64);
-            for v in 0..N as usize {
-                fnv(&mut digest, labels.label(v) as u64);
+        let mut assembled = DynamicConnectivitySketch::new(20, 99);
+        let messages: Vec<VertexSketch> = (0..n)
+            .map(|v| assembled.message_for(v as u32, g.neighbors(v)))
+            .collect();
+        assembled.push_messages(messages);
+        assert_eq!(incremental, assembled);
+    }
+
+    #[test]
+    #[should_panic(expected = "built by this sketch's `message_for`")]
+    fn a_message_of_other_phases_panics() {
+        let lazy = DynamicConnectivitySketch::lazy(20, 99);
+        let message = lazy.message_for(0, &[1]);
+        DynamicConnectivitySketch::new(20, 99).push_messages([message]);
+    }
+
+    #[test]
+    fn self_loops_are_ignored() {
+        let looped = sketch_with(5, &[(2, 2), (0, 1)]);
+        assert_eq!(looped, sketch_with(5, &[(0, 1)]));
+        assert_eq!(looped.message_for(2, &[2, 2]), looped.message_for(2, &[]));
+    }
+
+    /// The contract the stream and Theorem 2's coordinator both rely on:
+    /// a run that cannot finish within its phases returns `None`, never a
+    /// partition other than the exact connected components.
+    #[test]
+    fn too_few_phases_fail_with_none_or_certify_the_exact_partition() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let (mut failed, mut certified) = (0, 0);
+        for trial in 0..40u64 {
+            let n = 40;
+            let g = generators::erdos_renyi(n, 0.03, &mut rng);
+            let edges: Vec<(u32, u32)> = g.edge_iter().map(|(u, v)| (u as u32, v as u32)).collect();
+            let truth = oracle_parts(n, &all_members(n), &edges);
+            for phases in [1, 2] {
+                let mut sk = DynamicConnectivitySketch::new(phases, trial);
+                (0..n).for_each(|_| sk.push_vertex());
+                edges.iter().for_each(|&(u, v)| sk.add_edge(u, v));
+                match sk.subset_components(&all_members(n)) {
+                    None => failed += 1,
+                    Some(p) => {
+                        assert_eq!(p.parts, truth, "trial {trial}, {phases} phases");
+                        certified += 1;
+                    }
+                }
             }
         }
-        assert_eq!(digest, 0xa5ae_614a_c925_f319, "static sketch digest");
+        assert!(failed > 0, "the draw must exercise the failure branch");
+        assert!(certified > 0, "the draw must exercise the certified branch");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The flat turnstile-sketch kernel shared by [`ConnectivitySketch`] and
-//! [`DynamicConnectivitySketch`].
+//! The flat turnstile-sketch kernel under [`DynamicConnectivitySketch`].
 //!
 //! Logically every vertex still owns one [`L0Sampler`] per Borůvka phase —
 //! 61 one-sparse recoveries sharing the phase's level hash and fingerprint
@@ -8,7 +7,7 @@
 //! cell). What changes is where the work and the bytes go:
 //!
 //! * **Shared keys.** Everything the vertices of one sketch have in common
-//!   lives once in [`SketchKeys`]: per phase the level-hash seed, `z`, and a
+//!   lives once in `SketchKeys`: per phase the level-hash seed, `z`, and a
 //!   byte-window table `pow[k][b] = z^(b·256^k) mod p` (8 × 256 entries,
 //!   16 KiB). `z^index` is then one table entry per non-zero byte of the
 //!   index — at most 7 multiplications instead of a 64-step
@@ -34,12 +33,12 @@
 //!   tables.
 //!
 //! None of this is visible in the *message* a vertex sends under
-//! Proposition 8.1: [`VertexSketch::size_in_words`] still charges all 61
-//! levels of every phase with their `z`, because that is what the model's
-//! fixed-size linear sketch occupies on the wire.
+//! Proposition 8.1: [`DynamicConnectivitySketch::words_per_vertex`] still
+//! charges all 61 levels of every phase with their `z`, because that is
+//! what the model's fixed-size linear sketch occupies on the wire.
 //!
-//! [`ConnectivitySketch`]: crate::ConnectivitySketch
 //! [`DynamicConnectivitySketch`]: crate::DynamicConnectivitySketch
+//! [`DynamicConnectivitySketch::words_per_vertex`]: crate::DynamicConnectivitySketch::words_per_vertex
 //! [`L0Sampler`]: crate::L0Sampler
 
 use std::ops::Range;
@@ -53,12 +52,6 @@ const WINDOWS: usize = 8;
 /// Seed of the phase-`phase` sampler of a sketch seeded with `base_seed`.
 fn phase_seed(base_seed: u64, phase: usize) -> u64 {
     base_seed.wrapping_add(0x9E37_79B9 * (phase as u64 + 1))
-}
-
-/// Words of one vertex's message: per phase the sampler's seed and all 61
-/// levels, however few of them are physically stored.
-fn message_words(num_phases: usize) -> usize {
-    num_phases * (1 + NUM_LEVELS * WORDS_PER_CELL)
 }
 
 /// The shared randomness of one Borůvka phase.
@@ -103,7 +96,7 @@ impl PhaseKey {
 /// and hand it out by reference; it is a pure function of
 /// `(num_phases, seed)`.
 #[derive(Clone)]
-pub struct SketchKeys {
+pub(crate) struct SketchKeys {
     phases: Vec<PhaseKey>,
 }
 
@@ -113,7 +106,7 @@ impl SketchKeys {
     /// # Panics
     ///
     /// Panics if `num_phases` is zero.
-    pub fn new(num_phases: usize, seed: u64) -> Self {
+    pub(crate) fn new(num_phases: usize, seed: u64) -> Self {
         assert!(num_phases > 0, "at least one Borůvka phase required");
         SketchKeys {
             phases: (0..num_phases)
@@ -123,13 +116,15 @@ impl SketchKeys {
     }
 
     /// Number of Borůvka phases (independent samplers per vertex).
-    pub fn num_phases(&self) -> usize {
+    pub(crate) fn num_phases(&self) -> usize {
         self.phases.len()
     }
 
-    /// Size of one vertex's message in machine words.
-    pub fn words_per_vertex(&self) -> usize {
-        message_words(self.phases.len())
+    /// Size of one vertex's message in machine words (the quantity
+    /// Proposition 8.1 bounds by `O(log³ n)` bits): per phase the sampler's
+    /// seed and all 61 levels, however few of them are physically stored.
+    pub(crate) fn words_per_vertex(&self) -> usize {
+        self.phases.len() * (1 + NUM_LEVELS * WORDS_PER_CELL)
     }
 
     /// An empty per-vertex message under these keys that stores phases
@@ -254,6 +249,11 @@ impl VertexSketch {
         self.num_phases
     }
 
+    /// Number of phases stored: `0..built_phases()`.
+    pub(crate) fn built_phases(&self) -> usize {
+        self.built
+    }
+
     /// The stored cells of one built phase (levels `0..levels`).
     fn phase_cells(&self, phase: usize) -> &[Cell] {
         debug_assert!(phase < self.built, "phase {phase} is not built");
@@ -297,40 +297,6 @@ impl VertexSketch {
         for cell in &mut self.cells[phase * self.levels..][..=level] {
             cell.add_update(delta, iw, term);
         }
-    }
-
-    /// Adds another vertex's message to this one (sketches are linear, so the
-    /// sum is the sketch of the combined incidence vector). Used when several
-    /// original vertices are contracted into one super-vertex before their
-    /// messages are sent to the coordinator. Both must come from the same
-    /// [`SketchKeys`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two messages have different phase counts or store
-    /// different phases.
-    pub fn merge(&mut self, other: &VertexSketch) {
-        assert_eq!(
-            (self.num_phases, self.built),
-            (other.num_phases, other.built),
-            "cannot merge messages with different phase counts"
-        );
-        if other.levels > self.levels {
-            self.grow(other.levels);
-        }
-        for phase in 0..self.built {
-            let row = &mut self.cells[phase * self.levels..];
-            for (acc, cell) in row.iter_mut().zip(other.phase_cells(phase)) {
-                acc.add(cell);
-            }
-        }
-    }
-
-    /// Size of this message in machine words (the quantity Proposition 8.1
-    /// bounds by `O(log³ n)` bits): all 61 levels of every phase, whether or
-    /// not they are physically stored.
-    pub fn size_in_words(&self) -> usize {
-        message_words(self.num_phases)
     }
 }
 
@@ -418,7 +384,7 @@ mod tests {
     use super::*;
     use crate::l0::next_u64;
     use crate::one_sparse::pow_mod;
-    use crate::{ConnectivitySketch, DynamicConnectivitySketch, L0Sampler};
+    use crate::{DynamicConnectivitySketch, L0Sampler};
 
     #[test]
     fn windowed_pow_matches_square_and_multiply() {
@@ -528,65 +494,76 @@ mod tests {
         let mut flat = DynamicConnectivitySketch::new(phases, seed);
         (0..n).for_each(|_| flat.push_vertex());
         let mut oracle = Oracle::new(n, phases, seed);
+        let mut neighbors = vec![Vec::new(); n];
+        let index = |u: usize, v: usize| ((u.min(v) as u64) << 32) | u.max(v) as u64;
         for (u, v, delta) in schedule(n, 600, &mut rng) {
             if delta > 0 {
                 flat.add_edge(u as u32, v as u32);
-            } else {
-                flat.remove_edge(u as u32, v as u32);
-            }
-            let index = ((u.min(v) as u64) << 32) | u.max(v) as u64;
-            oracle.update_edge(u, v, index, delta);
-        }
-        for v in 0..n {
-            oracle.assert_matches(v, flat.vertex_sketch(v));
-        }
-    }
-
-    #[test]
-    fn flat_cells_match_reference_samplers_row_coded() {
-        let (n, phases, seed) = (12, 9, 99);
-        let mut rng = 4u64;
-        let mut flat = ConnectivitySketch::with_phases(n, phases, seed);
-        let mut oracle = Oracle::new(n, phases, seed);
-        let mut neighbors = vec![Vec::new(); n];
-        for (u, v, delta) in schedule(n, 600, &mut rng) {
-            if delta > 0 {
-                flat.add_edge(u, v);
                 neighbors[u].push(v as u32);
                 if u != v {
                     neighbors[v].push(u as u32);
                 }
             } else {
-                flat.remove_edge(u, v);
+                flat.remove_edge(u as u32, v as u32);
             }
-            let index = (u.min(v) * n + u.max(v)) as u64;
-            oracle.update_edge(u, v, index, delta);
+            oracle.update_edge(u, v, index(u, v), delta);
         }
         for v in 0..n {
             oracle.assert_matches(v, flat.vertex_sketch(v));
         }
-        // The single-endpoint path (`vertex_sketch_for`) against the oracle
-        // of the insert-only multiset, and `merge` against sampler merges.
-        let keys = SketchKeys::new(phases, seed);
+        // The single-endpoint path (`message_for`) against the oracle of
+        // the insert-only multiset.
         let mut oracle = Oracle::new(n, phases, seed);
         for (u, list) in neighbors.iter().enumerate() {
             for &v in list.iter().filter(|&&v| u < v as usize) {
-                oracle.update_edge(u, v as usize, (u * n + v as usize) as u64, 1);
+                oracle.update_edge(u, v as usize, index(u, v as usize), 1);
             }
         }
-        let built: Vec<VertexSketch> = (0..n)
-            .map(|v| ConnectivitySketch::vertex_sketch_for(&keys, n, v, &neighbors[v]))
-            .collect();
-        for (v, sketch) in built.iter().enumerate() {
+        for (v, list) in neighbors.iter().enumerate() {
+            oracle.assert_matches(v, &flat.message_for(v as u32, list));
+        }
+    }
+
+    #[test]
+    fn flat_cells_match_reference_samplers_row_coded() {
+        // The kernel takes any coordinate; row coding `u·n + v` keeps every
+        // index in its low bytes, unlike the pair coding's high word.
+        let (n, phases, seed) = (12, 9, 99);
+        let mut rng = 4u64;
+        let keys = SketchKeys::new(phases, seed);
+        let mut flat: Vec<VertexSketch> = (0..n).map(|_| keys.empty_vertex(phases)).collect();
+        let mut oracle = Oracle::new(n, phases, seed);
+        let mut neighbors = vec![Vec::new(); n];
+        let index = |u: usize, v: usize| (u.min(v) * n + u.max(v)) as u64;
+        for (u, v, delta) in schedule(n, 600, &mut rng) {
+            if u == v {
+                continue;
+            }
+            if delta > 0 {
+                neighbors[u].push(v);
+                neighbors[v].push(u);
+            }
+            keys.update_edge(&mut flat, u.min(v), u.max(v), index(u, v), delta, 0..phases);
+            oracle.update_edge(u, v, index(u, v), delta);
+        }
+        for (v, sketch) in flat.iter().enumerate() {
             oracle.assert_matches(v, sketch);
         }
-        let mut merged = built[0].clone();
-        merged.merge(&built[1]);
-        let (first, second) = oracle.samplers.split_at_mut(1);
-        for (a, b) in first[0].iter_mut().zip(&second[0]) {
-            a.merge(b);
+        // The single-endpoint path (`SketchKeys::update`) against the oracle
+        // of the insert-only multiset.
+        let mut oracle = Oracle::new(n, phases, seed);
+        for (u, list) in neighbors.iter().enumerate() {
+            for &v in list.iter().filter(|&&v| u < v) {
+                oracle.update_edge(u, v, index(u, v), 1);
+            }
         }
-        oracle.assert_matches(0, &merged);
+        for (v, list) in neighbors.iter().enumerate() {
+            let mut message = keys.empty_vertex(phases);
+            for &w in list {
+                keys.update(&mut message, index(v, w), if v < w { 1 } else { -1 });
+            }
+            oracle.assert_matches(v, &message);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! with constant probability, and its one-sparse recovery succeeds. Sampling
 //! fails (returns `None`) with constant probability; callers that need high
 //! success probability keep `O(log n)` independent samplers (as
-//! [`ConnectivitySketch`](crate::ConnectivitySketch) does).
+//! [`DynamicConnectivitySketch`](crate::DynamicConnectivitySketch) does).
 //!
 //! The structure is linear: two samplers built with the same seed can be
 //! merged coordinate-wise, which is exactly what sketch-space Borůvka needs.

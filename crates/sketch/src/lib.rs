@@ -5,6 +5,8 @@
 //! algorithm of Ahn, Guha and McGregor (SODA 2012): every vertex can compress
 //! its incident edge list into a `polylog(n)`-bit message such that a central
 //! coordinator can recover the connected components from the messages alone.
+//! The streaming engine uses the same sketch to certify or split a component
+//! after a deletion.
 //!
 //! This crate implements that substrate from scratch:
 //!
@@ -12,44 +14,45 @@
 //!   non-zero coordinate, with a fingerprint test to detect the other cases;
 //! * [`L0Sampler`] — samples a non-zero coordinate of a dynamically updated
 //!   vector, built from geometrically sub-sampled one-sparse recoveries;
-//! * [`ConnectivitySketch`] — the AGM sketch: each vertex sketches its signed
-//!   edge-incidence vector with `O(log n)` independent L0 samplers; sketches
-//!   are *linear*, so the sketch of a component is the sum of its vertices'
-//!   sketches, and Borůvka can be run entirely in sketch space;
-//! * [`DynamicConnectivitySketch`] — the same sketch over a growing vertex
-//!   set with turnstile (insert and delete) updates.
+//! * [`DynamicConnectivitySketch`] — the AGM sketch: each vertex sketches its
+//!   signed edge-incidence vector with one ℓ0-sampler per Borůvka phase;
+//!   sketches are *linear*, so the sketch of a part is the sum of its
+//!   vertices' sketches and Borůvka runs entirely in sketch space. The vertex
+//!   set can grow, updates may insert or delete, and a vertex's message can
+//!   be built on its own ([`DynamicConnectivitySketch::message_for`]).
 //!
-//! Both sketches store their per-vertex samplers through one flat kernel
-//! ([`kernel`]: shared [`SketchKeys`], contiguous cells stored for the
-//! levels reached and the phases built);
-//! [`L0Sampler`] and [`OneSparseRecovery`] are the standalone textbook
-//! structures over the same field arithmetic, and the reference the kernel
-//! is tested against cell for cell.
+//! The sketch stores its per-vertex samplers through one flat kernel
+//! ([`kernel`]: shared keys, contiguous cells stored for the levels reached
+//! and the phases built); [`L0Sampler`] and [`OneSparseRecovery`] are the
+//! standalone textbook structures over the same field arithmetic, and the
+//! reference the kernel is tested against cell for cell.
 //!
 //! ```
-//! use wcc_sketch::ConnectivitySketch;
-//! use wcc_graph::prelude::*;
+//! use wcc_sketch::DynamicConnectivitySketch;
 //!
-//! let g = generators::cycle(12);
-//! let mut sketch = ConnectivitySketch::new(g.num_vertices(), 7);
-//! for (u, v) in g.edge_iter() {
-//!     sketch.add_edge(u, v);
+//! // A 6-cycle: one part. Deleting two of its edges leaves two paths.
+//! let mut sketch = DynamicConnectivitySketch::new(16, 7);
+//! (0..6).for_each(|_| sketch.push_vertex());
+//! for v in 0..6 {
+//!     sketch.add_edge(v, (v + 1) % 6);
 //! }
-//! let labels = sketch.components();
-//! assert_eq!(labels.num_components(), 1);
+//! let everyone: Vec<u32> = (0..6).collect();
+//! assert_eq!(sketch.subset_components(&everyone).unwrap().parts.len(), 1);
+//! sketch.remove_edge(0, 1);
+//! sketch.remove_edge(3, 4);
+//! let parts = sketch.subset_components(&everyone).unwrap().parts;
+//! assert_eq!(parts, vec![vec![0, 4, 5], vec![1, 2, 3]]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod connectivity;
 pub mod dynamic;
 pub mod kernel;
 pub mod l0;
 pub mod one_sparse;
 
-pub use crate::connectivity::ConnectivitySketch;
 pub use crate::dynamic::{DynamicConnectivitySketch, SubsetPartition};
-pub use crate::kernel::{SketchKeys, VertexSketch};
+pub use crate::kernel::VertexSketch;
 pub use crate::l0::L0Sampler;
 pub use crate::one_sparse::{OneSparseRecovery, RecoveryOutcome};

@@ -7,7 +7,7 @@
 //! index order, and statistics are charged on the calling thread — so the
 //! output labels, round counts, communication words and per-phase breakdowns
 //! may not depend on the thread count in any way. Here we pin that down for
-//! the two end-to-end entry points across 1/2/8 threads, three seeds and
+//! the three end-to-end entry points across 1/2/8 threads, three seeds and
 //! three graph families.
 
 use rand::SeedableRng;
@@ -106,6 +106,41 @@ fn adaptive_components_is_bit_identical_across_thread_counts() {
                 assert_eq!(
                     baseline.rounds_per_level, run.rounds_per_level,
                     "per-level rounds diverged: family {fi}, seed {seed}, threads {threads}"
+                );
+            }
+        }
+    }
+}
+
+/// Theorem 2's path fans out per vertex twice — the densification walks and
+/// the super-vertices' sketch messages — so its labels and `RoundStats`
+/// (rounds, words, max machine load) must not depend on the thread count
+/// either.
+#[test]
+fn sublinear_components_is_bit_identical_across_thread_counts() {
+    use wcc_core::sublinear::{sublinear_components, SublinearParams};
+
+    for (fi, (family, _)) in families().into_iter().enumerate() {
+        let g = instance(&family, 400 + fi as u64);
+        for seed in SEEDS {
+            let run = |threads: usize| {
+                let params = SublinearParams::laptop_scale().with_threads(threads);
+                sublinear_components(&g, 48, &params, seed).expect("sublinear runs")
+            };
+            let baseline = run(1);
+            assert!(
+                baseline.report.contracted_vertices > 1,
+                "the sketch must see more than one super-vertex: family {fi}, seed {seed}"
+            );
+            for threads in THREADED {
+                let run = run(threads);
+                assert_eq!(
+                    baseline.components, run.components,
+                    "labels diverged: family {fi}, seed {seed}, threads {threads}"
+                );
+                assert_eq!(
+                    baseline.stats, run.stats,
+                    "RoundStats diverged: family {fi}, seed {seed}, threads {threads}"
                 );
             }
         }

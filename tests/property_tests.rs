@@ -14,7 +14,7 @@ use wcc_core::regularize::regularize;
 use wcc_core::sublinear::{sublinear_components, SublinearParams};
 use wcc_graph::prelude::*;
 use wcc_mpc::{MpcConfig, MpcContext};
-use wcc_sketch::ConnectivitySketch;
+use wcc_sketch::DynamicConnectivitySketch;
 
 /// Strategy: a random sparse graph given by a vertex count and an edge list.
 fn arb_graph(max_n: usize, max_extra_edges: usize) -> impl Strategy<Value = Graph> {
@@ -107,15 +107,20 @@ proptest! {
 
     #[test]
     fn agm_sketch_components_match_truth(g in arb_graph(80, 200), seed in 0u64..50) {
+        // Theorem 2's coordinator: one message per vertex, then Borůvka
+        // over every vertex. 16 phases certify the exact parts.
         let truth = connected_components(&g);
-        let mut sk = ConnectivitySketch::new(g.num_vertices(), seed);
-        for (u, v) in g.edge_iter() {
-            sk.add_edge(u, v);
+        let n = g.num_vertices();
+        let mut sk = DynamicConnectivitySketch::new(16, seed);
+        let messages: Vec<_> = (0..n).map(|v| sk.message_for(v as u32, g.neighbors(v))).collect();
+        sk.push_messages(messages);
+        let everyone: Vec<u32> = (0..n as u32).collect();
+        let parts = sk.subset_components(&everyone).expect("16 phases certify").parts;
+        let mut raw = vec![0; n];
+        for (label, part) in parts.iter().enumerate() {
+            part.iter().for_each(|&v| raw[v as usize] = label);
         }
-        let got = sk.components();
-        // Always a refinement; equal with the default number of phases.
-        prop_assert!(got.is_refinement_of(&truth));
-        prop_assert!(got.same_partition(&truth));
+        prop_assert!(ComponentLabels::from_raw_labels(&raw).same_partition(&truth));
     }
 
     #[test]
