@@ -195,20 +195,20 @@ struct JsonBatch {
     /// Ops in the batch (`insertions + deletions`).
     edges: usize,
     /// Insert ops in the batch.
-    insertions: usize,
+    insertions: u32,
     /// Turnstile delete ops in the batch.
-    deletions: usize,
-    new_vertices: usize,
-    standing_merges: usize,
+    deletions: u32,
+    new_vertices: u32,
+    standing_merges: u32,
     /// Components this batch's deletions split off via the sketch path.
-    splits: usize,
+    splits: u32,
     /// Components re-certified as still connected after a structural
     /// deletion: by the spanning forest for free, or — where `forest_cuts`
     /// says a forest edge went — by the sketch re-linking the pieces.
-    sketch_recertifies: usize,
+    sketch_recertifies: u32,
     /// Spanning-forest edges this batch's deletions removed; only their
     /// components are handed to the sketch.
-    forest_cuts: usize,
+    forest_cuts: u32,
     /// `"fast-path"`, `"sketch-repair"` or `"recompute:<reason>"`.
     path: String,
     components_after: usize,
@@ -668,7 +668,10 @@ fn run_stream(opts: &Options) -> ExitCode {
          {} sketch recertifies, {} recomputes): {} vertices, {} edges",
         reports.len(),
         fast,
-        reports.iter().map(|r| r.forest_cuts).sum::<usize>(),
+        reports
+            .iter()
+            .map(|r| u64::from(r.forest_cuts))
+            .sum::<u64>(),
         engine.splits(),
         engine.sketch_recertifies(),
         engine.recomputes(),

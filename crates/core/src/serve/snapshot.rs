@@ -26,9 +26,10 @@
 //! snapshot's epoch so the differential suite can check it against
 //! from-scratch ground truth for that exact prefix of the stream.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use wcc_graph::IdMap;
 
 /// An immutable point-in-time view of the component decomposition, answering
 /// the full query surface of the serve protocol without locks.
@@ -47,8 +48,9 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone)]
 pub struct ComponentSnapshot {
     epoch: u64,
-    /// Raw (external) vertex id → dense id, frozen at publish time.
-    index: Arc<HashMap<u64, u32>>,
+    /// Raw (external) vertex id → dense id, frozen at publish time: a copy
+    /// of the engine's interner, of the same type and hash key.
+    index: Arc<IdMap<u64, u32>>,
     /// `raw_of[dense] = raw`, the inverse of `index`.
     raw_of: Arc<Vec<u64>>,
     /// `rep[dense]` = dense id of the oldest member of `dense`'s component.
@@ -67,7 +69,7 @@ impl ComponentSnapshot {
     pub fn empty() -> Self {
         ComponentSnapshot {
             epoch: 0,
-            index: Arc::new(HashMap::new()),
+            index: Arc::default(),
             raw_of: Arc::new(Vec::new()),
             rep: Arc::new(Vec::new()),
             size: Arc::new(Vec::new()),
@@ -83,7 +85,7 @@ impl ComponentSnapshot {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         epoch: u64,
-        index: Arc<HashMap<u64, u32>>,
+        index: Arc<IdMap<u64, u32>>,
         raw_of: Arc<Vec<u64>>,
         rep: Arc<Vec<u32>>,
         size: Arc<Vec<u32>>,
@@ -272,7 +274,7 @@ mod tests {
     use super::*;
 
     fn singleton_snapshot(epoch: u64, raws: &[u64]) -> ComponentSnapshot {
-        let index: HashMap<u64, u32> = raws
+        let index: IdMap<u64, u32> = raws
             .iter()
             .enumerate()
             .map(|(d, &r)| (r, d as u32))

@@ -92,7 +92,6 @@
 //! `tests/streaming_differential.rs` and `tests/dynamic_differential.rs`.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -100,7 +99,7 @@ use crate::regularize::CoreError;
 use crate::serve::snapshot::ComponentSnapshot;
 
 use wcc_graph::io::{EdgeOp, OpKind};
-use wcc_graph::{ComponentLabels, Graph, UnionFind};
+use wcc_graph::{ComponentLabels, Graph, IdMap, IdSet, UnionFind};
 use wcc_mpc::{MpcConfig, MpcContext, RoundStats};
 use wcc_sketch::DynamicConnectivitySketch;
 
@@ -219,6 +218,11 @@ impl BatchPath {
 
 /// Per-batch measurements, in the same shape `wcc --json` reports run-level
 /// quantities (rounds, words, wall time).
+///
+/// The per-batch counts are `u32`: a batch that would push the live edges
+/// or the vertex ids past `u32::MAX` is refused, and every count is bounded
+/// by one of the two. A caller that keeps a stream's reports (`wcc stream`
+/// keeps them all) keeps 80 bytes per batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// 0-based index of the batch in the schedule.
@@ -227,33 +231,29 @@ pub struct BatchReport {
     /// duplicates and self-loops).
     pub edges_in_batch: usize,
     /// Edge insertions in the batch.
-    pub insertions: usize,
+    pub insertions: u32,
     /// Edge deletions in the batch.
-    pub deletions: usize,
+    pub deletions: u32,
     /// Vertex ids seen for the first time in this batch.
-    pub new_vertices: usize,
+    pub new_vertices: u32,
     /// Unions that joined two standing components (any non-zero count
     /// escalates).
-    pub standing_merges: usize,
+    pub standing_merges: u32,
     /// Components minted by sketch-repair splits in this batch (a component
     /// splitting into `k` parts counts `k − 1`).
-    pub splits: usize,
+    pub splits: u32,
     /// Deletion-touched components re-certified as still connected in this
     /// batch. Those that lost no forest edge — all of them when
     /// `forest_cuts` is zero — are certified by the spanning forest itself,
     /// for free; the others by the sketch re-linking the cut pieces.
-    pub sketch_recertifies: usize,
+    pub sketch_recertifies: u32,
     /// Forest edges whose last live copy this batch deleted (cuts). Only a
     /// component with a cut is handed to the sketch.
-    pub forest_cuts: usize,
+    pub forest_cuts: u32,
     /// The path the batch took.
     pub path: BatchPath,
     /// Components after the batch.
     pub components_after: usize,
-    /// Vertices after the batch.
-    pub vertices_after: usize,
-    /// Live (surviving) edges after the batch.
-    pub edges_after: usize,
     /// Simulated MPC rounds charged by this batch: the two exchanges every
     /// batch pays, plus the sketch build, repair or escalation it ran (see
     /// the module docs' charges).
@@ -273,14 +273,15 @@ const UNCERTIFIED: (u32, u32) = (0, u32::MAX);
 #[derive(Debug, Clone)]
 pub struct IncrementalComponents {
     params: StreamParams,
-    /// Raw (external) vertex id → dense id.
-    interner: HashMap<u64, u32>,
+    /// Raw (external) vertex id → dense id. The snapshot index is a copy of
+    /// it, of the same type, so publishing copies the table.
+    interner: IdMap<u64, u32>,
     /// `original_ids[dense] = raw`, in order of first appearance.
     original_ids: Vec<u64>,
     /// The live edge multiset: every normalized dense endpoint pair with a
     /// live copy. A pair whose last copy is deleted leaves the map, so its
     /// length is the number of live distinct pairs.
-    live: HashMap<(u32, u32), LivePair>,
+    live: IdMap<(u32, u32), LivePair>,
     /// Live copies summed over `live`.
     live_edges: usize,
     /// Inserts applied so far: the sequence number the next insert gets.
@@ -360,7 +361,7 @@ struct Turnstile {
     /// Net copies added per pair since the last fold, never zero (`i64`: a
     /// net delta spans `±u32::MAX`). Empty while no phase is built: a
     /// phase is built from the live pairs, which hold every op.
-    pending: HashMap<(u32, u32), i64>,
+    pending: IdMap<(u32, u32), i64>,
 }
 
 impl Turnstile {
@@ -407,7 +408,7 @@ fn check_u32_room(what: &str, count: usize, adding: usize) -> Result<(), CoreErr
 /// [`IncrementalComponents::snapshot`] for the reuse contract.
 #[derive(Debug, Clone)]
 struct SnapCache {
-    index: Arc<HashMap<u64, u32>>,
+    index: Arc<IdMap<u64, u32>>,
     raw_of: Arc<Vec<u64>>,
     rep: Arc<Vec<u32>>,
     size: Arc<Vec<u32>>,
@@ -437,9 +438,9 @@ impl IncrementalComponents {
             .with_threads(params.threads);
         IncrementalComponents {
             params,
-            interner: HashMap::new(),
+            interner: IdMap::default(),
             original_ids: Vec::new(),
-            live: HashMap::new(),
+            live: IdMap::default(),
             live_edges: 0,
             inserts: 0,
             turnstile: None,
@@ -468,7 +469,7 @@ impl IncrementalComponents {
     /// earlier inserts/deletes (prefix semantics).
     fn validate_deletions(&self, batch: &[EdgeOp]) -> Result<(), CoreError> {
         // Running per-pair delta over the batch prefix, on raw-id pairs.
-        let mut delta: HashMap<(u64, u64), i64> = HashMap::new();
+        let mut delta: IdMap<(u64, u64), i64> = IdMap::default();
         for op in batch {
             let key = (op.u.min(op.v), op.u.max(op.v));
             let d = delta.entry(key).or_insert(0);
@@ -535,7 +536,7 @@ impl IncrementalComponents {
         // this cheap bound pays for the exact count of unseen ones.
         let n = self.original_ids.len();
         if check_u32_room("vertex ids", n, inserts.saturating_mul(2)).is_err() {
-            let unseen: HashSet<u64> = batch
+            let unseen: IdSet<u64> = batch
                 .iter()
                 .filter(|op| op.kind == OpKind::Insert)
                 .flat_map(|op| [op.u, op.v])
@@ -575,7 +576,7 @@ impl IncrementalComponents {
                     self.params.sketch_phases,
                     self.sketch_seed,
                 ),
-                pending: HashMap::new(),
+                pending: IdMap::default(),
             }));
         }
 
@@ -742,20 +743,21 @@ impl IncrementalComponents {
         }
         self.ctx.end_phase();
 
+        // Every count is bounded by the live edges or the vertex ids, whose
+        // room was checked above.
+        let count = |n: usize| u32::try_from(n).expect("bounded by the u32 room checks");
         Ok(BatchReport {
             batch_index,
             edges_in_batch: len,
-            insertions,
-            deletions,
-            new_vertices,
-            standing_merges,
-            splits,
-            sketch_recertifies,
-            forest_cuts: cut.len(),
+            insertions: count(insertions),
+            deletions: count(deletions),
+            new_vertices: count(new_vertices),
+            standing_merges: count(standing_merges),
+            splits: count(splits),
+            sketch_recertifies: count(sketch_recertifies),
+            forest_cuts: count(cut.len()),
             path,
             components_after: self.uf.num_sets(),
-            vertices_after: self.original_ids.len(),
-            edges_after: self.live_edges,
             rounds: self.total_rounds() - rounds_before,
             communication_words: self.total_communication_words() - words_before,
             wall_time_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -933,12 +935,12 @@ impl IncrementalComponents {
     /// run out of `u32`s: `apply_ops_batch` refused the batch up front
     /// ([`check_u32_room`]) if its arrivals would not fit.
     fn intern(&mut self, raw: u64, new_vertices: &mut usize) -> u32 {
-        if let Some(&id) = self.interner.get(&raw) {
-            return id;
-        }
         let id = self.original_ids.len();
         debug_assert!(id < u32::MAX as usize, "vertex room is pre-validated");
-        self.interner.insert(raw, id as u32);
+        match self.interner.entry(raw) {
+            Entry::Occupied(known) => return *known.get(),
+            Entry::Vacant(slot) => _ = slot.insert(id as u32),
+        }
         self.original_ids.push(raw);
         self.degrees.push(0);
         self.oldest.push(id as u32);
@@ -1285,6 +1287,7 @@ impl IncrementalComponents {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     /// Whether [`check_u32_room`] lets `count + adding` through; it refuses
     /// with `BadParams`.
@@ -1319,6 +1322,14 @@ mod tests {
                 "{vertices} + {arrivals} must be refused"
             );
         }
+    }
+
+    /// The per-batch counts are `u32` (the room checks above bound them),
+    /// so a kept report costs what the type's docs say.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_batch_report_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<BatchReport>(), 80);
     }
 
     use rand::seq::SliceRandom;
@@ -1860,7 +1871,7 @@ mod tests {
         assert_eq!(r.unwrap().forest_cuts, 0);
         let after = engine.turnstile.as_ref().unwrap();
         assert!(after.sketch == t.sketch, "a cut-free batch read the sketch");
-        assert_eq!(after.pending, HashMap::from([((7, 8), -1)]));
+        assert_eq!(after.pending, IdMap::from_iter([((7, 8), -1)]));
         let truth = connected_components(&engine.current_graph());
         assert!(engine.labels().same_partition(&truth));
     }
@@ -2256,12 +2267,12 @@ mod tests {
             fnv(digest, u64::from(b));
         }
         for x in [
-            r.splits,
-            r.sketch_recertifies,
-            r.forest_cuts,
-            r.components_after,
+            u64::from(r.splits),
+            u64::from(r.sketch_recertifies),
+            u64::from(r.forest_cuts),
+            r.components_after as u64,
         ] {
-            fnv(digest, x as u64);
+            fnv(digest, x);
         }
     }
 

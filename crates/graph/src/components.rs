@@ -6,6 +6,7 @@
 //! experiment harness.
 
 use crate::graph::Graph;
+use crate::hash::IdMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -144,7 +145,7 @@ pub struct ComponentLabels {
 impl ComponentLabels {
     /// Builds labels from an arbitrary labelling (canonicalising label values).
     pub fn from_raw_labels(raw: &[usize]) -> Self {
-        let mut map = std::collections::HashMap::new();
+        let mut map: IdMap<usize, usize> = IdMap::default();
         let mut labels = Vec::with_capacity(raw.len());
         for &r in raw {
             let next = map.len();

@@ -43,6 +43,7 @@
 use std::io::{BufRead, BufWriter, Read, Write};
 
 use crate::graph::{Graph, GraphBuilder};
+use crate::hash::IdMap;
 
 /// Magic bytes opening a binary chunk stream.
 pub const CHUNK_MAGIC: [u8; 4] = *b"WCCS";
@@ -237,8 +238,8 @@ pub fn read_edge_list_sized<R: BufRead>(
     // inside the returned `LoadedGraph`, so overshooting there would pin
     // unused capacity for the graph's whole lifetime.
     let approx_vertices = approx_edges / 8;
-    let mut id_map: std::collections::HashMap<u64, usize> =
-        std::collections::HashMap::with_capacity(approx_vertices.min(1 << 22));
+    let mut id_map: IdMap<u64, usize> =
+        IdMap::with_capacity_and_hasher(approx_vertices.min(1 << 22), Default::default());
     let mut original_ids: Vec<u64> = Vec::with_capacity(approx_vertices.min(1 << 22));
     let mut edges: Vec<(usize, usize)> = Vec::with_capacity(approx_edges.min(1 << 24));
     let mut line = String::new();

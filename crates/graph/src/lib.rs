@@ -29,6 +29,7 @@
 pub mod components;
 pub mod generators;
 pub mod graph;
+pub mod hash;
 pub mod io;
 pub mod partition;
 pub mod spectral;
@@ -36,6 +37,7 @@ pub mod view;
 
 pub use crate::components::{connected_components, ComponentLabels, UnionFind};
 pub use crate::graph::{Graph, GraphBuilder, GraphError};
+pub use crate::hash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use crate::io::{
     decode_op_chunk, pack_op_list, read_edge_list, read_edge_list_file, read_edge_list_sized,
     read_op_chunk_frames, read_op_chunks, read_op_chunks_file, write_edge_list, write_op_chunks,

@@ -20,7 +20,7 @@
 //! [`Cluster::shuffle_by_key`] is a sequential stable bucket pass: within
 //! each destination machine, tuples appear in global source order
 //! (machine-major). [`Cluster::reduce_by_key`] pre-aggregates per machine
-//! with a `HashMap` (emitted key-sorted, so the map's iteration order never
+//! with an [`IdMap`] (emitted key-sorted, so the map's iteration order never
 //! reaches the output), routes the partials and merges equal keys in
 //! first-seen order.
 //!
@@ -29,7 +29,9 @@
 //! results — tuple order, statistics, errors — are bit-identical on every
 //! backend (see the determinism contract in [`crate::executor`]).
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
+
+use wcc_graph::IdMap;
 
 use crate::config::{MpcConfig, MpcError};
 use crate::executor::Executor;
@@ -345,10 +347,10 @@ impl<T> Cluster<T> {
         FO: Fn(&mut A, &T) + Sync,
     {
         // Local combiner pass (free: purely local), one machine per work
-        // unit. Sorting by key keeps the HashMap's iteration order out of
-        // the output.
+        // unit. Sorting by key keeps the map's iteration order out of the
+        // output.
         let combined: Vec<Vec<(u64, A)>> = self.executor.map_indexed(self.num_machines(), |mi| {
-            let mut local: HashMap<u64, A> = HashMap::new();
+            let mut local: IdMap<u64, A> = IdMap::default();
             for t in self.machine(mi) {
                 let k = key(t);
                 fold(local.entry(k).or_insert_with(|| init(k)), t);
@@ -373,9 +375,9 @@ impl<T> Cluster<T> {
 
         let mut out = Vec::new();
         for bucket in partials {
-            // The HashMap only indexes into the order-preserving Vec, so the
+            // The map only indexes into the order-preserving Vec, so the
             // merged keys come out in first-seen order.
-            let mut index: HashMap<u64, usize> = HashMap::new();
+            let mut index: IdMap<u64, usize> = IdMap::default();
             let mut merged: Vec<(u64, A)> = Vec::new();
             for (k, a) in bucket {
                 match index.entry(k) {

@@ -7,7 +7,8 @@
 # (each into its own benchmark/target), then runs <pairs> pairs (default 10)
 # of one parent run and one change run, alternating which side goes first,
 # at BENCHMARK.json's run_seconds and the given seed (default 7). Prints
-# every run's end-to-end metrics, then per metric each side's quartiles and
+# every run's failed/attempted count and timed repetitions, its end-to-end
+# metrics, then per metric each side's quartiles and
 # median, the ratio of the medians, in how many pairs the change read
 # better (ties count for neither side) and whether the medians differ by
 # more than the parent's own inter-quartile range — the two conditions a
@@ -79,11 +80,15 @@ echo "parent: $parent"
 echo "change: $change"
 echo "nproc: $(nproc)"
 echo
-echo "failed / attempted per run:"
+# The repetition count comes from the workload's "N timed repetitions"
+# stderr line: a metric that grows with the repetitions kept (peak_rss_mb
+# on stream_churn) can only be read next to it.
+echo "failed / attempted [timed repetitions, - where the workload prints none] per run:"
 for side in parent change; do
     printf '  %-7s' "$side"
     for i in $(seq 1 "$pairs"); do
-        printf ' %s' "$(jq -r '"\(.failed)/\(.attempted)"' "$out/${side}_$i.json")"
+        reps=$(sed -nE 's/^ *([0-9]+) timed repetitions.*/\1/p' "$out/${side}_$i.err" | tail -n 1)
+        printf ' %s [%s]' "$(jq -r '"\(.failed)/\(.attempted)"' "$out/${side}_$i.json")" "${reps:--}"
     done
     echo
 done

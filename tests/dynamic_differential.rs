@@ -439,7 +439,7 @@ fn an_exhausted_phase_budget_escalates_with_labels_exact_and_the_forest_rebuilt(
         .collect();
     let reports = replay_checked(&mut engine, std::slice::from_ref(&cuts));
     let r = &reports[0];
-    assert_eq!(r.forest_cuts, cuts.len());
+    assert_eq!(r.forest_cuts as usize, cuts.len());
     assert_eq!(
         r.path,
         BatchPath::Recompute(RecomputeReason::SketchUncertified)
