@@ -1,6 +1,5 @@
 //! Streaming ingestion: incremental maintenance of the component labelling
-//! (and its well-connectedness certificate) under batches of edge insertions
-//! and deletions.
+//! under batches of edge insertions and deletions.
 //!
 //! [`IncrementalComponents`] keeps the decomposition alive between batches,
 //! with the classic fast-path/slow-path split of dynamic connectivity
@@ -9,33 +8,17 @@
 //! * **Fast path** — a deterministic union–find pass over the current labels,
 //!   modelling Liu–Tarjan's concurrent label-merging (*Simple Concurrent
 //!   Labeling Algorithms for Connected Components*), charged `O(1)`
-//!   simulated rounds. It is taken when the batch provably cannot have
-//!   changed the maintained structure: no union joins two *standing*
-//!   components (both existed before the batch began) and the certificate
-//!   still holds.
+//!   simulated rounds. It is taken unless the batch is the first, merges two
+//!   *standing* components (both existed before the batch began) or deletes
+//!   the last copy of an edge (see deletions below).
 //! * **Slow path** — an *escalation* ([`BatchPath::Recompute`]): one
 //!   union–find pass over the live pairs rebuilds the partition and the
-//!   spanning forest, and every component's certificate is refreshed. Where
-//!   the batch's deletions were all certified, the pass returns the
-//!   partition the union–find already held; it makes the labelling exact
-//!   again after a cut the sketch could not certify. This is Behnezhad et
-//!   al.'s "work only when structure changes" (arXiv:1910.05385); the
-//!   paper's Theorem 4 stays the one-shot entry points' job and the
-//!   differential suites' oracle.
-//!
-//! ## The well-connectedness certificate
-//!
-//! The cheap incremental proxy for the pipeline's premise that components
-//! are well connected and *almost regular* (Section 2 of the paper: degrees
-//! within `(1 ± ε)·d`). At every escalation each component of at least
-//! [`StreamParams::certificate_min_component`] vertices gets a degree
-//! **cap** (`max(skew · avg + slack, current max)`) and **floor**
-//! (`min(avg / skew, current min)`). An existing vertex crossing the cap on
-//! an insert (a forming hub), a newly arrived vertex under the floor (a
-//! pendant tendril) or a deletion endpoint eroding below it escalates the
-//! batch. Components built purely on the fast path since the last
-//! escalation carry trivial thresholds until the next one certifies them:
-//! the certificate tracks *degradation of certified structure*.
+//!   spanning forest. After a bootstrap or a standing merge the pass
+//!   returns the partition the union–find already held; after a cut the
+//!   sketch could not certify it makes the labelling exact again. This
+//!   is Behnezhad et al.'s "work only when structure changes"
+//!   (arXiv:1910.05385); the paper's Theorem 4 stays the one-shot entry
+//!   points' job and the differential suites' oracle.
 //!
 //! ## Deletions: a spanning forest certifies, the sketch repairs
 //!
@@ -81,8 +64,8 @@
 //! ships its members' whole fixed-size sketches to a coordinator
 //! (`members · words_per_vertex` words, all phases) and gets
 //! labels back (`members` words), one round each. An escalation pays one
-//! round of `n` words (every degree to its label holder) plus, when the
-//! batch cut, that coordinator exchange with live edges in place of
+//! round of `n` words (the rebuilt labels back to every vertex) plus, when
+//! the batch cut, that coordinator exchange with live edges in place of
 //! sketches (`2 · edges` words in, `members` out).
 //!
 //! Over-deletion would corrupt the sketch's linearity, so a batch deleting
@@ -110,15 +93,6 @@ pub struct StreamParams {
     /// backend, `0` = resolve from `WCC_THREADS`, whose own `0` means one
     /// worker per available CPU).
     pub threads: usize,
-    /// Certificate skew `σ`: a certified component's degree cap is
-    /// `σ · avg + slack` and its floor is `avg / σ` (clamped so the state at
-    /// certification time is never already in violation).
-    pub certificate_degree_skew: f64,
-    /// Additive slack on the degree cap, in edges.
-    pub certificate_degree_slack: u32,
-    /// Components smaller than this are never certificate-checked (tiny
-    /// components are trivially irregular and trivially cheap to escalate).
-    pub certificate_min_component: usize,
     /// Independent Borůvka phases of the lazily built turnstile sketch (see
     /// the module docs). More phases raise the probability that a deletion
     /// is absorbed by the sketch-repair path instead of escalating, at
@@ -128,15 +102,11 @@ pub struct StreamParams {
 }
 
 impl StreamParams {
-    /// The defaults every caller uses: a degree cap of `4 · avg + 8` and a
-    /// floor of `avg / 4` on components of 8 or more vertices, 26 sketch
-    /// phases, threads from `WCC_THREADS`.
+    /// The defaults every caller uses: 26 sketch phases, threads from
+    /// `WCC_THREADS`.
     pub fn laptop_scale() -> Self {
         StreamParams {
             threads: 0,
-            certificate_degree_skew: 4.0,
-            certificate_degree_slack: 8,
-            certificate_min_component: 8,
             sketch_phases: 26,
         }
     }
@@ -163,14 +133,11 @@ impl StreamParams {
 /// Why a batch escalated to the slow path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomputeReason {
-    /// The first non-empty batch: establishes the initial certificate.
+    /// The first non-empty batch.
     Bootstrap,
     /// The batch merged two standing components (components that both
-    /// existed before the batch began), whose certificates no longer
-    /// describe the merged one.
+    /// existed before the batch began).
     StandingMerge,
-    /// The batch pushed a certified component outside its degree cap/floor.
-    CertificateViolation,
     /// A cut component could not be re-certified by the sketch within its
     /// phase budget (sampling failure, or a sampled link with no live copy),
     /// so the labelling is over-coarse until the union–find pass rebuilds
@@ -188,8 +155,7 @@ pub enum BatchPath {
     /// by sketch-Borůvka where it was cut.
     SketchRepair,
     /// Escalation: one union–find pass over the live pairs rebuilds the
-    /// partition and the spanning forest, and every component's
-    /// certificate is refreshed.
+    /// partition and the spanning forest.
     Recompute(RecomputeReason),
 }
 
@@ -206,9 +172,6 @@ impl BatchPath {
             BatchPath::SketchRepair => "sketch-repair",
             BatchPath::Recompute(RecomputeReason::Bootstrap) => "recompute:bootstrap",
             BatchPath::Recompute(RecomputeReason::StandingMerge) => "recompute:standing-merge",
-            BatchPath::Recompute(RecomputeReason::CertificateViolation) => {
-                "recompute:certificate-violation"
-            }
             BatchPath::Recompute(RecomputeReason::SketchUncertified) => {
                 "recompute:sketch-uncertified"
             }
@@ -264,10 +227,6 @@ pub struct BatchReport {
     pub wall_time_ms: f64,
 }
 
-/// Sentinel certificate: a floor no degree is below and a cap no degree is
-/// above — uncertified components carry these and trivially pass every check.
-const UNCERTIFIED: (u32, u32) = (0, u32::MAX);
-
 /// The streaming engine: see the module docs for the fast/slow path
 /// contract.
 #[derive(Debug, Clone)]
@@ -297,18 +256,11 @@ pub struct IncrementalComponents {
     splits_total: usize,
     /// Cumulative re-certifications (by the forest or the sketch).
     sketch_recertifies_total: usize,
-    /// Current degree of every dense vertex (self-loops count once, matching
-    /// [`Graph::degree`]).
-    degrees: Vec<u32>,
     /// The maintained labelling.
     uf: UnionFind,
     /// Smallest dense id in each set (valid at roots) — the "how old is this
     /// component" tag the standing-merge test reads.
     oldest: Vec<u32>,
-    /// Certificate degree floor per set (valid at roots).
-    cert_floor: Vec<u32>,
-    /// Certificate degree cap per set (valid at roots).
-    cert_cap: Vec<u32>,
     /// The accounting context charged by every path. Replaced at an
     /// escalation (and absorbed into `prior_stats`) when the grown input
     /// outsizes its cluster.
@@ -428,8 +380,8 @@ fn refill<T: Default>(retired: Option<Arc<T>>, fill: impl FnOnce(&mut T)) -> Arc
 
 impl IncrementalComponents {
     /// Creates an empty engine. The first non-empty batch escalates as the
-    /// bootstrap, which certifies its components; `seed` fixes the sketch's
-    /// hash functions.
+    /// bootstrap, which sizes the simulated cluster for the input; `seed`
+    /// fixes the sketch's hash functions.
     pub fn new(params: StreamParams, seed: u64) -> Self {
         // A placeholder cluster for the bootstrap batch's charges; the
         // bootstrap's escalation resizes it for the real input.
@@ -447,11 +399,8 @@ impl IncrementalComponents {
             sketch_seed: seed ^ 0xA6D1_5EED_0F57_u64,
             splits_total: 0,
             sketch_recertifies_total: 0,
-            degrees: Vec::new(),
             uf: UnionFind::new(0),
             oldest: Vec::new(),
-            cert_floor: Vec::new(),
-            cert_cap: Vec::new(),
             ctx: MpcContext::new(config),
             prior_stats: RoundStats::default(),
             batches_applied: 0,
@@ -553,7 +502,6 @@ impl IncrementalComponents {
 
         let bootstrap = !self.bootstrapped && len > 0;
         let n0 = n as u32;
-        let min_component = self.params.certificate_min_component;
 
         self.ctx.begin_phase("stream-ingest");
         // Fast-path cost model (Liu–Tarjan concurrent labeling): one round
@@ -584,7 +532,6 @@ impl IncrementalComponents {
         let mut insertions = 0usize;
         let mut deletions = 0usize;
         let mut standing_merges = 0usize;
-        let mut cert_violated = false;
         // Vertices whose component lost the last live copy of an edge this
         // batch (its component is re-certified or split at the end of the
         // batch), and those of them whose edge was a forest edge: a cut.
@@ -598,10 +545,6 @@ impl IncrementalComponents {
                     let u = self.intern(op.u, &mut new_vertices) as usize;
                     let v = self.intern(op.v, &mut new_vertices) as usize;
                     self.live_edges += 1;
-                    self.degrees[u] += 1;
-                    if u != v {
-                        self.degrees[v] += 1;
-                    }
                     let key = (u.min(v) as u32, u.max(v) as u32);
                     let (ru, rv) = (self.uf.find(u), self.uf.find(v));
                     let pair = self.live.entry(key).or_insert(LivePair {
@@ -622,39 +565,15 @@ impl IncrementalComponents {
                     if ru != rv {
                         // Classify the union *before* the roots are
                         // destroyed: a merge of two standing components
-                        // escalates; otherwise the merged set inherits the
-                        // certificate of its pre-batch side (if any) — the
-                        // other side is necessarily brand new this batch,
-                        // and its vertices are floor-checked below.
-                        let standing = self.oldest[ru] < n0 && self.oldest[rv] < n0;
-                        if standing {
+                        // escalates.
+                        if self.oldest[ru] < n0 && self.oldest[rv] < n0 {
                             standing_merges += 1;
                         }
-                        let inherited = if self.oldest[ru] < n0 && self.oldest[rv] >= n0 {
-                            (self.cert_floor[ru], self.cert_cap[ru])
-                        } else if self.oldest[rv] < n0 && self.oldest[ru] >= n0 {
-                            (self.cert_floor[rv], self.cert_cap[rv])
-                        } else {
-                            // Both new (uncertified) or both standing (the
-                            // batch escalates, which refreshes everything).
-                            UNCERTIFIED
-                        };
                         let merged_oldest = self.oldest[ru].min(self.oldest[rv]);
                         self.uf.union(ru, rv);
                         let r = self.uf.find(ru);
                         self.oldest[r] = merged_oldest;
-                        (self.cert_floor[r], self.cert_cap[r]) = inherited;
                         self.snap_structure_dirty = true;
-                    }
-
-                    // Cap check: only a touched existing vertex can newly
-                    // exceed the fixed cap of its (certified) component.
-                    let r = self.uf.find(u);
-                    if self.uf.set_size(r) >= min_component {
-                        let cap = self.cert_cap[r];
-                        if self.degrees[u] > cap || self.degrees[v] > cap {
-                            cert_violated = true;
-                        }
                     }
                 }
                 OpKind::Delete => {
@@ -671,46 +590,21 @@ impl IncrementalComponents {
                     let last_copy = pair.get().copies == 0;
                     let forest = last_copy && pair.remove().forest;
                     self.live_edges -= 1;
-                    self.degrees[u] -= 1;
-                    if u != v {
-                        self.degrees[v] -= 1;
-                    }
                     self.turnstile
                         .as_mut()
                         .expect("built before the first deletion is applied")
                         .note(key, -1);
 
-                    if u != v {
-                        if last_copy {
-                            // Structural: no surviving parallel copy keeps
-                            // the endpoints adjacent. Only if the pair was a
-                            // forest edge can the component have split.
-                            dirty.push(u as u32);
-                            if forest {
-                                cut.push(u as u32);
-                            }
-                        }
-                        // Floor check: a deletion endpoint can erode below
-                        // the fixed floor of its certified component.
-                        let r = self.uf.find(u);
-                        if self.uf.set_size(r) >= min_component {
-                            let floor = self.cert_floor[r];
-                            if self.degrees[u] < floor || self.degrees[v] < floor {
-                                cert_violated = true;
-                            }
+                    if u != v && last_copy {
+                        // Structural: no surviving parallel copy keeps the
+                        // endpoints adjacent. Only if the pair was a forest
+                        // edge can the component have split.
+                        dirty.push(u as u32);
+                        if forest {
+                            cut.push(u as u32);
                         }
                     }
                 }
-            }
-        }
-
-        // Floor check for arrivals: only vertices that arrived in this batch
-        // can sit below the fixed floor of the certified component they
-        // joined without a deletion having flagged them already.
-        for v in n0 as usize..self.original_ids.len() {
-            let r = self.uf.find(v);
-            if self.uf.set_size(r) >= min_component && self.degrees[v] < self.cert_floor[r] {
-                cert_violated = true;
             }
         }
 
@@ -720,8 +614,6 @@ impl IncrementalComponents {
             BatchPath::Recompute(RecomputeReason::Bootstrap)
         } else if standing_merges > 0 {
             BatchPath::Recompute(RecomputeReason::StandingMerge)
-        } else if cert_violated {
-            BatchPath::Recompute(RecomputeReason::CertificateViolation)
         } else if !dirty.is_empty() {
             BatchPath::SketchRepair
         } else {
@@ -890,22 +782,7 @@ impl IncrementalComponents {
                     }
                 }
             }
-            // Carry certificates across the re-rooting: a component without
-            // a cut keeps its thresholds (its membership is unchanged); a
-            // cut one loses them until the next escalation certifies its
-            // parts.
-            let mut floor = vec![UNCERTIFIED.0; n];
-            let mut cap = vec![UNCERTIFIED.1; n];
-            for (v, &or) in old_root_of.iter().enumerate() {
-                if slot_of_root[or] == usize::MAX {
-                    let nr = uf.find(v);
-                    floor[nr] = self.cert_floor[or];
-                    cap[nr] = self.cert_cap[or];
-                }
-            }
             self.uf = uf;
-            self.cert_floor = floor;
-            self.cert_cap = cap;
             // Split-off parts mint fresh component ids through the
             // snapshot's oldest-member rule; the part keeping the old oldest
             // member keeps the old id.
@@ -942,10 +819,7 @@ impl IncrementalComponents {
             Entry::Vacant(slot) => _ = slot.insert(id as u32),
         }
         self.original_ids.push(raw);
-        self.degrees.push(0);
         self.oldest.push(id as u32);
-        self.cert_floor.push(UNCERTIFIED.0);
-        self.cert_cap.push(UNCERTIFIED.1);
         let pushed = self.uf.push();
         debug_assert_eq!(pushed, id);
         *new_vertices += 1;
@@ -958,8 +832,7 @@ impl IncrementalComponents {
 
     /// Slow path: rebuild the partition and the spanning forest with one
     /// union–find pass over the live pairs (`cut`: one endpoint per cut
-    /// of the batch), then refresh the oldest-member tags and every
-    /// component's certificate.
+    /// of the batch), then refresh the oldest-member tags.
     fn recompute(&mut self, cut: &[u32]) {
         let n = self.original_ids.len();
         // Resize the simulated cluster when the live input outsizes it; the
@@ -976,7 +849,7 @@ impl IncrementalComponents {
             self.prior_stats.absorb(retired.into_stats());
             self.ctx.begin_phase("stream-ingest");
         }
-        // Every vertex sends its degree to its label holder.
+        // The rebuilt labels go back to every vertex.
         self.ctx.charge_shuffle(n);
         if !cut.is_empty() {
             // Cut components are rebuilt from their live edges: the sketch
@@ -1001,37 +874,7 @@ impl IncrementalComponents {
         }
         self.uf = self.union_pass();
         self.recomputes += 1;
-
-        // Refresh component tags and certificate thresholds.
-        let skew = self.params.certificate_degree_skew.max(1.0);
-        let slack = self.params.certificate_degree_slack;
-        let mut min_deg = vec![u32::MAX; n];
-        let mut max_deg = vec![0u32; n];
-        let mut deg_sum = vec![0u64; n];
         self.refresh_oldest();
-        for v in 0..n {
-            let r = self.uf.find(v);
-            min_deg[r] = min_deg[r].min(self.degrees[v]);
-            max_deg[r] = max_deg[r].max(self.degrees[v]);
-            deg_sum[r] += u64::from(self.degrees[v]);
-        }
-        // Second pass so aggregates are complete before thresholds are set.
-        for v in 0..n {
-            let r = self.uf.find(v);
-            if v != r {
-                continue;
-            }
-            let size = self.uf.set_size(r);
-            if size < self.params.certificate_min_component {
-                (self.cert_floor[r], self.cert_cap[r]) = UNCERTIFIED;
-                continue;
-            }
-            let avg = deg_sum[r] as f64 / size as f64;
-            let cap = ((skew * avg).ceil() as u32).saturating_add(slack);
-            let floor = (avg / skew).floor() as u32;
-            self.cert_floor[r] = floor.min(min_deg[r]);
-            self.cert_cap[r] = cap.max(max_deg[r]);
-        }
         self.bootstrapped = true;
         self.snap_structure_dirty = true;
     }
@@ -1404,51 +1247,28 @@ mod tests {
         assert!(engine.labels().same_partition(&truth));
     }
 
+    /// Degree skew is no reason to escalate: a pendant newcomer and a hub
+    /// pile-up on a bootstrapped expander are plain unions and duplicates.
     #[test]
-    fn pendant_tendril_violates_the_degree_floor() {
+    fn pendants_and_hub_pileups_ride_the_fast_path() {
         let mut engine = IncrementalComponents::new(params(), 7);
         let batches = expander_batches(&[60], 8, 13);
         engine.apply_ops_batch(&batches[0]).unwrap();
 
-        // A well-attached newcomer (enough edges to clear the floor of
-        // avg/skew = 8/4 = 2) rides the fast path...
-        let attach = vec![(1000u64, 0u64), (1000, 1), (1000, 2)];
-        let r1 = engine.apply_ops_batch(&EdgeOp::inserts(&attach)).unwrap();
-        assert_eq!(r1.path, BatchPath::FastPath);
-        assert_eq!(r1.new_vertices, 1);
-
-        // ...but a degree-1 pendant vertex degrades almost-regularity and
-        // escalates.
+        // A degree-1 pendant vertex, then 40 parallel intra-component edges
+        // piled onto vertex 0 (degree 8 → 48).
         let pendant = vec![(2000u64, 0u64)];
-        let r2 = engine.apply_ops_batch(&EdgeOp::inserts(&pendant)).unwrap();
-        assert_eq!(
-            r2.path,
-            BatchPath::Recompute(RecomputeReason::CertificateViolation)
-        );
-        assert_eq!(engine.num_components(), 1);
-    }
-
-    #[test]
-    fn hub_pileup_violates_the_degree_cap() {
-        let mut engine = IncrementalComponents::new(params(), 19);
-        let batches = expander_batches(&[60], 8, 17);
-        engine.apply_ops_batch(&batches[0]).unwrap();
-
-        // Pile parallel intra-component edges onto vertex 0 until its degree
-        // blows past cap = skew·avg + slack = 4·8 + 8 = 40.
         let pile: Vec<(u64, u64)> = (0..40).map(|i| (0u64, 1 + (i % 3) as u64)).collect();
-        let r = engine.apply_ops_batch(&EdgeOp::inserts(&pile)).unwrap();
-        assert_eq!(
-            r.path,
-            BatchPath::Recompute(RecomputeReason::CertificateViolation)
-        );
-        // The recompute refreshes the thresholds from the new degree
-        // distribution, so ordinary traffic is fast again (hysteresis, not a
-        // recompute storm). The hub itself sits exactly at the refreshed cap,
-        // so the follow-up avoids it.
-        let small: Vec<(u64, u64)> = vec![(5, 6)];
-        let r2 = engine.apply_ops_batch(&EdgeOp::inserts(&small)).unwrap();
-        assert_eq!(r2.path, BatchPath::FastPath);
+        for edges in [pendant, pile] {
+            let r = engine.apply_ops_batch(&EdgeOp::inserts(&edges)).unwrap();
+            assert_eq!(r.path, BatchPath::FastPath);
+            assert_eq!(r.rounds, 2, "only the two per-batch exchanges");
+            assert_eq!(r.communication_words, 3 * edges.len() as u64);
+            let truth = connected_components(&engine.current_graph());
+            assert!(engine.labels().same_partition(&truth));
+        }
+        assert_eq!(engine.recomputes(), 1, "the bootstrap only");
+        assert_eq!(engine.num_components(), 1);
     }
 
     #[test]
@@ -1687,8 +1507,7 @@ mod tests {
     #[test]
     fn full_component_teardown_ends_in_singletons() {
         let mut engine = IncrementalComponents::new(params(), 61);
-        // A 5-clique (below certificate_min_component = 8, so no floor
-        // checks interfere) torn down edge by edge.
+        // A 5-clique torn down edge by edge.
         let ops = clique_ops(0, 5);
         engine.apply_ops_batch(&ops).unwrap();
         assert_eq!(engine.num_components(), 1);
@@ -2054,8 +1873,7 @@ mod tests {
     #[test]
     fn live_state_holds_exactly_the_live_multiset_under_churn() {
         let mut engine = IncrementalComponents::new(params(), 69);
-        // An expander, and a two-vertex component below the certificate's
-        // minimum size.
+        // An expander, and a two-vertex component.
         let mut ops = expander_batches(&[60], 8, 45).remove(0);
         ops.push(EdgeOp::insert(500, 501));
         let used: HashSet<(u64, u64)> = ops.iter().map(|op| (op.u, op.v)).collect();

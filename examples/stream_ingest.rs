@@ -5,10 +5,9 @@
 //! one batch, then a stream of merge-free "traffic" batches
 //! (intra-component densification plus well-attached newcomers) rides the
 //! union-find fast path, and finally a bridge batch merges two standing
-//! components — which escalates: one union–find pass over the live edges
-//! and a certificate refresh. The batch
-//! schedule round-trips through the binary chunk format (`WCCS`) and the
-//! executor-driven parallel decode, exactly like `wcc stream` does.
+//! components — which escalates: one union–find pass over the live edges.
+//! The batch schedule round-trips through the binary chunk format (`WCCS`)
+//! and the executor-driven parallel decode, exactly like `wcc stream` does.
 //!
 //! Run with:
 //! ```text

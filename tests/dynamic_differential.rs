@@ -147,8 +147,7 @@ fn replay_checked<C: AsRef<[EdgeOp]>>(
         .collect()
 }
 
-/// Two 6-cliques on raw ids `0..6` and `6..12` (below the certificate's
-/// minimum component size, so no degree check interferes), plus `extra`.
+/// Two 6-cliques on raw ids `0..6` and `6..12`, plus `extra`.
 fn two_cliques(extra: &[EdgeOp]) -> Vec<EdgeOp> {
     let mut ops = Vec::new();
     for base in [0u64, 6] {

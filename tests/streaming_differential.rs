@@ -4,9 +4,9 @@
 //! — for every tested graph family, seed and thread count.
 //!
 //! This is the contract that makes the fast/slow path split trustworthy: no
-//! matter how the engine interleaves union-find fast paths with escalations
-//! (and no matter where the certificate chose to escalate), the
-//! end state is indistinguishable from having ingested everything at once.
+//! matter how the engine interleaves union-find fast paths with escalations,
+//! the end state is indistinguishable from having ingested everything at
+//! once.
 //! The sequential BFS ground truth is cross-checked as a third opinion.
 
 use rand::seq::SliceRandom;
