@@ -232,8 +232,8 @@ pub struct BatchReport {
 #[derive(Debug, Clone)]
 pub struct IncrementalComponents {
     params: StreamParams,
-    /// Raw (external) vertex id → dense id. The snapshot index is a copy of
-    /// it, of the same type, so publishing copies the table.
+    /// Raw (external) vertex id → dense id. The snapshot index has its type:
+    /// a build from nothing copies the table, later builds add the arrivals.
     interner: IdMap<u64, u32>,
     /// `original_ids[dense] = raw`, in order of first appearance.
     original_ids: Vec<u64>,
@@ -274,15 +274,16 @@ pub struct IncrementalComponents {
     /// batches republish in O(1) (see [`IncrementalComponents::snapshot`]).
     snap_cache: Option<SnapCache>,
     /// The parts the cache held before the last rebuild: the next rebuild
-    /// refills whichever of them no reader holds any more instead of
-    /// allocating (see [`IncrementalComponents::snapshot`]).
+    /// extends whichever of them no reader holds any more past what changed
+    /// since they were built (see [`IncrementalComponents::snapshot`]).
     snap_retired: Option<SnapCache>,
-    /// New vertices arrived since the cache was built (forces an index
-    /// rebuild).
-    snap_vertices_dirty: bool,
-    /// The decomposition changed since the cache was built — an effective
-    /// union, a new vertex (a new singleton component), or an escalation.
-    snap_structure_dirty: bool,
+    /// The lowest dense id whose component name (its oldest member) may have
+    /// changed since the cache was built: `u32::MAX` when none may have, `0`
+    /// before the first build and after a split or an escalation that cut a
+    /// forest edge. A union renames only the younger set, whose members all
+    /// sit at or above its oldest id; arrivals are not marked (they sit past
+    /// the cached arrays).
+    snap_rep_low: u32,
 }
 
 /// One live pair of the multiset.
@@ -365,18 +366,23 @@ struct SnapCache {
     rep: Arc<Vec<u32>>,
     size: Arc<Vec<u32>>,
     num_components: usize,
+    /// The mark this build consumed: the lowest dense id renamed between
+    /// the build before it and this one.
+    rep_low: u32,
 }
 
-/// `fill` applied in place to `retired`'s value when nothing else shares it,
-/// so its allocation is reused; to a fresh default value otherwise.
-fn refill<T: Default>(retired: Option<Arc<T>>, fill: impl FnOnce(&mut T)) -> Arc<T> {
+/// `retired` when nothing else shares it, so its allocation and contents can
+/// be extended in place ([`Arc::get_mut`] succeeds on the result); a fresh
+/// default (empty) value otherwise.
+fn reclaim<T: Default>(retired: Option<Arc<T>>) -> Arc<T> {
     let mut arc = retired.unwrap_or_default();
     if Arc::get_mut(&mut arc).is_none() {
         arc = Arc::default();
     }
-    fill(Arc::get_mut(&mut arc).expect("unshared: checked or just made"));
     arc
 }
+
+const RECLAIMED: &str = "unshared: reclaimed or just made";
 
 impl IncrementalComponents {
     /// Creates an empty engine. The first non-empty batch escalates as the
@@ -408,8 +414,7 @@ impl IncrementalComponents {
             bootstrapped: false,
             snap_cache: None,
             snap_retired: None,
-            snap_vertices_dirty: true,
-            snap_structure_dirty: true,
+            snap_rep_low: 0,
         }
     }
 
@@ -569,11 +574,13 @@ impl IncrementalComponents {
                         if self.oldest[ru] < n0 && self.oldest[rv] < n0 {
                             standing_merges += 1;
                         }
-                        let merged_oldest = self.oldest[ru].min(self.oldest[rv]);
+                        let (a, b) = (self.oldest[ru], self.oldest[rv]);
+                        // The set whose oldest member is younger takes the
+                        // other's name; its members all sit at or above it.
+                        self.snap_rep_low = self.snap_rep_low.min(a.max(b));
                         self.uf.union(ru, rv);
                         let r = self.uf.find(ru);
-                        self.oldest[r] = merged_oldest;
-                        self.snap_structure_dirty = true;
+                        self.oldest[r] = a.min(b);
                     }
                 }
                 OpKind::Delete => {
@@ -787,7 +794,7 @@ impl IncrementalComponents {
             // snapshot's oldest-member rule; the part keeping the old oldest
             // member keeps the old id.
             self.refresh_oldest();
-            self.snap_structure_dirty = true;
+            self.snap_rep_low = 0;
         }
         Some((splits, recertifies))
     }
@@ -823,10 +830,6 @@ impl IncrementalComponents {
         let pushed = self.uf.push();
         debug_assert_eq!(pushed, id);
         *new_vertices += 1;
-        // A fresh vertex is a fresh singleton component: both the vertex
-        // index and the decomposition arrays of the next snapshot change.
-        self.snap_vertices_dirty = true;
-        self.snap_structure_dirty = true;
         id as u32
     }
 
@@ -876,7 +879,12 @@ impl IncrementalComponents {
         self.recomputes += 1;
         self.refresh_oldest();
         self.bootstrapped = true;
-        self.snap_structure_dirty = true;
+        // A cut may have split a component, renaming parts anywhere. Without
+        // one the pass returns the partition the union–find held, names and
+        // all, so the insert loop's mark stands.
+        if !cut.is_empty() {
+            self.snap_rep_low = 0;
+        }
     }
 
     /// Re-derives the oldest-member tags over a rebuilt union–find: each
@@ -893,61 +901,90 @@ impl IncrementalComponents {
     /// decomposition, stamped with `epoch` (callers use the number of
     /// batches applied — see `wcc serve` — so epochs strictly increase).
     ///
-    /// Publication cost is O(changed): if no batch since the last build
-    /// changed the decomposition (only duplicate edges arrived), the cached
-    /// `Arc`s are reused and this is O(1); if vertices or labels changed, the
-    /// affected arrays are rebuilt in one O(n) pass (label flattening via
-    /// union–find `find` plus a size count). The vertex index is rebuilt only
-    /// when new vertices actually arrived, so a label-only change (a merge of
-    /// existing components) still shares the index maps with the previous
-    /// snapshot.
+    /// Publication costs O(what changed since the build before last): the
+    /// vertices that arrived since, plus the vertices at or above the
+    /// rename mark of either interval.
     ///
-    /// A rebuilt array goes into the allocation the same array had two
-    /// builds ago when no reader holds that one any more, so steady
-    /// publishing neither allocates nor leaves readers to free what the
-    /// writer allocated: the cost of a rebuild is its O(n) pass, whatever
-    /// state the allocator is in.
+    /// * **Quiet.** No vertex arrived and no component was renamed since the
+    ///   last build (only duplicate or intra-component edges came): the
+    ///   cached `Arc`s are republished in O(1).
+    /// * **Otherwise** the arrays go into the allocations they had two builds
+    ///   ago when no reader holds those any more, and are extended rather
+    ///   than rewritten. The vertex index and `raw_of` are append-only, so
+    ///   only the ids that arrived since are added; with no arrival the
+    ///   current index is shared. `rep` keeps its prefix below the rename
+    ///   marks of both intervals and recomputes the suffix; `size` is
+    ///   assigned each suffix vertex's set size at its component's name,
+    ///   exact because every component whose size changed has a member in
+    ///   the suffix.
+    ///
+    /// A full rebuild is the same pass with nothing reusable: the first
+    /// build, a retired buffer a reader still holds, or a mark at 0 (after a
+    /// split, or an escalation in a batch that cut a forest edge): the
+    /// suffix then starts at 0, and an index with nothing to extend is one
+    /// copy of the interner. Steady publishing neither allocates nor leaves
+    /// readers to free what the writer allocated.
     pub fn snapshot(&mut self, epoch: u64) -> ComponentSnapshot {
-        let rebuild_vertices = self.snap_vertices_dirty || self.snap_cache.is_none();
-        if rebuild_vertices || self.snap_structure_dirty {
-            let n = self.original_ids.len();
+        let n = self.original_ids.len();
+        let arrived = self.snap_cache.as_ref().is_none_or(|c| c.raw_of.len() != n);
+        if arrived || self.snap_rep_low != u32::MAX {
             let (index, raw_of, rep, size) = self
                 .snap_retired
                 .take()
                 .map_or((None, None, None, None), |c| {
                     (Some(c.index), Some(c.raw_of), Some(c.rep), Some(c.size))
                 });
-            let (index, raw_of) = if rebuild_vertices {
-                (
-                    refill(index, |m| m.clone_from(&self.interner)),
-                    refill(raw_of, |v| v.clone_from(&self.original_ids)),
-                )
-            } else {
-                let cache = self.snap_cache.as_ref().expect("cache exists when clean");
-                (Arc::clone(&cache.index), Arc::clone(&cache.raw_of))
+            let (index, raw_of) = match &self.snap_cache {
+                Some(cache) if !arrived => (Arc::clone(&cache.index), Arc::clone(&cache.raw_of)),
+                _ => {
+                    let (mut index, mut raw_of) = (reclaim(index), reclaim(raw_of));
+                    let map = Arc::get_mut(&mut index).expect(RECLAIMED);
+                    if map.is_empty() {
+                        map.clone_from(&self.interner);
+                    } else {
+                        let known = map.len();
+                        map.extend(
+                            self.original_ids[known..]
+                                .iter()
+                                .copied()
+                                .zip(known as u32..),
+                        );
+                    }
+                    let ids = Arc::get_mut(&mut raw_of).expect(RECLAIMED);
+                    ids.extend_from_slice(&self.original_ids[ids.len()..]);
+                    (index, raw_of)
+                }
             };
-            let rep = refill(rep, |rep| {
-                rep.clear();
+            let (mut rep, mut size) = (reclaim(rep), reclaim(size));
+            let (names, sizes) = (
+                Arc::get_mut(&mut rep).expect(RECLAIMED),
+                Arc::get_mut(&mut size).expect(RECLAIMED),
+            );
+            // The retired arrays are two builds old: valid below their
+            // length and below the marks of both intervals since.
+            let prior_low = self.snap_cache.as_ref().map_or(0, |c| c.rep_low);
+            let start = (prior_low.min(self.snap_rep_low) as usize)
+                .min(names.len())
+                .min(sizes.len());
+            names.truncate(start);
+            sizes.resize(n, 0);
+            for v in start..n {
+                let r = self.uf.find(v);
                 // `oldest` is valid at roots; the oldest member's dense id
                 // doubles as the component's stable name.
-                rep.extend((0..n).map(|v| self.oldest[self.uf.find(v)]));
-            });
-            let size = refill(size, |size| {
-                size.clear();
-                size.resize(n, 0);
-                for &r in rep.iter() {
-                    size[r as usize] += 1;
-                }
-            });
+                let name = self.oldest[r];
+                names.push(name);
+                sizes[name as usize] = self.uf.set_size(r) as u32;
+            }
             self.snap_retired = self.snap_cache.replace(SnapCache {
                 index,
                 raw_of,
                 rep,
                 size,
                 num_components: self.uf.num_sets(),
+                rep_low: self.snap_rep_low,
             });
-            self.snap_vertices_dirty = false;
-            self.snap_structure_dirty = false;
+            self.snap_rep_low = u32::MAX;
         }
         let cache = self.snap_cache.as_ref().expect("just built");
         ComponentSnapshot::assemble(
@@ -1389,6 +1426,203 @@ mod tests {
         assert_eq!(fourth.component_size(31), Some(3));
         assert_eq!(fourth.same_component(0, 30), Some(false));
         assert_eq!(fourth.component_of(22), third.component_of(20));
+    }
+
+    /// The rename mark: arrivals leave it at or above the vertices the batch
+    /// found (and their build extends the arrays of two builds ago), a union
+    /// lowers it to the younger side's oldest id, and a split or an
+    /// escalation that cut resets it to 0.
+    #[test]
+    fn the_rename_mark_covers_what_a_batch_can_rename() {
+        let mut engine = IncrementalComponents::new(params(), 89);
+        let buffers = |engine: &IncrementalComponents| {
+            let cache = engine.snap_cache.as_ref().expect("built");
+            (Arc::as_ptr(&cache.rep), Arc::as_ptr(&cache.index))
+        };
+        // Two 6-cliques, interned in ascending order so dense == raw.
+        let mut ops = clique_ops(0, 6);
+        ops.extend(clique_ops(6, 12));
+        engine.apply_ops_batch(&ops).unwrap();
+        drop(engine.snapshot(1));
+        assert_eq!(engine.snap_rep_low, u32::MAX, "a build consumes the mark");
+        let first = buffers(&engine);
+        for (epoch, arrivals) in [(2, [(12, 0), (13, 12)]), (3, [(14, 6), (15, 16)])] {
+            let before = engine.num_vertices() as u32;
+            let r = engine.apply_ops_batch(&EdgeOp::inserts(&arrivals)).unwrap();
+            assert_eq!(r.path, BatchPath::FastPath);
+            assert!(engine.snap_rep_low >= before, "batch {epoch}");
+            drop(engine.snapshot(epoch));
+        }
+        assert_eq!(
+            buffers(&engine),
+            first,
+            "the third build extends the first's"
+        );
+        let s = engine.snapshot(4);
+        assert_eq!(
+            (s.component_of(13), s.component_size(12)),
+            (Some(0), Some(8))
+        );
+        assert_eq!(
+            (s.component_of(14), s.component_size(14)),
+            (Some(6), Some(7))
+        );
+        assert_eq!((s.component_of(16), s.num_components()), (Some(15), 3));
+
+        // A standing merge with no cut: the escalation's pass keeps the
+        // partition, so only the younger side (oldest id 6) is renamed.
+        let r = engine.apply_ops_batch(&[EdgeOp::insert(0, 6)]).unwrap();
+        assert_eq!(r.path, BatchPath::Recompute(RecomputeReason::StandingMerge));
+        assert_eq!(engine.snap_rep_low, 6);
+        let s = engine.snapshot(5);
+        assert_eq!(
+            (s.component_of(14), s.component_size(14)),
+            (Some(0), Some(15))
+        );
+
+        // Cutting the bridge splits: names may move anywhere.
+        let r = engine.apply_ops_batch(&[EdgeOp::delete(0, 6)]).unwrap();
+        assert_eq!((r.path, r.splits), (BatchPath::SketchRepair, 1));
+        assert_eq!(engine.snap_rep_low, 0);
+        let s = engine.snapshot(6);
+        assert_eq!(
+            (s.component_of(14), s.component_size(0)),
+            (Some(6), Some(8))
+        );
+
+        // An escalation in a batch that cut resets it too.
+        let ops = [EdgeOp::delete(15, 16), EdgeOp::insert(0, 6)];
+        let r = engine.apply_ops_batch(&ops).unwrap();
+        assert_eq!(r.path, BatchPath::Recompute(RecomputeReason::StandingMerge));
+        assert_eq!((r.forest_cuts, engine.snap_rep_low), (1, 0));
+        let s = engine.snapshot(7);
+        assert_eq!(
+            (s.component_of(16), s.component_of(14)),
+            (Some(16), Some(0))
+        );
+        assert_eq!(s.num_components(), 3);
+    }
+
+    /// Every answer a snapshot gives over `probes`, plus its counts.
+    fn snapshot_answers(snap: &ComponentSnapshot, probes: &[u64]) -> Vec<[Option<u64>; 4]> {
+        let counts = [snap.num_vertices(), snap.num_components()].map(|c| Some(c as u64));
+        let mut answers = vec![[counts[0], counts[1], None, None]];
+        for (i, &u) in probes.iter().enumerate() {
+            let partner = probes[(7 * i + 3) % probes.len()];
+            answers.push([
+                snap.component_of(u),
+                snap.component_size(u),
+                snap.same_component(u, partner).map(u64::from),
+                snap.same_component(u, probes[0]).map(u64::from),
+            ]);
+        }
+        answers
+    }
+
+    /// After every batch of random schedules mixing arrivals, repeated
+    /// pairs, standing merges and deletions, the snapshot extended past the
+    /// mark answers exactly like one built from nothing (a clone with its
+    /// cache dropped and its mark reset). Every fifth seed runs one sketch
+    /// phase and deletes only in bursts of a third of its edges, so cuts
+    /// escalate uncertified; a quarter of the snapshots are
+    /// held across later builds, so a retired buffer is sometimes a
+    /// reader's and the build starts over — and a held snapshot still
+    /// answers as it did when it was published.
+    #[test]
+    fn delta_snapshots_answer_like_from_scratch_ones() {
+        use rand::Rng;
+        const UNSEEN: [u64; 2] = [u64::MAX, u64::MAX - 1];
+        let mut paths = HashSet::new();
+        for seed in 0..40u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(0xD1FF + seed);
+            let phases = if seed % 5 == 4 {
+                1
+            } else {
+                params().sketch_phases
+            };
+            let params = params().with_threads(1).with_sketch_phases(phases);
+            let mut engine = IncrementalComponents::new(params, seed);
+            // Live copies by raw pair, and held snapshots with their answers.
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            let mut held = Vec::new();
+            for b in 0..60u64 {
+                let ids = engine.original_ids().to_vec();
+                let labels = engine.labels();
+                let mut members = vec![Vec::new(); labels.num_components()];
+                for (dense, &raw) in ids.iter().enumerate() {
+                    members[labels.label(dense)].push(raw);
+                }
+                let fresh = |rng: &mut ChaCha8Rng| rng.gen_range(0..1u64 << 40);
+                let known = |rng: &mut ChaCha8Rng| match ids.len() {
+                    0 => fresh(rng),
+                    len => ids[rng.gen_range(0..len)],
+                };
+                let mut ops = Vec::new();
+                for _ in 0..rng.gen_range(0..24) {
+                    let pair = match rng.gen_range(0..10) {
+                        0..=1 => (fresh(&mut rng), known(&mut rng)),
+                        2 => (fresh(&mut rng), fresh(&mut rng)),
+                        3 if !live.is_empty() => live[rng.gen_range(0..live.len())],
+                        // A chord inside a standing component.
+                        4..=5 if !ids.is_empty() => {
+                            let members = &members[labels.label(rng.gen_range(0..ids.len()))];
+                            let mut member = || members[rng.gen_range(0..members.len())];
+                            (member(), member())
+                        }
+                        6 if rng.gen_bool(0.2) => (known(&mut rng), known(&mut rng)),
+                        _ if phases > 1 && !live.is_empty() => {
+                            let (u, v) = live.swap_remove(rng.gen_range(0..live.len()));
+                            ops.push(EdgeOp::delete(v, u));
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    live.push(pair);
+                    ops.push(EdgeOp::insert(pair.0, pair.1));
+                }
+                if phases == 1 && b % 10 == 9 {
+                    for _ in 0..live.len() / 3 {
+                        let (u, v) = live.swap_remove(rng.gen_range(0..live.len()));
+                        ops.push(EdgeOp::delete(u, v));
+                    }
+                }
+                let r = engine.apply_ops_batch(&ops).unwrap();
+                paths.insert(r.path.label());
+
+                let snap = engine.snapshot(b + 1);
+                let mut twin = engine.clone();
+                (twin.snap_cache, twin.snap_retired, twin.snap_rep_low) = (None, None, 0);
+                let mut probes = engine.original_ids().to_vec();
+                probes.extend(UNSEEN);
+                let want = snapshot_answers(&twin.snapshot(b + 1), &probes);
+                assert_eq!(
+                    snapshot_answers(&snap, &probes),
+                    want,
+                    "seed {seed}, batch {b}"
+                );
+                if rng.gen_bool(0.25) {
+                    held.push((snap, probes, want));
+                }
+                if !held.is_empty() && rng.gen_bool(0.3) {
+                    let (snap, probes, want) = held.swap_remove(rng.gen_range(0..held.len()));
+                    assert_eq!(
+                        snapshot_answers(&snap, &probes),
+                        want,
+                        "seed {seed}, batch {b}"
+                    );
+                }
+            }
+        }
+        let all = [
+            BatchPath::FastPath,
+            BatchPath::SketchRepair,
+            BatchPath::Recompute(RecomputeReason::Bootstrap),
+            BatchPath::Recompute(RecomputeReason::StandingMerge),
+            BatchPath::Recompute(RecomputeReason::SketchUncertified),
+        ];
+        for path in all {
+            assert!(paths.contains(path.label()), "no {} batch", path.label());
+        }
     }
 
     /// All `(i, j)` pairs of a clique on raw ids `lo..hi` as insert ops.

@@ -12,7 +12,12 @@
 # median, the ratio of the medians, in how many pairs the change read
 # better (ties count for neither side) and whether the medians differ by
 # more than the parent's own inter-quartile range — the two conditions a
-# claimed gain must meet. Needs jq.
+# claimed gain must meet. Last comes the regression verdict against the
+# metric's `bound` in BENCHMARK.json: `ok` when every change run beats
+# every parent run; else `unresolved` when the parent's IQR exceeds the
+# bound times its median (the spread is too wide to tell); else `WORSE`
+# when the change's median is worse than the parent's by more than the
+# bound, and `ok` when it is not. Needs jq.
 #
 # Both checkouts are run with the *change* checkout's BENCHMARK.json (a
 # change that claims a gain may not edit it, so the two agree). Result lines
@@ -93,8 +98,8 @@ for side in parent change; do
     echo
 done
 echo
-jq -r '.end_to_end[] | "\(.name) \(.unit) \(.better)"' "$contract" |
-    while read -r name unit better; do
+jq -r '.end_to_end[] | "\(.name) \(.unit) \(.better) \(.bound)"' "$contract" |
+    while read -r name unit better bound; do
         p=() c=()
         for i in $(seq 1 "$pairs"); do
             p+=("$(jq -r --arg m "$name" '.metrics[$m].value' "$out/parent_$i.json")")
@@ -103,7 +108,7 @@ jq -r '.end_to_end[] | "\(.name) \(.unit) \(.better)"' "$contract" |
         echo "$name [$unit, $better is better]"
         echo "  parent runs: ${p[*]}"
         echo "  change runs: ${c[*]}"
-        awk -v better="$better" -v P="${p[*]}" -v C="${c[*]}" '
+        awk -v better="$better" -v bound="$bound" -v P="${p[*]}" -v C="${c[*]}" '
             function quantile(sorted, n, q,    pos, lo, frac) {
                 pos = q * (n - 1) + 1; lo = int(pos); frac = pos - lo
                 return lo >= n ? sorted[n] : sorted[lo] + frac * (sorted[lo + 1] - sorted[lo])
@@ -127,6 +132,15 @@ jq -r '.end_to_end[] | "\(.name) \(.unit) \(.better)"' "$contract" |
                 printf "  parent q1 %.6g  median %.6g  q3 %.6g\n", pq1, pmed, pq3
                 printf "  change q1 %.6g  median %.6g  q3 %.6g\n", cq1, cmed, cq3
                 printf "  change/parent median %s   change better in %d of %d pairs (%d ties)   |median gap| %s parent IQR\n", ratio, wins, n, ties, versus
+                # A spread wider than the bound cannot tell a regression
+                # (worse by more than the bound) from noise, unless the
+                # worst change run beats the best parent run.
+                lower = better == "lower"
+                dominates = lower ? cs[n] < ps[1] : cs[1] > ps[n]
+                worse = lower ? cmed > pmed * (1 + bound) : cmed < pmed * (1 - bound)
+                spread = pmed != 0 ? (pq3 - pq1) / (pmed < 0 ? -pmed : pmed) : (pq3 > pq1 ? 1e308 : 0)
+                verdict = dominates ? "ok" : spread > bound ? "unresolved" : worse ? "WORSE" : "ok"
+                printf "  regression verdict: %s   (bound %g, parent IQR/median %.3g)\n", verdict, bound, spread
             }'
     done
 echo

@@ -55,11 +55,13 @@ fn random_schedule(g: &Graph, seed: u64, batch_edges: usize) -> Vec<Vec<(u64, u6
 }
 
 /// Ground truth for one epoch: the component label of every vertex seen so
-/// far, and each label's component size.
+/// far, each label's component size, and its stable name — the raw id of
+/// the component's first-arrived member.
 #[derive(Clone, Default)]
 struct EpochTruth {
     label_of: HashMap<u64, usize>,
     size_of: HashMap<usize, u64>,
+    name_of: HashMap<usize, u64>,
 }
 
 /// Replays a twin engine over the schedule, recording per-epoch truth
@@ -71,10 +73,13 @@ fn epoch_truths(schedule: &[Vec<(u64, u64)>], params: StreamParams, seed: u64) -
         engine.apply_ops_batch(&EdgeOp::inserts(batch)).unwrap();
         let labels = engine.labels();
         let mut truth = EpochTruth::default();
+        // `original_ids` is in arrival order, so a label's first raw id is
+        // its component's name.
         for (dense, &raw) in engine.original_ids().iter().enumerate() {
             let label = labels.label(dense);
             truth.label_of.insert(raw, label);
             *truth.size_of.entry(label).or_default() += 1;
+            truth.name_of.entry(label).or_insert(raw);
         }
         truths.push(truth);
     }
@@ -103,11 +108,12 @@ fn check_snapshot(snap: &ComponentSnapshot, truth: &EpochTruth, probe_ids: &[u64
         match (snap.component_of(u), expected_label) {
             (None, None) => {}
             (Some(c), Some(&label)) => {
-                // The component id must itself be a member of u's component.
+                // The component id is the raw id of its first-arrived member.
                 assert_eq!(
-                    truth.label_of.get(&c),
-                    Some(&label),
-                    "{what}: component id {c} of {u} is not in {u}'s component (epoch {})",
+                    c,
+                    truth.name_of[&label],
+                    "{what}: component id {c} of {u} is not its component's first-arrived \
+                     member (epoch {})",
                     snap.epoch()
                 );
                 assert_eq!(
@@ -360,10 +366,12 @@ fn tcp_clients_get_epoch_consistent_answers_during_ingest() {
                                 }
                             }
                             (Request::ComponentOf { v }, Response::Component { component, .. }) => {
+                                let name = truth.label_of.get(v).map(|label| truth.name_of[label]);
                                 assert_eq!(
-                                    truth.label_of.get(component),
-                                    truth.label_of.get(v),
-                                    "of({v}) returned non-member {component} at epoch {epoch}"
+                                    name,
+                                    Some(*component),
+                                    "of({v}) returned {component}, not its component's name, \
+                                     at epoch {epoch}"
                                 );
                             }
                             (Request::ComponentOf { v }, Response::NotFound { .. }) => {
