@@ -251,10 +251,25 @@ struct JsonIngest {
 /// Cap on the per-batch array in a `wcc serve --json` record.
 const MAX_JSON_BATCHES: usize = 1000;
 
-impl From<&BatchReport> for JsonBatch {
-    fn from(r: &BatchReport) -> Self {
-        JsonBatch {
-            index: r.batch_index,
+/// Applies one batch, timing it: its report and its wall time in
+/// milliseconds.
+fn apply_timed(
+    engine: &mut IncrementalComponents,
+    batch: &[EdgeOp],
+) -> Result<(BatchReport, f64), CoreError> {
+    let started = Instant::now();
+    let report = engine.apply_ops_batch(batch)?;
+    Ok((report, started.elapsed().as_secs_f64() * 1e3))
+}
+
+/// The `--json` records of what [`apply_timed`] returned, indexed by
+/// position.
+fn json_batches(reports: &[(BatchReport, f64)]) -> Vec<JsonBatch> {
+    reports
+        .iter()
+        .enumerate()
+        .map(|(index, (r, wall_time_ms))| JsonBatch {
+            index,
             edges: r.edges_in_batch,
             insertions: r.insertions,
             deletions: r.deletions,
@@ -267,9 +282,9 @@ impl From<&BatchReport> for JsonBatch {
             components_after: r.components_after,
             rounds: r.rounds,
             communication_words: r.communication_words,
-            wall_time_ms: r.wall_time_ms,
-        }
-    }
+            wall_time_ms: *wall_time_ms,
+        })
+        .collect()
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -603,13 +618,16 @@ fn run_stream(opts: &Options) -> ExitCode {
     let params = StreamParams::laptop_scale().with_threads(opts.threads);
     let mut engine = IncrementalComponents::new(params, opts.seed);
     let started = Instant::now();
-    let reports = match engine.apply_ops_schedule(&batches) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    let mut reports = Vec::with_capacity(batches.len());
+    for batch in &batches {
+        match apply_timed(&mut engine, batch) {
+            Ok(applied) => reports.push(applied),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-    };
+    }
     let wall_time_ms = started.elapsed().as_secs_f64() * 1e3;
     let labels = engine.labels();
     let stats = engine.stats();
@@ -635,7 +653,7 @@ fn run_stream(opts: &Options) -> ExitCode {
             shuffled_bytes: Some(stats.total_shuffled_bytes()),
             wall_time_ms,
             phases: Some(stats.phases().to_vec()),
-            batches: Some(reports.iter().map(JsonBatch::from).collect()),
+            batches: Some(json_batches(&reports)),
             serve: None,
             component_sizes: sizes,
             pool: pool_report(),
@@ -643,12 +661,12 @@ fn run_stream(opts: &Options) -> ExitCode {
         });
     }
 
-    for r in &reports {
+    for (index, (r, wall_time_ms)) in reports.iter().enumerate() {
         println!(
             "batch {:>4}: {:>7} ops ({:>7} ins, {:>6} del), {:>6} new vertices, \
              {:>3} standing merges, {:>3} forest cuts, {:>3} splits -> {:<32} \
              ({} rounds, {} words, {:.1} ms)",
-            r.batch_index,
+            index,
             r.edges_in_batch,
             r.insertions,
             r.deletions,
@@ -659,10 +677,10 @@ fn run_stream(opts: &Options) -> ExitCode {
             r.path.label(),
             r.rounds,
             r.communication_words,
-            r.wall_time_ms
+            wall_time_ms
         );
     }
-    let fast = reports.iter().filter(|r| r.path.is_fast()).count();
+    let fast = reports.iter().filter(|(r, _)| r.path.is_fast()).count();
     println!(
         "replayed {} batches ({} fast-path, {} forest cuts, {} sketch splits, \
          {} sketch recertifies, {} recomputes): {} vertices, {} edges",
@@ -670,7 +688,7 @@ fn run_stream(opts: &Options) -> ExitCode {
         fast,
         reports
             .iter()
-            .map(|r| u64::from(r.forest_cuts))
+            .map(|(r, _)| u64::from(r.forest_cuts))
             .sum::<u64>(),
         engine.splits(),
         engine.sketch_recertifies(),
@@ -718,7 +736,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     let params = StreamParams::laptop_scale().with_threads(opts.threads);
     let mut engine = IncrementalComponents::new(params, opts.seed);
     let started = Instant::now();
-    let mut reports: Vec<BatchReport> = Vec::new();
+    let mut reports: Vec<(BatchReport, f64)> = Vec::new();
     let mut epoch = 0u64;
     let mut passes = 0usize;
     'ingest: loop {
@@ -729,8 +747,8 @@ fn run_serve(opts: &Options) -> ExitCode {
             if server.shutdown_requested() {
                 break 'ingest;
             }
-            let report = match engine.apply_ops_batch(batch) {
-                Ok(r) => r,
+            let applied = match apply_timed(&mut engine, batch) {
+                Ok(applied) => applied,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
@@ -738,7 +756,7 @@ fn run_serve(opts: &Options) -> ExitCode {
             };
             epoch += 1;
             server.publish(engine.snapshot(epoch));
-            reports.push(report);
+            reports.push(applied);
             if opts.ingest_delay_ms > 0.0 {
                 std::thread::sleep(std::time::Duration::from_secs_f64(
                     opts.ingest_delay_ms / 1e3,
@@ -752,7 +770,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     }
     let ingest_wall_ms = started.elapsed().as_secs_f64() * 1e3;
     if !opts.json {
-        let fast = reports.iter().filter(|r| r.path.is_fast()).count();
+        let fast = reports.iter().filter(|(r, _)| r.path.is_fast()).count();
         println!(
             "INGESTED {} batches ({} fast-path, {} recomputes) in {:.1} ms: \
              {} vertices, {} edges, {} components",
@@ -787,13 +805,13 @@ fn run_serve(opts: &Options) -> ExitCode {
     }
 
     let stats = engine.stats();
-    let fast = reports.iter().filter(|r| r.path.is_fast()).count();
+    let fast = reports.iter().filter(|(r, _)| r.path.is_fast()).count();
     let mean_batch_ms = if reports.is_empty() {
         0.0
     } else {
-        reports.iter().map(|r| r.wall_time_ms).sum::<f64>() / reports.len() as f64
+        reports.iter().map(|&(_, ms)| ms).sum::<f64>() / reports.len() as f64
     };
-    let max_batch_ms = reports.iter().map(|r| r.wall_time_ms).fold(0.0, f64::max);
+    let max_batch_ms = reports.iter().map(|&(_, ms)| ms).fold(0.0, f64::max);
 
     if opts.json {
         return emit_json(&JsonReport {
@@ -815,8 +833,7 @@ fn run_serve(opts: &Options) -> ExitCode {
             shuffled_bytes: Some(stats.total_shuffled_bytes()),
             wall_time_ms,
             phases: Some(stats.phases().to_vec()),
-            batches: (reports.len() <= MAX_JSON_BATCHES)
-                .then(|| reports.iter().map(JsonBatch::from).collect()),
+            batches: (reports.len() <= MAX_JSON_BATCHES).then(|| json_batches(&reports)),
             serve: Some(JsonServe {
                 addr,
                 epochs: epoch,

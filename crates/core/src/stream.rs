@@ -76,7 +76,6 @@
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::regularize::CoreError;
 use crate::serve::snapshot::ComponentSnapshot;
@@ -179,17 +178,18 @@ impl BatchPath {
     }
 }
 
-/// Per-batch measurements, in the same shape `wcc --json` reports run-level
-/// quantities (rounds, words, wall time).
+/// What one batch did and what it was charged, in the same shape `wcc
+/// --json` reports run-level quantities (rounds, words).
 ///
 /// The per-batch counts are `u32`: a batch that would push the live edges
 /// or the vertex ids past `u32::MAX` is refused, and every count is bounded
 /// by one of the two. A caller that keeps a stream's reports (`wcc stream`
-/// keeps them all) keeps 80 bytes per batch.
+/// keeps them all) keeps 64 bytes per batch, so what the caller already
+/// knows stays with the caller: the batch's index is
+/// [`IncrementalComponents::batches_applied`] before the call, and its
+/// wall time is the caller's to take.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
-    /// 0-based index of the batch in the schedule.
-    pub batch_index: usize,
     /// Ops contained in the batch (insertions + deletions, including
     /// duplicates and self-loops).
     pub edges_in_batch: usize,
@@ -223,8 +223,6 @@ pub struct BatchReport {
     pub rounds: u64,
     /// Words of simulated communication charged by this batch.
     pub communication_words: u64,
-    /// Wall-clock time of the batch, in milliseconds.
-    pub wall_time_ms: f64,
 }
 
 /// The streaming engine: see the module docs for the fast/slow path
@@ -357,6 +355,39 @@ fn check_u32_room(what: &str, count: usize, adding: usize) -> Result<(), CoreErr
     }
 }
 
+/// Sorts `(key, slot)` items by key: an LSD radix sort over the key's
+/// eight bytes that skips every byte all keys share. Stable, so with
+/// unique keys the order is the one any comparison sort by key gives.
+fn radix_sort_by_key(items: &mut Vec<(u64, u32)>) {
+    let (any, all) = items
+        .iter()
+        .fold((0u64, u64::MAX), |(any, all), &(key, _)| {
+            (any | key, all & key)
+        });
+    let mut scratch = Vec::new();
+    for shift in (0..64).step_by(8) {
+        if ((any ^ all) >> shift) & 0xFF == 0 {
+            continue;
+        }
+        let digit = |key: u64| (key >> shift) as u8 as usize;
+        let mut next = [0usize; 256];
+        for &(key, _) in items.iter() {
+            next[digit(key)] += 1;
+        }
+        let mut start = 0;
+        for slot in next.iter_mut() {
+            (*slot, start) = (start, start + *slot);
+        }
+        scratch.resize(items.len(), (0, 0));
+        for &item in items.iter() {
+            let d = digit(item.0);
+            scratch[next[d]] = item;
+            next[d] += 1;
+        }
+        std::mem::swap(items, &mut scratch);
+    }
+}
+
 /// The `Arc`-shared payloads of the last snapshot build — see
 /// [`IncrementalComponents::snapshot`] for the reuse contract.
 #[derive(Debug, Clone)]
@@ -420,8 +451,14 @@ impl IncrementalComponents {
 
     /// Rejects any delete op that would over-delete: at its position in the
     /// batch there must be a live copy of the edge, counting the batch's own
-    /// earlier inserts/deletes (prefix semantics).
-    fn validate_deletions(&self, batch: &[EdgeOp]) -> Result<(), CoreError> {
+    /// earlier inserts/deletes (prefix semantics). Counts first
+    /// ([`deletions_fit`](Self::deletions_fit)); only a batch that count
+    /// cannot clear pays for the exact prefix replay, which alone names the
+    /// offending op.
+    fn validate_deletions(&self, batch: &[EdgeOp], deletions: usize) -> Result<(), CoreError> {
+        if self.deletions_fit(batch, deletions) {
+            return Ok(());
+        }
         // Running per-pair delta over the batch prefix, on raw-id pairs.
         let mut delta: IdMap<(u64, u64), i64> = IdMap::default();
         for op in batch {
@@ -442,6 +479,21 @@ impl IncrementalComponents {
             }
         }
         Ok(())
+    }
+
+    /// Whether every pair the batch deletes has at least as many live
+    /// copies as the batch deletes of it (`deletions` of them in all). Then
+    /// no prefix can over-delete, whatever the batch inserts, so the batch
+    /// is valid; `false` says nothing either way.
+    fn deletions_fit(&self, batch: &[EdgeOp], deletions: usize) -> bool {
+        let mut deleted: IdMap<(u64, u64), usize> =
+            IdMap::with_capacity_and_hasher(deletions, Default::default());
+        for op in batch.iter().filter(|op| op.kind == OpKind::Delete) {
+            *deleted.entry((op.u.min(op.v), op.u.max(op.v))).or_insert(0) += 1;
+        }
+        deleted
+            .iter()
+            .all(|(&(a, b), &count)| self.live_copies(a, b) >= count)
     }
 
     /// Live copies of the raw edge `{a, b}` in the standing multiset.
@@ -483,7 +535,7 @@ impl IncrementalComponents {
                     "stream: a deletion needs sketch_phases > 0".into(),
                 ));
             }
-            self.validate_deletions(batch)?;
+            self.validate_deletions(batch, len - inserts)?;
         }
         check_u32_room("live edges", self.live_edges, inserts)?;
         // Every insert brings at most two new ids; only a batch that fails
@@ -499,10 +551,8 @@ impl IncrementalComponents {
             check_u32_room("vertex ids", n, unseen.len())?;
         }
 
-        let started = Instant::now();
         let rounds_before = self.total_rounds();
         let words_before = self.total_communication_words();
-        let batch_index = self.batches_applied;
         self.batches_applied += 1;
 
         let bootstrap = !self.bootstrapped && len > 0;
@@ -646,7 +696,6 @@ impl IncrementalComponents {
         // room was checked above.
         let count = |n: usize| u32::try_from(n).expect("bounded by the u32 room checks");
         Ok(BatchReport {
-            batch_index,
             edges_in_batch: len,
             insertions: count(insertions),
             deletions: count(deletions),
@@ -659,7 +708,6 @@ impl IncrementalComponents {
             components_after: self.uf.num_sets(),
             rounds: self.total_rounds() - rounds_before,
             communication_words: self.total_communication_words() - words_before,
-            wall_time_ms: started.elapsed().as_secs_f64() * 1e3,
         })
     }
 
@@ -1115,18 +1163,30 @@ impl IncrementalComponents {
     /// builds: the exact components of the live multiset. Pairs are
     /// unioned in `since` order — Kruskal in the order their surviving
     /// copies arrived — and the spanning forest starts over as the pairs
-    /// that join two sets.
+    /// that join two sets. The order is a radix pass over `(since, slot)`,
+    /// a slot being a pair's place in `live`'s iteration order (the map
+    /// does not change between the passes, so every pass meets the pairs in
+    /// that order; the room checks keep the slots within `u32`). `since`
+    /// is unique, so the order is the one any sort by `since` gives.
     fn union_pass(&mut self) -> UnionFind {
-        let mut uf = UnionFind::new(self.original_ids.len());
-        let mut pairs: Vec<(u64, &(u32, u32), &mut LivePair)> = self
-            .live
-            .iter_mut()
-            .map(|(key, pair)| (pair.since, key, pair))
+        let mut order: Vec<(u64, u32)> = (0..)
+            .zip(self.live.values())
+            .map(|(slot, pair)| (pair.since, slot))
             .collect();
-        pairs.sort_unstable_by_key(|&(since, ..)| since);
-        for (_, &(u, v), pair) in pairs {
-            let (x, y) = if pair.reversed { (v, u) } else { (u, v) };
-            pair.forest = uf.union(x as usize, y as usize);
+        radix_sort_by_key(&mut order);
+        let pairs: Vec<(u32, u32)> = self
+            .live
+            .iter()
+            .map(|(&(u, v), pair)| if pair.reversed { (v, u) } else { (u, v) })
+            .collect();
+        let mut uf = UnionFind::new(self.original_ids.len());
+        let mut forest = vec![false; pairs.len()];
+        for (_, slot) in order {
+            let (x, y) = pairs[slot as usize];
+            forest[slot as usize] = uf.union(x as usize, y as usize);
+        }
+        for (pair, forest) in self.live.values_mut().zip(forest) {
+            pair.forest = forest;
         }
         uf
     }
@@ -1204,14 +1264,16 @@ mod tests {
         }
     }
 
-    /// The per-batch counts are `u32` (the room checks above bound them),
-    /// so a kept report costs what the type's docs say.
+    /// The per-batch counts are `u32` (the room checks above bound them)
+    /// and the index and wall time are the caller's, so a kept report costs
+    /// what the type's docs say.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_batch_report_is_80_bytes() {
-        assert_eq!(std::mem::size_of::<BatchReport>(), 80);
+    fn a_batch_report_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<BatchReport>(), 64);
     }
 
+    use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1929,6 +1991,44 @@ mod tests {
         assert!(engine.labels().same_partition(&truth));
     }
 
+    /// Phase keys the engine's sketch has expanded, read off its `Debug`
+    /// output (the key block is private to the sketch crate).
+    fn expanded_keys(engine: &IncrementalComponents) -> Option<usize> {
+        let t = engine.turnstile.as_ref()?;
+        let debug = format!("{:?}", t.sketch);
+        let (_, rest) = debug.split_once("expanded_phases: ")?;
+        rest.split(|c: char| !c.is_ascii_digit())
+            .next()?
+            .parse()
+            .ok()
+    }
+
+    /// The first deletion creates the sketch with no phase key expanded;
+    /// the first cut expands the one phase it reads, and `stream_churn`'s
+    /// schedule never expands a second.
+    #[test]
+    fn phase_keys_expand_only_when_a_cut_reads_the_phase() {
+        let mut engine = IncrementalComponents::new(params(), 81);
+        let mut ops = clique_ops(0, 6);
+        ops.extend(clique_ops(6, 12));
+        ops.push(EdgeOp::insert(0, 6));
+        engine.apply_ops_batch(&ops).unwrap();
+        assert_eq!(expanded_keys(&engine), None);
+        let r = engine.apply_ops_batch(&[EdgeOp::delete(1, 2)]).unwrap();
+        assert_eq!(r.forest_cuts, 0);
+        assert_eq!(expanded_keys(&engine), Some(0), "the first deletion");
+        let r = engine.apply_ops_batch(&[EdgeOp::delete(6, 0)]).unwrap();
+        assert_eq!((r.forest_cuts, r.splits), (1, 1));
+        assert_eq!(expanded_keys(&engine), Some(1), "the first cut");
+
+        let mut engine = IncrementalComponents::new(params().with_threads(1), 7);
+        for batch in churn_schedule(100, 40, 7) {
+            engine.apply_ops_batch(&batch).unwrap();
+            assert!(expanded_keys(&engine).is_none_or(|k| k == engine.phases_built()));
+        }
+        assert_eq!(expanded_keys(&engine), Some(1));
+    }
+
     #[test]
     fn the_deletion_side_state_is_one_pointer_until_a_deletion() {
         // PR 12's layout finding: the engine's hot fields are
@@ -2236,6 +2336,161 @@ mod tests {
             checked += 1;
         }
         assert!(checked >= 10, "{checked} escalations");
+    }
+
+    /// `union_pass`'s radix order is the order a sort by `since` gives:
+    /// the sort itself on key shapes that skip leading, trailing and inner
+    /// bytes (duplicates keep their input order, against a stable sort),
+    /// and the flags and roots of a pass whose unique `since` values span
+    /// more than 32 bits with some bytes shared, against a pass over
+    /// `sort_unstable_by_key(since)`.
+    #[test]
+    fn the_radix_order_matches_a_comparison_sort_by_since() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(97);
+        // Bytes 1, 3 and 6 vary; bytes 2, 4, 5 and 7 are shared and non-zero.
+        const SHARED: u64 = 0x5A00_C3D2_00E1_0000;
+        let spread = |rng: &mut ChaCha8Rng| {
+            let byte = |rng: &mut ChaCha8Rng, at: u32| u64::from(rng.gen::<u8>()) << (8 * at);
+            SHARED | byte(rng, 1) | byte(rng, 3) | byte(rng, 6)
+        };
+        let shapes: [&dyn Fn(&mut ChaCha8Rng) -> u64; 5] = [
+            &|rng| rng.gen(),
+            &|rng| rng.gen_range(0..8),
+            &|rng| 7 << 40 | rng.gen_range(0..300),
+            &|rng| u64::from(rng.gen::<u8>()) << 56,
+            &spread,
+        ];
+        for (shape, key) in shapes.iter().enumerate() {
+            for len in [0, 1, 2, 255, 3000] {
+                let items: Vec<(u64, u32)> = (0..len).map(|slot| (key(&mut rng), slot)).collect();
+                let (mut radix, mut stable) = (items.clone(), items);
+                radix_sort_by_key(&mut radix);
+                stable.sort_by_key(|&(key, _)| key);
+                assert_eq!(radix, stable, "shape {shape}, {len} items");
+            }
+        }
+
+        let mut engine = IncrementalComponents::new(params().with_threads(1), 97);
+        for batch in churn_schedule(40, 16, 97).iter().take(12) {
+            engine.apply_ops_batch(batch).unwrap();
+        }
+        let mut since = HashSet::new();
+        for pair in engine.live.values_mut() {
+            pair.since = std::iter::repeat_with(|| spread(&mut rng))
+                .find(|&s| since.insert(s))
+                .expect("an unused value");
+        }
+        let mut reference = engine.clone();
+        let mut uf = engine.union_pass();
+        let mut pairs: Vec<(u64, &(u32, u32), &mut LivePair)> = reference
+            .live
+            .iter_mut()
+            .map(|(key, pair)| (pair.since, key, pair))
+            .collect();
+        pairs.sort_unstable_by_key(|&(since, ..)| since);
+        let mut want = UnionFind::new(engine.num_vertices());
+        let mut joins = 0;
+        for (_, &(u, v), pair) in pairs {
+            let (x, y) = if pair.reversed { (v, u) } else { (u, v) };
+            pair.forest = want.union(x as usize, y as usize);
+            joins += usize::from(pair.forest);
+        }
+        assert!(joins > 0 && joins < engine.live.len());
+        assert_eq!(engine.live, reference.live, "forest flags");
+        let roots = |uf: &mut UnionFind| (0..uf.len()).map(|x| uf.find(x)).collect::<Vec<_>>();
+        assert_eq!(roots(&mut uf), roots(&mut want));
+    }
+
+    /// Validation's oracle, independent of the engine: replays the batch's
+    /// running per-pair delta against `live` (raw pair → live copies).
+    fn replayed_validation(
+        live: &HashMap<(u64, u64), i64>,
+        batch: &[EdgeOp],
+    ) -> Result<(), String> {
+        let mut delta = HashMap::new();
+        for op in batch {
+            let key = (op.u.min(op.v), op.u.max(op.v));
+            let d = delta.entry(key).or_insert(0);
+            *d += if op.kind == OpKind::Insert { 1 } else { -1 };
+            if live.get(&key).copied().unwrap_or(0) + *d < 0 {
+                return Err(format!(
+                    "stream: deletion of edge ({}, {}) with no live copy \
+                     (never inserted, or already deleted)",
+                    op.u, op.v
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies `batch` to `engine` and checks it is refused or accepted
+    /// exactly as [`replayed_validation`] says, with the same message;
+    /// whether the count alone cleared it comes back.
+    fn check_validation(
+        engine: &mut IncrementalComponents,
+        live: &mut HashMap<(u64, u64), i64>,
+        batch: &[EdgeOp],
+    ) -> bool {
+        let want = replayed_validation(live, batch);
+        let deletions = batch.iter().filter(|op| op.kind == OpKind::Delete).count();
+        let fit = deletions > 0 && engine.deletions_fit(batch, deletions);
+        assert!(!fit || want.is_ok(), "the count cleared an invalid batch");
+        match (engine.apply_ops_batch(batch), want) {
+            (Ok(_), Ok(())) => {
+                for op in batch {
+                    let count = live.entry((op.u.min(op.v), op.u.max(op.v))).or_insert(0);
+                    *count += if op.kind == OpKind::Insert { 1 } else { -1 };
+                }
+            }
+            (Err(CoreError::BadParams(got)), Err(want)) => assert_eq!(got, want),
+            (got, want) => panic!("engine {got:?}, oracle {want:?} on {batch:?}"),
+        }
+        fit
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Counting first, then replaying only what the count cannot clear,
+        /// accepts and refuses exactly the batches the prefix replay does:
+        /// random batches over six ids (repeated pairs, parallel copies,
+        /// self-loops, over-deletes), then fixed probes that reach each
+        /// branch.
+        #[test]
+        fn count_first_validation_matches_the_prefix_replay(
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u8..5, 0u64..6, 0u64..6), 0..12),
+                1..30,
+            )
+        ) {
+            let mut engine = IncrementalComponents::new(params().with_threads(1), 5);
+            let mut live = HashMap::new();
+            for batch in &batches {
+                let ops: Vec<EdgeOp> = batch
+                    .iter()
+                    .map(|&(kind, u, v)| match kind {
+                        0..=1 => EdgeOp::delete(u, v),
+                        _ => EdgeOp::insert(u, v),
+                    })
+                    .collect();
+                check_validation(&mut engine, &mut live, &ops);
+            }
+            let (ins, del) = (EdgeOp::insert, EdgeOp::delete);
+            for (probe, fits) in [
+                // Two parallel copies, both deleted: the count clears it.
+                (vec![ins(100, 101), ins(101, 100)], false),
+                (vec![del(100, 101), del(101, 100)], true),
+                // Insert-then-delete of a fresh pair: only the replay clears it.
+                (vec![ins(102, 103), del(103, 102)], false),
+                // An over-delete, after and before an insert of the pair.
+                (vec![ins(100, 101), del(100, 101), del(100, 101)], false),
+                (vec![del(100, 101), ins(100, 101)], false),
+            ] {
+                prop_assert_eq!(check_validation(&mut engine, &mut live, &probe), fits);
+            }
+            prop_assert_eq!(live.get(&(102, 103)), Some(&0));
+        }
     }
 
     #[test]

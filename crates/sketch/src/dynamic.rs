@@ -53,8 +53,6 @@
 //! reads it. [`DynamicConnectivitySketch::new`] is the same sketch with
 //! every phase built at construction.
 
-use std::ops::Range;
-
 use crate::kernel::{ComponentRows, SketchKeys, VertexSketch};
 
 /// Encodes the unordered edge `{u, v}` as an ℓ0 coordinate independent of the
@@ -63,6 +61,21 @@ fn edge_coordinate(u: u32, v: u32) -> u64 {
     debug_assert_ne!(u, v);
     let (a, b) = if u < v { (u, v) } else { (v, u) };
     ((a as u64) << 32) | b as u64
+}
+
+/// Edge `{u, v}` of a sketch over `n` vertices as the kernel takes it: its
+/// endpoints `a < b` and its coordinate, or `None` for a self-loop (no slot
+/// in the incidence vector).
+///
+/// # Panics
+///
+/// Panics if an endpoint is out of range.
+fn kernel_edge(n: usize, u: u32, v: u32) -> Option<(usize, usize, u64)> {
+    assert!(
+        (u as usize) < n && (v as usize) < n,
+        "endpoint out of range"
+    );
+    (u != v).then(|| (u.min(v) as usize, u.max(v) as usize, edge_coordinate(u, v)))
 }
 
 fn decode_edge_coordinate(idx: u64) -> (u32, u32) {
@@ -155,7 +168,7 @@ impl DynamicConnectivitySketch {
     ///
     /// Panics if `num_phases` is zero.
     pub fn new(num_phases: usize, seed: u64) -> Self {
-        let mut sketch = Self::lazy(num_phases, seed);
+        let mut sketch = Self::with_keys(SketchKeys::new(num_phases, seed));
         while sketch.built < num_phases {
             sketch.build_phase([]);
         }
@@ -171,8 +184,12 @@ impl DynamicConnectivitySketch {
     ///
     /// Panics if `num_phases` is zero.
     pub fn lazy(num_phases: usize, seed: u64) -> Self {
+        Self::with_keys(SketchKeys::lazy(num_phases, seed))
+    }
+
+    fn with_keys(keys: SketchKeys) -> Self {
         DynamicConnectivitySketch {
-            keys: SketchKeys::new(num_phases, seed),
+            keys,
             built: 0,
             vertices: Vec::new(),
         }
@@ -196,21 +213,27 @@ impl DynamicConnectivitySketch {
     /// Builds phase [`built_phases`](Self::built_phases) as the sketch of the
     /// edge multiset `pairs` lists, each pair `(u, v)` with its copies (one
     /// weighted update per pair, self-loops ignored). That multiset must be
-    /// the one the built phases sketch, or the phases disagree.
+    /// the one the built phases sketch, or the phases disagree. The list is
+    /// read twice (once to size every vertex's levels, once to apply the
+    /// updates), so its iterator must be `Clone`.
     ///
     /// # Panics
     ///
     /// Panics if every phase is built or an endpoint is out of range.
-    pub fn build_phase(&mut self, pairs: impl IntoIterator<Item = ((u32, u32), i64)>) {
+    pub fn build_phase<I>(&mut self, pairs: I)
+    where
+        I: IntoIterator<Item = ((u32, u32), i64)>,
+        I::IntoIter: Clone,
+    {
         let phase = self.built;
         assert!(phase < self.num_phases(), "every phase is built");
-        for vertex in &mut self.vertices {
-            vertex.push_phase();
-        }
+        let n = self.vertices.len();
+        let edges = pairs.into_iter().filter_map(move |((u, v), copies)| {
+            let (a, b, idx) = kernel_edge(n, u, v)?;
+            Some((a, b, idx, copies))
+        });
+        self.keys.build_phase(&mut self.vertices, phase, edges);
         self.built += 1;
-        for ((u, v), copies) in pairs {
-            self.apply_edge(u, v, copies, phase..phase + 1);
-        }
     }
 
     /// Size of one vertex's message in machine words (constant: the message
@@ -292,7 +315,10 @@ impl DynamicConnectivitySketch {
     ///
     /// Panics if an endpoint is out of range.
     pub fn update_edge(&mut self, u: u32, v: u32, delta: i64) {
-        self.apply_edge(u, v, delta, 0..self.built);
+        if let Some((a, b, idx)) = kernel_edge(self.vertices.len(), u, v) {
+            self.keys
+                .update_edge(&mut self.vertices, a, b, idx, delta, 0..self.built);
+        }
     }
 
     /// The shared keys and one vertex's cells, for the kernel's differential
@@ -305,27 +331,6 @@ impl DynamicConnectivitySketch {
     #[cfg(test)]
     pub(crate) fn vertex_sketch(&self, v: usize) -> &VertexSketch {
         &self.vertices[v]
-    }
-
-    fn apply_edge(&mut self, u: u32, v: u32, delta: i64, phases: Range<usize>) {
-        let n = self.vertices.len();
-        assert!(
-            (u as usize) < n && (v as usize) < n,
-            "endpoint out of range"
-        );
-        if u == v {
-            return;
-        }
-        let idx = edge_coordinate(u, v);
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.keys.update_edge(
-            &mut self.vertices,
-            a as usize,
-            b as usize,
-            idx,
-            delta,
-            phases,
-        );
     }
 
     /// [`subset_components_from`](Self::subset_components_from) with nothing
@@ -394,6 +399,7 @@ impl DynamicConnectivitySketch {
     ) -> Option<SubsetPartition>
     where
         I: IntoIterator<Item = ((u32, u32), i64)>,
+        I::IntoIter: Clone,
     {
         let mut run = self.start(members, known);
         loop {
@@ -415,12 +421,20 @@ impl DynamicConnectivitySketch {
             assert!((last as usize) < self.vertices.len(), "member out of range");
         }
         let mut parent: Vec<u32> = (0..members.len() as u32).collect();
-        for &(u, v) in known {
-            let position = |x: u32| match members.binary_search(&x) {
-                Ok(pos) => pos as u32,
-                Err(_) => panic!("known edge ({u}, {v}): endpoint {x} is not a member"),
-            };
-            union(&mut parent, position(u), position(v));
+        if !known.is_empty() {
+            // Member position by global id, `u32::MAX` for a non-member.
+            let span = members.last().map_or(0, |&last| last as usize + 1);
+            let mut pos_of = vec![u32::MAX; span];
+            for (pos, &m) in members.iter().enumerate() {
+                pos_of[m as usize] = pos as u32;
+            }
+            for &(u, v) in known {
+                let position = |x: u32| match pos_of.get(x as usize) {
+                    Some(&pos) if pos != u32::MAX => pos,
+                    _ => panic!("known edge ({u}, {v}): endpoint {x} is not a member"),
+                };
+                union(&mut parent, position(u), position(v));
+            }
         }
         Boruvka {
             members,
@@ -862,7 +876,7 @@ mod tests {
                 for &pair in live {
                     *copies.entry(pair).or_insert(0i64) += 1;
                 }
-                copies
+                copies.into_iter().collect::<Vec<_>>()
             };
             let ops = 40 + trial % 30;
             for op in 0..ops {

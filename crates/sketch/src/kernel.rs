@@ -9,9 +9,9 @@
 //! * **Shared keys.** Everything the vertices of one sketch have in common
 //!   lives once in `SketchKeys`: per phase the level-hash seed, `z`, and a
 //!   byte-window table `pow[k][b] = z^(b·256^k) mod p` (8 × 256 entries,
-//!   16 KiB). `z^index` is then one table entry per non-zero byte of the
-//!   index — at most 7 multiplications instead of a 64-step
-//!   square-and-multiply.
+//!   16 KiB, expanded when the phase is built). `z^index` is then one table
+//!   entry per non-zero byte of the index — at most 7 multiplications
+//!   instead of a 64-step square-and-multiply.
 //! * **One fingerprint term per (update, phase).** An edge update computes
 //!   its level and `δ·z^index` once per phase and adds `(±δ, ±index·δ,
 //!   ±term)` to levels `0..=level` of both endpoints; the nested structure
@@ -91,40 +91,69 @@ impl PhaseKey {
 }
 
 /// The random bits every vertex of one sketch shares — Proposition 8.1's
-/// "players have access to `polylog(n)` shared random bits" — expanded once
+/// "players have access to `polylog(n)` shared random bits" — expanded
 /// into the tables the update and recovery paths read. Build one per sketch
 /// and hand it out by reference; it is a pure function of
-/// `(num_phases, seed)`.
+/// `(num_phases, seed)`. A phase's table is expanded when the phase is
+/// built ([`build_phase`](Self::build_phase)), so a lazily built sketch
+/// holds the 16 KiB of each phase it reads and no more.
 #[derive(Clone)]
 pub(crate) struct SketchKeys {
+    num_phases: usize,
+    seed: u64,
+    /// The keys of phases `0..phases.len()`, the ones expanded so far.
     phases: Vec<PhaseKey>,
 }
 
 impl SketchKeys {
-    /// Derives the keys of `num_phases` independent Borůvka phases.
+    /// The keys of `num_phases` independent Borůvka phases, none expanded.
     ///
     /// # Panics
     ///
     /// Panics if `num_phases` is zero.
-    pub(crate) fn new(num_phases: usize, seed: u64) -> Self {
+    pub(crate) fn lazy(num_phases: usize, seed: u64) -> Self {
         assert!(num_phases > 0, "at least one Borůvka phase required");
         SketchKeys {
-            phases: (0..num_phases)
-                .map(|phase| PhaseKey::new(phase_seed(seed, phase)))
-                .collect(),
+            num_phases,
+            seed,
+            phases: Vec::new(),
         }
+    }
+
+    /// [`lazy`](Self::lazy) with every phase expanded.
+    pub(crate) fn new(num_phases: usize, seed: u64) -> Self {
+        let mut keys = Self::lazy(num_phases, seed);
+        (0..num_phases).for_each(|phase| keys.expand(phase));
+        keys
+    }
+
+    /// Expands phase `phase`'s key unless it is already: phases expand in
+    /// order, so `phase` is at most the number expanded.
+    fn expand(&mut self, phase: usize) {
+        assert!(phase < self.num_phases, "phase {phase} out of range");
+        if phase == self.phases.len() {
+            self.phases
+                .push(PhaseKey::new(phase_seed(self.seed, phase)));
+        }
+        debug_assert!(phase < self.phases.len(), "phases expand in order");
+    }
+
+    /// Number of phases whose key is expanded.
+    #[cfg(test)]
+    pub(crate) fn expanded_phases(&self) -> usize {
+        self.phases.len()
     }
 
     /// Number of Borůvka phases (independent samplers per vertex).
     pub(crate) fn num_phases(&self) -> usize {
-        self.phases.len()
+        self.num_phases
     }
 
     /// Size of one vertex's message in machine words (the quantity
     /// Proposition 8.1 bounds by `O(log³ n)` bits): per phase the sampler's
     /// seed and all 61 levels, however few of them are physically stored.
     pub(crate) fn words_per_vertex(&self) -> usize {
-        self.phases.len() * (1 + NUM_LEVELS * WORDS_PER_CELL)
+        self.num_phases * (1 + NUM_LEVELS * WORDS_PER_CELL)
     }
 
     /// An empty per-vertex message under these keys that stores phases
@@ -132,7 +161,7 @@ impl SketchKeys {
     pub(crate) fn empty_vertex(&self, built: usize) -> VertexSketch {
         debug_assert!(built <= self.phases.len());
         VertexSketch {
-            num_phases: self.phases.len(),
+            num_phases: self.num_phases,
             built,
             levels: 0,
             cells: Vec::new(),
@@ -189,6 +218,33 @@ impl SketchKeys {
         }
     }
 
+    /// Appends phase `phase` — the next one — to every vertex of
+    /// `vertices` and applies to it the edge updates `edges`, each
+    /// `(a, b, index, delta)` with `a < b` as in
+    /// [`update_edge`](Self::update_edge), expanding the phase's key first.
+    /// A first pass over the edges finds each endpoint's top level in the
+    /// phase, so every vertex is re-strided at most once, and a second
+    /// applies the updates: nothing the size of the edge list is buffered.
+    pub(crate) fn build_phase<I>(&mut self, vertices: &mut [VertexSketch], phase: usize, edges: I)
+    where
+        I: Iterator<Item = (usize, usize, u64, i64)> + Clone,
+    {
+        self.expand(phase);
+        let seed = self.phases[phase].seed;
+        let mut levels: Vec<usize> = vertices.iter().map(|vertex| vertex.levels).collect();
+        for (a, b, index, _) in edges.clone() {
+            let top = level_of(seed, index) + 1;
+            levels[a] = levels[a].max(top);
+            levels[b] = levels[b].max(top);
+        }
+        for (vertex, levels) in vertices.iter_mut().zip(levels) {
+            vertex.push_phase(levels);
+        }
+        for (a, b, index, delta) in edges {
+            self.update_edge(vertices, a, b, index, delta, phase..phase + 1);
+        }
+    }
+
     /// Attempts to return a non-zero coordinate of the vector a phase-`phase`
     /// row sketches, scanning levels in [`L0Sampler::sample`]'s order.
     ///
@@ -203,14 +259,12 @@ impl SketchKeys {
     }
 }
 
-/// Keys are a function of their per-phase seeds, so that is what equality
-/// looks at (and a derived `Debug` would print 16 KiB per phase).
+/// Keys are a function of `(num_phases, seed)`, so that is what equality
+/// looks at, however many phases each has expanded (and a derived `Debug`
+/// would print 16 KiB per expanded phase).
 impl PartialEq for SketchKeys {
     fn eq(&self, other: &Self) -> bool {
-        self.phases
-            .iter()
-            .map(|k| k.seed)
-            .eq(other.phases.iter().map(|k| k.seed))
+        (self.num_phases, self.seed) == (other.num_phases, other.seed)
     }
 }
 
@@ -219,7 +273,8 @@ impl Eq for SketchKeys {}
 impl std::fmt::Debug for SketchKeys {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SketchKeys")
-            .field("num_phases", &self.phases.len())
+            .field("num_phases", &self.num_phases)
+            .field("expanded_phases", &self.phases.len())
             .finish_non_exhaustive()
     }
 }
@@ -266,18 +321,24 @@ impl VertexSketch {
         self.levels
     }
 
-    /// Appends phase `built` with every cell zero, ready for its updates.
-    pub(crate) fn push_phase(&mut self) {
+    /// Appends phase `built` with every cell zero, ready for its updates,
+    /// storing at least `levels` levels per phase from now on.
+    fn push_phase(&mut self, levels: usize) {
         assert!(self.built < self.num_phases, "every phase is built");
-        self.cells
-            .resize(self.cells.len() + self.levels, Cell::ZERO);
+        if levels > self.levels {
+            self.restride(self.built + 1, levels);
+        } else {
+            self.cells
+                .resize(self.cells.len() + self.levels, Cell::ZERO);
+        }
         self.built += 1;
     }
 
-    /// Re-strides the built phases' cells so each stores `levels` levels.
-    fn grow(&mut self, levels: usize) {
+    /// Re-strides the cells of the built phases so each stores `levels`
+    /// levels, with room for `phases` phases (the ones past `built` zero).
+    fn restride(&mut self, phases: usize, levels: usize) {
         debug_assert!(levels > self.levels && levels <= NUM_LEVELS);
-        let mut cells = vec![Cell::ZERO; self.built * levels];
+        let mut cells = vec![Cell::ZERO; phases * levels];
         if self.levels > 0 {
             let old_rows = self.cells.chunks_exact(self.levels);
             for (new, old) in cells.chunks_exact_mut(levels).zip(old_rows) {
@@ -292,7 +353,7 @@ impl VertexSketch {
     fn add(&mut self, phase: usize, level: usize, delta: i64, iw: i128, term: u64) {
         debug_assert!(phase < self.built, "phase {phase} is not built");
         if level >= self.levels {
-            self.grow(level + 1);
+            self.restride(self.built, level + 1);
         }
         for cell in &mut self.cells[phase * self.levels..][..=level] {
             cell.add_update(delta, iw, term);
@@ -592,6 +653,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Keys expand with their phase: a sketch keyed phase by phase — each
+    /// phase built from the live multiset at its own point of a turnstile
+    /// schedule — holds the keys of its built phases and no more, and ends
+    /// with the eager tables, equal to the eagerly keyed sketch and to the
+    /// reference samplers in all 26 phases, sample for sample.
+    #[test]
+    fn a_sketch_keyed_phase_by_phase_equals_an_eager_one() {
+        let (n, phases, seed) = (12, 26, 0xD1CE);
+        let mut rng = 6u64;
+        let mut eager = DynamicConnectivitySketch::new(phases, seed);
+        let mut lazy = DynamicConnectivitySketch::lazy(phases, seed);
+        (0..n).for_each(|_| eager.push_vertex());
+        (0..n).for_each(|_| lazy.push_vertex());
+        let mut oracle = Oracle::new(n, phases, seed);
+        let mut copies = std::collections::BTreeMap::new();
+        for (i, (u, v, delta)) in schedule(n, 20 * phases, &mut rng).into_iter().enumerate() {
+            if i % 20 == 0 {
+                lazy.build_phase(copies.iter().map(|(&pair, &c)| (pair, c)));
+            }
+            assert_eq!(lazy.keys().expanded_phases(), lazy.built_phases());
+            let (a, b) = (u.min(v) as u32, u.max(v) as u32);
+            eager.update_edge(a, b, delta);
+            lazy.update_edge(b, a, delta);
+            oracle.update_edge(u, v, ((a as u64) << 32) | b as u64, delta);
+            if a != b {
+                *copies.entry((a, b)).or_insert(0i64) += delta;
+                copies.retain(|_, c| *c != 0);
+            }
+        }
+        assert_eq!(lazy.built_phases(), phases);
+        assert!(lazy == eager && lazy.keys() == eager.keys());
+        let full = SketchKeys::new(phases, seed);
+        assert_eq!(lazy.keys().phases.len(), phases);
+        for (built, expanded) in lazy.keys().phases.iter().zip(&full.phases) {
+            assert!(built.seed == expanded.seed && built.pow == expanded.pow);
+        }
+        for v in 0..n {
+            oracle.assert_matches(v, lazy.vertex_sketch(v));
+        }
+        let all: Vec<u32> = (0..n as u32).collect();
+        for subset in [&all[..1], &all[1..4], &all[..]] {
+            for phase in 0..phases {
+                let row_sample = |sketch: &DynamicConnectivitySketch| {
+                    let members = subset.iter().map(|&v| sketch.vertex_sketch(v as usize));
+                    let mut rows = ComponentRows::new(n, members.clone());
+                    members.for_each(|vertex| rows.add(subset[0] as usize, vertex, phase));
+                    let row = rows.nonzero().next();
+                    row.and_then(|row| sketch.keys().sample(phase, row))
+                };
+                let mut reference = L0Sampler::new(phase_seed(seed, phase));
+                for &v in subset {
+                    reference.merge(&oracle.samplers[v as usize][phase]);
+                }
+                assert_eq!(row_sample(&lazy), reference.sample(), "phase {phase}");
+                assert_eq!(row_sample(&eager), reference.sample(), "phase {phase}");
+            }
+        }
+        assert_eq!(lazy.subset_components(&all), eager.subset_components(&all));
     }
 
     #[test]

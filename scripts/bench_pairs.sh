@@ -19,6 +19,10 @@
 # when the change's median is worse than the parent's by more than the
 # bound, and `ok` when it is not. Needs jq.
 #
+# Building rewrites each checkout's benchmark/Cargo.lock; the script puts
+# the committed file back (`git checkout`) after the builds and on exit, and
+# says so on stderr.
+#
 # Both checkouts are run with the *change* checkout's BENCHMARK.json (a
 # change that claims a gain may not edit it, so the two agree). Result lines
 # are kept under $BENCH_PAIRS_OUT (default: a fresh temp dir).
@@ -56,10 +60,26 @@ for word in "${cmd[@]}"; do
     *) build+=("$word") ;;
     esac
 done
+# Cargo re-resolves benchmark/Cargo.lock on every build or run, and the
+# checked-in lock still lists dependencies `wcc-sketch` no longer has, so
+# each invocation rewrites it. Put the committed file back in every checkout
+# that is a git work tree, after the builds and again on exit, so a
+# comparison leaves both trees as it found them.
+restore_locks() {
+    for dir in "$parent" "$change"; do
+        if git -C "$dir" ls-files --error-unmatch benchmark/Cargo.lock >/dev/null 2>&1 &&
+            ! git -C "$dir" diff --quiet -- benchmark/Cargo.lock; then
+            git -C "$dir" checkout -- benchmark/Cargo.lock
+            echo "note: restored $dir/benchmark/Cargo.lock, which cargo rewrote" >&2
+        fi
+    done
+}
+trap restore_locks EXIT
 for dir in "$parent" "$change"; do
     echo "building $dir" >&2
     (cd "$dir" && "${build[@]}")
 done
+restore_locks
 
 run_one() { # <dir> <side> <pair index>
     (cd "$1" && "${cmd[@]}" --workload "$workload" --seed "$seed" \

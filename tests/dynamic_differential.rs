@@ -342,14 +342,9 @@ fn full_component_teardown_reaches_singletons_without_recompute() {
     // Every deletion removes a last copy: its component splits (which takes
     // a cut) or is re-certified — by the forest for free, or, after a cut,
     // by a sketch link that is the next deletion's candidate cut.
-    for r in &reports {
-        assert_eq!(
-            r.splits + r.sketch_recertifies,
-            1,
-            "batch {}",
-            r.batch_index
-        );
-        assert!(r.splits <= r.forest_cuts, "batch {}", r.batch_index);
+    for (b, r) in reports.iter().enumerate() {
+        assert_eq!(r.splits + r.sketch_recertifies, 1, "batch {b}");
+        assert!(r.splits <= r.forest_cuts, "batch {b}");
     }
     assert_eq!(engine.spanning_forest(), Some(Vec::new()));
 }
