@@ -196,7 +196,7 @@ pub fn contraction_graph_of_refs(
         graphs[0].simple()
     } else if parts * parts <= DENSE_PAIR_BITS {
         let edges = contract_edges_dense(graphs, partition, &ctx.executor());
-        Graph::from_edges_unchecked(parts, edges)
+        Graph::from_normalized_edges(parts, edges)
     } else if width.is_compact() {
         let packed = contract_edges_compact(graphs, partition, &ctx.executor());
         Graph::from_packed_edge_multiset(parts, &packed)
@@ -224,12 +224,14 @@ fn compact_labels(partition: &Partition) -> Vec<u32> {
 /// relabelled non-loop edge set bit `a·parts + b` — ascending bit order *is*
 /// the wide spec's lexicographic order. Each executor range fills a bitmap
 /// of its own and the bitmaps are OR-ed together, so the split cannot show
-/// in the result. Caller must keep `parts²` within [`DENSE_PAIR_BITS`].
+/// in the result. The pairs come out as `u32`s in the graph's own edge
+/// layout, so [`Graph::from_normalized_edges`] takes the list as it is.
+/// Caller must keep `parts²` within [`DENSE_PAIR_BITS`].
 fn contract_edges_dense(
     graphs: &[&Graph],
     partition: &Partition,
     executor: &Executor,
-) -> Vec<(usize, usize)> {
+) -> Vec<(u32, u32)> {
     let parts = partition.num_parts();
     debug_assert!(parts * parts <= DENSE_PAIR_BITS);
     let words = (parts * parts).div_ceil(64);
@@ -263,7 +265,7 @@ fn contract_edges_dense(
         let mut rest = word;
         while rest != 0 {
             let bit = i * 64 + rest.trailing_zeros() as usize;
-            edges.push((bit / parts, bit % parts));
+            edges.push(((bit / parts) as u32, (bit % parts) as u32));
             rest &= rest - 1;
         }
     }
@@ -675,8 +677,10 @@ mod tests {
             );
             assert_same_graph(&bucketed, &spec, &format!("bucketed, {what}"));
             if parts * parts <= DENSE_PAIR_BITS {
-                let dense =
-                    Graph::from_edges_unchecked(parts, contract_edges_dense(refs, part, &executor));
+                let dense = Graph::from_normalized_edges(
+                    parts,
+                    contract_edges_dense(refs, part, &executor),
+                );
                 assert_same_graph(&dense, &spec, &format!("dense, {what}"));
             }
             if refs.len() == 1 && part.is_identity() {

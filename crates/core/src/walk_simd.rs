@@ -3,12 +3,13 @@
 //!
 //! One window of [`v3_walk_lane_group`](crate::walks) advances `L` lockstep
 //! lanes by their move counts. The step here does that data-parallel: for
-//! each draw row `d`, load the lanes' keystream words from the ring row, take
-//! the 32-bit Lemire draw in-register (`idx = hi32(word · Δ)`, `lo32 <
-//! reject_below` reported as a rejection), and advance every lane whose move
-//! count exceeds `d` by one masked gather out of the adjacency table. It is
-//! written once, over [`Vector`]'s eight operations, and instantiated per
-//! register width.
+//! each move `d`, take every lane's next base-Δ neighbour digit in-register
+//! — `(idx, lo) = (hi32(lo · Δ), lo32(lo · Δ))`, with `lo` loaded from the
+//! ring's draw row at a word's first digit and carried in a register
+//! otherwise, and `lo < 2³² mod Δʲ` after `j` digits reported as a
+//! rejection — and advance every lane whose move count exceeds `d` by one
+//! masked gather out of the adjacency table. It is written once, over
+//! [`Vector`]'s eight operations, and instantiated per register width.
 //!
 //! What makes the unchecked gather sound is kept inside this module:
 //!
@@ -20,7 +21,10 @@
 //!   vertex 0, enters others only through [`GatherLanes::restart`] (start
 //!   vertices checked `< n`) and changes them only by gathering table
 //!   entries, so every position is `v·Δ` for some `v < n`;
-//! * the drawn neighbour index is the high half of `word · Δ`, hence `< Δ`.
+//! * the drawn neighbour index is the high half of `lo · Δ` for a `u32`
+//!   `lo` — the keystream word itself or the low half a previous digit
+//!   left, it does not matter which: `lo · Δ ≤ (2³² − 1) · Δ < 2³² · Δ`, so
+//!   the high half is `< Δ`.
 //!
 //! Together: every gathered offset is `v·Δ + idx < n·Δ`, inside the table
 //! and non-negative as the `i32` the instruction reads. The
@@ -28,7 +32,7 @@
 //! [`detected`] reported, i.e. behind the cached CPUID check.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::walks::{Ring, WindowOutcome};
+use crate::walks::{Digits, Ring, WindowOutcome};
 
 /// Which implementation of the window step moves the lanes. Ordered by
 /// register width, so `detected() >= tier` means the CPU has `tier`.
@@ -93,9 +97,8 @@ pub(crate) fn gather_shape_ok(len: usize, n: usize, delta: usize) -> bool {
 pub(crate) struct GatherTable {
     /// `n·Δ ≤ i32::MAX` entries, each `u·Δ` with `u < n`.
     scaled: Vec<u32>,
-    delta: u32,
-    /// Lemire's rejection threshold for span Δ: `(2³² − Δ) mod Δ`.
-    reject_below: u32,
+    /// Δ, the digits per draw word and their Lemire thresholds.
+    digits: Digits,
     /// A gather tier the CPU has (never [`MoveTier::Portable`]).
     tier: MoveTier,
 }
@@ -117,16 +120,15 @@ impl GatherTable {
         {
             return None;
         }
-        let delta = delta as u32;
+        let digits = Digits::new(delta);
         // `u < n` makes `u·Δ < n·Δ ≤ i32::MAX`: no overflow.
         let scaled = adjacency
             .iter()
-            .map(|&u| ((u as usize) < n).then(|| u * delta))
+            .map(|&u| ((u as usize) < n).then(|| u * digits.delta))
             .collect::<Option<Vec<u32>>>()?;
         Some(GatherTable {
             scaled,
-            delta,
-            reject_below: delta.wrapping_neg() % delta,
+            digits,
             tier,
         })
     }
@@ -157,7 +159,7 @@ impl<const L: usize> GatherLanes<'_, L> {
     /// Panics if a start vertex is not a vertex of the table — the check the
     /// gather's bounds rest on, so it is an `assert!`.
     pub(crate) fn restart(&mut self, vertices: &[u32; L]) {
-        let delta = self.table.delta;
+        let delta = self.table.digits.delta;
         let n = self.table.scaled.len() / delta as usize;
         assert!(
             vertices.iter().all(|&v| (v as usize) < n),
@@ -168,7 +170,7 @@ impl<const L: usize> GatherLanes<'_, L> {
 
     /// The vertex each lane stands on.
     pub(crate) fn vertices(&self) -> [u32; L] {
-        self.at.map(|at| at / self.table.delta)
+        self.at.map(|at| at / self.table.digits.delta)
     }
 
     /// Advances every lane through the window whose pattern word sits at
@@ -422,13 +424,15 @@ mod x86 {
     }
 
     /// The window step, `V::LANES` lanes per chunk register, all `C` chunks
-    /// of a row before the next row so that `C` independent gather chains
+    /// of a move before the next move so that `C` independent gather chains
     /// are in flight. `C` is a constant so that the chunk loops unroll and
-    /// the positions stay in registers across the window.
+    /// the positions and the digits' carried `lo` stay in registers across
+    /// the window.
     ///
-    /// Scans — for Lemire rejection — exactly the draw words of chunks that
-    /// still have a live lane in that row: a superset of the words any lane
-    /// consumes, a subset of the portable step's scan.
+    /// Scans — for Lemire rejection — every digit prefix of the draw words
+    /// of chunks that still have a live lane at that digit: a superset of
+    /// the (word, digit count) pairs any lane consumes, a subset of the
+    /// portable step's scan.
     ///
     /// # Safety
     ///
@@ -445,13 +449,13 @@ mod x86 {
         let (counts, most, moves) =
             window_move_counts(&ring[(q0 % RING_ROWS as u64) as usize], usable);
         let table = lanes.table;
+        let digits = &table.digits;
         let mut rejected = false;
         // SAFETY: the caller guarantees `V`'s CPU feature. Every load and
         // store below touches `V::LANES` words at offset `c · V::LANES` of
         // an `[u32; L]` with `c < C = L / V::LANES`, i.e. in bounds.
         unsafe {
-            let delta = V::splat(table.delta);
-            let reject_below = V::splat(table.reject_below);
+            let delta = V::splat(digits.delta);
             // Plain indexed loops, not `array::from_fn` or iterator
             // adapters: their closures would be called through generic
             // library code compiled without this function's target
@@ -459,27 +463,40 @@ mod x86 {
             // operation an out-of-line call.
             let mut at = [V::splat(0); C];
             let mut count = [V::splat(0); C];
+            let mut lo = [V::splat(0); C];
             for c in 0..C {
                 at[c] = V::load(lanes.at.as_ptr().add(c * V::LANES));
                 count[c] = V::load(counts.as_ptr().add(c * V::LANES));
             }
-            for d in 0..most {
-                let words = ring[((q0 + 1 + d as u64) % RING_ROWS as u64) as usize].as_ptr();
-                let row = V::splat(d);
+            let mut d = 0u32;
+            let mut word_row = q0 + 1;
+            while d < most {
+                let words = ring[(word_row % RING_ROWS as u64) as usize].as_ptr();
                 for c in 0..C {
-                    let live = row.lt(count[c]);
-                    if V::any(live) {
-                        let (index, low) = V::load(words.add(c * V::LANES)).mul_wide(delta);
-                        rejected |= V::any(low.lt(reject_below));
-                        // SAFETY (gather): `at` holds `v·Δ` with `v < n` —
-                        // the `GatherLanes` invariant on entry, and
-                        // preserved here because every gathered value is a
-                        // table entry `u·Δ`, `u < n` — and `index` is the
-                        // high half of `word · Δ`, so `< Δ`: the offset is
-                        // `< n·Δ = scaled.len() ≤ i32::MAX`.
-                        at[c] = at[c].gather(live, table.scaled.as_ptr(), at[c].add(index));
-                    }
+                    lo[c] = V::load(words.add(c * V::LANES));
                 }
+                for j in 1..=digits.per_word.min(most - d) {
+                    let row = V::splat(d);
+                    let reject_below = V::splat(digits.reject_below[j as usize]);
+                    for c in 0..C {
+                        let live = row.lt(count[c]);
+                        if V::any(live) {
+                            let (index, low) = lo[c].mul_wide(delta);
+                            lo[c] = low;
+                            rejected |= V::any(low.lt(reject_below));
+                            // SAFETY (gather): `at` holds `v·Δ` with `v < n`
+                            // — the `GatherLanes` invariant on entry, and
+                            // preserved here because every gathered value is
+                            // a table entry `u·Δ`, `u < n` — and `index` is
+                            // the high half of `lo · Δ` for a `u32` `lo`, so
+                            // `< Δ`: the offset is `< n·Δ = scaled.len() ≤
+                            // i32::MAX`.
+                            at[c] = at[c].gather(live, table.scaled.as_ptr(), at[c].add(index));
+                        }
+                    }
+                    d += 1;
+                }
+                word_row += 1;
             }
             for c in 0..C {
                 at[c].store(lanes.at.as_mut_ptr().add(c * V::LANES));

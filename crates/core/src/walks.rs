@@ -37,13 +37,14 @@
 //!   lazy-adjacency table turns every lazy step into one unconditional load,
 //!   paid for with two keystream words per step in lockstep lanes
 //!   (DESIGN.md §5, "The walk engine").
-//! * [`WalkKernel::V3`] (default) — stay-run compression + 32-bit draws: the
-//!   lazy stay/move choice is an exact fair coin (span `2Δ`, `Δ` of which are
-//!   self entries), so one pattern word yields 32 stay/move coins. A stay
-//!   leaves the current vertex alone, so only the **number** of move bits
-//!   matters, never their positions: the batched kernel reads each lane's
-//!   move count off the pattern word's popcount, and only those real moves
-//!   pay a one-word 32-bit Lemire neighbour draw and a random CSR load
+//! * [`WalkKernel::V3`] (default) — stay-run compression + packed draws:
+//!   the lazy stay/move choice is an exact fair coin (span `2Δ`, `Δ` of
+//!   which are self entries), so one pattern word yields 32 stay/move coins.
+//!   A stay leaves the current vertex alone, so only the **number** of move
+//!   bits matters, never their positions: the batched kernel reads each
+//!   lane's move count off the pattern word's popcount, and only those real
+//!   moves pay a random CSR load and a base-Δ neighbour digit — `k` digits
+//!   per 32-bit keystream word, one Lemire draw over span `Δʲ` per word
 //!   (DESIGN.md §10). 64 lanes advance in lockstep; how a window's moves
 //!   are carried out is the *move tier* ([`walk_move_tier`]): masked
 //!   AVX-512 / AVX2 gathers with the lanes' positions in registers where
@@ -87,7 +88,8 @@ pub enum WalkMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkKernel {
     /// Third-generation kernel (the default): stay-run compression from
-    /// pattern words plus one 32-bit Lemire draw per real move.
+    /// pattern words, and the real moves' neighbour indices packed `k`
+    /// base-Δ digits to a 32-bit Lemire draw (DESIGN.md §10).
     V3,
     /// The step-by-step executable spec: two keystream words and one
     /// materialised lazy-table load for every step, lockstep lanes.
@@ -522,38 +524,98 @@ fn lemire_u32<W: WordSource>(words: &mut W, span: u32) -> u32 {
     }
 }
 
+/// Most digits one draw word carries: a window has at most 32 moves.
+const MAX_DIGITS: usize = 32;
+
+/// How the v3 kernel packs a window's neighbour indices into keystream
+/// words: `per_word` base-Δ digits to one 32-bit word.
+///
+/// A lane that takes `j ≤ per_word` digits from a word `x` extracts them by
+/// successive multiplication — `lo = x`, then `(digit, lo) = (hi32(lo·Δ),
+/// lo32(lo·Δ))` `j` times — and accepts the word iff the final
+/// `lo ≥ 2³² mod Δʲ`. Since `x·Δʲ = (d₁Δʲ⁻¹ + … + dⱼ)·2³² + lo` with every
+/// `dᵢ < Δ`, the digits are the base-Δ digits (most significant first) of
+/// `hi32(x·Δʲ)` and `lo = lo32(x·Δʲ)`: the acceptance is Lemire's method
+/// over span `Δʲ`, so an accepted word gives `j` independent uniform
+/// neighbour indices, exactly. `per_word` is a closed form of Δ — the
+/// largest `j ≤ 32` with `Δʲ ≤ 2¹²`, and 1 past `Δ = 2¹²` — which keeps a
+/// word's rejection probability, `(2³² mod Δʲ)/2³²`, below
+/// `max(Δ, 2¹²)/2³²`.
+#[derive(Clone, Copy)]
+pub(crate) struct Digits {
+    /// The degree Δ, the radix of the digits.
+    pub(crate) delta: u32,
+    /// Digits per draw word, `k`.
+    pub(crate) per_word: u32,
+    /// `reject_below[j] = 2³² mod Δʲ` for `j ≤ per_word`: zero for
+    /// power-of-two Δ, where no word can reject.
+    pub(crate) reject_below: [u32; MAX_DIGITS + 1],
+}
+
+impl Digits {
+    /// The packing for degree `delta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` is 0 or does not fit `u32`.
+    pub(crate) fn new(delta: usize) -> Digits {
+        let delta = u32::try_from(delta).expect("degree fits u32");
+        assert!(delta > 0, "digits need a positive degree");
+        let mut reject_below = [0u32; MAX_DIGITS + 1];
+        let (mut per_word, mut span) = (0u32, 1u64);
+        while per_word == 0
+            || ((per_word as usize) < MAX_DIGITS && span * u64::from(delta) <= 1 << 12)
+        {
+            span *= u64::from(delta);
+            per_word += 1;
+            reject_below[per_word as usize] = ((1u64 << 32) % span) as u32;
+        }
+        Digits {
+            delta,
+            per_word,
+            reject_below,
+        }
+    }
+
+    /// Draw words that `moves` moves take: `⌈moves / k⌉`.
+    #[inline(always)]
+    pub(crate) fn words(&self, moves: u32) -> u32 {
+        moves.div_ceil(self.per_word)
+    }
+}
+
 /// Endpoint of one length-`t` v3 lazy walk from `start` on the Δ-regular
 /// graph with flat CSR `adjacency` (row `v` at offset `v·Δ`, `neighbors`
 /// order), drawing words from `words`. The scalar form the batched kernel
 /// must match lane-for-lane; also the tail path of the fan-out.
 ///
 /// The v3 stream discipline is **windowed with a fixed allotment**: each
-/// 32-step window of a walk owns exactly `1 + runnable` consecutive stream
-/// words (`runnable = min(32, steps left)`) — one pattern word whose bits
-/// are the window's stay/move coins (`1` = real move, LSB first; on the
-/// lazy span `2Δ`, `Δ` entries are self copies, so the stay/move marginal
-/// is *exactly* a fair coin and the pattern bits are a lossless encoding
-/// of the window's lazification), then one draw word per move bit in bit
-/// order, rejection redraws continuing in sequence, and the unused rest of
-/// the allotment skipped. The fixed allotment makes every lane's stream
-/// position a closed form of (walk index, window index) — that is what
-/// lets the batched kernel read draws straight out of lockstep keystream
-/// blocks with no per-lane buffering. The one data-dependent escape — a
-/// redraw cascade pushing past the allotment, probability `< Δ/2³²` per
-/// draw — simply runs on unpadded here; the batched kernel detects it and
+/// 32-step window of a walk owns exactly `1 + ⌈runnable/k⌉` consecutive
+/// stream words (`runnable = min(32, steps left)`, `k` =
+/// [`Digits::per_word`]) — one pattern word whose bits are the window's
+/// stay/move coins (`1` = real move; on the lazy span `2Δ`, `Δ` entries are
+/// self copies, so the stay/move marginal is *exactly* a fair coin and the
+/// pattern bits are a lossless encoding of the window's lazification), then
+/// the draw words of the window's `moves = popcount` real moves: `k`
+/// neighbour digits per word, the last word carrying the remaining
+/// `moves mod k` when that is not zero, a rejected word ([`Digits`])
+/// redrawn from the next stream word for the same digit count, and the
+/// unused rest of the allotment skipped. The fixed allotment makes every
+/// lane's stream position a closed form of (walk index, window index) —
+/// that is what lets the batched kernel read draws straight out of lockstep
+/// keystream blocks with no per-lane buffering. The one data-dependent
+/// escape — a redraw, probability `< max(Δ, 2¹²)/2³²` per word — runs on
+/// here, past the allotment if it must; the batched kernel detects it and
 /// delegates the group to this path.
 fn v3_walk_run<W: WordSource>(
     adjacency: &[u32],
-    delta: usize,
+    digits: &Digits,
     start: u32,
     t: usize,
     words: &mut W,
     moves: &mut u64,
 ) -> u32 {
-    let span = delta as u32;
-    // Lemire acceptance is `lo >= (2^32 - span) mod span` (see
-    // [`lemire_u32`]), hoisted: identically zero for power-of-two Δ.
-    let reject_below = span.wrapping_neg() % span;
+    let delta = digits.delta as usize;
     let mut cur = start;
     let mut remaining = t as u32;
     while remaining > 0 {
@@ -563,23 +625,30 @@ fn v3_walk_run<W: WordSource>(
         } else {
             (1u32 << runnable) - 1
         };
-        let mut bits = words.next_word() & usable;
+        let mut left = (words.next_word() & usable).count_ones();
         let mut used = 0u32;
-        while bits != 0 {
-            bits &= bits - 1;
+        while left > 0 {
+            let j = left.min(digits.per_word);
             loop {
-                let x = words.next_word();
+                let mut lo = words.next_word();
                 used += 1;
-                let m = x as u64 * span as u64;
-                if (m as u32) >= reject_below {
-                    cur = adjacency[cur as usize * delta + (m >> 32) as usize];
-                    *moves += 1;
+                let mut next = cur;
+                for _ in 0..j {
+                    let m = lo as u64 * delta as u64;
+                    next = adjacency[next as usize * delta + (m >> 32) as usize];
+                    lo = m as u32;
+                }
+                if lo >= digits.reject_below[j as usize] {
+                    cur = next;
                     break;
                 }
             }
+            *moves += u64::from(j);
+            left -= j;
         }
-        // Pad to the window's fixed allotment (no-op after an overflow).
-        while used < runnable {
+        // Pad to the window's fixed allotment (no-op after a redraw ran
+        // past it).
+        while used < digits.words(runnable) {
             words.next_word();
             used += 1;
         }
@@ -616,7 +685,7 @@ pub fn v3_walk_endpoint<R: RngCore + ?Sized>(
     };
     v3_walk_run(
         g.csr_adjacency(),
-        delta,
+        &Digits::new(delta),
         start as u32,
         t,
         &mut src,
@@ -625,7 +694,8 @@ pub fn v3_walk_endpoint<R: RngCore + ?Sized>(
 }
 
 /// Depth of the batched kernel's keystream block ring. A window touches at
-/// most 3 consecutive blocks (33 words from an arbitrary offset); 4 keeps
+/// most 3 consecutive blocks (at most 33 words from an arbitrary offset,
+/// `1 + ⌈32/k⌉` at `k` digits per draw word); 4 keeps
 /// the generate-ahead from ever overwriting a block the window still reads.
 const RING_BLOCKS: usize = 4;
 
@@ -650,10 +720,11 @@ const V3_LANES: usize = 64;
 pub(crate) struct WindowOutcome {
     /// Real moves of the window, all lanes together.
     pub(crate) moves: u32,
-    /// Some scanned draw word rejects under Lemire: the lanes are
-    /// unspecified and the group must rerun on the scalar path. Always set
-    /// when a lane *consumed* a rejecting word; how many merely skipped
-    /// words are scanned as well differs between tiers.
+    /// Some scanned draw word rejects under Lemire ([`Digits`]): the lanes
+    /// are unspecified and the group must rerun on the scalar path. Always
+    /// set when a lane *consumed* a word that rejects for the number of
+    /// digits the lane took from it; which other digit prefixes and merely
+    /// skipped words are scanned as well differs between tiers.
     pub(crate) rejected: bool,
 }
 
@@ -681,35 +752,45 @@ pub(crate) fn window_move_counts<const L: usize>(
 /// gather tiers are tested against.
 struct PortableLanes<'a, const L: usize> {
     adjacency: &'a [u32],
-    delta: usize,
-    /// Lemire acceptance is `lo >= (2^32 - Δ) mod Δ` (see [`lemire_u32`]):
-    /// hoisted, and identically zero for power-of-two Δ, where no draw can
-    /// reject.
-    reject_below: u32,
+    digits: Digits,
     cur: [u32; L],
-    /// The window's neighbour-index table, kept across windows so it is
-    /// zeroed once per group; rows past a window's largest move count hold
-    /// stale values no lane can reach.
+    /// The window's neighbour-index table, one row per move (digit), kept
+    /// across windows so it is zeroed once per group; rows past a window's
+    /// largest move count hold stale values no lane can reach.
     idx: [[u32; L]; 32],
 }
 
 impl<const L: usize> PortableLanes<'_, L> {
-    /// A window as a SIMD-friendly precompute and a tiny move loop: map the
-    /// draw rows through the Lemire multiply row-by-row into `idx`, then
-    /// run the chained CSR loads `cur ← adjacency[cur·Δ + idx[d][l]]` in
-    /// rounds over the lanes counting-sorted by descending move count.
+    /// A window as a SIMD-friendly precompute and a tiny move loop: unpack
+    /// the draw rows' digits lane-wise into `idx` (row `d` of `idx` is digit
+    /// `d mod k` of draw row `⌊d/k⌋`), then run the chained CSR loads
+    /// `cur ← adjacency[cur·Δ + idx[d][l]]` in rounds over the lanes
+    /// counting-sorted by descending move count.
     fn window_step(&mut self, ring: &Ring<L>, q0: u64, usable: u32) -> WindowOutcome {
         let (mc, most, moves) = window_move_counts(&ring[(q0 % RING_ROWS as u64) as usize], usable);
-        // Only the first `most` draw rows can be consumed by any lane (the
-        // rest of the allotment is skipped padding), so only those are
-        // mapped and rejection-scanned.
+        let Digits {
+            delta,
+            per_word,
+            reject_below,
+        } = self.digits;
+        // Only the draw rows of the first `most` digits can be consumed by
+        // any lane (the rest of the allotment is skipped padding), so only
+        // those are unpacked and rejection-scanned. The scan checks every
+        // digit prefix of every lane's word, which covers each lane's own
+        // last digit: conservative, never blind.
         let mut reject_any = 0u32;
-        for (d, row) in self.idx.iter_mut().enumerate().take(most as usize) {
-            let words = &ring[((q0 + 1 + d as u64) % RING_ROWS as u64) as usize];
-            for (slot, &word) in row.iter_mut().zip(words) {
-                let m = word as u64 * self.delta as u64;
-                *slot = (m >> 32) as u32;
-                reject_any |= u32::from((m as u32) < self.reject_below);
+        for (w, rows) in self.idx[..most as usize]
+            .chunks_mut(per_word as usize)
+            .enumerate()
+        {
+            let mut lo = ring[((q0 + 1 + w as u64) % RING_ROWS as u64) as usize];
+            for (row, &below) in rows.iter_mut().zip(&reject_below[1..]) {
+                for (slot, lo) in row.iter_mut().zip(lo.iter_mut()) {
+                    let m = *lo as u64 * delta as u64;
+                    *slot = (m >> 32) as u32;
+                    *lo = m as u32;
+                    reject_any |= u32::from(*lo < below);
+                }
             }
         }
         if reject_any != 0 {
@@ -747,7 +828,8 @@ impl<const L: usize> PortableLanes<'_, L> {
             }
             for &l8 in &order[..n_live] {
                 let l = l8 as usize;
-                self.cur[l] = self.adjacency[self.cur[l] as usize * self.delta + row[l] as usize];
+                self.cur[l] =
+                    self.adjacency[self.cur[l] as usize * delta as usize + row[l] as usize];
             }
         }
         WindowOutcome {
@@ -763,7 +845,7 @@ impl<const L: usize> PortableLanes<'_, L> {
 /// [`independent_lazy_walks`] call, from CPUID and the validation pass alone.
 struct WalkTable<'a> {
     adjacency: &'a [u32],
-    delta: usize,
+    digits: Digits,
     gather: Option<GatherTable>,
 }
 
@@ -775,7 +857,7 @@ impl<'a> WalkTable<'a> {
     fn on(tier: MoveTier, adjacency: &'a [u32], n: usize, delta: usize) -> Self {
         WalkTable {
             adjacency,
-            delta,
+            digits: Digits::new(delta),
             gather: GatherTable::build_on(tier, adjacency, n, delta),
         }
     }
@@ -785,8 +867,7 @@ impl<'a> WalkTable<'a> {
             Some(table) => Lanes::Gather(table.lanes()),
             None => Lanes::Portable(PortableLanes {
                 adjacency: self.adjacency,
-                delta: self.delta,
-                reject_below: (self.delta as u32).wrapping_neg() % self.delta as u32,
+                digits: self.digits,
                 cur: [0; L],
                 idx: [[0; L]; 32],
             }),
@@ -840,29 +921,36 @@ impl<const L: usize> Lanes<'_, L> {
 ///
 /// A window then rests on two facts about the discipline. First, a stay
 /// does not change the current vertex, so the endpoint only depends on the
-/// *sequence of accepted draws* — the positions of the move bits inside
+/// *sequence of accepted digits* — the positions of the move bits inside
 /// the pattern word matter to no walk quantity; only their **count**
-/// does. Second, a lane's draw words are the consecutive stream words
-/// `q₀+1, q₀+2, …` regardless of which steps move. So a window is: read
-/// each lane's move count off its pattern popcount, then for each draw row
-/// `d` take every lane's [Lemire](lemire_u32) neighbour index from the
-/// row's word and advance the lanes whose move count exceeds `d` by one CSR
-/// load, `cur ← adjacency[cur·Δ + idx]`. The gather tiers
-/// ([`walk_move_tier`]) do a row as masked vector gathers with the lanes'
-/// positions in registers; the portable tier precomputes the index table
-/// and runs the loads in counting-sorted scalar rounds
-/// ([`PortableLanes::window_step`]). Either way up to `L` independent load
-/// chains hide the CSR access latency, and the lanes end the window on the
-/// same vertices.
+/// does. Second, a lane's `d`-th move takes digit `d mod p` of draw word
+/// `⌊d/p⌋` (`p` = [`Digits::per_word`] digits per word — the walk count is
+/// `k` here), and its draw words are the
+/// consecutive stream words `q₀+1, q₀+2, …` regardless of which steps move.
+/// So a window is: read each lane's move count off its pattern popcount,
+/// then for each move `d` take every lane's next neighbour digit —
+/// `(idx, lo) = (hi32(lo·Δ), lo32(lo·Δ))`, `lo` loaded from draw row
+/// `⌊d/p⌋` at its first digit and carried otherwise — and advance the lanes
+/// whose move count exceeds `d` by one CSR load, `cur ← adjacency[cur·Δ +
+/// idx]`. The gather tiers ([`walk_move_tier`]) do a move as masked vector
+/// gathers with the lanes' positions and `lo` in registers; the portable
+/// tier unpacks the digits into an index table and runs the loads in
+/// counting-sorted scalar rounds ([`PortableLanes::window_step`]). Either
+/// way up to `L` independent load chains hide the CSR access latency, and
+/// the lanes end the window on the same vertices. The allotment of a
+/// window is `1 + ⌈runnable/p⌉` words for every lane, so the lanes stay in
+/// lockstep whatever their move counts.
 ///
 /// Returns `false` (with `out` unspecified) iff a scanned draw word rejects
-/// under Lemire — probability `(2³² mod Δ)/2³² < Δ/2³²` per word, a handful
-/// of groups per billion steps — in which case the caller reruns the whole
-/// group on the scalar path, which replays redraws (and the even rarer
-/// allotment overflow) exactly. The scan is conservative: it covers every
-/// word a lane consumes plus, depending on the tier, words past an
-/// individual lane's move count that the stream discipline merely skips —
-/// so *which* groups rerun may differ between tiers, the endpoints cannot.
+/// under Lemire over span `Δʲ` for some digit count `j` it was scanned at —
+/// probability `< max(Δ, 2¹²)/2³²` per word and count, about one 64-lane
+/// group in a hundred at the pipeline's sizes — in which case the caller reruns the
+/// whole group on the scalar path, which replays redraws exactly. The scan
+/// is conservative: it covers every word a lane consumes at the digit
+/// count the lane takes from it plus, depending on the tier, other digit
+/// prefixes and words past an individual lane's move count that the stream
+/// discipline merely skips — so *which* groups rerun may differ between
+/// tiers, the endpoints cannot.
 #[must_use]
 fn v3_walk_lane_group<const L: usize>(
     table: &WalkTable<'_>,
@@ -892,7 +980,8 @@ fn v3_walk_lane_group<const L: usize>(
             } else {
                 (1u32 << runnable) - 1
             };
-            let last_q = q0 + runnable as u64;
+            let draws = u64::from(table.digits.words(runnable));
+            let last_q = q0 + draws;
             while generated * 16 <= last_q {
                 let row = ((generated % RING_BLOCKS as u64) * 16) as usize;
                 let block: &mut [[u32; L]; 16] =
@@ -906,8 +995,8 @@ fn v3_walk_lane_group<const L: usize>(
                 return false;
             }
             local_moves += outcome.moves as u64;
-            local_words += (L as u64) * (1 + runnable as u64);
-            q0 += 1 + runnable as u64;
+            local_words += (L as u64) * (1 + draws);
+            q0 += 1 + draws;
             remaining -= runnable;
         }
         for (l, &c) in lanes.vertices().iter().enumerate() {
@@ -966,7 +1055,7 @@ impl V3Fanout<'_> {
         for slot in slots {
             *slot = v3_walk_run(
                 self.table.adjacency,
-                self.table.delta,
+                &self.table.digits,
                 v as u32,
                 self.t,
                 &mut src,
@@ -1327,6 +1416,7 @@ pub fn randomize<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use wcc_graph::prelude::*;
@@ -1644,46 +1734,185 @@ mod tests {
         assert_eq!(Spec.resolve_from(Some("")), Spec);
     }
 
+    /// The packed-digit discipline written the other way round, as the
+    /// tests' independent reference: a word `x` that must yield `j` digits
+    /// is one Lemire draw over span `Δʲ` — accepted iff `lo32(x·Δʲ) ≥ 2³²
+    /// mod Δʲ` — whose value `hi32(x·Δʲ)`, read in base Δ most significant
+    /// digit first, gives the `j` neighbour indices. No successive
+    /// multiplication: the proptest below is what ties the two together.
+    fn lemire_digits(x: u32, delta: usize, j: u32) -> (bool, Vec<u32>) {
+        let span = (delta as u64).pow(j);
+        let m = x as u64 * span;
+        let accepted = (m as u32) as u64 >= (1u64 << 32) % span;
+        let mut value = m >> 32;
+        let mut digits = vec![0u32; j as usize];
+        for digit in digits.iter_mut().rev() {
+            *digit = (value % delta as u64) as u32;
+            value /= delta as u64;
+        }
+        assert_eq!(value, 0, "hi32(x·Δʲ) < Δʲ");
+        (accepted, digits)
+    }
+
+    /// A word source that replays a script first (crafted rejecting words
+    /// included) and a ChaCha8 stream after it, counting what it hands out.
+    struct Scripted {
+        script: Vec<u32>,
+        rng: ChaCha8Rng,
+        taken: usize,
+    }
+
+    impl WordSource for Scripted {
+        fn next_word(&mut self) -> u32 {
+            self.taken += 1;
+            match self.script.get(self.taken - 1) {
+                Some(&word) => word,
+                None => self.rng.next_u32(),
+            }
+        }
+    }
+
+    /// A word that rejects when a lane takes exactly `j` digits from it and
+    /// at no shorter prefix: `lo32(x·Δʲ)` in `[2³² mod Δʲ⁻¹, 2³² mod Δʲ)`,
+    /// so a kernel that tested `j` digits against the `j − 1` threshold
+    /// would accept it. `None` where that band is empty or Δ is even (the
+    /// inverse of `Δʲ` mod 2³² then does not exist).
+    fn rejecting_word(delta: usize, j: u32) -> Option<u32> {
+        if delta.is_multiple_of(2) {
+            return None;
+        }
+        let span = (delta as u32).wrapping_pow(j);
+        // Newton's iteration for the inverse of an odd number mod 2³².
+        let mut inverse = span;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u32.wrapping_sub(span.wrapping_mul(inverse)));
+        }
+        let below = |i: u32| ((1u64 << 32) % (delta as u64).pow(i)) as u32;
+        (below(j - 1)..below(j))
+            .map(|r| r.wrapping_mul(inverse))
+            .find(|&x| {
+                (1..j).all(|i| lemire_digits(x, delta, i).0) && !lemire_digits(x, delta, j).0
+            })
+    }
+
+    /// A Δ-regular multigraph on `n` (even) vertices for any Δ: `Δ − Δ mod
+    /// 2` from random permutations, plus the matching `v ↔ v + n/2` when Δ
+    /// is odd.
+    fn regular(n: usize, delta: usize, rng: &mut ChaCha8Rng) -> Graph {
+        let even = generators::random_regular_permutation_graph(n, delta - delta % 2, rng);
+        let matching = (0..delta % 2 * n / 2).map(|v| (v, v + n / 2));
+        Graph::from_edges_unchecked(n, even.edge_iter().chain(matching))
+    }
+
+    #[test]
+    fn digits_per_word_is_the_largest_power_within_twelve_bits() {
+        for (delta, k) in [
+            (1usize, 32u32),
+            (2, 12),
+            (3, 7),
+            (6, 4),
+            (8, 4),
+            (9, 3),
+            (16, 3),
+            (17, 2),
+            (64, 2),
+            (65, 1),
+            (4096, 1),
+            (5000, 1),
+        ] {
+            let digits = Digits::new(delta);
+            assert_eq!(digits.per_word, k, "Δ = {delta}");
+            assert_eq!(digits.words(32), 32u32.div_ceil(k));
+            for j in 1..=k {
+                let span = (delta as u64).pow(j);
+                assert_eq!(
+                    u64::from(digits.reject_below[j as usize]),
+                    (1u64 << 32) % span,
+                    "Δ = {delta}, j = {j}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// The identity the exactness of the packed draws rests on: `j`
+        /// successive multiplications by Δ yield the base-Δ digits of
+        /// `⌊x·Δʲ / 2³²⌋`, most significant first, and leave `x·Δʲ mod 2³²`
+        /// — so accepting on the leftover is Lemire's method over `Δʲ`.
+        #[test]
+        fn successive_multiplication_yields_the_digits_of_one_lemire_draw(
+            x in proptest::num::u32::ANY,
+            delta in 1usize..5000,
+            pick in 0u32..32,
+        ) {
+            let digits = Digits::new(delta);
+            let j = 1 + pick % digits.per_word;
+            let (mut lo, mut got) = (x, Vec::new());
+            for _ in 0..j {
+                let m = lo as u64 * delta as u64;
+                got.push((m >> 32) as u32);
+                lo = m as u32;
+            }
+            let span = (delta as u64).pow(j);
+            let (accepted, want) = lemire_digits(x, delta, j);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(lo as u64, (x as u64 * span) % (1u64 << 32));
+            prop_assert_eq!(accepted, lo >= digits.reject_below[j as usize]);
+        }
+    }
+
     /// The stay-run compression legality pin: a local reference that expands
-    /// every step one pattern bit at a time — but draws and skips words in
-    /// the same windowed order — must land on the same vertex AND leave the
-    /// stream in the same position as the bit-popping production path. This
-    /// is the exactness argument of DESIGN.md §10 made executable: the
-    /// compression changes how bits are *grouped*, never which words are
-    /// drawn or what each bit decides.
+    /// every step one pattern bit at a time — pulling each move's neighbour
+    /// index from packed words decoded the independent way
+    /// ([`lemire_digits`]), in the same windowed order — must land on the
+    /// same vertex AND leave the stream in the same position as the
+    /// popcount-and-multiply production path. This is the exactness argument
+    /// of DESIGN.md §10 made executable: the compression and the packing
+    /// change how bits are *grouped*, never which words are drawn or what
+    /// each bit decides. Scripted streams put rejecting words at every digit
+    /// position of a window's draws.
     #[test]
     fn v3_run_compression_matches_stepwise_bit_expansion() {
-        fn stepwise_reference(
+        fn stepwise_reference<W: WordSource>(
             adjacency: &[u32],
             delta: usize,
             start: u32,
             t: usize,
-            rng: &mut ChaCha8Rng,
+            words: &mut W,
         ) -> u32 {
+            let per_word = Digits::new(delta).per_word;
             let mut cur = start;
             let mut remaining = t;
             while remaining > 0 {
                 let runnable = remaining.min(32);
-                let mut pat = rng.next_u32();
-                let mut used = 0usize;
+                let mut pat = words.next_word();
+                let mut left = (pat & ((1u64 << runnable) - 1) as u32).count_ones();
+                let mut used = 0u32;
+                let mut pending: Vec<u32> = Vec::new();
                 // One lazy step per pattern bit, LSB first.
                 for _ in 0..runnable {
                     let bit = pat & 1;
                     pat >>= 1;
                     if bit == 1 {
-                        let mut words = 0u64;
-                        let mut src = RngWords {
-                            rng,
-                            words: &mut words,
-                        };
-                        let j = lemire_u32(&mut src, delta as u32);
-                        used += words as usize;
-                        cur = adjacency[cur as usize * delta + j as usize];
+                        if pending.is_empty() {
+                            let j = left.min(per_word);
+                            pending = loop {
+                                used += 1;
+                                let (accepted, digits) = lemire_digits(words.next_word(), delta, j);
+                                if accepted {
+                                    break digits;
+                                }
+                            };
+                            pending.reverse();
+                            left -= j;
+                        }
+                        let digit = pending.pop().expect("a digit per move");
+                        cur = adjacency[cur as usize * delta + digit as usize];
                     }
                 }
-                // Skip to the window's fixed 1 + runnable word allotment.
-                while used < runnable {
-                    rng.next_u32();
+                // Skip to the window's fixed 1 + ⌈runnable/k⌉ allotment.
+                while used < (runnable as u32).div_ceil(per_word) {
+                    words.next_word();
                     used += 1;
                 }
                 remaining -= runnable;
@@ -1691,38 +1920,91 @@ mod tests {
             cur
         }
 
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let g = generators::random_regular_permutation_graph(48, 8, &mut rng);
-        let delta = g.max_degree();
-        // Includes t values straddling the 32-bit pattern-word boundary.
-        for t in [1usize, 5, 31, 32, 33, 64, 100] {
-            for v in (0..g.num_vertices()).step_by(7) {
-                let mut rng_a = ChaCha8Rng::seed_from_u64(900 + v as u64 * 131 + t as u64);
-                let mut rng_b = rng_a.clone();
-                let fast = v3_walk_endpoint(&g, v, t, &mut rng_a);
-                let slow = stepwise_reference(g.csr_adjacency(), delta, v as u32, t, &mut rng_b);
-                assert_eq!(fast, slow as usize, "endpoint diverged at v={v}, t={t}");
-                // Identical word consumption: the streams must be in the
-                // same position afterwards.
-                assert_eq!(
-                    rng_a.next_u64(),
-                    rng_b.next_u64(),
-                    "stream position diverged at v={v}, t={t}"
-                );
+        for delta in [3usize, 8, 9] {
+            let mut rng = ChaCha8Rng::seed_from_u64(77 + delta as u64);
+            let g = regular(48, delta, &mut rng);
+            let adjacency = g.csr_adjacency();
+            let digits = Digits::new(delta);
+            // Includes t values straddling the 32-bit pattern-word boundary.
+            for t in [1usize, 5, 31, 32, 33, 64, 100] {
+                for v in (0..g.num_vertices()).step_by(7) {
+                    let mut rng_a = ChaCha8Rng::seed_from_u64(900 + v as u64 * 131 + t as u64);
+                    let mut rng_b = rng_a.clone();
+                    let fast = v3_walk_endpoint(&g, v, t, &mut rng_a);
+                    let mut words = 0u64;
+                    let mut src = RngWords {
+                        rng: &mut rng_b,
+                        words: &mut words,
+                    };
+                    let slow = stepwise_reference(adjacency, delta, v as u32, t, &mut src);
+                    assert_eq!(
+                        fast, slow as usize,
+                        "endpoint diverged: Δ={delta} v={v} t={t}"
+                    );
+                    // Identical word consumption: the streams must be in the
+                    // same position afterwards.
+                    assert_eq!(
+                        rng_a.next_u64(),
+                        rng_b.next_u64(),
+                        "stream position diverged: Δ={delta} v={v} t={t}"
+                    );
+                }
+            }
+            // A full window of moves then `moves` more, with the word that
+            // carries digits `1..=j` of the second window's last draw
+            // rejecting: the redraw must be for the same `j` digits, and the
+            // padding must follow it.
+            for j in 1..=digits.per_word {
+                let Some(reject) = rejecting_word(delta, j) else {
+                    continue;
+                };
+                let moves = digits.per_word + j;
+                let draws = digits.words(32) as usize;
+                let mut script = vec![!0u32];
+                script.extend((0..draws).map(|i| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1)));
+                script.push((1u32 << moves) - 1);
+                script.extend([0x0123_4567, reject]);
+                for start in 0..g.num_vertices() as u32 {
+                    let seed = 1_000 + start as u64 + 100 * j as u64;
+                    let mut a = Scripted {
+                        script: script.clone(),
+                        rng: ChaCha8Rng::seed_from_u64(seed),
+                        taken: 0,
+                    };
+                    let mut b = Scripted {
+                        script: script.clone(),
+                        rng: ChaCha8Rng::seed_from_u64(seed),
+                        taken: 0,
+                    };
+                    let mut moved = 0u64;
+                    let fast = v3_walk_run(adjacency, &digits, start, 64, &mut a, &mut moved);
+                    let slow = stepwise_reference(adjacency, delta, start, 64, &mut b);
+                    let what = format!("Δ={delta} j={j} start={start}");
+                    assert_eq!(fast, slow, "scripted endpoint diverged: {what}");
+                    assert_eq!(
+                        a.taken, b.taken,
+                        "scripted stream position diverged: {what}"
+                    );
+                    // Two windows of `1 + draws` words; the second's three
+                    // draws (the redraw included) fit its allotment.
+                    assert!(draws >= 3);
+                    assert_eq!(a.taken, 2 * (1 + draws), "{what}");
+                    assert_eq!(moved, 32 + u64::from(moves), "{what}");
+                }
             }
         }
     }
 
     /// The move tiers this host can run, portable first, each announced on
-    /// stdout so a runner without AVX-512 shows up as a visible skip, not a
-    /// silent pass.
-    fn tiers_on_host() -> Vec<MoveTier> {
+    /// stdout with the test's `scope` so a runner without AVX-512 shows up
+    /// as a visible skip, not a silent pass.
+    fn tiers_on_host(scope: &str) -> Vec<MoveTier> {
         MoveTier::ALL
             .into_iter()
             .filter(|&tier| {
                 let runs = tier <= walk_simd::detected();
                 println!(
-                    "walk move tier {}: {}",
+                    "walk move tier {}: {} ({scope})",
                     tier.name(),
                     if runs { "ran" } else { "SKIPPED" }
                 );
@@ -1742,8 +2024,10 @@ mod tests {
     /// One crafted window on every tier the host has, against the portable
     /// step and a per-lane replay of the definition. `dirty` is `clean` with
     /// one word replaced by a rejecting one; `must` says what every tier has
-    /// to report for it (`None`: the word sits in a scanned row of a lane
-    /// that no longer consumes it, so a tier may or may not see it).
+    /// to report for it (`None`: the word sits where a lane does not consume
+    /// it at the digit count it rejects for — a skipped word in a scanned
+    /// row, or a longer prefix than its lane takes — so a tier may or may
+    /// not see it).
     #[allow(clippy::too_many_arguments)]
     fn check_window<const L: usize>(
         adjacency: &[u32],
@@ -1758,14 +2042,22 @@ mod tests {
         tiers: &[MoveTier],
     ) {
         let (mc, _, total) = window_move_counts(&clean[(q0 % RING_ROWS as u64) as usize], usable);
-        // Where the definition puts the lanes when no word rejects.
+        let per_word = Digits::new(delta).per_word;
+        // Where the definition puts the lanes when no word rejects: draw
+        // word `w` of lane `l` carries the digits of moves `w·k..` — all `k`
+        // of them, or what its last word has left — decoded the independent
+        // way ([`lemire_digits`]).
         let replay = |ring: &Ring<L>| -> [u32; L] {
             core::array::from_fn(|l| {
-                (0..mc[l] as u64).fold(starts[l], |cur, d| {
-                    let word = ring[((q0 + 1 + d) % RING_ROWS as u64) as usize][l];
-                    let idx = (word as u64 * delta as u64) >> 32;
-                    adjacency[cur as usize * delta + idx as usize]
-                })
+                let mut cur = starts[l];
+                for w in 0..mc[l].div_ceil(per_word) {
+                    let word = ring[((q0 + 1 + w as u64) % RING_ROWS as u64) as usize][l];
+                    let j = per_word.min(mc[l] - w * per_word);
+                    for digit in lemire_digits(word, delta, j).1 {
+                        cur = adjacency[cur as usize * delta + digit as usize];
+                    }
+                }
+                cur
             })
         };
         for &tier in tiers {
@@ -1803,10 +2095,20 @@ mod tests {
     fn window_step_cases<const L: usize>(tiers: &[MoveTier]) {
         let n = 257;
         let mut rng = ChaCha8Rng::seed_from_u64(0x5EED + L as u64);
-        // (Δ, whether the word 0 rejects): `reject_below` is 1 / 0 / 4.
+        // (Δ, whether the word 0 rejects): `2³² mod Δ` is 1 / 0 / 4; `k` is
+        // 7 / 4 / 3 digits per word.
         for (delta, zero_rejects) in [(3usize, true), (8, false), (9, true)] {
-            let reject_below = (delta as u32).wrapping_neg() % delta as u32;
-            assert_eq!(reject_below > 0, zero_rejects);
+            let digits = Digits::new(delta);
+            let k = digits.per_word;
+            assert_eq!(digits.reject_below[1] > 0, zero_rejects);
+            // `rejecting[j - 1]` rejects at exactly `j` digits.
+            let rejecting: Vec<Option<u32>> = (1..=k).map(|j| rejecting_word(delta, j)).collect();
+            // Odd Δ: a word rejecting at exactly `j` digits exists for every
+            // `j ≤ k`, so every digit position below is exercised.
+            assert_eq!(
+                rejecting.iter().flatten().count(),
+                if zero_rejects { k as usize } else { 0 }
+            );
             let adjacency = crafted_adjacency(n, delta);
             let starts: [u32; L] = core::array::from_fn(|l| ((l * 37 + 5) % n) as u32);
             let lone: [u32; L] = core::array::from_fn(|l| if l == L / 3 { !0 } else { 0 });
@@ -1815,6 +2117,9 @@ mod tests {
             // row its own lane has finished with.
             let ramp: [u32; L] =
                 core::array::from_fn(|l| (1u32 << (1 + l * 20 / L)).wrapping_sub(1));
+            // Lane `l` makes `k + 1 + l mod k` moves: one full draw word,
+            // then a last word of every digit count `1..=k` across the lanes.
+            let partial: [u32; L] = core::array::from_fn(|l| (1u32 << (k + 1 + l as u32 % k)) - 1);
             for (pattern, usable) in [
                 ([0u32; L], !0u32),
                 ([!0u32; L], !0),
@@ -1822,19 +2127,26 @@ mod tests {
                 (mixed, !0),
                 (mixed, (1 << 7) - 1),
                 (ramp, !0),
+                (partial, !0),
             ] {
                 // A wrapping window, and one that starts on a block edge.
                 for q0 in [RING_ROWS as u64 - 5, 3 * 33, 16] {
                     let mut clean: Ring<L> = [[0; L]; RING_ROWS];
                     for row in clean.iter_mut() {
-                        // Keep crafted words clear of the rejection band.
-                        row.fill_with(|| rng.next_u32() | 0x100);
+                        // Keep crafted words clear of every prefix's
+                        // rejection band.
+                        row.fill_with(|| loop {
+                            let word = rng.next_u32();
+                            if (1..=k).all(|j| lemire_digits(word, delta, j).0) {
+                                break word;
+                            }
+                        });
                     }
                     clean[(q0 % RING_ROWS as u64) as usize] = pattern;
                     let (mc, most, _) = window_move_counts(&pattern, usable);
-                    let place = |d: u32, l: usize| {
+                    let place = |w: u32, l: usize, word: u32| {
                         let mut dirty = clean;
-                        dirty[((q0 + 1 + d as u64) % RING_ROWS as u64) as usize][l] = 0;
+                        dirty[((q0 + 1 + w as u64) % RING_ROWS as u64) as usize][l] = word;
                         dirty
                     };
                     let check = |dirty: &Ring<L>, must: Option<bool>| {
@@ -1842,18 +2154,36 @@ mod tests {
                             &adjacency, n, delta, &starts, &clean, dirty, q0, usable, must, tiers,
                         );
                     };
-                    // In a row `>= most`: never scanned, never reported.
-                    if most < 32 {
-                        check(&place(most, L - 1), Some(false));
+                    // In a row past every lane's draws: never scanned,
+                    // never reported.
+                    if digits.words(most) < digits.words(32) {
+                        check(&place(digits.words(most), L - 1, 0), Some(false));
                     }
                     // In a row its lane consumes: must be reported.
                     if let Some(l) = (0..L).rev().find(|&l| mc[l] > 0) {
-                        check(&place(mc[l] - 1, l), Some(zero_rejects));
+                        check(&place(digits.words(mc[l]) - 1, l, 0), Some(zero_rejects));
                     }
                     // In a scanned row of a finished lane: either way.
-                    if let Some(l) = (0..L).find(|&l| mc[l] < most) {
+                    if let Some(l) = (0..L).find(|&l| digits.words(mc[l]) < digits.words(most)) {
                         let must = if zero_rejects { None } else { Some(false) };
-                        check(&place(most - 1, l), must);
+                        check(&place(digits.words(most) - 1, l, 0), must);
+                    }
+                    // A lane's last word, rejecting at exactly the digit
+                    // count `j` the lane takes from it and at no shorter
+                    // prefix: must be reported. Rejecting only at `j + 1`
+                    // digits: either way — the lane does not consume it so.
+                    for j in 1..=k {
+                        let last_of = |l: usize| digits.words(mc[l]).saturating_sub(1);
+                        let Some(l) = (0..L).find(|&l| mc[l] > 0 && mc[l] - last_of(l) * k == j)
+                        else {
+                            continue;
+                        };
+                        if let Some(word) = rejecting[j as usize - 1] {
+                            check(&place(last_of(l), l, word), Some(true));
+                        }
+                        if let Some(&Some(word)) = rejecting.get(j as usize) {
+                            check(&place(last_of(l), l, word), None);
+                        }
                     }
                 }
             }
@@ -1865,7 +2195,7 @@ mod tests {
     /// the one condition the endpoints rest on.
     #[test]
     fn window_step_matches_portable_on_every_tier() {
-        let tiers = tiers_on_host();
+        let tiers = tiers_on_host("window step");
         window_step_cases::<64>(&tiers);
         window_step_cases::<32>(&tiers);
         window_step_cases::<16>(&tiers);
@@ -1877,7 +2207,7 @@ mod tests {
     #[test]
     fn v3_fanout_matches_scalar_reference_on_every_tier_and_tail() {
         use wcc_mpc::MpcConfig;
-        let tiers = tiers_on_host();
+        let tiers = tiers_on_host("fan-out");
         // Tails of 0, 1, 33, 49, 63 and 8 vertices after the 64-lane groups.
         for n in [64usize, 65, 97, 113, 127, 200] {
             let mut rng = ChaCha8Rng::seed_from_u64(300 + n as u64);
@@ -1994,7 +2324,7 @@ mod tests {
                 for walk in 0..k {
                     let end = v3_walk_run(
                         g.csr_adjacency(),
-                        delta,
+                        &table.digits,
                         vertices[l],
                         t,
                         &mut src,
@@ -2014,7 +2344,7 @@ mod tests {
 
         let mut rng = ChaCha8Rng::seed_from_u64(88);
         let g = generators::random_regular_permutation_graph(128, 6, &mut rng);
-        for tier in tiers_on_host() {
+        for tier in tiers_on_host("lane group") {
             check::<64>(&g, tier);
             check::<32>(&g, tier);
             check::<16>(&g, tier);
@@ -2023,21 +2353,34 @@ mod tests {
 
     #[test]
     fn v3_endpoints_match_exact_lazy_distribution() {
-        // The v3 decomposition (fair stay coin + uniform real neighbour) must
-        // realise exactly the lazy-walk distribution the spec kernel samples
-        // from the 2Δ span.
+        // The v3 decomposition (fair stay coin + uniform real neighbour,
+        // packed `k` digits to a word) must realise exactly the lazy-walk
+        // distribution the spec kernel samples from the 2Δ span — at every
+        // packing: Δ = 2, 9, 18 and 66 take k = 12, 3, 2 and 1 digits per
+        // word.
         let mut rng = ChaCha8Rng::seed_from_u64(91);
-        let g = generators::cycle(12);
         let t = 10;
-        let exact = lazy_walk_distribution(&g, 0, t);
-        let mut counts = [0f64; 12];
-        let reps = 20_000;
-        for _ in 0..reps {
-            counts[v3_walk_endpoint(&g, 0, t, &mut rng)] += 1.0;
+        for (g, k) in [
+            (generators::cycle(12), 12u32),
+            (generators::complete(10), 3),
+            (regular(16, 18, &mut rng), 2),
+            (regular(16, 66, &mut rng), 1),
+        ] {
+            let (n, delta) = (g.num_vertices(), g.max_degree());
+            assert_eq!(Digits::new(delta).per_word, k, "Δ = {delta}");
+            let exact = lazy_walk_distribution(&g, 0, t);
+            let mut counts = vec![0f64; n];
+            let reps = 20_000;
+            for _ in 0..reps {
+                counts[v3_walk_endpoint(&g, 0, t, &mut rng)] += 1.0;
+            }
+            let empirical: Vec<f64> = counts.iter().map(|c| c / reps as f64).collect();
+            let tvd = total_variation_distance(&empirical, &exact);
+            assert!(
+                tvd < 0.03,
+                "tvd between v3 empirical and exact lazy, Δ = {delta}: {tvd}"
+            );
         }
-        let empirical: Vec<f64> = counts.iter().map(|c| c / reps as f64).collect();
-        let tvd = total_variation_distance(&empirical, &exact);
-        assert!(tvd < 0.03, "tvd between v3 empirical and exact lazy: {tvd}");
     }
 
     #[test]
@@ -2066,8 +2409,8 @@ mod tests {
         assert!(after.steps >= before.steps + min_steps);
         assert!(after.moves > before.moves);
         assert!(after.stays_compressed > before.stays_compressed);
-        // One pattern word per 32 steps plus roughly one index word per
-        // move: well under the spec kernel's two words per step.
+        // One pattern word per 32 steps plus one draw word per `k` steps
+        // of the window: well under the spec kernel's two words per step.
         assert!(after.keystream_words > before.keystream_words);
         assert!(after.refills > before.refills);
     }

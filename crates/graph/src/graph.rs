@@ -121,6 +121,26 @@ impl Graph {
         Self::from_edges(num_vertices, edges).expect("edge endpoint out of range")
     }
 
+    /// Builds a graph from an edge list already normalised so that `u <= v`
+    /// (the layout [`edges`](Self::edges) returns), taking the list as the
+    /// graph's own: the CSR build's degree pass checks every edge, and there
+    /// is no builder, per-edge conversion or re-normalisation. Field for
+    /// field the graph [`from_edges_unchecked`](Self::from_edges_unchecked)
+    /// builds from the same list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge has `u > v` or `v >= num_vertices`.
+    pub fn from_normalized_edges(num_vertices: usize, edges: Vec<(u32, u32)>) -> Self {
+        let (offsets, adjacency) = Self::rebuild_csr(num_vertices, &edges);
+        Graph {
+            num_vertices,
+            edges,
+            offsets,
+            adjacency,
+        }
+    }
+
     /// Builds the graph of the **distinct** edges of an unsorted multiset
     /// of packed keys `(u << 32) | v` with `u <= v` (the compact data
     /// plane's layout): one histogram + scatter buckets every key into
@@ -230,9 +250,18 @@ impl Graph {
         }
     }
 
+    /// The CSR of a normalised edge list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge has `u > v` or `v >= num_vertices`.
     fn rebuild_csr(num_vertices: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
         let mut degree = vec![0usize; num_vertices];
         for &(u, v) in edges {
+            assert!(
+                u <= v && (v as usize) < num_vertices,
+                "edge not normalised or out of range"
+            );
             degree[u as usize] += 1;
             if u != v {
                 degree[v as usize] += 1;
@@ -575,6 +604,25 @@ mod tests {
         assert_eq!(one.build().edges(), batch.build().edges());
         let mut bad = GraphBuilder::new(5);
         assert!(bad.add_edges([(0, 1), (9, 2)]).is_err());
+    }
+
+    #[test]
+    fn normalized_edges_build_the_graph_the_builder_builds() {
+        // Loops, parallel edges and an unsorted order: the list is kept as
+        // given, exactly as the builder keeps it.
+        let edges = vec![(2u32, 4u32), (0, 1), (3, 3), (0, 1), (1, 4), (0, 0)];
+        let got = Graph::from_normalized_edges(6, edges.clone());
+        let want =
+            Graph::from_edges_unchecked(6, edges.iter().map(|&(u, v)| (u as usize, v as usize)));
+        assert_eq!(got.num_vertices(), want.num_vertices());
+        assert_eq!(got.edges(), want.edges());
+        assert_eq!(got.csr_offsets(), want.csr_offsets());
+        assert_eq!(got.csr_adjacency(), want.csr_adjacency());
+        let empty = Graph::from_normalized_edges(3, Vec::new());
+        assert_eq!(empty.csr_offsets(), Graph::empty(3).csr_offsets());
+        for bad in [vec![(1u32, 0u32)], vec![(0, 6)], vec![(6, 6)]] {
+            assert!(std::panic::catch_unwind(|| Graph::from_normalized_edges(6, bad)).is_err());
+        }
     }
 
     #[test]

@@ -165,8 +165,12 @@ fn round_separation_on_well_connected_instances() {
 fn inputs_without_light_vertices_run_exactly_as_the_all_cloud_pipeline_did() {
     // Every vertex of a 12-regular input is over the degree budget d+1 = 9,
     // so regularization is the classic all-cloud product and nothing
-    // downstream may move: the rounds and words below were read at the last
-    // commit that gave every vertex a cloud (f60b909), same graph and seeds.
+    // downstream may move: the rounds below were read at the last commit
+    // that gave every vertex a cloud (f60b909), same graph and seeds. The
+    // words were re-read at the commit that packed the walk kernel's
+    // neighbour digits, the child of 2c85e2f (3 382 792 and 2 869 894
+    // there): new walk endpoints change which edges grow contracts, never
+    // a round or a label.
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let g = generators::planted_expander_components(&[150, 150], 12, &mut rng);
     let truth = connected_components(&g);
@@ -180,7 +184,7 @@ fn inputs_without_light_vertices_run_exactly_as_the_all_cloud_pipeline_did() {
                 wcc.stats.total_rounds(),
                 wcc.stats.total_communication_words()
             ),
-            (54, 3_382_792),
+            (54, 3_383_766),
             "wcc, threads={threads}"
         );
         let adaptive = adaptive_components(&g, &params, 31).unwrap();
@@ -190,7 +194,7 @@ fn inputs_without_light_vertices_run_exactly_as_the_all_cloud_pipeline_did() {
                 adaptive.stats.total_rounds(),
                 adaptive.stats.total_communication_words()
             ),
-            (51, 2_869_894),
+            (51, 2_868_878),
             "adaptive, threads={threads}"
         );
     }
