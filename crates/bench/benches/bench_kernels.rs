@@ -8,7 +8,7 @@
 //! * **walks** — one `randomize` batch's walk fan-out on `oneshot_expander`'s
 //!   shape, dispatched move tier vs the portable tier;
 //! * **agm_sketch** — the connectivity sketch's build-and-decode, turnstile
-//!   updates and the cold and warm-started subset Borůvka;
+//!   updates and subset Borůvka;
 //! * **contraction** — the contraction graph's identity, pair-bitmap and
 //!   bucketed data planes on the shapes the one-shot workloads feed them.
 //!
@@ -240,69 +240,6 @@ fn bench_sketch(c: &mut Criterion) {
     group.bench_function("subset_components/1000_members", |b| {
         b.iter(|| sk.subset_components(&members))
     });
-    // The same Borůvka warm-started the way the streaming engine does after
-    // one forest cut: a spanning tree of the community minus one edge, that
-    // edge deleted from the sketch, so two parts are left to re-link.
-    let mut uf = UnionFind::new(half as usize);
-    let mut known: Vec<(u32, u32)> = g
-        .edge_iter()
-        .filter(|&(u, v)| u.max(v) < half as usize && uf.union(u, v))
-        .map(|(u, v)| (u as u32, v as u32))
-        .collect();
-    let (cut_u, cut_v) = known.pop().expect("a connected community has tree edges");
-    sk.remove_edge(cut_u, cut_v);
-    {
-        let warm = sk
-            .subset_components_from(&members, &known)
-            .expect("certifies");
-        assert_eq!(warm.parts, vec![members.clone()]);
-        assert_eq!(warm.links.len(), 1, "two parts, one link");
-    }
-    group.bench_function("subset_components_from/1000_members_1_cut", |b| {
-        b.iter(|| sk.subset_components_from(&members, &known))
-    });
-
-    // The streaming engine's first cut on the same shape: the ≈ 8 400 live
-    // pairs (both expanders and the window) go into an empty sketch, and
-    // Borůvka warm-starts over all 2 000 vertices from the two trees a
-    // bridge deletion leaves. `lazy` builds only the phase Borůvka reads,
-    // `eager` folds every pair into all 26 phases first.
-    let mut copies = std::collections::BTreeMap::new();
-    let edges = g.edge_iter().map(|(u, v)| (u as u32, v as u32));
-    for (u, v) in edges.chain(window.iter().copied()) {
-        *copies.entry((u.min(v), u.max(v))).or_insert(0i64) += 1;
-    }
-    let pairs: Vec<((u32, u32), i64)> = copies.into_iter().collect();
-    let everyone: Vec<u32> = (0..2 * half).collect();
-    let mut uf = UnionFind::new(everyone.len());
-    let forest: Vec<(u32, u32)> = pairs
-        .iter()
-        .map(|&(pair, _)| pair)
-        .filter(|&(u, v)| uf.union(u as usize, v as usize))
-        .collect();
-    let empty = |sketch: fn(usize, u64) -> DynamicConnectivitySketch| {
-        let mut sk = sketch(26, 0x5EED);
-        everyone.iter().for_each(|_| sk.push_vertex());
-        sk
-    };
-    let lazy = || {
-        empty(DynamicConnectivitySketch::lazy)
-            .subset_components_lazily(&everyone, &forest, || pairs.iter().copied())
-    };
-    let eager = || {
-        let mut sk = empty(DynamicConnectivitySketch::new);
-        for &((u, v), c) in &pairs {
-            sk.update_edge(u, v, c);
-        }
-        sk.subset_components_from(&everyone, &forest)
-    };
-    {
-        let first = lazy().expect("certifies");
-        assert_eq!(Some(&first), eager().as_ref(), "lazy and eager disagree");
-        assert_eq!((first.parts.len(), first.phases_used), (2, 0));
-    }
-    group.bench_function("first_cut/lazy", |b| b.iter(lazy));
-    group.bench_function("first_cut/eager", |b| b.iter(eager));
     group.finish();
 }
 

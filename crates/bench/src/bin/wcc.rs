@@ -30,7 +30,7 @@
 //! `wcc stream` replays a batch schedule in the binary chunk format (magic
 //! `WCCS`, see `wcc_graph::io`) through the incremental engine: chunks are
 //! decoded in parallel through the executor, each chunk is one batch, and
-//! the per-batch path (union-find fast path, sketch repair, or escalation),
+//! the per-batch path (union-find fast path, repair, or escalation),
 //! rounds, words and wall time are reported — in a
 //! `batches` array inside the same `--json` record the one-shot modes
 //! emit. Every record carries an op tag, so a schedule may mix insertions
@@ -196,20 +196,23 @@ struct JsonBatch {
     edges: usize,
     /// Insert ops in the batch.
     insertions: u32,
-    /// Turnstile delete ops in the batch.
+    /// Delete ops in the batch.
     deletions: u32,
     new_vertices: u32,
     standing_merges: u32,
-    /// Components this batch's deletions split off via the sketch path.
+    /// Components this batch's deletions split off via the repair path.
     splits: u32,
     /// Components re-certified as still connected after a structural
     /// deletion: by the spanning forest for free, or — where `forest_cuts`
-    /// says a forest edge went — by the sketch re-linking the pieces.
+    /// says a forest edge went — by a scoped search of the live edges
+    /// re-linking the pieces (the name is the sketch's, which did that
+    /// search before).
     sketch_recertifies: u32,
     /// Spanning-forest edges this batch's deletions removed; only their
-    /// components are handed to the sketch.
+    /// components are searched.
     forest_cuts: u32,
-    /// `"fast-path"`, `"sketch-repair"` or `"recompute:<reason>"`.
+    /// `"fast-path"`, `"sketch-repair"` (the repair path) or
+    /// `"recompute:<reason>"`.
     path: String,
     components_after: usize,
     rounds: u64,
@@ -682,8 +685,8 @@ fn run_stream(opts: &Options) -> ExitCode {
     }
     let fast = reports.iter().filter(|(r, _)| r.path.is_fast()).count();
     println!(
-        "replayed {} batches ({} fast-path, {} forest cuts, {} sketch splits, \
-         {} sketch recertifies, {} recomputes): {} vertices, {} edges",
+        "replayed {} batches ({} fast-path, {} forest cuts, {} repair splits, \
+         {} recertifies, {} recomputes): {} vertices, {} edges",
         reports.len(),
         fast,
         reports

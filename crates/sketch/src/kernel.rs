@@ -9,24 +9,19 @@
 //! * **Shared keys.** Everything the vertices of one sketch have in common
 //!   lives once in `SketchKeys`: per phase the level-hash seed, `z`, and a
 //!   byte-window table `pow[k][b] = z^(b·256^k) mod p` (8 × 256 entries,
-//!   16 KiB, expanded when the phase is built). `z^index` is then one table
-//!   entry per non-zero byte of the index — at most 7 multiplications
-//!   instead of a 64-step square-and-multiply.
+//!   16 KiB). `z^index` is then one table entry per non-zero byte of the
+//!   index — at most 7 multiplications instead of a 64-step
+//!   square-and-multiply.
 //! * **One fingerprint term per (update, phase).** An edge update computes
 //!   its level and `δ·z^index` once per phase and adds `(±δ, ±index·δ,
 //!   ±term)` to levels `0..=level` of both endpoints; the nested structure
 //!   recomputed the power at every level of every sampler of both endpoints.
-//! * **Contiguous, lazily levelled and lazily phased cells.** A vertex
-//!   stores 32-byte cells phase-major in one `Vec`, and only levels `0..=ℓ`
-//!   where `ℓ` is the highest level any of its updates reached; levels
-//!   above are logically zero. A coordinate reaches level `j` with
-//!   probability `2^-j`, so a vertex touched by `d` updates stores about
-//!   `log₂(phases · d)` of the 61 levels. It also stores only the phases
-//!   built so far: a phase is appended whole when its sketch is built
-//!   (from the multiset, by the caller), updates reach the built phases
-//!   only, and growth re-strides those. An unbuilt phase is *unknown*, not
-//!   zero — its level-0 cell would read zero and falsely certify — so
-//!   nothing reads one and equality never matches it with a built phase.
+//! * **Contiguous, lazily levelled cells.** A vertex stores 32-byte cells
+//!   phase-major in one `Vec`, and only levels `0..=ℓ` where `ℓ` is the
+//!   highest level any of its updates reached; levels above are logically
+//!   zero. A coordinate reaches level `j` with probability `2^-j`, so a
+//!   vertex touched by `d` updates stores about `log₂(phases · d)` of the
+//!   61 levels.
 //! * **Row accumulators.** Sketch-space Borůvka sums each component's cells
 //!   for the current phase straight from those slices into one row per
 //!   component (`ComponentRows`) and recovers samples through the window
@@ -40,8 +35,6 @@
 //! [`DynamicConnectivitySketch`]: crate::DynamicConnectivitySketch
 //! [`DynamicConnectivitySketch::words_per_vertex`]: crate::DynamicConnectivitySketch::words_per_vertex
 //! [`L0Sampler`]: crate::L0Sampler
-
-use std::ops::Range;
 
 use crate::l0::{fingerprint_point, level_of, NUM_LEVELS};
 use crate::one_sparse::{delta_mod, mul_mod, neg_mod, Cell, RecoveryOutcome, WORDS_PER_CELL};
@@ -94,92 +87,57 @@ impl PhaseKey {
 /// "players have access to `polylog(n)` shared random bits" — expanded
 /// into the tables the update and recovery paths read. Build one per sketch
 /// and hand it out by reference; it is a pure function of
-/// `(num_phases, seed)`. A phase's table is expanded when the phase is
-/// built ([`build_phase`](Self::build_phase)), so a lazily built sketch
-/// holds the 16 KiB of each phase it reads and no more.
+/// `(num_phases, seed)`.
 #[derive(Clone)]
 pub(crate) struct SketchKeys {
-    num_phases: usize,
     seed: u64,
-    /// The keys of phases `0..phases.len()`, the ones expanded so far.
+    /// One key per phase.
     phases: Vec<PhaseKey>,
 }
 
 impl SketchKeys {
-    /// The keys of `num_phases` independent Borůvka phases, none expanded.
+    /// The keys of `num_phases` independent Borůvka phases.
     ///
     /// # Panics
     ///
     /// Panics if `num_phases` is zero.
-    pub(crate) fn lazy(num_phases: usize, seed: u64) -> Self {
+    pub(crate) fn new(num_phases: usize, seed: u64) -> Self {
         assert!(num_phases > 0, "at least one Borůvka phase required");
         SketchKeys {
-            num_phases,
             seed,
-            phases: Vec::new(),
+            phases: (0..num_phases)
+                .map(|phase| PhaseKey::new(phase_seed(seed, phase)))
+                .collect(),
         }
-    }
-
-    /// [`lazy`](Self::lazy) with every phase expanded.
-    pub(crate) fn new(num_phases: usize, seed: u64) -> Self {
-        let mut keys = Self::lazy(num_phases, seed);
-        (0..num_phases).for_each(|phase| keys.expand(phase));
-        keys
-    }
-
-    /// Expands phase `phase`'s key unless it is already: phases expand in
-    /// order, so `phase` is at most the number expanded.
-    fn expand(&mut self, phase: usize) {
-        assert!(phase < self.num_phases, "phase {phase} out of range");
-        if phase == self.phases.len() {
-            self.phases
-                .push(PhaseKey::new(phase_seed(self.seed, phase)));
-        }
-        debug_assert!(phase < self.phases.len(), "phases expand in order");
-    }
-
-    /// Number of phases whose key is expanded.
-    #[cfg(test)]
-    pub(crate) fn expanded_phases(&self) -> usize {
-        self.phases.len()
     }
 
     /// Number of Borůvka phases (independent samplers per vertex).
     pub(crate) fn num_phases(&self) -> usize {
-        self.num_phases
+        self.phases.len()
     }
 
     /// Size of one vertex's message in machine words (the quantity
     /// Proposition 8.1 bounds by `O(log³ n)` bits): per phase the sampler's
     /// seed and all 61 levels, however few of them are physically stored.
     pub(crate) fn words_per_vertex(&self) -> usize {
-        self.num_phases * (1 + NUM_LEVELS * WORDS_PER_CELL)
+        self.num_phases() * (1 + NUM_LEVELS * WORDS_PER_CELL)
     }
 
-    /// An empty per-vertex message under these keys that stores phases
-    /// `0..built`.
-    pub(crate) fn empty_vertex(&self, built: usize) -> VertexSketch {
-        debug_assert!(built <= self.phases.len());
+    /// An empty per-vertex message under these keys.
+    pub(crate) fn empty_vertex(&self) -> VertexSketch {
         VertexSketch {
-            num_phases: self.num_phases,
-            built,
+            num_phases: self.num_phases(),
             levels: 0,
             cells: Vec::new(),
         }
     }
 
-    /// Per phase in `phases`, the phase, the level of coordinate `index` and
-    /// the fingerprint term `delta · z^index mod p` of the update
+    /// Per phase, the phase, the level of coordinate `index` and the
+    /// fingerprint term `delta · z^index mod p` of the update
     /// `vector[index] += delta`.
-    fn terms(
-        &self,
-        index: u64,
-        delta: i64,
-        phases: Range<usize>,
-    ) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+    fn terms(&self, index: u64, delta: i64) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         let delta_mod = delta_mod(delta);
-        let keys = &self.phases[phases.clone()];
-        phases.zip(keys).map(move |(phase, key)| {
+        self.phases.iter().enumerate().map(move |(phase, key)| {
             (
                 phase,
                 level_of(key.seed, index),
@@ -188,17 +146,16 @@ impl SketchKeys {
         })
     }
 
-    /// Applies `vector[index] += delta` to every phase one vertex stores.
+    /// Applies `vector[index] += delta` to one vertex.
     pub(crate) fn update(&self, vertex: &mut VertexSketch, index: u64, delta: i64) {
         let iw = index as i128 * delta as i128;
-        for (phase, level, term) in self.terms(index, delta, 0..vertex.built) {
+        for (phase, level, term) in self.terms(index, delta) {
             vertex.add(phase, level, delta, iw, term);
         }
     }
 
     /// Applies the signed incidence update of edge coordinate `index`
-    /// between vertices `a < b` — `+delta` on `a`, `−delta` on `b` — to the
-    /// given phases, which both must store.
+    /// between vertices `a < b`: `+delta` on `a`, `−delta` on `b`.
     pub(crate) fn update_edge(
         &self,
         vertices: &mut [VertexSketch],
@@ -206,42 +163,14 @@ impl SketchKeys {
         b: usize,
         index: u64,
         delta: i64,
-        phases: Range<usize>,
     ) {
         debug_assert!(a < b);
         let (low, high) = vertices.split_at_mut(b);
         let (plus, minus) = (&mut low[a], &mut high[0]);
         let iw = index as i128 * delta as i128;
-        for (phase, level, term) in self.terms(index, delta, phases) {
+        for (phase, level, term) in self.terms(index, delta) {
             plus.add(phase, level, delta, iw, term);
             minus.add(phase, level, -delta, -iw, neg_mod(term));
-        }
-    }
-
-    /// Appends phase `phase` — the next one — to every vertex of
-    /// `vertices` and applies to it the edge updates `edges`, each
-    /// `(a, b, index, delta)` with `a < b` as in
-    /// [`update_edge`](Self::update_edge), expanding the phase's key first.
-    /// A first pass over the edges finds each endpoint's top level in the
-    /// phase, so every vertex is re-strided at most once, and a second
-    /// applies the updates: nothing the size of the edge list is buffered.
-    pub(crate) fn build_phase<I>(&mut self, vertices: &mut [VertexSketch], phase: usize, edges: I)
-    where
-        I: Iterator<Item = (usize, usize, u64, i64)> + Clone,
-    {
-        self.expand(phase);
-        let seed = self.phases[phase].seed;
-        let mut levels: Vec<usize> = vertices.iter().map(|vertex| vertex.levels).collect();
-        for (a, b, index, _) in edges.clone() {
-            let top = level_of(seed, index) + 1;
-            levels[a] = levels[a].max(top);
-            levels[b] = levels[b].max(top);
-        }
-        for (vertex, levels) in vertices.iter_mut().zip(levels) {
-            vertex.push_phase(levels);
-        }
-        for (a, b, index, delta) in edges {
-            self.update_edge(vertices, a, b, index, delta, phase..phase + 1);
         }
     }
 
@@ -260,11 +189,10 @@ impl SketchKeys {
 }
 
 /// Keys are a function of `(num_phases, seed)`, so that is what equality
-/// looks at, however many phases each has expanded (and a derived `Debug`
-/// would print 16 KiB per expanded phase).
+/// looks at (and a derived `Debug` would print 16 KiB per phase).
 impl PartialEq for SketchKeys {
     fn eq(&self, other: &Self) -> bool {
-        (self.num_phases, self.seed) == (other.num_phases, other.seed)
+        (self.num_phases(), self.seed) == (other.num_phases(), other.seed)
     }
 }
 
@@ -273,8 +201,7 @@ impl Eq for SketchKeys {}
 impl std::fmt::Debug for SketchKeys {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SketchKeys")
-            .field("num_phases", &self.num_phases)
-            .field("expanded_phases", &self.phases.len())
+            .field("num_phases", &self.num_phases())
             .finish_non_exhaustive()
     }
 }
@@ -285,13 +212,9 @@ impl std::fmt::Debug for SketchKeys {
 /// Equality is *logical* — a function of the sketched vector only: levels a
 /// vertex never stored compare equal to stored levels that are all zero, so
 /// a sketch that grew for a coordinate later deleted equals a fresh one.
-/// Phases are not: two messages are equal only if they store the same
-/// phases, since an unbuilt phase says nothing about the vector.
 #[derive(Debug, Clone)]
 pub struct VertexSketch {
     num_phases: usize,
-    /// Phases physically stored: `0..built`, the rest not built yet.
-    built: usize,
     /// Levels physically stored per phase; levels at or above are zero.
     levels: usize,
     /// Phase-major: cell `(phase, level)` sits at `phase · levels + level`.
@@ -304,14 +227,8 @@ impl VertexSketch {
         self.num_phases
     }
 
-    /// Number of phases stored: `0..built_phases()`.
-    pub(crate) fn built_phases(&self) -> usize {
-        self.built
-    }
-
-    /// The stored cells of one built phase (levels `0..levels`).
+    /// The stored cells of one phase (levels `0..levels`).
     fn phase_cells(&self, phase: usize) -> &[Cell] {
-        debug_assert!(phase < self.built, "phase {phase} is not built");
         &self.cells[phase * self.levels..(phase + 1) * self.levels]
     }
 
@@ -321,24 +238,10 @@ impl VertexSketch {
         self.levels
     }
 
-    /// Appends phase `built` with every cell zero, ready for its updates,
-    /// storing at least `levels` levels per phase from now on.
-    fn push_phase(&mut self, levels: usize) {
-        assert!(self.built < self.num_phases, "every phase is built");
-        if levels > self.levels {
-            self.restride(self.built + 1, levels);
-        } else {
-            self.cells
-                .resize(self.cells.len() + self.levels, Cell::ZERO);
-        }
-        self.built += 1;
-    }
-
-    /// Re-strides the cells of the built phases so each stores `levels`
-    /// levels, with room for `phases` phases (the ones past `built` zero).
-    fn restride(&mut self, phases: usize, levels: usize) {
+    /// Re-strides the cells so each phase stores `levels` levels.
+    fn restride(&mut self, levels: usize) {
         debug_assert!(levels > self.levels && levels <= NUM_LEVELS);
-        let mut cells = vec![Cell::ZERO; phases * levels];
+        let mut cells = vec![Cell::ZERO; self.num_phases * levels];
         if self.levels > 0 {
             let old_rows = self.cells.chunks_exact(self.levels);
             for (new, old) in cells.chunks_exact_mut(levels).zip(old_rows) {
@@ -351,9 +254,8 @@ impl VertexSketch {
 
     /// Adds one update's measurements to levels `0..=level` of `phase`.
     fn add(&mut self, phase: usize, level: usize, delta: i64, iw: i128, term: u64) {
-        debug_assert!(phase < self.built, "phase {phase} is not built");
         if level >= self.levels {
-            self.restride(self.built, level + 1);
+            self.restride(level + 1);
         }
         for cell in &mut self.cells[phase * self.levels..][..=level] {
             cell.add_update(delta, iw, term);
@@ -364,8 +266,7 @@ impl VertexSketch {
 impl PartialEq for VertexSketch {
     fn eq(&self, other: &Self) -> bool {
         self.num_phases == other.num_phases
-            && self.built == other.built
-            && (0..self.built).all(|phase| {
+            && (0..self.num_phases).all(|phase| {
                 let (a, b) = (self.phase_cells(phase), other.phase_cells(phase));
                 let common = a.len().min(b.len());
                 a[..common] == b[..common]
@@ -392,8 +293,7 @@ pub(crate) struct ComponentRows {
 
 impl ComponentRows {
     /// Accumulators for components with representatives in `0..universe`,
-    /// wide enough for every sketch in `vertices` as it is now (building a
-    /// phase can raise a vertex's levels, so it needs new rows).
+    /// wide enough for every sketch in `vertices`.
     pub(crate) fn new<'a>(
         universe: usize,
         vertices: impl Iterator<Item = &'a VertexSketch>,
@@ -592,7 +492,7 @@ mod tests {
         let (n, phases, seed) = (12, 9, 99);
         let mut rng = 4u64;
         let keys = SketchKeys::new(phases, seed);
-        let mut flat: Vec<VertexSketch> = (0..n).map(|_| keys.empty_vertex(phases)).collect();
+        let mut flat: Vec<VertexSketch> = (0..n).map(|_| keys.empty_vertex()).collect();
         let mut oracle = Oracle::new(n, phases, seed);
         let mut neighbors = vec![Vec::new(); n];
         let index = |u: usize, v: usize| (u.min(v) * n + u.max(v)) as u64;
@@ -604,7 +504,7 @@ mod tests {
                 neighbors[u].push(v);
                 neighbors[v].push(u);
             }
-            keys.update_edge(&mut flat, u.min(v), u.max(v), index(u, v), delta, 0..phases);
+            keys.update_edge(&mut flat, u.min(v), u.max(v), index(u, v), delta);
             oracle.update_edge(u, v, index(u, v), delta);
         }
         for (v, sketch) in flat.iter().enumerate() {
@@ -619,7 +519,7 @@ mod tests {
             }
         }
         for (v, list) in neighbors.iter().enumerate() {
-            let mut message = keys.empty_vertex(phases);
+            let mut message = keys.empty_vertex();
             for &w in list {
                 keys.update(&mut message, index(v, w), if v < w { 1 } else { -1 });
             }
@@ -653,66 +553,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Keys expand with their phase: a sketch keyed phase by phase — each
-    /// phase built from the live multiset at its own point of a turnstile
-    /// schedule — holds the keys of its built phases and no more, and ends
-    /// with the eager tables, equal to the eagerly keyed sketch and to the
-    /// reference samplers in all 26 phases, sample for sample.
-    #[test]
-    fn a_sketch_keyed_phase_by_phase_equals_an_eager_one() {
-        let (n, phases, seed) = (12, 26, 0xD1CE);
-        let mut rng = 6u64;
-        let mut eager = DynamicConnectivitySketch::new(phases, seed);
-        let mut lazy = DynamicConnectivitySketch::lazy(phases, seed);
-        (0..n).for_each(|_| eager.push_vertex());
-        (0..n).for_each(|_| lazy.push_vertex());
-        let mut oracle = Oracle::new(n, phases, seed);
-        let mut copies = std::collections::BTreeMap::new();
-        for (i, (u, v, delta)) in schedule(n, 20 * phases, &mut rng).into_iter().enumerate() {
-            if i % 20 == 0 {
-                lazy.build_phase(copies.iter().map(|(&pair, &c)| (pair, c)));
-            }
-            assert_eq!(lazy.keys().expanded_phases(), lazy.built_phases());
-            let (a, b) = (u.min(v) as u32, u.max(v) as u32);
-            eager.update_edge(a, b, delta);
-            lazy.update_edge(b, a, delta);
-            oracle.update_edge(u, v, ((a as u64) << 32) | b as u64, delta);
-            if a != b {
-                *copies.entry((a, b)).or_insert(0i64) += delta;
-                copies.retain(|_, c| *c != 0);
-            }
-        }
-        assert_eq!(lazy.built_phases(), phases);
-        assert!(lazy == eager && lazy.keys() == eager.keys());
-        let full = SketchKeys::new(phases, seed);
-        assert_eq!(lazy.keys().phases.len(), phases);
-        for (built, expanded) in lazy.keys().phases.iter().zip(&full.phases) {
-            assert!(built.seed == expanded.seed && built.pow == expanded.pow);
-        }
-        for v in 0..n {
-            oracle.assert_matches(v, lazy.vertex_sketch(v));
-        }
-        let all: Vec<u32> = (0..n as u32).collect();
-        for subset in [&all[..1], &all[1..4], &all[..]] {
-            for phase in 0..phases {
-                let row_sample = |sketch: &DynamicConnectivitySketch| {
-                    let members = subset.iter().map(|&v| sketch.vertex_sketch(v as usize));
-                    let mut rows = ComponentRows::new(n, members.clone());
-                    members.for_each(|vertex| rows.add(subset[0] as usize, vertex, phase));
-                    let row = rows.nonzero().next();
-                    row.and_then(|row| sketch.keys().sample(phase, row))
-                };
-                let mut reference = L0Sampler::new(phase_seed(seed, phase));
-                for &v in subset {
-                    reference.merge(&oracle.samplers[v as usize][phase]);
-                }
-                assert_eq!(row_sample(&lazy), reference.sample(), "phase {phase}");
-                assert_eq!(row_sample(&eager), reference.sample(), "phase {phase}");
-            }
-        }
-        assert_eq!(lazy.subset_components(&all), eager.subset_components(&all));
     }
 
     #[test]

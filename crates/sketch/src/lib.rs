@@ -5,8 +5,6 @@
 //! algorithm of Ahn, Guha and McGregor (SODA 2012): every vertex can compress
 //! its incident edge list into a `polylog(n)`-bit message such that a central
 //! coordinator can recover the connected components from the messages alone.
-//! The streaming engine uses the same sketch to certify or split a component
-//! after a deletion.
 //!
 //! This crate implements that substrate from scratch:
 //!
@@ -22,8 +20,8 @@
 //!   be built on its own ([`DynamicConnectivitySketch::message_for`]).
 //!
 //! The sketch stores its per-vertex samplers through one flat kernel
-//! ([`kernel`]: shared keys, contiguous cells stored for the levels reached
-//! and the phases built); [`L0Sampler`] and [`OneSparseRecovery`] are the
+//! ([`kernel`]: shared keys, contiguous cells stored for the levels
+//! reached); [`L0Sampler`] and [`OneSparseRecovery`] are the
 //! standalone textbook structures over the same field arithmetic, and the
 //! reference the kernel is tested against cell for cell.
 //!

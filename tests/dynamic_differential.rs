@@ -5,11 +5,11 @@
 //! count.
 //!
 //! This is the turnstile extension of `streaming_differential.rs`: no matter
-//! how the engine interleaves union-find fast paths, sketch-Borůvka repairs
+//! how the engine interleaves union-find fast paths, scoped-search repairs
 //! of deletion-touched components, and escalations, the end
 //! state is indistinguishable from having ingested only the surviving edges
 //! at once. The sequential BFS ground truth is cross-checked as a third
-//! opinion, and the sketch split path is pinned by the `splits` counter so
+//! opinion, and the repair's split path is pinned by the `splits` counter so
 //! the suite cannot silently degrade into recompute-everything.
 //!
 //! Every replay here goes through [`replay_checked`], which also holds the
@@ -94,9 +94,8 @@ fn surviving_graph(g: &Graph, survivors: &[(u64, u64)]) -> Graph {
     .unwrap()
 }
 
-/// The forest contract (a no-op until the first deletion builds the forest),
-/// plus what it is a certificate *of*: the engine's labels are the connected
-/// components of the live graph.
+/// The forest contract, plus what it is a certificate *of*: the engine's
+/// labels are the connected components of the live graph.
 fn assert_spanning_forest(engine: &IncrementalComponents, context: &str) {
     let g = engine.current_graph();
     let truth = connected_components(&g);
@@ -104,13 +103,7 @@ fn assert_spanning_forest(engine: &IncrementalComponents, context: &str) {
         engine.labels().same_partition(&truth),
         "labels are not the live graph's components: {context}"
     );
-    let Some(forest) = engine.spanning_forest() else {
-        assert!(
-            !engine.sketch_active(),
-            "forest and sketch are built together"
-        );
-        return;
-    };
+    let forest = engine.spanning_forest();
     let live: HashSet<(usize, usize)> = g.edge_iter().map(|(u, v)| (u.min(v), u.max(v))).collect();
     let mut uf = UnionFind::new(g.num_vertices());
     for &(u, v) in &forest {
@@ -265,13 +258,13 @@ fn current_graph_depends_only_on_the_live_multiset() {
 
 /// Per-batch oracle on a deletion-heavy schedule: [`replay_checked`] holds
 /// the labels to the live graph's connected components after every batch,
-/// while the sketch-repair path actually splits components instead of
+/// while the repair path actually splits components instead of
 /// escalating.
 #[test]
 fn sketch_split_path_matches_per_batch_recompute_reference() {
     // A ring of cliques whose ring edges are then deleted: every ring-edge
     // deletion is structural, and cutting the full ring shatters the graph
-    // into its cliques — all on the sketch path.
+    // into its cliques — all on the repair path.
     let family = GraphFamily::RingOfCliques { clique_size: 10 };
     let g = instance(&family, 55);
     let (schedule, survivors) = dynamic_schedule(&g, 21, 150);
@@ -285,12 +278,12 @@ fn sketch_split_path_matches_per_batch_recompute_reference() {
     assert!(engine.recomputes() < schedule.len());
     assert!(
         engine.splits() + engine.sketch_recertifies() > 0,
-        "a structural-deletion schedule must exercise the sketch path"
+        "a structural-deletion schedule must exercise the repair path"
     );
 }
 
 /// Dedicated split scenario: two expanders joined by one bridge, bridge
-/// deleted. The engine must take the sketch-repair path and report exactly
+/// deleted. The engine must take the repair path and report exactly
 /// one split, and the result must match BFS on the surviving graph.
 #[test]
 fn bridge_deletion_splits_via_the_sketch_not_the_pipeline() {
@@ -320,7 +313,7 @@ fn bridge_deletion_splits_via_the_sketch_not_the_pipeline() {
 }
 
 /// Full-component teardown: insert a clique, delete every edge again. The
-/// engine must end with only singletons, entirely on the sketch path after
+/// engine must end with only singletons, entirely on the repair path after
 /// bootstrap.
 #[test]
 fn full_component_teardown_reaches_singletons_without_recompute() {
@@ -341,17 +334,17 @@ fn full_component_teardown_reaches_singletons_without_recompute() {
     assert_eq!(engine.splits(), 6, "7 singletons minted out of 1 component");
     // Every deletion removes a last copy: its component splits (which takes
     // a cut) or is re-certified — by the forest for free, or, after a cut,
-    // by a sketch link that is the next deletion's candidate cut.
+    // by a scoped-search link that is the next deletion's candidate cut.
     for (b, r) in reports.iter().enumerate() {
         assert_eq!(r.splits + r.sketch_recertifies, 1, "batch {b}");
         assert!(r.splits <= r.forest_cuts, "batch {b}");
     }
-    assert_eq!(engine.spanning_forest(), Some(Vec::new()));
+    assert_eq!(engine.spanning_forest(), Vec::new());
 }
 
 /// A forest edge is deleted and a later insert of the same batch re-joins its
 /// two sides: the union–find never saw them apart, so the insert is not a
-/// union and only the sketch can find the replacement.
+/// union and only the repair's scoped search can find the replacement.
 #[test]
 fn a_cut_rejoined_by_a_later_insert_of_the_same_batch_is_relinked_by_the_sketch() {
     let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 19);
@@ -365,7 +358,7 @@ fn a_cut_rejoined_by_a_later_insert_of_the_same_batch_is_relinked_by_the_sketch(
     assert_eq!(r.standing_merges, 0);
     assert_eq!(engine.recomputes(), recomputes_before);
     assert_eq!(engine.num_components(), 1);
-    let forest = engine.spanning_forest().unwrap();
+    let forest = engine.spanning_forest();
     assert!(forest.contains(&(1, 7)) && !forest.contains(&(0, 6)));
 }
 
@@ -388,7 +381,7 @@ fn only_the_last_copy_of_a_forest_pair_is_a_cut() {
     assert_eq!(reports[2].path, BatchPath::SketchRepair);
     assert_eq!((reports[2].forest_cuts, reports[2].splits), (1, 1));
     assert_eq!(engine.num_components(), 2);
-    assert_eq!(engine.spanning_forest().unwrap().len(), 12 - 2);
+    assert_eq!(engine.spanning_forest().len(), 12 - 2);
 }
 
 /// A cut and a standing merge in one batch: the batch escalates, nobody
@@ -397,7 +390,7 @@ fn only_the_last_copy_of_a_forest_pair_is_a_cut() {
 fn a_cut_beside_a_standing_merge_escalates_and_rebuilds_the_forest() {
     let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 29);
     let mut setup = two_cliques(&[EdgeOp::insert(0, 6)]);
-    // A third component, and one deletion so the forest exists.
+    // A third component, with a triangle pair deleted again.
     setup.extend([(20, 21), (21, 22), (20, 22)].map(|(u, v)| EdgeOp::insert(u, v)));
     replay_checked(&mut engine, &[setup, vec![EdgeOp::delete(20, 22)]]);
     assert_eq!(engine.num_components(), 2);
@@ -409,36 +402,58 @@ fn a_cut_beside_a_standing_merge_escalates_and_rebuilds_the_forest() {
     assert_eq!(r.path, BatchPath::Recompute(RecomputeReason::StandingMerge));
     assert_eq!((r.forest_cuts, r.standing_merges, r.splits), (1, 1, 0));
     assert_eq!(engine.num_components(), 2);
-    let forest = engine.spanning_forest().unwrap();
+    let forest = engine.spanning_forest();
     assert!(forest.contains(&(7, 12)), "dense id of raw 20 is 12");
 }
 
-/// One Borůvka phase cannot re-link a long chain of cut pieces: the batch
-/// escalates as `SketchUncertified`, and the escalation leaves exact labels
-/// and a spanning forest behind.
+/// A long chain of cut pieces re-links in one repair: the path 0–1–…–63
+/// is the forest and every other path edge goes in one batch, leaving 32
+/// pieces that only the chords `(i, i + 2)` join. The scoped search keeps
+/// every surviving forest pair and takes one chord per cut as a link.
 #[test]
-fn an_exhausted_phase_budget_escalates_with_labels_exact_and_the_forest_rebuilt() {
+fn a_chain_of_cuts_relinks_in_one_repair() {
     const N: u64 = 64;
-    let mut engine =
-        IncrementalComponents::new(StreamParams::laptop_scale().with_sketch_phases(1), 31);
-    // The path 0–1–…–63 arrives first, so it *is* the forest; the chords
-    // (i, i+2) keep the graph connected when path edges go.
+    let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 31);
+    // The path arrives first, so it *is* the forest; the chords keep the
+    // graph connected when path edges go.
     let mut setup: Vec<EdgeOp> = (0..N - 1).map(|i| EdgeOp::insert(i, i + 1)).collect();
     setup.extend((0..N - 2).map(|i| EdgeOp::insert(i, i + 2)));
-    setup.push(EdgeOp::insert(0, 1));
-    replay_checked(&mut engine, &[setup, vec![EdgeOp::delete(0, 1)]]);
+    replay_checked(&mut engine, &[setup]);
+    let before = engine.spanning_forest();
+    assert_eq!(
+        before,
+        (0..N as u32 - 1).map(|i| (i, i + 1)).collect::<Vec<_>>()
+    );
     let cuts: Vec<EdgeOp> = (1..N - 1)
         .step_by(2)
         .map(|i| EdgeOp::delete(i, i + 1))
         .collect();
     let reports = replay_checked(&mut engine, std::slice::from_ref(&cuts));
     let r = &reports[0];
+    assert_eq!(r.path, BatchPath::SketchRepair);
     assert_eq!(r.forest_cuts as usize, cuts.len());
-    assert_eq!(
-        r.path,
-        BatchPath::Recompute(RecomputeReason::SketchUncertified)
-    );
+    assert_eq!((r.splits, r.sketch_recertifies), (0, 1));
     assert_eq!(engine.num_components(), 1);
+    let after = engine.spanning_forest();
+    let survivors: Vec<(u32, u32)> = before
+        .iter()
+        .copied()
+        .filter(|&(u, _)| u % 2 == 0)
+        .collect();
+    let links: Vec<(u32, u32)> = after
+        .iter()
+        .copied()
+        .filter(|e| !before.contains(e))
+        .collect();
+    assert!(
+        survivors.iter().all(|e| after.contains(e)),
+        "a surviving forest pair left the forest"
+    );
+    assert_eq!(links.len(), cuts.len(), "one link per cut");
+    assert!(
+        links.iter().all(|&(u, v)| v == u + 2),
+        "every link is a live chord: {links:?}"
+    );
 }
 
 /// Archived version-1 streams keep replaying: the checked-in
@@ -482,8 +497,4 @@ fn v1_chunk_streams_replay_identically_through_the_op_reader() {
     }
     assert_eq!(archived.num_edges(), repack.num_edges());
     assert!(archived.labels().same_partition(&repack.labels()));
-    assert!(
-        !archived.sketch_active() && !repack.sketch_active(),
-        "an insert-only replay stays lazy"
-    );
 }

@@ -326,9 +326,9 @@ fn streaming_ingestion_is_bit_identical_across_thread_counts() {
 }
 
 /// Dynamic (insert+delete) ingestion must be bit-identical across thread
-/// counts too: the sketch-repair machinery — lazy sketch build, per-component
-/// sketch-Borůvka certification, union-find rebuild after a split — runs on
-/// top of the same executor seam, so the labels, cumulative `RoundStats` and
+/// counts too: the repair machinery — per-component scoped search,
+/// union-find rebuild after a split — runs on top of the same executor
+/// seam, so the labels, cumulative `RoundStats` and
 /// the per-batch decision tuple (op counts, splits, recertifications and
 /// forest cuts) and the spanning forest itself must not depend on the worker
 /// count.
@@ -341,7 +341,7 @@ fn dynamic_ingestion_is_bit_identical_across_thread_counts() {
         let g = instance(&family, 300 + fi as u64);
         for seed in SEEDS {
             // Shuffled insert schedule, then a deletion wave over every
-            // fourth edge so the sketch path runs (recertifications on the
+            // fourth edge so the repair path runs (recertifications on the
             // expanders, real splits on the ring of cliques).
             let mut edges: Vec<(u64, u64)> =
                 g.edge_iter().map(|(u, v)| (u as u64, v as u64)).collect();
