@@ -98,8 +98,7 @@ fn bench_chacha_batch(c: &mut Criterion) {
 fn bench_randomize_batch(c: &mut Criterion) {
     use wcc_core::regularize::regularize;
     use wcc_core::walks::{
-        independent_lazy_walks, independent_lazy_walks_portable, walk_move_tier, WalkKernel,
-        WalkMode,
+        independent_lazy_walks, independent_lazy_walks_portable, walk_move_tier, WalkMode,
     };
 
     let mut group = c.benchmark_group("walks");
@@ -125,7 +124,6 @@ fn bench_randomize_batch(c: &mut Criterion) {
         usize,
         usize,
         WalkMode,
-        WalkKernel,
         usize,
         &mut MpcContext,
         &mut ChaCha8Rng,
@@ -133,17 +131,7 @@ fn bench_randomize_batch(c: &mut Criterion) {
     let batch = |fanout: Fanout| {
         let mut ctx = MpcContext::new(config().with_threads(1));
         let mut rng = ChaCha8Rng::seed_from_u64(31);
-        fanout(
-            &reg.graph,
-            t,
-            k,
-            WalkMode::Direct,
-            WalkKernel::V3,
-            2,
-            &mut ctx,
-            &mut rng,
-        )
-        .unwrap()
+        fanout(&reg.graph, t, k, WalkMode::Direct, 2, &mut ctx, &mut rng).unwrap()
     };
     let rows: [(&str, Fanout); 2] = [
         (walk_move_tier(), independent_lazy_walks),

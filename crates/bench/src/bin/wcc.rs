@@ -315,7 +315,6 @@ fn parse_args() -> Result<Options, String> {
         if let Some(flag) = [
             "--algorithm",
             "--batch-size",
-            "--no-fast-path",
             "--lambda",
             "--memory",
             "--seed",
@@ -388,9 +387,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--batch-size must be at least 1".to_string());
                 }
             }
-            // Read by no mode: known only so that it is refused as
-            // inapplicable below.
-            "--no-fast-path" => {}
             "--lambda" => {
                 opts.lambda = args
                     .next()

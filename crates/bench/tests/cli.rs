@@ -201,18 +201,24 @@ fn one_shot_flags_the_chosen_algorithm_never_reads_are_rejected() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("components: 2"), "stdout: {stdout}");
     }
-    // The streaming modes run no pipeline: no gap promise, no path to force.
+    // The streaming modes run no pipeline: no gap promise. `--no-fast-path`
+    // is no flag at all: no mode ever read it.
     let chunks = data("sample_batches_v2.wccs");
     for mode in ["stream", "serve"] {
-        for flag in [&["--lambda", "0.2"][..], &["--no-fast-path"]] {
-            let out = wcc(&[&[mode, chunks.as_str()][..], flag].concat());
-            assert!(!out.status.success(), "wcc {mode} accepted {}", flag[0]);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains(&format!("{} is not applicable to `wcc {mode}`", flag[0])),
-                "stderr: {stderr}"
-            );
-        }
+        let out = wcc(&[mode, chunks.as_str(), "--lambda", "0.2"]);
+        assert!(!out.status.success(), "wcc {mode} accepted --lambda");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("--lambda is not applicable to `wcc {mode}`")),
+            "stderr: {stderr}"
+        );
+        let out = wcc(&[mode, chunks.as_str(), "--no-fast-path"]);
+        assert!(!out.status.success(), "wcc {mode} accepted --no-fast-path");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown argument \"--no-fast-path\""),
+            "stderr: {stderr}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -81,10 +81,9 @@ pub struct Params {
     /// are bit-identical for every value — see DESIGN.md, "The executor
     /// seam" and "The persistent pool".
     pub threads: usize,
-    /// Which batched walk kernel simulates the Direct randomization fan-out
-    /// (overridable at run time via `WCC_WALK_KERNEL`). Kernels realise the
-    /// same walk distribution but consume per-vertex keystreams differently,
-    /// so fixed-seed outputs are pinned per kernel — see DESIGN.md §10.
+    /// Always [`WalkKernel::V3`], the one batched walk kernel (DESIGN.md
+    /// §10); no walk depends on it. Kept until ROADMAP 1-min/1b because the
+    /// frozen benchmark still names it.
     pub walk_kernel: WalkKernel,
 }
 
@@ -155,13 +154,6 @@ impl Params {
     /// means one worker per available CPU).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns a copy using the given walk kernel (still subject to the
-    /// `WCC_WALK_KERNEL` environment override at run time).
-    pub fn with_walk_kernel(mut self, kernel: WalkKernel) -> Self {
-        self.walk_kernel = kernel;
         self
     }
 

@@ -196,10 +196,6 @@ fn run_pipeline(
     } else {
         WalkMode::Direct
     };
-    // Resolve the kernel once per pipeline run (environment override wins)
-    // so every batch — and every caller embedding these params, including
-    // the streaming service — walks with the same kernel.
-    let kernel = params.walk_kernel.resolve();
     let mut batches = Vec::with_capacity(num_batches);
     for _ in 0..num_batches {
         batches.push(randomize(
@@ -207,7 +203,7 @@ fn run_pipeline(
             walk_length,
             batch_degree,
             mode,
-            kernel,
+            params.walk_kernel,
             params.layer_copies_multiplier,
             ctx,
             rng,

@@ -17,46 +17,42 @@
 //!   vertex-disjoint (and therefore mutually independent, Observation 5.2).
 //!   Memory is `Θ(n · t · copies)`, so it is meant for analysis-scale runs
 //!   and for experiment E4.
-//! * [`direct_walk_targets`] — the **direct** simulation: each walk is
-//!   simulated step by step with its own randomness, which produces *exactly*
-//!   the product distribution `⊗_v D_RW(v, t)` that Theorem 3 guarantees.
-//!   The pipeline uses this mode at scale and charges the `O(log t)` rounds
-//!   of the theorem (the substitution is documented in DESIGN.md).
+//! * [`independent_lazy_walks`] — the **direct** simulation: each walk is
+//!   simulated with its own randomness, which produces *exactly* the product
+//!   distribution `⊗_v D_RW(v, t)` that Theorem 3 guarantees. The pipeline
+//!   uses this mode at scale and charges the `O(log t)` rounds of the
+//!   theorem (the substitution is documented in DESIGN.md).
+//!   [`direct_walk_endpoint`] is its step-by-step specification.
 //!
-//! Both implementations are generic over [`AdjacencyView`], and the
-//! Section 5.2 lazification is specified against a virtual
-//! [`LazyView`](wcc_graph::LazyView) — the `Δ` added self-loops are simulated
-//! arithmetically (neighbour indices `>= deg(v)` mean "stay"). The view
-//! reproduces the materialised CSR index-for-index, so walk endpoints are
-//! bit-identical either way.
+//! [`layered_walk_bundle`] and [`direct_walk_endpoint`] are generic over
+//! [`AdjacencyView`], and the Section 5.2 lazification is specified against
+//! a virtual [`LazyView`](wcc_graph::LazyView) — the `Δ` added self-loops
+//! are simulated arithmetically (neighbour indices `>= deg(v)` mean
+//! "stay"). The view reproduces the materialised CSR index-for-index, so
+//! walk endpoints are bit-identical either way.
 //!
-//! At scale the direct path runs one of two batched kernels, selected by
-//! [`WalkKernel`]:
+//! At scale the direct path runs one batched kernel, v3 — stay-run
+//! compression + packed draws: the lazy stay/move choice is an exact fair
+//! coin (span `2Δ`, `Δ` of which are self entries), so one pattern word
+//! yields 32 stay/move coins. A stay leaves the current vertex alone, so
+//! only the **number** of move bits matters, never their positions: the
+//! batched kernel reads each lane's move count off the pattern word's
+//! popcount, and only those real moves pay a random CSR load and a base-Δ
+//! neighbour digit — `k` digits per 32-bit keystream word, one Lemire draw
+//! over span `Δʲ` per word (DESIGN.md §10). 64 lanes advance in lockstep;
+//! how a window's moves are carried out is the *move tier*
+//! ([`walk_move_tier`]): masked AVX-512 / AVX2 gathers with the lanes'
+//! positions in registers where the CPU has them (the private `walk_simd`
+//! module — the crate's only `unsafe`), counting-sorted scalar rounds
+//! otherwise. The tier comes from CPUID and a validation pass over the
+//! adjacency, never from a setting, and every tier produces the same
+//! endpoints.
 //!
-//! * [`WalkKernel::Spec`] — the executable spec: a materialised `n × 2Δ`
-//!   lazy-adjacency table turns every lazy step into one unconditional load,
-//!   paid for with two keystream words per step in lockstep lanes
-//!   (DESIGN.md §5, "The walk engine").
-//! * [`WalkKernel::V3`] (default) — stay-run compression + packed draws:
-//!   the lazy stay/move choice is an exact fair coin (span `2Δ`, `Δ` of
-//!   which are self entries), so one pattern word yields 32 stay/move coins.
-//!   A stay leaves the current vertex alone, so only the **number** of move
-//!   bits matters, never their positions: the batched kernel reads each
-//!   lane's move count off the pattern word's popcount, and only those real
-//!   moves pay a random CSR load and a base-Δ neighbour digit — `k` digits
-//!   per 32-bit keystream word, one Lemire draw over span `Δʲ` per word
-//!   (DESIGN.md §10). 64 lanes advance in lockstep; how a window's moves
-//!   are carried out is the *move tier* ([`walk_move_tier`]): masked
-//!   AVX-512 / AVX2 gathers with the lanes' positions in registers where
-//!   the CPU has them (the private `walk_simd` module — the crate's only
-//!   `unsafe`), counting-sorted scalar rounds otherwise. The tier comes
-//!   from CPUID and a validation pass over the adjacency, never from a
-//!   setting, and every tier produces the same endpoints.
-//!
-//! The two kernels consume per-vertex keystreams differently, so fixed-seed
-//! outputs differ *between kernels* while each kernel stays bit-identical
-//! across backends and thread counts; `tests/walk_kernel_equivalence.rs`
-//! pins the distributions against each other.
+//! The kernel consumes each per-vertex keystream differently from
+//! [`direct_walk_endpoint`], so fixed-seed outputs differ between the two
+//! while the kernel stays bit-identical across backends and thread counts;
+//! `tests/walk_kernel_equivalence.rs` pins their distributions against each
+//! other.
 
 use crate::regularize::CoreError;
 use crate::walk_simd::{self, GatherLanes, GatherTable, MoveTier};
@@ -76,49 +72,27 @@ pub enum WalkMode {
     Faithful,
 }
 
-/// Which generation of the batched lazy-walk kernel simulates the Direct
-/// fan-out.
-///
-/// Both kernels draw every step from the same per-vertex ChaCha8 streams and
-/// realise exactly the same lazy-step distribution, but they *consume* the
-/// keystream differently, so fixed-seed outputs legitimately differ between
-/// kernels — determinism is defined per seed per kernel version (DESIGN.md
-/// §3 and §10). Within one kernel, labels and stats remain bit-identical
-/// across backends and thread counts.
+/// The batched lazy-walk kernel that simulates the Direct fan-out. There is
+/// one, v3; the type, its [`Self::ENV_VAR`] name and [`Self::resolve`] are
+/// kept until ROADMAP 1-min/1b only because the frozen benchmark still names
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkKernel {
-    /// Third-generation kernel (the default): stay-run compression from
-    /// pattern words, and the real moves' neighbour indices packed `k`
-    /// base-Δ digits to a 32-bit Lemire draw (DESIGN.md §10).
+    /// Stay-run compression from pattern words, and the real moves'
+    /// neighbour indices packed `k` base-Δ digits to a 32-bit Lemire draw
+    /// (DESIGN.md §10).
     V3,
-    /// The step-by-step executable spec: two keystream words and one
-    /// materialised lazy-table load for every step, lockstep lanes.
-    Spec,
 }
 
 impl WalkKernel {
-    /// Environment override consulted by [`WalkKernel::resolve`]: set to
-    /// `v3` or `spec` to force a kernel regardless of the configured params
-    /// (handy for A/B timing without a recompile).
+    /// The name of an environment variable nothing reads any more; the
+    /// benchmark refuses to run while it is set. Kept until ROADMAP
+    /// 1-min/1b.
     pub const ENV_VAR: &'static str = "WCC_WALK_KERNEL";
 
-    /// The kernel to actually run: the [`Self::ENV_VAR`] value wins when it
-    /// is set and recognisable, otherwise `self`.
+    /// Returns `self`. Kept until ROADMAP 1-min/1b.
     pub fn resolve(self) -> WalkKernel {
-        self.resolve_from(std::env::var(Self::ENV_VAR).ok().as_deref())
-    }
-
-    /// [`Self::resolve`] with the environment read factored out (testable
-    /// without mutating process-global state).
-    fn resolve_from(self, var: Option<&str>) -> WalkKernel {
-        match var {
-            Some(value) => match value.to_ascii_lowercase().as_str() {
-                "v3" => WalkKernel::V3,
-                "spec" => WalkKernel::Spec,
-                _ => self,
-            },
-            None => self,
-        }
+        self
     }
 }
 
@@ -258,20 +232,6 @@ pub fn layered_walk_bundle<V: AdjacencyView, R: Rng + ?Sized>(
     }
 }
 
-/// Directly simulates one walk of length `t` from every vertex, each with its
-/// own randomness (so the endpoints are mutually independent by
-/// construction). On a regular graph this is exactly the distribution
-/// Theorem 3 produces.
-pub fn direct_walk_targets<V: AdjacencyView, R: Rng + ?Sized>(
-    g: &V,
-    t: usize,
-    rng: &mut R,
-) -> Vec<usize> {
-    (0..g.num_vertices())
-        .map(|v| direct_walk_endpoint(g, v, t, rng))
-        .collect()
-}
-
 /// Endpoint of a single uniform-neighbour walk of length `t` from `start`
 /// (self-loops — real or [`LazyView`](wcc_graph::LazyView)-virtual — make it
 /// lazy). Isolated vertices stay put.
@@ -294,7 +254,7 @@ pub fn direct_walk_endpoint<V: AdjacencyView, R: Rng + ?Sized>(
     cur
 }
 
-/// Reusable first-visit bookkeeping for [`direct_walk_visits_into`]: an
+/// Reusable first-visit bookkeeping for [`v3_walk_visits_into`]: an
 /// epoch-stamped vertex table, so a worker simulating many walks pays one
 /// `n`-word allocation total instead of one hash set per walk.
 #[derive(Debug, Clone, Default)]
@@ -320,62 +280,17 @@ impl WalkVisitScratch {
     }
 }
 
-/// The distinct vertices visited by a single walk of length `t` from `start`,
-/// in first-visit order (used by the mildly-sublinear algorithm, Section 8).
-pub fn direct_walk_visits<V: AdjacencyView, R: Rng + ?Sized>(
-    g: &V,
-    start: usize,
-    t: usize,
-    rng: &mut R,
-) -> Vec<usize> {
-    let mut scratch = WalkVisitScratch::new();
-    let mut order = Vec::new();
-    direct_walk_visits_into(g, start, t, rng, &mut scratch, &mut order);
-    order
-}
-
-/// Allocation-lean variant of [`direct_walk_visits`]: appends the distinct
-/// visited vertices (in first-visit order) to `out`, which is cleared first,
-/// using `scratch` for the seen-set. The RNG draws are identical to
-/// [`direct_walk_visits`] — the scratch only changes how first visits are
-/// detected, never which steps are taken.
-pub fn direct_walk_visits_into<V: AdjacencyView, R: Rng + ?Sized>(
-    g: &V,
-    start: usize,
-    t: usize,
-    rng: &mut R,
-    scratch: &mut WalkVisitScratch,
-    out: &mut Vec<usize>,
-) {
-    out.clear();
-    let epoch = scratch.begin(g.num_vertices());
-    let mut cur = start;
-    scratch.stamp[cur] = epoch;
-    out.push(cur);
-    for _ in 0..t {
-        let deg = g.degree(cur);
-        if deg == 0 {
-            break;
-        }
-        cur = g
-            .nth_neighbor(cur, rng.gen_range(0..deg))
-            .expect("degree > 0");
-        if scratch.stamp[cur] != epoch {
-            scratch.stamp[cur] = epoch;
-            out.push(cur);
-        }
-    }
-}
-
-/// v3 counterpart of [`direct_walk_visits_into`]: same visit semantics, but
-/// each step's neighbour index is one 32-bit Lemire draw instead of the
-/// two-word 64-bit `gen_range` — the kernel-sharing the densification path
-/// (Section 8) gets from the v3 rewrite. There is no stay-run lever here:
-/// the sublinear walk runs on the *raw* graph, where every step is a real
-/// move (and on a lazy view, stays would add no new visits anyway — the
-/// compression-legality argument of DESIGN.md §10). Consumption differs
-/// from the 64-bit path, so fixed-seed sublinear outputs shift with the
-/// kernel, exactly like the pipeline's.
+/// The distinct vertices visited by a single walk of length `t` from
+/// `start`, in first-visit order — the densification walk of the
+/// mildly-sublinear algorithm (Section 8). `out` is cleared first and
+/// `scratch` holds the seen-set, so a worker simulating many walks
+/// allocates once; the scratch only changes how first visits are detected,
+/// never which steps are taken. Each step's neighbour index is one 32-bit
+/// Lemire draw, as in the v3 kernel, and is counted into `tally`. There is
+/// no stay-run lever here: the sublinear walk runs on the *raw* graph,
+/// where every step is a real move (and on a lazy view, stays would add no
+/// new visits anyway — the compression-legality argument of DESIGN.md
+/// §10). Isolated vertices stay put.
 pub fn v3_walk_visits_into<V: AdjacencyView, R: RngCore + ?Sized>(
     g: &V,
     start: usize,
@@ -410,72 +325,6 @@ pub fn v3_walk_visits_into<V: AdjacencyView, R: RngCore + ?Sized>(
     }
 }
 
-/// Lane count of the batched lazy-walk kernel: fills one 512-bit register
-/// of `u32` lanes and keeps enough independent adjacency loads in flight to
-/// hide their latency (32 lanes measurably regress on register spills).
-const WALK_LANES: usize = 16;
-
-/// Simulates the `k` lazy walks of [`WALK_LANES`] vertices in lockstep on a
-/// regular graph given its **materialised lazy adjacency** (`span = 2Δ`
-/// entries per vertex: the `Δ` real neighbours in `neighbors` order followed
-/// by `Δ` copies of the vertex itself), writing endpoints vertex-major into
-/// `out` (`out[l * k + i]` = endpoint `i` of lane `l`). Returns `false`
-/// (with `out` unspecified) in the astronomically-rare case a lane *may*
-/// have hit the Lemire rejection loop, in which case the caller must rerun
-/// the group on the step-by-step spec path.
-///
-/// Bit-identical to running [`direct_walk_endpoint`] over the
-/// [`LazyView`](wcc_graph::LazyView) on each vertex's own `ChaCha8Rng`
-/// stream whenever it returns `true`: the vendored Lemire `gen_range` over
-/// the lazy span `2Δ` computes `m = x · 2Δ` for one `u64` `x` — two
-/// keystream words — takes the draw from `m >> 64`, and only consults a
-/// second `u64` when `m mod 2^64 < 2Δ` (probability `< 2Δ / 2^64` per
-/// step). Outside that case every lane advances exactly two words per step
-/// in lockstep, which is what lets the keystreams be generated in one
-/// batched refill per 8 steps ([`ChaCha8Batch`]).
-#[must_use]
-fn lazy_walk_lane_group(
-    lazy_adjacency: &[u32],
-    span: usize,
-    t: usize,
-    k: usize,
-    vertices: [u32; WALK_LANES],
-    seeds: &[u64; WALK_LANES],
-    out: &mut [usize],
-) -> bool {
-    debug_assert!(span > 0);
-    debug_assert_eq!(out.len(), WALK_LANES * k);
-    let mut batch = ChaCha8Batch::<WALK_LANES>::seed_from_u64s(seeds);
-    let mut block = [[0u32; WALK_LANES]; 16];
-    let mut pos = 16usize;
-    let mut near_reject = 0u64;
-    for walk in 0..k {
-        let mut cur = vertices;
-        for _ in 0..t {
-            if pos >= 16 {
-                batch.refill(&mut block);
-                pos = 0;
-            }
-            let (lo, hi) = (&block[pos], &block[pos + 1]);
-            for l in 0..WALK_LANES {
-                let x = (hi[l] as u64) << 32 | lo[l] as u64;
-                let m = x as u128 * span as u128;
-                near_reject |= ((m as u64) < span as u64) as u64;
-                // The materialised lazy row makes the lazy/real choice an
-                // unconditional load: index `>= Δ` lands on a self entry.
-                // A conditional here would be a fair coin — mispredicted
-                // every other step.
-                cur[l] = lazy_adjacency[cur[l] as usize * span + (m >> 64) as usize];
-            }
-            pos += 2;
-        }
-        for (l, &c) in cur.iter().enumerate() {
-            out[l * k + walk] = c as usize;
-        }
-    }
-    near_reject == 0
-}
-
 /// One keystream word per call, in exactly the order the owning per-vertex
 /// ChaCha8 stream produces them. The scalar v3 walk ([`v3_walk_run`]) is
 /// written against this trait; the batched kernel ([`v3_walk_lane_group`])
@@ -506,7 +355,7 @@ impl<R: RngCore + ?Sized> WordSource for RngWords<'_, R> {
 /// One 32-bit Lemire draw from `[0, span)` with exact in-line rejection —
 /// the 32-bit twin of the vendored `sample_half_open` (vendor/rand). Every
 /// degree this kernel draws over fits `u32` (vertex ids are `u32`), so one
-/// keystream word per draw replaces the spec kernel's two; the rejection
+/// keystream word per draw replaces `gen_range`'s two; the rejection
 /// probability per draw is `< span / 2^32`, resolved by redrawing from the
 /// same stream rather than bailing to a fallback path.
 #[inline(always)]
@@ -909,7 +758,7 @@ impl<const L: usize> Lanes<'_, L> {
 }
 
 /// Simulates the `k` v3 walks of `L` vertices on a Δ-regular graph, writing
-/// endpoints vertex-major into `out` (`out[l·k + i]`, the spec kernel's
+/// endpoints vertex-major into `out` (`out[l·k + i]`, the fan-out's
 /// layout), drawing every lane's words from the per-vertex stream seeded by
 /// `seeds[l]`.
 ///
@@ -1087,7 +936,6 @@ pub fn independent_lazy_walks<R: Rng + ?Sized>(
     t: usize,
     walks_per_vertex: usize,
     mode: WalkMode,
-    kernel: WalkKernel,
     copies_multiplier: usize,
     ctx: &mut MpcContext,
     rng: &mut R,
@@ -1098,7 +946,6 @@ pub fn independent_lazy_walks<R: Rng + ?Sized>(
         t,
         walks_per_vertex,
         mode,
-        kernel,
         copies_multiplier,
         ctx,
         rng,
@@ -1119,7 +966,6 @@ pub fn independent_lazy_walks_portable<R: Rng + ?Sized>(
     t: usize,
     walks_per_vertex: usize,
     mode: WalkMode,
-    kernel: WalkKernel,
     copies_multiplier: usize,
     ctx: &mut MpcContext,
     rng: &mut R,
@@ -1130,7 +976,6 @@ pub fn independent_lazy_walks_portable<R: Rng + ?Sized>(
         t,
         walks_per_vertex,
         mode,
-        kernel,
         copies_multiplier,
         ctx,
         rng,
@@ -1155,7 +1000,6 @@ fn lazy_walks_on<R: Rng + ?Sized>(
     t: usize,
     walks_per_vertex: usize,
     mode: WalkMode,
-    kernel: WalkKernel,
     copies_multiplier: usize,
     ctx: &mut MpcContext,
     rng: &mut R,
@@ -1198,128 +1042,44 @@ fn lazy_walks_on<R: Rng + ?Sized>(
                 .iter()
                 .map(|r| r.start * k..r.end * k)
                 .collect();
-            match kernel {
-                WalkKernel::V3 => {
-                    // The v3 kernel needs no lazy table at all: stays are
-                    // resolved from pattern bits without touching memory, and
-                    // real moves index the regular graph's own CSR with the
-                    // closed-form offset `v·Δ` — the walk working set halves
-                    // to exactly the graph. Full lane groups read lockstep
-                    // keystream blocks generated in place; the tail of a
-                    // worker's span steps down through 32- and 16-lane
-                    // groups, and its last few vertices (and the rare
-                    // rejecting groups) run the scalar form of the same
-                    // discipline on the same per-vertex streams, so the
-                    // split is invisible in the endpoints.
-                    let fanout = V3Fanout {
-                        table: WalkTable::on(tier, g.csr_adjacency(), n, delta),
-                        t,
-                        k,
-                        base,
-                    };
-                    executor.map_slices_mut(&mut flat, &ranges, |w, chunk| {
-                        let first_vertex = vertex_spans[w].start;
-                        let span_len = vertex_spans[w].len();
-                        let mut tally = WalkTelemetry::default();
-                        let mut j = 0;
-                        while j + V3_LANES <= span_len {
-                            fanout.group::<V3_LANES>(first_vertex, &mut j, chunk, &mut tally);
-                        }
-                        if j + 32 <= span_len {
-                            fanout.group::<32>(first_vertex, &mut j, chunk, &mut tally);
-                        }
-                        if j + 16 <= span_len {
-                            fanout.group::<16>(first_vertex, &mut j, chunk, &mut tally);
-                        }
-                        for (v, slots) in
-                            (first_vertex + j..).zip(chunk[j * k..].chunks_exact_mut(k))
-                        {
-                            fanout.scalar(v, slots, &mut tally);
-                        }
-                        tally.steps = (span_len * k * t) as u64;
-                        // An aborted group flushes nothing into `tally`, so
-                        // every move is counted once.
-                        tally.stays_compressed = tally.steps - tally.moves;
-                        record_walk_telemetry(&tally);
-                    });
+            // The v3 kernel needs no lazy table at all: stays are resolved
+            // from pattern bits without touching memory, and real moves
+            // index the regular graph's own CSR with the closed-form offset
+            // `v·Δ` — the walk working set is exactly the graph. Full lane
+            // groups read lockstep keystream blocks generated in place; the
+            // tail of a worker's span steps down through 32- and 16-lane
+            // groups, and its last few vertices (and the rare rejecting
+            // groups) run the scalar form of the same discipline on the same
+            // per-vertex streams, so the split is invisible in the endpoints.
+            let fanout = V3Fanout {
+                table: WalkTable::on(tier, g.csr_adjacency(), n, delta),
+                t,
+                k,
+                base,
+            };
+            executor.map_slices_mut(&mut flat, &ranges, |w, chunk| {
+                let first_vertex = vertex_spans[w].start;
+                let span_len = vertex_spans[w].len();
+                let mut tally = WalkTelemetry::default();
+                let mut j = 0;
+                while j + V3_LANES <= span_len {
+                    fanout.group::<V3_LANES>(first_vertex, &mut j, chunk, &mut tally);
                 }
-                WalkKernel::Spec => {
-                    // Full lane groups batch their draws into lockstep
-                    // keystream blocks; the tail of a worker's span (and any
-                    // group whose lanes neared the Lemire rejection loop)
-                    // runs the step-by-step spec. Both paths consume the
-                    // identical per-vertex stream, so the split is invisible
-                    // in the endpoints.
-                    //
-                    // The kernel walks a materialised lazy adjacency (`2Δ`
-                    // entries per vertex, self entries for the virtual
-                    // loops) so each step is one unconditional load; `n ·
-                    // 2Δ` words is the size of the regular graph's own CSR
-                    // times two, well under the walk working-set already
-                    // charged above. Half the rows' entries are self copies,
-                    // so "stay" steps usually re-hit the line the lane just
-                    // touched — only real moves pay a random L2/L3 access.
-                    let span = 2 * delta;
-                    let mut lazy_adjacency = vec![0u32; n * span];
-                    for (v, row) in lazy_adjacency.chunks_exact_mut(span).enumerate() {
-                        row[..delta].copy_from_slice(g.neighbors(v));
-                        row[delta..].fill(v as u32);
-                    }
-                    let lazy_adjacency = &lazy_adjacency[..];
-                    executor.map_slices_mut(&mut flat, &ranges, |w, chunk| {
-                        let first_vertex = vertex_spans[w].start;
-                        let span_len = vertex_spans[w].len();
-                        let mut tally = WalkTelemetry::default();
-                        let spec_vertex = |v: usize, slots: &mut [usize]| {
-                            let mut vrng =
-                                ChaCha8Rng::seed_from_u64(derive_stream_seed(base, v as u64));
-                            for slot in slots {
-                                *slot = direct_walk_endpoint(&lazy, v, t, &mut vrng);
-                            }
-                        };
-                        let mut j = 0;
-                        while j + WALK_LANES <= span_len {
-                            let vertices: [u32; WALK_LANES] =
-                                core::array::from_fn(|l| (first_vertex + j + l) as u32);
-                            let seeds: [u64; WALK_LANES] = core::array::from_fn(|l| {
-                                derive_stream_seed(base, (first_vertex + j + l) as u64)
-                            });
-                            let group = &mut chunk[j * k..(j + WALK_LANES) * k];
-                            // Nominal accounting: two words per step per
-                            // lane, one block refill per 16 positions (the
-                            // astronomically-rare near-rejection redraws are
-                            // not itemised).
-                            tally.keystream_words += (2 * t * k * WALK_LANES) as u64;
-                            tally.refills += ((2 * t * k).div_ceil(16)) as u64;
-                            if !lazy_walk_lane_group(
-                                lazy_adjacency,
-                                span,
-                                t,
-                                k,
-                                vertices,
-                                &seeds,
-                                group,
-                            ) {
-                                tally.spec_fallbacks += 1;
-                                tally.keystream_words += (2 * t * k * WALK_LANES) as u64;
-                                for (l, slots) in group.chunks_exact_mut(k).enumerate() {
-                                    spec_vertex(first_vertex + j + l, slots);
-                                }
-                            }
-                            j += WALK_LANES;
-                        }
-                        for jj in j..span_len {
-                            tally.keystream_words += (2 * t * k) as u64;
-                            spec_vertex(first_vertex + jj, &mut chunk[jj * k..(jj + 1) * k]);
-                        }
-                        // The spec kernel executes every lazy step in full:
-                        // each one pays its table load, nothing compresses.
-                        tally.steps = (span_len * k * t) as u64;
-                        tally.moves = tally.steps;
-                        record_walk_telemetry(&tally);
-                    });
+                if j + 32 <= span_len {
+                    fanout.group::<32>(first_vertex, &mut j, chunk, &mut tally);
                 }
-            }
+                if j + 16 <= span_len {
+                    fanout.group::<16>(first_vertex, &mut j, chunk, &mut tally);
+                }
+                for (v, slots) in (first_vertex + j..).zip(chunk[j * k..].chunks_exact_mut(k)) {
+                    fanout.scalar(v, slots, &mut tally);
+                }
+                tally.steps = (span_len * k * t) as u64;
+                // An aborted group flushes nothing into `tally`, so every
+                // move is counted once.
+                tally.stays_compressed = tally.steps - tally.moves;
+                record_walk_telemetry(&tally);
+            });
             Ok(flat)
         }
         WalkMode::Faithful => {
@@ -1378,29 +1138,24 @@ fn lazy_walks_on<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// Propagates [`CoreError`] from [`independent_lazy_walks`].
+///
+/// `_kernel` is ignored: the fan-out always runs v3. The argument is kept
+/// until ROADMAP 1-min/1b because the frozen benchmark still passes it.
 #[allow(clippy::too_many_arguments)]
 pub fn randomize<R: Rng + ?Sized>(
     g: &Graph,
     t: usize,
     out_degree: usize,
     mode: WalkMode,
-    kernel: WalkKernel,
+    _kernel: WalkKernel,
     copies_multiplier: usize,
     ctx: &mut MpcContext,
     rng: &mut R,
 ) -> Result<Graph, CoreError> {
     ctx.begin_phase("randomize");
     let walks_per_vertex = (out_degree / 2).max(1);
-    let endpoints = independent_lazy_walks(
-        g,
-        t,
-        walks_per_vertex,
-        mode,
-        kernel,
-        copies_multiplier,
-        ctx,
-        rng,
-    )?;
+    let endpoints =
+        independent_lazy_walks(g, t, walks_per_vertex, mode, copies_multiplier, ctx, rng)?;
     let n = g.num_vertices();
     let mut builder = GraphBuilder::with_capacity(n, n * walks_per_vertex);
     for (v, targets) in endpoints.chunks_exact(walks_per_vertex).enumerate() {
@@ -1427,6 +1182,22 @@ mod tests {
         MpcContext::new(MpcConfig::for_input_size(words.max(64), 0.5).permissive())
     }
 
+    /// [`v3_walk_visits_into`] with a fresh scratch, output and tally.
+    fn visits<V: AdjacencyView>(g: &V, start: usize, t: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut tally = WalkTelemetry::default();
+        v3_walk_visits_into(
+            g,
+            start,
+            t,
+            rng,
+            &mut WalkVisitScratch::new(),
+            &mut out,
+            &mut tally,
+        );
+        out
+    }
+
     #[test]
     fn direct_walk_stays_in_component() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -1445,9 +1216,8 @@ mod tests {
         for mode in [WalkMode::Direct, WalkMode::Faithful] {
             let mut ctx = ctx_for(4 * g.num_edges());
             let mut walk_rng = ChaCha8Rng::seed_from_u64(9);
-            let flat =
-                independent_lazy_walks(&g, 8, 0, mode, WalkKernel::V3, 2, &mut ctx, &mut walk_rng)
-                    .expect("k = 0 is a valid (trivial) request");
+            let flat = independent_lazy_walks(&g, 8, 0, mode, 2, &mut ctx, &mut walk_rng)
+                .expect("k = 0 is a valid (trivial) request");
             assert!(
                 flat.is_empty(),
                 "mode {mode:?} produced endpoints for k = 0"
@@ -1460,16 +1230,16 @@ mod tests {
         let g = Graph::empty(3);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         assert_eq!(direct_walk_endpoint(&g, 1, 10, &mut rng), 1);
-        assert_eq!(direct_walk_visits(&g, 1, 10, &mut rng), vec![1]);
+        assert_eq!(visits(&g, 1, 10, &mut rng), vec![1]);
     }
 
     #[test]
     fn walk_visits_cover_small_cycle() {
         let g = generators::cycle(6);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let visits = direct_walk_visits(&g, 0, 500, &mut rng);
-        assert_eq!(visits.len(), 6);
-        assert_eq!(visits[0], 0);
+        let seen = visits(&g, 0, 500, &mut rng);
+        assert_eq!(seen.len(), 6);
+        assert_eq!(seen[0], 0);
     }
 
     #[test]
@@ -1558,10 +1328,11 @@ mod tests {
                 let mut rng_a = ChaCha8Rng::seed_from_u64(2000 + v as u64 + t as u64);
                 let mut rng_b = rng_a.clone();
                 assert_eq!(
-                    direct_walk_visits(&materialized, v, t, &mut rng_a),
-                    direct_walk_visits(&view, v, t, &mut rng_b),
+                    visits(&materialized, v, t, &mut rng_a),
+                    visits(&view, v, t, &mut rng_b),
                     "visit order diverged at v={v}, t={t}"
                 );
+                assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
             }
         }
         // The faithful layered structure sees the same virtual adjacency too.
@@ -1578,12 +1349,15 @@ mod tests {
         let g = generators::cycle(10);
         let mut scratch = WalkVisitScratch::new();
         let mut out = Vec::new();
+        let mut tally = WalkTelemetry::default();
         for (v, seed) in [(0usize, 5u64), (3, 6), (7, 7)] {
             let mut rng_a = ChaCha8Rng::seed_from_u64(seed);
             let mut rng_b = rng_a.clone();
-            direct_walk_visits_into(&g, v, 50, &mut rng_a, &mut scratch, &mut out);
-            assert_eq!(out, direct_walk_visits(&g, v, 50, &mut rng_b));
+            v3_walk_visits_into(&g, v, 50, &mut rng_a, &mut scratch, &mut out, &mut tally);
+            assert_eq!(out, visits(&g, v, 50, &mut rng_b));
         }
+        // Every step of a walk on the raw cycle is a real move.
+        assert_eq!((tally.steps, tally.moves), (150, 150));
     }
 
     #[test]
@@ -1591,12 +1365,10 @@ mod tests {
         let g = generators::star(10);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut ctx = ctx_for(100);
-        for kernel in [WalkKernel::V3, WalkKernel::Spec] {
-            assert!(matches!(
-                independent_lazy_walks(&g, 4, 2, WalkMode::Direct, kernel, 2, &mut ctx, &mut rng),
-                Err(CoreError::BadParams(_))
-            ));
-        }
+        assert!(matches!(
+            independent_lazy_walks(&g, 4, 2, WalkMode::Direct, 2, &mut ctx, &mut rng),
+            Err(CoreError::BadParams(_))
+        ));
     }
 
     #[test]
@@ -1628,16 +1400,20 @@ mod tests {
         let truth = connected_components(&g);
         let mut ctx = ctx_for(4 * g.num_edges());
         // The planted components are 8-regular expanders; walk long enough to
-        // mix. Both kernels must preserve the component structure.
-        for kernel in [WalkKernel::V3, WalkKernel::Spec] {
-            let h = randomize(&g, 48, 12, WalkMode::Direct, kernel, 2, &mut ctx, &mut rng).unwrap();
-            assert_eq!(h.num_vertices(), g.num_vertices());
-            let h_cc = connected_components(&h);
-            assert!(
-                h_cc.same_partition(&truth),
-                "randomized graph ({kernel:?}) changed the components"
-            );
-        }
+        // mix. The randomized graph must preserve the component structure.
+        let h = randomize(
+            &g,
+            48,
+            12,
+            WalkMode::Direct,
+            WalkKernel::V3,
+            2,
+            &mut ctx,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(h.num_vertices(), g.num_vertices());
+        assert!(connected_components(&h).same_partition(&truth));
         assert!(ctx.stats().rounds_in_phase("randomize") >= 1);
     }
 
@@ -1667,29 +1443,8 @@ mod tests {
         let g = generators::random_regular_permutation_graph(50, 6, &mut rng);
         let mut ctx_short = ctx_for(4 * g.num_edges());
         let mut ctx_long = ctx_for(4 * g.num_edges());
-        let kernel = WalkKernel::V3;
-        independent_lazy_walks(
-            &g,
-            4,
-            1,
-            WalkMode::Direct,
-            kernel,
-            2,
-            &mut ctx_short,
-            &mut rng,
-        )
-        .unwrap();
-        independent_lazy_walks(
-            &g,
-            256,
-            1,
-            WalkMode::Direct,
-            kernel,
-            2,
-            &mut ctx_long,
-            &mut rng,
-        )
-        .unwrap();
+        independent_lazy_walks(&g, 4, 1, WalkMode::Direct, 2, &mut ctx_short, &mut rng).unwrap();
+        independent_lazy_walks(&g, 256, 1, WalkMode::Direct, 2, &mut ctx_long, &mut rng).unwrap();
         let (a, b) = (
             ctx_short.stats().total_rounds(),
             ctx_long.stats().total_rounds(),
@@ -1720,18 +1475,6 @@ mod tests {
         assert_eq!(ceil_log2(0), 0);
         assert_eq!(ceil_log2(usize::MAX / 2 + 1), usize::BITS - 1);
         assert_eq!(ceil_log2(usize::MAX), usize::BITS);
-    }
-
-    #[test]
-    fn walk_kernel_env_override_resolves_recognised_values_only() {
-        use WalkKernel::{Spec, V3};
-        assert_eq!(V3.resolve_from(None), V3);
-        assert_eq!(Spec.resolve_from(None), Spec);
-        assert_eq!(Spec.resolve_from(Some("v3")), V3);
-        assert_eq!(V3.resolve_from(Some("SPEC")), Spec);
-        // Unrecognised values fall back to the configured parameter.
-        assert_eq!(V3.resolve_from(Some("v2")), V3);
-        assert_eq!(Spec.resolve_from(Some("")), Spec);
     }
 
     /// The packed-digit discipline written the other way round, as the
@@ -2234,7 +1977,6 @@ mod tests {
                             t,
                             k,
                             WalkMode::Direct,
-                            WalkKernel::V3,
                             2,
                             &mut MpcContext::new(config),
                             &mut master.clone(),
@@ -2248,7 +1990,6 @@ mod tests {
                                 t,
                                 k,
                                 WalkMode::Direct,
-                                WalkKernel::V3,
                                 2,
                                 &mut MpcContext::new(config),
                                 &mut master.clone(),
@@ -2355,7 +2096,7 @@ mod tests {
     fn v3_endpoints_match_exact_lazy_distribution() {
         // The v3 decomposition (fair stay coin + uniform real neighbour,
         // packed `k` digits to a word) must realise exactly the lazy-walk
-        // distribution the spec kernel samples from the 2Δ span — at every
+        // distribution `direct_walk_endpoint` samples from the 2Δ span — at every
         // packing: Δ = 2, 9, 18 and 66 take k = 12, 3, 2 and 1 digits per
         // word.
         let mut rng = ChaCha8Rng::seed_from_u64(91);
@@ -2391,17 +2132,7 @@ mod tests {
         let (t, k) = (32usize, 2usize);
         let before = walk_telemetry_snapshot();
         let mut ctx = ctx_for(4 * g.num_edges());
-        independent_lazy_walks(
-            &g,
-            t,
-            k,
-            WalkMode::Direct,
-            WalkKernel::V3,
-            2,
-            &mut ctx,
-            &mut rng,
-        )
-        .unwrap();
+        independent_lazy_walks(&g, t, k, WalkMode::Direct, 2, &mut ctx, &mut rng).unwrap();
         let after = walk_telemetry_snapshot();
         let min_steps = (g.num_vertices() * k * t) as u64;
         // Counters are process-global and other tests may add concurrently,
@@ -2410,7 +2141,7 @@ mod tests {
         assert!(after.moves > before.moves);
         assert!(after.stays_compressed > before.stays_compressed);
         // One pattern word per 32 steps plus one draw word per `k` steps
-        // of the window: well under the spec kernel's two words per step.
+        // of the window: well under `gen_range`'s two words per step.
         assert!(after.keystream_words > before.keystream_words);
         assert!(after.refills > before.refills);
     }

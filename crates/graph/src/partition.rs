@@ -117,11 +117,6 @@ impl Partition {
         self.part_sizes().into_iter().max().unwrap_or(0)
     }
 
-    /// Smallest part size (`0` when the ground set is empty).
-    pub fn min_part_size(&self) -> usize {
-        self.part_sizes().into_iter().min().unwrap_or(0)
-    }
-
     /// Coarsens the partition: `group_of_part[p]` assigns every current part
     /// `p` to a group; parts in the same group are merged. Group indices may
     /// be sparse — they are canonicalised.

@@ -147,11 +147,6 @@ impl Executor {
         self.threads
     }
 
-    /// `true` if work runs inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
     /// The pool, created (or fetched from the per-count process registry) on
     /// first use.
     fn pool(&self) -> &Arc<WorkerPool> {

@@ -14,8 +14,8 @@
 //! they accumulate into a local [`WalkTelemetry`] and flush once per worker
 //! chunk via [`record_walk_telemetry`]. The counters are cumulative
 //! observables, **not** model quantities: they are deliberately outside
-//! `RoundStats`, so stats equality across kernels, backends and thread
-//! counts is untouched — exactly like `wall_time_ms`.
+//! `RoundStats`, so stats equality across backends and thread counts is
+//! untouched — exactly like `wall_time_ms`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,19 +27,17 @@ use serde::Serialize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct WalkTelemetry {
     /// Lazy walk steps simulated (stays + real moves). One walk of length
-    /// `t` contributes exactly `t`, whichever kernel ran it.
+    /// `t` contributes exactly `t`.
     pub steps: u64,
-    /// Steps that paid a neighbour draw and a random adjacency load. The
-    /// spec kernel loads on every step (`moves == steps`); the v3 kernel
-    /// only on the ~1/2 of steps whose stay/move coin came up "move".
+    /// Steps that paid a neighbour draw and a random adjacency load: the
+    /// ~1/2 of lazy steps whose stay/move coin came up "move", and every
+    /// step of a densification walk on the raw graph.
     pub moves: u64,
     /// Stay steps that were skipped by v3 stay-run compression instead of
-    /// being executed individually. Zero for the spec kernel (it executes
-    /// every stay as a full step).
+    /// being executed individually.
     pub stays_compressed: u64,
     /// ChaCha8 keystream words (u32) consumed by draws: pattern words,
-    /// index words and rejection redraws for v3; two words per step for the
-    /// spec kernel.
+    /// index words and rejection redraws.
     pub keystream_words: u64,
     /// Batched keystream block refills (each produces 16 words per lane of
     /// the refilling group). The v3 kernel's full groups are 64 lanes wide —
@@ -47,20 +45,20 @@ pub struct WalkTelemetry {
     /// groups it used to run; the 32- and 16-lane step-down groups at the
     /// tail of a worker's span count their own, narrower refills.
     pub refills: u64,
-    /// Lane groups a batched kernel handed back to its scalar path. The
-    /// **spec** kernel does so when a lane neared the Lemire rejection
-    /// loop; the **v3** kernel never resolves a rejection itself either —
-    /// a group in which any *scanned* draw word rejects (a few per billion
-    /// steps for non-power-of-two Δ) reruns whole on the scalar walk, which
-    /// replays the redraws exactly (DESIGN.md §10). The v3 scan is
-    /// conservative and its extent depends on the move tier, so this count
-    /// may differ by a few groups between tiers; endpoints never do.
+    /// Lane groups the batched v3 kernel handed back to its scalar path. The
+    /// kernel never resolves a rejection itself: a group in which any
+    /// *scanned* draw word rejects (a few per billion steps for
+    /// non-power-of-two Δ) reruns whole on the scalar walk, which replays
+    /// the redraws exactly (DESIGN.md §10). The scan is conservative and its
+    /// extent depends on the move tier, so this count may differ by a few
+    /// groups between tiers; endpoints never do. The name predates the one
+    /// kernel; the benchmark reports it as `core.walks.spec_fallbacks`.
     pub spec_fallbacks: u64,
 }
 
 impl WalkTelemetry {
     /// Folds another accumulator into `self` (used by workers that keep
-    /// separate per-kernel tallies before flushing).
+    /// separate tallies before flushing).
     pub fn merge(&mut self, other: &WalkTelemetry) {
         self.steps += other.steps;
         self.moves += other.moves;

@@ -147,75 +147,15 @@ fn sublinear_components_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The zero-materialisation walk engine (Step 2's hot path): the flat
-/// endpoint arena produced by `independent_lazy_walks` against the virtual
-/// `LazyView` must be bit-identical across thread counts — and bit-identical
-/// to simulating the same per-vertex streams on the *materialised*
-/// `with_self_loops` graph, which is the executable spec the lazy view
-/// replaces.
-#[test]
-fn lazy_walk_engine_is_bit_identical_across_thread_counts() {
-    use rand::Rng;
-    use wcc_core::walks::{direct_walk_endpoint, independent_lazy_walks, WalkKernel, WalkMode};
-    use wcc_mpc::{derive_stream_seed, MpcConfig, MpcContext};
-
-    for seed in SEEDS {
-        let mut graph_rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = wcc_graph::generators::random_regular_permutation_graph(200, 8, &mut graph_rng);
-        let (t, k) = (24usize, 3usize);
-
-        // Reference: per-vertex ChaCha8 streams on the materialised graph.
-        let delta = g.max_degree();
-        let lazy_materialized = g.with_self_loops(delta);
-        let mut master = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
-        let base = master.gen::<u64>();
-        let mut expected = Vec::with_capacity(200 * k);
-        for v in 0..g.num_vertices() {
-            let mut vrng = ChaCha8Rng::seed_from_u64(derive_stream_seed(base, v as u64));
-            for _ in 0..k {
-                expected.push(direct_walk_endpoint(&lazy_materialized, v, t, &mut vrng));
-            }
-        }
-
-        let mut all_stats = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let cfg = MpcConfig::for_input_size(4 * g.num_edges(), 0.5)
-                .permissive()
-                .with_threads(threads);
-            let mut ctx = MpcContext::new(cfg);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
-            let endpoints = independent_lazy_walks(
-                &g,
-                t,
-                k,
-                WalkMode::Direct,
-                WalkKernel::Spec,
-                2,
-                &mut ctx,
-                &mut rng,
-            )
-            .expect("regular graph");
-            assert_eq!(
-                endpoints, expected,
-                "walk endpoints diverged from the materialised reference \
-                 (seed {seed}, threads {threads})"
-            );
-            all_stats.push(ctx.into_stats());
-        }
-        assert_eq!(all_stats[0], all_stats[1], "stats diverged at 2 threads");
-        assert_eq!(all_stats[0], all_stats[2], "stats diverged at 8 threads");
-    }
-}
-
-/// The v3 kernel (stay-run compression + 32-bit keystream draws) carries the
-/// same contract as the spec engine: the batched lane-group path must be
-/// bit-identical across 1/2/8 threads *and* bit-identical to replaying the
-/// same per-vertex ChaCha8 streams through the scalar [`v3_walk_endpoint`]
+/// The v3 walk kernel (Step 2's hot path: stay-run compression + 32-bit
+/// keystream draws): the batched lane-group path must be bit-identical
+/// across 1/2/8 threads *and* bit-identical to replaying the same
+/// per-vertex ChaCha8 streams through the scalar [`v3_walk_endpoint`]
 /// reference. RoundStats are model quantities, so they must agree too.
 #[test]
 fn v3_walk_engine_is_bit_identical_across_thread_counts() {
     use rand::Rng;
-    use wcc_core::walks::{independent_lazy_walks, v3_walk_endpoint, WalkKernel, WalkMode};
+    use wcc_core::walks::{independent_lazy_walks, v3_walk_endpoint, WalkMode};
     use wcc_mpc::{derive_stream_seed, MpcConfig, MpcContext};
 
     for seed in SEEDS {
@@ -241,17 +181,9 @@ fn v3_walk_engine_is_bit_identical_across_thread_counts() {
                 .with_threads(threads);
             let mut ctx = MpcContext::new(cfg);
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
-            let endpoints = independent_lazy_walks(
-                &g,
-                t,
-                k,
-                WalkMode::Direct,
-                WalkKernel::V3,
-                2,
-                &mut ctx,
-                &mut rng,
-            )
-            .expect("regular graph");
+            let endpoints =
+                independent_lazy_walks(&g, t, k, WalkMode::Direct, 2, &mut ctx, &mut rng)
+                    .expect("regular graph");
             assert_eq!(
                 endpoints, expected,
                 "v3 walk endpoints diverged from the scalar reference \

@@ -1,9 +1,9 @@
-//! Distributional equivalence of the v3 walk kernel against the executable
-//! spec kernel.
+//! Distributional equivalence of the v3 walk kernel against the
+//! step-by-step specification, `direct_walk_endpoint`.
 //!
 //! The v3 kernel (stay-run compression + 32-bit keystream draws, DESIGN.md
-//! §10) consumes the per-vertex ChaCha8 streams differently from the spec
-//! engine, so fixed-seed outputs legitimately differ — but both kernels
+//! §10) consumes the per-vertex ChaCha8 streams differently from the
+//! step-by-step walk, so fixed-seed outputs legitimately differ — but both
 //! simulate the *same* lazy random walk on the self-loop-padded graph, so
 //! their endpoint distributions must agree. We pin that with a two-sample
 //! χ² test on per-start endpoint frequencies across three regular graph
@@ -72,7 +72,7 @@ fn v3_endpoint_distribution_matches_spec_kernel() {
             let delta = g.max_degree();
             assert!(
                 delta > 0 && g.is_regular(delta),
-                "family {name} must be regular for the batched kernels"
+                "family {name} must be regular for the batched kernel"
             );
             let padded = g.with_self_loops(delta);
 
