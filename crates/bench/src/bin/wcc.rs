@@ -71,8 +71,7 @@ use wcc_core::prelude::*;
 use wcc_core::sublinear::{sublinear_components, SublinearParams};
 use wcc_graph::prelude::*;
 use wcc_mpc::{
-    Executor, MpcConfig, MpcContext, PhaseStats, PoolTelemetry, RoundStats, TupleWidth,
-    WalkTelemetry,
+    Executor, MpcConfig, MpcContext, PhaseStats, PoolTelemetry, RoundStats, WalkTelemetry,
 };
 
 #[derive(PartialEq)]
@@ -136,18 +135,15 @@ struct JsonReport {
     max_machine_load_words: Option<usize>,
     /// Memory-budget violations recorded in permissive mode.
     memory_violations: Option<u64>,
-    /// The tuple width the data plane negotiated for this input
-    /// (`"compact-u32"` or `"wide-u64"`, see `wcc_mpc::compact`); absent for
-    /// the sequential reference.
-    tuple_width: Option<String>,
-    /// Total bytes the negotiated representation moved for the charged
-    /// communication; absent for the sequential reference.
+    /// Total host bytes moved for the charged communication: 8 per word,
+    /// since ids fit a `u32` and the contraction packs each edge into one
+    /// `u64` (`wcc_mpc::compact`); absent for the sequential reference.
     shuffled_bytes: Option<u64>,
     /// Wall-clock time of the algorithm run, in milliseconds.
     wall_time_ms: f64,
     /// Per-phase breakdown in execution order — each entry carries `name`,
-    /// `rounds`, `communication_words`, `shuffled_bytes` (what the
-    /// negotiated representation actually moved) and `wall_time_ms` (the
+    /// `rounds`, `communication_words`, `shuffled_bytes` (the host bytes
+    /// behind those words) and `wall_time_ms` (the
     /// phase's wall-clock share of the run, a simulator observable rather
     /// than a model quantity). Absent for the sequential reference.
     phases: Option<Vec<PhaseStats>>,
@@ -644,11 +640,6 @@ fn run_stream(opts: &Options) -> ExitCode {
             communication_words: Some(stats.total_communication_words()),
             max_machine_load_words: Some(stats.max_machine_load_words()),
             memory_violations: Some(stats.memory_violations()),
-            tuple_width: Some(
-                TupleWidth::negotiate(engine.num_vertices())
-                    .label()
-                    .to_string(),
-            ),
             shuffled_bytes: Some(stats.total_shuffled_bytes()),
             wall_time_ms,
             phases: Some(stats.phases().to_vec()),
@@ -824,11 +815,6 @@ fn run_serve(opts: &Options) -> ExitCode {
             communication_words: Some(stats.total_communication_words()),
             max_machine_load_words: Some(stats.max_machine_load_words()),
             memory_violations: Some(stats.memory_violations()),
-            tuple_width: Some(
-                TupleWidth::negotiate(engine.num_vertices())
-                    .label()
-                    .to_string(),
-            ),
             shuffled_bytes: Some(stats.total_shuffled_bytes()),
             wall_time_ms,
             phases: Some(stats.phases().to_vec()),
@@ -985,9 +971,6 @@ fn main() -> ExitCode {
             communication_words: stats.as_ref().map(RoundStats::total_communication_words),
             max_machine_load_words: stats.as_ref().map(RoundStats::max_machine_load_words),
             memory_violations: stats.as_ref().map(RoundStats::memory_violations),
-            tuple_width: stats
-                .as_ref()
-                .map(|_| TupleWidth::negotiate(g.num_vertices()).label().to_string()),
             shuffled_bytes: stats.as_ref().map(RoundStats::total_shuffled_bytes),
             wall_time_ms,
             phases: stats.as_ref().map(|s| s.phases().to_vec()),

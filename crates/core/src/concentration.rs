@@ -5,16 +5,17 @@
 //! bound (Proposition A.1), the method of bounded differences
 //! (Proposition A.2) and the balls-and-bins count of non-empty bins
 //! (Proposition B.1, used in Claim 6.9 to show contraction degrees stay
-//! concentrated). The experiment harness re-checks these bounds numerically
-//! (experiment E11); the helpers live here so both tests and experiments
-//! share one implementation.
+//! concentrated). Experiment E11 re-checks the balls-and-bins count
+//! numerically with the helpers here; the two tail bounds are test-only
+//! references.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The Chernoff upper bound of Proposition A.1: for a sum of independent
 /// `[0,1]` variables with mean `mu`, `Pr[|X − mu| ≥ eps·mu] ≤ 2·exp(−eps²·mu/2)`.
-pub fn chernoff_bound(mu: f64, eps: f64) -> f64 {
+#[cfg(test)]
+fn chernoff_bound(mu: f64, eps: f64) -> f64 {
     if mu <= 0.0 || eps <= 0.0 {
         return 1.0;
     }
@@ -24,7 +25,8 @@ pub fn chernoff_bound(mu: f64, eps: f64) -> f64 {
 /// The bounded-differences (McDiarmid) bound of Proposition A.2 for an
 /// `n`-variable function that is `lipschitz`-Lipschitz in every coordinate:
 /// `Pr[|f − E f| > t] ≤ exp(−2 t² / (n · lipschitz²))`.
-pub fn bounded_differences_bound(n: usize, lipschitz: f64, t: f64) -> f64 {
+#[cfg(test)]
+fn bounded_differences_bound(n: usize, lipschitz: f64, t: f64) -> f64 {
     if n == 0 || lipschitz <= 0.0 || t <= 0.0 {
         return 1.0;
     }

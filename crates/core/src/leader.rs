@@ -32,8 +32,8 @@ use crate::regularize::CoreError;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use wcc_graph::{components, ComponentLabels, Graph, GraphBuilder, Partition};
-use wcc_mpc::{derive_stream_seed, pack_edge, Executor, MpcContext, TupleWidth};
+use wcc_graph::{ComponentLabels, Graph, GraphBuilder, Partition};
+use wcc_mpc::{derive_stream_seed, pack_edge, Executor, MpcContext};
 
 /// The grouping decided by one leader-election round on a contraction graph.
 #[derive(Debug, Clone)]
@@ -139,10 +139,11 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 /// union's CSR (the single largest allocation of the old endgame) is pure
 /// waste.
 ///
-/// All paths build the same graph — the one `contract_edges_wide`, the
-/// executable spec, defines: sorted distinct rows, row-major edge list.
-/// Which one runs depends only on the shape of the request, and the cheap
-/// ones **deduplicate before materialising** anything per edge:
+/// All paths build the same graph — the one the `(usize, usize)` sort and
+/// dedup of this module's test oracle defines: sorted distinct rows,
+/// row-major edge list. Which one runs depends only on the shape of the
+/// request, and every path **deduplicates before materialising** anything
+/// per edge:
 ///
 /// * the partition is the identity and there is one graph (phase 1 of
 ///   [`grow_components`]): nothing is relabelled, so the contraction is
@@ -151,28 +152,31 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 ///   edges once into a pair bitmap and reads the sorted distinct edge list
 ///   off the set bits — millions of edges collapsing onto a few hundred
 ///   pairs never exist as tuples;
-/// * otherwise the tuple width negotiated via [`TupleWidth::negotiate`] over
-///   the part count decides: compact — always, unless the vertex set exceeds
-///   `u32` range, which the `(u32, u32)`-backed [`Graph`] only allows via
-///   isolated vertices — packs each relabelled edge `(a, b)`, `a ≤ b`, into
-///   the key [`pack_edge`]`(a, b)` and hands the unsorted key multiset to
+/// * otherwise each relabelled edge `(a, b)`, `a ≤ b`, packs into the key
+///   [`pack_edge`]`(a, b)` and the unsorted key multiset goes to
 ///   [`Graph::from_packed_edge_multiset`], whose bucket-by-endpoint build
 ///   (histogram + scatter + per-row sort/dedup) replaces the full
-///   multi-pass sort with one scatter and cache-resident row sorts. The wide
-///   `(usize, usize)` path is the fallback for part counts beyond the
-///   compact identifier space — negotiation, never truncation.
+///   multi-pass sort with one scatter and cache-resident row sorts.
+///
+/// Part ids fit a `u32`: the part count is at most the vertex count, and
+/// the `(u32, u32)`-backed [`Graph`] reaches past `2^32` vertices only
+/// through isolated ones, whose CSR offsets alone would take 32 GiB. The
+/// function asserts that invariant once, which is what lets every path
+/// carry `u32` labels and `u64` keys.
 ///
 /// Charges one sort over the *total* edge count, exactly what one call on
-/// the materialised union charged, with the byte column at the negotiated
-/// width — whichever path then does the grouping work the charged sort
-/// models (the same convention as the identity-shuffle short circuit). The
-/// per-edge passes fan out over contiguous edge chunks on the context's
+/// the materialised union charged — whichever path then does the grouping
+/// work the charged sort models (the same convention as the
+/// identity-shuffle short circuit). A packed edge is one `u64` word, so the
+/// sort's byte column is the plain word width, 8 bytes per item-word.
+/// The per-edge passes fan out over contiguous edge chunks on the context's
 /// backend; the grouping that follows erases the (already deterministic)
 /// chunk order.
 ///
 /// # Panics
 ///
-/// Panics if a graph's vertex count differs from the partition's.
+/// Panics if a graph's vertex count differs from the partition's, or if the
+/// part count exceeds the `u32` id space.
 pub fn contraction_graph_of_refs(
     graphs: &[&Graph],
     partition: &Partition,
@@ -190,27 +194,28 @@ pub fn contraction_graph_of_refs(
     }
     let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
     let parts = partition.num_parts();
-    let width = TupleWidth::negotiate(parts);
-    ctx.charge_sort_with_bytes(total_edges.max(1), width.edge_bytes());
+    assert!(
+        parts as u64 <= u64::from(u32::MAX) + 1,
+        "contraction_graph_of_refs: {parts} parts break the u32 id-space invariant \
+         (part ids must fit a u32)"
+    );
+    ctx.charge_sort(total_edges.max(1));
     if graphs.len() == 1 && partition.is_identity() {
         graphs[0].simple()
     } else if parts * parts <= DENSE_PAIR_BITS {
         let edges = contract_edges_dense(graphs, partition, &ctx.executor());
         Graph::from_normalized_edges(parts, edges)
-    } else if width.is_compact() {
+    } else {
         let packed = contract_edges_compact(graphs, partition, &ctx.executor());
         Graph::from_packed_edge_multiset(parts, &packed)
-    } else {
-        let edges = contract_edges_wide(graphs, partition, &ctx.executor());
-        Graph::from_edges_unchecked(parts, edges)
     }
 }
 
 /// The partition's labels in a flat compact-width table. The relabel passes
 /// make two random lookups per edge, and halving the table's bytes (vs the
 /// usize-backed `part_of`) keeps it cache-resident at the vertex counts
-/// where they are hot. Caller must have negotiated [`TupleWidth::Compact`]
-/// for `partition.num_parts()`, which makes the cast lossless.
+/// where they are hot. The cast is lossless under the `u32` id-space
+/// invariant [`contraction_graph_of_refs`] asserts.
 fn compact_labels(partition: &Partition) -> Vec<u32> {
     partition
         .part_of_slice()
@@ -222,7 +227,7 @@ fn compact_labels(partition: &Partition) -> Vec<u32> {
 /// The dense-pair contraction: the sorted list of distinct contracted edges
 /// `(a, b)`, `a < b`, read off a `parts × parts` bitmap in which every
 /// relabelled non-loop edge set bit `a·parts + b` — ascending bit order *is*
-/// the wide spec's lexicographic order. Each executor range fills a bitmap
+/// the test oracle's lexicographic order. Each executor range fills a bitmap
 /// of its own and the bitmaps are OR-ed together, so the split cannot show
 /// in the result. The pairs come out as `u32`s in the graph's own edge
 /// layout, so [`Graph::from_normalized_edges`] takes the list as it is.
@@ -277,8 +282,8 @@ fn contract_edges_dense(
 /// dropped. The key **multiset** is returned in deterministic chunk order
 /// but otherwise unsorted — sorting and deduplication happen inside
 /// [`Graph::from_packed_edge_multiset`], bucketed per endpoint instead of
-/// globally. No wide tuples are ever materialised. Caller must have
-/// negotiated [`TupleWidth::Compact`] for `partition.num_parts()`.
+/// globally. No wide tuples are ever materialised; the part ids fit a `u32`
+/// by the invariant [`contraction_graph_of_refs`] asserts.
 fn contract_edges_compact(
     graphs: &[&Graph],
     partition: &Partition,
@@ -311,44 +316,6 @@ fn contract_edges_compact(
         }
     }
     packed
-}
-
-/// The wide contraction data plane, kept as the executable specification of
-/// [`contract_edges_compact`] (differentially tested below) and the
-/// fallback when the part count exceeds the compact identifier space.
-fn contract_edges_wide(
-    graphs: &[&Graph],
-    partition: &Partition,
-    executor: &Executor,
-) -> Vec<(usize, usize)> {
-    let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (gi, g) in graphs.iter().enumerate() {
-        let raw = g.edges();
-        let chunk: Vec<(usize, usize)> = executor.flat_map_ranges(raw.len(), |range| {
-            raw[range]
-                .iter()
-                .map(|&(u, v)| {
-                    let (a, b) = (partition.part_of(u as usize), partition.part_of(v as usize));
-                    if a <= b {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    }
-                })
-                .filter(|&(a, b)| a != b)
-                .collect()
-        });
-        if gi == 0 {
-            edges = chunk;
-            edges.reserve(total_edges.saturating_sub(edges.len()));
-        } else {
-            edges.extend_from_slice(&chunk);
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
 }
 
 /// Per-phase statistics recorded by [`grow_components`] — the measurements
@@ -580,34 +547,8 @@ fn alter(live: &mut Vec<(usize, usize)>, parent: &[usize]) {
     live.dedup();
 }
 
-/// Convenience: the exact connected components of a union of random batches,
-/// i.e. `grow_components` followed by [`finish_with_bfs`] on the union —
-/// Lemma 6.2 / Lemma 6.1 packaged together.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from [`grow_components`].
-pub fn components_of_random_union<R: Rng + ?Sized>(
-    batches: &[Graph],
-    params: &Params,
-    ctx: &mut MpcContext,
-    rng: &mut R,
-) -> Result<(ComponentLabels, GrowOutcome, usize), CoreError> {
-    let grow = grow_components(batches, params, ctx, rng)?;
-    let refs: Vec<&Graph> = batches.iter().collect();
-    let (final_partition, bfs_levels) = finish_with_bfs_over_refs(&refs, &grow.partition, ctx);
-    Ok((final_partition.to_component_labels(), grow, bfs_levels))
-}
-
 /// Disjoint-edge-set union of batches sharing a vertex set.
 pub fn union_of(batches: &[Graph]) -> Graph {
-    union_of_refs(&batches.iter().collect::<Vec<_>>())
-}
-
-/// Like [`union_of`] but over borrowed graphs, so callers can union batches
-/// with another graph (the pipeline's exact endgame adds the regularized
-/// graph itself) without cloning anything.
-pub fn union_of_refs(batches: &[&Graph]) -> Graph {
     let n = batches.first().map_or(0, |g| g.num_vertices());
     let total_edges: usize = batches.iter().map(|g| g.num_edges()).sum();
     let mut builder = GraphBuilder::with_capacity(n, total_edges);
@@ -619,10 +560,11 @@ pub fn union_of_refs(batches: &[&Graph]) -> Graph {
     builder.build()
 }
 
-/// Sanity helper used by tests and experiments: `true` iff `partition` never
-/// merges two vertices that lie in different components of `g`.
-pub fn respects_components(g: &Graph, partition: &Partition) -> bool {
-    partition.respects(&components::connected_components(g))
+/// `true` iff `partition` never merges two vertices that lie in different
+/// components of `g`: the safety oracle of the growth tests.
+#[cfg(test)]
+fn respects_components(g: &Graph, partition: &Partition) -> bool {
+    partition.respects(&wcc_graph::connected_components(g))
 }
 
 #[cfg(test)]
@@ -633,7 +575,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use wcc_graph::prelude::*;
-    use wcc_mpc::{unpack_edge, MpcConfig};
+    use wcc_mpc::MpcConfig;
 
     fn ctx() -> MpcContext {
         ctx_on(1)
@@ -645,6 +587,44 @@ mod tests {
                 .permissive()
                 .with_threads(threads),
         )
+    }
+
+    /// The contraction as a plain `(usize, usize)` relabel, global sort and
+    /// dedup: the oracle every path of [`contraction_graph_of_refs`] must
+    /// reproduce.
+    fn contract_edges_wide(
+        graphs: &[&Graph],
+        partition: &Partition,
+        executor: &Executor,
+    ) -> Vec<(usize, usize)> {
+        let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        for (gi, g) in graphs.iter().enumerate() {
+            let raw = g.edges();
+            let chunk: Vec<(usize, usize)> = executor.flat_map_ranges(raw.len(), |range| {
+                raw[range]
+                    .iter()
+                    .map(|&(u, v)| {
+                        let (a, b) = (partition.part_of(u as usize), partition.part_of(v as usize));
+                        if a <= b {
+                            (a, b)
+                        } else {
+                            (b, a)
+                        }
+                    })
+                    .filter(|&(a, b)| a != b)
+                    .collect()
+            });
+            if gi == 0 {
+                edges = chunk;
+                edges.reserve(total_edges.saturating_sub(edges.len()));
+            } else {
+                edges.extend_from_slice(&chunk);
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        edges
     }
 
     /// Every field of the two graphs equal: vertex count, edge list, CSR
@@ -749,6 +729,38 @@ mod tests {
             let part = Partition::from_raw_labels(&labels);
             assert_eq!(part.num_parts(), parts);
             check_contraction_paths(&[&g1, &g2], &part);
+        }
+    }
+
+    #[test]
+    fn compact_contraction_matches_wide_spec() {
+        // The packed key multiset itself, sorted and deduplicated, is the
+        // wide spec's edge list; the bucketed build over it is the spec's
+        // graph. Across thread counts, two graph shapes and seeds.
+        for threads in [1usize, 2, 8] {
+            let executor = Executor::threaded(threads);
+            for seed in [3u64, 11, 29] {
+                let what = format!("threads={threads}, seed={seed}");
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let g1 = generators::planted_expander_components(&[90, 70], 6, &mut rng);
+                let g2 = generators::random_out_degree_graph(160, 5, &mut rng);
+                let labels: Vec<usize> = (0..160).map(|v| v % 37).collect();
+                let part = Partition::from_raw_labels(&labels);
+                let refs = [&g1, &g2];
+                let packed = contract_edges_compact(&refs, &part, &executor);
+                let wide = contract_edges_wide(&refs, &part, &executor);
+                let mut keys = packed.clone();
+                keys.sort_unstable();
+                keys.dedup();
+                let unpacked: Vec<(usize, usize)> =
+                    keys.iter().map(|&k| wcc_mpc::unpack_edge(k)).collect();
+                assert_eq!(unpacked, wide, "packed keys, {what}");
+                assert_same_graph(
+                    &Graph::from_packed_edge_multiset(part.num_parts(), &packed),
+                    &Graph::from_edges_unchecked(part.num_parts(), wide),
+                    &format!("bucketed build, {what}"),
+                );
+            }
         }
     }
 
@@ -878,62 +890,11 @@ mod tests {
     }
 
     #[test]
-    fn compact_contraction_matches_wide_spec() {
-        // The u64-packed path (relabel to an unsorted key multiset, then
-        // the bucket-by-endpoint graph build) and the wide (usize, usize)
-        // spec (global sort + dedup) must produce identical graphs on the
-        // same inputs, across thread counts, graph shapes and seeds.
-        for threads in [1usize, 2, 8] {
-            let executor = Executor::threaded(threads);
-            for seed in [3u64, 11, 29] {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let g1 = generators::planted_expander_components(&[90, 70], 6, &mut rng);
-                let g2 = generators::random_out_degree_graph(160, 5, &mut rng);
-                let labels: Vec<usize> = (0..160).map(|v| v % 37).collect();
-                let part = Partition::from_raw_labels(&labels);
-                let refs = [&g1, &g2];
-                let packed = contract_edges_compact(&refs, &part, &executor);
-                {
-                    let mut sorted = packed.clone();
-                    sorted.sort_unstable();
-                    sorted.dedup();
-                    let unpacked: Vec<(usize, usize)> =
-                        sorted.iter().map(|&k| unpack_edge(k)).collect();
-                    let wide = contract_edges_wide(&refs, &part, &executor);
-                    assert_eq!(
-                        unpacked, wide,
-                        "compact/wide divergence at threads={threads}, seed={seed}"
-                    );
-                }
-                let compact_graph = Graph::from_packed_edge_multiset(part.num_parts(), &packed);
-                let wide_graph = Graph::from_edges_unchecked(
-                    part.num_parts(),
-                    contract_edges_wide(&refs, &part, &executor),
-                );
-                assert_eq!(
-                    compact_graph.edges(),
-                    wide_graph.edges(),
-                    "bucket-build/wide edge divergence at threads={threads}, seed={seed}"
-                );
-                for v in 0..part.num_parts() {
-                    assert_eq!(
-                        compact_graph.neighbors(v),
-                        wide_graph.neighbors(v),
-                        "adjacency row divergence at v={v}, threads={threads}, seed={seed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn contraction_negotiates_compact_width_for_graph_scale_parts() {
-        // Any partition a (u32, u32)-backed Graph can produce fits the
-        // compact identifier space; the byte column of the charged sort
-        // reflects the packed-u64 representation.
+    fn contraction_charges_eight_bytes_per_sorted_item_word() {
+        // Every path carries u32 part ids, so the byte column of the charged
+        // sort is one packed u64 per item-word.
         let g = Graph::from_edges_unchecked(4, vec![(0, 1), (2, 3)]);
         let part = Partition::from_raw_labels(&[0, 0, 1, 1]);
-        assert!(TupleWidth::negotiate(part.num_parts()).is_compact());
         let mut c = ctx();
         c.begin_phase("contract");
         let h = contraction_graph(&g, &part, &mut c);
@@ -941,11 +902,8 @@ mod tests {
         assert_eq!(h.num_vertices(), 2);
         let stats = c.into_stats();
         let words = stats.total_communication_words();
-        assert_eq!(
-            stats.shuffled_bytes_in_phase("contract"),
-            words * TupleWidth::Compact.edge_bytes() as u64,
-            "compact contraction must charge 8 bytes per sorted item-word"
-        );
+        assert!(words > 0);
+        assert_eq!(stats.shuffled_bytes_in_phase("contract"), 8 * words);
     }
 
     #[test]
@@ -1248,8 +1206,11 @@ mod tests {
         let f = params.num_phases(n);
         let batches = batches_for(n, degree, f, &mut rng);
         let mut c = ctx();
-        let (labels, _grow, bfs_levels) =
-            components_of_random_union(&batches, &params, &mut c, &mut rng).unwrap();
+        // Lemma 6.2 then Lemma 6.1: grow on the batches, finish on their union.
+        let grow = grow_components(&batches, &params, &mut c, &mut rng).unwrap();
+        let refs: Vec<&Graph> = batches.iter().collect();
+        let (finished, bfs_levels) = finish_with_bfs_over_refs(&refs, &grow.partition, &mut c);
+        let labels = finished.to_component_labels();
         let truth = connected_components(&union_of(&batches));
         assert!(labels.same_partition(&truth));
         // The endgame on a dense random union must be very shallow.

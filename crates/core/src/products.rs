@@ -20,9 +20,10 @@
 //! The zig-zag product `G ⓩ H` (Appendix C) connects `(u, i)` to `(v, j)`
 //! whenever a cloud-step/inter-cloud-step/cloud-step path joins them in
 //! `G ⓡ H`; it is `d²`-regular and preserves the gap up to `λ_G · λ_H²`
-//! (Proposition C.1). It is not needed by the pipeline but is implemented
-//! (and numerically checked) because the paper's Appendix C proof is stated
-//! for it first and the replacement-product bound is derived from it.
+//! (Proposition C.1). The pipeline does not need it, so it is built only
+//! under `cfg(test)`, where it is numerically checked: the paper's
+//! Appendix C proof is stated for it first and the replacement-product
+//! bound is derived from it.
 
 use wcc_graph::{Graph, GraphBuilder};
 
@@ -178,7 +179,8 @@ pub fn replacement_product(g: &Graph, clouds: &[Graph]) -> (Graph, ProductLayout
 /// # Panics
 ///
 /// Panics if `clouds` has the wrong length or a cloud has the wrong size.
-pub fn zigzag_product(g: &Graph, clouds: &[Graph]) -> (Graph, ProductLayout) {
+#[cfg(test)]
+fn zigzag_product(g: &Graph, clouds: &[Graph]) -> (Graph, ProductLayout) {
     check_cloud_family(g, clouds, false);
     let layout = ProductLayout::new(clouds.iter().map(Graph::num_vertices));
     let mut builder = GraphBuilder::new(layout.num_vertices());

@@ -285,7 +285,8 @@ pub fn sublinear_components(
 /// # Errors
 ///
 /// See [`sublinear_components`].
-pub fn mildly_sublinear_components(g: &Graph, seed: u64) -> Result<SublinearResult, CoreError> {
+#[cfg(test)]
+fn mildly_sublinear_components(g: &Graph, seed: u64) -> Result<SublinearResult, CoreError> {
     let n = g.num_vertices().max(2);
     let ln_n = (n as f64).ln();
     let s = ((n as f64 / (ln_n * ln_n)).ceil() as usize).max(8);

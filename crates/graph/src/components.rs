@@ -207,7 +207,8 @@ impl ComponentLabels {
     }
 
     /// Size of the largest component (`0` if there are no vertices).
-    pub fn largest_component_size(&self) -> usize {
+    #[cfg(test)]
+    fn largest_component_size(&self) -> usize {
         self.component_sizes().into_iter().max().unwrap_or(0)
     }
 
@@ -356,7 +357,8 @@ pub fn verify_spanning_forest(g: &Graph, forest_edges: &[(usize, usize)]) -> boo
 /// Returns `None` if the graph is disconnected or empty. Intended for the
 /// small contracted graphs appearing at the end of the pipeline (Claim 6.13),
 /// not for the raw input.
-pub fn exact_diameter(g: &Graph) -> Option<usize> {
+#[cfg(test)]
+fn exact_diameter(g: &Graph) -> Option<usize> {
     let n = g.num_vertices();
     if n == 0 {
         return None;
@@ -391,7 +393,8 @@ pub fn exact_diameter(g: &Graph) -> Option<usize> {
 }
 
 /// Single-source BFS distances (`usize::MAX` for unreachable vertices).
-pub fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
+#[cfg(test)]
+fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
     let n = g.num_vertices();
     let mut dist = vec![usize::MAX; n];
     let mut queue = std::collections::VecDeque::new();

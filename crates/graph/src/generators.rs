@@ -17,9 +17,7 @@
 //! two expanders joined by a bridge, …) realise different spectral gaps and
 //! are used to sweep `λ` in the experiments.
 
-use crate::components::connected_components;
 use crate::graph::{Graph, GraphBuilder};
-use crate::spectral;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -84,51 +82,6 @@ pub fn random_regular_permutation_graph<R: Rng + ?Sized>(n: usize, d: usize, rng
         }
     }
     builder.build()
-}
-
-/// A `d`-regular expander on `n` vertices with normalized-Laplacian spectral
-/// gap at least `min_gap`, produced by rejection sampling from
-/// [`random_regular_permutation_graph`].
-///
-/// This mirrors step 1 of `RegularGraphConstruction` in Section 4 (sample,
-/// check `λ₂ ≥ 4/5`, retry). The gap is estimated by power iteration with
-/// `power_iters` iterations.
-///
-/// # Panics
-///
-/// Panics if no sample reaches `min_gap` within `max_attempts` attempts —
-/// with the paper's parameters (`d = 100`, `min_gap = 4/5`) this happens with
-/// probability `O(n^{-5})` per attempt, so a panic indicates a caller bug
-/// (e.g. asking a 2-regular graph for a constant gap).
-pub fn random_regular_expander<R: Rng + ?Sized>(
-    n: usize,
-    d: usize,
-    min_gap: f64,
-    power_iters: usize,
-    max_attempts: usize,
-    rng: &mut R,
-) -> Graph {
-    assert!(n >= 1);
-    if n == 1 {
-        // A single vertex with d/2 self-loops; trivially "connected".
-        return Graph::from_edges_unchecked(1, (0..d / 2).map(|_| (0, 0)));
-    }
-    if n == 2 {
-        // Two vertices joined by d parallel edges: the complete multigraph.
-        return Graph::from_edges_unchecked(2, (0..d / 2).map(|_| (0, 1)));
-    }
-    for _ in 0..max_attempts {
-        let g = random_regular_permutation_graph(n, d, rng);
-        if connected_components(&g).num_components() == 1
-            && spectral::spectral_gap(&g, power_iters) >= min_gap
-        {
-            return g;
-        }
-    }
-    panic!(
-        "failed to sample a {d}-regular expander on {n} vertices with gap >= {min_gap} \
-         in {max_attempts} attempts"
-    )
 }
 
 /// Erdős–Rényi graph `G(n, p)` using geometric gap-skipping so that the cost
@@ -450,8 +403,54 @@ impl GraphFamily {
 mod tests {
     use super::*;
     use crate::components::connected_components;
+    use crate::spectral;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// A `d`-regular expander on `n` vertices with normalized-Laplacian spectral
+    /// gap at least `min_gap`, produced by rejection sampling from
+    /// [`random_regular_permutation_graph`].
+    ///
+    /// This mirrors step 1 of `RegularGraphConstruction` in Section 4 (sample,
+    /// check `λ₂ ≥ 4/5`, retry). The gap is estimated by power iteration with
+    /// `power_iters` iterations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no sample reaches `min_gap` within `max_attempts` attempts —
+    /// with the paper's parameters (`d = 100`, `min_gap = 4/5`) this happens with
+    /// probability `O(n^{-5})` per attempt, so a panic indicates a caller bug
+    /// (e.g. asking a 2-regular graph for a constant gap).
+    fn random_regular_expander<R: Rng + ?Sized>(
+        n: usize,
+        d: usize,
+        min_gap: f64,
+        power_iters: usize,
+        max_attempts: usize,
+        rng: &mut R,
+    ) -> Graph {
+        assert!(n >= 1);
+        if n == 1 {
+            // A single vertex with d/2 self-loops; trivially "connected".
+            return Graph::from_edges_unchecked(1, (0..d / 2).map(|_| (0, 0)));
+        }
+        if n == 2 {
+            // Two vertices joined by d parallel edges: the complete multigraph.
+            return Graph::from_edges_unchecked(2, (0..d / 2).map(|_| (0, 1)));
+        }
+        for _ in 0..max_attempts {
+            let g = random_regular_permutation_graph(n, d, rng);
+            if connected_components(&g).num_components() == 1
+                && spectral::spectral_gap(&g, power_iters) >= min_gap
+            {
+                return g;
+            }
+        }
+        panic!(
+            "failed to sample a {d}-regular expander on {n} vertices with gap >= {min_gap} \
+             in {max_attempts} attempts"
+        )
+    }
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)

@@ -270,7 +270,8 @@ pub fn mixing_time_bound(lambda2: f64, n: usize, gamma: f64, constant: f64) -> u
 /// Conductance `φ(S) = |∂S| / min(vol S, vol V∖S)` of a vertex set.
 ///
 /// Returns `None` when either side has zero volume.
-pub fn conductance(g: &Graph, set: &[usize]) -> Option<f64> {
+#[cfg(test)]
+fn conductance(g: &Graph, set: &[usize]) -> Option<f64> {
     let n = g.num_vertices();
     let mut in_set = vec![false; n];
     for &v in set {

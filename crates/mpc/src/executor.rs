@@ -353,13 +353,12 @@ impl Executor {
         self.run_chunked(spans.len(), |i| f(spans[i].clone()))
     }
 
-    /// The pre-pool threaded backend, kept verbatim as a **test
-    /// reference**: one fresh `std::thread::scope` spawn per range, joined
-    /// in range order. The differential test in
-    /// `tests/executor_determinism.rs` pins the pooled
-    /// [`Executor::map_ranges`] to its output. Not used by any production
-    /// dispatch.
-    pub fn map_ranges_scoped_reference<U, F>(&self, n: usize, f: F) -> Vec<U>
+    /// The pre-pool threaded backend, the test oracle of the pool: one fresh
+    /// `std::thread::scope` spawn per range, joined in range order.
+    /// `scoped_reference_matches_pooled_dispatch` pins the pooled
+    /// [`Executor::map_ranges`] to its output.
+    #[cfg(test)]
+    fn map_ranges_scoped_reference<U, F>(&self, n: usize, f: F) -> Vec<U>
     where
         U: Send,
         F: Fn(Range<usize>) -> U + Sync,
@@ -373,9 +372,10 @@ impl Executor {
         self.run_spans_scoped(&self.worker_ranges(n, 1), |_w, range| f(range))
     }
 
-    /// Scoped-spawn reference for [`Executor::map_indexed`] (see
-    /// [`Executor::map_ranges_scoped_reference`]).
-    pub fn map_indexed_scoped_reference<U, F>(&self, n: usize, f: F) -> Vec<U>
+    /// Scoped-spawn oracle for [`Executor::map_indexed`] (see
+    /// `map_ranges_scoped_reference`).
+    #[cfg(test)]
+    fn map_indexed_scoped_reference<U, F>(&self, n: usize, f: F) -> Vec<U>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
@@ -394,7 +394,8 @@ impl Executor {
     }
 
     /// The old scoped-thread driver: one spawned OS thread per range, every
-    /// fan-out. Only the `*_scoped_reference` methods call this.
+    /// fan-out. Only the `*_scoped_reference` oracles call this.
+    #[cfg(test)]
     fn run_spans_scoped<U, F>(&self, spans: &[Range<usize>], f: F) -> Vec<U>
     where
         U: Send,
@@ -484,22 +485,37 @@ mod tests {
 
     #[test]
     fn scoped_reference_matches_pooled_dispatch() {
-        for threads in [1, 2, 4] {
-            let exec = Executor::threaded(threads);
-            let pooled = exec.map_indexed(777, |i| i * 3 + 1);
-            let scoped = exec.map_indexed_scoped_reference(777, |i| i * 3 + 1);
-            assert_eq!(pooled, scoped, "threads={threads}");
-            let pooled: Vec<usize> = exec
-                .map_ranges(100, |r| r.collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect();
-            let scoped: Vec<usize> = exec
-                .map_ranges_scoped_reference(100, |r| r.collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(pooled, scoped, "threads={threads}");
+        // The persistent pool (chunk claiming, dynamic stealing) must
+        // reproduce the retired one-thread-per-range backend bit for bit on
+        // the same split.
+        use rand::{Rng, SeedableRng};
+        for seed in [3u64, 11, 29] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let data: Vec<u64> = (0..5000).map(|_| rng.gen()).collect();
+            for threads in [1usize, 2, 3, 8] {
+                let exec = Executor::threaded(threads);
+                // Per-index work with index-derived randomness, as every
+                // pipeline fan-out does it.
+                let f = |i: usize| derive_stream_seed(data[i], i as u64).rotate_left(i as u32 % 64);
+                assert_eq!(
+                    exec.map_indexed(5000, f),
+                    exec.map_indexed_scoped_reference(5000, f),
+                    "map_indexed, seed {seed}, threads {threads}"
+                );
+                // Per-range accumulators, as the stats/shuffle fan-outs do it.
+                let g = |r: Range<usize>| r.map(f).fold(0u64, u64::wrapping_add);
+                assert_eq!(
+                    exec.map_ranges(5000, g),
+                    exec.map_ranges_scoped_reference(5000, g),
+                    "map_ranges, seed {seed}, threads {threads}"
+                );
+                let covered: Vec<usize> = exec
+                    .map_ranges_scoped_reference(100, |r| r.collect::<Vec<_>>())
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                assert_eq!(covered, (0..100).collect::<Vec<_>>(), "threads {threads}");
+            }
         }
     }
 

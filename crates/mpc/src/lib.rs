@@ -66,7 +66,7 @@ pub mod stream;
 pub mod walkstats;
 
 pub use crate::cluster::Cluster;
-pub use crate::compact::{pack_edge, unpack_edge, TupleWidth, WORD_BYTES};
+pub use crate::compact::{pack_edge, unpack_edge, WORD_BYTES};
 pub use crate::config::{MpcConfig, MpcError};
 pub use crate::executor::{derive_stream_seed, Executor, THREADS_ENV_VAR};
 pub use crate::histogram::{HistogramSummary, LogHistogram, HISTOGRAM_BUCKETS};
@@ -77,7 +77,6 @@ pub use crate::walkstats::{record_walk_telemetry, walk_telemetry_snapshot, WalkT
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
     pub use crate::cluster::Cluster;
-    pub use crate::compact::TupleWidth;
     pub use crate::config::{MpcConfig, MpcError};
     pub use crate::executor::{derive_stream_seed, Executor};
     pub use crate::stats::{MpcContext, PhaseStats, RoundStats};

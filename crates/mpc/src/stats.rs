@@ -22,11 +22,10 @@ pub struct PhaseStats {
     /// Words of cross-machine communication charged during the phase.
     pub communication_words: u64,
     /// Bytes the host representation actually moves for the charged
-    /// communication. Equal to `communication_words × 8` when every tuple is
-    /// stored at full word width; smaller when a stage negotiated the
-    /// compact-`u32` representation (see [`crate::compact`] and DESIGN.md
-    /// §8). Defaults to `0` when deserialising records written before the
-    /// field existed.
+    /// communication: `communication_words × 8` for word-width tuples,
+    /// `size_of` the tuple for the data plane's typed sorts and shuffles
+    /// (see [`crate::compact`] and DESIGN.md §8). Defaults to `0` when
+    /// deserialising records written before the field existed.
     #[serde(default)]
     pub shuffled_bytes: u64,
     /// Wall-clock time spent inside the phase, in milliseconds (the
@@ -302,8 +301,8 @@ impl MpcContext {
     /// Charges a Goodrich parallel sort over `n_items` items of
     /// `bytes_per_item` host bytes each: same model cost as
     /// [`MpcContext::charge_sort`], with the byte column reflecting the
-    /// negotiated tuple width (a `u64`-packed edge sort moves half the bytes
-    /// of a wide `(usize, usize)` one).
+    /// host representation (a `u64`-packed edge moves half the bytes of a
+    /// `(usize, usize)` tuple).
     pub fn charge_sort_with_bytes(&mut self, n_items: usize, bytes_per_item: usize) {
         let rounds = self.config.sort_rounds(n_items);
         self.charge_with_bytes(

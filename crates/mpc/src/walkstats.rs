@@ -57,9 +57,9 @@ pub struct WalkTelemetry {
 }
 
 impl WalkTelemetry {
-    /// Folds another accumulator into `self` (used by workers that keep
-    /// separate tallies before flushing).
-    pub fn merge(&mut self, other: &WalkTelemetry) {
+    /// Folds another accumulator into `self`, field by field.
+    #[cfg(test)]
+    fn merge(&mut self, other: &WalkTelemetry) {
         self.steps += other.steps;
         self.moves += other.moves;
         self.stays_compressed += other.stays_compressed;

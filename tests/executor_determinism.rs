@@ -6,9 +6,19 @@
 //! ChaCha8 stream derived from the master seed, results are reassembled in
 //! index order, and statistics are charged on the calling thread — so the
 //! output labels, round counts, communication words and per-phase breakdowns
-//! may not depend on the thread count in any way. Here we pin that down for
-//! the three end-to-end entry points across 1/2/8 threads, three seeds and
-//! three graph families.
+//! may not depend on the thread count in any way. This file pins that at
+//! 1/2/8 threads for:
+//!
+//! * the three one-shot entry points (`well_connected_components`,
+//!   `adaptive_components`, `sublinear_components`) over three seeds and
+//!   three graph families, and on inputs mixing light and heavy vertices;
+//! * the walk kernel, against its scalar per-vertex reference;
+//! * the streaming engine, insert-only and with deletions;
+//! * `Cluster`'s arena shuffle, against a sequential stable bucket pass;
+//! * the pool itself, the layer below all of these, against one scoped
+//!   spawn per range on the pool's own split (`wcc_mpc`'s unit test
+//!   `executor::tests::scoped_reference_matches_pooled_dispatch` runs the
+//!   same differential against the executor's `#[cfg(test)]` oracle).
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -420,14 +430,36 @@ fn mixed_light_and_heavy_inputs_are_exact_at_every_thread_count() {
     }
 }
 
-/// The persistent pool vs. the retired scoped-spawn backend: the pool
-/// dispatch (chunk claiming, dynamic stealing) must reproduce the old
-/// one-thread-per-range backend bit for bit on the same split. The scoped
-/// path survives as `*_scoped_reference` methods precisely so this
-/// differential can keep running; the end-to-end cross-check is
-/// `golden_dump`, whose label columns are pinned in `tests/golden/labels.txt`
-/// (hashes that predate the pool and must not move; CI regenerates and
-/// diffs them).
+/// One fresh `std::thread::scope` spawn per range, joined in range order:
+/// the one-thread-per-range backend the pool replaced, written against the
+/// public API only.
+fn scoped_spawn_per_range<U, F>(ranges: &[std::ops::Range<usize>], f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(std::ops::Range<usize>) -> U + Sync,
+{
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|r| {
+                let r = r.clone();
+                scope.spawn(move || f(r))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scoped worker panicked"))
+            .collect()
+    })
+}
+
+/// The persistent pool vs. a scoped-spawn backend: the pool dispatch (chunk
+/// claiming, dynamic stealing) must reproduce one-thread-per-range execution
+/// bit for bit on the same split. The split is read back from the pool
+/// itself. `wcc_mpc`'s unit test
+/// `executor::tests::scoped_reference_matches_pooled_dispatch` runs the same
+/// differential against the executor's own `#[cfg(test)]` scoped oracle.
 #[test]
 fn pooled_dispatch_matches_scoped_reference_backend() {
     use rand::Rng;
@@ -438,22 +470,30 @@ fn pooled_dispatch_matches_scoped_reference_backend() {
         let data: Vec<u64> = (0..5000).map(|_| rng.gen()).collect();
         for threads in [2usize, 3, 8] {
             let exec = Executor::threaded(threads);
+            let ranges = exec.map_ranges(5000, |r| r);
+            let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
+            assert_eq!(flat, (0..5000).collect::<Vec<_>>(), "threads {threads}");
             // Per-index work with index-derived randomness, as every
             // pipeline fan-out does it.
             let f = |i: usize| {
                 let s = wcc_mpc::derive_stream_seed(data[i % data.len()], i as u64);
                 s.rotate_left((i % 64) as u32) ^ data[i % data.len()]
             };
+            let scoped: Vec<u64> =
+                scoped_spawn_per_range(&ranges, |r| r.map(f).collect::<Vec<_>>())
+                    .into_iter()
+                    .flatten()
+                    .collect();
             assert_eq!(
                 exec.map_indexed(5000, f),
-                exec.map_indexed_scoped_reference(5000, f),
+                scoped,
                 "map_indexed diverged (seed {seed}, threads {threads})"
             );
             // Per-range accumulators, as the stats/shuffle fan-outs do it.
             let g = |r: std::ops::Range<usize>| r.map(f).fold(0u64, u64::wrapping_add);
             assert_eq!(
                 exec.map_ranges(5000, g),
-                exec.map_ranges_scoped_reference(5000, g),
+                scoped_spawn_per_range(&ranges, g),
                 "map_ranges diverged (seed {seed}, threads {threads})"
             );
         }

@@ -355,30 +355,6 @@ proptest! {
     }
 
     #[test]
-    fn width_negotiation_is_compact_exactly_up_to_the_u32_id_space(
-        small_ids in 0usize..(1 << 20),
-        near_boundary in 0usize..8,
-    ) {
-        use wcc_mpc::compact::COMPACT_ID_SPACE;
-        use wcc_mpc::{pack_edge, unpack_edge, TupleWidth};
-
-        // Graph-scale id spaces always negotiate the compact width.
-        prop_assert!(TupleWidth::negotiate(small_ids).is_compact());
-
-        // Straddling the boundary: an id space of up to 2^32 ids (top id
-        // 2^32 - 1 still fits a u32) negotiates compact; anything larger
-        // must fall back to the wide path instead of truncating ids.
-        let ids = (1usize << 32) - 4 + near_boundary;
-        let width = TupleWidth::negotiate(ids);
-        prop_assert_eq!(width.is_compact(), (ids as u128) <= COMPACT_ID_SPACE);
-        if width.is_compact() {
-            // No truncation: the largest id of a compact space round-trips.
-            let top = ids - 1;
-            prop_assert_eq!(unpack_edge(pack_edge(top, top)), (top, top));
-        }
-    }
-
-    #[test]
     fn op_chunks_round_trip_for_arbitrary_schedules(
         ops_raw in proptest::collection::vec((0u64..500, 0u64..500, proptest::bool::ANY), 0..200),
         batch_ops in 1usize..40,
