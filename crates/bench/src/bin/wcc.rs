@@ -135,17 +135,12 @@ struct JsonReport {
     max_machine_load_words: Option<usize>,
     /// Memory-budget violations recorded in permissive mode.
     memory_violations: Option<u64>,
-    /// Total host bytes moved for the charged communication: 8 per word,
-    /// since ids fit a `u32` and the contraction packs each edge into one
-    /// `u64` (`wcc_mpc::compact`); absent for the sequential reference.
-    shuffled_bytes: Option<u64>,
     /// Wall-clock time of the algorithm run, in milliseconds.
     wall_time_ms: f64,
     /// Per-phase breakdown in execution order — each entry carries `name`,
-    /// `rounds`, `communication_words`, `shuffled_bytes` (the host bytes
-    /// behind those words) and `wall_time_ms` (the
-    /// phase's wall-clock share of the run, a simulator observable rather
-    /// than a model quantity). Absent for the sequential reference.
+    /// `rounds`, `communication_words` and `wall_time_ms` (the phase's
+    /// wall-clock share of the run, a simulator observable rather than a
+    /// model quantity). Absent for the sequential reference.
     phases: Option<Vec<PhaseStats>>,
     /// Per-batch breakdown of a `wcc stream` replay; `null` for the one-shot
     /// modes, and capped for long `wcc serve` runs (see [`JsonServe`]).
@@ -640,7 +635,6 @@ fn run_stream(opts: &Options) -> ExitCode {
             communication_words: Some(stats.total_communication_words()),
             max_machine_load_words: Some(stats.max_machine_load_words()),
             memory_violations: Some(stats.memory_violations()),
-            shuffled_bytes: Some(stats.total_shuffled_bytes()),
             wall_time_ms,
             phases: Some(stats.phases().to_vec()),
             batches: Some(json_batches(&reports)),
@@ -815,7 +809,6 @@ fn run_serve(opts: &Options) -> ExitCode {
             communication_words: Some(stats.total_communication_words()),
             max_machine_load_words: Some(stats.max_machine_load_words()),
             memory_violations: Some(stats.memory_violations()),
-            shuffled_bytes: Some(stats.total_shuffled_bytes()),
             wall_time_ms,
             phases: Some(stats.phases().to_vec()),
             batches: (reports.len() <= MAX_JSON_BATCHES).then(|| json_batches(&reports)),
@@ -971,7 +964,6 @@ fn main() -> ExitCode {
             communication_words: stats.as_ref().map(RoundStats::total_communication_words),
             max_machine_load_words: stats.as_ref().map(RoundStats::max_machine_load_words),
             memory_violations: stats.as_ref().map(RoundStats::memory_violations),
-            shuffled_bytes: stats.as_ref().map(RoundStats::total_shuffled_bytes),
             wall_time_ms,
             phases: stats.as_ref().map(|s| s.phases().to_vec()),
             batches: None,

@@ -1,8 +1,9 @@
 //! End-to-end checks of the `wcc` binary's packing contract — what `wcc pack`
 //! leaves on disk when it fails, which flags it accepts, and that what it
 //! writes today replays exactly like the checked-in sample streams — of
-//! `wcc serve` answering the checked-in query file over the wire, and of
-//! the `wcc_exp` experiment runner's command line.
+//! `wcc serve` answering the checked-in query file over the wire, of the
+//! `--json` record's documented keys, and of the `wcc_exp` experiment
+//! runner's command line.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -311,6 +312,134 @@ fn serve_answers_the_sample_queries_and_shuts_down_on_request() {
         record.starts_with('{') && record.contains("\"algorithm\":\"serve\""),
         "last line: {record}"
     );
+}
+
+/// A JSON value parsed just deep enough to read the key sets of a record.
+enum Json {
+    Object(Vec<(String, Json)>),
+    Array(Vec<Json>),
+    Scalar,
+}
+
+type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+
+impl Json {
+    /// Parses one compact JSON document (what `--json` prints: no
+    /// whitespace between tokens).
+    fn parse(text: &str) -> Json {
+        let mut chars = text.trim().chars().peekable();
+        let value = Json::value(&mut chars);
+        assert!(chars.next().is_none(), "text after the record: {text}");
+        value
+    }
+
+    fn value(chars: &mut Chars) -> Json {
+        match chars.peek() {
+            Some('{') => Json::Object(Json::items(chars, '}', |chars| {
+                let key = Json::string(chars);
+                assert_eq!(chars.next(), Some(':'), "object key {key} without a value");
+                (key, Json::value(chars))
+            })),
+            Some('[') => Json::Array(Json::items(chars, ']', Json::value)),
+            Some('"') => {
+                Json::string(chars);
+                Json::Scalar
+            }
+            _ => {
+                while !matches!(chars.peek(), Some(',' | '}' | ']') | None) {
+                    chars.next();
+                }
+                Json::Scalar
+            }
+        }
+    }
+
+    /// The comma-separated items between an opening bracket and `close`.
+    fn items<T>(chars: &mut Chars, close: char, item: impl Fn(&mut Chars) -> T) -> Vec<T> {
+        chars.next();
+        let mut items = Vec::new();
+        while chars.peek() != Some(&close) {
+            items.push(item(chars));
+            if chars.peek() == Some(&',') {
+                chars.next();
+            }
+        }
+        chars.next();
+        items
+    }
+
+    fn string(chars: &mut Chars) -> String {
+        assert_eq!(chars.next(), Some('"'), "expected a string");
+        let mut out = String::new();
+        loop {
+            match chars.next().expect("unterminated string") {
+                '"' => return out,
+                '\\' => out.push(chars.next().expect("escape at end of input")),
+                c => out.push(c),
+            }
+        }
+    }
+
+    fn keys(&self) -> Vec<&str> {
+        match self {
+            Json::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("not an object"),
+        }
+    }
+
+    fn field(&self, key: &str) -> &Json {
+        match self {
+            Json::Object(fields) => &fields.iter().find(|(k, _)| k == key).expect(key).1,
+            _ => panic!("not an object"),
+        }
+    }
+}
+
+/// The top-level keys of every `wcc --json` record, in order, as README.md
+/// documents them ("Performance model").
+const RECORD_KEYS: [&str; 17] = [
+    "algorithm",
+    "input",
+    "vertices",
+    "edges",
+    "seed",
+    "components",
+    "total_rounds",
+    "communication_words",
+    "max_machine_load_words",
+    "memory_violations",
+    "wall_time_ms",
+    "phases",
+    "batches",
+    "serve",
+    "component_sizes",
+    "pool",
+    "walk",
+];
+
+/// The keys of every `phases[]` entry, as README.md documents them.
+const PHASE_KEYS: [&str; 4] = ["name", "rounds", "communication_words", "wall_time_ms"];
+
+#[test]
+fn json_records_carry_exactly_the_documented_keys() {
+    let graph = data("sample_graph.txt");
+    let stream = data("sample_batches_v2.wccs");
+    for args in [
+        vec![graph.as_str(), "--json"],
+        vec!["stream", &stream, "--json"],
+    ] {
+        let out = wcc(&args);
+        assert!(out.status.success(), "wcc {args:?} failed");
+        let record = Json::parse(&String::from_utf8(out.stdout).expect("utf-8 record"));
+        assert_eq!(record.keys(), RECORD_KEYS, "wcc {args:?}");
+        let Json::Array(phases) = record.field("phases") else {
+            panic!("wcc {args:?}: `phases` is not an array");
+        };
+        assert!(!phases.is_empty(), "wcc {args:?}: no phases");
+        for phase in phases {
+            assert_eq!(phase.keys(), PHASE_KEYS, "wcc {args:?}");
+        }
+    }
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! (Proposition A.2) and the balls-and-bins count of non-empty bins
 //! (Proposition B.1, used in Claim 6.9 to show contraction degrees stay
 //! concentrated). Experiment E11 re-checks the balls-and-bins count
-//! numerically with the helpers here; the two tail bounds are test-only
-//! references.
+//! numerically with the helpers here; the Chernoff bound is a test-only
+//! reference.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -20,19 +20,6 @@ fn chernoff_bound(mu: f64, eps: f64) -> f64 {
         return 1.0;
     }
     (2.0 * (-eps * eps * mu / 2.0).exp()).min(1.0)
-}
-
-/// The bounded-differences (McDiarmid) bound of Proposition A.2 for an
-/// `n`-variable function that is `lipschitz`-Lipschitz in every coordinate:
-/// `Pr[|f − E f| > t] ≤ exp(−2 t² / (n · lipschitz²))`.
-#[cfg(test)]
-fn bounded_differences_bound(n: usize, lipschitz: f64, t: f64) -> f64 {
-    if n == 0 || lipschitz <= 0.0 || t <= 0.0 {
-        return 1.0;
-    }
-    (-2.0 * t * t / (n as f64 * lipschitz * lipschitz))
-        .exp()
-        .min(1.0)
 }
 
 /// Outcome of one balls-and-bins experiment (Proposition B.1).
@@ -107,14 +94,6 @@ mod tests {
         assert!(chernoff_bound(100.0, 0.9) < chernoff_bound(100.0, 0.3));
         assert!(chernoff_bound(0.0, 0.1) <= 1.0);
         assert!(chernoff_bound(1e9, 0.5) < 1e-12);
-    }
-
-    #[test]
-    fn bounded_differences_bound_behaves() {
-        let loose = bounded_differences_bound(1000, 1.0, 10.0);
-        let tight = bounded_differences_bound(1000, 1.0, 100.0);
-        assert!(tight < loose);
-        assert_eq!(bounded_differences_bound(0, 1.0, 5.0), 1.0);
     }
 
     #[test]

@@ -167,8 +167,7 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 /// Charges one sort over the *total* edge count, exactly what one call on
 /// the materialised union charged — whichever path then does the grouping
 /// work the charged sort models (the same convention as the
-/// identity-shuffle short circuit). A packed edge is one `u64` word, so the
-/// sort's byte column is the plain word width, 8 bytes per item-word.
+/// identity-shuffle short circuit).
 /// The per-edge passes fan out over contiguous edge chunks on the context's
 /// backend; the grouping that follows erases the (already deterministic)
 /// chunk order.
@@ -890,20 +889,37 @@ mod tests {
     }
 
     #[test]
-    fn contraction_charges_eight_bytes_per_sorted_item_word() {
-        // Every path carries u32 part ids, so the byte column of the charged
-        // sort is one packed u64 per item-word.
-        let g = Graph::from_edges_unchecked(4, vec![(0, 1), (2, 3)]);
-        let part = Partition::from_raw_labels(&[0, 0, 1, 1]);
-        let mut c = ctx();
-        c.begin_phase("contract");
-        let h = contraction_graph(&g, &part, &mut c);
-        c.end_phase();
-        assert_eq!(h.num_vertices(), 2);
-        let stats = c.into_stats();
-        let words = stats.total_communication_words();
-        assert!(words > 0);
-        assert_eq!(stats.shuffled_bytes_in_phase("contract"), 8 * words);
+    fn contraction_charges_one_sort_over_the_total_edge_count() {
+        // Whichever path does the grouping, the charge is the one sort the
+        // paper's contraction step pays for: `sort_rounds(E)` rounds, each
+        // moving all `E` edges once, `E` summed over every contracted graph.
+        let n = 5000;
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let g1 = generators::random_out_degree_graph(n, 3, &mut rng);
+        let g2 = Graph::from_edges_unchecked(n, (0..n).map(|v| (v, (7 * v + 1) % n)));
+        let dense = Partition::from_raw_labels(&(0..n).map(|v| v % 100).collect::<Vec<_>>());
+        let bucketed = Partition::from_raw_labels(&(0..n).map(|v| v % 4097).collect::<Vec<_>>());
+        assert!(dense.num_parts().pow(2) <= DENSE_PAIR_BITS);
+        assert!(bucketed.num_parts().pow(2) > DENSE_PAIR_BITS);
+        let cases: [(&str, Vec<&Graph>, &Partition); 4] = [
+            ("identity", vec![&g1], &Partition::singletons(n)),
+            ("dense", vec![&g1], &dense),
+            ("bucketed", vec![&g1], &bucketed),
+            ("two graphs, dense", vec![&g1, &g2], &dense),
+        ];
+        for (what, refs, part) in cases {
+            let total_edges: usize = refs.iter().map(|g| g.num_edges()).sum();
+            let mut c = ctx();
+            let rounds = c.config().sort_rounds(total_edges);
+            contraction_graph_of_refs(&refs, part, &mut c);
+            let stats = c.into_stats();
+            assert_eq!(stats.total_rounds(), rounds, "{what}: rounds");
+            assert_eq!(
+                stats.total_communication_words(),
+                rounds * total_edges as u64,
+                "{what}: words"
+            );
+        }
     }
 
     #[test]

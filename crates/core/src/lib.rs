@@ -16,7 +16,7 @@
 //! | Paper | Module | What it provides |
 //! |---|---|---|
 //! | §4, Lemma 4.1 | [`regularize`] | replacement-product regularization |
-//! | App. C | [`products`] | replacement & zig-zag products on non-regular graphs |
+//! | App. C | [`products`] | the replacement product on non-regular graphs |
 //! | §5, Thm 3, Lemma 5.1 | [`walks`] | layered-graph independent random walks, randomization |
 //! | §6 | [`leader`] | quadratic-growth leader election, contraction, exact endgame |
 //! | §7, Thm 4, Cor 7.1 | [`pipeline`] | the full algorithm and the unknown-gap adaptive loop |

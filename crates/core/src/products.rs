@@ -1,5 +1,5 @@
-//! Replacement and zig-zag products for (possibly non-regular) base graphs
-//! (Section 4 and Appendix C of the paper).
+//! The replacement product for (possibly non-regular) base graphs (Section 4
+//! and Appendix C of the paper).
 //!
 //! Given a base graph `G` and a family `H = {H_v}` where `H_v` is a
 //! `d`-regular graph on `deg_G(v)` vertices, the replacement product
@@ -17,13 +17,9 @@
 //! `d+1−deg(v)` self-loops. [`cloud_sizes`] is that rule, and the product then
 //! has `Σ_v c(v) ≤ 2m` vertices (DESIGN.md §14).
 //!
-//! The zig-zag product `G ⓩ H` (Appendix C) connects `(u, i)` to `(v, j)`
-//! whenever a cloud-step/inter-cloud-step/cloud-step path joins them in
-//! `G ⓡ H`; it is `d²`-regular and preserves the gap up to `λ_G · λ_H²`
-//! (Proposition C.1). The pipeline does not need it, so it is built only
-//! under `cfg(test)`, where it is numerically checked: the paper's
-//! Appendix C proof is stated for it first and the replacement-product
-//! bound is derived from it.
+//! The paper's Appendix C states its gap bound for the zig-zag product
+//! first and derives the replacement product's from it; the pipeline needs
+//! only the replacement product, so only it is built here.
 
 use wcc_graph::{Graph, GraphBuilder};
 
@@ -113,9 +109,8 @@ fn port_assignment(g: &Graph) -> Vec<(usize, usize)> {
 }
 
 /// Checks that `clouds` has one cloud per base vertex, each on `deg(v)`
-/// vertices — or, with `whole_vertices`, on a single vertex for any
-/// `deg(v) ≥ 1`.
-fn check_cloud_family(g: &Graph, clouds: &[Graph], whole_vertices: bool) {
+/// vertices or, for `deg(v) ≥ 1`, on a single vertex.
+fn check_cloud_family(g: &Graph, clouds: &[Graph]) {
     assert_eq!(
         clouds.len(),
         g.num_vertices(),
@@ -124,9 +119,8 @@ fn check_cloud_family(g: &Graph, clouds: &[Graph], whole_vertices: bool) {
     for (v, cloud) in clouds.iter().enumerate() {
         let (deg, size) = (g.degree(v), cloud.num_vertices());
         assert!(
-            size == deg || (whole_vertices && size == 1 && deg >= 1),
-            "cloud of vertex {v} must have deg({v}) = {deg} vertices{}, got {size}",
-            if whole_vertices { " or one" } else { "" }
+            size == deg || (size == 1 && deg >= 1),
+            "cloud of vertex {v} must have deg({v}) = {deg} vertices or one, got {size}"
         );
     }
 }
@@ -146,7 +140,7 @@ fn check_cloud_family(g: &Graph, clouds: &[Graph], whole_vertices: bool) {
 ///
 /// Panics if `clouds` has the wrong length or a cloud has the wrong size.
 pub fn replacement_product(g: &Graph, clouds: &[Graph]) -> (Graph, ProductLayout) {
-    check_cloud_family(g, clouds, true);
+    check_cloud_family(g, clouds);
     let layout = ProductLayout::new(clouds.iter().map(Graph::num_vertices));
     let total = layout.num_vertices();
     let intra_edges: usize = clouds.iter().map(Graph::num_edges).sum();
@@ -166,35 +160,6 @@ pub fn replacement_product(g: &Graph, clouds: &[Graph]) -> (Graph, ProductLayout
         builder
             .add_edge(layout.index(u, pu), layout.index(v, pv))
             .expect("port indices in range");
-    }
-    (builder.build(), layout)
-}
-
-/// The zig-zag product `G ⓩ H` (Appendix C).
-///
-/// `clouds[v]` must be a graph on exactly `deg_G(v)` vertices. If every cloud
-/// is `d`-regular the product is `d²`-regular. Intended for analysis-scale
-/// graphs (its edge count is `d²` per base edge).
-///
-/// # Panics
-///
-/// Panics if `clouds` has the wrong length or a cloud has the wrong size.
-#[cfg(test)]
-fn zigzag_product(g: &Graph, clouds: &[Graph]) -> (Graph, ProductLayout) {
-    check_cloud_family(g, clouds, false);
-    let layout = ProductLayout::new(clouds.iter().map(Graph::num_vertices));
-    let mut builder = GraphBuilder::new(layout.num_vertices());
-    for (&(u, v), &(pu, pv)) in g.edges().iter().zip(port_assignment(g).iter()) {
-        let (u, v) = (u as usize, v as usize);
-        // A zig-zag edge is cloud-step in H_u, the inter-cloud edge, then a
-        // cloud-step in H_v.
-        for &i in clouds[u].neighbors(pu) {
-            for &j in clouds[v].neighbors(pv) {
-                builder
-                    .add_edge(layout.index(u, i as usize), layout.index(v, j as usize))
-                    .expect("port indices in range");
-            }
-        }
     }
     (builder.build(), layout)
 }
@@ -345,14 +310,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must have deg")]
-    fn zigzag_rejects_whole_vertices() {
-        let g = generators::cycle(4);
-        let clouds: Vec<Graph> = (0..4).map(|_| Graph::empty(1)).collect();
-        let _ = zigzag_product(&g, &clouds);
-    }
-
-    #[test]
     fn replacement_product_is_d_plus_1_regular() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = generators::random_out_degree_graph(60, 10, &mut rng);
@@ -442,42 +399,5 @@ mod tests {
         let g = generators::cycle(4);
         let clouds: Vec<Graph> = (0..4).map(|_| Graph::empty(3)).collect();
         let _ = replacement_product(&g, &clouds);
-    }
-
-    #[test]
-    fn zigzag_product_is_d_squared_regular_and_connected() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let g = generators::random_regular_permutation_graph(40, 8, &mut rng);
-        let d = 4;
-        let clouds = cloud_family(&g, d, 8);
-        let (zz, _) = zigzag_product(&g, &clouds);
-        assert!(
-            zz.is_regular(d * d),
-            "max {} min {}",
-            zz.max_degree(),
-            zz.min_degree()
-        );
-        assert_eq!(connected_components(&zz).num_components(), 1);
-        let gap = spectral::spectral_gap(&zz, 400);
-        assert!(gap > 0.02, "zig-zag gap {gap}");
-    }
-
-    #[test]
-    fn zigzag_keeps_components_separate() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let g = generators::planted_expander_components(&[16, 24], 6, &mut rng);
-        let clouds = cloud_family(&g, 4, 10);
-        let (zz, layout) = zigzag_product(&g, &clouds);
-        let base_cc = connected_components(&g);
-        let zz_cc = connected_components(&zz);
-        assert_eq!(zz_cc.num_components(), base_cc.num_components());
-        for idx in (0..zz.num_vertices()).step_by(7) {
-            for jdx in (0..zz.num_vertices()).step_by(11) {
-                assert_eq!(
-                    zz_cc.same_component(idx, jdx),
-                    base_cc.same_component(layout.cloud_of[idx], layout.cloud_of[jdx])
-                );
-            }
-        }
     }
 }

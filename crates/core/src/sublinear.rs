@@ -278,21 +278,6 @@ pub fn sublinear_components(
     })
 }
 
-/// Convenience wrapper matching the Theorem 2 statement: memory
-/// `s = n / polylog(n)`; here `s = n / (ln n)²`, the "mildly sublinear"
-/// regime.
-///
-/// # Errors
-///
-/// See [`sublinear_components`].
-#[cfg(test)]
-fn mildly_sublinear_components(g: &Graph, seed: u64) -> Result<SublinearResult, CoreError> {
-    let n = g.num_vertices().max(2);
-    let ln_n = (n as f64).ln();
-    let s = ((n as f64 / (ln_n * ln_n)).ceil() as usize).max(8);
-    sublinear_components(g, s, &SublinearParams::default(), seed)
-}
-
 /// Internal helper shared with the experiments: expected number of distinct
 /// vertices a walk must reach for the contraction to fit in memory; exposed
 /// for test assertions.
@@ -404,11 +389,14 @@ mod tests {
     }
 
     #[test]
-    fn mildly_sublinear_wrapper_matches_truth() {
+    fn mildly_sublinear_memory_matches_truth() {
+        // Theorem 2's regime `s = n / polylog(n)`, here `s = ⌈n / (ln n)²⌉`.
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let g = generators::erdos_renyi(250, 0.015, &mut rng);
         let truth = connected_components(&g);
-        let result = mildly_sublinear_components(&g, 13).unwrap();
+        let ln_n = 250f64.ln();
+        let s = (250.0 / (ln_n * ln_n)).ceil() as usize;
+        let result = sublinear_components(&g, s, &SublinearParams::default(), 13).unwrap();
         assert!(result.components.same_partition(&truth));
     }
 

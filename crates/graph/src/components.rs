@@ -206,12 +206,6 @@ impl ComponentLabels {
         members
     }
 
-    /// Size of the largest component (`0` if there are no vertices).
-    #[cfg(test)]
-    fn largest_component_size(&self) -> usize {
-        self.component_sizes().into_iter().max().unwrap_or(0)
-    }
-
     /// Returns `true` if `self` and `other` describe the *same partition* of
     /// the vertex set (label values are allowed to differ).
     pub fn same_partition(&self, other: &ComponentLabels) -> bool {
@@ -352,66 +346,6 @@ pub fn verify_spanning_forest(g: &Graph, forest_edges: &[(usize, usize)]) -> boo
     uf.into_labels().same_partition(&truth)
 }
 
-/// Diameter of a connected graph computed by repeated BFS (exact, `O(n·m)`).
-///
-/// Returns `None` if the graph is disconnected or empty. Intended for the
-/// small contracted graphs appearing at the end of the pipeline (Claim 6.13),
-/// not for the raw input.
-#[cfg(test)]
-fn exact_diameter(g: &Graph) -> Option<usize> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return None;
-    }
-    let mut overall = 0usize;
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    for start in 0..n {
-        dist.iter_mut().for_each(|d| *d = usize::MAX);
-        dist[start] = 0;
-        queue.clear();
-        queue.push_back(start);
-        let mut reached = 1usize;
-        let mut far = 0usize;
-        while let Some(v) = queue.pop_front() {
-            for &w in g.neighbors(v) {
-                let w = w as usize;
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[v] + 1;
-                    far = far.max(dist[w]);
-                    reached += 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        if reached != n {
-            return None;
-        }
-        overall = overall.max(far);
-    }
-    Some(overall)
-}
-
-/// Single-source BFS distances (`usize::MAX` for unreachable vertices).
-#[cfg(test)]
-fn bfs_distances(g: &Graph, source: usize) -> Vec<usize> {
-    let n = g.num_vertices();
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        for &w in g.neighbors(v) {
-            let w = w as usize;
-            if dist[w] == usize::MAX {
-                dist[w] = dist[v] + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,28 +442,5 @@ mod tests {
         ));
         // Incomplete (does not span).
         assert!(!verify_spanning_forest(&g, &[(0, 1), (3, 4)]));
-    }
-
-    #[test]
-    fn diameter_of_path_and_cycle() {
-        let path = Graph::from_edges_unchecked(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(exact_diameter(&path), Some(4));
-        let cycle = Graph::from_edges_unchecked(6, (0..6).map(|i| (i, (i + 1) % 6)));
-        assert_eq!(exact_diameter(&cycle), Some(3));
-        let disconnected = Graph::from_edges_unchecked(4, vec![(0, 1), (2, 3)]);
-        assert_eq!(exact_diameter(&disconnected), None);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let path = Graph::from_edges_unchecked(4, vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(bfs_distances(&path, 0), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn largest_component_size() {
-        let g = Graph::from_edges_unchecked(5, vec![(0, 1), (1, 2)]);
-        let cc = connected_components(&g);
-        assert_eq!(cc.largest_component_size(), 3);
     }
 }

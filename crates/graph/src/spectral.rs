@@ -1,5 +1,5 @@
 //! Spectral machinery: normalized-Laplacian spectral gap, lazy-random-walk
-//! distributions, mixing times, conductance.
+//! distributions, mixing times.
 //!
 //! The paper parameterises its round complexity by `λ = λ₂(L)`, the second
 //! smallest eigenvalue of the normalized Laplacian `L = I − D^{-1/2} A
@@ -267,40 +267,6 @@ pub fn mixing_time_bound(lambda2: f64, n: usize, gamma: f64, constant: f64) -> u
     t.ceil().max(1.0) as usize
 }
 
-/// Conductance `φ(S) = |∂S| / min(vol S, vol V∖S)` of a vertex set.
-///
-/// Returns `None` when either side has zero volume.
-#[cfg(test)]
-fn conductance(g: &Graph, set: &[usize]) -> Option<f64> {
-    let n = g.num_vertices();
-    let mut in_set = vec![false; n];
-    for &v in set {
-        in_set[v] = true;
-    }
-    let mut cut = 0usize;
-    let mut vol_s = 0usize;
-    let mut vol_rest = 0usize;
-    for (v, &inside) in in_set.iter().enumerate() {
-        let d = g.degree(v);
-        if inside {
-            vol_s += d;
-        } else {
-            vol_rest += d;
-        }
-    }
-    for (u, v) in g.edge_iter() {
-        if in_set[u] != in_set[v] {
-            cut += 1;
-        }
-    }
-    let denom = vol_s.min(vol_rest);
-    if denom == 0 {
-        None
-    } else {
-        Some(cut as f64 / denom as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,25 +383,5 @@ mod tests {
     #[should_panic(expected = "positive gap")]
     fn mixing_time_bound_rejects_zero_gap() {
         let _ = mixing_time_bound(0.0, 10, 0.1, 1.0);
-    }
-
-    #[test]
-    fn conductance_of_clique_half_is_high_and_bridge_cut_is_low() {
-        let g = generators::complete(10);
-        let phi = conductance(&g, &[0, 1, 2, 3, 4]).unwrap();
-        assert!(phi > 0.4);
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let bridge = generators::two_expanders_bridge(50, 8, &mut rng);
-        let left: Vec<usize> = (0..50).collect();
-        let phi_bridge = conductance(&bridge, &left).unwrap();
-        assert!(phi_bridge < 0.02, "bridge conductance {phi_bridge}");
-    }
-
-    #[test]
-    fn conductance_of_empty_or_full_set_is_none() {
-        let g = generators::cycle(6);
-        assert_eq!(conductance(&g, &[]), None);
-        let all: Vec<usize> = (0..6).collect();
-        assert_eq!(conductance(&g, &all), None);
     }
 }

@@ -302,12 +302,7 @@ impl<T> Cluster<T> {
         for t in &self.arena {
             buckets[destination(key(t), m)].push(t.clone());
         }
-        // Model words at `words_per_tuple`, host bytes at the size of the
-        // representation that actually crosses the simulated wire.
-        ctx.charge_shuffle_with_bytes(
-            self.arena.len() * self.words_per_tuple,
-            self.arena.len() * std::mem::size_of::<T>(),
-        );
+        ctx.charge_shuffle(self.arena.len() * self.words_per_tuple);
         let result = self.rebuild_from_machine_parts(buckets);
         ctx.record_machine_loads(result.load_words())?;
         Ok(result)
@@ -362,10 +357,7 @@ impl<T> Cluster<T> {
 
         // Communication half: route every partial to `hash(key) % m`.
         let total: usize = combined.iter().map(Vec::len).sum();
-        ctx.charge_shuffle_with_bytes(
-            total * self.words_per_tuple,
-            total * std::mem::size_of::<(u64, A)>(),
-        );
+        ctx.charge_shuffle(total * self.words_per_tuple);
         let m = self.num_machines().max(1);
         let mut partials: Vec<Vec<(u64, A)>> = (0..m).map(|_| Vec::new()).collect();
         for (k, a) in combined.into_iter().flatten() {
@@ -547,7 +539,6 @@ mod tests {
         let stats = ctx.into_stats();
         assert_eq!(stats.total_rounds(), 1);
         assert_eq!(stats.total_communication_words(), 16);
-        assert_eq!(stats.total_shuffled_bytes(), 8 * 16);
         assert_eq!(stats.max_machine_load_words(), 6);
     }
 

@@ -1,18 +1,11 @@
 //! The compact-tuple codec of the data plane.
 //!
-//! The simulator's word accounting is denominated in 8-byte model words, but
-//! the bytes the host actually moves per tuple depend on the representation.
 //! Identifiers here fit a `u32`: [`wcc_graph::Graph`] stores its edges as
 //! `(u32, u32)`, and a part count past `2^32` would need more than `2^32`
 //! vertices, whose CSR offsets alone take 32 GiB. A relabelled edge
 //! therefore packs into one `u64` ([`pack_edge`]), half the bytes of a
 //! `(usize, usize)` tuple. The contraction asserts the invariant once per
-//! call and charges the packed width; its `(usize, usize)` build is a test
-//! oracle only (DESIGN.md §8).
-
-/// Bytes per model word — the `u64` accounting unit all round statistics
-/// are denominated in.
-pub const WORD_BYTES: usize = 8;
+//! call; its `(usize, usize)` build is a test oracle only (DESIGN.md §8).
 
 /// Packs an edge of compact identifiers into one `u64`: `a` in the high
 /// word, `b` in the low word. Because the pack is order-preserving

@@ -109,8 +109,9 @@ impl Executor {
     }
 
     /// Resolves a config-level thread count: `0` means "read
-    /// [`THREADS_ENV_VAR`]" (see [`Executor::from_env`]); any other value is
-    /// used as-is.
+    /// [`THREADS_ENV_VAR`]" (a positive value selects that many workers, `0`
+    /// one per available CPU, and an unset, empty or unparseable variable
+    /// means sequential); any other value is used as-is.
     pub fn resolve(threads: usize) -> Self {
         if threads > 0 {
             return Executor::threaded(threads);
@@ -127,11 +128,9 @@ impl Executor {
             .unwrap_or(1)
     }
 
-    /// Reads the backend from [`THREADS_ENV_VAR`]: a positive value selects
-    /// that many workers, `0` selects [`Executor::auto_threads`] workers
-    /// (one per available CPU), and an unset, empty or unparseable variable
-    /// means sequential.
-    pub fn from_env() -> Self {
+    /// Reads the backend from [`THREADS_ENV_VAR`] (see
+    /// [`Executor::resolve`]).
+    fn from_env() -> Self {
         match std::env::var(THREADS_ENV_VAR)
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
@@ -310,17 +309,6 @@ impl Executor {
         out
     }
 
-    /// Applies `f` to every item of `items` (with its index) and returns the
-    /// results in item order.
-    pub fn map_items<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        self.map_indexed(items.len(), |i| f(i, &items[i]))
-    }
-
     /// Splits `0..n` into contiguous chunk ranges, runs `f` once per range,
     /// and returns the per-range results in range order. This is the
     /// primitive behind per-worker accumulators: the caller merges the
@@ -460,17 +448,6 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             let threaded = Executor::threaded(threads).map_indexed(n, |i| i * i);
             assert_eq!(sequential, threaded, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_items_passes_indices_and_items() {
-        let items: Vec<u64> = (0..57).map(|i| i * 10).collect();
-        let out = Executor::threaded(4).map_items(&items, |i, &x| (i as u64, x));
-        assert_eq!(out.len(), 57);
-        for (i, &(idx, x)) in out.iter().enumerate() {
-            assert_eq!(idx, i as u64);
-            assert_eq!(x, i as u64 * 10);
         }
     }
 

@@ -41,9 +41,7 @@ where
     F: Fn(&T) -> K + Sync,
 {
     let n = cluster.len();
-    // Model cost in items (unchanged); the byte column records the actual
-    // tuple representation being permuted.
-    ctx.charge_sort_with_bytes(n, std::mem::size_of::<T>());
+    ctx.charge_sort(n);
     let executor = cluster.executor();
     // Per-machine local sorts, decorated with their keys (computed once, in
     // the worker that owns the machine).

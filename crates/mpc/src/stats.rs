@@ -21,13 +21,6 @@ pub struct PhaseStats {
     pub rounds: u64,
     /// Words of cross-machine communication charged during the phase.
     pub communication_words: u64,
-    /// Bytes the host representation actually moves for the charged
-    /// communication: `communication_words × 8` for word-width tuples,
-    /// `size_of` the tuple for the data plane's typed sorts and shuffles
-    /// (see [`crate::compact`] and DESIGN.md §8). Defaults to `0` when
-    /// deserialising records written before the field existed.
-    #[serde(default)]
-    pub shuffled_bytes: u64,
     /// Wall-clock time spent inside the phase, in milliseconds (the
     /// simulator's practical cost, *not* a model quantity). **Excluded from
     /// equality**: `PhaseStats` / `RoundStats` comparisons cover only the
@@ -42,7 +35,6 @@ impl PartialEq for PhaseStats {
         self.name == other.name
             && self.rounds == other.rounds
             && self.communication_words == other.communication_words
-            && self.shuffled_bytes == other.shuffled_bytes
     }
 }
 
@@ -54,10 +46,6 @@ impl Eq for PhaseStats {}
 pub struct RoundStats {
     total_rounds: u64,
     total_communication_words: u64,
-    /// See [`PhaseStats::shuffled_bytes`]; defaults to `0` for records
-    /// written before byte accounting existed.
-    #[serde(default)]
-    total_shuffled_bytes: u64,
     max_machine_load_words: usize,
     memory_violations: u64,
     phases: Vec<PhaseStats>,
@@ -72,12 +60,6 @@ impl RoundStats {
     /// Total words of cross-machine communication charged.
     pub fn total_communication_words(&self) -> u64 {
         self.total_communication_words
-    }
-
-    /// Total bytes the host representation moved for the charged
-    /// communication (see [`PhaseStats::shuffled_bytes`]).
-    pub fn total_shuffled_bytes(&self) -> u64 {
-        self.total_shuffled_bytes
     }
 
     /// Largest number of words any single machine was asked to hold.
@@ -102,16 +84,6 @@ impl RoundStats {
             .iter()
             .filter(|p| p.name == name)
             .map(|p| p.rounds)
-            .sum()
-    }
-
-    /// Bytes shuffled in the phase with the given name (summed over
-    /// repeats).
-    pub fn shuffled_bytes_in_phase(&self, name: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name == name)
-            .map(|p| p.shuffled_bytes)
             .sum()
     }
 
@@ -141,7 +113,6 @@ impl RoundStats {
     pub fn absorb(&mut self, other: RoundStats) {
         self.total_rounds += other.total_rounds;
         self.total_communication_words += other.total_communication_words;
-        self.total_shuffled_bytes += other.total_shuffled_bytes;
         self.max_machine_load_words = self
             .max_machine_load_words
             .max(other.max_machine_load_words);
@@ -231,7 +202,6 @@ impl MpcContext {
             name: name.to_string(),
             rounds: 0,
             communication_words: 0,
-            shuffled_bytes: 0,
             wall_time_ms: 0.0,
         });
         self.phase_started = Some(std::time::Instant::now());
@@ -248,35 +218,14 @@ impl MpcContext {
     }
 
     /// Charges `rounds` MPC rounds and `communication_words` words of
-    /// cross-machine traffic, with the host bytes defaulted to full word
-    /// width (`words × 8`). Stages that move a narrower representation use
-    /// [`MpcContext::charge_with_bytes`] to record what actually crossed.
+    /// cross-machine traffic: the two quantities the paper's theorems bound.
+    /// Every other charge is this one with its rounds and words worked out.
     pub fn charge(&mut self, rounds: u64, communication_words: u64) {
-        self.charge_with_bytes(
-            rounds,
-            communication_words,
-            communication_words * crate::compact::WORD_BYTES as u64,
-        );
-    }
-
-    /// Charges `rounds` rounds, `communication_words` model words, and
-    /// `shuffled_bytes` host bytes. The model quantities (rounds, words) are
-    /// what the paper's theorems bound; the bytes record what the chosen
-    /// tuple representation actually moves, so a compact-`u32` stage shows
-    /// half the bytes of a wide one at identical model cost.
-    pub fn charge_with_bytes(
-        &mut self,
-        rounds: u64,
-        communication_words: u64,
-        shuffled_bytes: u64,
-    ) {
         self.stats.total_rounds += rounds;
         self.stats.total_communication_words += communication_words;
-        self.stats.total_shuffled_bytes += shuffled_bytes;
         if let Some(phase) = self.current_phase.as_mut() {
             phase.rounds += rounds;
             phase.communication_words += communication_words;
-            phase.shuffled_bytes += shuffled_bytes;
         }
     }
 
@@ -285,31 +234,11 @@ impl MpcContext {
         self.charge(1, words as u64);
     }
 
-    /// Charges a single communication round moving `words` model words whose
-    /// host representation occupies `bytes` bytes.
-    pub fn charge_shuffle_with_bytes(&mut self, words: usize, bytes: usize) {
-        self.charge_with_bytes(1, words as u64, bytes as u64);
-    }
-
     /// Charges a Goodrich parallel sort over `n_items` items:
     /// `⌈log_s n⌉` rounds, each moving (at most) all items once.
     pub fn charge_sort(&mut self, n_items: usize) {
         let rounds = self.config.sort_rounds(n_items);
         self.charge(rounds, rounds * n_items as u64);
-    }
-
-    /// Charges a Goodrich parallel sort over `n_items` items of
-    /// `bytes_per_item` host bytes each: same model cost as
-    /// [`MpcContext::charge_sort`], with the byte column reflecting the
-    /// host representation (a `u64`-packed edge moves half the bytes of a
-    /// `(usize, usize)` tuple).
-    pub fn charge_sort_with_bytes(&mut self, n_items: usize, bytes_per_item: usize) {
-        let rounds = self.config.sort_rounds(n_items);
-        self.charge_with_bytes(
-            rounds,
-            rounds * n_items as u64,
-            rounds * (n_items * bytes_per_item) as u64,
-        );
     }
 
     /// Charges a Goodrich parallel search annotating `n_queries` queries
@@ -496,49 +425,6 @@ mod tests {
         let before = total.clone();
         total.absorb(RoundStats::default());
         assert_eq!(total, before);
-    }
-
-    #[test]
-    fn byte_accounting_defaults_to_word_width_and_narrows_on_request() {
-        let mut c = ctx(1 << 8);
-        c.begin_phase("wide");
-        c.charge_shuffle(100);
-        c.begin_phase("narrow");
-        c.charge_shuffle_with_bytes(100, 400);
-        c.end_phase();
-        let stats = c.stats().clone();
-        assert_eq!(stats.shuffled_bytes_in_phase("wide"), 800);
-        assert_eq!(stats.shuffled_bytes_in_phase("narrow"), 400);
-        assert_eq!(stats.total_shuffled_bytes(), 1200);
-
-        // Sorts: identical model cost, honest byte column. A 16-byte tuple
-        // charges twice the bytes of its 8-byte compact image, and the
-        // plain `charge_sort` default is the one-word-per-item width.
-        let mut wide = ctx(1 << 8);
-        wide.charge_sort_with_bytes(1 << 16, 16);
-        let mut narrow = ctx(1 << 8);
-        narrow.charge_sort_with_bytes(1 << 16, 8);
-        let mut plain = ctx(1 << 8);
-        plain.charge_sort(1 << 16);
-        assert_eq!(plain.stats(), narrow.stats());
-        assert_eq!(wide.stats().total_rounds(), narrow.stats().total_rounds());
-        assert_eq!(
-            wide.stats().total_communication_words(),
-            narrow.stats().total_communication_words()
-        );
-        assert_eq!(
-            wide.stats().total_shuffled_bytes(),
-            2 * narrow.stats().total_shuffled_bytes()
-        );
-
-        // Byte divergence is visible to equality: same words, different
-        // representation widths must not compare equal.
-        assert_ne!(stats.phases()[0], stats.phases()[1]);
-
-        // Absorbing folds the byte column too.
-        let mut total = stats.clone();
-        total.absorb(stats);
-        assert_eq!(total.total_shuffled_bytes(), 2400);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! through an [`Executor`] — one work unit per chunk, results reassembled in
 //! chunk order, the first malformed chunk (in *chunk index* order, never in
 //! completion order) reported as the error. Both properties follow from
-//! [`Executor::map_items`]'s index-ordered fan-in, so the decode obeys the
+//! [`Executor::map_indexed`]'s index-ordered fan-in, so the decode obeys the
 //! workspace determinism contract: bit-identical output and error selection
 //! for every thread count.
 
@@ -32,7 +32,7 @@ pub fn decode_op_chunks(
     frames: &[Vec<u8>],
     exec: &Executor,
 ) -> Result<Vec<Vec<EdgeOp>>, IoError> {
-    exec.map_items(frames, |i, frame| decode_op_chunk(version, i, frame))
+    exec.map_indexed(frames.len(), |i| decode_op_chunk(version, i, &frames[i]))
         .into_iter()
         .collect()
 }

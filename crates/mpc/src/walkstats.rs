@@ -56,19 +56,6 @@ pub struct WalkTelemetry {
     pub spec_fallbacks: u64,
 }
 
-impl WalkTelemetry {
-    /// Folds another accumulator into `self`, field by field.
-    #[cfg(test)]
-    fn merge(&mut self, other: &WalkTelemetry) {
-        self.steps += other.steps;
-        self.moves += other.moves;
-        self.stays_compressed += other.stays_compressed;
-        self.keystream_words += other.keystream_words;
-        self.refills += other.refills;
-        self.spec_fallbacks += other.spec_fallbacks;
-    }
-}
-
 /// The process-wide totals, updated with relaxed atomics (they order
 /// nothing; the counters are observability, not synchronisation).
 struct Counters {
@@ -143,32 +130,5 @@ mod tests {
         assert!(after.keystream_words >= before.keystream_words + 60);
         assert!(after.refills >= before.refills + 2);
         assert!(after.spec_fallbacks > before.spec_fallbacks);
-    }
-
-    #[test]
-    fn merge_adds_fieldwise() {
-        let mut a = WalkTelemetry {
-            steps: 10,
-            moves: 4,
-            stays_compressed: 6,
-            keystream_words: 7,
-            refills: 1,
-            spec_fallbacks: 0,
-        };
-        let b = WalkTelemetry {
-            steps: 5,
-            moves: 5,
-            stays_compressed: 0,
-            keystream_words: 10,
-            refills: 1,
-            spec_fallbacks: 2,
-        };
-        a.merge(&b);
-        assert_eq!(a.steps, 15);
-        assert_eq!(a.moves, 9);
-        assert_eq!(a.stays_compressed, 6);
-        assert_eq!(a.keystream_words, 17);
-        assert_eq!(a.refills, 2);
-        assert_eq!(a.spec_fallbacks, 2);
     }
 }

@@ -17,7 +17,9 @@
 # every parent run; else `unresolved` when the parent's IQR exceeds the
 # bound times its median (the spread is too wide to tell); else `WORSE`
 # when the change's median is worse than the parent's by more than the
-# bound, and `ok` when it is not. Needs jq.
+# bound, and `ok` when it is not. The failed share (summed failed over
+# summed attempted operations) gets its own verdict: `WORSE` when the
+# change's is above the parent's, else `ok`. Needs jq.
 #
 # Building rewrites each checkout's benchmark/Cargo.lock; the script puts
 # the committed file back (`git checkout`) after the builds and on exit, and
@@ -117,6 +119,20 @@ for side in parent change; do
     done
     echo
 done
+# A larger share of failed operations rejects a change on its own, whatever
+# the metrics say: sum each side's runs and compare the shares.
+shares=()
+for side in parent change; do
+    files=()
+    for i in $(seq 1 "$pairs"); do files+=("$out/${side}_$i.json"); done
+    shares+=("$(jq -rs '"\(map(.failed) | add) \(map(.attempted) | add)"' "${files[@]}")")
+done
+awk -v P="${shares[0]}" -v C="${shares[1]}" 'BEGIN {
+    split(P, p, " "); split(C, c, " ")
+    ps = p[2] > 0 ? p[1] / p[2] : 0; cs = c[2] > 0 ? c[1] / c[2] : 0
+    printf "failed share: parent %d/%d (%.4g), change %d/%d (%.4g)   verdict: %s\n",
+        p[1], p[2], ps, c[1], c[2], cs, (cs > ps ? "WORSE" : "ok")
+}'
 echo
 jq -r '.end_to_end[] | "\(.name) \(.unit) \(.better) \(.bound)"' "$contract" |
     while read -r name unit better bound; do
