@@ -92,8 +92,8 @@ fn bench_chacha_batch(c: &mut Criterion) {
 /// vertices kept whole: n_reg = 12 500, Δ = 9), `t = 114`, `k = 30` walks per
 /// vertex — 4.3·10⁷ lazy steps — on the move tier the CPU dispatches to
 /// against the portable tier (counting-sorted scalar rounds). Both rows are
-/// `independent_lazy_walks`; the batch's `Graph` build (the same on both) is
-/// not in them. The endpoints are asserted equal before timing,
+/// `independent_lazy_walks`, which returns the batch's endpoint table as it
+/// is. The endpoints are asserted equal before timing,
 /// so any difference is pure move-loop machinery.
 fn bench_randomize_batch(c: &mut Criterion) {
     use wcc_core::regularize::regularize;
@@ -127,7 +127,7 @@ fn bench_randomize_batch(c: &mut Criterion) {
         usize,
         &mut MpcContext,
         &mut ChaCha8Rng,
-    ) -> Result<Vec<usize>, wcc_core::CoreError>;
+    ) -> Result<Vec<u32>, wcc_core::CoreError>;
     let batch = |fanout: Fanout| {
         let mut ctx = MpcContext::new(config().with_threads(1));
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -232,16 +232,17 @@ fn bench_sketch(c: &mut Criterion) {
 }
 
 /// The contraction's three data planes. `oneshot_expander` (BENCHMARK.json)
-/// regularizes to 12 500 whole vertices and walks batches of 30 out-edges per
-/// vertex: phase 1 contracts one batch by the identity partition (read off
-/// the CSR), phase 2 by ≈3 150 parts and the endgame both batches by ≈177
-/// parts (pair bitmap). The bucketed build sits past the dense switch
+/// regularizes to 12 500 whole vertices and walks batches of 30 endpoints per
+/// vertex, each kept as its endpoint table: phase 1 contracts one table by the
+/// identity partition (the direct simple build), phase 2 by ≈3 150 parts and
+/// the endgame both tables by ≈177 parts (pair bitmap). The bucketed build sits past the dense switch
 /// (parts² > 2²⁴), which neither one-shot workload reaches any more; its row
 /// keeps it timed on the same batch at 6 250 parts. Every row's graph is
 /// checked field for field against a relabel + global sort + dedup spec
 /// first.
 fn bench_contraction(c: &mut Criterion) {
-    use wcc_core::leader::contraction_graph_of_refs;
+    use rand::Rng;
+    use wcc_core::leader::{contraction_graph_of_refs, EdgeSource};
 
     let mut group = c.benchmark_group("contraction");
     group.sample_size(10);
@@ -249,17 +250,21 @@ fn bench_contraction(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     let n = 12_500usize;
     let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let batches: Vec<Graph> = (0..2)
-        .map(|_| generators::random_out_degree_graph(n, 60, &mut rng))
+    let batches: Vec<EndpointTable> = (0..2)
+        .map(|_| {
+            EndpointTable::new(
+                30,
+                (0..n * 30).map(|_| rng.gen_range(0..n as u32)).collect(),
+            )
+        })
         .collect();
-    let one = [&batches[0]];
-    let all: Vec<&Graph> = batches.iter().collect();
+    let one = [EdgeSource::Table(&batches[0])];
+    let all: Vec<EdgeSource<'_>> = batches.iter().map(EdgeSource::from).collect();
     let random_parts = |parts: usize, rng: &mut ChaCha8Rng| {
-        use rand::Rng;
         let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..parts)).collect();
         Partition::from_raw_labels(&labels)
     };
-    let rows: [(&str, &[&Graph], Partition); 4] = [
+    let rows: [(&str, &[EdgeSource<'_>], Partition); 4] = [
         ("identity/phase1", &one, Partition::singletons(n)),
         ("dense_pairs/phase2", &one, random_parts(3_150, &mut rng)),
         ("dense_pairs/bfs", &all, random_parts(177, &mut rng)),
@@ -267,9 +272,9 @@ fn bench_contraction(c: &mut Criterion) {
     ];
     let ctx = || MpcContext::new(MpcConfig::for_input_size(1 << 24, 0.5).permissive());
     for (name, graphs, partition) in &rows {
-        let mut spec: Vec<(usize, usize)> = graphs
+        let mut spec: Vec<(usize, usize)> = batches[..graphs.len()]
             .iter()
-            .flat_map(|g| g.edge_iter())
+            .flat_map(|t| t.to_graph().edge_iter().collect::<Vec<_>>())
             .map(|(u, v)| (partition.part_of(u), partition.part_of(v)))
             .filter(|&(a, b)| a != b)
             .map(|(a, b)| (a.min(b), a.max(b)))
@@ -285,7 +290,7 @@ fn bench_contraction(c: &mut Criterion) {
             spec.csr_adjacency(),
             "{name}: adjacency"
         );
-        let edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
+        let edges: usize = graphs.iter().map(EdgeSource::num_edges).sum();
         group.bench_function(BenchmarkId::new(*name, edges), |b| {
             b.iter(|| contraction_graph_of_refs(graphs, partition, &mut ctx()))
         });

@@ -29,11 +29,86 @@
 use crate::params::Params;
 use crate::regularize::CoreError;
 
+use std::ops::Range;
+
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::{ChaCha8Batch, ChaCha8Rng};
 use serde::{Deserialize, Serialize};
-use wcc_graph::{ComponentLabels, Graph, GraphBuilder, Partition};
+use wcc_graph::{ComponentLabels, EndpointTable, Graph, GraphBuilder, Partition};
 use wcc_mpc::{derive_stream_seed, pack_edge, Executor, MpcContext};
+
+/// Where a contraction reads its edges: a [`Graph`]'s edge list, or a
+/// random batch as the walks wrote it, an [`EndpointTable`] (edge
+/// `(v, ends[v·w + j])`, loops and repeats included). A table and the graph
+/// [`EndpointTable::to_graph`] builds from it are the same edge multiset,
+/// so they contract to the same graph at the same charge.
+#[derive(Debug, Clone, Copy)]
+pub enum EdgeSource<'a> {
+    /// The edges of a graph.
+    Graph(&'a Graph),
+    /// The edges of a random batch.
+    Table(&'a EndpointTable),
+}
+
+impl<'a> From<&'a Graph> for EdgeSource<'a> {
+    fn from(g: &'a Graph) -> Self {
+        EdgeSource::Graph(g)
+    }
+}
+
+impl<'a> From<&'a EndpointTable> for EdgeSource<'a> {
+    fn from(table: &'a EndpointTable) -> Self {
+        EdgeSource::Table(table)
+    }
+}
+
+impl EdgeSource<'_> {
+    /// Number of vertices of the source.
+    pub fn num_vertices(&self) -> usize {
+        match self {
+            EdgeSource::Graph(g) => g.num_vertices(),
+            EdgeSource::Table(t) => t.num_vertices(),
+        }
+    }
+
+    /// Number of edges, loops and repeats included.
+    pub fn num_edges(&self) -> usize {
+        match self {
+            EdgeSource::Graph(g) => g.num_edges(),
+            EdgeSource::Table(t) => t.num_edges(),
+        }
+    }
+
+    /// How many units the relabel passes split across workers: a graph's
+    /// edges, a table's vertices (rows of `w` edges).
+    fn units(&self) -> usize {
+        match self {
+            EdgeSource::Graph(g) => g.num_edges(),
+            EdgeSource::Table(t) => t.num_vertices(),
+        }
+    }
+
+    /// Calls `f(u, v)` on every edge of `units`, in source order.
+    #[inline]
+    fn for_each_edge(&self, units: Range<usize>, mut f: impl FnMut(u32, u32)) {
+        match self {
+            EdgeSource::Graph(g) => {
+                for &(u, v) in &g.edges()[units] {
+                    f(u, v);
+                }
+            }
+            EdgeSource::Table(t) => {
+                let w = t.walks_per_vertex();
+                let rows = t.ends()[units.start * w..units.end * w].chunks_exact(w);
+                for (v, row) in units.zip(rows) {
+                    for &u in row {
+                        f(v as u32, u);
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// The grouping decided by one leader-election round on a contraction graph.
 #[derive(Debug, Clone)]
@@ -61,7 +136,8 @@ pub struct LeaderElectionOutcome {
 /// reservoir-sampled attachments — run on the context's execution backend,
 /// each vertex on its own ChaCha8 stream derived from one draw of the master
 /// generator, so the outcome is bit-identical for every backend and thread
-/// count.
+/// count. The coins are drawn sixteen streams per batched keystream refill;
+/// every coin is the one the vertex's own `ChaCha8Rng` would draw.
 pub fn leader_election<R: Rng + ?Sized>(
     h: &Graph,
     leader_prob: f64,
@@ -72,9 +148,7 @@ pub fn leader_election<R: Rng + ?Sized>(
     let p = leader_prob.clamp(0.0, 1.0);
     let executor = ctx.executor();
     let coin_base = rng.gen::<u64>();
-    let is_leader: Vec<bool> = executor.map_indexed(k, |v| {
-        ChaCha8Rng::seed_from_u64(derive_stream_seed(coin_base, v as u64)).gen_bool(p)
-    });
+    let is_leader = leader_coins(k, p, coin_base, &executor);
     ctx.charge_shuffle(2 * h.num_edges());
     let _ = ctx.record_balanced_load(2 * h.num_edges());
 
@@ -117,6 +191,50 @@ pub fn leader_election<R: Rng + ?Sized>(
     }
 }
 
+/// Vertices whose leader coins one batched keystream refill draws.
+const COIN_LANES: usize = 16;
+
+/// The leader coins of vertices `0..k`: vertex `v`'s coin is
+/// `ChaCha8Rng::seed_from_u64(derive_stream_seed(coin_base, v)).gen_bool(p)`.
+/// `gen_bool` reads one `u64`, words 0 and 1 of the stream's first block, so
+/// a [`ChaCha8Batch`] of [`COIN_LANES`] streams yields every lane's coin from
+/// one refill with no word moved; the last `k mod COIN_LANES` vertices take
+/// the scalar form.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]`.
+fn leader_coins(k: usize, p: f64, coin_base: u64, executor: &Executor) -> Vec<bool> {
+    /// Hands `gen_bool` the one word it reads.
+    struct Drawn(u64);
+    impl rand::RngCore for Drawn {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("gen_bool reads one u64")
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+    let seed = |v: usize| derive_stream_seed(coin_base, v as u64);
+    executor.flat_map_ranges(k.div_ceil(COIN_LANES), |groups| {
+        let mut coins = Vec::with_capacity(groups.len() * COIN_LANES);
+        let mut block = [[0u32; COIN_LANES]; 16];
+        for first in groups.map(|g| g * COIN_LANES) {
+            if first + COIN_LANES <= k {
+                let seeds: [u64; COIN_LANES] = std::array::from_fn(|l| seed(first + l));
+                ChaCha8Batch::<COIN_LANES>::seed_from_u64s(&seeds).refill(&mut block);
+                coins.extend((0..COIN_LANES).map(|l| {
+                    let word = u64::from(block[1][l]) << 32 | u64::from(block[0][l]);
+                    Drawn(word).gen_bool(p)
+                }));
+            } else {
+                coins.extend((first..k).map(|v| ChaCha8Rng::seed_from_u64(seed(v)).gen_bool(p)));
+            }
+        }
+        coins
+    })
+}
+
 /// Builds the contraction graph (Definition 2) of `g` with respect to
 /// `partition`: one vertex per part, one edge per pair of parts joined by at
 /// least one edge of `g` (no self-loops, no parallel edges).
@@ -124,7 +242,7 @@ pub fn leader_election<R: Rng + ?Sized>(
 /// Charges one sort over the edge list (contract + dedup). See
 /// [`contraction_graph_of_refs`] for the data-plane layout.
 pub fn contraction_graph(g: &Graph, partition: &Partition, ctx: &mut MpcContext) -> Graph {
-    contraction_graph_of_refs(&[g], partition, ctx)
+    contraction_graph_of_refs(&[EdgeSource::Graph(g)], partition, ctx)
 }
 
 /// Ceiling on `parts²` for the dense-pair contraction: one bit per ordered
@@ -133,11 +251,13 @@ pub fn contraction_graph(g: &Graph, partition: &Partition, ctx: &mut MpcContext)
 /// bucketed build takes over.
 const DENSE_PAIR_BITS: usize = 1 << 24;
 
-/// [`contraction_graph`] over the disjoint edge-set union of `graphs`
+/// [`contraction_graph`] over the disjoint edge-set union of `sources`
 /// (all on `partition`'s vertex set) **without materialising the union**:
 /// the contraction only needs to see every edge once, so building the
 /// union's CSR (the single largest allocation of the old endgame) is pure
-/// waste.
+/// waste. A source is a [`Graph`] or a random batch as the walks wrote it,
+/// an [`EndpointTable`] of `n·w` endpoints that is never built as a graph
+/// ([`EdgeSource`]); each path below reads either kind in the same pass.
 ///
 /// All paths build the same graph — the one the `(usize, usize)` sort and
 /// dedup of this module's test oracle defines: sorted distinct rows,
@@ -145,9 +265,12 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 /// request, and every path **deduplicates before materialising** anything
 /// per edge:
 ///
-/// * the partition is the identity and there is one graph (phase 1 of
-///   [`grow_components`]): nothing is relabelled, so the contraction is
-///   [`Graph::simple`], read off the graph's own CSR rows;
+/// * the partition is the identity and there is one source (phase 1 of
+///   [`grow_components_over`]): nothing is relabelled, so the contraction
+///   is the simple graph underneath the source — a table's is built
+///   straight from its endpoints by ascending passes with no comparison
+///   sort ([`EndpointTable::simple_graph`]), a graph's is read off its own
+///   CSR rows ([`Graph::simple`]);
 /// * `parts² ≤` `DENSE_PAIR_BITS`: `contract_edges_dense` streams the
 ///   edges once into a pair bitmap and reads the sorted distinct edge list
 ///   off the set bits — millions of edges collapsing onto a few hundred
@@ -174,24 +297,24 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 ///
 /// # Panics
 ///
-/// Panics if a graph's vertex count differs from the partition's, or if the
-/// part count exceeds the `u32` id space.
+/// Panics if a source's vertex count differs from the partition's, or if
+/// the part count exceeds the `u32` id space.
 pub fn contraction_graph_of_refs(
-    graphs: &[&Graph],
+    sources: &[EdgeSource<'_>],
     partition: &Partition,
     ctx: &mut MpcContext,
 ) -> Graph {
-    for g in graphs {
+    for src in sources {
         assert_eq!(
-            g.num_vertices(),
+            src.num_vertices(),
             partition.len(),
             "contraction_graph_of_refs: a graph on {} vertices cannot be contracted by a \
              partition of {} vertices",
-            g.num_vertices(),
+            src.num_vertices(),
             partition.len(),
         );
     }
-    let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
+    let total_edges: usize = sources.iter().map(EdgeSource::num_edges).sum();
     let parts = partition.num_parts();
     assert!(
         parts as u64 <= u64::from(u32::MAX) + 1,
@@ -199,14 +322,17 @@ pub fn contraction_graph_of_refs(
          (part ids must fit a u32)"
     );
     ctx.charge_sort(total_edges.max(1));
-    if graphs.len() == 1 && partition.is_identity() {
-        graphs[0].simple()
-    } else if parts * parts <= DENSE_PAIR_BITS {
-        let edges = contract_edges_dense(graphs, partition, &ctx.executor());
-        Graph::from_normalized_edges(parts, edges)
-    } else {
-        let packed = contract_edges_compact(graphs, partition, &ctx.executor());
-        Graph::from_packed_edge_multiset(parts, &packed)
+    match sources {
+        [EdgeSource::Graph(g)] if partition.is_identity() => g.simple(),
+        [EdgeSource::Table(t)] if partition.is_identity() => t.simple_graph(),
+        _ if parts * parts <= DENSE_PAIR_BITS => {
+            let edges = contract_edges_dense(sources, partition, &ctx.executor());
+            Graph::from_normalized_edges(parts, edges)
+        }
+        _ => {
+            let packed = contract_edges_compact(sources, partition, &ctx.executor());
+            Graph::from_packed_edge_multiset(parts, &packed)
+        }
     }
 }
 
@@ -232,7 +358,7 @@ fn compact_labels(partition: &Partition) -> Vec<u32> {
 /// layout, so [`Graph::from_normalized_edges`] takes the list as it is.
 /// Caller must keep `parts²` within [`DENSE_PAIR_BITS`].
 fn contract_edges_dense(
-    graphs: &[&Graph],
+    sources: &[EdgeSource<'_>],
     partition: &Partition,
     executor: &Executor,
 ) -> Vec<(u32, u32)> {
@@ -242,25 +368,29 @@ fn contract_edges_dense(
     if words == 0 {
         return Vec::new();
     }
-    let mut pairs = vec![0u64; words];
     let labels = compact_labels(partition);
-    for g in graphs {
-        let raw = g.edges();
-        // One `words`-long bitmap per range, concatenated in range order.
-        let per_range: Vec<u64> = executor.flat_map_ranges(raw.len(), |range| {
+    // The first range's bitmap is the accumulator the others are OR-ed
+    // into, so one range (one thread) allocates one bitmap.
+    let mut pairs: Vec<u64> = Vec::new();
+    for src in sources {
+        let per_range = executor.map_ranges(src.units(), |range| {
             let mut local = vec![0u64; words];
-            for &(u, v) in &raw[range] {
+            src.for_each_edge(range, |u, v| {
                 let (a, b) = (labels[u as usize] as usize, labels[v as usize] as usize);
                 if a != b {
                     let bit = a.min(b) * parts + a.max(b);
                     local[bit / 64] |= 1 << (bit % 64);
                 }
-            }
+            });
             local
         });
-        for local in per_range.chunks_exact(words) {
-            for (acc, &w) in pairs.iter_mut().zip(local) {
-                *acc |= w;
+        for local in per_range {
+            if pairs.is_empty() {
+                pairs = local;
+            } else {
+                for (acc, w) in pairs.iter_mut().zip(local) {
+                    *acc |= w;
+                }
             }
         }
     }
@@ -284,30 +414,25 @@ fn contract_edges_dense(
 /// globally. No wide tuples are ever materialised; the part ids fit a `u32`
 /// by the invariant [`contraction_graph_of_refs`] asserts.
 fn contract_edges_compact(
-    graphs: &[&Graph],
+    sources: &[EdgeSource<'_>],
     partition: &Partition,
     executor: &Executor,
 ) -> Vec<u64> {
-    let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
+    let total_edges: usize = sources.iter().map(EdgeSource::num_edges).sum();
     let labels = compact_labels(partition);
     let mut packed: Vec<u64> = Vec::new();
-    for (gi, g) in graphs.iter().enumerate() {
-        let raw = g.edges();
-        let chunk: Vec<u64> = executor.flat_map_ranges(raw.len(), |range| {
-            raw[range]
-                .iter()
-                .filter_map(|&(u, v)| {
-                    let a = labels[u as usize];
-                    let b = labels[v as usize];
-                    match a.cmp(&b) {
-                        std::cmp::Ordering::Less => Some(pack_edge(a as usize, b as usize)),
-                        std::cmp::Ordering::Greater => Some(pack_edge(b as usize, a as usize)),
-                        std::cmp::Ordering::Equal => None,
-                    }
-                })
-                .collect()
+    for (si, src) in sources.iter().enumerate() {
+        let chunk: Vec<u64> = executor.flat_map_ranges(src.units(), |range| {
+            let mut keys = Vec::new();
+            src.for_each_edge(range, |u, v| {
+                let (a, b) = (labels[u as usize], labels[v as usize]);
+                if a != b {
+                    keys.push(pack_edge(a.min(b) as usize, a.max(b) as usize));
+                }
+            });
+            keys
         });
-        if gi == 0 {
+        if si == 0 {
             packed = chunk;
             packed.reserve(total_edges.saturating_sub(packed.len()));
         } else {
@@ -317,10 +442,10 @@ fn contract_edges_compact(
     packed
 }
 
-/// Per-phase statistics recorded by [`grow_components`] — the measurements
+/// Per-phase statistics recorded by [`grow_components_over`] — the measurements
 /// behind experiment E3 (quadratic growth) and the discrepancy drift the
 /// proof of Lemma 6.7 tracks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GrowPhaseStats {
     /// Phase index (1-based, as in the paper).
     pub phase: usize,
@@ -352,20 +477,40 @@ pub struct GrowOutcome {
     pub phases: Vec<GrowPhaseStats>,
 }
 
+/// [`grow_components_over`] on batches built as graphs.
+///
+/// Kept until ROADMAP 1b only because the frozen benchmark still calls it
+/// (and experiment E3 feeds it `G(n, d)` graphs).
+///
+/// # Errors
+///
+/// As [`grow_components_over`].
+pub fn grow_components<R: Rng + ?Sized>(
+    batches: &[Graph],
+    params: &Params,
+    ctx: &mut MpcContext,
+    rng: &mut R,
+) -> Result<GrowOutcome, CoreError> {
+    let sources: Vec<EdgeSource<'_>> = batches.iter().map(EdgeSource::from).collect();
+    grow_components_over(&sources, params, ctx, rng)
+}
+
 /// `GrowComponents(G̃, Δ)` (Section 6.1): one leader-election phase per fresh
 /// batch, with the degree schedule `Δ_i = Δ^{2^{i-1}}`.
 ///
 /// `batches` are the edge batches `G̃_1, …, G̃_F` (all on the same vertex
-/// set). The returned partition never merges vertices from different true
-/// components of the union of the batches, because every merge follows an
-/// actual edge.
+/// set), normally the walks' endpoint tables. Phase `i` reads batch `i` only
+/// through its contraction `H_i` ([`contraction_graph_of_refs`]), so no
+/// batch is ever built as a graph. The returned partition never merges
+/// vertices from different true components of the union of the batches,
+/// because every merge follows an actual edge.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::BadParams`] if the batches disagree on the vertex
 /// count or there are none.
-pub fn grow_components<R: Rng + ?Sized>(
-    batches: &[Graph],
+pub fn grow_components_over<R: Rng + ?Sized>(
+    batches: &[EdgeSource<'_>],
     params: &Params,
     ctx: &mut MpcContext,
     rng: &mut R,
@@ -391,7 +536,7 @@ pub fn grow_components<R: Rng + ?Sized>(
 
     for (i, batch) in batches.iter().enumerate() {
         let target_degree = *schedule.get(i).unwrap_or(schedule.last().unwrap_or(&2));
-        let h = contraction_graph(batch, &partition, ctx);
+        let h = contraction_graph_of_refs(std::slice::from_ref(batch), &partition, ctx);
         let mean_degree = if h.num_vertices() == 0 {
             0.0
         } else {
@@ -443,26 +588,39 @@ pub fn finish_with_bfs(
     partition: &Partition,
     ctx: &mut MpcContext,
 ) -> (Partition, usize) {
-    finish_with_bfs_over_refs(&[g], partition, ctx)
+    finish_with_bfs_over(&[EdgeSource::Graph(g)], partition, ctx)
 }
 
-/// [`finish_with_bfs`] on the disjoint union of `graphs` without ever
-/// materialising the union: the endgame only reads the union through its
-/// contraction, so [`contraction_graph_of_refs`] feeds the component search
-/// directly. Rounds and words charged are identical to building the union
-/// first: one sort over the total edge count, then what the iterations
-/// exchange on the contraction.
+/// [`finish_with_bfs_over`] on graphs.
 ///
-/// (The name and the `"low-diameter-bfs"` phase date from the level-by-level
-/// BFS this function used to run; callers and recorded statistics key on
-/// both, so they stay.)
+/// Kept until ROADMAP 1b only because the frozen benchmark still calls it.
 pub fn finish_with_bfs_over_refs(
     graphs: &[&Graph],
     partition: &Partition,
     ctx: &mut MpcContext,
 ) -> (Partition, usize) {
+    let sources: Vec<EdgeSource<'_>> = graphs.iter().map(|&g| EdgeSource::Graph(g)).collect();
+    finish_with_bfs_over(&sources, partition, ctx)
+}
+
+/// [`finish_with_bfs`] on the disjoint union of `sources` — the random
+/// batches' endpoint tables and, in the exact variant, the regularized
+/// graph — without ever materialising the union: the endgame only reads the
+/// union through its contraction, so [`contraction_graph_of_refs`] feeds
+/// the component search directly. Rounds and words charged are identical to
+/// building the union first: one sort over the total edge count, then what
+/// the iterations exchange on the contraction.
+///
+/// (The name and the `"low-diameter-bfs"` phase date from the level-by-level
+/// BFS this function used to run; callers and recorded statistics key on
+/// both, so they stay.)
+pub fn finish_with_bfs_over(
+    sources: &[EdgeSource<'_>],
+    partition: &Partition,
+    ctx: &mut MpcContext,
+) -> (Partition, usize) {
     ctx.begin_phase("low-diameter-bfs");
-    let h = contraction_graph_of_refs(graphs, partition, ctx);
+    let h = contraction_graph_of_refs(sources, partition, ctx);
     let (parents, iterations) = parent_connect_components(&h, ctx);
     ctx.end_phase();
     (partition.coarsen(&parents), iterations)
@@ -580,6 +738,10 @@ mod tests {
         ctx_on(1)
     }
 
+    fn sources_of<'a>(graphs: &[&'a Graph]) -> Vec<EdgeSource<'a>> {
+        graphs.iter().map(|&g| EdgeSource::Graph(g)).collect()
+    }
+
     fn ctx_on(threads: usize) -> MpcContext {
         MpcContext::new(
             MpcConfig::for_input_size(1 << 16, 0.5)
@@ -643,32 +805,64 @@ mod tests {
     /// each called directly, whatever the switch would pick — and through
     /// the public entry point, all against the wide spec, on 1, 2 and 8
     /// threads.
-    fn check_contraction_paths(refs: &[&Graph], part: &Partition) {
+    fn check_contraction_paths(sources: &[EdgeSource<'_>], part: &Partition) {
         let parts = part.num_parts();
+        // The spec reads tables as the graphs they build.
+        let graphs: Vec<Graph> = sources
+            .iter()
+            .map(|src| match src {
+                EdgeSource::Graph(g) => (*g).clone(),
+                EdgeSource::Table(t) => t.to_graph(),
+            })
+            .collect();
+        let refs: Vec<&Graph> = graphs.iter().collect();
         for threads in [1usize, 2, 8] {
             let what = format!("parts={parts}, threads={threads}");
             let executor = Executor::threaded(threads);
             let spec =
-                Graph::from_edges_unchecked(parts, contract_edges_wide(refs, part, &executor));
+                Graph::from_edges_unchecked(parts, contract_edges_wide(&refs, part, &executor));
             let bucketed = Graph::from_packed_edge_multiset(
                 parts,
-                &contract_edges_compact(refs, part, &executor),
+                &contract_edges_compact(sources, part, &executor),
             );
             assert_same_graph(&bucketed, &spec, &format!("bucketed, {what}"));
             if parts * parts <= DENSE_PAIR_BITS {
                 let dense = Graph::from_normalized_edges(
                     parts,
-                    contract_edges_dense(refs, part, &executor),
+                    contract_edges_dense(sources, part, &executor),
                 );
                 assert_same_graph(&dense, &spec, &format!("dense, {what}"));
             }
-            if refs.len() == 1 && part.is_identity() {
+            if sources.len() == 1 && part.is_identity() {
                 assert_same_graph(&refs[0].simple(), &spec, &format!("identity, {what}"));
+                if let EdgeSource::Table(t) = sources[0] {
+                    let direct = t.simple_graph();
+                    assert_same_graph(&direct, &spec, &format!("direct, {what}"));
+                }
             }
             let mut c = ctx_on(threads);
-            let dispatched = contraction_graph_of_refs(refs, part, &mut c);
+            let dispatched = contraction_graph_of_refs(sources, part, &mut c);
             assert_same_graph(&dispatched, &spec, &format!("dispatched, {what}"));
         }
+    }
+
+    /// Strategy: one to three endpoint tables on one vertex set, `w ≤ 5`
+    /// endpoints per vertex drawn below a bound `≤ n` (so loops, repeats
+    /// and vertices no one targets all occur), and a random labelling.
+    fn arb_table_contraction() -> impl Strategy<Value = (Vec<EndpointTable>, Partition)> {
+        (1usize..70, 1usize..6, 1usize..4).prop_flat_map(|(n, w, count)| {
+            let tables = proptest::collection::vec(
+                (1..n + 1).prop_flat_map(move |bound| {
+                    proptest::collection::vec(0..bound as u32, n * w..n * w + 1)
+                        .prop_map(move |ends| EndpointTable::new(w, ends))
+                }),
+                count..count + 1,
+            );
+            let labels = (1..n + 1)
+                .prop_flat_map(move |max_label| proptest::collection::vec(0..max_label, n..n + 1));
+            (tables, labels)
+                .prop_map(|(tables, labels)| (tables, Partition::from_raw_labels(&labels)))
+        })
     }
 
     /// Strategy: up to three multigraphs on one vertex set (self-loops and
@@ -695,13 +889,30 @@ mod tests {
         fn dense_bucketed_identity_and_wide_contractions_agree(request in arb_contraction()) {
             let (graphs, part) = request;
             let refs: Vec<&Graph> = graphs.iter().collect();
-            check_contraction_paths(&refs, &part);
+            let sources = sources_of(&refs);
+            check_contraction_paths(&sources, &part);
             // The same graphs under the identity and under one all-covering
             // part (every edge a loop of the contraction).
             let n = part.len();
-            check_contraction_paths(&refs, &Partition::singletons(n));
-            check_contraction_paths(&refs[..1], &Partition::singletons(n));
-            check_contraction_paths(&refs, &Partition::from_raw_labels(&vec![0; n]));
+            check_contraction_paths(&sources, &Partition::singletons(n));
+            check_contraction_paths(&sources[..1], &Partition::singletons(n));
+            check_contraction_paths(&sources, &Partition::from_raw_labels(&vec![0; n]));
+        }
+
+        #[test]
+        fn endpoint_tables_contract_like_the_graphs_they_build(
+            request in arb_table_contraction()
+        ) {
+            let (tables, part) = request;
+            let n = part.len();
+            let sources: Vec<EdgeSource<'_>> = tables.iter().map(EdgeSource::from).collect();
+            check_contraction_paths(&sources, &part);
+            check_contraction_paths(&sources, &Partition::singletons(n));
+            check_contraction_paths(&sources[..1], &Partition::singletons(n));
+            check_contraction_paths(&sources, &Partition::from_raw_labels(&vec![0; n]));
+            // A table beside a graph, as in the exact endgame.
+            let g = tables[0].to_graph();
+            check_contraction_paths(&[sources[0], EdgeSource::Graph(&g)], &part);
         }
 
         #[test]
@@ -722,12 +933,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(41);
         let g1 = generators::random_out_degree_graph(n, 3, &mut rng);
         let g2 = Graph::from_edges_unchecked(n, (0..n).map(|v| (v, (7 * v + 1) % n)));
+        let t1 = EndpointTable::new(3, (0..3 * n).map(|_| rng.gen_range(0..n as u32)).collect());
         for parts in [4095usize, 4096, 4097] {
             let mut labels: Vec<usize> = (0..n).map(|v| v % parts).collect();
             labels.shuffle(&mut rng);
             let part = Partition::from_raw_labels(&labels);
             assert_eq!(part.num_parts(), parts);
-            check_contraction_paths(&[&g1, &g2], &part);
+            check_contraction_paths(&sources_of(&[&g1, &g2]), &part);
+            check_contraction_paths(&[EdgeSource::Table(&t1), EdgeSource::Graph(&g2)], &part);
         }
     }
 
@@ -746,7 +959,7 @@ mod tests {
                 let labels: Vec<usize> = (0..160).map(|v| v % 37).collect();
                 let part = Partition::from_raw_labels(&labels);
                 let refs = [&g1, &g2];
-                let packed = contract_edges_compact(&refs, &part, &executor);
+                let packed = contract_edges_compact(&sources_of(&refs), &part, &executor);
                 let wide = contract_edges_wide(&refs, &part, &executor);
                 let mut keys = packed.clone();
                 keys.sort_unstable();
@@ -767,19 +980,26 @@ mod tests {
     fn contraction_of_loop_only_and_empty_graphs_is_edgeless() {
         let loops = Graph::from_edges_unchecked(5, (0..5).map(|v| (v, v)));
         let empty = Graph::empty(5);
+        let loop_table = EndpointTable::new(2, (0..5).flat_map(|v| [v, v]).collect());
         for part in [
             Partition::singletons(5),
             Partition::from_raw_labels(&[0, 1, 0, 1, 2]),
             Partition::from_raw_labels(&[0; 5]),
         ] {
-            check_contraction_paths(&[&loops], &part);
-            check_contraction_paths(&[&empty], &part);
-            check_contraction_paths(&[&loops, &empty], &part);
+            check_contraction_paths(&sources_of(&[&loops]), &part);
+            check_contraction_paths(&sources_of(&[&empty]), &part);
+            check_contraction_paths(&sources_of(&[&loops, &empty]), &part);
+            check_contraction_paths(&[EdgeSource::Table(&loop_table)], &part);
             let h = contraction_graph(&loops, &part, &mut ctx());
             assert_eq!((h.num_vertices(), h.num_edges()), (part.num_parts(), 0));
         }
         // No vertices at all: zero parts, zero bitmap words.
-        check_contraction_paths(&[&Graph::empty(0)], &Partition::singletons(0));
+        check_contraction_paths(&sources_of(&[&Graph::empty(0)]), &Partition::singletons(0));
+        let no_vertices = EndpointTable::new(3, Vec::new());
+        check_contraction_paths(
+            &[EdgeSource::Table(&no_vertices)],
+            &Partition::singletons(0),
+        );
     }
 
     #[test]
@@ -787,7 +1007,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(43);
         let g = generators::random_out_degree_graph(300, 4, &mut rng).with_self_loops(1);
         assert!(Partition::singletons(300).is_identity());
-        check_contraction_paths(&[&g], &Partition::singletons(300));
+        check_contraction_paths(&sources_of(&[&g]), &Partition::singletons(300));
         // Singleton parts under a permuted labelling: same part count, but
         // the contraction relabels every edge, so `simple()` is the wrong
         // graph and must not be what comes back.
@@ -795,7 +1015,7 @@ mod tests {
         labels.shuffle(&mut rng);
         let permuted = Partition::from_part_of(labels, 300);
         assert!(!permuted.is_identity());
-        check_contraction_paths(&[&g], &permuted);
+        check_contraction_paths(&sources_of(&[&g]), &permuted);
         let h = contraction_graph(&g, &permuted, &mut ctx());
         assert_ne!(h.edges(), g.simple().edges());
         // Coarser partitions are never the identity either.
@@ -809,7 +1029,7 @@ mod tests {
     fn contraction_rejects_a_graph_on_another_vertex_set() {
         let part = Partition::singletons(10);
         let (fits, too_big) = (generators::cycle(10), generators::cycle(12));
-        let _ = contraction_graph_of_refs(&[&fits, &too_big], &part, &mut ctx());
+        let _ = contraction_graph_of_refs(&sources_of(&[&fits, &too_big]), &part, &mut ctx());
     }
 
     fn batches_for(n: usize, degree: usize, count: usize, rng: &mut ChaCha8Rng) -> Vec<Graph> {
@@ -911,7 +1131,7 @@ mod tests {
             let total_edges: usize = refs.iter().map(|g| g.num_edges()).sum();
             let mut c = ctx();
             let rounds = c.config().sort_rounds(total_edges);
-            contraction_graph_of_refs(&refs, part, &mut c);
+            contraction_graph_of_refs(&sources_of(&refs), part, &mut c);
             let stats = c.into_stats();
             assert_eq!(stats.total_rounds(), rounds, "{what}: rounds");
             assert_eq!(
@@ -1049,7 +1269,7 @@ mod tests {
         let sv = wcc_baselines::shiloach_vishkin(&glued, &mut ctx());
 
         let mut sort_only = ctx();
-        let h = contraction_graph_of_refs(graphs, part, &mut sort_only);
+        let h = contraction_graph_of_refs(&sources_of(graphs), part, &mut sort_only);
         let (spec_parents, spec_iterations, spec_exchanges, spec_words) = algorithm_a_spec(&h);
         let sort_only = sort_only.into_stats();
 
@@ -1249,6 +1469,108 @@ mod tests {
             rounds <= 8 * f as u64,
             "{rounds} rounds for {f} phases is not O(1) per phase"
         );
+    }
+
+    #[test]
+    fn batched_coins_equal_the_scalar_seeded_coins() {
+        let delta = 9.0;
+        for k in [0usize, 1, 15, 16, 17, 1000] {
+            for p in [0.0, 1.0 / delta, 1.0] {
+                let base = 0x5EED ^ k as u64;
+                let scalar: Vec<bool> = (0..k)
+                    .map(|v| {
+                        ChaCha8Rng::seed_from_u64(derive_stream_seed(base, v as u64)).gen_bool(p)
+                    })
+                    .collect();
+                for threads in [1usize, 2, 8] {
+                    let got = leader_coins(k, p, base, &Executor::threaded(threads));
+                    assert_eq!(got, scalar, "k={k}, p={p}, threads={threads}");
+                }
+            }
+        }
+    }
+
+    /// Two random batches of `random_batch` on a 6-regular graph of two
+    /// components, as the pipeline draws them.
+    fn tables_for(seed: u64) -> (Graph, Vec<EndpointTable>) {
+        use crate::walks::{random_batch, WalkMode};
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = generators::planted_expander_components(&[150, 110], 6, &mut rng);
+        let tables = (0..2)
+            .map(|_| random_batch(&g, 24, 12, WalkMode::Direct, 2, &mut ctx(), &mut rng).unwrap())
+            .collect();
+        (g, tables)
+    }
+
+    #[test]
+    fn grow_over_tables_equals_the_graph_wrapper() {
+        let params = Params::laptop_scale();
+        for seed in 0..20u64 {
+            let (_, tables) = tables_for(seed);
+            let graphs: Vec<Graph> = tables.iter().map(EndpointTable::to_graph).collect();
+            let sources: Vec<EdgeSource<'_>> = tables.iter().map(EdgeSource::from).collect();
+            for threads in [1usize, 2, 8] {
+                let what = format!("seed={seed}, threads={threads}");
+                let (mut over_ctx, mut graph_ctx) = (ctx_on(threads), ctx_on(threads));
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let over = grow_components_over(&sources, &params, &mut over_ctx, &mut rng);
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let wrapped = grow_components(&graphs, &params, &mut graph_ctx, &mut rng);
+                let (over, wrapped) = (over.unwrap(), wrapped.unwrap());
+                assert_eq!(over.partition, wrapped.partition, "{what}: partition");
+                assert_eq!(over.phases, wrapped.phases, "{what}: phase stats");
+                let (a, b) = (over_ctx.into_stats(), graph_ctx.into_stats());
+                assert_eq!(a.total_rounds(), b.total_rounds(), "{what}: rounds");
+                assert_eq!(
+                    a.total_communication_words(),
+                    b.total_communication_words(),
+                    "{what}: words"
+                );
+                assert_eq!(
+                    a.max_machine_load_words(),
+                    b.max_machine_load_words(),
+                    "{what}: max load"
+                );
+                assert_eq!(a, b, "{what}: ledger");
+            }
+        }
+    }
+
+    #[test]
+    fn endgame_over_tables_and_the_graph_equals_the_graph_wrapper() {
+        let params = Params::laptop_scale();
+        for seed in 0..20u64 {
+            let (g, tables) = tables_for(seed);
+            let graphs: Vec<Graph> = tables.iter().map(EndpointTable::to_graph).collect();
+            let part = grow_components(
+                &graphs,
+                &params,
+                &mut ctx(),
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            )
+            .unwrap()
+            .partition;
+            let mut sources: Vec<EdgeSource<'_>> = tables.iter().map(EdgeSource::from).collect();
+            sources.push(EdgeSource::Graph(&g));
+            let mut refs: Vec<&Graph> = graphs.iter().collect();
+            refs.push(&g);
+            for threads in [1usize, 2, 8] {
+                let what = format!("seed={seed}, threads={threads}");
+                let (mut over_ctx, mut graph_ctx) = (ctx_on(threads), ctx_on(threads));
+                let over = finish_with_bfs_over(&sources, &part, &mut over_ctx);
+                let wrapped = finish_with_bfs_over_refs(&refs, &part, &mut graph_ctx);
+                assert_eq!(over, wrapped, "{what}: partition and iterations");
+                assert!(
+                    over.0.equals_components(&connected_components(&g)),
+                    "{what}: components"
+                );
+                assert_eq!(
+                    over_ctx.into_stats(),
+                    graph_ctx.into_stats(),
+                    "{what}: ledger"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! Theorem 4 composes the three steps:
 //!
 //! 1. [`regularize`] (Lemma 4.1),
-//! 2. [`randomize`] with walk length
+//! 2. [`random_batch`] with walk length
 //!    `T = O(log(n/γ)/λ)` (Lemma 5.1 + Proposition 2.2), repeated once per
 //!    leader-election phase to obtain `F` *fresh* batches (the preprocessing
 //!    step of Lemma 6.1),
-//! 3. [`grow_components`] followed by the
+//! 3. [`grow_components_over`] followed by the
 //!    exact endgame on the `O(1)`-diameter contraction (Lemma 6.2).
 //!
 //! Step 2's walks run on the zero-materialisation walk engine: the
@@ -30,11 +30,11 @@
 //! algorithm whose output may still be a refinement; Corollary 7.1's adaptive
 //! loop ([`adaptive_components`]) is built from it.
 
-use crate::leader::{finish_with_bfs_over_refs, grow_components, GrowPhaseStats};
+use crate::leader::{finish_with_bfs_over, grow_components_over, EdgeSource, GrowPhaseStats};
 use crate::params::Params;
 use crate::products::cloud_sizes;
 use crate::regularize::{regularize, CoreError};
-use crate::walks::{randomize, WalkMode};
+use crate::walks::{random_batch, WalkMode};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -196,22 +196,24 @@ fn run_pipeline(
     } else {
         WalkMode::Direct
     };
+    // Each batch stays the walks' endpoint table: grow and the endgame read
+    // it only through contractions, so it is never built as a graph.
     let mut batches = Vec::with_capacity(num_batches);
     for _ in 0..num_batches {
-        batches.push(randomize(
+        batches.push(random_batch(
             &reg.graph,
             walk_length,
             batch_degree,
             mode,
-            params.walk_kernel,
             params.layer_copies_multiplier,
             ctx,
             rng,
         )?);
     }
+    let mut sources: Vec<EdgeSource<'_>> = batches.iter().map(EdgeSource::from).collect();
 
     // Step 3: leader election with quadratic growth (Lemma 6.2) ...
-    let grow = grow_components(&batches, params, ctx, rng)?;
+    let grow = grow_components_over(&sources, params, ctx, rng)?;
 
     // ... and the endgame on the O(1)-diameter contraction (Claims
     // 6.13/6.14). The exact variant also contracts the regularized graph's
@@ -219,12 +221,11 @@ fn run_pipeline(
     // how well the randomized batches mixed.
     // The endgame only reads the union through its contraction, so hand the
     // batches (and, in the exact variant, the regularized graph) to it as
-    // borrowed refs — no union graph is ever materialised.
-    let mut refs: Vec<&Graph> = batches.iter().collect();
+    // borrowed sources — no union graph is ever materialised.
     if exact_endgame {
-        refs.push(&reg.graph);
+        sources.push(EdgeSource::Graph(&reg.graph));
     }
-    let (final_partition, bfs_levels) = finish_with_bfs_over_refs(&refs, &grow.partition, ctx);
+    let (final_partition, bfs_levels) = finish_with_bfs_over(&sources, &grow.partition, ctx);
     let labels_reg = final_partition.to_component_labels();
     let components = reg.pull_back_labels(&labels_reg);
 

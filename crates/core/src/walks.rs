@@ -60,7 +60,7 @@ use crate::walk_simd::{self, GatherLanes, GatherTable, MoveTier};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::{ChaCha8Batch, ChaCha8Rng};
 use serde::{Deserialize, Serialize};
-use wcc_graph::{AdjacencyView, Graph, GraphBuilder};
+use wcc_graph::{AdjacencyView, EndpointTable, Graph};
 use wcc_mpc::{derive_stream_seed, record_walk_telemetry, MpcContext, WalkTelemetry};
 
 /// Which implementation of the Theorem-3 walk primitive to use.
@@ -807,7 +807,7 @@ fn v3_walk_lane_group<const L: usize>(
     k: usize,
     vertices: &[u32; L],
     seeds: &[u64; L],
-    out: &mut [usize],
+    out: &mut [u32],
     tally: &mut WalkTelemetry,
 ) -> bool {
     debug_assert_eq!(out.len(), L * k);
@@ -849,7 +849,7 @@ fn v3_walk_lane_group<const L: usize>(
             remaining -= runnable;
         }
         for (l, &c) in lanes.vertices().iter().enumerate() {
-            out[l * k + walk] = c as usize;
+            out[l * k + walk] = c;
         }
     }
     tally.moves += local_moves;
@@ -877,7 +877,7 @@ impl V3Fanout<'_> {
         &self,
         span_start: usize,
         j: &mut usize,
-        chunk: &mut [usize],
+        chunk: &mut [u32],
         tally: &mut WalkTelemetry,
     ) {
         let first = span_start + *j;
@@ -895,7 +895,7 @@ impl V3Fanout<'_> {
     }
 
     /// The walks of vertex `v` on the scalar path.
-    fn scalar(&self, v: usize, slots: &mut [usize], tally: &mut WalkTelemetry) {
+    fn scalar(&self, v: usize, slots: &mut [u32], tally: &mut WalkTelemetry) {
         let mut vrng = ChaCha8Rng::seed_from_u64(derive_stream_seed(self.base, v as u64));
         let mut src = RngWords {
             rng: &mut vrng,
@@ -909,7 +909,7 @@ impl V3Fanout<'_> {
                 self.t,
                 &mut src,
                 &mut tally.moves,
-            ) as usize;
+            );
         }
     }
 }
@@ -920,7 +920,7 @@ impl V3Fanout<'_> {
 /// rounds of the theorem (parallel repetitions cost machines, not rounds).
 ///
 /// The endpoints come back as one **flat arena** of `n × walks_per_vertex`
-/// entries, vertex-major: vertex `v`'s endpoints occupy
+/// `u32` entries, vertex-major: vertex `v`'s endpoints occupy
 /// `result[v * walks_per_vertex..(v + 1) * walks_per_vertex]` (iterate with
 /// `chunks_exact(walks_per_vertex)`). One allocation for the whole fan-out
 /// instead of one small vector per vertex — this is the pipeline's hot path.
@@ -939,7 +939,7 @@ pub fn independent_lazy_walks<R: Rng + ?Sized>(
     copies_multiplier: usize,
     ctx: &mut MpcContext,
     rng: &mut R,
-) -> Result<Vec<usize>, CoreError> {
+) -> Result<Vec<u32>, CoreError> {
     lazy_walks_on(
         walk_simd::detected(),
         g,
@@ -969,7 +969,7 @@ pub fn independent_lazy_walks_portable<R: Rng + ?Sized>(
     copies_multiplier: usize,
     ctx: &mut MpcContext,
     rng: &mut R,
-) -> Result<Vec<usize>, CoreError> {
+) -> Result<Vec<u32>, CoreError> {
     lazy_walks_on(
         MoveTier::Portable,
         g,
@@ -1003,8 +1003,12 @@ fn lazy_walks_on<R: Rng + ?Sized>(
     copies_multiplier: usize,
     ctx: &mut MpcContext,
     rng: &mut R,
-) -> Result<Vec<usize>, CoreError> {
+) -> Result<Vec<u32>, CoreError> {
     let n = g.num_vertices();
+    assert!(
+        n as u64 <= u64::from(u32::MAX) + 1,
+        "{n} vertices do not fit the u32 endpoint arena"
+    );
     let delta = g.max_degree();
     if !g.is_regular(delta) || delta == 0 {
         return Err(CoreError::BadParams(
@@ -1036,7 +1040,7 @@ fn lazy_walks_on<R: Rng + ?Sized>(
             // chunks of the flat endpoint arena in place.
             let base = rng.gen::<u64>();
             let executor = ctx.executor();
-            let mut flat = vec![0usize; n * k];
+            let mut flat = vec![0u32; n * k];
             let vertex_spans = executor.element_spans(n);
             let ranges: Vec<std::ops::Range<usize>> = vertex_spans
                 .iter()
@@ -1122,25 +1126,53 @@ fn lazy_walks_on<R: Rng + ?Sized>(
                     }
                 }
             }
-            Ok(out.into_iter().flatten().collect())
+            Ok(out.into_iter().flatten().map(|u| u as u32).collect())
         }
     }
 }
 
 /// Step 2 of the pipeline: Lemma 5.1.
 ///
-/// Builds the randomized graph `H` on the same vertex set as the Δ-regular
-/// graph `g`: every vertex is connected to `out_degree / 2` independent
-/// lazy-walk endpoints of length `t`. If `t` is at least the `γ`-mixing time
-/// of each component, each component of `H` is close in distribution to
-/// `G(n_i, out_degree)` and in particular connected w.h.p.
+/// Draws one random batch on the vertex set of the Δ-regular graph `g`:
+/// every vertex is connected to `w = max(out_degree / 2, 1)` independent
+/// lazy-walk endpoints of length `t`. If `t` is at least the `γ`-mixing
+/// time of each component, each component of the batch is close in
+/// distribution to `G(n_i, out_degree)` and in particular connected w.h.p.
+///
+/// The batch is the walks' endpoint arena itself, never a [`Graph`]:
+/// Section 6 reads it only through contractions, which take an
+/// [`EndpointTable`] as it is ([`EdgeSource`](crate::leader::EdgeSource)).
+/// Charges one shuffle of the `2·n·w` endpoint words.
 ///
 /// # Errors
 ///
 /// Propagates [`CoreError`] from [`independent_lazy_walks`].
+pub fn random_batch<R: Rng + ?Sized>(
+    g: &Graph,
+    t: usize,
+    out_degree: usize,
+    mode: WalkMode,
+    copies_multiplier: usize,
+    ctx: &mut MpcContext,
+    rng: &mut R,
+) -> Result<EndpointTable, CoreError> {
+    ctx.begin_phase("randomize");
+    let walks_per_vertex = (out_degree / 2).max(1);
+    let endpoints =
+        independent_lazy_walks(g, t, walks_per_vertex, mode, copies_multiplier, ctx, rng)?;
+    ctx.charge_shuffle(2 * g.num_vertices() * walks_per_vertex);
+    ctx.end_phase();
+    Ok(EndpointTable::new(walks_per_vertex, endpoints))
+}
+
+/// [`random_batch`] built as a [`Graph`] ([`EndpointTable::to_graph`]).
 ///
-/// `_kernel` is ignored: the fan-out always runs v3. The argument is kept
-/// until ROADMAP 1-min/1b because the frozen benchmark still passes it.
+/// Kept until ROADMAP 1b only because the frozen benchmark still calls it;
+/// `_kernel` is ignored (the fan-out always runs v3).
+///
+/// # Errors
+///
+/// Propagates [`CoreError`] from [`independent_lazy_walks`].
 #[allow(clippy::too_many_arguments)]
 pub fn randomize<R: Rng + ?Sized>(
     g: &Graph,
@@ -1152,20 +1184,7 @@ pub fn randomize<R: Rng + ?Sized>(
     ctx: &mut MpcContext,
     rng: &mut R,
 ) -> Result<Graph, CoreError> {
-    ctx.begin_phase("randomize");
-    let walks_per_vertex = (out_degree / 2).max(1);
-    let endpoints =
-        independent_lazy_walks(g, t, walks_per_vertex, mode, copies_multiplier, ctx, rng)?;
-    let n = g.num_vertices();
-    let mut builder = GraphBuilder::with_capacity(n, n * walks_per_vertex);
-    for (v, targets) in endpoints.chunks_exact(walks_per_vertex).enumerate() {
-        builder
-            .add_edges(targets.iter().map(|&u| (v, u)))
-            .expect("walk endpoints in range");
-    }
-    ctx.charge_shuffle(2 * n * walks_per_vertex);
-    ctx.end_phase();
-    Ok(builder.build())
+    random_batch(g, t, out_degree, mode, copies_multiplier, ctx, rng).map(|b| b.to_graph())
 }
 
 #[cfg(test)]
@@ -1959,12 +1978,12 @@ mod tests {
                 for k in [1usize, 3] {
                     let master = ChaCha8Rng::seed_from_u64((n * 1000 + t * 10 + k) as u64);
                     let base = master.clone().gen::<u64>();
-                    let expected: Vec<usize> = (0..n)
+                    let expected: Vec<u32> = (0..n)
                         .flat_map(|v| {
                             let mut vrng =
                                 ChaCha8Rng::seed_from_u64(derive_stream_seed(base, v as u64));
                             let g = &g;
-                            (0..k).map(move |_| v3_walk_endpoint(g, v, t, &mut vrng))
+                            (0..k).map(move |_| v3_walk_endpoint(g, v, t, &mut vrng) as u32)
                         })
                         .collect();
                     for threads in [1usize, 2, 8] {
@@ -2048,7 +2067,7 @@ mod tests {
             let (t, k) = (37, 3);
             let vertices: [u32; L] = core::array::from_fn(|l| (2 * l) as u32);
             let seeds: [u64; L] = core::array::from_fn(|l| 0xC0FFEE ^ (l as u64 * 7919));
-            let mut out = vec![0usize; L * k];
+            let mut out = vec![0u32; L * k];
             let mut tally = WalkTelemetry::default();
             assert!(
                 v3_walk_lane_group(&table, t, k, &vertices, &seeds, &mut out, &mut tally),
@@ -2073,7 +2092,7 @@ mod tests {
                     );
                     assert_eq!(
                         out[l * k + walk],
-                        end as usize,
+                        end,
                         "{name}, L={L}: lane {l} walk {walk} diverged from scalar"
                     );
                 }

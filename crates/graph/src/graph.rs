@@ -250,6 +250,24 @@ impl Graph {
         }
     }
 
+    /// A graph from CSR parts its builder already made consistent: a
+    /// row-major edge list and the matching offsets and adjacency.
+    pub(crate) fn from_csr_parts(
+        num_vertices: usize,
+        edges: Vec<(u32, u32)>,
+        offsets: Vec<usize>,
+        adjacency: Vec<u32>,
+    ) -> Graph {
+        debug_assert_eq!(offsets.len(), num_vertices + 1);
+        debug_assert_eq!(offsets.last().copied(), Some(adjacency.len()));
+        Graph {
+            num_vertices,
+            edges,
+            offsets,
+            adjacency,
+        }
+    }
+
     /// The CSR of a normalised edge list.
     ///
     /// # Panics

@@ -33,6 +33,7 @@ pub mod hash;
 pub mod io;
 pub mod partition;
 pub mod spectral;
+pub mod table;
 pub mod view;
 
 pub use crate::components::{connected_components, ComponentLabels, UnionFind};
@@ -44,6 +45,7 @@ pub use crate::io::{
     write_op_chunks_file, EdgeOp, IoError, LoadedGraph, OpChunkWriter, OpKind, PackSummary,
 };
 pub use crate::partition::Partition;
+pub use crate::table::EndpointTable;
 pub use crate::view::{AdjacencyView, LazyView};
 
 /// Convenient glob-import of the most commonly used items.
@@ -59,5 +61,6 @@ pub mod prelude {
     };
     pub use crate::partition::Partition;
     pub use crate::spectral;
+    pub use crate::table::EndpointTable;
     pub use crate::view::{AdjacencyView, LazyView};
 }

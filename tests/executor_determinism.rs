@@ -180,7 +180,7 @@ fn v3_walk_engine_is_bit_identical_across_thread_counts() {
         for v in 0..g.num_vertices() {
             let mut vrng = ChaCha8Rng::seed_from_u64(derive_stream_seed(base, v as u64));
             for _ in 0..k {
-                expected.push(v3_walk_endpoint(&g, v, t, &mut vrng));
+                expected.push(v3_walk_endpoint(&g, v, t, &mut vrng) as u32);
             }
         }
 

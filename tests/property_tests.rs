@@ -24,6 +24,58 @@ fn arb_graph(max_n: usize, max_extra_edges: usize) -> impl Strategy<Value = Grap
     })
 }
 
+/// Strategy: an endpoint table on `n ≤ max_n` vertices with `w ≤ max_w`
+/// endpoints each, all drawn below a bound `≤ n`: vertices at or past the
+/// bound are never targeted, and small bounds make loops, repeated targets
+/// and mutual pairs the rule.
+fn arb_endpoint_table(max_n: usize, max_w: usize) -> impl Strategy<Value = EndpointTable> {
+    (0..max_n + 1, 1..max_w + 1).prop_flat_map(|(n, w)| {
+        (1..n.max(1) + 1).prop_flat_map(move |bound| {
+            proptest::collection::vec(0..bound as u32, n * w..n * w + 1)
+                .prop_map(move |ends| EndpointTable::new(w, ends))
+        })
+    })
+}
+
+/// The table's direct simple build against `GraphBuilder` + `simple()`.
+fn assert_direct_build_matches(table: &EndpointTable) {
+    let w = table.walks_per_vertex();
+    let mut builder = GraphBuilder::new(table.num_vertices());
+    for (v, row) in table.ends().chunks_exact(w).enumerate() {
+        builder
+            .add_edges(row.iter().map(|&u| (v, u as usize)))
+            .unwrap();
+    }
+    let want = builder.build().simple();
+    let got = table.simple_graph();
+    assert_eq!(got.num_vertices(), want.num_vertices(), "{table:?}");
+    assert_eq!(got.csr_offsets(), want.csr_offsets(), "{table:?}");
+    assert_eq!(got.csr_adjacency(), want.csr_adjacency(), "{table:?}");
+    assert_eq!(got.edges(), want.edges(), "{table:?}");
+}
+
+#[test]
+fn direct_simple_build_handles_the_corner_tables() {
+    let cases: [(usize, Vec<u32>); 7] = [
+        // No vertices; one vertex, a loop per walk.
+        (1, vec![]),
+        (3, vec![0, 0, 0]),
+        // w = 1: a mutual pair, a loop, and vertex 3 targeted by no one.
+        (1, vec![1, 0, 2, 2]),
+        // Repeated targets and a mutual pair that repeats.
+        (3, vec![1, 1, 1, 0, 0, 2, 0, 1, 1]),
+        // Every vertex targets vertex 0 only; vertex 0 loops.
+        (2, vec![0, 0, 0, 0, 0, 0, 0, 0]),
+        // A cycle and its reverse: every edge twice, once from each end.
+        (2, vec![1, 3, 2, 0, 3, 1, 0, 2]),
+        // Vertices 2.. targeted by no one, all their own edges leave them.
+        (2, vec![1, 1, 0, 0, 0, 1, 1, 0, 0, 0]),
+    ];
+    for (w, ends) in cases {
+        assert_direct_build_matches(&EndpointTable::new(w, ends));
+    }
+}
+
 /// Strategy: a dense-ish multigraph — few vertices, every drawn pair repeated
 /// one to three times — so self-loops, parallel edges and degrees on both
 /// sides of any small degree budget are the rule rather than the exception.
@@ -63,6 +115,19 @@ fn encode_insert_chunks(v2: bool, chunks: &[&[(u64, u64)]]) -> (usize, Vec<u8>) 
         }
     }
     (CHUNK_BYTES_PER_EDGE, binary)
+}
+
+proptest! {
+    // Cheap cases: many of them.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn direct_simple_build_equals_builder_plus_simple(table in arb_endpoint_table(90, 8)) {
+        // Phase 1's contraction of a random batch is built straight from its
+        // endpoint table; the batch built as a graph and de-duplicated is
+        // the graph it must reproduce, field for field.
+        assert_direct_build_matches(&table);
+    }
 }
 
 proptest! {
