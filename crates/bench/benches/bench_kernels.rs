@@ -9,8 +9,8 @@
 //!   shape, dispatched move tier vs the portable tier;
 //! * **agm_sketch** — the connectivity sketch's build-and-decode, turnstile
 //!   updates and subset Borůvka;
-//! * **contraction** — the contraction graph's identity, pair-bitmap and
-//!   bucketed data planes on the shapes the one-shot workloads feed them.
+//! * **contraction** — the contraction graph's two builds, pair bitmap and
+//!   counting, on the shapes the one-shot workloads feed them.
 //!
 //! Every row asserts its output equal to a reference before it is timed.
 //! Everything else — end-to-end wall time, ingest, serve, `Cluster`
@@ -231,18 +231,19 @@ fn bench_sketch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The contraction's three data planes. `oneshot_expander` (BENCHMARK.json)
+/// The contraction's two builds. `oneshot_expander` (BENCHMARK.json)
 /// regularizes to 12 500 whole vertices and walks batches of 30 endpoints per
 /// vertex, each kept as its endpoint table: phase 1 contracts one table by the
-/// identity partition (the direct simple build), phase 2 by ≈3 150 parts and
-/// the endgame both tables by ≈177 parts (pair bitmap). The bucketed build sits past the dense switch
-/// (parts² > 2²⁴), which neither one-shot workload reaches any more; its row
-/// keeps it timed on the same batch at 6 250 parts. Every row's graph is
-/// checked field for field against a relabel + global sort + dedup spec
-/// first.
+/// identity partition (the counting build), phase 2 by ≈3 150 parts and the
+/// endgame both tables by ≈177 parts (pair bitmap). Past the dense switch
+/// (parts² > 2²⁴), which neither one-shot workload reaches, the counting build
+/// also takes every labelled request; its second row times it on the same
+/// batch at 6 250 parts. Every row's graph is checked field for field against
+/// a relabel + global sort + dedup spec first.
 fn bench_contraction(c: &mut Criterion) {
     use rand::Rng;
-    use wcc_core::leader::{contraction_graph_of_refs, EdgeSource};
+    use wcc_core::leader::contraction_graph_of_refs;
+    use wcc_graph::EdgeSource;
 
     let mut group = c.benchmark_group("contraction");
     group.sample_size(10);
@@ -265,10 +266,10 @@ fn bench_contraction(c: &mut Criterion) {
         Partition::from_raw_labels(&labels)
     };
     let rows: [(&str, &[EdgeSource<'_>], Partition); 4] = [
-        ("identity/phase1", &one, Partition::singletons(n)),
+        ("counting/phase1", &one, Partition::singletons(n)),
         ("dense_pairs/phase2", &one, random_parts(3_150, &mut rng)),
         ("dense_pairs/bfs", &all, random_parts(177, &mut rng)),
-        ("bucketed/6250_parts", &one, random_parts(6_250, &mut rng)),
+        ("counting/6250_parts", &one, random_parts(6_250, &mut rng)),
     ];
     let ctx = || MpcContext::new(MpcConfig::for_input_size(1 << 24, 0.5).permissive());
     for (name, graphs, partition) in &rows {

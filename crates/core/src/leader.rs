@@ -21,7 +21,7 @@
 //!
 //! The paper finishes with a BFS, which is `O(1)` rounds under its promise
 //! and `Θ(D)` on a contraction of diameter `D` when the promise fails. The
-//! endgame here ([`finish_with_bfs_over_refs`]) iterates Liu–Tarjan's
+//! endgame here ([`finish_with_bfs_over`]) iterates Liu–Tarjan's
 //! parent-connect and shortcut steps instead: three exchanges on a
 //! constant-diameter contraction, about `2·log₂ D` otherwise, exact either
 //! way (DESIGN.md §13).
@@ -29,86 +29,13 @@
 use crate::params::Params;
 use crate::regularize::CoreError;
 
-use std::ops::Range;
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::{ChaCha8Batch, ChaCha8Rng};
 use serde::{Deserialize, Serialize};
-use wcc_graph::{ComponentLabels, EndpointTable, Graph, GraphBuilder, Partition};
-use wcc_mpc::{derive_stream_seed, pack_edge, Executor, MpcContext};
-
-/// Where a contraction reads its edges: a [`Graph`]'s edge list, or a
-/// random batch as the walks wrote it, an [`EndpointTable`] (edge
-/// `(v, ends[v·w + j])`, loops and repeats included). A table and the graph
-/// [`EndpointTable::to_graph`] builds from it are the same edge multiset,
-/// so they contract to the same graph at the same charge.
-#[derive(Debug, Clone, Copy)]
-pub enum EdgeSource<'a> {
-    /// The edges of a graph.
-    Graph(&'a Graph),
-    /// The edges of a random batch.
-    Table(&'a EndpointTable),
-}
-
-impl<'a> From<&'a Graph> for EdgeSource<'a> {
-    fn from(g: &'a Graph) -> Self {
-        EdgeSource::Graph(g)
-    }
-}
-
-impl<'a> From<&'a EndpointTable> for EdgeSource<'a> {
-    fn from(table: &'a EndpointTable) -> Self {
-        EdgeSource::Table(table)
-    }
-}
-
-impl EdgeSource<'_> {
-    /// Number of vertices of the source.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            EdgeSource::Graph(g) => g.num_vertices(),
-            EdgeSource::Table(t) => t.num_vertices(),
-        }
-    }
-
-    /// Number of edges, loops and repeats included.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            EdgeSource::Graph(g) => g.num_edges(),
-            EdgeSource::Table(t) => t.num_edges(),
-        }
-    }
-
-    /// How many units the relabel passes split across workers: a graph's
-    /// edges, a table's vertices (rows of `w` edges).
-    fn units(&self) -> usize {
-        match self {
-            EdgeSource::Graph(g) => g.num_edges(),
-            EdgeSource::Table(t) => t.num_vertices(),
-        }
-    }
-
-    /// Calls `f(u, v)` on every edge of `units`, in source order.
-    #[inline]
-    fn for_each_edge(&self, units: Range<usize>, mut f: impl FnMut(u32, u32)) {
-        match self {
-            EdgeSource::Graph(g) => {
-                for &(u, v) in &g.edges()[units] {
-                    f(u, v);
-                }
-            }
-            EdgeSource::Table(t) => {
-                let w = t.walks_per_vertex();
-                let rows = t.ends()[units.start * w..units.end * w].chunks_exact(w);
-                for (v, row) in units.zip(rows) {
-                    for &u in row {
-                        f(v as u32, u);
-                    }
-                }
-            }
-        }
-    }
-}
+use wcc_graph::{
+    counting_contraction, ComponentLabels, EdgeSource, Graph, GraphBuilder, Partition,
+};
+use wcc_mpc::{derive_stream_seed, Executor, MpcContext};
 
 /// The grouping decided by one leader-election round on a contraction graph.
 #[derive(Debug, Clone)]
@@ -248,7 +175,7 @@ pub fn contraction_graph(g: &Graph, partition: &Partition, ctx: &mut MpcContext)
 /// Ceiling on `parts²` for the dense-pair contraction: one bit per ordered
 /// pair of parts, of which every edge sets one at random, must fit 2 MiB —
 /// one core's L2 on the hosts this was tuned on. Past it — 4096 parts — the
-/// bucketed build takes over.
+/// counting build takes over.
 const DENSE_PAIR_BITS: usize = 1 << 24;
 
 /// [`contraction_graph`] over the disjoint edge-set union of `sources`
@@ -256,44 +183,37 @@ const DENSE_PAIR_BITS: usize = 1 << 24;
 /// the contraction only needs to see every edge once, so building the
 /// union's CSR (the single largest allocation of the old endgame) is pure
 /// waste. A source is a [`Graph`] or a random batch as the walks wrote it,
-/// an [`EndpointTable`] of `n·w` endpoints that is never built as a graph
-/// ([`EdgeSource`]); each path below reads either kind in the same pass.
+/// an [`EndpointTable`](wcc_graph::EndpointTable) of `n·w` endpoints that
+/// is never built as a graph ([`EdgeSource`]); both builds below read
+/// either kind.
 ///
-/// All paths build the same graph — the one the `(usize, usize)` sort and
+/// Both builds make the same graph — the one the `(usize, usize)` sort and
 /// dedup of this module's test oracle defines: sorted distinct rows,
-/// row-major edge list. Which one runs depends only on the shape of the
-/// request, and every path **deduplicates before materialising** anything
-/// per edge:
+/// row-major edge list. Which one runs depends only on the part count:
 ///
-/// * the partition is the identity and there is one source (phase 1 of
-///   [`grow_components_over`]): nothing is relabelled, so the contraction
-///   is the simple graph underneath the source — a table's is built
-///   straight from its endpoints by ascending passes with no comparison
-///   sort ([`EndpointTable::simple_graph`]), a graph's is read off its own
-///   CSR rows ([`Graph::simple`]);
 /// * `parts² ≤` `DENSE_PAIR_BITS`: `contract_edges_dense` streams the
 ///   edges once into a pair bitmap and reads the sorted distinct edge list
 ///   off the set bits — millions of edges collapsing onto a few hundred
 ///   pairs never exist as tuples;
-/// * otherwise each relabelled edge `(a, b)`, `a ≤ b`, packs into the key
-///   [`pack_edge`]`(a, b)` and the unsorted key multiset goes to
-///   [`Graph::from_packed_edge_multiset`], whose bucket-by-endpoint build
-///   (histogram + scatter + per-row sort/dedup) replaces the full
-///   multi-pass sort with one scatter and cache-resident row sorts.
+/// * otherwise [`counting_contraction`] fills every part's row in
+///   ascending order from a counting and a filling pass over each part's
+///   neighbour parts, with no comparison sort. Under the identity
+///   partition (phase 1 of [`grow_components_over`]) it reads the sources
+///   in place and relabels nothing.
 ///
 /// Part ids fit a `u32`: the part count is at most the vertex count, and
 /// the `(u32, u32)`-backed [`Graph`] reaches past `2^32` vertices only
 /// through isolated ones, whose CSR offsets alone would take 32 GiB. The
-/// function asserts that invariant once, which is what lets every path
-/// carry `u32` labels and `u64` keys.
+/// function asserts that invariant once, which is what lets both builds
+/// carry `u32` labels.
 ///
 /// Charges one sort over the *total* edge count, exactly what one call on
-/// the materialised union charged — whichever path then does the grouping
+/// the materialised union charged — whichever build then does the grouping
 /// work the charged sort models (the same convention as the
-/// identity-shuffle short circuit).
-/// The per-edge passes fan out over contiguous edge chunks on the context's
-/// backend; the grouping that follows erases the (already deterministic)
-/// chunk order.
+/// identity-shuffle short circuit). The bitmap pass fans out over
+/// contiguous edge chunks on the context's backend and ORs the chunks'
+/// bitmaps, which erases the chunk order; the counting build is
+/// sequential.
 ///
 /// # Panics
 ///
@@ -322,31 +242,12 @@ pub fn contraction_graph_of_refs(
          (part ids must fit a u32)"
     );
     ctx.charge_sort(total_edges.max(1));
-    match sources {
-        [EdgeSource::Graph(g)] if partition.is_identity() => g.simple(),
-        [EdgeSource::Table(t)] if partition.is_identity() => t.simple_graph(),
-        _ if parts * parts <= DENSE_PAIR_BITS => {
-            let edges = contract_edges_dense(sources, partition, &ctx.executor());
-            Graph::from_normalized_edges(parts, edges)
-        }
-        _ => {
-            let packed = contract_edges_compact(sources, partition, &ctx.executor());
-            Graph::from_packed_edge_multiset(parts, &packed)
-        }
+    if parts * parts <= DENSE_PAIR_BITS {
+        let edges = contract_edges_dense(sources, partition, &ctx.executor());
+        Graph::from_normalized_edges(parts, edges)
+    } else {
+        counting_contraction(sources, partition)
     }
-}
-
-/// The partition's labels in a flat compact-width table. The relabel passes
-/// make two random lookups per edge, and halving the table's bytes (vs the
-/// usize-backed `part_of`) keeps it cache-resident at the vertex counts
-/// where they are hot. The cast is lossless under the `u32` id-space
-/// invariant [`contraction_graph_of_refs`] asserts.
-fn compact_labels(partition: &Partition) -> Vec<u32> {
-    partition
-        .part_of_slice()
-        .iter()
-        .map(|&p| p as u32)
-        .collect()
 }
 
 /// The dense-pair contraction: the sorted list of distinct contracted edges
@@ -368,7 +269,13 @@ fn contract_edges_dense(
     if words == 0 {
         return Vec::new();
     }
-    let labels = compact_labels(partition);
+    // Two random label lookups per edge: a `u32` table is half the bytes of
+    // the partition's own, so it stays cache-resident where this is hot.
+    let labels: Vec<u32> = partition
+        .part_of_slice()
+        .iter()
+        .map(|&p| p as u32)
+        .collect();
     // The first range's bitmap is the accumulator the others are OR-ed
     // into, so one range (one thread) allocates one bitmap.
     let mut pairs: Vec<u64> = Vec::new();
@@ -404,42 +311,6 @@ fn contract_edges_dense(
         }
     }
     edges
-}
-
-/// The compact contraction data plane's relabel pass: each surviving edge
-/// becomes one `u64`-packed key, `(a << 32) | b` with `a ≤ b`, self-loops
-/// dropped. The key **multiset** is returned in deterministic chunk order
-/// but otherwise unsorted — sorting and deduplication happen inside
-/// [`Graph::from_packed_edge_multiset`], bucketed per endpoint instead of
-/// globally. No wide tuples are ever materialised; the part ids fit a `u32`
-/// by the invariant [`contraction_graph_of_refs`] asserts.
-fn contract_edges_compact(
-    sources: &[EdgeSource<'_>],
-    partition: &Partition,
-    executor: &Executor,
-) -> Vec<u64> {
-    let total_edges: usize = sources.iter().map(EdgeSource::num_edges).sum();
-    let labels = compact_labels(partition);
-    let mut packed: Vec<u64> = Vec::new();
-    for (si, src) in sources.iter().enumerate() {
-        let chunk: Vec<u64> = executor.flat_map_ranges(src.units(), |range| {
-            let mut keys = Vec::new();
-            src.for_each_edge(range, |u, v| {
-                let (a, b) = (labels[u as usize], labels[v as usize]);
-                if a != b {
-                    keys.push(pack_edge(a.min(b) as usize, a.max(b) as usize));
-                }
-            });
-            keys
-        });
-        if si == 0 {
-            packed = chunk;
-            packed.reserve(total_edges.saturating_sub(packed.len()));
-        } else {
-            packed.extend_from_slice(&chunk);
-        }
-    }
-    packed
 }
 
 /// Per-phase statistics recorded by [`grow_components_over`] — the measurements
@@ -801,9 +672,9 @@ mod tests {
         );
     }
 
-    /// One contraction request through every data plane that admits it —
-    /// each called directly, whatever the switch would pick — and through
-    /// the public entry point, all against the wide spec, on 1, 2 and 8
+    /// One contraction request through both builds — each called
+    /// directly, the bitmap where its switch admits it — and through the
+    /// public entry point, all against the wide spec, on 1, 2 and 8
     /// threads.
     fn check_contraction_paths(sources: &[EdgeSource<'_>], part: &Partition) {
         let parts = part.num_parts();
@@ -816,29 +687,19 @@ mod tests {
             })
             .collect();
         let refs: Vec<&Graph> = graphs.iter().collect();
+        let counting = counting_contraction(sources, part);
         for threads in [1usize, 2, 8] {
             let what = format!("parts={parts}, threads={threads}");
             let executor = Executor::threaded(threads);
             let spec =
                 Graph::from_edges_unchecked(parts, contract_edges_wide(&refs, part, &executor));
-            let bucketed = Graph::from_packed_edge_multiset(
-                parts,
-                &contract_edges_compact(sources, part, &executor),
-            );
-            assert_same_graph(&bucketed, &spec, &format!("bucketed, {what}"));
+            assert_same_graph(&counting, &spec, &format!("counting, {what}"));
             if parts * parts <= DENSE_PAIR_BITS {
                 let dense = Graph::from_normalized_edges(
                     parts,
                     contract_edges_dense(sources, part, &executor),
                 );
                 assert_same_graph(&dense, &spec, &format!("dense, {what}"));
-            }
-            if sources.len() == 1 && part.is_identity() {
-                assert_same_graph(&refs[0].simple(), &spec, &format!("identity, {what}"));
-                if let EdgeSource::Table(t) = sources[0] {
-                    let direct = t.simple_graph();
-                    assert_same_graph(&direct, &spec, &format!("direct, {what}"));
-                }
             }
             let mut c = ctx_on(threads);
             let dispatched = contraction_graph_of_refs(sources, part, &mut c);
@@ -891,11 +752,17 @@ mod tests {
             let refs: Vec<&Graph> = graphs.iter().collect();
             let sources = sources_of(&refs);
             check_contraction_paths(&sources, &part);
-            // The same graphs under the identity and under one all-covering
-            // part (every edge a loop of the contraction).
+            // The same graphs under the identity, under singleton parts
+            // numbered in reverse (the same part count, but every edge is
+            // relabelled, so the identity's unlabelled reading would be the
+            // wrong graph) and under one all-covering part (every edge a
+            // loop of the contraction).
             let n = part.len();
             check_contraction_paths(&sources, &Partition::singletons(n));
             check_contraction_paths(&sources[..1], &Partition::singletons(n));
+            let reversed = Partition::from_part_of((0..n).rev().collect(), n);
+            assert_eq!(reversed.is_identity(), n == 1);
+            check_contraction_paths(&sources, &reversed);
             check_contraction_paths(&sources, &Partition::from_raw_labels(&vec![0; n]));
         }
 
@@ -910,9 +777,14 @@ mod tests {
             check_contraction_paths(&sources, &Partition::singletons(n));
             check_contraction_paths(&sources[..1], &Partition::singletons(n));
             check_contraction_paths(&sources, &Partition::from_raw_labels(&vec![0; n]));
-            // A table beside a graph, as in the exact endgame.
+            // A table beside a graph, as in the exact endgame, and the same
+            // under the identity: the endgame when growth merged nothing.
             let g = tables[0].to_graph();
             check_contraction_paths(&[sources[0], EdgeSource::Graph(&g)], &part);
+            check_contraction_paths(
+                &[sources[0], EdgeSource::Graph(&g)],
+                &Partition::singletons(n),
+            );
         }
 
         #[test]
@@ -927,7 +799,7 @@ mod tests {
     #[test]
     fn contraction_paths_agree_on_both_sides_of_the_dense_switch() {
         // 4096² = DENSE_PAIR_BITS exactly: 4095 and 4096 parts take the
-        // bitmap, 4097 the bucketed build.
+        // bitmap, 4097 the counting build.
         assert_eq!(4096 * 4096, DENSE_PAIR_BITS);
         let n = 5000;
         let mut rng = ChaCha8Rng::seed_from_u64(41);
@@ -941,38 +813,6 @@ mod tests {
             assert_eq!(part.num_parts(), parts);
             check_contraction_paths(&sources_of(&[&g1, &g2]), &part);
             check_contraction_paths(&[EdgeSource::Table(&t1), EdgeSource::Graph(&g2)], &part);
-        }
-    }
-
-    #[test]
-    fn compact_contraction_matches_wide_spec() {
-        // The packed key multiset itself, sorted and deduplicated, is the
-        // wide spec's edge list; the bucketed build over it is the spec's
-        // graph. Across thread counts, two graph shapes and seeds.
-        for threads in [1usize, 2, 8] {
-            let executor = Executor::threaded(threads);
-            for seed in [3u64, 11, 29] {
-                let what = format!("threads={threads}, seed={seed}");
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let g1 = generators::planted_expander_components(&[90, 70], 6, &mut rng);
-                let g2 = generators::random_out_degree_graph(160, 5, &mut rng);
-                let labels: Vec<usize> = (0..160).map(|v| v % 37).collect();
-                let part = Partition::from_raw_labels(&labels);
-                let refs = [&g1, &g2];
-                let packed = contract_edges_compact(&sources_of(&refs), &part, &executor);
-                let wide = contract_edges_wide(&refs, &part, &executor);
-                let mut keys = packed.clone();
-                keys.sort_unstable();
-                keys.dedup();
-                let unpacked: Vec<(usize, usize)> =
-                    keys.iter().map(|&k| wcc_mpc::unpack_edge(k)).collect();
-                assert_eq!(unpacked, wide, "packed keys, {what}");
-                assert_same_graph(
-                    &Graph::from_packed_edge_multiset(part.num_parts(), &packed),
-                    &Graph::from_edges_unchecked(part.num_parts(), wide),
-                    &format!("bucketed build, {what}"),
-                );
-            }
         }
     }
 
@@ -1000,26 +840,6 @@ mod tests {
             &[EdgeSource::Table(&no_vertices)],
             &Partition::singletons(0),
         );
-    }
-
-    #[test]
-    fn identity_shortcut_is_for_the_identity_labelling_only() {
-        let mut rng = ChaCha8Rng::seed_from_u64(43);
-        let g = generators::random_out_degree_graph(300, 4, &mut rng).with_self_loops(1);
-        assert!(Partition::singletons(300).is_identity());
-        check_contraction_paths(&sources_of(&[&g]), &Partition::singletons(300));
-        // Singleton parts under a permuted labelling: same part count, but
-        // the contraction relabels every edge, so `simple()` is the wrong
-        // graph and must not be what comes back.
-        let mut labels: Vec<usize> = (0..300).collect();
-        labels.shuffle(&mut rng);
-        let permuted = Partition::from_part_of(labels, 300);
-        assert!(!permuted.is_identity());
-        check_contraction_paths(&sources_of(&[&g]), &permuted);
-        let h = contraction_graph(&g, &permuted, &mut ctx());
-        assert_ne!(h.edges(), g.simple().edges());
-        // Coarser partitions are never the identity either.
-        assert!(!Partition::from_raw_labels(&[0, 0, 1]).is_identity());
     }
 
     #[test]
@@ -1118,13 +938,13 @@ mod tests {
         let g1 = generators::random_out_degree_graph(n, 3, &mut rng);
         let g2 = Graph::from_edges_unchecked(n, (0..n).map(|v| (v, (7 * v + 1) % n)));
         let dense = Partition::from_raw_labels(&(0..n).map(|v| v % 100).collect::<Vec<_>>());
-        let bucketed = Partition::from_raw_labels(&(0..n).map(|v| v % 4097).collect::<Vec<_>>());
+        let counting = Partition::from_raw_labels(&(0..n).map(|v| v % 4097).collect::<Vec<_>>());
         assert!(dense.num_parts().pow(2) <= DENSE_PAIR_BITS);
-        assert!(bucketed.num_parts().pow(2) > DENSE_PAIR_BITS);
+        assert!(counting.num_parts().pow(2) > DENSE_PAIR_BITS);
         let cases: [(&str, Vec<&Graph>, &Partition); 4] = [
             ("identity", vec![&g1], &Partition::singletons(n)),
             ("dense", vec![&g1], &dense),
-            ("bucketed", vec![&g1], &bucketed),
+            ("counting", vec![&g1], &counting),
             ("two graphs, dense", vec![&g1, &g2], &dense),
         ];
         for (what, refs, part) in cases {
@@ -1373,7 +1193,8 @@ mod tests {
                 let what = format!("{family}, {order_name} ids");
 
                 let (iterations, exchanges) = check_endgame(&[&g], &Partition::singletons(n));
-                assert_eq!(iterations == 0, g.simple().num_edges() == 0, "{what}");
+                let loops_only = g.edges().iter().all(|&(u, v)| u == v);
+                assert_eq!(iterations == 0, loops_only, "{what}");
                 assert!(exchanges <= 2 * iterations as u64, "{what}");
                 check_endgame(&[&g], &Partition::from_raw_labels(&refinement));
                 // Every part already a whole component: nothing is exchanged.

@@ -30,7 +30,7 @@
 //! algorithm whose output may still be a refinement; Corollary 7.1's adaptive
 //! loop ([`adaptive_components`]) is built from it.
 
-use crate::leader::{finish_with_bfs_over, grow_components_over, EdgeSource, GrowPhaseStats};
+use crate::leader::{finish_with_bfs_over, grow_components_over, GrowPhaseStats};
 use crate::params::Params;
 use crate::products::cloud_sizes;
 use crate::regularize::{regularize, CoreError};
@@ -40,7 +40,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use wcc_graph::spectral::mixing_time_bound;
-use wcc_graph::{ComponentLabels, Graph};
+use wcc_graph::{ComponentLabels, EdgeSource, Graph};
 use wcc_mpc::{MpcConfig, MpcContext, RoundStats};
 
 /// Detailed per-stage measurements of one pipeline run.

@@ -1141,7 +1141,7 @@ fn lazy_walks_on<R: Rng + ?Sized>(
 ///
 /// The batch is the walks' endpoint arena itself, never a [`Graph`]:
 /// Section 6 reads it only through contractions, which take an
-/// [`EndpointTable`] as it is ([`EdgeSource`](crate::leader::EdgeSource)).
+/// [`EndpointTable`] as it is ([`EdgeSource`](wcc_graph::EdgeSource)).
 /// Charges one shuffle of the `2·n·w` endpoint words.
 ///
 /// # Errors

@@ -141,115 +141,6 @@ impl Graph {
         }
     }
 
-    /// Builds the graph of the **distinct** edges of an unsorted multiset
-    /// of packed keys `(u << 32) | v` with `u <= v` (the compact data
-    /// plane's layout): one histogram + scatter buckets every key into
-    /// both endpoints' CSR rows, then each (cache-resident) row is sorted
-    /// and deduplicated in place. That replaces the global radix sort a
-    /// sort-and-dedup pipeline would pay — grouping by vertex *is* the
-    /// leading sort column — and the result is bit-identical to building
-    /// from the globally sorted, deduplicated edge list: within a row
-    /// every neighbour `< v` comes from an earlier edge-list row, so the
-    /// sorted row reproduces the append order of
-    /// [`from_edges_unchecked`](Self::from_edges_unchecked), and the emitted edge list (row-major,
-    /// `w >= v` entries) is exactly the sorted distinct list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is `>= num_vertices` or a key has `u > v`.
-    /// Intended for internal data planes whose keys were packed from
-    /// in-range normalised edges.
-    pub fn from_packed_edge_multiset(num_vertices: usize, packed: &[u64]) -> Self {
-        let mut degree = vec![0usize; num_vertices];
-        for &key in packed {
-            let (a, b) = ((key >> 32) as usize, (key & u64::from(u32::MAX)) as usize);
-            assert!(a <= b && b < num_vertices, "bad packed edge key");
-            degree[a] += 1;
-            if a != b {
-                degree[b] += 1;
-            }
-        }
-        let mut offsets = vec![0usize; num_vertices + 1];
-        for v in 0..num_vertices {
-            offsets[v + 1] = offsets[v] + degree[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut rows = vec![0u32; offsets[num_vertices]];
-        for &key in packed {
-            let (a, b) = ((key >> 32) as usize, (key & u64::from(u32::MAX)) as usize);
-            rows[cursor[a]] = b as u32;
-            cursor[a] += 1;
-            if a != b {
-                rows[cursor[b]] = a as u32;
-                cursor[b] += 1;
-            }
-        }
-        // Sort + dedup each row, compacting into the final CSR and edge
-        // list in one row-major pass.
-        let mut adjacency = Vec::with_capacity(rows.len());
-        let mut edges = Vec::with_capacity(packed.len());
-        let mut final_offsets = vec![0usize; num_vertices + 1];
-        for v in 0..num_vertices {
-            let row = &mut rows[offsets[v]..offsets[v + 1]];
-            row.sort_unstable();
-            let mut prev = u64::MAX;
-            for &w in row.iter() {
-                if u64::from(w) != prev {
-                    adjacency.push(w);
-                    if w as usize >= v {
-                        edges.push((v as u32, w));
-                    }
-                    prev = u64::from(w);
-                }
-            }
-            final_offsets[v + 1] = adjacency.len();
-        }
-        Graph {
-            num_vertices,
-            edges,
-            offsets: final_offsets,
-            adjacency,
-        }
-    }
-
-    /// The simple graph underneath this multigraph: same vertices, one edge
-    /// per pair of distinct vertices joined by at least one edge, no
-    /// self-loops.
-    ///
-    /// Read straight off the CSR — each row is copied, sorted and
-    /// deduplicated with its own vertex dropped — so no edge is relabelled,
-    /// packed or scattered. The result is the graph
-    /// [`from_packed_edge_multiset`](Self::from_packed_edge_multiset) builds
-    /// from this graph's non-loop edges, field for field: a row of that
-    /// build holds exactly the other endpoints of the vertex's non-loop
-    /// edges, which is this CSR row minus the loops.
-    pub fn simple(&self) -> Graph {
-        let mut adjacency = Vec::with_capacity(self.adjacency.len());
-        let mut edges = Vec::with_capacity(self.edges.len());
-        let mut offsets = Vec::with_capacity(self.num_vertices + 1);
-        offsets.push(0);
-        let mut row: Vec<u32> = Vec::new();
-        for v in 0..self.num_vertices {
-            row.clear();
-            row.extend_from_slice(self.neighbors(v));
-            row.sort_unstable();
-            row.dedup();
-            for &w in row.iter().filter(|&&w| w as usize != v) {
-                adjacency.push(w);
-                if w as usize > v {
-                    edges.push((v as u32, w));
-                }
-            }
-            offsets.push(adjacency.len());
-        }
-        Graph {
-            num_vertices: self.num_vertices,
-            edges,
-            offsets,
-            adjacency,
-        }
-    }
-
     /// A graph from CSR parts its builder already made consistent: a
     /// row-major edge list and the matching offsets and adjacency.
     pub(crate) fn from_csr_parts(
@@ -672,23 +563,6 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.degree(1), 3);
-    }
-
-    #[test]
-    fn simple_drops_loops_and_parallels_and_sorts_rows() {
-        let g = Graph::from_edges_unchecked(
-            4,
-            vec![(2, 0), (0, 2), (1, 1), (3, 0), (0, 1), (1, 0), (3, 3)],
-        );
-        let s = g.simple();
-        assert_eq!(s.num_vertices(), 4);
-        assert_eq!(s.edges(), &[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(s.neighbors(0), &[1, 2, 3]);
-        assert_eq!(s.neighbors(1), &[0]);
-        assert_eq!(s.csr_offsets(), &[0, 3, 4, 5, 6]);
-        // Already simple: unchanged up to row order.
-        assert_eq!(s.simple().edges(), s.edges());
-        assert_eq!(Graph::empty(3).simple().csr_offsets(), &[0, 0, 0, 0]);
     }
 
     #[test]

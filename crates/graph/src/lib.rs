@@ -45,7 +45,7 @@ pub use crate::io::{
     write_op_chunks_file, EdgeOp, IoError, LoadedGraph, OpChunkWriter, OpKind, PackSummary,
 };
 pub use crate::partition::Partition;
-pub use crate::table::EndpointTable;
+pub use crate::table::{counting_contraction, EdgeSource, EndpointTable};
 pub use crate::view::{AdjacencyView, LazyView};
 
 /// Convenient glob-import of the most commonly used items.

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod compact;
 pub mod config;
 pub mod executor;
 pub mod histogram;
@@ -66,7 +65,6 @@ pub mod stream;
 pub mod walkstats;
 
 pub use crate::cluster::Cluster;
-pub use crate::compact::{pack_edge, unpack_edge};
 pub use crate::config::{MpcConfig, MpcError};
 pub use crate::executor::{derive_stream_seed, Executor, THREADS_ENV_VAR};
 pub use crate::histogram::{HistogramSummary, LogHistogram, HISTOGRAM_BUCKETS};

@@ -13,6 +13,7 @@ use wcc_core::products::cloud_sizes;
 use wcc_core::regularize::regularize;
 use wcc_core::sublinear::{sublinear_components, SublinearParams};
 use wcc_graph::prelude::*;
+use wcc_graph::{counting_contraction, EdgeSource};
 use wcc_mpc::{MpcConfig, MpcContext};
 use wcc_sketch::DynamicConnectivitySketch;
 
@@ -37,17 +38,20 @@ fn arb_endpoint_table(max_n: usize, max_w: usize) -> impl Strategy<Value = Endpo
     })
 }
 
-/// The table's direct simple build against `GraphBuilder` + `simple()`.
+/// The counting build of a table under the identity partition (phase 1's
+/// contraction) against the spec: the table's edges with loops dropped,
+/// normalised, sorted and deduplicated, built as a graph.
 fn assert_direct_build_matches(table: &EndpointTable) {
-    let w = table.walks_per_vertex();
-    let mut builder = GraphBuilder::new(table.num_vertices());
-    for (v, row) in table.ends().chunks_exact(w).enumerate() {
-        builder
-            .add_edges(row.iter().map(|&u| (v, u as usize)))
-            .unwrap();
-    }
-    let want = builder.build().simple();
-    let got = table.simple_graph();
+    let n = table.num_vertices();
+    let mut spec: Vec<(usize, usize)> = table
+        .to_graph()
+        .edge_iter()
+        .filter(|&(u, v)| u != v)
+        .collect();
+    spec.sort_unstable();
+    spec.dedup();
+    let want = Graph::from_edges_unchecked(n, spec);
+    let got = counting_contraction(&[EdgeSource::Table(table)], &Partition::singletons(n));
     assert_eq!(got.num_vertices(), want.num_vertices(), "{table:?}");
     assert_eq!(got.csr_offsets(), want.csr_offsets(), "{table:?}");
     assert_eq!(got.csr_adjacency(), want.csr_adjacency(), "{table:?}");
@@ -124,7 +128,7 @@ proptest! {
     #[test]
     fn direct_simple_build_equals_builder_plus_simple(table in arb_endpoint_table(90, 8)) {
         // Phase 1's contraction of a random batch is built straight from its
-        // endpoint table; the batch built as a graph and de-duplicated is
+        // endpoint table; the batch's edges sorted and de-duplicated are
         // the graph it must reproduce, field for field.
         assert_direct_build_matches(&table);
     }
@@ -138,25 +142,6 @@ proptest! {
         let a = connected_components(&g);
         let b = components::connected_components_union_find(&g);
         prop_assert!(a.same_partition(&b));
-    }
-
-    #[test]
-    fn simple_graph_equals_bucket_build_of_the_non_loop_edges(g in arb_graph(90, 400)) {
-        // `Graph::simple()` reads the contraction-by-identity off the CSR;
-        // the bucketed multiset build of the same non-loop edges is the
-        // graph it must reproduce, field for field.
-        let packed: Vec<u64> = g
-            .edge_iter()
-            .filter(|&(u, v)| u != v)
-            .map(|(u, v)| wcc_mpc::pack_edge(u, v))
-            .collect();
-        let want = Graph::from_packed_edge_multiset(g.num_vertices(), &packed);
-        let got = g.simple();
-        prop_assert_eq!(got.num_vertices(), want.num_vertices());
-        prop_assert_eq!(got.edges(), want.edges());
-        prop_assert_eq!(got.csr_offsets(), want.csr_offsets());
-        prop_assert_eq!(got.csr_adjacency(), want.csr_adjacency());
-        prop_assert!(!got.has_self_loops());
     }
 
     #[test]
@@ -397,26 +382,6 @@ proptest! {
             engine.apply_ops_batch(&EdgeOp::inserts(chunk)).unwrap();
         }
         prop_assert!(engine.labels_for_universe(g.num_vertices()).same_partition(&truth));
-    }
-
-    #[test]
-    fn compact_edge_codec_round_trips_and_preserves_order(
-        a1 in proptest::num::u32::ANY,
-        b1 in proptest::num::u32::ANY,
-        a2 in proptest::num::u32::ANY,
-        b2 in proptest::num::u32::ANY,
-    ) {
-        use wcc_mpc::{pack_edge, unpack_edge};
-
-        // Every id in the u32 space round-trips through the packed u64...
-        let p1 = pack_edge(a1 as usize, b1 as usize);
-        let p2 = pack_edge(a2 as usize, b2 as usize);
-        prop_assert_eq!(unpack_edge(p1), (a1 as usize, b1 as usize));
-        prop_assert_eq!(unpack_edge(p2), (a2 as usize, b2 as usize));
-        // ...and the packing is order-preserving: u64 comparison of packed
-        // edges agrees with lexicographic comparison of the tuples, which
-        // is what lets the contraction radix-sort packed words directly.
-        prop_assert_eq!(p1.cmp(&p2), (a1, b1).cmp(&(a2, b2)));
     }
 
     #[test]
