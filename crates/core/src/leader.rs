@@ -747,7 +747,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn dense_bucketed_identity_and_wide_contractions_agree(request in arb_contraction()) {
+        fn counting_and_bitmap_contractions_match_the_sort_and_dedup_spec(
+            request in arb_contraction()
+        ) {
             let (graphs, part) = request;
             let refs: Vec<&Graph> = graphs.iter().collect();
             let sources = sources_of(&refs);

@@ -5,7 +5,8 @@
 //! one batch, then a stream of merge-free "traffic" batches
 //! (intra-component densification plus well-attached newcomers) rides the
 //! union-find fast path, and finally a bridge batch merges two standing
-//! components — which escalates: one union–find pass over the live edges.
+//! components — which escalates: the batch is charged one round of `n`
+//! words, and the union–find already holds the merged partition.
 //! The batch schedule round-trips through the binary chunk format (`WCCS`)
 //! and the executor-driven parallel decode, exactly like `wcc stream` does.
 //!

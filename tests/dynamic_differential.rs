@@ -384,8 +384,9 @@ fn only_the_last_copy_of_a_forest_pair_is_a_cut() {
     assert_eq!(engine.spanning_forest().len(), 12 - 2);
 }
 
-/// A cut and a standing merge in one batch: the batch escalates, nobody
-/// repairs the cut, and the escalation starts the forest over.
+/// A cut and a standing merge in one batch: the batch escalates, and the
+/// repair it runs rebuilds the cut component's forest from the surviving
+/// trees, keeping the merging insert's link.
 #[test]
 fn a_cut_beside_a_standing_merge_escalates_and_rebuilds_the_forest() {
     let mut engine = IncrementalComponents::new(StreamParams::laptop_scale(), 29);

@@ -59,7 +59,7 @@ fn assert_direct_build_matches(table: &EndpointTable) {
 }
 
 #[test]
-fn direct_simple_build_handles_the_corner_tables() {
+fn counting_build_of_corner_tables_matches_the_sort_and_dedup_spec() {
     let cases: [(usize, Vec<u32>); 7] = [
         // No vertices; one vertex, a loop per walk.
         (1, vec![]),
@@ -126,7 +126,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn direct_simple_build_equals_builder_plus_simple(table in arb_endpoint_table(90, 8)) {
+    fn counting_build_of_a_table_matches_the_sort_and_dedup_spec(table in arb_endpoint_table(90, 8)) {
         // Phase 1's contraction of a random batch is built straight from its
         // endpoint table; the batch's edges sorted and de-duplicated are
         // the graph it must reproduce, field for field.
